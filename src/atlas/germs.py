@@ -16,7 +16,7 @@ from .errors import (ExcludedCaseError, NotRegularSemisimpleError,
                      PrecisionError, UnrealizableError)
 from .integrate import phi_from_xi
 from .orbits import BPoint, OrbitRep, case_of, in_side1_closure, padic_sqrt
-from .padic import DEFAULT_PRECISION, PadicScalar
+from .padic import PadicScalar
 from .svalue import LogQVal, RatX, dds_s0
 from .values import eta_minus1, forced_s_values
 
@@ -42,7 +42,7 @@ def zero_point(p: int) -> BPoint:
     return ZERO_POINT_CACHE[p]
 
 
-def gamma_n_mu(x: BPoint, mu, ndigits: int = DEFAULT_PRECISION) -> GermCoeff:
+def gamma_n_mu(x: BPoint, mu, ndigits: int | None = None) -> GermCoeff:
     """Germ coefficient of the nilpotent-family member with parameter mu, for
     a regular semisimple x near zero.
 
@@ -50,7 +50,8 @@ def gamma_n_mu(x: BPoint, mu, ndigits: int = DEFAULT_PRECISION) -> GermCoeff:
     square; otherwise it is
     eta(-nu) (|nu|^{-s} + eta(Delta/p) |Delta/p|^{-s} |nu|^{s}) / |disc|^{1/2}
     where nu is either root of nu + (Delta/p)/nu = u^2 mu - 2 wt; the value is
-    independent of the choice of root."""
+    independent of the choice of root.  The root is extracted to ndigits,
+    by default the precision in force at call time."""
     p = x.p
     mu = mu if isinstance(mu, PadicScalar) else PadicScalar.exact(mu, p)
     if not x.is_rs():

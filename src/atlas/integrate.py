@@ -315,16 +315,22 @@ def _n_conj(M, t: PadicScalar):
             [m20, m21 + m20 * t, m22]]
 
 
-def _a_conj(M, z: QuadElt):
-    """Conjugate by diag(z^-1, conj(z), 1): diagonal entries are fixed and the
-    off-diagonal ones scale by monomials in z and its conjugate."""
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M
+def _torus(z: QuadElt):
+    """The monomials in z that _a_conj scales by: z, its norm and the
+    inverse norm, conj(z), z^-1 and conj(z)^-1."""
     n = z.norm()
-    zb = z.conj()
     zi = z.inv()
-    zbi = zi.conj()
+    return z, n, n.inv(), z.conj(), zi, zi.conj()
+
+
+def _a_conj(M, torus):
+    """Conjugate by diag(z^-1, conj(z), 1), given _torus(z): diagonal entries
+    are fixed and the off-diagonal ones scale by monomials in z and its
+    conjugate."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M
+    z, n, ni, zb, zi, zbi = torus
     return [[m00, m01 * n, z * m02],
-            [m10 / n, m11, zbi * m12],
+            [m10 * ni, m11, zbi * m12],
             [m20 * zi, m21 * zb, m22]]
 
 
@@ -332,10 +338,11 @@ def _iwasawa_t_integral(M, z: QuadElt, p: int, window: int) -> Fraction:
     """Inner integral over the unipotent coordinate of the indicator of the
     lattice, for a fixed (capped) torus coordinate; the unipotent acts first,
     the torus scaling second."""
+    torus = _torus(z)
 
     def ev(ball):
         t = ball.point(p)
-        st = matrix_integral_status(_a_conj(_n_conj(M, t), z))
+        st = matrix_integral_status(_a_conj(_n_conj(M, t), torus))
         if st is None:
             return None
         return Fraction(1) if st else Fraction(0)
@@ -398,7 +405,7 @@ def iwasawa_orbit_u0(y: U0RedElt, s_twist: bool = False,
             z = zball.point(p)
             try:
                 if nilfam:
-                    st = matrix_integral_status(_a_conj(M, z))
+                    st = matrix_integral_status(_a_conj(M, _torus(z)))
                     if st is None:
                         return None
                     return Fraction(1) if st else Fraction(0)

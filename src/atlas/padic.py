@@ -7,6 +7,11 @@ p-adic expansions storing a valuation plus finitely many unit digits.  Mixed
 arithmetic coerces exact to capped; capped results track the worst-case
 precision of their inputs, so a capped value is always a rigorous statement
 "x = p^v * unit  mod p^(v+N)".
+
+p is validated (odd prime) at the public entry points, PadicScalar.exact and
+PadicScalar.capped; arithmetic trusts its operands and only checks that two
+operands share their prime.  Capped scalars are unhashable: equality at the
+shared precision is not transitive, so no hash can agree with it.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ DEFAULT_PRECISION = 24
 _PRECISION = [DEFAULT_PRECISION]
 
 INF = math.inf
+
+_FR_ZERO = Fraction(0)
 
 
 def set_default_precision(n: int) -> None:
@@ -69,24 +76,35 @@ def _int_val(n: int, p: int) -> int:
     return v
 
 
-def _frac_val(x: Fraction, p: int):
-    if x == 0:
-        return INF
-    vnum = _int_val(x.numerator, p) if x.numerator % p == 0 else 0
-    vden = _int_val(x.denominator, p) if x.denominator % p == 0 else 0
-    return vnum - vden
-
-
-def _frac_unit_mod(x: Fraction, p: int, k: int) -> int:
-    """Unit part of a nonzero rational mod p^k."""
-    v = _frac_val(x, p)
+def _frac_split(x: Fraction, p: int):
+    """(v, a, b) with x = p^v * a/b and a, b prime to p; None for x = 0."""
     num, den = x.numerator, x.denominator
-    if v > 0:
-        num //= p ** v
-    elif v < 0:
-        den //= p ** (-v)
+    if num % p == 0:
+        if num == 0:
+            return None
+        v = _int_val(num, p)
+        return v, num // p ** v, den
+    if den % p == 0:
+        v = _int_val(den, p)
+        return -v, num, den // p ** v
+    return 0, num, den
+
+
+def _unit_mod(num: int, den: int, p: int, k: int) -> int:
     m = p ** k
     return num * pow(den, -1, m) % m
+
+
+def _capped(p: int, v: int, unit: int, n: int) -> "PadicScalar":
+    """The capped value p^v * unit + O(p^(v+n)) for 0 <= unit < p^n; only
+    strips p-divisible digits into the valuation.  Trusts p."""
+    while n > 0 and unit % p == 0:
+        if unit == 0:
+            return PadicScalar(p, _v=v + n, _unit=0, _n=0)
+        unit //= p
+        v += 1
+        n -= 1
+    return PadicScalar(p, _v=v, _unit=unit if n else 0, _n=n)
 
 
 class PadicScalar:
@@ -118,46 +136,34 @@ class PadicScalar:
         _check_odd_prime(p)
         if ndigits < 0:
             raise ValueError("negative precision")
-        unit %= p ** ndigits
-        # normalize: strip p-divisible digits into the valuation
-        while ndigits > 0 and unit % p == 0:
-            if unit == 0:
-                v += ndigits
-                ndigits = 0
-                break
-            unit //= p
-            v += 1
-            ndigits -= 1
-        if ndigits == 0:
-            unit = 0
-        return cls(p, _v=v, _unit=unit, _n=ndigits)
+        return _capped(p, v, unit % p ** ndigits, ndigits)
 
     @classmethod
     def zero_at(cls, p: int, absprec: int) -> "PadicScalar":
         """A capped value known only to be O(p^absprec)."""
-        return cls.capped(p, absprec, 0, 0)
+        return cls(p, _v=absprec, _unit=0, _n=0)
 
     @classmethod
     def from_rational_absprec(cls, value, p: int, absprec: int) -> "PadicScalar":
         """Cap an exact rational at absolute precision p^absprec."""
-        x = Fraction(value)
-        if x == 0:
+        split = _frac_split(value if isinstance(value, Fraction) else Fraction(value), p)
+        if split is None or split[0] >= absprec:
             return cls.zero_at(p, absprec)
-        v = _frac_val(x, p)
-        if v >= absprec:
-            return cls.zero_at(p, absprec)
+        v, num, den = split
         n = absprec - v
-        return cls.capped(p, v, _frac_unit_mod(x, p, n), n)
+        return cls(p, _v=v, _unit=_unit_mod(num, den, p, n), _n=n)
 
     def to_capped(self, ndigits: int | None = None) -> "PadicScalar":
         if ndigits is None:
             ndigits = get_default_precision()
-        if not self.is_exact:
+        if self._fr is None:
             return self
-        if self._fr == 0:
+        split = _frac_split(self._fr, self.p)
+        if split is None:
             return PadicScalar.zero_at(self.p, ndigits)
-        v = _frac_val(self._fr, self.p)
-        return PadicScalar.capped(self.p, v, _frac_unit_mod(self._fr, self.p, ndigits), ndigits)
+        v, num, den = split
+        return PadicScalar(self.p, _v=v, _unit=_unit_mod(num, den, self.p, ndigits),
+                           _n=ndigits)
 
     # -- predicates ----------------------------------------------------
 
@@ -202,7 +208,8 @@ class PadicScalar:
         zero at its stored precision.
         """
         if self.is_exact:
-            return _frac_val(self._fr, self.p)
+            split = _frac_split(self._fr, self.p)
+            return INF if split is None else split[0]
         if self._n == 0:
             raise PrecisionError(
                 f"precision exhausted: value is O({self.p}^{self._v})")
@@ -213,9 +220,10 @@ class PadicScalar:
         if k < 1:
             raise ValueError("k must be >= 1")
         if self.is_exact:
-            if self._fr == 0:
+            split = _frac_split(self._fr, self.p)
+            if split is None:
                 raise PrecisionError("unit part of zero")
-            return _frac_unit_mod(self._fr, self.p, k)
+            return _unit_mod(split[1], split[2], self.p, k)
         if self._n < k:
             raise PrecisionError(
                 f"only {self._n} unit digits stored, {k} requested")
@@ -249,46 +257,59 @@ class PadicScalar:
             if other.p != self.p:
                 raise ValueError("mixed primes")
             return other
-        if isinstance(other, (int, Fraction)):
-            return PadicScalar.exact(other, self.p)
+        if isinstance(other, Fraction):
+            return PadicScalar(self.p, _fr=other)
+        if isinstance(other, int):
+            return PadicScalar(self.p, _fr=Fraction(other))
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_exact and o.is_exact:
-            return PadicScalar.exact(self._fr + o._fr, self.p)
+        if o._fr is not None and o._fr == 0:
+            return self
+        p = self.p
         a, b = self, o
-        m = int(min(a.abs_precision, b.abs_precision))  # finite: one side is capped
-        av = PadicScalar.from_rational_absprec(a._fr, self.p, m) if a.is_exact else a
-        bv = PadicScalar.from_rational_absprec(b._fr, self.p, m) if b.is_exact else b
-        # both capped now; rebase to integers times p^base
+        if a._fr is not None:
+            if a._fr == 0:
+                return o
+            if b._fr is not None:
+                return PadicScalar(p, _fr=a._fr + b._fr)
+            a, b = b, a
+        # a is capped
+        if b._fr is not None:
+            m = a._v + a._n
+            bv = PadicScalar.from_rational_absprec(b._fr, p, m)
+        else:
+            m = min(a._v + a._n, b._v + b._n)
+            bv = b
+        # rebase to integers times p^base
         base = m
-        if av._n:
-            base = min(base, av._v)
-        if bv._n:
-            base = min(base, bv._v)
-        pm = self.p ** (m - base)
-        xa = 0 if av._n == 0 else av._unit * self.p ** (av._v - base)
-        xb = 0 if bv._n == 0 else bv._unit * self.p ** (bv._v - base)
+        if a._n and a._v < base:
+            base = a._v
+        if bv._n and bv._v < base:
+            base = bv._v
+        pm = p ** (m - base)
+        xa = a._unit * p ** (a._v - base) if a._n else 0
+        xb = bv._unit * p ** (bv._v - base) if bv._n else 0
         raw = (xa + xb) % pm
         if raw == 0:
-            return PadicScalar.zero_at(self.p, m)
-        v0 = _int_val(raw, self.p)
+            return PadicScalar.zero_at(p, m)
+        v0 = _int_val(raw, p)
         v = base + v0
         if v >= m:
-            return PadicScalar.zero_at(self.p, m)
-        return PadicScalar.capped(self.p, v, raw // self.p ** v0, m - v)
+            return PadicScalar.zero_at(p, m)
+        return _capped(p, v, raw // p ** v0, m - v)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.is_exact:
-            return PadicScalar.exact(-self._fr, self.p)
+        if self._fr is not None:
+            return PadicScalar(self.p, _fr=-self._fr)
         if self._n == 0:
             return self
-        return PadicScalar.capped(self.p, self._v, (-self._unit) % self.p ** self._n, self._n)
+        return _capped(self.p, self._v, -self._unit % self.p ** self._n, self._n)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -303,34 +324,40 @@ class PadicScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_exact and o.is_exact:
-            return PadicScalar.exact(self._fr * o._fr, self.p)
+        p = self.p
         a, b = self, o
-        if a.is_exact:
+        if a._fr is not None:
+            if b._fr is not None:
+                return PadicScalar(p, _fr=a._fr * b._fr)
             a, b = b, a
-        # a capped; match relative precision
-        if b.is_exact:
-            if b._fr == 0:
-                # 0 * O(p^k) is exactly 0
-                return PadicScalar.exact(0, self.p)
-            b = b.to_capped(max(a._n, 1))
-        n = min(a._n, b._n)
+        # a is capped; an exact b is capped at a's relative precision
+        n = a._n
+        if b._fr is not None:
+            split = _frac_split(b._fr, p)
+            if split is None:
+                return b    # 0 * O(p^k) is exactly 0
+            vb, num, den = split
+            v = a._v + vb
+            if n == 0:
+                return PadicScalar.zero_at(p, v)
+            return _capped(p, v, _unit_mod(a._unit * num, den, p, n), n)
+        if b._n < n:
+            n = b._n
         v = a._v + b._v
         if n == 0:
-            return PadicScalar.zero_at(self.p, v)
-        return PadicScalar.capped(self.p, v, (a._unit * b._unit) % self.p ** n, n)
+            return PadicScalar.zero_at(p, v)
+        return _capped(p, v, a._unit * b._unit % p ** n, n)
 
     __rmul__ = __mul__
 
     def inv(self):
-        if self.is_exact:
+        if self._fr is not None:
             if self._fr == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return PadicScalar.exact(1 / self._fr, self.p)
+            return PadicScalar(self.p, _fr=1 / self._fr)
         if self._n == 0:
             raise PrecisionError("inverse of a value indistinguishable from zero")
-        m = self.p ** self._n
-        return PadicScalar.capped(self.p, -self._v, pow(self._unit, -1, m), self._n)
+        return _capped(self.p, -self._v, pow(self._unit, -1, self.p ** self._n), self._n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -343,13 +370,19 @@ class PadicScalar:
         return o * self.inv()
 
     def __pow__(self, k: int):
+        """Square-and-multiply; negative k inverts first."""
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
             return self.inv() ** (-k)
-        out = PadicScalar.exact(1, self.p)
-        for _ in range(k):
-            out = out * self
+        out = PadicScalar(self.p, _fr=Fraction(1))
+        sq = self
+        while k:
+            if k & 1:
+                out = out * sq
+            k >>= 1
+            if k:
+                sq = sq * sq
         return out
 
     # -- comparison -----------------------------------------------------
@@ -370,9 +403,11 @@ class PadicScalar:
             return NotImplemented
 
     def __hash__(self):
-        if self.is_exact:
-            return hash((self.p, self._fr))
-        return hash((self.p, self._v, self._unit, self._n))
+        # equality at shared precision is not transitive, so no hash can
+        # agree with it on capped values
+        if self._fr is None:
+            raise TypeError("unhashable: capped PadicScalar")
+        return hash((self.p, self._fr))
 
     def __repr__(self):
         if self.is_exact:
@@ -514,9 +549,9 @@ class QuadElt:
         if isinstance(other, QuadElt):
             return other
         if isinstance(other, PadicScalar):
-            return QuadElt(other, PadicScalar.exact(0, self.p))
+            return QuadElt(other, PadicScalar(self.p, _fr=_FR_ZERO))
         if isinstance(other, (int, Fraction)):
-            return QuadElt.exact(other, 0, self.p)
+            return QuadElt(self.a._coerce(other), PadicScalar(self.p, _fr=_FR_ZERO))
         raise TypeError(f"cannot coerce {type(other)} to QuadElt")
 
     def __add__(self, other):
@@ -539,6 +574,8 @@ class QuadElt:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (PadicScalar, int, Fraction)):
+            return QuadElt(self.a * other, self.b * other)
         if isinstance(other, QuatElt):
             return NotImplemented
         o = self._coerce(other)
@@ -621,7 +658,7 @@ class QuatElt:
         return self.x.trace()
 
     def nrd(self) -> PadicScalar:
-        eps = PadicScalar.exact(self.eps, self.p)
+        eps = PadicScalar(self.p, _fr=self.eps)
         return self.x.norm() - eps * self.y.norm()
 
     def v_d(self):
@@ -664,7 +701,7 @@ class QuatElt:
     def __mul__(self, other):
         o = self._coerce(other)
         x1, y1, x2, y2 = self.x, self.y, o.x, o.y
-        eps = QuadElt.exact(self.eps, 0, self.p)
+        eps = PadicScalar(self.p, _fr=self.eps)
         return QuatElt(x1 * x2 + eps * y1 * y2.conj(),
                        x1 * y2 + y1 * x2.conj(), self.eps)
 
@@ -694,10 +731,6 @@ class QuatElt:
 
     def __repr__(self):
         return f"[{self.x} + {self.y}*j]"
-
-
-def quat_pi(p: int) -> QuatElt:
-    return QuatElt.from_f(QuadElt.pi(p))
 
 
 def solve_norm_F(target: PadicScalar, ndigits: int | None = None) -> QuadElt:

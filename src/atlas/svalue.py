@@ -334,12 +334,6 @@ class LogQVal:
         return " + ".join(parts)
 
 
-def log_abs(x, p: int) -> LogQVal:
-    """log |y| as a graded value: -v(y) * log q."""
-    v = x.val() if hasattr(x, "val") else x
-    return LogQVal({1: Fraction(-v)}, p)
-
-
 def zeta1(p: int) -> Fraction:
     """zeta(1) = 1/(1 - q^{-1})."""
     return 1 / (1 - Fraction(1, p))

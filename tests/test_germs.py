@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from atlas import germs
 from atlas.errors import ExcludedCaseError, UnrealizableError
 from atlas.germs import (UNNEEDED, dgamma_table, dorb1, gamma_n_mu,
                          is_in_neighborhood, phi_closed, zero_point)
 from atlas.orbits import (INF, BPoint, case_of, make_bpoint_rs1, orbit_reps,
                           padic_sqrt)
-from atlas.padic import PadicScalar
+from atlas.padic import (DEFAULT_PRECISION, PadicScalar,
+                         get_default_precision, set_default_precision)
 from atlas.svalue import LogQVal, RatX, dds_s0, zeta1
 from atlas.values import forced_s_values
 
@@ -47,6 +49,25 @@ class TestGammaFamily:
         assert g.value_at_0 != 0
         # |disc|^{-1/2} scale
         assert abs(g.value_at_0) == Fraction(2) * Fraction(p) ** (d.val() // 2)
+
+    def test_precision_setting_reaches_the_root(self, monkeypatch):
+        seen = []
+
+        def spy(x, ndigits=None):
+            root = padic_sqrt(x, ndigits)
+            seen.append(root.rel_precision)
+            return root
+        monkeypatch.setattr(germs, "padic_sqrt", spy)
+        x = BPoint.exact(1, 1, 0, 5)     # disc = 29/25, not a rational square
+        assert get_default_precision() == DEFAULT_PRECISION
+        set_default_precision(7)
+        try:
+            g = gamma_n_mu(x, Fraction(7, 5))
+        finally:
+            set_default_precision(DEFAULT_PRECISION)
+        assert seen == [7]
+        assert g.value_at_0 == gamma_n_mu(x, Fraction(7, 5)).value_at_0
+        assert seen == [7, DEFAULT_PRECISION]
 
     def test_root_choice_independence(self):
         random.seed(83)

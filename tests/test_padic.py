@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from atlas.errors import NoSquareRootError, NotNormError, PrecisionError
+from atlas.orbits import BPoint
 from atlas.padic import (DEFAULT_PRECISION, PadicScalar, QuadElt, QuatElt,
                          hensel_sqrt, legendre, smallest_nonresidue,
                          solve_norm_F)
+from atlas.serialize import decode_scalar
 
 INF = math.inf
 
@@ -79,6 +81,56 @@ class TestCapped:
     def test_inv_round_trip(self):
         x = PadicScalar.capped(7, -2, 12, 6)
         assert (x * x.inv() - 1).is_zero_at_precision()
+        # powers agree with the repeated product digit for digit
+        for y in (x, exact(Fraction(-14, 3), 7), PadicScalar.capped(7, 1, 3, 0)):
+            for k in range(-3, 10):
+                if k < 0 and y.is_zero_at_precision():
+                    continue
+                prod = exact(1, 7)
+                for _ in range(abs(k)):
+                    prod = prod * (y if k > 0 else y.inv())
+                got = y ** k
+                assert got.is_exact == prod.is_exact and repr(got) == repr(prod)
+
+    def test_hash_agrees_with_eq(self):
+        one = exact(1, 3)
+        a = PadicScalar.capped(3, 0, 1, 5)
+        b = PadicScalar.capped(3, 0, 1 + 3 ** 5, 8)
+        assert one == a and a == b and one != b
+        assert hash(one) == hash(exact(Fraction(4, 4), 3))
+        # equality at shared precision is not transitive: capped values,
+        # and elements built from them, have no hash
+        for value in (a, QuadElt(one, a), QuatElt.from_f(QuadElt(a, one))):
+            with pytest.raises(TypeError):
+                hash(value)
+        with pytest.raises(TypeError):
+            {one, a, b}
+
+
+class TestBoundaryValidation:
+    @pytest.mark.parametrize("p", [1, 2, 4, 9, 15])
+    def test_rejects_non_odd_prime(self, p):
+        with pytest.raises(ValueError):
+            PadicScalar.exact(1, p)
+        with pytest.raises(ValueError):
+            PadicScalar.capped(p, 0, 1, 5)
+        with pytest.raises(ValueError):
+            decode_scalar({"num": "1", "den": "1"}, p)
+        with pytest.raises(ValueError):
+            decode_scalar({"v": 0, "digits": [1], "p": p, "N": 1}, p)
+        with pytest.raises(ValueError):
+            BPoint.exact(1, 1, 0, p)
+
+    def test_rejects_mixed_primes(self):
+        pairs = [(exact(2, 3), exact(2, 5)),
+                 (PadicScalar.capped(3, 0, 2, 4), PadicScalar.capped(5, 0, 2, 4)),
+                 (exact(2, 3), PadicScalar.capped(5, 0, 2, 4))]
+        for x, y in pairs:
+            for a, b in ((x, y), (y, x)):
+                with pytest.raises(ValueError):
+                    a + b
+                with pytest.raises(ValueError):
+                    a * b
 
 
 class TestHensel:
