@@ -14,7 +14,8 @@ from fractions import Fraction
 from . import padic
 from .errors import AtlasError
 from .germs import dorb1, gamma_n_mu, phi_closed
-from .integrate import iwasawa_orbit_u0, phi_from_xi
+from .integrate import (DEFAULT_WINDOW, auto_window, iwasawa_orbit_u0,
+                        phi_from_xi)
 from .keating import l_int_closed, l_int_keating
 from .orbits import (INF, BPoint, case_of, make_bpoint_rs1, orbit_reps,
                      u0_nilpotent_family_member, u0_ss_case0, u0_ss_case1)
@@ -60,17 +61,21 @@ def cmd_lint(args) -> int:
     return 0
 
 
+def _u0_oracle(y, args, out) -> None:
+    window = auto_window(y) if args.shell_window is None else args.shell_window
+    out["value"] = str(iwasawa_orbit_u0(y, window=window))
+    out["method"] = "shell-sum"
+    out["shells_used"] = window
+
+
 def cmd_orb(args) -> int:
     p = args.p
     out = {"p": p, "kind": args.kind}
     if args.kind == "nil-u0":
         mu = Fraction(args.params[0])
         closed = orb_nil_family_s(mu, p)  # the matched side, for reference
-        y = u0_nilpotent_family_member(mu, p)
         if args.oracle:
-            out["value"] = str(iwasawa_orbit_u0(y, window=args.shell_window))
-            out["method"] = "shell-sum"
-            out["shells_used"] = args.shell_window
+            _u0_oracle(u0_nilpotent_family_member(mu, p), args, out)
         else:
             from .values import nil_family_orb_u0_fn, phi_eval
             v = phi_eval(nil_family_orb_u0_fn(p), padic.PadicScalar.exact(mu, p))
@@ -80,17 +85,14 @@ def cmd_orb(args) -> int:
     elif args.kind == "ss-u0-case0":
         lam0 = Fraction(args.params[0])
         if args.oracle:
-            out["value"] = str(iwasawa_orbit_u0(u0_ss_case0(lam0, p)))
-            out["method"] = "shell-sum"
+            _u0_oracle(u0_ss_case0(lam0, p), args, out)
         else:
             out["value"] = str(orb_u0_ss_case0(lam0, p))
             out["method"] = "closed"
     elif args.kind == "ss-u0-case1":
         lam0, u0, wt0 = (Fraction(s) for s in args.params[:3])
         if args.oracle:
-            x0 = BPoint.exact(lam0, u0, wt0, p)
-            out["value"] = str(iwasawa_orbit_u0(u0_ss_case1(x0)))
-            out["method"] = "shell-sum"
+            _u0_oracle(u0_ss_case1(BPoint.exact(lam0, u0, wt0, p)), args, out)
         else:
             out["value"] = str(orb_u0_ss_case1(lam0, u0, p))
             out["method"] = "closed"
@@ -99,12 +101,13 @@ def cmd_orb(args) -> int:
         lp = _parse_lplus(args.params[2])
         x = make_bpoint_rs1(m, lm, lp, p)
         if args.oracle:
-            out["value"] = _fmt_logq(phi_from_xi(x, window=args.shell_window))
+            window = DEFAULT_WINDOW if args.shell_window is None else args.shell_window
+            out["value"] = _fmt_logq(phi_from_xi(x, window=window))
             out["method"] = "shell-sum"
+            out["shells_used"] = window
         else:
             out["value"] = _fmt_logq(phi_closed(x))
             out["method"] = "closed"
-        out["shells_used"] = args.shell_window
     else:
         raise AtlasError(f"unknown kind {args.kind}")
     print(json.dumps(out, indent=2))
@@ -207,17 +210,32 @@ def cmd_verify(args) -> int:
     return 0 if all(r.constant for _, r in reports) else 1
 
 
+def _global_options(**defaults) -> argparse.ArgumentParser:
+    """The flags accepted before and after the subcommand.  Only the
+    top-level copy carries defaults: argparse copies a subparser's defaults
+    over the top-level namespace, so the subparser copies leave unset flags
+    out (SUPPRESS) and the value given before the subcommand survives."""
+    opts = argparse.ArgumentParser(add_help=False,
+                                   argument_default=argparse.SUPPRESS)
+    opts.add_argument("--precision", type=int,
+                      help=f"capped-scalar digits (default {padic.DEFAULT_PRECISION})")
+    opts.add_argument("--shell-window", type=int,
+                      help="shell window of the orb oracles (default: the "
+                           "library's, auto_window(y) for the u0 kinds and "
+                           f"{DEFAULT_WINDOW} for xi)")
+    opts.add_argument("--format", choices=("json", "csv", "text"))
+    opts.set_defaults(**defaults)
+    return opts
+
+
 def main(argv=None) -> int:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", type=int, default=padic.DEFAULT_PRECISION,
-                        help="capped-scalar digits")
-    common.add_argument("--shell-window", type=int, default=14)
-    common.add_argument("--format", choices=("json", "csv", "text"),
-                        default="json")
     ap = argparse.ArgumentParser(
-        prog="atlas", parents=[common],
+        prog="atlas",
+        parents=[_global_options(precision=padic.DEFAULT_PRECISION,
+                                 shell_window=None, format="json")],
         description="exact arithmetic for the rank-three comparison identity")
     sub = ap.add_subparsers(dest="cmd", required=True)
+    common = _global_options()
 
     def add_parser(name, **kw):
         return sub.add_parser(name, parents=[common], **kw)
@@ -270,6 +288,7 @@ def main(argv=None) -> int:
     sp.set_defaults(func=cmd_verify)
 
     args = ap.parse_args(argv)
+    previous = padic.get_default_precision()
     padic.set_default_precision(args.precision)
     seed = os.environ.get("ATLAS_SEED")
     if seed is not None:
@@ -279,6 +298,8 @@ def main(argv=None) -> int:
     except AtlasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        padic.set_default_precision(previous)
 
 
 if __name__ == "__main__":

@@ -6,24 +6,32 @@ decision taken on a ball is rigorous for every point of the ball; undecided
 balls are subdivided recursively up to a depth cap; and infinite shell tails
 are closed analytically: plain geometric series for untwisted or X-twisted
 weights, polynomial-times-geometric (degree at most two, from the double log
-factors) for the log-weighted integrals."""
+factors) for the log-weighted integrals.
+
+The Iwasawa-coordinate orbital integrals need no subdivision in the torus
+coordinate.  Conjugating by diag(z^-1, conj(z), 1) multiplies entry (i, j) by
+a unit times pi^(e_ij k), with k = v_F(z) and
+
+    e = ( 0  2  1 )
+        (-2  0 -1 )
+        (-1  1  0 ),
+
+so the lattice indicator depends on z only through k: each torus shell is
+evaluated once, as its volume times the unipotent integral of the bounds
+v_F(entry_ij) >= -e_ij k."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConductorError, PrecisionError, StabilizationError
+from .errors import ConductorError, StabilizationError
 from .orbits import BPoint, U0RedElt
 from .padic import PadicScalar, QuadElt
 from .svalue import LogQVal, RatX, zeta1
 
 DEPTH_CAP = 40
 DEFAULT_WINDOW = 30
-
-
-class _NeedSplit(Exception):
-    """An inner integral could not be decided at the outer ball's precision."""
 
 
 # ---------------------------------------------------------------------------
@@ -105,30 +113,40 @@ def f_shell(k: int, p: int, extra_depth: int = 0):
 # ternary decisions
 
 
-def integral_status(s):
-    """Ternary integrality of a scalar: True / False / None (undecided)."""
+def val_at_least(s, m):
+    """Ternary v(s) >= m for a scalar: True / False / None (undecided)."""
     if s.is_exact:
-        return s.is_exact_zero() or s.val() >= 0
+        return s.is_exact_zero() or s.val() >= m
     if s.rel_precision == 0:
-        return True if s.abs_precision >= 0 else None
-    return s.val() >= 0
+        return True if s.abs_precision >= m else None
+    return s.val() >= m
 
 
-def quad_integral_status(z: QuadElt):
-    sa = integral_status(z.a)
-    sb = integral_status(z.b)
-    if sa is False or sb is False:
+def integral_status(s):
+    """Ternary integrality of a scalar."""
+    return val_at_least(s, 0)
+
+
+def quad_val_at_least(x: QuadElt, m):
+    """Ternary v_F(x) >= m: with v_F(a + b pi) = min(2 v(a), 2 v(b) + 1),
+    that is v(a) >= ceil(m/2) and v(b) >= ceil((m-1)/2)."""
+    sa = val_at_least(x.a, -(-m // 2))
+    if sa is False:
+        return False
+    sb = val_at_least(x.b, -((1 - m) // 2))
+    if sb is False:
         return False
     if sa is None or sb is None:
         return None
     return True
 
 
-def matrix_integral_status(M):
+def matrix_val_at_least(M, bounds):
+    """Ternary conjunction of v_F(M[i][j]) >= bounds[i][j] over all entries."""
     out = True
-    for row in M:
-        for e in row:
-            s = quad_integral_status(e) if isinstance(e, QuadElt) else integral_status(e)
+    for row, brow in zip(M, bounds):
+        for e, m in zip(row, brow):
+            s = quad_val_at_least(e, m)
             if s is False:
                 return False
             if s is None:
@@ -315,56 +333,41 @@ def _n_conj(M, t: PadicScalar):
             [m20, m21 + m20 * t, m22]]
 
 
-def _torus(z: QuadElt):
-    """The monomials in z that _a_conj scales by: z, its norm and the
-    inverse norm, conj(z), z^-1 and conj(z)^-1."""
-    n = z.norm()
-    zi = z.inv()
-    return z, n, n.inv(), z.conj(), zi, zi.conj()
+def _shell_bounds(k: int):
+    """Lower bounds on v_F of the entries that make diag(z^-1, conj(z), 1)
+    conjugation integral when v_F(z) = k: -e_ij k for the exponent table e
+    in the module docstring."""
+    return ((0, -2 * k, -k),
+            (2 * k, 0, k),
+            (k, -k, 0))
 
 
-def _a_conj(M, torus):
-    """Conjugate by diag(z^-1, conj(z), 1), given _torus(z): diagonal entries
-    are fixed and the off-diagonal ones scale by monomials in z and its
-    conjugate."""
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M
-    z, n, ni, zb, zi, zbi = torus
-    return [[m00, m01 * n, z * m02],
-            [m10 * ni, m11, zbi * m12],
-            [m20 * zi, m21 * zb, m22]]
-
-
-def _iwasawa_t_integral(M, z: QuadElt, p: int, window: int) -> Fraction:
+def _iwasawa_t_integral(M, k: int, p: int, window: int) -> Fraction:
     """Inner integral over the unipotent coordinate of the indicator of the
-    lattice, for a fixed (capped) torus coordinate; the unipotent acts first,
-    the torus scaling second."""
-    torus = _torus(z)
+    lattice, on the torus shell v_F(z) = k; the unipotent acts first, the
+    torus scaling second."""
+    bounds = _shell_bounds(k)
 
     def ev(ball):
-        t = ball.point(p)
-        st = matrix_integral_status(_a_conj(_n_conj(M, t), torus))
+        st = matrix_val_at_least(_n_conj(M, ball.point(p)), bounds)
         if st is None:
             return None
         return Fraction(1) if st else Fraction(0)
 
     # the support in t is a valuation interval: conditions are integrality of
     # polynomials in t, which fail monotonically for large |t|
-    total = Fraction(0)
-    try:
-        total += _sum_balls(p, [Ball0(Fraction(0), 0)], ev, Fraction(0))
-        zeros = 0 if total != 0 else 1
-        for j in range(-1, -window - 1, -1):
-            s = _sum_balls(p, f0_shell(j, p), ev, Fraction(0))
-            total += s
-            if s == 0:
-                zeros += 1
-                if zeros >= 4:
-                    return total
-            else:
-                zeros = 0
-        return total
-    except ConductorError:
-        raise _NeedSplit
+    total = _sum_balls(p, [Ball0(Fraction(0), 0)], ev, Fraction(0))
+    zeros = 0 if total != 0 else 1
+    for j in range(-1, -window - 1, -1):
+        s = _sum_balls(p, f0_shell(j, p), ev, Fraction(0))
+        total += s
+        if s == 0:
+            zeros += 1
+            if zeros >= 4:
+                return total
+        else:
+            zeros = 0
+    return total
 
 
 def auto_window(y: U0RedElt, floor: int = 8) -> int:
@@ -381,8 +384,21 @@ def auto_window(y: U0RedElt, floor: int = 8) -> int:
     return max(floor, 2 * top + 6)
 
 
+def z_shell_value(M, k: int, p: int, window: int, nilfam: bool) -> Fraction:
+    """The torus shell v_F(z) = k of the orbital integral of M: the volume of
+    f_shell(k, p) times the unipotent integral, or, for the nilpotent family,
+    times the lattice indicator of M itself."""
+    vol = sum((b.vol(p) for b in f_shell(k, p)), Fraction(0))
+    if nilfam:
+        st = matrix_val_at_least(M, _shell_bounds(k))
+        if st is None:
+            raise ConductorError("nilpotent-family lattice test undecided")
+        return vol if st else Fraction(0)
+    return vol * _iwasawa_t_integral(M, k, p, window)
+
+
 def iwasawa_orbit_u0(y: U0RedElt, s_twist: bool = False,
-                     window: int | None = None, conductor_hint: int = 1):
+                     window: int | None = None):
     """Orbital integral of the lattice indicator over the quasi-split
     stabilizer group in Iwasawa coordinates, as an exact shell sum with the
     zeta(1) measure factor.
@@ -390,7 +406,13 @@ def iwasawa_orbit_u0(y: U0RedElt, s_twist: bool = False,
     Elements of the nilpotent family (nonzero, all invariants zero) have the
     unipotent subgroup as stabilizer: for them the unipotent coordinate is
     omitted.  With s_twist the torus shells are weighted by X^(2k), giving a
-    rational function of X that restricts to the plain value at s = 0."""
+    rational function of X that restricts to the plain value at s = 0.
+
+    The torus z enters only through k = v_F(z): conjugation by
+    diag(z^-1, conj(z), 1) scales entry (i, j) by a unit times pi^(e_ij k),
+    e = (0 2 1 / -2 0 -1 / -1 1 0), so shell k contributes its volume
+    (p - 1) p^-(k+1) times the unipotent integral of v_F >= -e_ij k.
+    A ConductorError from that integral propagates."""
     p = y.p
     M = y.matrix()
     inv = y.invariants()
@@ -400,21 +422,6 @@ def iwasawa_orbit_u0(y: U0RedElt, s_twist: bool = False,
     nilfam = (not is_zero_elt and inv.lam.is_exact_zero()
               and inv.u.is_exact_zero() and inv.wtilde.is_exact_zero())
 
-    def z_shell_value(k: int):
-        def ev(zball):
-            z = zball.point(p)
-            try:
-                if nilfam:
-                    st = matrix_integral_status(_a_conj(M, _torus(z)))
-                    if st is None:
-                        return None
-                    return Fraction(1) if st else Fraction(0)
-                return _iwasawa_t_integral(M, z, p, window)
-            except (_NeedSplit, PrecisionError):
-                return None
-        extra = max(0, conductor_hint - 1)
-        return _sum_balls(p, f_shell(k, p, extra), ev, Fraction(0))
-
     # scan shells; support is bounded below, and either bounded above
     # (semisimple) or eventually geometric (nilpotent family)
     total = Fraction(0)
@@ -423,7 +430,7 @@ def iwasawa_orbit_u0(y: U0RedElt, s_twist: bool = False,
     zeros = 0
     ratx_total = RatX.const(0, p) if s_twist else None
     for k in range(-window, window + 1):
-        s = z_shell_value(k)
+        s = z_shell_value(M, k, p, window, nilfam)
         values.append(s)
         total += s
         if s_twist:

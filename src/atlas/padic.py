@@ -11,7 +11,9 @@ precision of their inputs, so a capped value is always a rigorous statement
 p is validated (odd prime) at the public entry points, PadicScalar.exact and
 PadicScalar.capped; arithmetic trusts its operands and only checks that two
 operands share their prime.  Capped scalars are unhashable: equality at the
-shared precision is not transitive, so no hash can agree with it.
+shared precision is not transitive, so no hash can agree with it.  Exact
+values hash as the rational or smaller-field element they equal, so a
+PadicScalar, QuadElt or QuatElt equal to an int or Fraction hashes like it.
 """
 
 from __future__ import annotations
@@ -404,10 +406,10 @@ class PadicScalar:
 
     def __hash__(self):
         # equality at shared precision is not transitive, so no hash can
-        # agree with it on capped values
+        # agree with it on capped values; an exact value equals its rational
         if self._fr is None:
             raise TypeError("unhashable: capped PadicScalar")
-        return hash((self.p, self._fr))
+        return hash(self._fr)
 
     def __repr__(self):
         if self.is_exact:
@@ -599,6 +601,9 @@ class QuadElt:
         return self.a == o.a and self.b == o.b
 
     def __hash__(self):
+        # an element of Q_p equals its embedding in F
+        if self.b.is_exact_zero():
+            return hash(self.a)
         return hash((self.a, self.b))
 
     def __repr__(self):
@@ -727,6 +732,9 @@ class QuatElt:
         return self.x == o.x and self.y == o.y
 
     def __hash__(self):
+        # an element of F equals its embedding in D
+        if self.y.a.is_exact_zero() and self.y.b.is_exact_zero():
+            return hash(self.x)
         return hash((self.x, self.y, self.eps))
 
     def __repr__(self):

@@ -1,14 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from atlas.integrate import (Integrand, auto_window, integral_status,
-                             iwasawa_orbit_u0, phi_from_xi, shell_integrate,
-                             xi_integral)
+from atlas import integrate
+from atlas.errors import ConductorError, PrecisionError
+from atlas.integrate import (Ball0, Integrand, _n_conj, _sum_balls,
+                             auto_window, f0_shell, f_shell, integral_status,
+                             iwasawa_orbit_u0, phi_from_xi, quad_val_at_least,
+                             shell_integrate, xi_integral)
 from atlas.orbits import (INF, BPoint, make_bpoint_rs1,
                           u0_nilpotent_family_member, u0_ss_case0,
                           u0_ss_case1)
-from atlas.padic import PadicScalar
+from atlas.padic import PadicScalar, QuadElt
 from atlas.svalue import LogQVal, RatX, value_s0
 from atlas.values import (nil_family_orb_u0_fn, orb_u0_ss_case0,
                           orb_u0_ss_case1, phi_eval)
@@ -16,6 +20,85 @@ from atlas.values import (nil_family_orb_u0_fn, orb_u0_ss_case0,
 
 def weight_one(_):
     return Fraction(1)
+
+
+# The per-z-ball sweep that z_shell_value replaces, kept as its reference:
+# capped torus points from the f_shell balls, the conjugation by
+# diag(z^-1, conj(z), 1) rebuilt from them, undecided z-balls split.
+
+
+def _integral(s):
+    if s.is_exact:
+        return s.is_exact_zero() or s.val() >= 0
+    if s.rel_precision == 0:
+        return True if s.abs_precision >= 0 else None
+    return s.val() >= 0
+
+
+def _quad_integral(e):
+    sa, sb = _integral(e.a), _integral(e.b)
+    if sa is False or sb is False:
+        return False
+    if sa is None or sb is None:
+        return None
+    return True
+
+
+def _matrix_integral(M):
+    out = True
+    for row in M:
+        for e in row:
+            s = _quad_integral(e)
+            if s is False:
+                return False
+            if s is None:
+                out = None
+    return out
+
+
+def _torus(z):
+    n = z.norm()
+    zi = z.inv()
+    return z, n, n.inv(), z.conj(), zi, zi.conj()
+
+
+def _a_conj(M, torus):
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M
+    z, n, ni, zb, zi, zbi = torus
+    return [[m00, m01 * n, z * m02],
+            [m10 * ni, m11, zbi * m12],
+            [m20 * zi, m21 * zb, m22]]
+
+
+def _indicator(st):
+    return None if st is None else Fraction(1 if st else 0)
+
+
+def _ref_t_integral(M, torus, p, window):
+    def ev(ball):
+        return _indicator(_matrix_integral(_a_conj(_n_conj(M, ball.point(p)), torus)))
+
+    total = _sum_balls(p, [Ball0(Fraction(0), 0)], ev, Fraction(0))
+    zeros = 0 if total != 0 else 1
+    for j in range(-1, -window - 1, -1):
+        s = _sum_balls(p, f0_shell(j, p), ev, Fraction(0))
+        total += s
+        zeros = zeros + 1 if s == 0 else 0
+        if zeros >= 4:
+            break
+    return total
+
+
+def ref_z_shell_value(M, k, p, window, nilfam):
+    def ev(zball):
+        try:
+            torus = _torus(zball.point(p))
+            if nilfam:
+                return _indicator(_matrix_integral(_a_conj(M, torus)))
+            return _ref_t_integral(M, torus, p, window)
+        except (ConductorError, PrecisionError):
+            return None
+    return _sum_balls(p, f_shell(k, p), ev, Fraction(0))
 
 
 class TestShellIntegrate:
@@ -107,13 +190,28 @@ class TestIwasawa:
         x0 = BPoint.exact(0, 1, 0, p)
         assert iwasawa_orbit_u0(u0_ss_case1(x0)) == orb_u0_ss_case1(0, 1, p)
 
-    def test_refinement_stability(self):
-        p = 3
-        for y in (u0_ss_case0(3, p),
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_shell_values_match_z_ball_sweep(self, p, monkeypatch):
+        shortcut = integrate.z_shell_value
+        visited = []
+
+        def record(M, k, q, window, nilfam):
+            v = shortcut(M, k, q, window, nilfam)
+            visited.append((M, k, window, nilfam, v))
+            return v
+
+        monkeypatch.setattr(integrate, "z_shell_value", record)
+        lam0 = 2 if p == 5 else 1      # -lam0 a non-square unit
+        for y in (u0_ss_case0(lam0, p), u0_ss_case0(lam0 * p, p),
+                  u0_ss_case1(BPoint.exact(0, 1, 0, p)),
+                  u0_ss_case1(BPoint.exact(0, p, 0, p)),
+                  u0_ss_case1(BPoint.exact(-p ** 3, 1, p, p)),
                   u0_nilpotent_family_member(Fraction(1, p), p),
-                  u0_ss_case1(BPoint.exact(0, 1, 0, p))):
-            assert (iwasawa_orbit_u0(y, conductor_hint=1)
-                    == iwasawa_orbit_u0(y, conductor_hint=2))
+                  u0_nilpotent_family_member(p, p)):
+            iwasawa_orbit_u0(y)
+        assert sum(1 for *_, v in visited if v != 0) >= 10
+        for M, k, window, nilfam, v in visited:
+            assert ref_z_shell_value(M, k, p, window, nilfam) == v, (k, nilfam)
 
     def test_s_twist_restricts(self):
         p = 3
@@ -124,6 +222,35 @@ class TestIwasawa:
     def test_auto_window_positive(self):
         y = u0_ss_case0(27, 3)
         assert auto_window(y) >= 8
+
+
+class TestBounds:
+    def test_quad_val_at_least_is_integrality_of_shift(self):
+        # v_F(x) >= m exactly when x pi^-m is integral, at every precision
+        rng = random.Random(3)
+        for p in (3, 5):
+            pi = QuadElt.pi(p)
+            pi_inv = QuadElt.exact(0, Fraction(1, p), p)
+
+            def scalar():
+                kind = rng.randrange(4)
+                if kind == 0:
+                    return PadicScalar.exact(0, p)
+                if kind == 1:
+                    return PadicScalar.exact(
+                        Fraction(rng.randint(-90, 90), rng.randint(1, 90)), p)
+                if kind == 2:
+                    return PadicScalar.capped(p, rng.randint(-3, 3),
+                                              rng.randint(1, p ** 3), rng.randint(1, 3))
+                return PadicScalar.zero_at(p, rng.randint(-3, 3))
+
+            for _ in range(150):
+                x = QuadElt(scalar(), scalar())
+                up = down = x
+                for m in range(0, 7):
+                    assert quad_val_at_least(x, m) == _quad_integral(up)
+                    assert quad_val_at_least(x, -m) == _quad_integral(down)
+                    up, down = up * pi_inv, down * pi
 
 
 class TestXi:

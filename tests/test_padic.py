@@ -106,6 +106,20 @@ class TestCapped:
         with pytest.raises(TypeError):
             {one, a, b}
 
+    def test_hash_agrees_with_eq_across_types(self):
+        random.seed(4)
+        for p in (3, 5):
+            for _ in range(50):
+                r = Fraction(random.randint(-99, 99), random.randint(1, 99))
+                s = exact(r, p)
+                q = QuadElt(s, exact(0, p))
+                d = QuatElt.from_f(q)
+                for x, y in ((s, r), (q, r), (q, s), (d, r), (d, s), (d, q)):
+                    assert x == y and y == x
+                    assert hash(x) == hash(y)
+        assert len({exact(1, 3), 1, Fraction(1), QuadElt.exact(1, 0, 3),
+                    QuatElt.one(3)}) == 1
+
 
 class TestBoundaryValidation:
     @pytest.mark.parametrize("p", [1, 2, 4, 9, 15])

@@ -1,8 +1,13 @@
 import json
 from fractions import Fraction
 
+import pytest
+
+from atlas import cli, padic
 from atlas.cli import main
-from atlas.orbits import BPoint, U0RedElt, U1RedElt, section_sigma
+from atlas.integrate import DEFAULT_WINDOW, auto_window
+from atlas.orbits import (BPoint, U0RedElt, U1RedElt, section_sigma,
+                          u0_nilpotent_family_member, u0_ss_case0, u0_ss_case1)
 from atlas.padic import PadicScalar, QuadElt, QuatElt
 from atlas.serialize import (decode_bpoint, decode_element, decode_scalar,
                              encode_bpoint, encode_element, encode_scalar)
@@ -96,3 +101,48 @@ class TestCli:
         rc = main(["verify", "x0", "--spec", str(f), "--format", "text"])
         assert rc == 0
         assert "constant" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_global_flags_reach_the_command(self, where, monkeypatch):
+        seen = []
+
+        def record(args):
+            seen.append((padic.get_default_precision(), args.shell_window,
+                         args.format))
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_values", record)
+        flags = ["--precision", "5", "--shell-window", "9", "--format", "csv"]
+        command = ["values", "--what", "nil-u0", "--p", "3"]
+        before = padic.get_default_precision()
+        argv = flags + command if where == "before" else command + flags
+        assert main(argv) == 0
+        assert seen == [(5, 9, "csv")]
+        # the setting lasts for this call only
+        assert padic.get_default_precision() == before
+
+    def test_shell_window_reaches_every_oracle(self, monkeypatch, capsys):
+        windows = []
+
+        def spy(fn):
+            def wrapped(elt, window=None):
+                windows.append(window)
+                return fn(elt, window=window)
+            return wrapped
+
+        monkeypatch.setattr(cli, "iwasawa_orbit_u0", spy(cli.iwasawa_orbit_u0))
+        monkeypatch.setattr(cli, "phi_from_xi", spy(cli.phi_from_xi))
+        p = 3
+        kinds = (("nil-u0", ["1/3"],
+                  auto_window(u0_nilpotent_family_member(Fraction(1, 3), p))),
+                 ("ss-u0-case0", ["3"], auto_window(u0_ss_case0(3, p))),
+                 ("ss-u0-case1", ["0", "1", "0"],
+                  auto_window(u0_ss_case1(BPoint.exact(0, 1, 0, p)))),
+                 ("xi", ["0", "1", "inf"], DEFAULT_WINDOW))
+        for kind, params, default in kinds:
+            for flag, want in ((["--shell-window", "11"], 11), ([], default)):
+                rc = main(["orb", "--kind", kind, "--params", *params, "--p", str(p),
+                           "--oracle", *flag])
+                assert rc == 0
+                data = json.loads(capsys.readouterr().out)
+                assert windows[-1] == want and data["shells_used"] == want, kind
