@@ -6,8 +6,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import random
 import sys
 from fractions import Fraction
 
@@ -271,8 +269,6 @@ def main(argv=None) -> int:
     sp.add_argument("--x", nargs=3, required=True, metavar=("LAM", "U", "WT"))
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--mu", default=None)
-    sp.add_argument("--s0", action="store_true")
-    sp.add_argument("--ds", action="store_true")
     sp.set_defaults(func=cmd_germ)
 
     sp = add_parser("invariants", help="invariants of a serialized element")
@@ -290,9 +286,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     previous = padic.get_default_precision()
     padic.set_default_precision(args.precision)
-    seed = os.environ.get("ATLAS_SEED")
-    if seed is not None:
-        random.seed(int(seed))
     try:
         return args.func(args)
     except AtlasError as exc:

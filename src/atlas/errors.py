@@ -5,6 +5,11 @@ class AtlasError(Exception):
     pass
 
 
+class InputError(AtlasError, ValueError):
+    """Malformed input: p not an odd prime, a scalar recorded under another
+    prime, or a quaternion model other than the package's j^2 = eps."""
+
+
 class PrecisionError(AtlasError):
     """A capped value is indistinguishable from zero at its stored precision."""
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from .errors import (CayleyUndefinedError, NotRegularSemisimpleError,
                      UnrealizableError)
 from .padic import (INF, PadicScalar, QuadElt, QuatElt, hensel_sqrt,
-                    smallest_nonresidue)
+                    quat_solve, smallest_nonresidue)
 
 
 def _ps(x, p: int) -> PadicScalar:
@@ -66,10 +66,6 @@ def mat_sub(A, B):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
-def mat_neg(A):
-    return [[-a for a in row] for row in A]
-
-
 def det2(A):
     return A[0][0] * A[1][1] - A[0][1] * A[1][0]
 
@@ -86,37 +82,12 @@ def quat_identity(p: int, n: int = 3):
 
 
 def quat_mat_solve(A, B):
-    """Solve A Z = B over the quaternion division algebra by Gauss-Jordan
-    with left-multiplying row operations."""
-    n = len(A)
-    M = [row[:] for row in A]
-    R = [row[:] for row in B]
-    for col in range(n):
-        piv = None
-        best = None
-        for r in range(col, n):
-            if not M[r][col].is_zero():
-                v = M[r][col].v_d()
-                if piv is None or v < best:
-                    piv, best = r, v
-        if piv is None:
-            raise CayleyUndefinedError("singular matrix over D")
-        M[col], M[piv] = M[piv], M[col]
-        R[col], R[piv] = R[piv], R[col]
-        inv = M[col][col].inv()
-        M[col] = [inv * x for x in M[col]]
-        R[col] = [inv * x for x in R[col]]
-        for r in range(n):
-            if r == col or M[r][col].is_zero():
-                continue
-            f = M[r][col]
-            M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-            R[r] = [a - f * b for a, b in zip(R[r], R[col])]
-    return R
-
-
-def quat_mat_inv(A):
-    return quat_mat_solve(A, quat_identity(A[0][0].p, len(A)))
+    """Solve A Z = B over the quaternion division algebra for exact entries
+    (fraction-free, padic.quat_solve); a capped entry raises PrecisionError."""
+    Z = quat_solve(A, B)
+    if Z is None:
+        raise CayleyUndefinedError("singular matrix over D")
+    return Z
 
 
 # ---------------------------------------------------------------------------
@@ -573,11 +544,11 @@ def u1_is_unitary(g: U1GroupElt) -> bool:
 XI_CHOICES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def _xi_matrix(xi, p: int):
+def _in_chart(M, xi):
+    """xi M for the chart xi = diag(s1, s1, s2) = xi^{-1}, signs s1, s2 = +-1:
+    the rows with sign -1 are negated."""
     s1, s2 = xi
-    one = QuatElt.one(p)
-    zero = QuatElt.zero(p)
-    return [[one * s1, zero, zero], [zero, one * s1, zero], [zero, zero, one * s2]]
+    return [row if s > 0 else [-q for q in row] for row, s in zip(M, (s1, s1, s2))]
 
 
 def cayley(x, xi=(1, 1)) -> U1GroupElt:
@@ -588,14 +559,13 @@ def cayley(x, xi=(1, 1)) -> U1GroupElt:
     p = x.p
     M = x.to_matrix()
     I = quat_identity(p)
-    g = mat_mul(_xi_matrix(xi, p), quat_mat_solve(mat_sub(I, M), mat_add(I, M)))
-    return U1GroupElt(g)
+    return U1GroupElt(_in_chart(quat_mat_solve(mat_sub(I, M), mat_add(I, M)), xi))
 
 
 def cayley_inv(g: U1GroupElt, xi=(1, 1)) -> U1LieElt:
     """Inverse transform -(1 - xi^{-1} g)(1 + xi^{-1} g)^{-1}."""
     p = g.p
-    h = mat_mul(_xi_matrix(xi, p), g.M)  # xi^{-1} = xi
+    h = _in_chart(g.M, xi)
     I = quat_identity(p)
     M = quat_mat_solve(mat_add(I, h), mat_sub(h, I))
     return u1_lie_from_matrix(M)

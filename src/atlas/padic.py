@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import NoSquareRootError, NotNormError, PrecisionError
+from .errors import InputError, NoSquareRootError, NotNormError, PrecisionError
 
 DEFAULT_PRECISION = 24
 _PRECISION = [DEFAULT_PRECISION]
@@ -43,12 +43,12 @@ def get_default_precision() -> int:
 
 def _check_odd_prime(p: int) -> None:
     if p < 3 or p % 2 == 0:
-        raise ValueError(f"p must be an odd prime, got {p}")
+        raise InputError(f"p must be an odd prime, got {p}")
     # tiny primality check; primes used here are small
     d = 3
     while d * d <= p:
         if p % d == 0:
-            raise ValueError(f"p must be an odd prime, got {p}")
+            raise InputError(f"p must be an odd prime, got {p}")
         d += 2
 
 
@@ -704,11 +704,21 @@ class QuatElt:
         return (-self) + other
 
     def __mul__(self, other):
+        """(x1 + y1 j)(x2 + y2 j) = (x1 x2 + eps y1 conj(y2))
+        + (x1 y2 + y1 conj(x2)) j, from the eight scalar coordinates."""
         o = self._coerce(other)
-        x1, y1, x2, y2 = self.x, self.y, o.x, o.y
-        eps = PadicScalar(self.p, _fr=self.eps)
-        return QuatElt(x1 * x2 + eps * y1 * y2.conj(),
-                       x1 * y2 + y1 * x2.conj(), self.eps)
+        p = self.p
+        a1, b1, c1, d1 = self.x.a, self.x.b, self.y.a, self.y.b
+        a2, b2, c2, d2 = o.x.a, o.x.b, o.y.a, o.y.b
+        eps, pp = PadicScalar(p, _fr=self.eps), PadicScalar(p, _fr=Fraction(p))
+        nb2, nd2 = -b2, -d2
+        e1, f1 = c1 * eps, d1 * eps
+        return QuatElt(
+            QuadElt(a1 * a2 + b1 * b2 * pp + (e1 * c2 + f1 * nd2 * pp),
+                    a1 * b2 + b1 * a2 + (e1 * nd2 + f1 * c2)),
+            QuadElt(a1 * c2 + b1 * d2 * pp + (c1 * a2 + d1 * nb2 * pp),
+                    a1 * d2 + b1 * c2 + (c1 * nb2 + d1 * a2)),
+            self.eps)
 
     def __rmul__(self, other):
         # scalar (central) multiplication only
@@ -739,6 +749,97 @@ class QuatElt:
 
     def __repr__(self):
         return f"[{self.x} + {self.y}*j]"
+
+
+def _int_quat_mul(u, v, p: int, e: int):
+    """Product of integer coordinates (a, b, c, d) = (a + b pi) + (c + d pi) j."""
+    a1, b1, c1, d1 = u
+    a2, b2, c2, d2 = v
+    return (a1 * a2 + p * b1 * b2 + e * (c1 * c2 - p * d1 * d2),
+            a1 * b2 + b1 * a2 + e * (d1 * c2 - c1 * d2),
+            a1 * c2 + c1 * a2 + p * (b1 * d2 - d1 * b2),
+            a1 * d2 + b1 * c2 + d1 * a2 - c1 * b2)
+
+
+def _int_nrd(q, p: int, e: int) -> int:
+    a, b, c, d = q
+    return a * a - p * b * b - e * (c * c - p * d * d)
+
+
+def _primitive(row):
+    """A row of integer coordinates divided by their gcd (its content)."""
+    g = math.gcd(*(s for q in row for s in q))
+    if g > 1:
+        return [tuple(s // g for s in q) for q in row]
+    return row
+
+
+def _eliminate(rows, p: int, e: int) -> bool:
+    """Fraction-free Gauss-Jordan, in place, on the primitive integer rows of
+    [A | B]: clearing column col uses row_r <- N(P) row_r - (f conj(P)) row_col,
+    with P the pivot, f the entry cleared and N(P) = a^2 - p b^2 - eps(c^2 - p d^2)
+    an integer, and each new row is divided by its content.  With exact
+    entries every nonzero pivot gives the same solution, so the first is taken.
+    False when A is singular."""
+    n = len(rows)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if any(rows[r][col])), None)
+        if piv is None:
+            return False
+        rows[col], rows[piv] = rows[piv], rows[col]
+        prow = rows[col]
+        a, b, c, d = prow[col]
+        norm = _int_nrd(prow[col], p, e)
+        if norm == 0:
+            raise ValueError(f"j^2 = {e} is a square: D is not a division algebra")
+        pconj = (a, -b, -c, -d)
+        for r in range(n):
+            f = rows[r][col]
+            if r == col or not any(f):
+                continue
+            g = _int_quat_mul(f, pconj, p, e)
+            rows[r] = _primitive([
+                tuple(norm * s - t for s, t in zip(x, _int_quat_mul(g, y, p, e)))
+                for x, y in zip(rows[r], prow)])
+    return True
+
+
+def quat_solve(A, B):
+    """Z with A Z = B, for a square A and exact QuatElt entries; None when A is
+    singular.  Each row of [A | B] is multiplied by the lcm of its
+    denominators, a central factor that leaves Z unchanged, to integer
+    coordinates (a, b, c, d) of (a + b pi) + (c + d pi) j; `_eliminate` makes
+    A diagonal, and Fractions are built only at the end:
+    Z_i = conj(D_i) R_i / N(D_i).  A capped entry raises PrecisionError."""
+    p, eps = A[0][0].p, A[0][0].eps
+    if eps.denominator != 1:
+        raise ValueError(f"quaternion model with a non-integral j^2 = {eps}")
+    e = eps.numerator
+    rows = []
+    for ra, rb in zip(A, B):
+        row = (*ra, *rb)
+        if any(q.p != p or q.eps != eps for q in row):
+            raise ValueError("mixed primes or quaternion models")
+        fr = [s._fr for q in row for s in (q.x.a, q.x.b, q.y.a, q.y.b)]
+        if any(f is None for f in fr):
+            raise PrecisionError("quat_solve takes exact entries only")
+        den = math.lcm(*(f.denominator for f in fr))
+        ints = [f.numerator * (den // f.denominator) for f in fr]
+        rows.append(_primitive([tuple(ints[k:k + 4]) for k in range(0, len(ints), 4)]))
+    if not _eliminate(rows, p, e):
+        return None
+    n = len(rows)
+    out = []
+    for i, row in enumerate(rows):
+        a, b, c, d = row[i]
+        norm = _int_nrd(row[i], p, e)
+        zs = []
+        for y in row[n:]:
+            s = [PadicScalar(p, _fr=Fraction(t, norm))
+                 for t in _int_quat_mul((a, -b, -c, -d), y, p, e)]
+            zs.append(QuatElt(QuadElt(s[0], s[1]), QuadElt(s[2], s[3]), eps))
+        out.append(zs)
+    return out
 
 
 def solve_norm_F(target: PadicScalar, ndigits: int | None = None) -> QuadElt:

@@ -5,8 +5,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InputError
 from .orbits import BPoint, SRedElt, U0RedElt, U1RedElt
-from .padic import PadicScalar, QuadElt, QuatElt
+from .padic import PadicScalar, QuadElt, QuatElt, smallest_nonresidue
 
 
 def _digits(unit: int, p: int, n: int):
@@ -35,7 +36,7 @@ def decode_scalar(obj, p: int) -> PadicScalar:
     if "num" in obj:
         return PadicScalar.exact(Fraction(int(obj["num"]), int(obj["den"])), p)
     if obj["p"] != p:
-        raise ValueError("prime mismatch")
+        raise InputError(f"prime mismatch: a p = {obj['p']} scalar in a p = {p} object")
     return PadicScalar.capped(p, obj["v"], _undigits(obj["digits"], p), obj["N"])
 
 
@@ -52,8 +53,14 @@ def encode_quat(z: QuatElt):
 
 
 def decode_quat(obj, p: int) -> QuatElt:
-    return QuatElt(decode_quad(obj["x"], p), decode_quad(obj["y"], p),
-                   Fraction(obj["eps"]))
+    """Only the package's model j^2 = smallest_nonresidue(p) is accepted: any
+    other eps is a different algebra, split when eps is a square."""
+    x, y = decode_quad(obj["x"], p), decode_quad(obj["y"], p)
+    eps = Fraction(obj["eps"])
+    if eps != smallest_nonresidue(p):
+        raise InputError(f"quaternion model j^2 = {eps}; at p = {p} the model "
+                         f"is j^2 = {smallest_nonresidue(p)}")
+    return QuatElt(x, y, eps)
 
 
 def encode_bpoint(x: BPoint):

@@ -1,17 +1,22 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from atlas.errors import (NotRegularSemisimpleError, UnrealizableError)
+from atlas import padic
+from atlas.errors import (AtlasError, CayleyUndefinedError,
+                          NotRegularSemisimpleError, PrecisionError,
+                          UnrealizableError)
 from atlas.orbits import (INF, XI_CHOICES, BPoint, SElt,
                           U0RedElt, U1LieElt, U1RedElt, case_of, cayley,
                           cayley_inv, in_side1_closure, make_bpoint_rs1,
                           mat_add, mat_sub, nilpotent_family_member,
-                          orbit_reps, section_sigma, section_sigma1,
+                          orbit_reps, quat_identity, quat_mat_solve,
+                          section_sigma, section_sigma1,
                           u0_nilpotent_family_member, u0_ss_case1, u1_dagger,
                           u1_is_unitary)
-from atlas.padic import PadicScalar, QuadElt, QuatElt
+from atlas.padic import PadicScalar, QuadElt, QuatElt, smallest_nonresidue
 
 
 def rand_quat(p, traceless=False, lo=-9, hi=9):
@@ -326,11 +331,130 @@ class TestCayley:
 
 
 def _admissible(g, xi):
-    from atlas.errors import CayleyUndefinedError
     try:
         return cayley_inv(g, xi).is_integral()
     except CayleyUndefinedError:
         return False
+
+
+def reference_solve(A, B):
+    """Generic Gauss-Jordan over D: left-multiplying row operations, the
+    pivot of least v_D, QuatElt arithmetic throughout.  quat_mat_solve must
+    agree with it exactly on exact entries."""
+    n = len(A)
+    M = [row[:] for row in A]
+    R = [row[:] for row in B]
+    for col in range(n):
+        piv = None
+        best = None
+        for r in range(col, n):
+            if not M[r][col].is_zero():
+                v = M[r][col].v_d()
+                if piv is None or v < best:
+                    piv, best = r, v
+        if piv is None:
+            raise CayleyUndefinedError("singular matrix over D")
+        M[col], M[piv] = M[piv], M[col]
+        R[col], R[piv] = R[piv], R[col]
+        inv = M[col][col].inv()
+        M[col] = [inv * x for x in M[col]]
+        R[col] = [inv * x for x in R[col]]
+        for r in range(n):
+            if r == col or M[r][col].is_zero():
+                continue
+            f = M[r][col]
+            M[r] = [a - f * b for a, b in zip(M[r], M[col])]
+            R[r] = [a - f * b for a, b in zip(R[r], R[col])]
+    return R
+
+
+def rand_system_quat(rng, p):
+    """Exact entries: often zero, often a coordinate with p in the
+    denominator."""
+    if rng.random() < 0.15:
+        return QuatElt.zero(p)
+
+    def coord():
+        if rng.random() < 0.3:
+            return 0
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, p, p * p, 3 * p)))
+    return QuatElt(QuadElt.exact(coord(), coord(), p),
+                   QuadElt.exact(coord(), coord(), p))
+
+
+def rand_system_matrix(rng, p):
+    return [[rand_system_quat(rng, p) for _ in range(3)] for _ in range(3)]
+
+
+def coords(M):
+    return [[[s.rational for s in (z.x.a, z.x.b, z.y.a, z.y.b)] for z in row]
+            for row in M]
+
+
+class TestQuatMatSolve:
+    def test_matches_reference(self):
+        rng = random.Random(71)
+        solved = swapped = 0
+        for k in range(240):
+            p = (3, 5, 7)[k % 3]
+            A = rand_system_matrix(rng, p)
+            if k % 4 == 0:
+                A[0][0] = QuatElt.zero(p)
+                swapped += 1
+            B = quat_identity(p) if k % 5 == 0 else rand_system_matrix(rng, p)
+            try:
+                want = reference_solve(A, B)
+            except CayleyUndefinedError:
+                with pytest.raises(CayleyUndefinedError):
+                    quat_mat_solve(A, B)
+                continue
+            assert coords(quat_mat_solve(A, B)) == coords(want)
+            solved += 1
+        assert solved >= 200 and swapped >= 50
+
+    def test_singular_raises_in_both(self):
+        rng = random.Random(73)
+        for k in range(30):
+            p = (3, 5, 7)[k % 3]
+            rows = rand_system_matrix(rng, p)[:2]
+            q, s = rand_system_quat(rng, p), rand_system_quat(rng, p)
+            # a left combination of the other two rows
+            rows.append([q * a + s * b for a, b in zip(*rows)])
+            A = rows[k % 3:] + rows[:k % 3]
+            if k % 5 == 0:
+                for row in A:
+                    row[k % 3] = QuatElt.zero(p)
+            B = rand_system_matrix(rng, p)
+            for solve in (reference_solve, quat_mat_solve):
+                with pytest.raises(CayleyUndefinedError):
+                    solve(A, B)
+
+    def test_capped_entry_raises_typed_error(self):
+        p = 5
+        c = PadicScalar.exact(Fraction(3, 5), p).to_capped(6)
+        capped = QuatElt(QuadElt(c, PadicScalar.exact(0, p)), QuadElt.zero(p))
+        for side in (0, 1):
+            A, B = quat_identity(p), quat_identity(p)
+            (A, B)[side][1][2] = capped
+            with pytest.raises(PrecisionError) as err:
+                quat_mat_solve(A, B)
+            assert isinstance(err.value, AtlasError)
+
+    def test_elimination_leaves_primitive_diagonal_rows(self):
+        """Every eliminated row is divided by its content; without that each
+        row would carry the pivot norms as a common factor."""
+        rng = random.Random(79)
+        for k in range(60):
+            p = (3, 5, 7)[k % 3]
+            e = smallest_nonresidue(p)
+            rows = [[tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(6)]
+                    for _ in range(3)]
+            if not padic._eliminate(rows, p, e):
+                continue
+            for i, row in enumerate(rows):
+                assert all(not any(row[j]) for j in range(3) if j != i)
+                assert any(row[i])
+                assert math.gcd(*(t for q in row for t in q)) == 1
 
 
 class TestOrbitReps:

@@ -242,6 +242,37 @@ class TestQuatElt:
             assert w.plus_part() == z.plus_part()
             assert (w.minus_part() + z.minus_part()).is_zero()
 
+    def test_product_matches_the_quad_formula(self):
+        """The coordinate product groups every sum and product as the QuadElt
+        formula does, so capped results are structurally identical."""
+        def quad_formula(q1, q2):
+            x1, y1, x2, y2 = q1.x, q1.y, q2.x, q2.y
+            eps = PadicScalar(q1.p, _fr=q1.eps)
+            return QuatElt(x1 * x2 + eps * y1 * y2.conj(),
+                           x1 * y2 + y1 * x2.conj(), q1.eps)
+
+        def state(q):
+            return [(s._fr, s._v, s._unit, s._n) for s in (q.x.a, q.x.b, q.y.a, q.y.b)]
+
+        rng = random.Random(83)
+        for p in (3, 5):
+            def scalar():
+                kind = rng.randrange(4)
+                if kind == 0:
+                    return exact(0, p)
+                if kind == 1:
+                    return exact(Fraction(rng.randint(-30, 30), rng.choice((1, 2, p, p * p))), p)
+                if kind == 2:
+                    return PadicScalar.capped(p, rng.randint(-2, 3), rng.randrange(1, p ** 6),
+                                              rng.randint(1, 6))
+                return PadicScalar.zero_at(p, rng.randint(-2, 4))
+
+            def quat():
+                return QuatElt(QuadElt(scalar(), scalar()), QuadElt(scalar(), scalar()))
+            for _ in range(300):
+                q1, q2 = quat(), quat()
+                assert state(q1 * q2) == state(quad_formula(q1, q2))
+
 
 class TestSolveNorm:
     def test_examples(self):

@@ -1,16 +1,19 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from atlas import cli, padic
 from atlas.cli import main
+from atlas.errors import AtlasError, InputError
 from atlas.integrate import DEFAULT_WINDOW, auto_window
 from atlas.orbits import (BPoint, U0RedElt, U1RedElt, section_sigma,
                           u0_nilpotent_family_member, u0_ss_case0, u0_ss_case1)
 from atlas.padic import PadicScalar, QuadElt, QuatElt
-from atlas.serialize import (decode_bpoint, decode_element, decode_scalar,
-                             encode_bpoint, encode_element, encode_scalar)
+from atlas.serialize import (decode_bpoint, decode_element, decode_quat,
+                             decode_scalar, encode_bpoint, encode_element,
+                             encode_quat, encode_scalar)
 
 
 class TestSerialize:
@@ -34,6 +37,17 @@ class TestSerialize:
         u = U0RedElt.exact(1, 2, 3, QuadElt.exact(1, 1, p), QuadElt.exact(0, 2, p), p)
         back = decode_element(json.loads(json.dumps(encode_element(u))))
         assert back.invariants().lam == u.invariants().lam
+
+    def test_decoders_reject_foreign_models_and_primes(self):
+        p = 3
+        obj = encode_quat(QuatElt.j(p))
+        assert decode_quat(obj, p) == QuatElt.j(p)
+        obj["eps"] = "1"
+        with pytest.raises(InputError):
+            decode_quat(obj, p)
+        with pytest.raises(InputError):
+            decode_scalar(encode_scalar(PadicScalar.capped(5, 0, 2, 4)), p)
+        assert issubclass(InputError, AtlasError) and issubclass(InputError, ValueError)
 
     def test_bpoint_round_trip(self):
         x = BPoint.exact(Fraction(-7, 2), 3, 9, 5)
@@ -92,6 +106,28 @@ class TestCli:
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
         assert data["rs"] is True and data["side"] == 1
+
+    @pytest.mark.parametrize("bad", ["eps", "prime"])
+    def test_invariants_rejects_bad_elements(self, bad, tmp_path, capsys):
+        p = 3
+        obj = encode_element(U1RedElt(QuatElt.j(p), QuatElt.one(p) + QuatElt.j(p)))
+        if bad == "eps":
+            # j^2 = 1 is a square mod 3: the split algebra, where 1 + j has
+            # reduced norm 0
+            obj["alpha"]["eps"] = obj["b"]["eps"] = "1"
+        else:
+            obj["b"]["x"]["a"] = encode_scalar(PadicScalar.capped(5, 0, 2, 4))
+        f = tmp_path / "elem.json"
+        f.write_text(json.dumps(obj))
+        assert main(["invariants", "--elem", str(f)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_atlas_seed_leaves_random_alone(self, monkeypatch, capsys):
+        monkeypatch.setenv("ATLAS_SEED", "5")
+        state = random.getstate()
+        assert main(["lint", "--m", "0", "--lminus", "1", "--lplus", "inf",
+                     "--p", "3"]) == 0
+        assert random.getstate() == state
 
     def test_verify_x0_spec_file(self, tmp_path, capsys):
         f = tmp_path / "x0.json"
