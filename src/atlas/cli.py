@@ -18,21 +18,24 @@ from .keating import l_int_closed, l_int_keating
 from .orbits import (INF, BPoint, case_of, make_bpoint_rs1, orbit_reps,
                      u0_nilpotent_family_member, u0_ss_case0, u0_ss_case1)
 from .serialize import decode_element, encode_bpoint
-from .svalue import LogQVal
 from .values import (forced_s_values, orb_nil_family_s, orb_nil_reg_s,
                      orb_u0_ss_case0, orb_u0_ss_case1, orb_u0_zero)
+from .verify import ZERO_L_MAX, ZERO_M_MAX
 from .verify import report as render_report
 from .verify import verify_x0, verify_zero, verify_x0_library
+
+
+def _positive_int(s: str) -> int:
+    n = int(s)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {n}")
+    return n
 
 
 def _parse_lplus(s: str):
     if s in ("inf", "infinity", "oo"):
         return INF
     return int(s)
-
-
-def _fmt_logq(v: LogQVal) -> str:
-    return str(v)
 
 
 def cmd_lint(args) -> int:
@@ -100,11 +103,11 @@ def cmd_orb(args) -> int:
         x = make_bpoint_rs1(m, lm, lp, p)
         if args.oracle:
             window = DEFAULT_WINDOW if args.shell_window is None else args.shell_window
-            out["value"] = _fmt_logq(phi_from_xi(x, window=window))
+            out["value"] = str(phi_from_xi(x, window=window))
             out["method"] = "shell-sum"
             out["shells_used"] = window
         else:
-            out["value"] = _fmt_logq(phi_closed(x))
+            out["value"] = str(phi_closed(x))
             out["method"] = "closed"
     else:
         raise AtlasError(f"unknown kind {args.kind}")
@@ -151,9 +154,9 @@ def cmd_germ(args) -> int:
     x = BPoint.exact(lam, u, wt, p)
     out = {"p": p, "x0": encode_bpoint(x0), "x": encode_bpoint(x)}
     if args.mu is not None:
-        g = gamma_n_mu(x, Fraction(args.mu))
+        g = gamma_n_mu(x, Fraction(args.mu), args.precision)
         out["gamma_n_mu"] = {"value_at_0": str(g.value_at_0),
-                             "ds": _fmt_logq(g.dvalue),
+                             "ds": str(g.dvalue),
                              "s_form": repr(g.s_form)}
     contributions = {}
     from .germs import UNNEEDED, dgamma_table
@@ -167,12 +170,12 @@ def cmd_germ(args) -> int:
             continue
         val = forced_s_values(x0, rep)
         contributions[rep.tag] = {
-            "dGamma": _fmt_logq(coeff),
+            "dGamma": str(coeff),
             "orb": None if val is None else str(val),
         }
     out["contributions"] = contributions
     d = dorb1(x0, x)
-    out["dOrb1"] = {"varying": _fmt_logq(d.varying), "constant": d.const_tag}
+    out["dOrb1"] = {"varying": str(d.varying), "constant": d.const_tag}
     print(json.dumps(out, indent=2))
     return 0
 
@@ -215,8 +218,9 @@ def _global_options(**defaults) -> argparse.ArgumentParser:
     out (SUPPRESS) and the value given before the subcommand survives."""
     opts = argparse.ArgumentParser(add_help=False,
                                    argument_default=argparse.SUPPRESS)
-    opts.add_argument("--precision", type=int,
-                      help=f"capped-scalar digits (default {padic.DEFAULT_PRECISION})")
+    opts.add_argument("--precision", type=_positive_int,
+                      help="digits of the capped square root behind germ --mu "
+                           f"(default {padic.DEFAULT_PRECISION})")
     opts.add_argument("--shell-window", type=int,
                       help="shell window of the orb oracles (default: the "
                            "library's, auto_window(y) for the u0 kinds and "
@@ -278,21 +282,17 @@ def main(argv=None) -> int:
     sp = add_parser("verify", help="constancy verification")
     sp.add_argument("which", choices=("zero", "x0"))
     sp.add_argument("--p", type=int, default=3)
-    sp.add_argument("--m-max", type=int, default=4)
-    sp.add_argument("--l-max", type=int, default=9)
+    sp.add_argument("--m-max", type=int, default=ZERO_M_MAX)
+    sp.add_argument("--l-max", type=int, default=ZERO_L_MAX)
     sp.add_argument("--spec", default=None)
     sp.set_defaults(func=cmd_verify)
 
     args = ap.parse_args(argv)
-    previous = padic.get_default_precision()
-    padic.set_default_precision(args.precision)
     try:
         return args.func(args)
     except AtlasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        padic.set_default_precision(previous)
 
 
 if __name__ == "__main__":

@@ -18,10 +18,6 @@ class NoSquareRootError(AtlasError):
     pass
 
 
-class NotNormError(AtlasError):
-    pass
-
-
 class NotRegularSemisimpleError(AtlasError):
     pass
 
@@ -48,3 +44,8 @@ class ConductorError(AtlasError):
 
 class PoleError(AtlasError):
     """Evaluation at s = 0 of a rational function with a pole there."""
+
+
+class OracleMismatchError(AtlasError):
+    """A closed form disagrees with the independent oracle it is checked
+    against."""

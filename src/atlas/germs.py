@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import (ExcludedCaseError, NotRegularSemisimpleError,
                      PrecisionError, UnrealizableError)
-from .integrate import phi_from_xi
+from .integrate import DEFAULT_WINDOW, phi_from_xi
 from .orbits import BPoint, OrbitRep, case_of, in_side1_closure, padic_sqrt
 from .padic import PadicScalar
 from .svalue import LogQVal, RatX, dds_s0
@@ -50,8 +50,8 @@ def gamma_n_mu(x: BPoint, mu, ndigits: int | None = None) -> GermCoeff:
     square; otherwise it is
     eta(-nu) (|nu|^{-s} + eta(Delta/p) |Delta/p|^{-s} |nu|^{s}) / |disc|^{1/2}
     where nu is either root of nu + (Delta/p)/nu = u^2 mu - 2 wt; the value is
-    independent of the choice of root.  The root is extracted to ndigits,
-    by default the precision in force at call time."""
+    independent of the choice of root.  The root is extracted to ndigits
+    digits, by default DEFAULT_PRECISION."""
     p = x.p
     mu = mu if isinstance(mu, PadicScalar) else PadicScalar.exact(mu, p)
     if not x.is_rs():
@@ -81,12 +81,11 @@ def gamma_n_mu(x: BPoint, mu, ndigits: int | None = None) -> GermCoeff:
     return GermCoeff(("n_mu", mu), value0, dds_s0(s_form), s_form)
 
 
-def is_in_neighborhood(x0: BPoint, x: BPoint,
-                       depth: int = NEIGHBORHOOD_DEPTH) -> bool:
+def is_in_neighborhood(x0: BPoint, x: BPoint) -> bool:
     """Membership in the combinatorial neighborhood of a base point: the
-    nonzero coordinates of x0 are frozen to congruence depth, and the
-    discriminant valuation exceeds every frozen valuation by at least the
-    depth."""
+    nonzero coordinates of x0 are frozen to congruence depth
+    NEIGHBORHOOD_DEPTH, and the discriminant valuation exceeds every frozen
+    valuation by at least that depth."""
     if x.p != x0.p:
         return False
     c = case_of(x0)
@@ -102,14 +101,14 @@ def is_in_neighborhood(x0: BPoint, x: BPoint,
             fixed.append(s0.val())
             return True
         fixed.append(s0.val())
-        return d.val() >= s0.val() + depth
+        return d.val() >= s0.val() + NEIGHBORHOOD_DEPTH
 
     ok = (close(x.lam, x0.lam) and close(x.u, x0.u)
           and close(x.wtilde, x0.wtilde))
     if not ok:
         return False
     vd = x.delta().val()
-    return all(vd >= f + depth for f in fixed)
+    return all(vd >= f + NEIGHBORHOOD_DEPTH for f in fixed)
 
 
 def dgamma_table(x0: BPoint, rep: OrbitRep, x: BPoint):
@@ -182,26 +181,6 @@ def phi_closed(x: BPoint) -> LogQVal:
     return out(-t ** e * (4 * t + (vd + 4 * vu - 4 * vw + 1) * (1 - t)) / den)
 
 
-def split_half_pole(orb_y0: Fraction, sign: int, p: int) -> LogQVal:
-    """Residue at the twist center of one half-term over a split base point:
-    -sign * orb_y0 / (2 log q)."""
-    return LogQVal({-1: -Fraction(sign) * orb_y0 / 2}, p)
-
-
-def split_case_value(x: BPoint, orb_pm: Fraction, orb_y0: Fraction):
-    """Center value of the expansion over a split base point, given the
-    regularized sum of the two half-terms and the semisimple value:
-    orb_pm - log|Delta/lambda| / (2 log q) * orb_y0.  The log-over-log ratio
-    is a plain rational, so the result is an s-Laurent record with vanishing
-    polar part; this path is excluded from all comparisons."""
-    from .svalue import SLaurent
-    p = x.p
-    v = x.delta().val() - x.lam.val()
-    a0 = LogQVal.const(orb_pm + Fraction(v) * orb_y0 / 2, p)
-    zero = LogQVal.const(0, p)
-    return SLaurent(zero, a0, zero)
-
-
 @dataclass
 class Dorb1:
     """Assembled first-derivative term: an exact graded value around zero, or
@@ -216,7 +195,7 @@ class Dorb1:
 
 
 def dorb1(x0: BPoint, x: BPoint, method: str = "closed",
-          window: int = 30) -> Dorb1:
+          window: int = DEFAULT_WINDOW) -> Dorb1:
     """The first-derivative term at x in the recorded neighborhood of x0,
     assembled from the coefficient table and the transfer-forced orbit
     values.

@@ -4,9 +4,8 @@ Domains are split into valuation shells and residue balls; predicates and
 weights are evaluated with capped (interval) arithmetic at ball centers, so a
 decision taken on a ball is rigorous for every point of the ball; undecided
 balls are subdivided recursively up to a depth cap; and infinite shell tails
-are closed analytically: plain geometric series for untwisted or X-twisted
-weights, polynomial-times-geometric (degree at most two, from the double log
-factors) for the log-weighted integrals.
+are closed analytically as polynomial-times-geometric series (degree at most
+two, from the double log factors of the log-weighted integrals).
 
 The Iwasawa-coordinate orbital integrals need no subdivision in the torus
 coordinate.  Conjugating by diag(z^-1, conj(z), 1) multiplies entry (i, j) by
@@ -28,7 +27,7 @@ from fractions import Fraction
 from .errors import ConductorError, StabilizationError
 from .orbits import BPoint, U0RedElt
 from .padic import PadicScalar, QuadElt
-from .svalue import LogQVal, RatX, zeta1
+from .svalue import LogQVal, zeta1
 
 DEPTH_CAP = 40
 DEFAULT_WINDOW = 30
@@ -85,15 +84,12 @@ class BallF:
         return max(self.da, self.db)
 
 
-def f0_shell(k: int, p: int, extra_depth: int = 0):
-    """Cover of the shell v = k by unit balls, pre-split extra_depth levels."""
-    out = [Ball0(Fraction(u) * Fraction(p) ** k, k + 1) for u in range(1, p)]
-    for _ in range(extra_depth):
-        out = [c for b in out for c in b.split(p)]
-    return out
+def f0_shell(k: int, p: int):
+    """Cover of the shell v = k by unit balls."""
+    return [Ball0(Fraction(u) * Fraction(p) ** k, k + 1) for u in range(1, p)]
 
 
-def f_shell(k: int, p: int, extra_depth: int = 0):
+def f_shell(k: int, p: int):
     """Cover of the shell v_F = k in the quadratic extension."""
     out = []
     if k % 2 == 0:
@@ -104,8 +100,6 @@ def f_shell(k: int, p: int, extra_depth: int = 0):
         r = (k - 1) // 2
         for u in range(1, p):
             out.append(BallF(Fraction(0), r + 1, Fraction(u) * Fraction(p) ** r, r + 1))
-    for _ in range(extra_depth):
-        out = [c for b in out for c in b.split(p)]
     return out
 
 
@@ -229,28 +223,9 @@ def close_logqval_tail(values, p: int) -> LogQVal:
     return out
 
 
-def close_ratx_tail(values, p: int) -> RatX:
-    """Geometric closure for rational-function shells: two consecutive ratios
-    determine the common ratio, the remaining ones confirm it."""
-    if all(v.is_zero() for v in values):
-        return RatX.const(0, p)
-    if any(v.is_zero() for v in values) or len(values) < 3:
-        raise StabilizationError("no stabilization: irregular tail")
-    r = values[1] / values[0]
-    for i in range(1, len(values) - 1):
-        if values[i + 1] / values[i] != r:
-            raise StabilizationError("no stabilization: ratio drifts")
-    one = RatX.const(1, p)
-    if (one - r).is_zero():
-        raise StabilizationError("no stabilization: unit ratio")
-    return values[0] / (one - r)
-
-
 def _close_tail(values, p):
     if isinstance(values[0], LogQVal):
         return close_logqval_tail(values, p)
-    if isinstance(values[0], RatX):
-        return close_ratx_tail(values, p)
     return close_poly_geometric_tail(values, p)
 
 
@@ -261,62 +236,27 @@ TAIL_SAMPLES = 7
 # the generic one-variable integrator
 
 
-@dataclass
-class Integrand:
-    """Declarative one-variable integrand.
-
-    domain: ('F0',) or ('F',); condition maps a capped point to a ternary
-    truth value; weight maps a point where the condition holds to an exact
-    value (Fraction, LogQVal, or RatX) or None when undecided; zero is the
-    additive unit of the weight type; conductor_hint pre-splits every shell
-    to that residue depth before the adaptive subdivision."""
-
-    p: int
-    domain: tuple
-    condition: object
-    weight: object
-    zero: object
-    conductor_hint: int = 1
-
-    def shell(self, k: int):
-        extra = max(0, self.conductor_hint - 1)
-        if self.domain[0] == "F0":
-            return f0_shell(k, self.p, extra)
-        return f_shell(k, self.p, extra)
-
-
-def _shell_value(ig: Integrand, k: int):
-    def ev(ball):
-        pt = ball.point(ig.p)
-        c = ig.condition(pt)
-        if c is None:
-            return None
-        if c is False:
-            return ig.zero
-        return ig.weight(pt)
-    return _sum_balls(ig.p, ig.shell(k), ev, ig.zero)
-
-
-def _is_zero_value(v) -> bool:
-    if isinstance(v, (LogQVal, RatX)):
-        return v.is_zero()
-    return v == 0
-
-
-def shell_integrate(ig: Integrand, window: int = DEFAULT_WINDOW):
-    """Integrate over the whole multiplicative group: shells v = k for
-    -window <= k <= window computed exactly, the two infinite tails closed
-    analytically from the last TAIL_SAMPLES shells of each side."""
+def shell_integrate(p: int, weight, zero, window: int = DEFAULT_WINDOW):
+    """Integrate weight over the multiplicative group of the base field:
+    weight maps a capped point to an exact value (Fraction or LogQVal), or
+    to None when the point's ball must be subdivided, and zero is the
+    additive unit of its type.  Shells v = k for -window <= k <= window are
+    computed exactly, the two infinite tails closed analytically from the
+    last TAIL_SAMPLES shells of each side."""
     if window < TAIL_SAMPLES + 1:
         raise ValueError("window too small")
-    values = {k: _shell_value(ig, k) for k in range(-window, window + 1)}
-    total = ig.zero
+
+    def ev(ball):
+        return weight(ball.point(p))
+    values = {k: _sum_balls(p, f0_shell(k, p), ev, zero)
+              for k in range(-window, window + 1)}
+    total = zero
     for k in range(-window + TAIL_SAMPLES, window - TAIL_SAMPLES + 1):
         total = total + values[k]
     up = [values[window - TAIL_SAMPLES + 1 + i] for i in range(TAIL_SAMPLES)]
     down = [values[-(window - TAIL_SAMPLES + 1 + i)] for i in range(TAIL_SAMPLES)]
-    total = total + _close_tail(up, ig.p)
-    total = total + _close_tail(down, ig.p)
+    total = total + _close_tail(up, p)
+    total = total + _close_tail(down, p)
     return total
 
 
@@ -397,16 +337,14 @@ def z_shell_value(M, k: int, p: int, window: int, nilfam: bool) -> Fraction:
     return vol * _iwasawa_t_integral(M, k, p, window)
 
 
-def iwasawa_orbit_u0(y: U0RedElt, s_twist: bool = False,
-                     window: int | None = None):
+def iwasawa_orbit_u0(y: U0RedElt, window: int | None = None):
     """Orbital integral of the lattice indicator over the quasi-split
     stabilizer group in Iwasawa coordinates, as an exact shell sum with the
     zeta(1) measure factor.
 
     Elements of the nilpotent family (nonzero, all invariants zero) have the
     unipotent subgroup as stabilizer: for them the unipotent coordinate is
-    omitted.  With s_twist the torus shells are weighted by X^(2k), giving a
-    rational function of X that restricts to the plain value at s = 0.
+    omitted.
 
     The torus z enters only through k = v_F(z): conjugation by
     diag(z^-1, conj(z), 1) scales entry (i, j) by a unit times pi^(e_ij k),
@@ -428,25 +366,18 @@ def iwasawa_orbit_u0(y: U0RedElt, s_twist: bool = False,
     values = []
     seen = False
     zeros = 0
-    ratx_total = RatX.const(0, p) if s_twist else None
     for k in range(-window, window + 1):
         s = z_shell_value(M, k, p, window, nilfam)
         values.append(s)
         total += s
-        if s_twist:
-            ratx_total = ratx_total + RatX.x_power(2 * k, p) * s
         if s == 0:
             zeros += 1
             if zeros >= 3 and seen:
-                if s_twist:
-                    return ratx_total * zeta1(p)
                 return total * zeta1(p)
         else:
             seen = True
             zeros = 0
     if nilfam and len(values) >= TAIL_SAMPLES:
-        if s_twist:
-            raise StabilizationError("s-twisted family tails are not supported")
         tail = values[-TAIL_SAMPLES:]
         head = sum(values[:-TAIL_SAMPLES], Fraction(0))
         return (head + close_poly_geometric_tail(tail, p)) * zeta1(p)
@@ -457,8 +388,7 @@ def iwasawa_orbit_u0(y: U0RedElt, s_twist: bool = False,
 # the log-weighted integral behind the family contribution
 
 
-def xi_integral(x: BPoint, window: int = DEFAULT_WINDOW,
-                conductor_hint: int = 1) -> LogQVal:
+def xi_integral(x: BPoint, window: int = DEFAULT_WINDOW) -> LogQVal:
     """The double-log shell sum attached to a regular semisimple side-1 point
     near zero: over the base field,
 
@@ -494,13 +424,10 @@ def xi_integral(x: BPoint, window: int = DEFAULT_WINDOW,
         size = Fraction(p) ** (va + vt)     # 1/|a t|
         return LogQVal({2: ea * et * size * va * vt}, p)
 
-    ig = Integrand(p, ("F0",), lambda t: True, weight, zero,
-                   conductor_hint=conductor_hint)
-    return shell_integrate(ig, window)
+    return shell_integrate(p, weight, zero, window)
 
 
-def phi_from_xi(x: BPoint, window: int = DEFAULT_WINDOW,
-                conductor_hint: int = 1) -> LogQVal:
+def phi_from_xi(x: BPoint, window: int = DEFAULT_WINDOW) -> LogQVal:
     """The family contribution recovered from the shell sum:
     -q (log q)^{-1} |u|^{-1} Xi(x), with |u|^{-1} = q^{v(u)}.
 
@@ -509,6 +436,6 @@ def phi_from_xi(x: BPoint, window: int = DEFAULT_WINDOW,
     dt/|t| is scale-invariant, so only the single power of q from the family
     values survives."""
     p = x.p
-    xi = xi_integral(x, window, conductor_hint)
+    xi = xi_integral(x, window)
     factor = LogQVal({-1: -(Fraction(p) ** (x.u.val() + 1))}, p)
     return factor * xi

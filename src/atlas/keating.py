@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (CayleyUndefinedError, NotRegularSemisimpleError,
-                     UnrealizableError)
+                     OracleMismatchError)
 from .orbits import (INF, XI_CHOICES, BPoint, U1GroupElt, admissible_xi,
                      cayley_inv, reduce_elt)
 
@@ -93,14 +93,19 @@ def l_int_closed(m: int, lminus: int, lplus, p: int) -> Fraction:
 
 def l_int(x: BPoint) -> Fraction:
     """Intersection length attached to a regular semisimple point of the
-    quotient: zero off the non-split side or off the integral locus."""
+    quotient: zero off the non-split side or off the integral locus.  The
+    closed form is checked against the level-sum oracle on every call."""
     if not x.is_rs():
         raise NotRegularSemisimpleError("not rs")
     if x.side() == 0 or not x.is_integral():
         return Fraction(0)
     m, lm, lp = x.ml_params()
     value = l_int_closed(m, lm, lp, x.p)
-    assert value == l_int_keating(m, lm, lp, x.p)
+    oracle = l_int_keating(m, lm, lp, x.p)
+    if value != oracle:
+        raise OracleMismatchError(
+            f"l_int closed form {value} != level-sum oracle {oracle} "
+            f"at (m={m}, l-={lm}, l+={lp}, p={x.p})")
     return value
 
 

@@ -70,12 +70,6 @@ def det2(A):
     return A[0][0] * A[1][1] - A[0][1] * A[1][0]
 
 
-def det3(M):
-    return (M[0][0] * det2([[M[1][1], M[1][2]], [M[2][1], M[2][2]]])
-            - M[0][1] * det2([[M[1][0], M[1][2]], [M[2][0], M[2][2]]])
-            + M[0][2] * det2([[M[1][0], M[1][1]], [M[2][0], M[2][1]]]))
-
-
 def quat_identity(p: int, n: int = 3):
     one, zero = QuatElt.one(p), QuatElt.zero(p)
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
@@ -160,28 +154,6 @@ class BPoint:
         return f"BPoint(lam={self.lam!r}, u={self.u!r}, wt={self.wtilde!r})"
 
 
-def delta(x: BPoint) -> PadicScalar:
-    return x.delta()
-
-
-def classify_side(x: BPoint) -> int:
-    return x.side()
-
-
-def ml_params(x: BPoint):
-    return x.ml_params()
-
-
-def invariants(elt) -> BPoint:
-    return elt.invariants()
-
-
-def is_rs(elt) -> bool:
-    if isinstance(elt, BPoint):
-        return elt.is_rs()
-    return elt.is_rs()
-
-
 # ---------------------------------------------------------------------------
 # anti-hermitian matrices y = pi * z, z over F0
 
@@ -247,54 +219,8 @@ class SRedElt:
               [zero, zero, one]]
         return SRedElt(mat_mul(Hi, mat_mul(self.z, H)))
 
-    def omega(self) -> int:
-        """Transfer factor eta(det[e, z e, z^2 e]) with z = y/pi."""
-        z = self.z
-        e = [_ps(0, self.p), _ps(0, self.p), _ps(1, self.p)]
-        v1 = [z[i][2] for i in range(3)]
-        v2 = [sum_entries([z[i][t] * v1[t] for t in range(3)]) for i in range(3)]
-        d = det3([[e[i], v1[i], v2[i]] for i in range(3)])
-        if d.is_exact_zero() or d.is_zero_at_precision():
-            raise NotRegularSemisimpleError("omega: determinant vanishes")
-        return d.eta()
-
     def __repr__(self):
         return f"SRedElt({self.z!r})"
-
-
-def omega(y: SRedElt) -> int:
-    return y.omega()
-
-
-class SElt:
-    """A general element y = pi*z of the anti-hermitian space (no reducedness)."""
-
-    __slots__ = ("z",)
-
-    def __init__(self, z):
-        self.z = z
-
-    @classmethod
-    def exact(cls, rows, p: int) -> "SElt":
-        return cls([[_ps(Fraction(x), p) for x in row] for row in rows])
-
-    @property
-    def p(self):
-        return self.z[0][0].p
-
-    def reduce(self):
-        """(reduced part, tr A as multiple of pi, d as multiple of pi)."""
-        z = self.z
-        tr = z[0][0] + z[1][1]
-        half = _ps(Fraction(1, 2), self.p)
-        sh = tr * half
-        rows = [[z[0][0] - sh, z[0][1], z[0][2]],
-                [z[1][0], z[1][1] - sh, z[1][2]],
-                [z[2][0], z[2][1], _ps(0, self.p)]]
-        return SRedElt(rows), tr, z[2][2]
-
-    def is_rs(self) -> bool:
-        return self.reduce()[0].is_rs()
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +344,6 @@ class U1RedElt:
 
     def is_integral(self) -> bool:
         return self.alpha.is_integral() and self.b.is_integral()
-
-    def matrix(self):
-        """The 3x3 quaternion-matrix form, for display and cross-checks."""
-        p = self.p
-        return U1LieElt(self.alpha, PadicScalar.exact(0, p), self.b,
-                        QuadElt.zero(p)).to_matrix()
 
     def __repr__(self):
         return f"U1RedElt(alpha={self.alpha!r}, b={self.b!r})"
@@ -587,7 +507,7 @@ def admissible_xi(g: U1GroupElt, xi) -> bool:
 
 def reduce_elt(x):
     """Projection to the reduced subspace, discarding the trivial invariants."""
-    if isinstance(x, (U1LieElt, SElt)):
+    if isinstance(x, U1LieElt):
         return x.reduce()[0]
     if isinstance(x, (U1RedElt, SRedElt, U0RedElt)):
         return x
@@ -605,26 +525,6 @@ def section_sigma(x: BPoint) -> SRedElt:
     z = [[zero, -(x.lam / p), one],
          [one, zero, zero],
          [x.u, x.wtilde, zero]]
-    return SRedElt(z)
-
-
-def section_sigma1(x: BPoint, alpha: PadicScalar | None = None) -> SRedElt:
-    """The diagonal section used when -lam/p is a square alpha^2:
-    z = [[alpha, 0, 1], [0, -alpha, 1], [z1, z2, 0]] with z1 + z2 = u and
-    alpha (z1 - z2) = wt."""
-    p = x.p
-    if alpha is None:
-        t = -(x.lam / p)
-        if not t.is_square():
-            raise UnrealizableError("wrong case: -lambda/p is not a square")
-        alpha = padic_sqrt(t)
-    half = _ps(Fraction(1, 2), p)
-    z1 = (x.u + x.wtilde / alpha) * half
-    z2 = (x.u - x.wtilde / alpha) * half
-    zero, one = _ps(0, p), _ps(1, p)
-    z = [[alpha, zero, one],
-         [zero, -alpha, one],
-         [z1, z2, zero]]
     return SRedElt(z)
 
 

@@ -21,24 +21,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import InputError, NoSquareRootError, NotNormError, PrecisionError
+from .errors import InputError, NoSquareRootError, PrecisionError
 
 DEFAULT_PRECISION = 24
-_PRECISION = [DEFAULT_PRECISION]
 
 INF = math.inf
 
 _FR_ZERO = Fraction(0)
-
-
-def set_default_precision(n: int) -> None:
-    if n < 1:
-        raise ValueError("precision must be positive")
-    _PRECISION[0] = n
-
-
-def get_default_precision() -> int:
-    return _PRECISION[0]
 
 
 def _check_odd_prime(p: int) -> None:
@@ -155,9 +144,7 @@ class PadicScalar:
         n = absprec - v
         return cls(p, _v=v, _unit=_unit_mod(num, den, p, n), _n=n)
 
-    def to_capped(self, ndigits: int | None = None) -> "PadicScalar":
-        if ndigits is None:
-            ndigits = get_default_precision()
+    def to_capped(self, ndigits: int = DEFAULT_PRECISION) -> "PadicScalar":
         if self._fr is None:
             return self
         split = _frac_split(self._fr, self.p)
@@ -419,14 +406,6 @@ class PadicScalar:
         return f"{self._unit}*{self.p}^{self._v} + O({self.p}^{self._v + self._n})"
 
 
-def val(x: PadicScalar):
-    return x.val()
-
-
-def eta(x: PadicScalar) -> int:
-    return x.eta()
-
-
 def hensel_sqrt(u: PadicScalar, ndigits: int | None = None) -> PadicScalar:
     """Capped square root of u, when one exists in Q_p.
 
@@ -434,7 +413,7 @@ def hensel_sqrt(u: PadicScalar, ndigits: int | None = None) -> PadicScalar:
     deterministic: the root whose leading digit lies in 1..(p-1)/2 is chosen.
     """
     if ndigits is None:
-        ndigits = get_default_precision()
+        ndigits = DEFAULT_PRECISION
     p = u.p
     v = u.val()
     if v is INF:
@@ -840,29 +819,3 @@ def quat_solve(A, B):
             zs.append(QuatElt(QuadElt(s[0], s[1]), QuadElt(s[2], s[3]), eps))
         out.append(zs)
     return out
-
-
-def solve_norm_F(target: PadicScalar, ndigits: int | None = None) -> QuadElt:
-    """An element a + b*pi of F with norm a^2 - b^2 p = target (capped).
-
-    Norms are generated by -p and unit squares: even-valuation targets come
-    from F0, odd ones from multiples of pi.
-    """
-    if ndigits is None:
-        ndigits = get_default_precision()
-    p = target.p
-    if target.is_exact_zero():
-        return QuadElt.zero(p)
-    if target.eta() != 1:
-        raise NotNormError(f"not a norm: eta = -1 for {target!r}")
-    v = target.val()
-    zero = PadicScalar.exact(0, p)
-    if v % 2 == 0:
-        # target = (p^{v/2} s)^2 with s^2 = unit part
-        u = target * PadicScalar.exact(Fraction(1, p ** v), p)
-        s = hensel_sqrt(u, ndigits)
-        return QuadElt(s * PadicScalar.exact(p ** (v // 2), p), zero)
-    # target = -p * (p^{(v-1)/2} s)^2, norm(b*pi) = -p b^2
-    u = target * PadicScalar.exact(Fraction(-1, p ** v), p)
-    s = hensel_sqrt(u, ndigits)
-    return QuadElt(zero, s * PadicScalar.exact(p ** ((v - 1) // 2), p))

@@ -1,6 +1,6 @@
 """Exact algebra of the complex twist parameter: rational functions in
-X = q^(-s) with rational coefficients, Laurent data at X = 1 (equivalently
-s = 0), and finite log q-graded values."""
+X = q^(-s) with rational coefficients, their derivative at X = 1
+(equivalently s = 0), and finite log q-graded values."""
 
 from __future__ import annotations
 
@@ -78,20 +78,15 @@ def _pderiv(a):
 
 class RatX:
     """A rational function of X = q^(-s) in lowest terms with monic
-    denominator.  Negative powers of X are admitted on input and cleared into
-    the fraction."""
+    denominator."""
 
     __slots__ = ("num", "den", "p")
 
-    def __init__(self, num, den, p: int, shift: int = 0):
+    def __init__(self, num, den, p: int):
         num = _trim([Fraction(c) for c in num])
         den = _trim([Fraction(c) for c in den])
         if not den:
             raise ZeroDivisionError("zero denominator")
-        if shift > 0:
-            num = _pmul(num, [0] * shift + [1])
-        elif shift < 0:
-            den = _pmul(den, [0] * (-shift) + [1])
         g = _pgcd(num, den)
         if len(g) > 1:
             num = _pdivmod(num, g)[0]
@@ -153,21 +148,6 @@ class RatX:
 
     __rmul__ = __mul__
 
-    def inv(self) -> "RatX":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of the zero rational function")
-        return RatX(self.den, self.num, self.p)
-
-    def __truediv__(self, other):
-        return self * self._check(other).inv()
-
-    def __rtruediv__(self, other):
-        return self._check(other) * self.inv()
-
-    def shift(self, k: int) -> "RatX":
-        """Multiply by X^k."""
-        return RatX(self.num, self.den, self.p, shift=k)
-
     def __eq__(self, other):
         try:
             o = self._check(other)
@@ -177,13 +157,6 @@ class RatX:
 
     def __hash__(self):
         return hash((tuple(self.num), tuple(self.den), self.p))
-
-    def eval(self, x) -> Fraction:
-        x = Fraction(x)
-        d = _peval(self.den, x)
-        if d == 0:
-            raise PoleError(f"pole at X = {x}")
-        return _peval(self.num, x) / d
 
     def __repr__(self):
         def fmt(c):
@@ -203,52 +176,6 @@ class RatX:
         return f"({fmt(self.num)})/({fmt(self.den)})"
 
 
-def laurent_at_1(f: RatX, order: int):
-    """Laurent expansion of f in powers of (1 - X): returns (r, coeffs) where
-    r is the pole order at X = 1 and coeffs[k] is the coefficient of
-    (1-X)^(k - r) for k = 0..order + r."""
-    # substitute X = 1 - e; series in e
-    def subst(c):
-        # polynomial in e: sum c_i (1-e)^i
-        out = [Fraction(0)] * (len(c) or 1)
-        for i, a in enumerate(c):
-            # (1-e)^i
-            row = [Fraction(0)] * (i + 1)
-            b = Fraction(1)
-            for k in range(i + 1):
-                row[k] = b * ((-1) ** k)
-                b = b * (i - k) / (k + 1)
-            for k, x in enumerate(row):
-                out[k] += a * x
-        return _trim(out)
-
-    num = subst(f.num)
-    den = subst(f.den)
-    if not num:
-        return 0, [Fraction(0)] * (order + 1)
-    vn = next(i for i, c in enumerate(num) if c != 0)
-    vd = next(i for i, c in enumerate(den) if c != 0)
-    r = vd - vn
-    need = order + max(r, 0) + 1
-    num = num[vn:]
-    den = den[vd:]
-    # invert the unit series den to precision `need`
-    inv = [Fraction(0)] * need
-    inv[0] = 1 / den[0]
-    for k in range(1, need):
-        s = Fraction(0)
-        for i in range(1, min(k, len(den) - 1) + 1):
-            s += den[i] * inv[k - i]
-        inv[k] = -s / den[0]
-    series = [Fraction(0)] * need
-    for k in range(need):
-        s = Fraction(0)
-        for i in range(0, min(k, len(num) - 1) + 1):
-            s += num[i] * inv[k - i]
-        series[k] = s
-    return r, series[:order + max(r, 0) + 1]
-
-
 class LogQVal:
     """A finite sum  sum_k c_k (log q)^k  with rational coefficients and
     integer grades (negative grades allowed)."""
@@ -262,11 +189,6 @@ class LogQVal:
     @classmethod
     def const(cls, c, p: int) -> "LogQVal":
         return cls({0: Fraction(c)}, p)
-
-    @classmethod
-    def logq(cls, c, p: int) -> "LogQVal":
-        """c * log q."""
-        return cls({1: Fraction(c)}, p)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -337,60 +259,6 @@ class LogQVal:
 def zeta1(p: int) -> Fraction:
     """zeta(1) = 1/(1 - q^{-1})."""
     return 1 / (1 - Fraction(1, p))
-
-
-class SLaurent:
-    """Laurent datum a_{-1}/s + a_0 + a_1 s at the center of the twist
-    parameter, with graded coefficients.  Only the split-base-point path ever
-    produces a nonzero polar part."""
-
-    __slots__ = ("a_minus1", "a0", "a1", "p")
-
-    def __init__(self, a_minus1: LogQVal, a0: LogQVal, a1: LogQVal):
-        self.a_minus1 = a_minus1
-        self.a0 = a0
-        self.a1 = a1
-        self.p = a0.p
-
-    def __add__(self, other: "SLaurent") -> "SLaurent":
-        return SLaurent(self.a_minus1 + other.a_minus1, self.a0 + other.a0,
-                        self.a1 + other.a1)
-
-    def __eq__(self, other):
-        if not isinstance(other, SLaurent):
-            return NotImplemented
-        return (self.a_minus1 == other.a_minus1 and self.a0 == other.a0
-                and self.a1 == other.a1)
-
-    def __repr__(self):
-        return f"({self.a_minus1})/s + ({self.a0}) + ({self.a1})*s"
-
-
-def laurent_in_s(f: RatX) -> SLaurent:
-    """Convert the expansion at X = 1 (pole order at most one) into the
-    s-Laurent datum, using 1 - X = s log q - (s log q)^2/2 + (s log q)^3/6."""
-    r, c = laurent_at_1(f, 2)
-    if r > 1:
-        raise PoleError("pole of order > 1 at s=0")
-    p = f.p
-    if r < 1:
-        pad = [Fraction(0)] * (1 - r)
-        c = pad + list(c)
-    cm1, c0, c1 = c[0], c[1], c[2]
-    # 1/(1-X) = 1/(s log q) + 1/2 + s log q / 12 + O(s^2)
-    # and (1-X) = s log q - (s log q)^2 / 2 + O(s^3)
-    am1 = LogQVal({-1: cm1}, p)
-    a0 = LogQVal({0: c0 + cm1 / 2}, p)
-    a1 = LogQVal({1: cm1 / 12 + c1}, p)
-    return SLaurent(am1, a0, a1)
-
-
-def value_s0(f: RatX) -> Fraction:
-    """f at s = 0, i.e. X = 1; requires no pole there."""
-    try:
-        return f.eval(1)
-    except PoleError:
-        raise PoleError("pole at s=0")
 
 
 def dds_s0(f: RatX) -> LogQVal:

@@ -146,11 +146,12 @@ def orb_nil_family_s(mu, p: int) -> Fraction:
 
 
 def orb_nil_reg_s(which: str, p: int) -> Fraction:
-    """Values on the two regular nilpotent orbits."""
+    """Values on the two regular nilpotent orbits, which is "plus" or
+    "minus"."""
     base = -zeta1(p) / p
-    if which in ("minus", "n0_minus", "-"):
+    if which == "minus":
         return base
-    if which in ("plus", "n0_plus", "+"):
+    if which == "plus":
         return eta_minus1(p) * base
     raise ValueError(f"unknown regular nilpotent {which!r}")
 

@@ -13,10 +13,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ExcludedCaseError, UnrealizableError
-from .germs import dorb1, is_in_neighborhood, zero_point
+from .germs import NEIGHBORHOOD_DEPTH, dorb1, is_in_neighborhood, zero_point
 from .keating import l_int
 from .orbits import INF, BPoint, case_of, in_side1_closure, make_bpoint_rs1
 from .svalue import LogQVal
+
+# the grid of verify_zero (m <= ZERO_M_MAX; l- and odd l+ up to ZERO_L_MAX,
+# l+ also infinite) and the number of samples around a nonzero base point
+ZERO_M_MAX = 4
+ZERO_L_MAX = 9
+NEIGHBORHOOD_SAMPLES = 5
 
 
 def expected_constant_at_zero(p: int) -> LogQVal:
@@ -56,10 +62,11 @@ class VerifyReport:
         }
 
 
-def verify_zero(p: int, m_max: int = 6, l_max: int = 15,
+def verify_zero(p: int, m_max: int = ZERO_M_MAX, l_max: int = ZERO_L_MAX,
                 method: str = "closed") -> VerifyReport:
     """Sweep realizable side-1 invariants over the grid and check that phi1
-    equals the printed constant exactly at every point."""
+    equals the printed constant exactly at every point; the notes name every
+    failing point."""
     want = expected_constant_at_zero(p)
     rep = VerifyReport(base_point="0", case_tag="zero",
                        value=str(want), notes=f"p={p} grid m<={m_max} l<={l_max}")
@@ -68,17 +75,15 @@ def verify_zero(p: int, m_max: int = 6, l_max: int = 15,
             for lp in list(range(1, l_max + 1, 2)) + [INF]:
                 x = make_bpoint_rs1(m, lm, lp, p)
                 got = phi1(x, method=method)
-                ok = got == want
                 rep.samples.append((f"(m={m},l-={lm},l+={lp})", str(got)))
-                if not ok:
+                if got != want:
                     rep.constant = False
                     rep.value = "varies"
                     rep.notes += f"; FAIL at (m={m},l-={lm},l+={lp}): {got}"
-                    return rep
     return rep
 
 
-def neighborhood_samples(x0: BPoint, count: int = 5, depth: int = 4):
+def neighborhood_samples(x0: BPoint, count: int = NEIGHBORHOOD_SAMPLES):
     """Side-1 regular semisimple samples in the recorded neighborhood of a
     degenerate base point, sweeping the discriminant valuation."""
     p = x0.p
@@ -91,21 +96,21 @@ def neighborhood_samples(x0: BPoint, count: int = 5, depth: int = 4):
     if c in ("0i", "0ii"):
         lam0 = x0.lam.rational
         v0 = x0.lam.val()
-        m0 = v0 + depth + 2
+        m0 = v0 + NEIGHBORHOOD_DEPTH + 2
         for m in range(m0, m0 + count):
             x = BPoint.exact(lam0, Fraction(p) ** m, 0, p)
-            if x.side() == 1 and is_in_neighborhood(x0, x, depth):
+            if x.side() == 1 and is_in_neighborhood(x0, x):
                 out.append(x)
         if c == "0ii":
             # second branch: tune the third coordinate so the two terms of the
             # discriminant cancel to a prescribed depth
             a = _exact_sqrt(-lam0 / p)
             u = Fraction(p) ** m0
-            for j in range(depth, depth + count):
+            for j in range(NEIGHBORHOOD_DEPTH, NEIGHBORHOOD_DEPTH + count):
                 for e in range(1, p):
                     d = 1 + Fraction(e) * Fraction(p) ** j
                     x = BPoint.exact(lam0, u, a * u * d, p)
-                    if x.is_rs() and x.side() == 1 and is_in_neighborhood(x0, x, depth):
+                    if x.is_rs() and x.side() == 1 and is_in_neighborhood(x0, x):
                         out.append(x)
                         break
         return out
@@ -116,12 +121,12 @@ def neighborhood_samples(x0: BPoint, count: int = 5, depth: int = 4):
     base = max((abs(v) for v in (x0.lam.val() if lam0 else 0,
                                  x0.u.val(), x0.wtilde.val() if wt0 else 0)),
                default=0)
-    k0 = base + depth + 1
+    k0 = base + NEIGHBORHOOD_DEPTH + 1
     for k in range(k0, k0 + count):
         for dlt in range(1, p):
             lam = lam0 + Fraction(dlt) * Fraction(p) ** k
             x = BPoint.exact(lam, u0, wt0, p)
-            if x.is_rs() and x.side() == 1 and is_in_neighborhood(x0, x, depth):
+            if x.is_rs() and x.side() == 1 and is_in_neighborhood(x0, x):
                 out.append(x)
                 break
     return out
@@ -135,17 +140,18 @@ def _exact_sqrt(r: Fraction) -> Fraction:
     return s
 
 
-def verify_x0(x0: BPoint, count: int = 5, depth: int = 4) -> VerifyReport:
+def verify_x0(x0: BPoint, count: int = NEIGHBORHOOD_SAMPLES) -> VerifyReport:
     """Difference-vanishing check around a nonzero degenerate base point: the
     varying parts of twice the derivative term and of the intersection term
-    must cancel exactly between any two neighborhood samples."""
+    must cancel exactly between any two neighborhood samples; the notes name
+    every sample that differs from the first."""
     p = x0.p
     c = case_of(x0)
     label = f"(lam={x0.lam!r}, u={x0.u!r}, wt={x0.wtilde!r})"
     rep = VerifyReport(base_point=label, case_tag=c,
                        value="constant modulo the base-point constant",
                        notes=f"p={p} differencing over >= {count} samples")
-    samples = neighborhood_samples(x0, count, depth)
+    samples = neighborhood_samples(x0, count)
     if len(samples) < count:
         raise UnrealizableError(
             f"could not build {count} neighborhood samples at {label}")
@@ -161,7 +167,6 @@ def verify_x0(x0: BPoint, count: int = 5, depth: int = 4) -> VerifyReport:
             rep.constant = False
             rep.value = "varies"
             rep.notes += f"; FAIL at sample {i}: {v - ref}"
-            return rep
     return rep
 
 
@@ -203,7 +208,7 @@ def base_point_library(p: int):
     return out
 
 
-def verify_x0_library(p: int, count: int = 5) -> list:
+def verify_x0_library(p: int, count: int = NEIGHBORHOOD_SAMPLES) -> list:
     return [(name, verify_x0(x0, count)) for name, x0 in base_point_library(p)]
 
 

@@ -5,21 +5,33 @@ import pytest
 
 from atlas import integrate
 from atlas.errors import ConductorError, PrecisionError
-from atlas.integrate import (Ball0, Integrand, _n_conj, _sum_balls,
-                             auto_window, f0_shell, f_shell, integral_status,
+from atlas.integrate import (Ball0, _n_conj, _sum_balls, auto_window,
+                             f0_shell, f_shell, integral_status,
                              iwasawa_orbit_u0, phi_from_xi, quad_val_at_least,
                              shell_integrate, xi_integral)
 from atlas.orbits import (INF, BPoint, make_bpoint_rs1,
                           u0_nilpotent_family_member, u0_ss_case0,
                           u0_ss_case1)
 from atlas.padic import PadicScalar, QuadElt
-from atlas.svalue import LogQVal, RatX, value_s0
+from atlas.svalue import LogQVal
 from atlas.values import (nil_family_orb_u0_fn, orb_u0_ss_case0,
                           orb_u0_ss_case1, phi_eval)
 
 
-def weight_one(_):
-    return Fraction(1)
+def indicator(condition):
+    """The weight 1 where condition holds, 0 where it fails, None (split the
+    ball) where it is undecided."""
+    def weight(t):
+        c = condition(t)
+        return None if c is None else Fraction(1 if c else 0)
+    return weight
+
+
+def split_once(monkeypatch):
+    """Make every f0_shell cover one residue level finer."""
+    coarse = integrate.f0_shell
+    monkeypatch.setattr(integrate, "f0_shell",
+                        lambda k, p: [c for b in coarse(k, p) for c in b.split(p)])
 
 
 # The per-z-ball sweep that z_shell_value replaces, kept as its reference:
@@ -103,33 +115,29 @@ def ref_z_shell_value(M, k, p, window, nilfam):
 
 class TestShellIntegrate:
     def test_volume_of_integers(self):
-        ig = Integrand(3, ("F0",), integral_status, weight_one, Fraction(0))
-        assert shell_integrate(ig, 9) == 1
+        assert shell_integrate(3, indicator(integral_status), Fraction(0), 9) == 1
 
     def test_down_tail(self):
-        # the twisted measure integral over |b| <= 1 closes to the standard
-        # rational function of X
+        # v(t)/|t|^2 over |t| > 1 lives on the shells v -> -infinity: their sum
+        # -(1 - t) sum_{j >= 1} j t^j = -t/(1 - t), t = 1/q, is closed from
+        # the last shells of the down side, in Fraction and in LogQVal weights
         p = 3
+        t = Fraction(1, p)
 
-        def w(t):
-            v = t.val()
-            return RatX.x_power(-2 * v, p) * Fraction(p) ** v
+        def w(x):
+            s = integral_status(x)
+            if s is None:
+                return None
+            return Fraction(0) if s else x.val() * Fraction(p) ** (2 * x.val())
 
-        ig = Integrand(p, ("F0",), integral_status, w, RatX.const(0, p))
-        got = shell_integrate(ig, 10)
-        want = (RatX.const(1 - Fraction(1, p), p)
-                / (RatX.const(1, p) - RatX.x_power(-2, p)))
-        assert got == want
+        def wlog(x):
+            v = w(x)
+            return None if v is None else LogQVal({1: v}, p)
 
-    def test_two_sided_meromorphic_sum_vanishes(self):
-        p = 3
-
-        def w(t):
-            v = t.val()
-            return RatX.x_power(-2 * v, p) * Fraction(p) ** v
-
-        ig = Integrand(p, ("F0",), lambda t: True, w, RatX.const(0, p))
-        assert shell_integrate(ig, 10).is_zero()
+        want = -t / (1 - t)
+        assert shell_integrate(p, w, Fraction(0), 10) == want
+        got = shell_integrate(p, wlog, LogQVal.const(0, p), 10)
+        assert got == LogQVal({1: want}, p)
 
     def test_additive_over_disjoint_predicates(self):
         p = 3
@@ -148,19 +156,17 @@ class TestShellIntegrate:
                 return t.abs_precision >= 1 or None
             return t.val() >= 1
 
-        whole = Integrand(p, ("F0",), integral_status, weight_one, Fraction(0))
-        part_a = Integrand(p, ("F0",), cond_a, weight_one, Fraction(0))
-        part_b = Integrand(p, ("F0",), cond_b, weight_one, Fraction(0))
-        assert (shell_integrate(part_a, 9) + shell_integrate(part_b, 9)
-                == shell_integrate(whole, 9))
+        zero = Fraction(0)
+        assert (shell_integrate(p, indicator(cond_a), zero, 9)
+                + shell_integrate(p, indicator(cond_b), zero, 9)
+                == shell_integrate(p, indicator(integral_status), zero, 9))
 
-    def test_refinement_stability(self):
+    def test_refinement_stability(self, monkeypatch):
         p = 3
-        ig1 = Integrand(p, ("F0",), integral_status, weight_one, Fraction(0),
-                        conductor_hint=1)
-        ig2 = Integrand(p, ("F0",), integral_status, weight_one, Fraction(0),
-                        conductor_hint=2)
-        assert shell_integrate(ig1, 9) == shell_integrate(ig2, 9)
+        w = indicator(integral_status)
+        coarse = shell_integrate(p, w, Fraction(0), 9)
+        split_once(monkeypatch)
+        assert shell_integrate(p, w, Fraction(0), 9) == coarse
 
 
 class TestIwasawa:
@@ -213,12 +219,6 @@ class TestIwasawa:
         for M, k, window, nilfam, v in visited:
             assert ref_z_shell_value(M, k, p, window, nilfam) == v, (k, nilfam)
 
-    def test_s_twist_restricts(self):
-        p = 3
-        y = u0_ss_case0(3, p)
-        rx = iwasawa_orbit_u0(y, s_twist=True)
-        assert value_s0(rx) == iwasawa_orbit_u0(y)
-
     def test_auto_window_positive(self):
         y = u0_ss_case0(27, 3)
         assert auto_window(y) >= 8
@@ -269,9 +269,11 @@ class TestXi:
         v = xi_integral(x, 12)
         assert set(v.coeffs) <= {2}
 
-    def test_refinement_stability(self):
+    def test_refinement_stability(self, monkeypatch):
         x = make_bpoint_rs1(0, 1, INF, 3)
-        assert xi_integral(x, 12, conductor_hint=1) == xi_integral(x, 12, conductor_hint=2)
+        coarse = xi_integral(x, 12)
+        split_once(monkeypatch)
+        assert xi_integral(x, 12) == coarse
 
     def test_side0_rejected(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,12 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import atlas
 from atlas.errors import NotRegularSemisimpleError
 from atlas.keating import (DistParams, dist_j, int_group, keating_n, l_int,
                            l_int_closed, l_int_keating)
@@ -80,6 +84,26 @@ class TestLInt:
     def test_not_rs(self):
         with pytest.raises(NotRegularSemisimpleError):
             l_int(BPoint.exact(0, 0, 0, 3))
+
+    def test_oracle_cross_check_survives_optimize(self):
+        # python -O strips assert statements; the closed-vs-oracle check must
+        # still raise its typed error there
+        code = "\n".join([
+            "from atlas import keating",
+            "from atlas.errors import OracleMismatchError",
+            "from atlas.orbits import make_bpoint_rs1",
+            "keating.l_int_keating = lambda *args: -1",
+            "try:",
+            "    print(keating.l_int(make_bpoint_rs1(1, 2, 3, 3)))",
+            "except OracleMismatchError as exc:",
+            "    print('OracleMismatchError', exc)",
+        ])
+        src = str(Path(atlas.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-O", "-c", code], cwd=src,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("OracleMismatchError l_int closed form 16 "), \
+            proc.stdout
 
 
 def rand_quat(p, traceless=False):

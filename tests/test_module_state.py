@@ -1,0 +1,24 @@
+"""No atlas module keeps mutable state at module level: values are shared
+across threads and sweeps, so a module-level list, dict or set that code
+mutates would leak one caller's setting into the next."""
+
+import importlib
+import pkgutil
+
+import atlas
+
+# the base-point cache goes with the per-base-point plans of the roadmap
+ALLOWED = {"atlas.germs.ZERO_POINT_CACHE"}
+
+
+def test_no_module_level_mutable_containers():
+    found = []
+    for info in pkgutil.iter_modules(atlas.__path__):
+        module = importlib.import_module(f"atlas.{info.name}")
+        for name, value in vars(module).items():
+            if name.startswith("__"):
+                continue
+            qualname = f"{module.__name__}.{name}"
+            if isinstance(value, (list, dict, set)) and qualname not in ALLOWED:
+                found.append(qualname)
+    assert found == []

@@ -8,12 +8,11 @@ from atlas import padic
 from atlas.errors import (AtlasError, CayleyUndefinedError,
                           NotRegularSemisimpleError, PrecisionError,
                           UnrealizableError)
-from atlas.orbits import (INF, XI_CHOICES, BPoint, SElt,
-                          U0RedElt, U1LieElt, U1RedElt, case_of, cayley,
-                          cayley_inv, in_side1_closure, make_bpoint_rs1,
-                          mat_add, mat_sub, nilpotent_family_member,
-                          orbit_reps, quat_identity, quat_mat_solve,
-                          section_sigma, section_sigma1,
+from atlas.orbits import (INF, XI_CHOICES, BPoint, U0RedElt, U1LieElt,
+                          U1RedElt, case_of, cayley, cayley_inv,
+                          in_side1_closure, make_bpoint_rs1, mat_add,
+                          nilpotent_family_member, orbit_reps, quat_identity,
+                          quat_mat_solve, section_sigma,
                           u0_nilpotent_family_member, u0_ss_case1, u1_dagger,
                           u1_is_unitary)
 from atlas.padic import PadicScalar, QuadElt, QuatElt, smallest_nonresidue
@@ -104,52 +103,6 @@ class TestSections:
                 assert ix.u.same_value(x.u)
                 assert ix.wtilde.same_value(x.wtilde)
                 done += 1
-
-    def test_sigma_omega_is_one(self):
-        random.seed(13)
-        for p in (3, 7):
-            done = 0
-            while done < 30:
-                x = BPoint.exact(random.randint(-40, 40), random.randint(-40, 40),
-                                 random.randint(-40, 40), p)
-                if not x.is_rs():
-                    continue
-                assert section_sigma(x).omega() == 1
-                done += 1
-
-    def test_sigma1_example(self):
-        x = BPoint.exact(-20, 2, 2, 5)
-        y = section_sigma1(x)
-        assert y.z[2][0].rational == Fraction(3, 2)
-        assert y.z[2][1].rational == Fraction(1, 2)
-        ix = y.invariants()
-        assert ix.lam.rational == -20 and ix.u.rational == 2 and ix.wtilde.rational == 2
-
-    def test_sigma1_wrong_case(self):
-        x = BPoint.exact(-10, 2, 2, 5)   # -lam/p = 2 is not a square
-        with pytest.raises(UnrealizableError):
-            section_sigma1(x)
-
-
-class TestOmega:
-    def test_conjugation_transformation(self):
-        random.seed(17)
-        p = 5
-        done = 0
-        while done < 30:
-            x = BPoint.exact(random.randint(-20, 20), random.randint(-20, 20),
-                             random.randint(-20, 20), p)
-            if not x.is_rs():
-                continue
-            y = section_sigma(x)
-            h = [[random.randint(-5, 5) for _ in range(2)] for _ in range(2)]
-            det = h[0][0] * h[1][1] - h[0][1] * h[1][0]
-            if det == 0:
-                continue
-            yh = y.conj_by(h)
-            assert yh.omega() == PadicScalar.exact(det, p).eta() * y.omega()
-            done += 1
-
 
 class TestInvariantsU1:
     def test_alpha_pi_example(self):
@@ -268,15 +221,6 @@ class TestReduce:
         for _ in range(100):
             x = rand_k1_lie(p)
             assert x.is_rs() == x.reduce()[0].is_rs()
-
-    def test_s_reduce(self):
-        p = 3
-        y = SElt.exact([[1, 2, 3], [4, 5, 6], [7, 8, 9]], p)
-        red, tr, d = y.reduce()
-        assert (red.z[0][0] + red.z[1][1]).is_exact_zero()
-        assert red.z[2][2].is_exact_zero()
-        assert tr.rational == 6 and d.rational == 9
-
 
 class TestCayley:
     def test_fixed_point_of_zero(self):

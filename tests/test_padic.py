@@ -4,11 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from atlas.errors import NoSquareRootError, NotNormError, PrecisionError
+from atlas.errors import NoSquareRootError, PrecisionError
 from atlas.orbits import BPoint
 from atlas.padic import (DEFAULT_PRECISION, PadicScalar, QuadElt, QuatElt,
-                         hensel_sqrt, legendre, smallest_nonresidue,
-                         solve_norm_F)
+                         hensel_sqrt, legendre, smallest_nonresidue)
 from atlas.serialize import decode_scalar
 
 INF = math.inf
@@ -272,28 +271,3 @@ class TestQuatElt:
             for _ in range(300):
                 q1, q2 = quat(), quat()
                 assert state(q1 * q2) == state(quad_formula(q1, q2))
-
-
-class TestSolveNorm:
-    def test_examples(self):
-        b = solve_norm_F(PadicScalar.exact(4, 5))
-        assert b.b.is_zero_at_precision() or b.b.is_exact_zero()
-        assert (b.norm() - 4).is_zero_at_precision()
-        b = solve_norm_F(PadicScalar.exact(-5, 5))
-        assert (b.norm() + 5).is_zero_at_precision()
-        with pytest.raises(NotNormError):
-            solve_norm_F(PadicScalar.exact(3, 3))
-
-    def test_random_norms(self):
-        random.seed(9)
-        for p in (3, 5):
-            done = 0
-            while done < 20:
-                t = Fraction(random.randint(1, 500))
-                x = PadicScalar.exact(t, p)
-                if x.eta() != 1:
-                    continue
-                b = solve_norm_F(x, 12)
-                d = b.norm() - t
-                assert d.is_zero_at_precision() and d.abs_precision >= x.val() + 12
-                done += 1

@@ -143,19 +143,23 @@ class TestCli:
         seen = []
 
         def record(args):
-            seen.append((padic.get_default_precision(), args.shell_window,
-                         args.format))
+            seen.append((args.precision, args.shell_window, args.format))
             return 0
 
         monkeypatch.setattr(cli, "cmd_values", record)
         flags = ["--precision", "5", "--shell-window", "9", "--format", "csv"]
         command = ["values", "--what", "nil-u0", "--p", "3"]
-        before = padic.get_default_precision()
         argv = flags + command if where == "before" else command + flags
         assert main(argv) == 0
-        assert seen == [(5, 9, "csv")]
-        # the setting lasts for this call only
-        assert padic.get_default_precision() == before
+        assert main(command) == 0
+        assert seen == [(5, 9, "csv"), (padic.DEFAULT_PRECISION, None, "json")]
+
+    @pytest.mark.parametrize("digits", ["0", "-3"])
+    def test_precision_must_be_positive(self, digits, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--precision", digits, "values", "--what", "nil-u0", "--p", "3"])
+        assert exc.value.code == 2
+        assert "--precision: must be positive" in capsys.readouterr().err
 
     def test_shell_window_reaches_every_oracle(self, monkeypatch, capsys):
         windows = []

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from atlas import verify
+from atlas.cli import main
 from atlas.errors import ExcludedCaseError, UnrealizableError
 from atlas.orbits import INF, BPoint, make_bpoint_rs1
 from atlas.svalue import LogQVal
@@ -41,6 +43,27 @@ class TestVerifyZero:
         r = verify_zero(3, m_max=1, l_max=2, method="oracle")
         assert r.constant
 
+    def test_every_failing_point_is_reported(self, monkeypatch):
+        phi1_ok = verify.phi1
+        bad = {(0, 1, 1), (1, 2, INF)}
+
+        def wrong(x, method="closed"):
+            v = phi1_ok(x, method=method)
+            return v + LogQVal({1: 1}, x.p) if x.ml_params() in bad else v
+
+        monkeypatch.setattr(verify, "phi1", wrong)
+        r = verify_zero(3, m_max=1, l_max=3)
+        assert not r.constant and r.value == "varies"
+        assert r.notes.count("; FAIL at") == 2
+        assert "FAIL at (m=0,l-=1,l+=1)" in r.notes
+        assert "FAIL at (m=1,l-=2,l+=inf)" in r.notes
+        assert len(r.samples) == 2 * 3 * 3      # m, l-, and l+ in (1, 3, inf)
+
+    def test_cli_default_grid_is_the_library_default(self, capsys):
+        assert main(["verify", "zero", "--p", "3"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["zero p=3"]["notes"] == verify_zero(3).notes
+
 
 class TestVerifyX0:
     def test_samples_are_in_neighborhood(self):
@@ -62,6 +85,23 @@ class TestVerifyX0:
         if case_of(x0) == "0i" and not in_side1_closure(x0):
             with pytest.raises(UnrealizableError):
                 verify_x0(x0)
+
+    def test_every_differing_sample_is_reported(self, monkeypatch):
+        x0 = BPoint.exact(0, 1, 0, 3)
+        xs = neighborhood_samples(x0)
+        bad = {xs[2].delta().val(), xs[4].delta().val()}
+        l_int_ok = verify.l_int
+
+        def wrong(x):
+            v = l_int_ok(x)
+            return v + 1 if x.delta().val() in bad else v
+
+        monkeypatch.setattr(verify, "l_int", wrong)
+        r = verify_x0(x0)
+        assert not r.constant and r.value == "varies"
+        assert r.notes.count("; FAIL at") == 2
+        assert "FAIL at sample 2" in r.notes and "FAIL at sample 4" in r.notes
+        assert len(r.samples) == len(xs)
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_one_point_each_case(self, p):
