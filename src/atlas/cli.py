@@ -25,13 +25,6 @@ from .verify import report as render_report
 from .verify import verify_x0, verify_zero, verify_x0_library
 
 
-def _positive_int(s: str) -> int:
-    n = int(s)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {n}")
-    return n
-
-
 def _parse_lplus(s: str):
     if s in ("inf", "infinity", "oo"):
         return INF
@@ -154,7 +147,7 @@ def cmd_germ(args) -> int:
     x = BPoint.exact(lam, u, wt, p)
     out = {"p": p, "x0": encode_bpoint(x0), "x": encode_bpoint(x)}
     if args.mu is not None:
-        g = gamma_n_mu(x, Fraction(args.mu), args.precision)
+        g = gamma_n_mu(x, Fraction(args.mu))
         out["gamma_n_mu"] = {"value_at_0": str(g.value_at_0),
                              "ds": str(g.dvalue),
                              "s_form": repr(g.s_form)}
@@ -218,9 +211,6 @@ def _global_options(**defaults) -> argparse.ArgumentParser:
     out (SUPPRESS) and the value given before the subcommand survives."""
     opts = argparse.ArgumentParser(add_help=False,
                                    argument_default=argparse.SUPPRESS)
-    opts.add_argument("--precision", type=_positive_int,
-                      help="digits of the capped square root behind germ --mu "
-                           f"(default {padic.DEFAULT_PRECISION})")
     opts.add_argument("--shell-window", type=int,
                       help="shell window of the orb oracles (default: the "
                            "library's, auto_window(y) for the u0 kinds and "
@@ -233,8 +223,7 @@ def _global_options(**defaults) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="atlas",
-        parents=[_global_options(precision=padic.DEFAULT_PRECISION,
-                                 shell_window=None, format="json")],
+        parents=[_global_options(shell_window=None, format="json")],
         description="exact arithmetic for the rank-three comparison identity")
     sub = ap.add_subparsers(dest="cmd", required=True)
     common = _global_options()

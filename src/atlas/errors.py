@@ -42,10 +42,6 @@ class ConductorError(AtlasError):
     """A predicate could not be decided within the subdivision depth cap."""
 
 
-class PoleError(AtlasError):
-    """Evaluation at s = 0 of a rational function with a pole there."""
-
-
 class OracleMismatchError(AtlasError):
     """A closed form disagrees with the independent oracle it is checked
     against."""

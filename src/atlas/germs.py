@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (ExcludedCaseError, NotRegularSemisimpleError,
-                     PrecisionError, UnrealizableError)
+from .errors import (ExcludedCaseError, InputError,
+                     NotRegularSemisimpleError, UnrealizableError)
 from .integrate import DEFAULT_WINDOW, phi_from_xi
-from .orbits import BPoint, OrbitRep, case_of, in_side1_closure, padic_sqrt
-from .padic import PadicScalar
-from .svalue import LogQVal, RatX, dds_s0
-from .values import eta_minus1, forced_s_values
+from .orbits import BPoint, OrbitRep, case_of, in_side1_closure
+from .padic import PadicScalar, _sqrt_mod_p
+from .svalue import LaurentX, LogQVal, dds_s0
+from .values import eta_minus1, forced_s_values, transfer_sign_0ii
 
 UNNEEDED = "unneeded"
 
@@ -30,28 +30,29 @@ class GermCoeff:
     rep: object
     value_at_0: Fraction
     dvalue: LogQVal
-    s_form: RatX | None = None
-
-
-ZERO_POINT_CACHE = {}
+    s_form: LaurentX | None = None
 
 
 def zero_point(p: int) -> BPoint:
-    if p not in ZERO_POINT_CACHE:
-        ZERO_POINT_CACHE[p] = BPoint.exact(0, 0, 0, p)
-    return ZERO_POINT_CACHE[p]
+    return BPoint.exact(0, 0, 0, p)
 
 
-def gamma_n_mu(x: BPoint, mu, ndigits: int | None = None) -> GermCoeff:
+def gamma_n_mu(x: BPoint, mu) -> GermCoeff:
     """Germ coefficient of the nilpotent-family member with parameter mu, for
     a regular semisimple x near zero.
 
-    Vanishes unless the discriminant (u^2 mu - 2 wt)^2 - 4 Delta/p is a
-    square; otherwise it is
+    Vanishes unless the discriminant disc = T^2 - 4 Delta/p, T = u^2 mu - 2 wt,
+    is a square; otherwise it is
     eta(-nu) (|nu|^{-s} + eta(Delta/p) |Delta/p|^{-s} |nu|^{s}) / |disc|^{1/2}
-    where nu is either root of nu + (Delta/p)/nu = u^2 mu - 2 wt; the value is
-    independent of the choice of root.  The root is extracted to ndigits
-    digits, by default DEFAULT_PRECISION."""
+    where nu is either root of nu^2 - T nu + Delta/p; the value is
+    independent of the choice of root, and as a function of X = q^(-s) it is
+    a Laurent polynomial with two terms.
+
+    Only v(nu) and eta(-nu) enter, and the Newton polygon gives both from
+    residues, with no root lifted: if 2 v(T) < v(Delta/p) the large root has
+    v(nu) = v(T) and nu = T mod p^(v(T)+1); otherwise both roots have
+    v(nu) = k = v(Delta/p)/2 and nu/p^k = (T/p^k + sqrt(disc/p^(2k)))/2
+    mod p.  A vanishing discriminant raises InputError."""
     p = x.p
     mu = mu if isinstance(mu, PadicScalar) else PadicScalar.exact(mu, p)
     if not x.is_rs():
@@ -59,24 +60,26 @@ def gamma_n_mu(x: BPoint, mu, ndigits: int | None = None) -> GermCoeff:
     trace = x.u * x.u * mu - (x.wtilde + x.wtilde)
     dp = x.delta() / p
     disc = trace * trace - 4 * dp
-    zero = LogQVal.const(0, p)
-    if disc.is_zero_at_precision():
-        raise PrecisionError("square test undecided")
+    if disc.is_exact_zero():
+        raise InputError(f"the discriminant of the family member vanishes "
+                         f"at mu = {mu!r}")
     if not disc.is_square():
-        return GermCoeff(("n_mu", mu), Fraction(0), zero, RatX.const(0, p))
-    sq = padic_sqrt(disc, ndigits)
-    half = PadicScalar.exact(Fraction(1, 2), p)
-    nu = (trace + sq) * half
-    if nu.is_zero_at_precision():
-        nu = (trace - sq) * half  # the other root is then the large one
-    if nu.is_zero_at_precision():
-        raise PrecisionError("root extraction exhausted the precision")
-    vdisc = disc.val()
+        return GermCoeff(("n_mu", mu), Fraction(0), LogQVal.const(0, p),
+                         LaurentX.const(0, p))
+    vdp, vdisc = dp.val(), disc.val()
+    if not trace.is_exact_zero() and 2 * trace.val() < vdp:
+        vnu, unit = trace.val(), trace.unit_mod(1)
+    else:
+        vnu = vdp // 2
+        t = trace.unit_mod(1) if trace.val() == vnu else 0
+        s = _sqrt_mod_p(disc.unit_mod(1), p) if vdisc == 2 * vnu else 0
+        unit = (t + s) * pow(2, -1, p) % p
+    # nu0 is a root nu to its leading digit, which fixes v(nu) and eta(-nu)
+    nu0 = PadicScalar.exact(unit * Fraction(p) ** vnu, p)
     edp = dp.eta()
-    coeff = Fraction((-nu).eta()) * Fraction(p) ** (vdisc // 2)
-    vnu = nu.val()
-    s_form = (RatX.x_power(-vnu, p)
-              + RatX.x_power(vnu - dp.val(), p) * edp) * coeff
+    coeff = Fraction((-nu0).eta()) * Fraction(p) ** (vdisc // 2)
+    s_form = (LaurentX({-vnu: coeff}, p)
+              + LaurentX({vnu - vdp: coeff * edp}, p))
     value0 = coeff * (1 + edp)
     return GermCoeff(("n_mu", mu), value0, dds_s0(s_form), s_form)
 
@@ -213,7 +216,7 @@ def dorb1(x0: BPoint, x: BPoint, method: str = "closed",
     if not in_side1_closure(x0):
         raise UnrealizableError("base point is not in the closure of side 1")
     if x.side() != 1:
-        raise ValueError("dorb1 evaluates on side-1 points")
+        raise InputError("dorb1 evaluates on side-1 points")
     if not is_in_neighborhood(x0, x):
         raise UnrealizableError("x outside the recorded neighborhood of x0")
 
@@ -242,6 +245,5 @@ def dorb1(x0: BPoint, x: BPoint, method: str = "closed",
             continue
         total = total + coeff * val
     if c == "0ii":
-        alpha = padic_sqrt(-(x0.lam / p))
-        total = total * (-alpha).eta()   # transfer factor of the section
+        total = total * transfer_sign_0ii(x0)   # transfer factor of the section
     return Dorb1(total, f"C({c};{x0.lam!r},{x0.u!r},{x0.wtilde!r})")

@@ -32,14 +32,14 @@ def _rational_sqrt(x: Fraction):
     return None
 
 
-def padic_sqrt(x: PadicScalar, ndigits: int | None = None) -> PadicScalar:
+def padic_sqrt(x: PadicScalar) -> PadicScalar:
     """Square root in Q_p: exact when the rational is a perfect square,
     otherwise a capped Hensel lift."""
     if x.is_exact:
         r = _rational_sqrt(x.rational)
         if r is not None:
             return PadicScalar.exact(r, x.p)
-    return hensel_sqrt(x, ndigits)
+    return hensel_sqrt(x)
 
 
 # ---------------------------------------------------------------------------

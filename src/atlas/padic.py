@@ -406,14 +406,12 @@ class PadicScalar:
         return f"{self._unit}*{self.p}^{self._v} + O({self.p}^{self._v + self._n})"
 
 
-def hensel_sqrt(u: PadicScalar, ndigits: int | None = None) -> PadicScalar:
+def hensel_sqrt(u: PadicScalar, ndigits: int = DEFAULT_PRECISION) -> PadicScalar:
     """Capped square root of u, when one exists in Q_p.
 
     Requires even valuation and quadratic-residue unit part.  The branch is
     deterministic: the root whose leading digit lies in 1..(p-1)/2 is chosen.
     """
-    if ndigits is None:
-        ndigits = DEFAULT_PRECISION
     p = u.p
     v = u.val()
     if v is INF:

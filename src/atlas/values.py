@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ExcludedCaseError, UnrealizableError
+from .errors import ExcludedCaseError, InputError, UnrealizableError
 from .orbits import INF, BPoint, OrbitRep, case_of, padic_sqrt
 from .padic import PadicScalar, legendre
 from .svalue import LogQVal, zeta1
@@ -174,7 +174,7 @@ def orb_u0_ss_case0(lam0, p: int) -> Fraction:
     the integral locus; the split case is excluded."""
     lam0 = Fraction(lam0)
     if lam0 == 0:
-        raise ValueError("lam0 must be nonzero")
+        raise InputError("lam0 must be nonzero")
     s = PadicScalar.exact(-lam0, p)
     if s.is_square():
         raise ExcludedCaseError("excluded case: -lam0 is a square")
@@ -196,12 +196,18 @@ def _ss_case1_value(vlam, vu0: int, p: int) -> Fraction:
 def orb_u0_ss_case1(lam0, u0, p: int) -> Fraction:
     lam0, u0 = Fraction(lam0), Fraction(u0)
     if u0 == 0:
-        raise ValueError("u0 must be nonzero")
+        raise InputError("u0 must be nonzero")
     vu = PadicScalar.exact(u0, p).val()
     vlam = INF if lam0 == 0 else PadicScalar.exact(lam0, p).val()
     if vu < 0 or (vlam is not INF and vlam < 0):
         return Fraction(0)
     return _ss_case1_value(vlam, vu, p)
+
+
+def transfer_sign_0ii(x0: BPoint) -> int:
+    """eta(-alpha) for the root alpha = padic_sqrt(-lam0/p) that the case-0ii
+    orbit representatives carry: the sign of the section's transfer factor."""
+    return (-padic_sqrt(-(x0.lam / x0.p))).eta()
 
 
 def forced_s_values(x0: BPoint, rep: OrbitRep):
@@ -230,9 +236,8 @@ def forced_s_values(x0: BPoint, rep: OrbitRep):
     if c == "0ii":
         if rep.tag in ("y_pm", "y_mp"):
             return Fraction(0)
-        alpha = padic_sqrt(-(x0.lam / p))
-        sgn = (-alpha).eta()
-        half = Fraction(sgn, 2) * _ss_case0_value(x0.lam.val(), p)
+        half = (Fraction(transfer_sign_0ii(x0), 2)
+                * _ss_case0_value(x0.lam.val(), p))
         if rep.tag == "y_pp":
             return half
         if rep.tag == "y_mm":

@@ -1,16 +1,17 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from atlas import cli, germs
-from atlas.errors import ExcludedCaseError, UnrealizableError
+from atlas import cli
+from atlas.errors import ExcludedCaseError, InputError, UnrealizableError
 from atlas.germs import (UNNEEDED, dgamma_table, dorb1, gamma_n_mu,
                          is_in_neighborhood, phi_closed, zero_point)
 from atlas.orbits import (INF, BPoint, case_of, make_bpoint_rs1, orbit_reps,
                           padic_sqrt)
-from atlas.padic import DEFAULT_PRECISION, PadicScalar
-from atlas.svalue import LogQVal, RatX, dds_s0, zeta1
+from atlas.padic import PadicScalar
+from atlas.svalue import LaurentX, LogQVal, dds_s0, zeta1
 from atlas.values import forced_s_values
 
 
@@ -49,28 +50,6 @@ class TestGammaFamily:
         # |disc|^{-1/2} scale
         assert abs(g.value_at_0) == Fraction(2) * Fraction(p) ** (d.val() // 2)
 
-    def test_precision_setting_reaches_the_root(self, monkeypatch, capsys):
-        seen = []
-
-        def spy(x, ndigits=None):
-            root = padic_sqrt(x, ndigits)
-            seen.append(root.rel_precision)
-            return root
-        monkeypatch.setattr(germs, "padic_sqrt", spy)
-        x = BPoint.exact(1, 1, 0, 5)     # disc = 29/25, not a rational square
-        g = gamma_n_mu(x, Fraction(7, 5), 7)
-        assert seen == [7]
-        assert g.value_at_0 == gamma_n_mu(x, Fraction(7, 5)).value_at_0
-        assert seen == [7, DEFAULT_PRECISION]
-        # through the CLI: at x = (6, 1, 0), mu = 6 the discriminant is 28
-        argv = ["germ", "--x0", "0", "0", "0", "--x", "6", "1", "0", "--p", "3",
-                "--mu", "6"]
-        assert cli.main(argv + ["--precision", "7"]) == 0
-        assert cli.main(["--precision", "9"] + argv) == 0
-        assert cli.main(argv) == 0
-        capsys.readouterr()
-        assert seen[2:] == [7, 9, DEFAULT_PRECISION]
-
     def test_root_choice_independence(self):
         random.seed(83)
         p = 5
@@ -81,23 +60,105 @@ class TestGammaFamily:
             if not x.is_rs():
                 continue
             mu = Fraction(random.randint(-30, 30), p ** random.randint(0, 2))
-            trace = x.u * x.u * PadicScalar.exact(mu, p) - (x.wtilde + x.wtilde)
-            dp = x.delta() / p
-            disc = trace * trace - 4 * dp
-            if disc.is_exact_zero() or not disc.is_square():
+            forms = [capped_root_reference(x, mu, sign) for sign in (1, -1)]
+            if forms[0] is None or forms[0][1] == {}:
                 continue
-            half = PadicScalar.exact(Fraction(1, 2), p)
-            sq = padic_sqrt(disc)
-            nu1 = (trace + sq) * half
-            nu2 = (trace - sq) * half
-            if nu1.is_zero_at_precision() or nu2.is_zero_at_precision():
-                continue
-            vals = []
-            for nu in (nu1, nu2):
-                coeff = Fraction((-nu).eta()) * Fraction(p) ** (disc.val() // 2)
-                vals.append(coeff * (1 + dp.eta()))
-            assert vals[0] == vals[1]
+            assert forms[0] == forms[1]
+            g = gamma_n_mu(x, mu)
+            assert (g.value_at_0, g.s_form.coeffs) == forms[0]
             checked += 1
+
+    def test_matches_the_capped_root_reference(self):
+        # every pair met on the way to 300 nonzero forms per prime
+        random.seed(89)
+        pairs = 0
+        for p in (3, 5, 7, 11):
+            nonzero = 0
+            while nonzero < 300:
+                x = BPoint.exact(_coordinate(p), _coordinate(p, nonzero=True),
+                                 _coordinate(p), p)
+                if not x.is_rs():
+                    continue
+                mu = _coordinate(p)
+                want = capped_root_reference(x, mu)
+                if want is None:
+                    continue
+                g = gamma_n_mu(x, mu)
+                value0, terms = want
+                slope = -sum(k * c for k, c in terms.items())
+                assert g.value_at_0 == value0
+                assert g.s_form.coeffs == terms
+                assert g.dvalue == LogQVal({1: slope}, p)
+                pairs += 1
+                nonzero += terms != {}
+        assert pairs >= 2000, pairs
+
+    def test_vanishing_discriminant_is_an_input_error(self):
+        # u = 0 makes Delta/p = wt^2 and the trace -2 wt, so disc = 0
+        x = BPoint.exact(2, 0, 3, 5)
+        with pytest.raises(InputError, match="discriminant"):
+            gamma_n_mu(x, 7)
+
+    @pytest.mark.parametrize("p, x, mu, value0, ds, s_form", [
+        (5, (2625, Fraction(7, 5), -150), -35, "-2/5", "0",
+         "(-1/5 + -1/5*X^2)/(1*X)"),
+        (7, (637, Fraction(3, 7), Fraction(-13, 49)), Fraction(15, 7),
+         "2/343", "-4/343*logq", "1/343*X + 1/343*X^3"),
+        (5, (-3000, Fraction(-17, 5), 725), 0, "2", "0", "2"),
+    ])
+    def test_golden_side0_forms(self, p, x, mu, value0, ds, s_form):
+        g = gamma_n_mu(BPoint.exact(*x, p), mu)
+        assert (str(g.value_at_0), str(g.dvalue), repr(g.s_form)) == (
+            value0, ds, s_form)
+
+    @pytest.mark.parametrize("x, p, mu, ds, s_form", [
+        (("6", "1", "0"), "3", "2", "0", "0"),            # the README example
+        (("27", "-4", "6"), "3", "25", "2*logq", "(1 + -1*X^2)/(1*X^2)"),
+        (("15", "1", "0"), "3", "22/3", "-2/3*logq",
+         "(-1/3 + 1/3*X^2)/(1*X)"),
+        (("-5", "-8", "-3"), "3", "-2/3", "-1/3*logq", "-1/3 + 1/3*X"),
+        (("30", "5", "-10"), "5", "19", "-5*logq", "(-5 + 5*X)/(1*X^2)"),
+    ])
+    def test_golden_cli_forms(self, x, p, mu, ds, s_form, capsys):
+        argv = ["germ", "--x0", "0", "0", "0", "--x", *x, "--p", p,
+                f"--mu={mu}"]
+        assert cli.main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["gamma_n_mu"] == {"value_at_0": "0", "ds": ds,
+                                     "s_form": s_form}
+
+
+def _coordinate(p, nonzero=False):
+    if not nonzero and random.random() < 0.15:
+        return Fraction(0)
+    return (random.choice([c for c in range(-30, 31) if c or not nonzero])
+            * Fraction(p) ** random.randint(-2, 4))
+
+
+def capped_root_reference(x, mu, sign=1):
+    """gamma_n_mu as computed from a Hensel root nu = (T + sign*sqrt(disc))/2
+    lifted to DEFAULT_PRECISION digits (the other root when that one is
+    zero at precision): (value at 0, {exponent of X: coefficient}), or None
+    when the discriminant vanishes."""
+    p = x.p
+    trace = x.u * x.u * PadicScalar.exact(mu, p) - (x.wtilde + x.wtilde)
+    dp = x.delta() / p
+    disc = trace * trace - 4 * dp
+    if disc.is_exact_zero():
+        return None
+    if not disc.is_square():
+        return Fraction(0), {}
+    sq = padic_sqrt(disc)
+    half = PadicScalar.exact(Fraction(1, 2), p)
+    nu = (trace + sign * sq) * half
+    if nu.is_zero_at_precision():
+        nu = (trace - sign * sq) * half
+    coeff = Fraction((-nu).eta()) * Fraction(p) ** (disc.val() // 2)
+    edp = dp.eta()
+    terms = {}
+    for k, c in ((-nu.val(), coeff), (nu.val() - dp.val(), coeff * edp)):
+        terms[k] = terms.get(k, 0) + c
+    return coeff * (1 + edp), {k: c for k, c in terms.items() if c}
 
 
 class TestDGammaTable:
@@ -154,7 +215,7 @@ class TestDGammaTable:
         x = BPoint.exact(1, 27, 0, p)
         assert x.side() == 1
         dl = x.delta() / x.lam
-        s_form = RatX.x_power(-dl.val(), p) * dl.eta()
+        s_form = LaurentX({-dl.val(): 1}, p) * dl.eta()
         reps = {r.tag: r for r in orbit_reps(x0, "s_red")}
         assert dds_s0(s_form) == dgamma_table(x0, reps["y_minus"], x)
 

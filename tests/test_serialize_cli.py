@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from atlas import cli, padic
+from atlas import cli
 from atlas.cli import main
 from atlas.errors import AtlasError, InputError
 from atlas.integrate import DEFAULT_WINDOW, auto_window
@@ -143,23 +143,26 @@ class TestCli:
         seen = []
 
         def record(args):
-            seen.append((args.precision, args.shell_window, args.format))
+            seen.append((args.shell_window, args.format))
             return 0
 
         monkeypatch.setattr(cli, "cmd_values", record)
-        flags = ["--precision", "5", "--shell-window", "9", "--format", "csv"]
+        flags = ["--shell-window", "9", "--format", "csv"]
         command = ["values", "--what", "nil-u0", "--p", "3"]
         argv = flags + command if where == "before" else command + flags
         assert main(argv) == 0
         assert main(command) == 0
-        assert seen == [(5, 9, "csv"), (padic.DEFAULT_PRECISION, None, "json")]
+        assert seen == [(9, "csv"), (None, "json")]
 
-    @pytest.mark.parametrize("digits", ["0", "-3"])
-    def test_precision_must_be_positive(self, digits, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--precision", digits, "values", "--what", "nil-u0", "--p", "3"])
-        assert exc.value.code == 2
-        assert "--precision: must be positive" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        ["germ", "--x0", "0", "0", "0", "--x", "1", "1", "0", "--p", "5"],
+        ["values", "--what", "ss-u0", "--params", "0", "--p", "3"],
+        ["orb", "--kind", "ss-u0-case0", "--params", "0", "--p", "3"],
+        ["orb", "--kind", "ss-u0-case1", "--params", "0", "0", "0", "--p", "3"],
+    ], ids=["germ-side0", "values-lam0", "orb-case0-lam0", "orb-case1-u0"])
+    def test_bad_inputs_exit_with_an_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_shell_window_reaches_every_oracle(self, monkeypatch, capsys):
         windows = []
