@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 
 from . import padic
-from .errors import AtlasError
+from .errors import AtlasError, InputError
 from .germs import dorb1, gamma_n_mu, phi_closed
 from .integrate import (DEFAULT_WINDOW, auto_window, iwasawa_orbit_u0,
                         phi_from_xi)
@@ -29,6 +29,17 @@ def _parse_lplus(s: str):
     if s in ("inf", "infinity", "oo"):
         return INF
     return int(s)
+
+
+def _parse(flag: str, strings, *parsers):
+    """One value per parser from the strings given to flag; InputError when
+    fewer are given or one does not parse."""
+    if len(strings) < len(parsers):
+        raise InputError(f"{flag}: {len(parsers)} expected, {len(strings)} given")
+    try:
+        return [parse(s) for parse, s in zip(parsers, strings)]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad {flag} value: {exc}") from None
 
 
 def cmd_lint(args) -> int:
@@ -66,7 +77,7 @@ def cmd_orb(args) -> int:
     p = args.p
     out = {"p": p, "kind": args.kind}
     if args.kind == "nil-u0":
-        mu = Fraction(args.params[0])
+        mu, = _parse("--params", args.params, Fraction)
         closed = orb_nil_family_s(mu, p)  # the matched side, for reference
         if args.oracle:
             _u0_oracle(u0_nilpotent_family_member(mu, p), args, out)
@@ -77,22 +88,21 @@ def cmd_orb(args) -> int:
             out["method"] = "closed"
         out["matched_side_value"] = str(closed)
     elif args.kind == "ss-u0-case0":
-        lam0 = Fraction(args.params[0])
+        lam0, = _parse("--params", args.params, Fraction)
         if args.oracle:
             _u0_oracle(u0_ss_case0(lam0, p), args, out)
         else:
             out["value"] = str(orb_u0_ss_case0(lam0, p))
             out["method"] = "closed"
     elif args.kind == "ss-u0-case1":
-        lam0, u0, wt0 = (Fraction(s) for s in args.params[:3])
+        lam0, u0, wt0 = _parse("--params", args.params, Fraction, Fraction, Fraction)
         if args.oracle:
             _u0_oracle(u0_ss_case1(BPoint.exact(lam0, u0, wt0, p)), args, out)
         else:
             out["value"] = str(orb_u0_ss_case1(lam0, u0, p))
             out["method"] = "closed"
     elif args.kind == "xi":
-        m, lm = int(args.params[0]), int(args.params[1])
-        lp = _parse_lplus(args.params[2])
+        m, lm, lp = _parse("--params", args.params, int, int, _parse_lplus)
         x = make_bpoint_rs1(m, lm, lp, p)
         if args.oracle:
             window = DEFAULT_WINDOW if args.shell_window is None else args.shell_window
@@ -112,20 +122,21 @@ def cmd_values(args) -> int:
     p = args.p
     out = {"p": p, "what": args.what}
     if args.what == "nil-s":
-        mu = Fraction(args.params[0])
+        mu, = _parse("--params", args.params, Fraction)
         out["n(mu)"] = str(orb_nil_family_s(mu, p))
         out["n0_plus"] = str(orb_nil_reg_s("plus", p))
         out["n0_minus"] = str(orb_nil_reg_s("minus", p))
     elif args.what == "nil-u0":
         out["zero_orbit"] = str(orb_u0_zero(p))
     elif args.what == "ss-u0":
-        lam0 = Fraction(args.params[0])
         if len(args.params) > 1:
-            out["value"] = str(orb_u0_ss_case1(lam0, Fraction(args.params[1]), p))
+            lam0, u0 = _parse("--params", args.params, Fraction, Fraction)
+            out["value"] = str(orb_u0_ss_case1(lam0, u0, p))
         else:
+            lam0, = _parse("--params", args.params, Fraction)
             out["value"] = str(orb_u0_ss_case0(lam0, p))
     elif args.what == "forced-s":
-        lam0, u0, wt0 = (Fraction(s) for s in args.params[:3])
+        lam0, u0, wt0 = _parse("--params", args.params, Fraction, Fraction, Fraction)
         x0 = BPoint.exact(lam0, u0, wt0, p)
         vals = {}
         for rep in orbit_reps(x0, "s_red"):
@@ -141,13 +152,12 @@ def cmd_values(args) -> int:
 
 def cmd_germ(args) -> int:
     p = args.p
-    lam0, u0, wt0 = (Fraction(s) for s in args.x0)
-    x0 = BPoint.exact(lam0, u0, wt0, p)
-    lam, u, wt = (Fraction(s) for s in args.x)
-    x = BPoint.exact(lam, u, wt, p)
+    x0 = BPoint.exact(*_parse("--x0", args.x0, Fraction, Fraction, Fraction), p)
+    x = BPoint.exact(*_parse("--x", args.x, Fraction, Fraction, Fraction), p)
     out = {"p": p, "x0": encode_bpoint(x0), "x": encode_bpoint(x)}
     if args.mu is not None:
-        g = gamma_n_mu(x, Fraction(args.mu))
+        mu, = _parse("--mu", [args.mu], Fraction)
+        g = gamma_n_mu(x, mu)
         out["gamma_n_mu"] = {"value_at_0": str(g.value_at_0),
                              "ds": str(g.dvalue),
                              "s_form": repr(g.s_form)}
@@ -278,6 +288,8 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
     try:
+        if getattr(args, "p", None) is not None:
+            padic._check_odd_prime(args.p)
         return args.func(args)
     except AtlasError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,11 +1,13 @@
 """Exact p-adic integration by shell decomposition.
 
-Domains are split into valuation shells and residue balls; predicates and
-weights are evaluated with capped (interval) arithmetic at ball centers, so a
-decision taken on a ball is rigorous for every point of the ball; undecided
-balls are subdivided recursively up to a depth cap; and infinite shell tails
-are closed analytically as polynomial-times-geometric series (degree at most
-two, from the double log factors of the log-weighted integrals).
+Domains are split into valuation shells and residue balls c + p^d Z_p.  Every
+condition tested is a bound v(P(t)) >= b on a rational polynomial of degree
+at most two.  As the degree is below p, the sup norm of P on a ball is its
+Gauss norm, so three exact Taylor terms at the center decide the ball (see
+`_taylor`); undecided balls are subdivided up to a depth cap.  Infinite
+shell tails are closed analytically as polynomial-times-geometric series
+(degree at most two, from the double log factors of the log-weighted
+integrals).
 
 The Iwasawa-coordinate orbital integrals need no subdivision in the torus
 coordinate.  Conjugating by diag(z^-1, conj(z), 1) multiplies entry (i, j) by
@@ -24,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConductorError, StabilizationError
+from .errors import ConductorError, InputError, StabilizationError
 from .orbits import BPoint, U0RedElt
-from .padic import PadicScalar, QuadElt
+from .padic import INF, PadicScalar, QuadElt, _frac_split, legendre
 from .svalue import LogQVal, zeta1
 
 DEPTH_CAP = 40
@@ -47,8 +49,10 @@ class Ball0:
         step = Fraction(p) ** self.depth
         return [Ball0(self.center + i * step, self.depth + 1) for i in range(p)]
 
-    def point(self, p: int) -> PadicScalar:
-        return PadicScalar.from_rational_absprec(self.center, p, self.depth)
+    def point(self) -> Fraction:
+        """The exact center.  The integrators read every ball they decide
+        through this method, which bench/tracer.py hooks to count balls."""
+        return self.center
 
     def vol(self, p: int) -> Fraction:
         return Fraction(p) ** (-self.depth)
@@ -60,7 +64,9 @@ class Ball0:
 
 @dataclass(frozen=True)
 class BallF:
-    """{a + b pi : v(a - ca) >= da, v(b - cb) >= db}; volume q^-(da+db)."""
+    """{a + b pi : v(a - ca) >= da, v(b - cb) >= db}; volume q^-(da+db).
+    No integrator uses it: it stays for the tests' torus-ball reference and
+    because bench/tracer.py hooks BallF.point and BallF.split by name."""
     ca: Fraction
     da: int
     cb: Fraction
@@ -89,80 +95,32 @@ def f0_shell(k: int, p: int):
     return [Ball0(Fraction(u) * Fraction(p) ** k, k + 1) for u in range(1, p)]
 
 
-def f_shell(k: int, p: int):
-    """Cover of the shell v_F = k in the quadratic extension."""
-    out = []
-    if k % 2 == 0:
-        r = k // 2
-        for u in range(1, p):
-            out.append(BallF(Fraction(u) * Fraction(p) ** r, r + 1, Fraction(0), r))
-    else:
-        r = (k - 1) // 2
-        for u in range(1, p):
-            out.append(BallF(Fraction(0), r + 1, Fraction(u) * Fraction(p) ** r, r + 1))
-    return out
-
-
 # ---------------------------------------------------------------------------
-# ternary decisions
+# exact ball decisions
 
 
-def val_at_least(s, m):
-    """Ternary v(s) >= m for a scalar: True / False / None (undecided)."""
-    if s.is_exact:
-        return s.is_exact_zero() or s.val() >= m
-    if s.rel_precision == 0:
-        return True if s.abs_precision >= m else None
-    return s.val() >= m
+def _val(x: Fraction, p: int):
+    """v(x), +inf for x = 0."""
+    split = _frac_split(x, p)
+    return INF if split is None else split[0]
 
 
-def integral_status(s):
-    """Ternary integrality of a scalar."""
-    return val_at_least(s, 0)
+def _eta(x: Fraction, p: int) -> int:
+    """The quadratic character eta of a nonzero rational (PadicScalar.eta)."""
+    v, num, den = _frac_split(x, p)
+    s = legendre(num * den, p)
+    return s * legendre(-1, p) if v % 2 else s
 
 
-def quad_val_at_least(x: QuadElt, m):
-    """Ternary v_F(x) >= m: with v_F(a + b pi) = min(2 v(a), 2 v(b) + 1),
-    that is v(a) >= ceil(m/2) and v(b) >= ceil((m-1)/2)."""
-    sa = val_at_least(x.a, -(-m // 2))
-    if sa is False:
-        return False
-    sb = val_at_least(x.b, -((1 - m) // 2))
-    if sb is False:
-        return False
-    if sa is None or sb is None:
-        return None
-    return True
-
-
-def matrix_val_at_least(M, bounds):
-    """Ternary conjunction of v_F(M[i][j]) >= bounds[i][j] over all entries."""
-    out = True
-    for row, brow in zip(M, bounds):
-        for e, m in zip(row, brow):
-            s = quad_val_at_least(e, m)
-            if s is False:
-                return False
-            if s is None:
-                out = None
-    return out
-
-
-def known_val(s):
-    """Valuation if determined at stored precision, else None."""
-    if s.is_exact:
-        return None if s.is_exact_zero() else s.val()
-    if s.rel_precision == 0:
-        return None
-    return s.val()
-
-
-def known_eta(s):
-    if s.is_exact:
-        return None if s.is_exact_zero() else s.eta()
-    if s.rel_precision == 0:
-        return None
-    return s.eta()
+def _taylor(poly, c: Fraction, d: int, p: int):
+    """(P(c), v(P(c)), min(v(P'(c)) + d, v(P''/2) + 2d)) for
+    P = c0 + c1 t + c2 t^2 on the ball c + p^d Z_p: v(P) >= b on the whole
+    ball exactly when both valuations are >= b, and v(P) = v(P(c)) on the
+    whole ball when the first is the smaller."""
+    c0, c1, c2 = poly
+    at_c = c0 + (c1 + c2 * c) * c
+    rest = min(_val(c1 + 2 * c2 * c, p) + d, _val(c2, p) + 2 * d)
+    return at_c, _val(at_c, p), rest
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +143,6 @@ def _sum_balls(p, balls, evaluate, zero):
     return total
 
 
-def _series_sums(r: Fraction):
-    """(sum r^i, sum i r^i, sum i(i-1) r^i / 2) over i >= 0."""
-    return 1 / (1 - r), r / (1 - r) ** 2, r * r / (1 - r) ** 3
-
-
 def close_poly_geometric_tail(values, p: int, max_ratio_pow: int = 8) -> Fraction:
     """Sum over i >= 0 of a sequence recognized as P(i) r^i with deg P <= 2
     and r an inverse power of p; values must supply at least seven shells
@@ -203,30 +156,21 @@ def close_poly_geometric_tail(values, p: int, max_ratio_pow: int = 8) -> Fractio
         u = [v / r ** i for i, v in enumerate(values)]
         d3 = [u[i + 3] - 3 * u[i + 2] + 3 * u[i + 1] - u[i] for i in range(len(u) - 3)]
         if all(x == 0 for x in d3):
-            # Newton form P(i) = c0 + c1 i + c2 i(i-1)
-            c0 = u[0]
+            # Newton form P(i) = c0 + c1 i + c2 i(i-1), summed against
+            # sum r^i, sum i r^i and sum i(i-1) r^i / 2
             c1 = u[1] - u[0]
             c2 = (u[2] - 2 * u[1] + u[0]) / 2
-            s0, s1, s2 = _series_sums(r)
-            return c0 * s0 + c1 * s1 + 2 * c2 * s2
+            return u[0] / (1 - r) + c1 * r / (1 - r) ** 2 + 2 * c2 * r * r / (1 - r) ** 3
     raise StabilizationError("no stabilization: no geometric ratio matches")
 
 
-def close_logqval_tail(values, p: int) -> LogQVal:
-    grades = set()
-    for v in values:
-        grades |= set(v.coeffs)
-    out = LogQVal.const(0, p)
-    for g in sorted(grades):
-        seq = [v.grade(g) for v in values]
-        out = out + LogQVal({g: close_poly_geometric_tail(seq, p)}, p)
-    return out
-
-
 def _close_tail(values, p):
-    if isinstance(values[0], LogQVal):
-        return close_logqval_tail(values, p)
-    return close_poly_geometric_tail(values, p)
+    """The tail sum of Fraction values, or of LogQVal values grade by grade."""
+    if not isinstance(values[0], LogQVal):
+        return close_poly_geometric_tail(values, p)
+    grades = set().union(*(v.coeffs for v in values))
+    return LogQVal({g: close_poly_geometric_tail([v.grade(g) for v in values], p)
+                    for g in grades}, p)
 
 
 TAIL_SAMPLES = 7
@@ -238,17 +182,15 @@ TAIL_SAMPLES = 7
 
 def shell_integrate(p: int, weight, zero, window: int = DEFAULT_WINDOW):
     """Integrate weight over the multiplicative group of the base field:
-    weight maps a capped point to an exact value (Fraction or LogQVal), or
-    to None when the point's ball must be subdivided, and zero is the
-    additive unit of its type.  Shells v = k for -window <= k <= window are
-    computed exactly, the two infinite tails closed analytically from the
-    last TAIL_SAMPLES shells of each side."""
+    weight maps a Ball0 inside one shell to the exact value (Fraction or
+    LogQVal) the integrand takes on all of it, or to None when the ball must
+    be subdivided, and zero is the additive unit of its type.  Shells v = k
+    for -window <= k <= window are computed exactly, the two infinite tails
+    closed analytically from the last TAIL_SAMPLES shells of each side."""
     if window < TAIL_SAMPLES + 1:
-        raise ValueError("window too small")
-
-    def ev(ball):
-        return weight(ball.point(p))
-    values = {k: _sum_balls(p, f0_shell(k, p), ev, zero)
+        raise InputError(f"shell window must be at least {TAIL_SAMPLES + 1}, "
+                         f"got {window}")
+    values = {k: _sum_balls(p, f0_shell(k, p), weight, zero)
               for k in range(-window, window + 1)}
     total = zero
     for k in range(-window + TAIL_SAMPLES, window - TAIL_SAMPLES + 1):
@@ -264,13 +206,22 @@ def shell_integrate(p: int, weight, zero, window: int = DEFAULT_WINDOW):
 # the unitary-side orbital integrals in Iwasawa coordinates
 
 
-def _n_conj(M, t: PadicScalar):
-    """Conjugate by the unipotent diag([[1, t], [0, 1]], 1), entrywise."""
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M
-    r00 = m00 - m10 * t
-    return [[r00, r00 * t + m01 - m11 * t, m02 - m12 * t],
-            [m10, m11 + m10 * t, m12],
-            [m20, m21 + m20 * t, m22]]
+def _conj_polys(M):
+    """The coordinate polynomials of the conjugate of the exact matrix M by
+    the unipotent diag([[1, t], [0, 1]], 1): tuples (i, j, part, (c0, c1, c2))
+    with entry (i, j) = sum over part of (c0 + c1 t + c2 t^2) pi^part."""
+    out = []
+    for part in (0, 1):
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = (
+            [(e.b if part else e.a).rational for e in row] for row in M)
+        z = Fraction(0)
+        for i, j, poly in ((0, 0, (m00, -m10, z)), (0, 1, (m01, m00 - m11, -m10)),
+                           (0, 2, (m02, -m12, z)), (1, 0, (m10, z, z)),
+                           (1, 1, (m11, m10, z)), (1, 2, (m12, z, z)),
+                           (2, 0, (m20, z, z)), (2, 1, (m21, m20, z)),
+                           (2, 2, (m22, z, z))):
+            out.append((i, j, part, poly))
+    return out
 
 
 def _shell_bounds(k: int):
@@ -282,17 +233,32 @@ def _shell_bounds(k: int):
             (k, -k, 0))
 
 
-def _iwasawa_t_integral(M, k: int, p: int, window: int) -> Fraction:
+def _iwasawa_t_integral(polys, k: int, p: int, window: int) -> Fraction:
     """Inner integral over the unipotent coordinate of the indicator of the
     lattice, on the torus shell v_F(z) = k; the unipotent acts first, the
-    torus scaling second."""
+    torus scaling second.  With v_F(a + b pi) = min(2 v(a), 2 v(b) + 1),
+    v_F(entry) >= m is v(a) >= ceil(m/2) and v(b) >= ceil((m-1)/2); the
+    conditions constant in t are settled once."""
     bounds = _shell_bounds(k)
+    conds = []
+    for i, j, part, poly in polys:
+        b = -((part - bounds[i][j]) // 2)
+        if poly[1] or poly[2]:
+            conds.append((poly, b))
+        elif _val(poly[0], p) < b:
+            return Fraction(0)
 
     def ev(ball):
-        st = matrix_val_at_least(_n_conj(M, ball.point(p)), bounds)
-        if st is None:
-            return None
-        return Fraction(1) if st else Fraction(0)
+        c = ball.point()
+        out = Fraction(1)
+        for poly, b in conds:
+            _, v0, rest = _taylor(poly, c, ball.depth, p)
+            if min(v0, rest) >= b:
+                continue
+            if v0 < rest:
+                return Fraction(0)
+            out = None
+        return out
 
     # the support in t is a valuation interval: conditions are integrality of
     # polynomials in t, which fail monotonically for large |t|
@@ -301,40 +267,32 @@ def _iwasawa_t_integral(M, k: int, p: int, window: int) -> Fraction:
     for j in range(-1, -window - 1, -1):
         s = _sum_balls(p, f0_shell(j, p), ev, Fraction(0))
         total += s
-        if s == 0:
-            zeros += 1
-            if zeros >= 4:
-                return total
-        else:
-            zeros = 0
-    return total
+        zeros = zeros + 1 if s == 0 else 0
+        if zeros >= 4:
+            return total
+    raise StabilizationError(f"no stabilization in the unipotent coordinate on "
+                             f"torus shell {k}: window {window} too small")
 
 
 def auto_window(y: U0RedElt, floor: int = 8) -> int:
     """A torus window comfortably containing the support: twice the largest
     coordinate valuation plus slack."""
-    vals = []
-    for s in (y.a1, y.a2, y.a3):
-        if not s.is_exact_zero():
-            vals.append(abs(s.val()))
-    for b in (y.b1, y.b2):
-        if not b.is_zero():
-            vals.append(abs(b.val_f()))
-    top = max(vals) if vals else 0
-    return max(floor, 2 * top + 6)
+    vals = [abs(s.val()) for s in (y.a1, y.a2, y.a3) if not s.is_exact_zero()]
+    vals += [abs(b.val_f()) for b in (y.b1, y.b2) if not b.is_zero()]
+    return max(floor, 2 * max(vals, default=0) + 6)
 
 
-def z_shell_value(M, k: int, p: int, window: int, nilfam: bool) -> Fraction:
-    """The torus shell v_F(z) = k of the orbital integral of M: the volume of
-    f_shell(k, p) times the unipotent integral, or, for the nilpotent family,
-    times the lattice indicator of M itself."""
-    vol = sum((b.vol(p) for b in f_shell(k, p)), Fraction(0))
-    if nilfam:
-        st = matrix_val_at_least(M, _shell_bounds(k))
-        if st is None:
-            raise ConductorError("nilpotent-family lattice test undecided")
-        return vol if st else Fraction(0)
-    return vol * _iwasawa_t_integral(M, k, p, window)
+def z_shell_value(M, k: int, p: int, window: int, polys) -> Fraction:
+    """The torus shell v_F(z) = k of the orbital integral of M: its volume
+    (p - 1) p^-(k+1) times the unipotent integral over the coordinate
+    polynomials polys (`_conj_polys(M)`), or, for the nilpotent family
+    (polys None), times the lattice indicator of M itself."""
+    vol = (p - 1) * Fraction(p) ** -(k + 1)
+    if polys is None:
+        inside = all(e.val_f() >= m for row, brow in zip(M, _shell_bounds(k))
+                     for e, m in zip(row, brow))
+        return vol if inside else Fraction(0)
+    return vol * _iwasawa_t_integral(polys, k, p, window)
 
 
 def iwasawa_orbit_u0(y: U0RedElt, window: int | None = None):
@@ -350,7 +308,9 @@ def iwasawa_orbit_u0(y: U0RedElt, window: int | None = None):
     diag(z^-1, conj(z), 1) scales entry (i, j) by a unit times pi^(e_ij k),
     e = (0 2 1 / -2 0 -1 / -1 1 0), so shell k contributes its volume
     (p - 1) p^-(k+1) times the unipotent integral of v_F >= -e_ij k.
-    A ConductorError from that integral propagates."""
+    A support that reaches the window's edge raises StabilizationError
+    rather than return a truncated sum; a ConductorError from the unipotent
+    integral propagates."""
     p = y.p
     M = y.matrix()
     inv = y.invariants()
@@ -359,28 +319,29 @@ def iwasawa_orbit_u0(y: U0RedElt, window: int | None = None):
     is_zero_elt = all(e.is_zero() for row in M for e in row)
     nilfam = (not is_zero_elt and inv.lam.is_exact_zero()
               and inv.u.is_exact_zero() and inv.wtilde.is_exact_zero())
+    polys = None if nilfam else _conj_polys(M)
 
     # scan shells; support is bounded below, and either bounded above
     # (semisimple) or eventually geometric (nilpotent family)
-    total = Fraction(0)
     values = []
     seen = False
     zeros = 0
     for k in range(-window, window + 1):
-        s = z_shell_value(M, k, p, window, nilfam)
+        s = z_shell_value(M, k, p, window, polys)
         values.append(s)
-        total += s
         if s == 0:
             zeros += 1
             if zeros >= 3 and seen:
-                return total * zeta1(p)
+                return sum(values, Fraction(0)) * zeta1(p)
+        elif k == -window:
+            raise StabilizationError(f"no stabilization in the torus coordinate: "
+                                     f"shell {k} at the window's edge is nonzero")
         else:
             seen = True
             zeros = 0
     if nilfam and len(values) >= TAIL_SAMPLES:
-        tail = values[-TAIL_SAMPLES:]
         head = sum(values[:-TAIL_SAMPLES], Fraction(0))
-        return (head + close_poly_geometric_tail(tail, p)) * zeta1(p)
+        return (head + close_poly_geometric_tail(values[-TAIL_SAMPLES:], p)) * zeta1(p)
     raise StabilizationError("no stabilization in the torus coordinate")
 
 
@@ -397,32 +358,30 @@ def xi_integral(x: BPoint, window: int = DEFAULT_WINDOW) -> LogQVal:
 
     restricted to |t + D'/(p t) + 2 w'| > 1, where D' = Delta/u^4 and
     w' = wtilde/u^2 and eta1(y) = eta(y)/|y|.  The result is a pure
-    (log q)^2-graded rational."""
+    (log q)^2-graded rational.
+
+    On the shell v(t) = k, write a = t + D'/(p t) + 2 w' as g(t)/t with
+    g(t) = t^2 + 2 w' t + D'/p: then v(a) = v(g) - k, eta(a) eta(t) = eta(g),
+    and the integrand is eta(g) q^v(g) (v(g) - k) k on v(g) < k.  The Taylor
+    test of v(g) >= k decides each ball, and where g(c) strictly dominates,
+    v(g) and eta(g) are those of g(c) on the whole ball."""
     p = x.p
     if x.side() != 1:
-        raise ValueError("xi_integral requires a side-1 point")
-    dprime = x.delta() / (x.u ** 4)
-    wprime = x.wtilde / (x.u * x.u)
-    dp_over_p = dprime / p
-    two_wp = wprime + wprime
+        raise InputError("xi_integral requires a side-1 point")
+    dprime = (x.delta() / (x.u ** 4)).rational
+    wprime = (x.wtilde / (x.u * x.u)).rational
+    g = (dprime / p, 2 * wprime, Fraction(1))
     zero = LogQVal.const(0, p)
 
-    def weight(t: PadicScalar):
-        a = t + dp_over_p / t + two_wp
-        if integral_status(a):
+    def weight(ball):
+        c = ball.point()
+        k = _val(c, p)
+        at_c, vg, rest = _taylor(g, c, ball.depth, p)
+        if min(vg, rest) >= k:
             return zero          # support requires |a| > 1
-        va = known_val(a)
-        if va is None:
+        if vg >= rest:
             return None
-        if va >= 0:
-            return zero
-        vt = t.val()
-        ea = known_eta(a)
-        et = known_eta(t)
-        if ea is None or et is None:
-            return None
-        size = Fraction(p) ** (va + vt)     # 1/|a t|
-        return LogQVal({2: ea * et * size * va * vt}, p)
+        return LogQVal({2: _eta(at_c, p) * Fraction(p) ** vg * (vg - k) * k}, p)
 
     return shell_integrate(p, weight, zero, window)
 

@@ -8,8 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (CayleyUndefinedError, NotRegularSemisimpleError,
-                     OracleMismatchError)
+from .errors import (CayleyUndefinedError, InputError,
+                     NotRegularSemisimpleError, OracleMismatchError)
 from .orbits import (INF, XI_CHOICES, BPoint, U1GroupElt, admissible_xi,
                      cayley_inv, reduce_elt)
 
@@ -25,7 +25,7 @@ class DistParams:
 
     def __post_init__(self):
         if self.im_plus_val is not INF and self.im_plus_val % 2 == 0:
-            raise ValueError("im_plus_val must be odd or infinite")
+            raise InputError("l_plus (im_plus_val) must be odd or infinite")
 
 
 def dist_j(d: DistParams, j: int):
@@ -46,7 +46,7 @@ def keating_n(ell, j: int, p: int) -> Fraction:
     if ell is INF:
         raise NotRegularSemisimpleError("non-rs locus: infinite distance")
     if ell < 0:
-        raise ValueError("distance must be >= 0")
+        raise InputError("distance must be >= 0")
     if ell > 2 * j:
         return Fraction(2 * sum(q ** i for i in range(j)) + (ell - 2 * j + 1) * q ** j)
     if ell % 2 == 0:

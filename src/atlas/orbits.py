@@ -9,8 +9,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (CayleyUndefinedError, NotRegularSemisimpleError,
-                     UnrealizableError)
+from .errors import (CayleyUndefinedError, InputError,
+                     NotRegularSemisimpleError, UnrealizableError)
 from .padic import (INF, PadicScalar, QuadElt, QuatElt, hensel_sqrt,
                     quat_solve, smallest_nonresidue)
 
@@ -597,8 +597,11 @@ def u0_nilpotent_family_member(beta, p: int) -> U0RedElt:
 
 
 def u0_ss_case0(lam0, p: int, eps_unit=1) -> U0RedElt:
-    """Semisimple representative over (lam0, 0, 0) on the quasi-split side."""
+    """Semisimple representative over (lam0, 0, 0) on the quasi-split side;
+    lam0 = 0 is the zero orbit, which has none."""
     lam0 = Fraction(lam0)
+    if lam0 == 0:
+        raise InputError("lam0 must be nonzero")
     eps_unit = Fraction(eps_unit)
     return U0RedElt.exact(0, -lam0 / eps_unit, eps_unit, 0, 0, p)
 

@@ -72,6 +72,9 @@ class _Graded:
         return self.coeffs == o.coeffs
 
     def __hash__(self):
+        # a constant equals its coefficient, so it hashes like it
+        if set(self.coeffs) <= {0}:
+            return hash(self.grade(0))
         return hash((tuple(sorted(self.coeffs.items())), self.p))
 
     def grade(self, k: int) -> Fraction:

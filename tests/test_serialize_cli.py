@@ -1,5 +1,6 @@
 import json
 import random
+import shlex
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,87 @@ from atlas.padic import PadicScalar, QuadElt, QuatElt
 from atlas.serialize import (decode_bpoint, decode_element, decode_quat,
                              decode_scalar, encode_bpoint, encode_element,
                              encode_quat, encode_scalar)
+
+
+# stdout of `atlas orb ... --oracle`, pinned as literals from the
+# capped-interval integrator that the exact ball decisions replaced
+GOLDEN_ORACLE = {
+    'orb --kind nil-u0 --params 1/3 --p 3 --oracle': (
+        '{\n'
+        '  "p": 3,\n'
+        '  "kind": "nil-u0",\n'
+        '  "value": "3/2",\n'
+        '  "method": "shell-sum",\n'
+        '  "shells_used": 8,\n'
+        '  "matched_side_value": "1"\n'
+        '}\n'
+    ),
+    'orb --kind xi --params 1 1 3 --p 3 --oracle': (
+        '{\n'
+        '  "p": 3,\n'
+        '  "kind": "xi",\n'
+        '  "value": "-9*logq",\n'
+        '  "method": "shell-sum",\n'
+        '  "shells_used": 30\n'
+        '}\n'
+    ),
+    'orb --kind ss-u0-case0 --params 81 --p 3 --oracle': (
+        '{\n'
+        '  "p": 3,\n'
+        '  "kind": "ss-u0-case0",\n'
+        '  "value": "17",\n'
+        '  "method": "shell-sum",\n'
+        '  "shells_used": 14\n'
+        '}\n'
+    ),
+    'orb --kind ss-u0-case0 --params 81 --p 3 --oracle --shell-window 10': (
+        '{\n'
+        '  "p": 3,\n'
+        '  "kind": "ss-u0-case0",\n'
+        '  "value": "17",\n'
+        '  "method": "shell-sum",\n'
+        '  "shells_used": 10\n'
+        '}\n'
+    ),
+    'orb --kind ss-u0-case1 --params -27 3 9 --p 3 --oracle': (
+        '{\n'
+        '  "p": 3,\n'
+        '  "kind": "ss-u0-case1",\n'
+        '  "value": "8",\n'
+        '  "method": "shell-sum",\n'
+        '  "shells_used": 12\n'
+        '}\n'
+    ),
+    'orb --kind ss-u0-case1 --params -27 3 9 --p 3 --oracle --shell-window 12': (
+        '{\n'
+        '  "p": 3,\n'
+        '  "kind": "ss-u0-case1",\n'
+        '  "value": "8",\n'
+        '  "method": "shell-sum",\n'
+        '  "shells_used": 12\n'
+        '}\n'
+    ),
+    'orb --kind nil-u0 --params 9 --p 5 --oracle': (
+        '{\n'
+        '  "p": 5,\n'
+        '  "kind": "nil-u0",\n'
+        '  "value": "25/4",\n'
+        '  "method": "shell-sum",\n'
+        '  "shells_used": 8,\n'
+        '  "matched_side_value": "0"\n'
+        '}\n'
+    ),
+    'orb --kind nil-u0 --params 9 --p 5 --oracle --shell-window 12': (
+        '{\n'
+        '  "p": 5,\n'
+        '  "kind": "nil-u0",\n'
+        '  "value": "25/4",\n'
+        '  "method": "shell-sum",\n'
+        '  "shells_used": 12,\n'
+        '  "matched_side_value": "0"\n'
+        '}\n'
+    ),
+}
 
 
 class TestSerialize:
@@ -159,7 +241,21 @@ class TestCli:
         ["values", "--what", "ss-u0", "--params", "0", "--p", "3"],
         ["orb", "--kind", "ss-u0-case0", "--params", "0", "--p", "3"],
         ["orb", "--kind", "ss-u0-case1", "--params", "0", "0", "0", "--p", "3"],
-    ], ids=["germ-side0", "values-lam0", "orb-case0-lam0", "orb-case1-u0"])
+        ["orb", "--kind", "xi", "--params", "1", "1", "3", "--p", "3", "--oracle",
+         "--shell-window", "3"],
+        ["lint", "--m", "0", "--lminus", "1", "--lplus", "2", "--p", "3"],
+        ["values", "--what", "ss-u0", "--p", "3"],
+        ["orb", "--kind", "xi", "--params", "1", "--p", "3"],
+        ["values", "--what", "nil-s", "--params", "abc", "--p", "3"],
+        ["lint", "--m", "0", "--lminus", "1", "--lplus", "3", "--p", "4"],
+        ["orb", "--kind", "ss-u0-case0", "--params", "81", "--p", "3", "--oracle",
+         "--shell-window", "3"],
+        ["orb", "--kind", "ss-u0-case0", "--params", "0", "--p", "3", "--oracle"],
+        ["germ", "--x0", "a", "0", "0", "--x", "1", "1", "0", "--p", "5"],
+    ], ids=["germ-side0", "values-lam0", "orb-case0-lam0", "orb-case1-u0",
+            "xi-small-window", "lint-even-lplus", "values-missing-params",
+            "xi-missing-params", "values-unparsed", "lint-even-p",
+            "oracle-window-edge", "oracle-case0-lam0", "germ-unparsed"])
     def test_bad_inputs_exit_with_an_error_line(self, argv, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -189,3 +285,8 @@ class TestCli:
                 assert rc == 0
                 data = json.loads(capsys.readouterr().out)
                 assert windows[-1] == want and data["shells_used"] == want, kind
+
+    @pytest.mark.parametrize("command", list(GOLDEN_ORACLE))
+    def test_golden_oracle_outputs(self, command, capsys):
+        assert main(shlex.split(command)) == 0
+        assert capsys.readouterr().out == GOLDEN_ORACLE[command]

@@ -100,3 +100,16 @@ class TestLogQVal:
     def test_repr(self):
         v = LogQVal({0: Fraction(1, 2), 1: Fraction(-3)}, 3)
         assert "logq" in repr(v)
+
+
+class TestHash:
+    @pytest.mark.parametrize("cls", [LaurentX, LogQVal])
+    def test_hash_agrees_with_eq(self, cls):
+        for c in (0, 3, Fraction(-7, 2)):
+            v = cls.const(c, 5)
+            assert v == c and hash(v) == hash(c) == hash(Fraction(c))
+            assert len({v, c, Fraction(c)}) == 1
+        assert cls({}, 3) == 0 and len({cls({}, 3), 0}) == 1
+        v = cls({1: Fraction(2), -1: Fraction(1)}, 3)
+        w = cls({-1: Fraction(1), 1: Fraction(2)}, 3)
+        assert v == w and hash(v) == hash(w) and len({v, w}) == 1
