@@ -14,7 +14,7 @@ from .errors import AtlasError, InputError
 from .germs import dorb1, gamma_n_mu, phi_closed
 from .integrate import (DEFAULT_WINDOW, auto_window, iwasawa_orbit_u0,
                         phi_from_xi)
-from .keating import l_int_closed, l_int_keating
+from .keating import check_closed_form, l_int_closed, l_int_keating
 from .orbits import (INF, BPoint, case_of, make_bpoint_rs1, orbit_reps,
                      u0_nilpotent_family_member, u0_ss_case0, u0_ss_case1)
 from .serialize import decode_element, encode_bpoint
@@ -50,9 +50,13 @@ def cmd_lint(args) -> int:
                 row = {"m": m, "lminus": lm,
                        "lplus": "inf" if lp is INF else lp, "p": args.p}
                 if args.mode in ("oracle", "both"):
-                    row["oracle"] = str(l_int_keating(m, lm, lp, args.p))
+                    oracle = l_int_keating(m, lm, lp, args.p)
+                    row["oracle"] = str(oracle)
                 if args.mode in ("closed", "both"):
-                    row["closed"] = str(l_int_closed(m, lm, lp, args.p))
+                    closed = l_int_closed(m, lm, lp, args.p)
+                    row["closed"] = str(closed)
+                if args.mode == "both":
+                    check_closed_form(closed, oracle, m, lm, lp, args.p)
                 row["value"] = row.get("closed", row.get("oracle"))
                 row["method"] = args.mode
                 rows.append(row)

@@ -19,12 +19,16 @@ a unit times pi^(e_ij k), with k = v_F(z) and
 
 so the lattice indicator depends on z only through k: each torus shell is
 evaluated once, as its volume times the unipotent integral of the bounds
-v_F(entry_ij) >= -e_ij k."""
+v_F(entry_ij) >= -e_ij k.  That integral runs on integers: the coordinate
+polynomials have their denominators cleared once per element, and each shell
+v(t) = j is swept in tau = t p^-j, so every Taylor term is an integer; the
+depth cap still bounds the depth in t (see `_iwasawa_t_integral`)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import ConductorError, InputError, StabilizationError
 from .orbits import BPoint, U0RedElt
@@ -42,14 +46,15 @@ DEFAULT_WINDOW = 30
 @dataclass(frozen=True)
 class Ball0:
     """{t : v(t - center) >= depth} in the base field; volume q^-depth."""
-    center: Fraction
+    center: Fraction | int
     depth: int
 
     def split(self, p: int):
-        step = Fraction(p) ** self.depth
+        # an int step keeps integer centers integers
+        step = p ** self.depth if self.depth >= 0 else Fraction(p) ** self.depth
         return [Ball0(self.center + i * step, self.depth + 1) for i in range(p)]
 
-    def point(self) -> Fraction:
+    def point(self) -> Fraction | int:
         """The exact center.  The integrators read every ball they decide
         through this method, which bench/tracer.py hooks to count balls."""
         return self.center
@@ -127,15 +132,16 @@ def _taylor(poly, c: Fraction, d: int, p: int):
 # ball sweeps and tail closure
 
 
-def _sum_balls(p, balls, evaluate, zero):
-    """Sum vol * evaluate(ball), subdividing on undecided balls (None)."""
+def _sum_balls(p, balls, evaluate, zero, shift: int = 0):
+    """Sum vol * evaluate(ball), subdividing on undecided balls (None); an
+    undecided ball at depth + shift >= DEPTH_CAP raises ConductorError."""
     total = zero
     stack = list(balls)
     while stack:
         ball = stack.pop()
         w = evaluate(ball)
         if w is None:
-            if ball.maxdepth >= DEPTH_CAP:
+            if ball.maxdepth + shift >= DEPTH_CAP:
                 raise ConductorError("conductor too small: depth cap reached")
             stack.extend(ball.split(p))
             continue
@@ -208,8 +214,11 @@ def shell_integrate(p: int, weight, zero, window: int = DEFAULT_WINDOW):
 
 def _conj_polys(M):
     """The coordinate polynomials of the conjugate of the exact matrix M by
-    the unipotent diag([[1, t], [0, 1]], 1): tuples (i, j, part, (c0, c1, c2))
-    with entry (i, j) = sum over part of (c0 + c1 t + c2 t^2) pi^part."""
+    the unipotent diag([[1, t], [0, 1]], 1), denominators cleared once:
+    integer tuples (i, j, part, (c0, c1, c2), w) with entry (i, j) = sum over
+    part of (c0 + c1 t + c2 t^2) pi^part / D and w = v(D), so a bound
+    v >= b on the rational polynomial is v >= b + w on the integer one."""
+    p = M[0][0].p
     out = []
     for part in (0, 1):
         (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = (
@@ -220,7 +229,9 @@ def _conj_polys(M):
                            (1, 1, (m11, m10, z)), (1, 2, (m12, z, z)),
                            (2, 0, (m20, z, z)), (2, 1, (m21, m20, z)),
                            (2, 2, (m22, z, z))):
-            out.append((i, j, part, poly))
+            den = lcm(*(c.denominator for c in poly))
+            ints = tuple(c.numerator * (den // c.denominator) for c in poly)
+            out.append((i, j, part, ints, _val(den, p)))
     return out
 
 
@@ -238,34 +249,47 @@ def _iwasawa_t_integral(polys, k: int, p: int, window: int) -> Fraction:
     lattice, on the torus shell v_F(z) = k; the unipotent acts first, the
     torus scaling second.  With v_F(a + b pi) = min(2 v(a), 2 v(b) + 1),
     v_F(entry) >= m is v(a) >= ceil(m/2) and v(b) >= ceil((m-1)/2); the
-    conditions constant in t are settled once."""
+    conditions constant in t are settled once.
+
+    Z_p (j = 0) and each shell v(t) = j < 0 are swept in the integer
+    coordinate tau = t s with s = p^-j: the bound v(c0 + c1 t + c2 t^2) >= b
+    is v(c0 s^2 + c1 s tau + c2 tau^2) >= b - 2j, and the ball
+    tau + p^e Z_p is the t-ball of depth e + j, of volume p^-(e+j).  DEPTH_CAP
+    applies to that t-depth."""
     bounds = _shell_bounds(k)
     conds = []
-    for i, j, part, poly in polys:
-        b = -((part - bounds[i][j]) // 2)
+    for row, col, part, poly, w in polys:
+        b = w - ((part - bounds[row][col]) // 2)
         if poly[1] or poly[2]:
             conds.append((poly, b))
         elif _val(poly[0], p) < b:
             return Fraction(0)
 
-    def ev(ball):
-        c = ball.point()
-        out = Fraction(1)
-        for poly, b in conds:
-            _, v0, rest = _taylor(poly, c, ball.depth, p)
-            if min(v0, rest) >= b:
-                continue
-            if v0 < rest:
-                return Fraction(0)
-            out = None
-        return out
+    def shell(j):
+        s = p ** -j
+        scaled = [((c0 * s * s, c1 * s, c2), b - 2 * j) for (c0, c1, c2), b in conds]
+
+        def ev(ball):
+            c = ball.point()
+            out = 1
+            for poly, b in scaled:
+                _, v0, rest = _taylor(poly, c, ball.depth, p)
+                if min(v0, rest) >= b:
+                    continue
+                if v0 < rest:
+                    return 0
+                out = None
+            return out
+
+        roots = [Ball0(0, 0)] if j == 0 else [Ball0(u, 1) for u in range(1, p)]
+        return s * _sum_balls(p, roots, ev, Fraction(0), j)
 
     # the support in t is a valuation interval: conditions are integrality of
     # polynomials in t, which fail monotonically for large |t|
-    total = _sum_balls(p, [Ball0(Fraction(0), 0)], ev, Fraction(0))
+    total = shell(0)
     zeros = 0 if total != 0 else 1
     for j in range(-1, -window - 1, -1):
-        s = _sum_balls(p, f0_shell(j, p), ev, Fraction(0))
+        s = shell(j)
         total += s
         zeros = zeros + 1 if s == 0 else 0
         if zeros >= 4:

@@ -54,8 +54,14 @@ def keating_n(ell, j: int, p: int) -> Fraction:
     return Fraction(2 * (q ** ((ell + 1) // 2) - 1), q - 1)
 
 
+def _check_level(m: int) -> None:
+    if m < 0:
+        raise InputError(f"conductor level m must be >= 0, got {m}")
+
+
 def l_int_keating(m: int, lminus: int, lplus, p: int) -> Fraction:
     """Twice the sum of level lengths over conductors 0..m (the oracle)."""
+    _check_level(m)
     d = DistParams(lminus, lplus)
     return 2 * sum(keating_n(dist_j(d, j), j, p) for j in range(m + 1))
 
@@ -73,6 +79,7 @@ def l_int_closed(m: int, lminus: int, lplus, p: int) -> Fraction:
     """Closed form for the doubled length sum, dispatched on whether the
     distance profile is constant (l- <= l+) and on parity; always equals
     l_int_keating."""
+    _check_level(m)
     t = Fraction(1, p)
     if lplus is INF or lminus <= lplus:
         if lminus > 2 * m:
@@ -101,12 +108,16 @@ def l_int(x: BPoint) -> Fraction:
         return Fraction(0)
     m, lm, lp = x.ml_params()
     value = l_int_closed(m, lm, lp, x.p)
-    oracle = l_int_keating(m, lm, lp, x.p)
+    check_closed_form(value, l_int_keating(m, lm, lp, x.p), m, lm, lp, x.p)
+    return value
+
+
+def check_closed_form(value, oracle, m: int, lminus: int, lplus, p: int) -> None:
+    """Raise OracleMismatchError unless the closed form equals the oracle."""
     if value != oracle:
         raise OracleMismatchError(
             f"l_int closed form {value} != level-sum oracle {oracle} "
-            f"at (m={m}, l-={lm}, l+={lp}, p={x.p})")
-    return value
+            f"at (m={m}, l-={lminus}, l+={lplus}, p={p})")
 
 
 def int_group(g: U1GroupElt) -> Fraction:

@@ -424,15 +424,6 @@ class U1GroupElt:
     def p(self) -> int:
         return self.M[0][0].p
 
-    @classmethod
-    def from_coords(cls, alpha: QuatElt, beta: QuatElt, b: QuatElt, c: QuatElt,
-                    d: QuadElt) -> "U1GroupElt":
-        p = alpha.p
-        pi = QuatElt.from_f(QuadElt.pi(p))
-        return cls([[alpha, beta * p, b * pi],
-                    [beta, alpha, b],
-                    [c, pi * c, QuatElt.from_f(d)]])
-
     def coords(self):
         M = self.M
         return M[0][0], M[1][0], M[1][2], M[2][0], M[2][2].x

@@ -142,6 +142,45 @@ def _t_scan(ev, p, window):
     return total
 
 
+def fraction_conj_polys(M):
+    """The rational coordinate polynomials of the unipotent conjugate, as
+    (i, j, part, (c0, c1, c2)) with Fraction coefficients."""
+    out = []
+    for part in (0, 1):
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = (
+            [(e.b if part else e.a).rational for e in row] for row in M)
+        z = Fraction(0)
+        for i, j, poly in ((0, 0, (m00, -m10, z)), (0, 1, (m01, m00 - m11, -m10)),
+                           (0, 2, (m02, -m12, z)), (1, 0, (m10, z, z)),
+                           (1, 1, (m11, m10, z)), (1, 2, (m12, z, z)),
+                           (2, 0, (m20, z, z)), (2, 1, (m21, m20, z)),
+                           (2, 2, (m22, z, z))):
+            out.append((i, j, part, poly))
+    return out
+
+
+def fraction_t_integral(M, k, p, window):
+    """The t-integral swept in the t coordinate itself: Fraction polynomials
+    and t-balls, each decided by the exact Taylor test, the depth cap on the
+    t-depth."""
+    bounds = _shell_bounds(k)
+    conds = [(poly, -((part - bounds[i][j]) // 2))
+             for i, j, part, poly in fraction_conj_polys(M)]
+
+    def ev(ball):
+        out = Fraction(1)
+        for poly, b in conds:
+            _, v0, rest = _taylor(poly, ball.point(), ball.depth, p)
+            if min(v0, rest) >= b:
+                continue
+            if v0 < rest:
+                return Fraction(0)
+            out = None
+        return out
+
+    return _t_scan(ev, p, window)
+
+
 def capped_t_integral(M, k, p, window):
     bounds = _shell_bounds(k)
     return _t_scan(lambda ball: _indicator(matrix_val_at_least(
@@ -395,6 +434,33 @@ class TestIwasawa:
                     compared += 1
                     nonzero += t != 0
         assert compared >= 300 and nonzero >= 100
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_depth_cap_bounds_the_t_depth_on_negative_shells(self, p, monkeypatch):
+        # on the torus shell k = -12 the entry 1 - p^2 t must have v >= 6:
+        # the t-ball 1/p^2 + p^4 Z_p inside the shell v(t) = -2, where the
+        # integer coordinate tau = p^2 t is two levels deeper than t, so a
+        # cap read on tau would raise at caps 4 and 5 where the t-sweep passes
+        zero = QuadElt.exact(0, 0, p)
+        M = [[zero, zero, QuadElt.exact(1, 0, p)],
+             [zero, zero, QuadElt.exact(p * p, 0, p)],
+             [zero, zero, zero]]
+        polys = _conj_polys(M)
+
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except ConductorError:
+                return "cap"
+
+        got = {}
+        for cap in range(1, 8):
+            monkeypatch.setattr(integrate, "DEPTH_CAP", cap)
+            got[cap] = outcome(_iwasawa_t_integral, polys, -12, p, 10)
+            assert got[cap] == outcome(fraction_t_integral, M, -12, p, 10), cap
+        assert got == {1: "cap", 2: "cap", 3: "cap", 4: Fraction(1, p ** 4),
+                       5: Fraction(1, p ** 4), 6: Fraction(1, p ** 4),
+                       7: Fraction(1, p ** 4)}
 
     def test_support_at_the_window_edge_raises(self):
         # the support of lam0 = 81 at p = 3 starts at the torus shell -4

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import atlas
-from atlas.errors import NotRegularSemisimpleError
+from atlas.errors import InputError, NotRegularSemisimpleError
 from atlas.keating import (DistParams, dist_j, int_group, keating_n, l_int,
                            l_int_closed, l_int_keating)
 from atlas.orbits import (INF, XI_CHOICES, BPoint, U1RedElt, cayley,
@@ -59,6 +59,13 @@ class TestLInt:
                 for lm in range(1, 8):
                     for lp in (1, 3, 5, 7, INF):
                         assert l_int_closed(m, lm, lp, p) == l_int_keating(m, lm, lp, p)
+
+    @pytest.mark.parametrize("fn", [l_int_keating, l_int_closed])
+    def test_negative_level_is_an_input_error(self, fn):
+        # the oracle read an empty level sum as 0 and the closed form gave -8/3
+        for m in (-1, -2):
+            with pytest.raises(InputError):
+                fn(m, 1, INF, 3)
 
     def test_positive_integers(self):
         for p in (3, 5, 7):

@@ -252,13 +252,26 @@ class TestCli:
          "--shell-window", "3"],
         ["orb", "--kind", "ss-u0-case0", "--params", "0", "--p", "3", "--oracle"],
         ["germ", "--x0", "a", "0", "0", "--x", "1", "1", "0", "--p", "5"],
+        ["lint", "--m", "-2", "--lminus", "1", "--lplus", "inf", "--p", "3"],
     ], ids=["germ-side0", "values-lam0", "orb-case0-lam0", "orb-case1-u0",
             "xi-small-window", "lint-even-lplus", "values-missing-params",
             "xi-missing-params", "values-unparsed", "lint-even-p",
-            "oracle-window-edge", "oracle-case0-lam0", "germ-unparsed"])
+            "oracle-window-edge", "oracle-case0-lam0", "germ-unparsed",
+            "lint-negative-m"])
     def test_bad_inputs_exit_with_an_error_line(self, argv, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_lint_both_cross_checks(self, monkeypatch, capsys):
+        argv = ["lint", "--m", "1", "--lminus", "1", "--lplus", "3", "--p", "5"]
+        monkeypatch.setattr(cli, "l_int_keating", lambda *args: Fraction(-1))
+        assert main(["lint", "--closed", *argv[1:]]) == 0
+        assert main(["lint", "--oracle", *argv[1:]]) == 0
+        capsys.readouterr()
+        for mode in (["--both"], []):
+            assert main([*argv, *mode]) == 2
+            assert capsys.readouterr().err.startswith(
+                "error: l_int closed form 8 != level-sum oracle -1 ")
 
     def test_shell_window_reaches_every_oracle(self, monkeypatch, capsys):
         windows = []
