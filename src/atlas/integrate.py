@@ -19,10 +19,9 @@ a unit times pi^(e_ij k), with k = v_F(z) and
 
 so the lattice indicator depends on z only through k: each torus shell is
 evaluated once, as its volume times the unipotent integral of the bounds
-v_F(entry_ij) >= -e_ij k.  That integral runs on integers: the coordinate
-polynomials have their denominators cleared once per element, and each shell
-v(t) = j is swept in tau = t p^-j, so every Taylor term is an integer; the
-depth cap still bounds the depth in t (see `_iwasawa_t_integral`)."""
+v_F(entry_ij) >= -e_ij k.  Only these bounds depend on k: each element keeps
+one ball tree per shell v(t) = j, in the integer coordinate tau = t p^-j,
+and refines it lazily across all k (see `_iwasawa_t_integral`)."""
 
 from __future__ import annotations
 
@@ -132,16 +131,16 @@ def _taylor(poly, c: Fraction, d: int, p: int):
 # ball sweeps and tail closure
 
 
-def _sum_balls(p, balls, evaluate, zero, shift: int = 0):
+def _sum_balls(p, balls, evaluate, zero):
     """Sum vol * evaluate(ball), subdividing on undecided balls (None); an
-    undecided ball at depth + shift >= DEPTH_CAP raises ConductorError."""
+    undecided ball at depth >= DEPTH_CAP raises ConductorError."""
     total = zero
     stack = list(balls)
     while stack:
         ball = stack.pop()
         w = evaluate(ball)
         if w is None:
-            if ball.maxdepth + shift >= DEPTH_CAP:
+            if ball.maxdepth >= DEPTH_CAP:
                 raise ConductorError("conductor too small: depth cap reached")
             stack.extend(ball.split(p))
             continue
@@ -212,7 +211,16 @@ def shell_integrate(p: int, weight, zero, window: int = DEFAULT_WINDOW):
 # the unitary-side orbital integrals in Iwasawa coordinates
 
 
-def _conj_polys(M):
+class ConjPolys:
+    """The coordinate polynomials of one element (`_conj_polys`) and, per
+    t-shell j, its tree (scaled t-dependent polynomials, leaves)."""
+    __slots__ = ("polys", "trees")
+
+    def __init__(self, polys: list):
+        self.polys, self.trees = polys, {}
+
+
+def _conj_polys(M) -> ConjPolys:
     """The coordinate polynomials of the conjugate of the exact matrix M by
     the unipotent diag([[1, t], [0, 1]], 1), denominators cleared once:
     integer tuples (i, j, part, (c0, c1, c2), w) with entry (i, j) = sum over
@@ -232,7 +240,7 @@ def _conj_polys(M):
             den = lcm(*(c.denominator for c in poly))
             ints = tuple(c.numerator * (den // c.denominator) for c in poly)
             out.append((i, j, part, ints, _val(den, p)))
-    return out
+    return ConjPolys(out)
 
 
 def _shell_bounds(k: int):
@@ -244,45 +252,70 @@ def _shell_bounds(k: int):
             (k, -k, 0))
 
 
-def _iwasawa_t_integral(polys, k: int, p: int, window: int) -> Fraction:
+def _leaf(ball: Ball0, scaled, p: int):
+    """The ball with the Taylor pair (v(P(c)), rest) of every polynomial."""
+    c = ball.point()
+    return ball, tuple(_taylor(poly, c, ball.depth, p)[1:] for poly in scaled)
+
+
+def _iwasawa_t_integral(polys: ConjPolys, k: int, p: int, window: int) -> Fraction:
     """Inner integral over the unipotent coordinate of the indicator of the
     lattice, on the torus shell v_F(z) = k; the unipotent acts first, the
     torus scaling second.  With v_F(a + b pi) = min(2 v(a), 2 v(b) + 1),
     v_F(entry) >= m is v(a) >= ceil(m/2) and v(b) >= ceil((m-1)/2); the
-    conditions constant in t are settled once.
+    conditions constant in t are settled first.
 
     Z_p (j = 0) and each shell v(t) = j < 0 are swept in the integer
     coordinate tau = t s with s = p^-j: the bound v(c0 + c1 t + c2 t^2) >= b
     is v(c0 s^2 + c1 s tau + c2 tau^2) >= b - 2j, and the ball
     tau + p^e Z_p is the t-ball of depth e + j, of volume p^-(e+j).  DEPTH_CAP
-    applies to that t-depth."""
+    applies to that t-depth.  Only the bounds depend on k, so the tree of
+    shell j serves every k: a leaf passes when min(v(P(c)), rest) >= b for
+    every polynomial, fails when v(P(c)) < rest and v(P(c)) < b for one, and
+    is otherwise split, its children replacing it for later k.  The Taylor
+    test is exact, so a sub-ball of a decided ball is decided alike, and T(k)
+    and every ConductorError are those of a sweep from the roots."""
     bounds = _shell_bounds(k)
-    conds = []
-    for row, col, part, poly, w in polys:
+    bs = []
+    for row, col, part, poly, w in polys.polys:
         b = w - ((part - bounds[row][col]) // 2)
         if poly[1] or poly[2]:
-            conds.append((poly, b))
+            bs.append(b)
         elif _val(poly[0], p) < b:
             return Fraction(0)
 
     def shell(j):
-        s = p ** -j
-        scaled = [((c0 * s * s, c1 * s, c2), b - 2 * j) for (c0, c1, c2), b in conds]
-
-        def ev(ball):
-            c = ball.point()
-            out = 1
-            for poly, b in scaled:
-                _, v0, rest = _taylor(poly, c, ball.depth, p)
-                if min(v0, rest) >= b:
-                    continue
-                if v0 < rest:
-                    return 0
-                out = None
-            return out
-
-        roots = [Ball0(0, 0)] if j == 0 else [Ball0(u, 1) for u in range(1, p)]
-        return s * _sum_balls(p, roots, ev, Fraction(0), j)
+        if j not in polys.trees:            # plant the tree of the t-shell j
+            s = p ** -j
+            scaled = [(c0 * s * s, c1 * s, c2)
+                      for _, _, _, (c0, c1, c2), _ in polys.polys if c1 or c2]
+            roots = [Ball0(0, 0)] if j == 0 else [Ball0(u, 1) for u in range(1, p)]
+            polys.trees[j] = (scaled, [_leaf(b, scaled, p) for b in roots])
+        scaled, leaves = polys.trees[j]
+        bj = [b - 2 * j for b in bs]
+        passed = {}          # passing leaves by tau-depth
+        i = 0
+        while i < len(leaves):
+            ball, pairs = leaves[i]
+            verdict = True
+            for (v0, rest), b in zip(pairs, bj):
+                if v0 < b and v0 < rest:
+                    verdict = False
+                    break
+                if v0 < b or rest < b:
+                    verdict = None
+            if verdict is None:
+                if ball.depth + j >= DEPTH_CAP:
+                    raise ConductorError("conductor too small: depth cap reached")
+                kids = [_leaf(c, scaled, p) for c in ball.split(p)]
+                leaves[i] = kids[0]
+                leaves += kids[1:]
+                continue
+            if verdict:
+                passed[ball.depth] = passed.get(ball.depth, 0) + 1
+            i += 1
+        return p ** -j * sum((Fraction(n, p ** e) for e, n in passed.items()),
+                             Fraction(0))
 
     # the support in t is a valuation interval: conditions are integrality of
     # polynomials in t, which fail monotonically for large |t|
@@ -326,20 +359,17 @@ def iwasawa_orbit_u0(y: U0RedElt, window: int | None = None):
 
     Elements of the nilpotent family (nonzero, all invariants zero) have the
     unipotent subgroup as stabilizer: for them the unipotent coordinate is
-    omitted.
-
-    The torus z enters only through k = v_F(z): conjugation by
-    diag(z^-1, conj(z), 1) scales entry (i, j) by a unit times pi^(e_ij k),
-    e = (0 2 1 / -2 0 -1 / -1 1 0), so shell k contributes its volume
-    (p - 1) p^-(k+1) times the unipotent integral of v_F >= -e_ij k.
-    A support that reaches the window's edge raises StabilizationError
-    rather than return a truncated sum; a ConductorError from the unipotent
-    integral propagates."""
+    omitted.  The torus z enters only through k = v_F(z) (`z_shell_value`).
+    A window below 1 raises InputError, and a support that reaches the
+    window's edge StabilizationError rather than return a truncated sum; a
+    ConductorError from the unipotent integral propagates."""
     p = y.p
     M = y.matrix()
     inv = y.invariants()
     if window is None:
         window = auto_window(y)
+    if window < 1:
+        raise InputError(f"torus shell window must be at least 1, got {window}")
     is_zero_elt = all(e.is_zero() for row in M for e in row)
     nilfam = (not is_zero_elt and inv.lam.is_exact_zero()
               and inv.u.is_exact_zero() and inv.wtilde.is_exact_zero())

@@ -24,8 +24,12 @@ class DistParams:
     im_plus_val: object  # odd positive int or INF
 
     def __post_init__(self):
-        if self.im_plus_val is not INF and self.im_plus_val % 2 == 0:
-            raise InputError("l_plus (im_plus_val) must be odd or infinite")
+        if self.ell_minus < 0:
+            raise InputError(f"l_minus must be >= 0, got {self.ell_minus}")
+        if self.im_plus_val is not INF and (self.im_plus_val < 1
+                                            or self.im_plus_val % 2 == 0):
+            raise InputError("l_plus (im_plus_val) must be odd and positive "
+                             f"or infinite, got {self.im_plus_val}")
 
 
 def dist_j(d: DistParams, j: int):
@@ -80,6 +84,7 @@ def l_int_closed(m: int, lminus: int, lplus, p: int) -> Fraction:
     distance profile is constant (l- <= l+) and on parity; always equals
     l_int_keating."""
     _check_level(m)
+    DistParams(lminus, lplus)       # rejects the distances the oracle rejects
     t = Fraction(1, p)
     if lplus is INF or lminus <= lplus:
         if lminus > 2 * m:

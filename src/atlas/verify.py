@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ExcludedCaseError, UnrealizableError
+from .errors import ExcludedCaseError, InputError, UnrealizableError
 from .germs import NEIGHBORHOOD_DEPTH, dorb1, is_in_neighborhood, zero_point
 from .keating import l_int
 from .orbits import INF, BPoint, case_of, in_side1_closure, make_bpoint_rs1
@@ -66,7 +66,11 @@ def verify_zero(p: int, m_max: int = ZERO_M_MAX, l_max: int = ZERO_L_MAX,
                 method: str = "closed") -> VerifyReport:
     """Sweep realizable side-1 invariants over the grid and check that phi1
     equals the printed constant exactly at every point; the notes name every
-    failing point."""
+    failing point.  An empty grid (m_max < 0 or l_max < 1) is an
+    InputError, not a pass."""
+    if m_max < 0 or l_max < 1:
+        raise InputError(f"empty verify grid: need m_max >= 0 and l_max >= 1, "
+                         f"got m_max={m_max}, l_max={l_max}")
     want = expected_constant_at_zero(p)
     rep = VerifyReport(base_point="0", case_tag="zero",
                        value=str(want), notes=f"p={p} grid m<={m_max} l<={l_max}")

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -436,6 +437,76 @@ class TestIwasawa:
         assert compared >= 300 and nonzero >= 100
 
     @pytest.mark.parametrize("p", [3, 5])
+    def test_shared_tree_matches_a_fresh_one(self, p, monkeypatch):
+        # one _conj_polys per element read over shuffled torus shells gives
+        # what a fresh one per shell gives, raised errors included; entries
+        # (0, 1), (0, 2) and (2, 1) often vanish at t = r, so the deep bounds
+        # of negative shells pass near r, and a depth cap of 4 makes some
+        # of those shells raise ConductorError
+        monkeypatch.setattr(integrate, "DEPTH_CAP", 4)
+        rng = random.Random(17 + p)
+
+        def scalar():
+            if rng.randrange(3) == 0:
+                return Fraction(0)
+            return Fraction(rng.randint(-9, 9) * p ** rng.randint(0, 2))
+
+        def outcome(polys, k, window):
+            try:
+                return _iwasawa_t_integral(polys, k, p, window)
+            except (ConductorError, StabilizationError) as exc:
+                return type(exc)
+
+        seen = Counter()
+        for _ in range(60):
+            E = [[[scalar(), scalar()] for _ in range(3)] for _ in range(3)]
+            r = rng.randint(-9, 9)
+            if rng.randrange(2):            # m01 + (m00 - m11) r - m10 r^2 = 0
+                E[0][1] = [E[1][0][i] * r * r - (E[0][0][i] - E[1][1][i]) * r
+                           for i in (0, 1)]
+            if rng.randrange(2):            # m02 - m12 r = 0
+                E[0][2] = [r * c for c in E[1][2]]
+            if rng.randrange(2):            # m21 + m20 r = 0
+                E[2][1] = [-r * c for c in E[2][0]]
+            M = [[QuadElt.exact(a, b, p) for a, b in row] for row in E]
+            shared = _conj_polys(M)
+            ks = list(range(-9, 3))
+            rng.shuffle(ks)
+            for k in ks:
+                window = rng.choice((4, 10))
+                got = outcome(shared, k, window)
+                assert got == outcome(_conj_polys(M), k, window), (M, k, window)
+                seen[got if isinstance(got, type) else got != 0] += 1
+        assert seen[ConductorError] >= 15 and seen[StabilizationError] >= 15
+        assert seen[True] >= 100
+
+    def test_each_ball_is_read_once_per_element(self, monkeypatch):
+        # across all torus shells of one element, every ball of every t-shell
+        # (told apart by its scaled polynomials) is read through Ball0.point
+        # once
+        point, leaf = Ball0.point, integrate._leaf
+        points = []
+        reads = Counter()
+
+        def counted_point(ball):
+            points.append(ball)
+            return point(ball)
+
+        def recorded_leaf(ball, scaled, p):
+            reads[tuple(scaled), ball.center, ball.depth] += 1
+            return leaf(ball, scaled, p)
+
+        monkeypatch.setattr(Ball0, "point", counted_point)
+        monkeypatch.setattr(integrate, "_leaf", recorded_leaf)
+        total = 0
+        for y, want in criterion4_elements():
+            reads.clear()
+            assert iwasawa_orbit_u0(y) == want
+            assert max(reads.values(), default=1) == 1
+            total += sum(reads.values())
+        assert len(points) == total >= 500
+
+    @pytest.mark.parametrize("p", [3, 5])
     def test_depth_cap_bounds_the_t_depth_on_negative_shells(self, p, monkeypatch):
         # on the torus shell k = -12 the entry 1 - p^2 t must have v >= 6:
         # the t-ball 1/p^2 + p^4 Z_p inside the shell v(t) = -2, where the
@@ -469,6 +540,12 @@ class TestIwasawa:
         assert iwasawa_orbit_u0(y) == orb_u0_ss_case0(81, p) == 17
         with pytest.raises(StabilizationError):
             iwasawa_orbit_u0(y, window=3)
+
+    def test_nonpositive_window_is_an_input_error(self):
+        # it read as "no stabilization in the torus coordinate"
+        for window in (0, -2):
+            with pytest.raises(InputError, match=f"got {window}"):
+                iwasawa_orbit_u0(u0_ss_case0(81, 3), window=window)
 
     def test_unipotent_scan_at_the_window_edge_raises(self):
         # a window too short for the t-scan to see four empty shells

@@ -67,6 +67,14 @@ class TestLInt:
             with pytest.raises(InputError):
                 fn(m, 1, INF, 3)
 
+    @pytest.mark.parametrize("fn", [l_int_keating, l_int_closed])
+    def test_bad_distances_are_input_errors(self, fn):
+        # the closed form read l- = -1 and l+ = -1 as the value 0, and an
+        # even l+ as a value, where the oracle raised
+        for lm, lp in ((-1, INF), (-2, 3), (3, -1), (1, 0), (3, 2)):
+            with pytest.raises(InputError):
+                fn(1, lm, lp, 3)
+
     def test_positive_integers(self):
         for p in (3, 5, 7):
             for m in range(0, 4):

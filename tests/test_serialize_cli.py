@@ -253,11 +253,19 @@ class TestCli:
         ["orb", "--kind", "ss-u0-case0", "--params", "0", "--p", "3", "--oracle"],
         ["germ", "--x0", "a", "0", "0", "--x", "1", "1", "0", "--p", "5"],
         ["lint", "--m", "-2", "--lminus", "1", "--lplus", "inf", "--p", "3"],
+        ["lint", "--m", "1", "--lminus", "-1", "--lplus", "inf", "--p", "3", "--closed"],
+        ["lint", "--m", "1", "--lminus", "3", "--lplus", "-1", "--p", "3", "--closed"],
+        ["verify", "zero", "--p", "3", "--m-max", "-1"],
+        ["verify", "zero", "--p", "3", "--l-max", "0"],
+        ["orb", "--kind", "ss-u0-case0", "--params", "81", "--p", "3", "--oracle",
+         "--shell-window", "-2"],
     ], ids=["germ-side0", "values-lam0", "orb-case0-lam0", "orb-case1-u0",
             "xi-small-window", "lint-even-lplus", "values-missing-params",
             "xi-missing-params", "values-unparsed", "lint-even-p",
             "oracle-window-edge", "oracle-case0-lam0", "germ-unparsed",
-            "lint-negative-m"])
+            "lint-negative-m", "lint-closed-negative-lminus",
+            "lint-closed-negative-lplus", "verify-zero-empty-m",
+            "verify-zero-empty-l", "oracle-negative-window"])
     def test_bad_inputs_exit_with_an_error_line(self, argv, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")

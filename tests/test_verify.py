@@ -5,7 +5,7 @@ import pytest
 
 from atlas import verify
 from atlas.cli import main
-from atlas.errors import ExcludedCaseError, UnrealizableError
+from atlas.errors import ExcludedCaseError, InputError, UnrealizableError
 from atlas.orbits import INF, BPoint, make_bpoint_rs1
 from atlas.svalue import LogQVal
 from atlas.verify import (base_point_library,
@@ -58,6 +58,12 @@ class TestVerifyZero:
         assert "FAIL at (m=0,l-=1,l+=1)" in r.notes
         assert "FAIL at (m=1,l-=2,l+=inf)" in r.notes
         assert len(r.samples) == 2 * 3 * 3      # m, l-, and l+ in (1, 3, inf)
+
+    @pytest.mark.parametrize("m_max, l_max", [(-1, 9), (4, 0)])
+    def test_empty_grid_is_an_input_error(self, m_max, l_max):
+        # an empty grid read as "constant over 0 samples"
+        with pytest.raises(InputError):
+            verify_zero(3, m_max=m_max, l_max=l_max)
 
     def test_cli_default_grid_is_the_library_default(self, capsys):
         assert main(["verify", "zero", "--p", "3"]) == 0
