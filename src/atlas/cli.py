@@ -187,10 +187,32 @@ def cmd_germ(args) -> int:
     return 0
 
 
+def _load_json(path: str):
+    """The JSON document in the file at path; InputError when the file
+    cannot be read or does not hold JSON."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise InputError(f"{path} is not JSON: {exc}") from None
+
+
+def _spec_point(entry) -> BPoint:
+    """The base point of one --spec entry, a JSON object with the fields
+    lambda, u, wtilde (rationals as strings) and p."""
+    try:
+        return BPoint.exact(*(Fraction(entry[key]) for key in ("lambda", "u", "wtilde")),
+                            entry["p"])
+    except KeyError as exc:
+        raise InputError(f"--spec entry without {exc}") from None
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad --spec entry: {exc}") from None
+
+
 def cmd_invariants(args) -> int:
-    with open(args.elem) as fh:
-        obj = json.load(fh)
-    elt = decode_element(obj)
+    elt = decode_element(_load_json(args.elem))
     x = elt.invariants()
     out = {"invariants": encode_bpoint(x), "rs": x.is_rs()}
     if x.is_rs():
@@ -206,11 +228,11 @@ def cmd_verify(args) -> int:
                         verify_zero(args.p, args.m_max, args.l_max)))
     else:
         if args.spec:
-            with open(args.spec) as fh:
-                spec = json.load(fh)
+            spec = _load_json(args.spec)
+            if not isinstance(spec, list):
+                raise InputError(f"{args.spec}: a list of base points expected")
             for entry in spec:
-                x0 = BPoint.exact(Fraction(entry["lambda"]), Fraction(entry["u"]),
-                                  Fraction(entry["wtilde"]), entry["p"])
+                x0 = _spec_point(entry)
                 reports.append((entry.get("name", repr(x0)), verify_x0(x0)))
         else:
             reports.extend(verify_x0_library(args.p))

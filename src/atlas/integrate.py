@@ -7,7 +7,7 @@ Gauss norm, so three exact Taylor terms at the center decide the ball (see
 `_taylor`); undecided balls are subdivided up to a depth cap.  Infinite
 shell tails are closed analytically as polynomial-times-geometric series
 (degree at most two, from the double log factors of the log-weighted
-integrals).
+integrals; see `close_poly_geometric_tail`).
 
 The Iwasawa-coordinate orbital integrals need no subdivision in the torus
 coordinate.  Conjugating by diag(z^-1, conj(z), 1) multiplies entry (i, j) by
@@ -21,7 +21,10 @@ so the lattice indicator depends on z only through k: each torus shell is
 evaluated once, as its volume times the unipotent integral of the bounds
 v_F(entry_ij) >= -e_ij k.  Only these bounds depend on k: each element keeps
 one ball tree per shell v(t) = j, in the integer coordinate tau = t p^-j,
-and refines it lazily across all k (see `_iwasawa_t_integral`)."""
+and refines it lazily across all k (see `_iwasawa_t_integral`).
+
+The double-log shell sum behind the family contribution (`xi_integral`) is
+a pure (log q)^2 value: its t-balls add up one Fraction coefficient."""
 
 from __future__ import annotations
 
@@ -58,13 +61,6 @@ class Ball0:
         through this method, which bench/tracer.py hooks to count balls."""
         return self.center
 
-    def vol(self, p: int) -> Fraction:
-        return Fraction(p) ** (-self.depth)
-
-    @property
-    def maxdepth(self) -> int:
-        return self.depth
-
 
 @dataclass(frozen=True)
 class BallF:
@@ -85,13 +81,6 @@ class BallF:
     def point(self, p: int) -> QuadElt:
         return QuadElt(PadicScalar.from_rational_absprec(self.ca, p, self.da),
                        PadicScalar.from_rational_absprec(self.cb, p, self.db))
-
-    def vol(self, p: int) -> Fraction:
-        return Fraction(p) ** (-(self.da + self.db))
-
-    @property
-    def maxdepth(self) -> int:
-        return max(self.da, self.db)
 
 
 def f0_shell(k: int, p: int):
@@ -128,35 +117,22 @@ def _taylor(poly, c: Fraction, d: int, p: int):
 
 
 # ---------------------------------------------------------------------------
-# ball sweeps and tail closure
+# tail closure
 
 
-def _sum_balls(p, balls, evaluate, zero):
-    """Sum vol * evaluate(ball), subdividing on undecided balls (None); an
-    undecided ball at depth >= DEPTH_CAP raises ConductorError."""
-    total = zero
-    stack = list(balls)
-    while stack:
-        ball = stack.pop()
-        w = evaluate(ball)
-        if w is None:
-            if ball.maxdepth >= DEPTH_CAP:
-                raise ConductorError("conductor too small: depth cap reached")
-            stack.extend(ball.split(p))
-            continue
-        total = total + ball.vol(p) * w
-    return total
+TAIL_SAMPLES = 7
+MAX_RATIO_POW = 8
 
 
-def close_poly_geometric_tail(values, p: int, max_ratio_pow: int = 8) -> Fraction:
+def close_poly_geometric_tail(values, p: int) -> Fraction:
     """Sum over i >= 0 of a sequence recognized as P(i) r^i with deg P <= 2
-    and r an inverse power of p; values must supply at least seven shells
-    (three determine P, the rest confirm the law)."""
+    and r = p^-a, 1 <= a <= MAX_RATIO_POW; values must supply at least
+    TAIL_SAMPLES shells (three determine P, the rest confirm the law)."""
     if all(v == 0 for v in values):
         return Fraction(0)
-    if len(values) < 7:
+    if len(values) < TAIL_SAMPLES:
         raise StabilizationError("no stabilization: window too small")
-    for a in range(1, max_ratio_pow + 1):
+    for a in range(1, MAX_RATIO_POW + 1):
         r = Fraction(1, p ** a)
         u = [v / r ** i for i, v in enumerate(values)]
         d3 = [u[i + 3] - 3 * u[i + 2] + 3 * u[i + 1] - u[i] for i in range(len(u) - 3)]
@@ -167,44 +143,6 @@ def close_poly_geometric_tail(values, p: int, max_ratio_pow: int = 8) -> Fractio
             c2 = (u[2] - 2 * u[1] + u[0]) / 2
             return u[0] / (1 - r) + c1 * r / (1 - r) ** 2 + 2 * c2 * r * r / (1 - r) ** 3
     raise StabilizationError("no stabilization: no geometric ratio matches")
-
-
-def _close_tail(values, p):
-    """The tail sum of Fraction values, or of LogQVal values grade by grade."""
-    if not isinstance(values[0], LogQVal):
-        return close_poly_geometric_tail(values, p)
-    grades = set().union(*(v.coeffs for v in values))
-    return LogQVal({g: close_poly_geometric_tail([v.grade(g) for v in values], p)
-                    for g in grades}, p)
-
-
-TAIL_SAMPLES = 7
-
-
-# ---------------------------------------------------------------------------
-# the generic one-variable integrator
-
-
-def shell_integrate(p: int, weight, zero, window: int = DEFAULT_WINDOW):
-    """Integrate weight over the multiplicative group of the base field:
-    weight maps a Ball0 inside one shell to the exact value (Fraction or
-    LogQVal) the integrand takes on all of it, or to None when the ball must
-    be subdivided, and zero is the additive unit of its type.  Shells v = k
-    for -window <= k <= window are computed exactly, the two infinite tails
-    closed analytically from the last TAIL_SAMPLES shells of each side."""
-    if window < TAIL_SAMPLES + 1:
-        raise InputError(f"shell window must be at least {TAIL_SAMPLES + 1}, "
-                         f"got {window}")
-    values = {k: _sum_balls(p, f0_shell(k, p), weight, zero)
-              for k in range(-window, window + 1)}
-    total = zero
-    for k in range(-window + TAIL_SAMPLES, window - TAIL_SAMPLES + 1):
-        total = total + values[k]
-    up = [values[window - TAIL_SAMPLES + 1 + i] for i in range(TAIL_SAMPLES)]
-    down = [values[-(window - TAIL_SAMPLES + 1 + i)] for i in range(TAIL_SAMPLES)]
-    total = total + _close_tail(up, p)
-    total = total + _close_tail(down, p)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +269,15 @@ def _iwasawa_t_integral(polys: ConjPolys, k: int, p: int, window: int) -> Fracti
                              f"torus shell {k}: window {window} too small")
 
 
-def auto_window(y: U0RedElt, floor: int = 8) -> int:
+MIN_AUTO_WINDOW = 8
+
+
+def auto_window(y: U0RedElt) -> int:
     """A torus window comfortably containing the support: twice the largest
-    coordinate valuation plus slack."""
+    coordinate valuation plus slack, at least MIN_AUTO_WINDOW."""
     vals = [abs(s.val()) for s in (y.a1, y.a2, y.a3) if not s.is_exact_zero()]
     vals += [abs(b.val_f()) for b in (y.b1, y.b2) if not b.is_zero()]
-    return max(floor, 2 * max(vals, default=0) + 6)
+    return max(MIN_AUTO_WINDOW, 2 * max(vals, default=0) + 6)
 
 
 def z_shell_value(M, k: int, p: int, window: int, polys) -> Fraction:
@@ -418,26 +359,43 @@ def xi_integral(x: BPoint, window: int = DEFAULT_WINDOW) -> LogQVal:
     g(t) = t^2 + 2 w' t + D'/p: then v(a) = v(g) - k, eta(a) eta(t) = eta(g),
     and the integrand is eta(g) q^v(g) (v(g) - k) k on v(g) < k.  The Taylor
     test of v(g) >= k decides each ball, and where g(c) strictly dominates,
-    v(g) and eta(g) are those of g(c) on the whole ball."""
+    v(g) and eta(g) are those of g(c) on the whole ball, which contributes
+    eta(g(c)) (v(g) - k) k p^(v(g) - depth) to the (log q)^2 coefficient.
+    Shells |k| <= window are exact; each tail is closed from its outermost
+    TAIL_SAMPLES shells (a window below TAIL_SAMPLES + 1 is an InputError)."""
     p = x.p
     if x.side() != 1:
         raise InputError("xi_integral requires a side-1 point")
     dprime = (x.delta() / (x.u ** 4)).rational
     wprime = (x.wtilde / (x.u * x.u)).rational
     g = (dprime / p, 2 * wprime, Fraction(1))
-    zero = LogQVal.const(0, p)
+    if window < TAIL_SAMPLES + 1:
+        raise InputError(f"shell window must be at least {TAIL_SAMPLES + 1}, "
+                         f"got {window}")
 
-    def weight(ball):
-        c = ball.point()
-        k = _val(c, p)
-        at_c, vg, rest = _taylor(g, c, ball.depth, p)
-        if min(vg, rest) >= k:
-            return zero          # support requires |a| > 1
-        if vg >= rest:
-            return None
-        return LogQVal({2: _eta(at_c, p) * Fraction(p) ** vg * (vg - k) * k}, p)
+    def shell(k):
+        total = Fraction(0)
+        stack = f0_shell(k, p)
+        while stack:
+            ball = stack.pop()
+            at_c, vg, rest = _taylor(g, ball.point(), ball.depth, p)
+            if min(vg, rest) >= k:
+                continue            # support requires |a| > 1
+            if vg >= rest:
+                if ball.depth >= DEPTH_CAP:
+                    raise ConductorError("conductor too small: depth cap reached")
+                stack.extend(ball.split(p))
+                continue
+            total += _eta(at_c, p) * Fraction(p) ** (vg - ball.depth) * (vg - k) * k
+        return total
 
-    return shell_integrate(p, weight, zero, window)
+    values = {k: shell(k) for k in range(-window, window + 1)}
+    inner = window - TAIL_SAMPLES
+    total = sum((values[k] for k in range(-inner, inner + 1)), Fraction(0))
+    for side in (1, -1):
+        total += close_poly_geometric_tail(
+            [values[side * (inner + 1 + i)] for i in range(TAIL_SAMPLES)], p)
+    return LogQVal({2: total}, p)
 
 
 def phi_from_xi(x: BPoint, window: int = DEFAULT_WINDOW) -> LogQVal:

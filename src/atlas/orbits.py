@@ -110,15 +110,12 @@ class BPoint:
         return self.lam * self.u * self.u + self.wtilde * self.wtilde * self.p
 
     def is_rs(self) -> bool:
-        d = self.delta()
-        if d.is_exact:
-            return not d.is_exact_zero()
-        return not d.is_zero_at_precision()
+        return not self.delta().is_zero_at_precision()
 
     def side(self) -> int:
         """0 or 1 according to the sign of eta(-Delta)."""
         d = self.delta()
-        if d.is_exact_zero() or d.is_zero_at_precision():
+        if d.is_zero_at_precision():
             raise NotRegularSemisimpleError("not regular semisimple: Delta = 0")
         return 0 if (-d).eta() == 1 else 1
 
@@ -167,9 +164,9 @@ class SRedElt:
     def __init__(self, z):
         p = z[0][0].p
         tr = z[0][0] + z[1][1]
-        if not (tr.is_exact_zero() or tr.is_zero_at_precision()):
+        if not tr.is_zero_at_precision():
             raise ValueError("not reduced: tr A != 0")
-        if not (z[2][2].is_exact_zero() or z[2][2].is_zero_at_precision()):
+        if not z[2][2].is_zero_at_precision():
             raise ValueError("not reduced: d != 0")
         self.z = z
 
@@ -314,7 +311,7 @@ class U1RedElt:
 
     def __init__(self, alpha: QuatElt, b: QuatElt):
         tr = alpha.trd()
-        if not (tr.is_exact_zero() or tr.is_zero_at_precision()):
+        if not tr.is_zero_at_precision():
             raise ValueError("alpha must be traceless")
         self.alpha = alpha
         self.b = b
@@ -526,7 +523,7 @@ def section_sigma(x: BPoint) -> SRedElt:
 def case_of(x0: BPoint) -> str:
     """One of 'zero', '0i', '0ii', 'split', '1' for a degenerate base point."""
     d = x0.delta()
-    if not (d.is_exact_zero() or d.is_zero_at_precision()):
+    if not d.is_zero_at_precision():
         raise NotRegularSemisimpleError("not a degenerate base point")
     lz = x0.lam.is_exact_zero()
     uz = x0.u.is_exact_zero()

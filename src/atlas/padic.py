@@ -31,13 +31,14 @@ _FR_ZERO = Fraction(0)
 
 
 def _check_odd_prime(p: int) -> None:
-    if p < 3 or p % 2 == 0:
-        raise InputError(f"p must be an odd prime, got {p}")
+    # a float or string p from a JSON file would pass the comparisons below
+    if not isinstance(p, int) or p < 3 or p % 2 == 0:
+        raise InputError(f"p must be an odd prime, got {p!r}")
     # tiny primality check; primes used here are small
     d = 3
     while d * d <= p:
         if p % d == 0:
-            raise InputError(f"p must be an odd prime, got {p}")
+            raise InputError(f"p must be an odd prime, got {p!r}")
         d += 2
 
 
@@ -379,11 +380,7 @@ class PadicScalar:
     def same_value(self, other) -> bool:
         """Equality in the strongest sense available: exact equality for two
         exact values, agreement at the shared precision otherwise."""
-        o = self._coerce(other)
-        d = self - o
-        if d.is_exact:
-            return d._fr == 0
-        return d._n == 0
+        return (self - self._coerce(other)).is_zero_at_precision()
 
     def __eq__(self, other):
         try:

@@ -90,14 +90,23 @@ def encode_element(elt):
 
 
 def decode_element(obj):
-    p = obj["p"]
-    space = obj["space"]
-    if space == "s_red":
-        return SRedElt([[decode_scalar(e, p) for e in row] for row in obj["z"]])
-    if space == "u1_red":
-        return U1RedElt(decode_quat(obj["alpha"], p), decode_quat(obj["b"], p))
-    if space == "u0_red":
-        return U0RedElt(decode_scalar(obj["a1"], p), decode_scalar(obj["a2"], p),
-                        decode_scalar(obj["a3"], p),
-                        decode_quad(obj["b1"], p), decode_quad(obj["b2"], p))
-    raise ValueError(f"unknown space {space!r}")
+    """The element encoded by obj; InputError for an unknown space, a
+    missing field or a malformed value."""
+    try:
+        p = obj["p"]
+        space = obj["space"]
+        if space == "s_red":
+            return SRedElt([[decode_scalar(e, p) for e in row] for row in obj["z"]])
+        if space == "u1_red":
+            return U1RedElt(decode_quat(obj["alpha"], p), decode_quat(obj["b"], p))
+        if space == "u0_red":
+            return U0RedElt(decode_scalar(obj["a1"], p), decode_scalar(obj["a2"], p),
+                            decode_scalar(obj["a3"], p),
+                            decode_quad(obj["b1"], p), decode_quad(obj["b2"], p))
+    except KeyError as exc:
+        raise InputError(f"element without field {exc}") from None
+    except InputError:
+        raise
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"malformed element: {exc}") from None
+    raise InputError(f"unknown space {space!r}")

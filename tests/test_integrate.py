@@ -6,10 +6,10 @@ import pytest
 
 from atlas import integrate, padic
 from atlas.errors import ConductorError, InputError, PrecisionError, StabilizationError
-from atlas.integrate import (Ball0, BallF, _conj_polys, _eta,
-                             _iwasawa_t_integral, _shell_bounds, _sum_balls,
-                             _taylor, auto_window, f0_shell, iwasawa_orbit_u0,
-                             phi_from_xi, shell_integrate, xi_integral)
+from atlas.integrate import (TAIL_SAMPLES, Ball0, BallF, _conj_polys, _eta,
+                             _iwasawa_t_integral, _shell_bounds, _taylor,
+                             auto_window, close_poly_geometric_tail, f0_shell,
+                             iwasawa_orbit_u0, phi_from_xi, xi_integral)
 from atlas.orbits import (INF, BPoint, make_bpoint_rs1,
                           u0_nilpotent_family_member, u0_ss_case0,
                           u0_ss_case1)
@@ -26,6 +26,40 @@ XI_POINTS = ((0, 1, INF), (1, 3, 5), (0, 2, 3), (1, 1, 3), (2, 3, 5), (2, 1, 7),
 
 def val(x, p):
     return PadicScalar.exact(x, p).val()
+
+
+def ball_sum(p, balls, evaluate):
+    """Sum vol * evaluate(ball) over Ball0 or BallF balls, splitting the
+    undecided ones (None); an undecided ball at depth >= DEPTH_CAP raises
+    ConductorError."""
+    total = Fraction(0)
+    stack = list(balls)
+    while stack:
+        ball = stack.pop()
+        w = evaluate(ball)
+        if isinstance(ball, Ball0):
+            depth, size = ball.depth, ball.depth
+        else:
+            depth, size = max(ball.da, ball.db), ball.da + ball.db
+        if w is None:
+            if depth >= integrate.DEPTH_CAP:
+                raise ConductorError("conductor too small: depth cap reached")
+            stack.extend(ball.split(p))
+            continue
+        total += Fraction(p) ** -size * w
+    return total
+
+
+def shell_sum(p, weight, window):
+    """Integrate weight over the multiplicative group: shells |k| <= window
+    exact, each infinite tail closed from its TAIL_SAMPLES outermost shells."""
+    values = {k: ball_sum(p, f0_shell(k, p), weight) for k in range(-window, window + 1)}
+    inner = window - TAIL_SAMPLES
+    total = sum(values[k] for k in range(-inner, inner + 1))
+    for side in (1, -1):
+        total += close_poly_geometric_tail(
+            [values[side * (inner + 1 + i)] for i in range(TAIL_SAMPLES)], p)
+    return total
 
 
 def split_once(monkeypatch):
@@ -132,10 +166,10 @@ def f_shell(k, p):
 
 
 def _t_scan(ev, p, window):
-    total = _sum_balls(p, [Ball0(Fraction(0), 0)], ev, Fraction(0))
+    total = ball_sum(p, [Ball0(Fraction(0), 0)], ev)
     zeros = 0 if total != 0 else 1
     for j in range(-1, -window - 1, -1):
-        s = _sum_balls(p, f0_shell(j, p), ev, Fraction(0))
+        s = ball_sum(p, f0_shell(j, p), ev)
         total += s
         zeros = zeros + 1 if s == 0 else 0
         if zeros >= 4:
@@ -192,20 +226,19 @@ def capped_xi_integral(x, window):
     p = x.p
     dp_over_p = x.delta() / (x.u ** 4) / p
     two_wp = 2 * (x.wtilde / (x.u * x.u))
-    zero = LogQVal.const(0, p)
 
     def weight(ball):
         t = capped_point(ball, p)
         a = t + dp_over_p / t + two_wp
         if val_at_least(a, 0):
-            return zero
+            return Fraction(0)
         va, ea, et = known(a, PadicScalar.val), known(a, PadicScalar.eta), known(t, PadicScalar.eta)
         if va is None or ea is None or et is None:
             return None
         vt = t.val()
-        return LogQVal({2: ea * et * Fraction(p) ** (va + vt) * va * vt}, p)
+        return ea * et * Fraction(p) ** (va + vt) * va * vt
 
-    return shell_integrate(p, weight, zero, window)
+    return LogQVal({2: shell_sum(p, weight, window)}, p)
 
 
 # The per-z-ball sweep that z_shell_value replaces, kept as its reference:
@@ -240,65 +273,49 @@ def ref_z_shell_value(M, k, p, window, nilfam):
                 p, window)
         except (ConductorError, PrecisionError):
             return None
-    return _sum_balls(p, f_shell(k, p), ev, Fraction(0))
+    return ball_sum(p, f_shell(k, p), ev)
 
 
-def near(r, n, p):
-    """The weight of {t : v(t - r) >= n} for a unit r and n >= 1, on balls
-    inside one shell: decided once the ball lies inside or outside the set,
-    split (None) while it straddles it."""
-    def weight(ball):
-        c = ball.point()
-        if val(c, p) != 0:
-            return Fraction(0)
-        v = val(c - r, p)
-        if v < ball.depth:          # every point has v(t - r) = v
-            return Fraction(v >= n)
-        return Fraction(1) if ball.depth >= n else None
-    return weight
-
-
-class TestShellIntegrate:
-    def test_volume_of_integers(self):
-        p = 3
-        assert shell_integrate(p, lambda b: Fraction(val(b.point(), p) >= 0),
-                               Fraction(0), 9) == 1
+class TestTailLaw:
+    def test_closes_every_polynomial_geometric_law(self):
+        # P(i) r^i for deg P <= 2 and r = p^-a, against
+        # sum r^i = 1/(1 - r), sum i r^i = r/(1 - r)^2 and
+        # sum i^2 r^i = r (1 + r)/(1 - r)^3
+        rng = random.Random(3)
+        for p in (3, 5, 7):
+            for a in range(1, 9):
+                r = Fraction(1, p ** a)
+                for deg in (0, 1, 2):
+                    c = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                         for _ in range(deg + 1)] + [Fraction(0)] * (2 - deg)
+                    c[deg] = c[deg] or Fraction(1)
+                    values = [(c[0] + c[1] * i + c[2] * i * i) * r ** i for i in range(7)]
+                    want = (c[0] / (1 - r) + c[1] * r / (1 - r) ** 2
+                            + c[2] * r * (1 + r) / (1 - r) ** 3)
+                    assert close_poly_geometric_tail(values, p) == want, (p, a, c)
 
     def test_down_tail(self):
-        # v(t)/|t|^2 over |t| > 1 lives on the shells v -> -infinity: their sum
-        # -(1 - t) sum_{j >= 1} j t^j = -t/(1 - t), t = 1/q, is closed from
-        # the last shells of the down side, in Fraction and in LogQVal weights
+        # the shells v = -1, -2, ... of v(t)/|t|^2, whose sum
+        # -(1 - t) sum_{j >= 1} j t^j = -t/(1 - t), t = 1/q
         p = 3
         t = Fraction(1, p)
+        values = [-(1 - t) * j * t ** j for j in range(1, 8)]
+        assert close_poly_geometric_tail(values, p) == -t / (1 - t)
 
-        def w(ball):
-            v = val(ball.point(), p)
-            return Fraction(0) if v >= 0 else v * Fraction(p) ** (2 * v)
+    def test_fewer_than_seven_values_raise(self):
+        with pytest.raises(StabilizationError, match="window too small"):
+            close_poly_geometric_tail([Fraction(1, 3 ** i) for i in range(6)], 3)
 
-        want = -t / (1 - t)
-        assert shell_integrate(p, w, Fraction(0), 10) == want
-        got = shell_integrate(p, lambda b: LogQVal({1: w(b)}, p), LogQVal.const(0, p), 10)
-        assert got == LogQVal({1: want}, p)
+    def test_no_geometric_law_raises(self):
+        # ratio 2, and ratio p^-9 beyond MAX_RATIO_POW
+        for values in ([Fraction(2) ** i for i in range(7)],
+                       [Fraction(1, 3 ** (9 * i)) for i in range(7)]):
+            with pytest.raises(StabilizationError, match="no geometric ratio"):
+                close_poly_geometric_tail(values, 3)
 
-    def test_additive_over_disjoint_predicates(self):
-        # {v(t - 1) >= 2} is the disjoint union of {v(t - 1 - i p^2) >= 3}
-        p = 3
-        zero = Fraction(0)
-        parts = sum(shell_integrate(p, near(1 + i * p * p, 3, p), zero, 9)
-                    for i in range(p))
-        assert parts == shell_integrate(p, near(1, 2, p), zero, 9) == Fraction(1, p * p)
-
-    def test_refinement_stability(self, monkeypatch):
-        p = 3
-        w = near(-1, 4, p)
-        coarse = shell_integrate(p, w, Fraction(0), 9)
-        assert coarse == Fraction(1, p ** 4)
-        split_once(monkeypatch)
-        assert shell_integrate(p, w, Fraction(0), 9) == coarse
-
-    def test_small_window_is_an_input_error(self):
-        with pytest.raises(InputError):
-            shell_integrate(3, lambda b: Fraction(0), Fraction(0), 3)
+    def test_all_zero_is_zero(self):
+        assert close_poly_geometric_tail([Fraction(0)] * 7, 3) == 0
+        assert close_poly_geometric_tail([0] * 3, 5) == 0
 
 
 class TestTaylor:
@@ -637,3 +654,23 @@ class TestXi:
     def test_side0_rejected(self):
         with pytest.raises(ValueError):
             xi_integral(BPoint.exact(1, 1, 0, 5), 10)
+
+    def test_small_window_is_an_input_error(self):
+        x = make_bpoint_rs1(0, 1, INF, 3)
+        with pytest.raises(InputError, match="shell window must be at least 8, got 7"):
+            xi_integral(x, window=7)
+
+    def test_one_logqval_per_call(self, monkeypatch):
+        # the shells sum Fraction coefficients; the graded value is built once
+        init = LogQVal.__init__
+        built = []
+
+        def counted(self, coeffs, p):
+            built.append(dict(coeffs))
+            init(self, coeffs, p)
+
+        monkeypatch.setattr(LogQVal, "__init__", counted)
+        for mlp in XI_POINTS[:4]:
+            built.clear()
+            v = xi_integral(make_bpoint_rs1(*mlp, 3), 12)
+            assert len(built) == 1 and set(v.coeffs) <= {2}

@@ -189,18 +189,28 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert data["rs"] is True and data["side"] == 1
 
-    @pytest.mark.parametrize("bad", ["eps", "prime"])
+    @pytest.mark.parametrize("bad", ["eps", "prime", "space", "field", "json",
+                                     "missing"])
     def test_invariants_rejects_bad_elements(self, bad, tmp_path, capsys):
+        # the last four ended in a ValueError, KeyError, JSONDecodeError and
+        # FileNotFoundError traceback
         p = 3
         obj = encode_element(U1RedElt(QuatElt.j(p), QuatElt.one(p) + QuatElt.j(p)))
         if bad == "eps":
             # j^2 = 1 is a square mod 3: the split algebra, where 1 + j has
             # reduced norm 0
             obj["alpha"]["eps"] = obj["b"]["eps"] = "1"
-        else:
+        elif bad == "prime":
             obj["b"]["x"]["a"] = encode_scalar(PadicScalar.capped(5, 0, 2, 4))
+        elif bad == "space":
+            obj = {"space": "u9_red", "p": 3}
+        elif bad == "field":
+            obj = {"space": "s_red", "p": 3}
         f = tmp_path / "elem.json"
-        f.write_text(json.dumps(obj))
+        if bad == "json":
+            f.write_text("{not json")
+        elif bad != "missing":
+            f.write_text(json.dumps(obj))
         assert main(["invariants", "--elem", str(f)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
@@ -219,6 +229,18 @@ class TestCli:
         rc = main(["verify", "x0", "--spec", str(f), "--format", "text"])
         assert rc == 0
         assert "constant" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("entry", [
+        {"lambda": "0", "u": "1", "p": 3},
+        {"lambda": "x", "u": "1", "wtilde": "0", "p": 3},
+        {"lambda": "0", "u": "1", "wtilde": "0", "p": 3.0},
+    ], ids=["no-wtilde", "bad-lambda", "float-p"])
+    def test_verify_x0_rejects_bad_spec_entries(self, entry, tmp_path, capsys):
+        # each ended in a traceback and exit 1, the status of a VARIES verdict
+        f = tmp_path / "x0.json"
+        f.write_text(json.dumps([entry]))
+        assert main(["verify", "x0", "--spec", str(f)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("where", ["before", "after"])
     def test_global_flags_reach_the_command(self, where, monkeypatch):
