@@ -117,7 +117,8 @@ def is_in_neighborhood(x0: BPoint, x: BPoint) -> bool:
 def dgamma_table(x0: BPoint, rep: OrbitRep, x: BPoint):
     """Tabulated derivative of the germ coefficient at the center, evaluated
     at x near x0.  Entries whose paired orbit integral vanishes identically
-    are returned as the UNNEEDED marker."""
+    are returned as the UNNEEDED marker.  An x with Delta = 0 raises
+    NotRegularSemisimpleError: the entries read log|Delta|."""
     p = x0.p
     c = case_of(x0)
     if c == "split":
@@ -125,6 +126,8 @@ def dgamma_table(x0: BPoint, rep: OrbitRep, x: BPoint):
     if not is_in_neighborhood(x0, x):
         raise UnrealizableError("x outside the recorded neighborhood of x0")
     d = x.delta()
+    if d.is_zero_at_precision():
+        raise NotRegularSemisimpleError("not regular semisimple: Delta = 0")
     if c == "zero":
         if rep.tag == "n0_plus":
             return LogQVal.const(0, p)

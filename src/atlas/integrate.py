@@ -24,7 +24,9 @@ one ball tree per shell v(t) = j, in the integer coordinate tau = t p^-j,
 and refines it lazily across all k (see `_iwasawa_t_integral`).
 
 The double-log shell sum behind the family contribution (`xi_integral`) is
-a pure (log q)^2 value: its t-balls add up one Fraction coefficient."""
+a pure (log q)^2 value.  Each shell v(t) = k is swept in the same kind of
+integer coordinate, tau = t p^-k over the units: its balls add up integers
+by power of p, and each shell builds one Fraction."""
 
 from __future__ import annotations
 
@@ -62,6 +64,12 @@ class Ball0:
         return self.center
 
 
+def unit_cover(p: int) -> list:
+    """The balls u + p Z_p, u = 1..p-1, that cover the units: the roots of a
+    shell swept in its integer coordinate."""
+    return [Ball0(u, 1) for u in range(1, p)]
+
+
 @dataclass(frozen=True)
 class BallF:
     """{a + b pi : v(a - ca) >= da, v(b - cb) >= db}; volume q^-(da+db).
@@ -81,11 +89,6 @@ class BallF:
     def point(self, p: int) -> QuadElt:
         return QuadElt(PadicScalar.from_rational_absprec(self.ca, p, self.da),
                        PadicScalar.from_rational_absprec(self.cb, p, self.db))
-
-
-def f0_shell(k: int, p: int):
-    """Cover of the shell v = k by unit balls."""
-    return [Ball0(Fraction(u) * Fraction(p) ** k, k + 1) for u in range(1, p)]
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +230,7 @@ def _iwasawa_t_integral(polys: ConjPolys, k: int, p: int, window: int) -> Fracti
             s = p ** -j
             scaled = [(c0 * s * s, c1 * s, c2)
                       for _, _, _, (c0, c1, c2), _ in polys.polys if c1 or c2]
-            roots = [Ball0(0, 0)] if j == 0 else [Ball0(u, 1) for u in range(1, p)]
+            roots = [Ball0(0, 0)] if j == 0 else unit_cover(p)
             polys.trees[j] = (scaled, [_leaf(b, scaled, p) for b in roots])
         scaled, leaves = polys.trees[j]
         bj = [b - 2 * j for b in bs]
@@ -357,37 +360,56 @@ def xi_integral(x: BPoint, window: int = DEFAULT_WINDOW) -> LogQVal:
 
     On the shell v(t) = k, write a = t + D'/(p t) + 2 w' as g(t)/t with
     g(t) = t^2 + 2 w' t + D'/p: then v(a) = v(g) - k, eta(a) eta(t) = eta(g),
-    and the integrand is eta(g) q^v(g) (v(g) - k) k on v(g) < k.  The Taylor
-    test of v(g) >= k decides each ball, and where g(c) strictly dominates,
-    v(g) and eta(g) are those of g(c) on the whole ball, which contributes
-    eta(g(c)) (v(g) - k) k p^(v(g) - depth) to the (log q)^2 coefficient.
-    Shells |k| <= window are exact; each tail is closed from its outermost
-    TAIL_SAMPLES shells (a window below TAIL_SAMPLES + 1 is an InputError)."""
+    and the integrand is eta(g) q^v(g) (v(g) - k) k on v(g) < k.  The shell
+    is swept in the unit coordinate tau = t p^-k, on the integer polynomial
+    G(tau) = den g(p^k tau) with den the least common denominator and
+    w = v(den): the tau-ball c + p^e Z_p is the t-ball of depth e + k, to
+    which DEPTH_CAP applies, and every valuation of the Taylor test of
+    v(g) >= k (see `_taylor`) is shifted by w.  Where G(c) strictly
+    dominates, v(g) = v(G(c)) - w and eta(g) = eta(den) eta(G(c)) on the
+    whole ball, which contributes eta(g) (v(g) - k) k p^(v(g) - e - k) to
+    the (log q)^2 coefficient; these integers are summed by exponent into
+    one Fraction per shell.  Shells |k| <= window are exact; each tail is
+    closed from its outermost TAIL_SAMPLES shells (a window below
+    TAIL_SAMPLES + 1 is an InputError)."""
     p = x.p
     if x.side() != 1:
         raise InputError("xi_integral requires a side-1 point")
     dprime = (x.delta() / (x.u ** 4)).rational
     wprime = (x.wtilde / (x.u * x.u)).rational
-    g = (dprime / p, 2 * wprime, Fraction(1))
     if window < TAIL_SAMPLES + 1:
         raise InputError(f"shell window must be at least {TAIL_SAMPLES + 1}, "
                          f"got {window}")
 
     def shell(k):
-        total = Fraction(0)
-        stack = f0_shell(k, p)
+        s = Fraction(p) ** k
+        g = (dprime / p, 2 * wprime * s, s * s)
+        den = lcm(*(c.denominator for c in g))
+        c0, c1, c2 = (c.numerator * (den // c.denominator) for c in g)
+        w, v2 = _val(den, p), _val(c2, p)
+        bound = k + w                   # v(g) >= k  <=>  v(G) >= k + w
+        sums = {}                       # eta(G(c)) (v(g) - k) by power of p
+        stack = unit_cover(p)
         while stack:
             ball = stack.pop()
-            at_c, vg, rest = _taylor(g, ball.point(), ball.depth, p)
-            if min(vg, rest) >= k:
+            c, e = ball.point(), ball.depth
+            at_c = c0 + (c1 + c2 * c) * c
+            v0 = _val(at_c, p)
+            rest = min(_val(c1 + 2 * c2 * c, p) + e, v2 + 2 * e)
+            if min(v0, rest) >= bound:
                 continue            # support requires |a| > 1
-            if vg >= rest:
-                if ball.depth >= DEPTH_CAP:
+            if v0 >= rest:
+                if e + k >= DEPTH_CAP:
                     raise ConductorError("conductor too small: depth cap reached")
                 stack.extend(ball.split(p))
                 continue
-            total += _eta(at_c, p) * Fraction(p) ** (vg - ball.depth) * (vg - k) * k
-        return total
+            vg = v0 - w
+            sums[vg - e - k] = sums.get(vg - e - k, 0) + _eta(at_c, p) * (vg - k)
+        if not sums:
+            return Fraction(0)
+        low = min(sums)
+        n = _eta(den, p) * k * sum(a * p ** (i - low) for i, a in sums.items())
+        return Fraction(n * p ** low) if low >= 0 else Fraction(n, p ** -low)
 
     values = {k: shell(k) for k in range(-window, window + 1)}
     inner = window - TAIL_SAMPLES

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from atlas import cli
-from atlas.errors import ExcludedCaseError, InputError, UnrealizableError
+from atlas.errors import (ExcludedCaseError, InputError,
+                          NotRegularSemisimpleError, UnrealizableError)
 from atlas.germs import (UNNEEDED, dgamma_table, dorb1, gamma_n_mu,
                          is_in_neighborhood, phi_closed, zero_point)
 from atlas.orbits import (INF, BPoint, case_of, make_bpoint_rs1, orbit_reps,
@@ -206,6 +207,18 @@ class TestDGammaTable:
         reps = orbit_reps(x0, "s_red")
         with pytest.raises(UnrealizableError):
             dgamma_table(x0, reps[1], far)
+
+    def test_delta_zero_is_not_regular_semisimple(self):
+        # the n0_minus row read v(Delta) = inf and raised OverflowError
+        p = 3
+        x0 = zero_point(p)
+        reps = {r.tag: r for r in orbit_reps(x0, "s_red")}
+        for x in (BPoint.exact(0, 1, 0, p), BPoint.exact(0, 0, 0, p),
+                  BPoint.exact(3, 0, 0, p)):
+            assert x.delta().is_exact_zero()
+            for tag in ("n0_plus", "n0_minus"):
+                with pytest.raises(NotRegularSemisimpleError):
+                    dgamma_table(x0, reps[tag], x)
 
     def test_sform_consistency_case_0i(self):
         # the tabulated row equals d/ds at 0 of eta(Delta/lam)|Delta/lam|^{-s}

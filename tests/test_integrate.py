@@ -8,7 +8,7 @@ from atlas import integrate, padic
 from atlas.errors import ConductorError, InputError, PrecisionError, StabilizationError
 from atlas.integrate import (TAIL_SAMPLES, Ball0, BallF, _conj_polys, _eta,
                              _iwasawa_t_integral, _shell_bounds, _taylor,
-                             auto_window, close_poly_geometric_tail, f0_shell,
+                             auto_window, close_poly_geometric_tail,
                              iwasawa_orbit_u0, phi_from_xi, xi_integral)
 from atlas.orbits import (INF, BPoint, make_bpoint_rs1,
                           u0_nilpotent_family_member, u0_ss_case0,
@@ -62,11 +62,39 @@ def shell_sum(p, weight, window):
     return total
 
 
+def f0_shell(k, p):
+    """Cover of the shell v = k by unit balls."""
+    return [Ball0(Fraction(u) * Fraction(p) ** k, k + 1) for u in range(1, p)]
+
+
+def fraction_xi_integral(x, window):
+    """xi_integral swept in the t coordinate itself: the Fraction t-balls of
+    f0_shell, each decided by the exact Taylor test of v(g) >= k on
+    g(t) = t^2 + 2 w' t + D'/p, the depth cap on the t-depth."""
+    p = x.p
+    dprime = (x.delta() / (x.u ** 4)).rational
+    wprime = (x.wtilde / (x.u * x.u)).rational
+    g = (dprime / p, 2 * wprime, Fraction(1))
+
+    def weight(ball):
+        c = ball.point()
+        k = val(c, p)           # every center of the shell v = k has v = k
+        at_c, vg, rest = _taylor(g, c, ball.depth, p)
+        if min(vg, rest) >= k:
+            return Fraction(0)
+        if vg >= rest:
+            return None
+        return _eta(at_c, p) * Fraction(p) ** vg * (vg - k) * k
+
+    return LogQVal({2: shell_sum(p, weight, window)}, p)
+
+
 def split_once(monkeypatch):
-    """Make every f0_shell cover one residue level finer."""
-    coarse = integrate.f0_shell
-    monkeypatch.setattr(integrate, "f0_shell",
-                        lambda k, p: [c for b in coarse(k, p) for c in b.split(p)])
+    """Make the unit cover that roots every integer-coordinate shell one
+    residue level finer."""
+    coarse = integrate.unit_cover
+    monkeypatch.setattr(integrate, "unit_cover",
+                        lambda p: [c for b in coarse(p) for c in b.split(p)])
 
 
 def criterion4_elements():
@@ -632,10 +660,11 @@ class TestXi:
         assert set(v.coeffs) <= {2}
 
     def test_refinement_stability(self, monkeypatch):
-        x = make_bpoint_rs1(0, 1, INF, 3)
-        coarse = xi_integral(x, 12)
+        # the second point splits balls on the shells -2 and 1
+        points = [make_bpoint_rs1(0, 1, INF, 3), make_bpoint_rs1(2, 4, 1, 3)]
+        coarse = [xi_integral(x, 12) for x in points]
         split_once(monkeypatch)
-        assert xi_integral(x, 12) == coarse
+        assert [xi_integral(x, 12) for x in points] == coarse
 
     def test_matches_the_capped_reference(self):
         points = [make_bpoint_rs1(*mlp, 3) for mlp in XI_POINTS]
@@ -650,6 +679,65 @@ class TestXi:
             assert got == capped_xi_integral(x, 12), x
             nonzero += not got.is_zero()
         assert len(points) == 75 and nonzero >= 40
+
+    def test_matches_the_t_coordinate_reference(self):
+        # seeded side-1 points: integral ones from the criterion-5 family
+        # and rational ones whose g has roots of negative valuation
+        rng = random.Random(29)
+
+        def r(p):
+            return Fraction(rng.randint(-20, 20)) * Fraction(p) ** rng.randint(-3, 3)
+
+        points = []
+        for p in (3, 5, 7):
+            for _ in range(8):
+                lp = rng.choice((INF, 1, 3, 5, 7))
+                points.append(make_bpoint_rs1(rng.randint(0, 3), rng.randint(1, 7), lp, p))
+            while len(points) % 14:
+                x = BPoint.exact(r(p), Fraction(p) ** rng.randint(-2, 2), r(p), p)
+                if x.is_rs() and x.side() == 1:
+                    points.append(x)
+
+        def outcome(fn, x, window):
+            try:
+                return fn(x, window)
+            except (ConductorError, StabilizationError) as exc:
+                return type(exc)
+
+        seen = Counter()
+        for x in points:
+            for window in (8, 12, 14):
+                got = outcome(xi_integral, x, window)
+                assert got == outcome(fraction_xi_integral, x, window), (x, window)
+                seen[got if isinstance(got, type) else not got.is_zero()] += 1
+        assert len(points) == 42
+        assert seen[True] >= 100 and seen[StabilizationError] >= 10
+
+    def test_depth_cap_bounds_the_t_depth(self, monkeypatch):
+        # the first three points split balls on a negative and a positive
+        # shell, the fourth only on the shell -4, down to tau-depth 3
+        # (t-depth -1): a cap read on the tau-depth would pass the first
+        # three at caps where the t-sweep fails, and fail the fourth at
+        # caps 1..3 where it passes
+        points = {make_bpoint_rs1(2, 4, 1, 3): {1, 2},
+                  make_bpoint_rs1(3, 5, 1, 5): {1, 2, 3},
+                  make_bpoint_rs1(3, 7, 1, 7): {1, 2, 3, 4, 5},
+                  BPoint.exact(Fraction(-7, 27), 9, -126, 3): set()}
+
+        def outcome(fn, x):
+            try:
+                return fn(x, 12)
+            except ConductorError:
+                return "cap"
+
+        for x, capped in points.items():
+            got = {}
+            for cap in range(1, 9):
+                monkeypatch.setattr(integrate, "DEPTH_CAP", cap)
+                got[cap] = outcome(xi_integral, x)
+                assert got[cap] == outcome(fraction_xi_integral, x), (x, cap)
+            assert {cap for cap, v in got.items() if v == "cap"} == capped, x
+            assert not got[8].is_zero()
 
     def test_side0_rejected(self):
         with pytest.raises(ValueError):

@@ -281,13 +281,14 @@ class TestCli:
         ["verify", "zero", "--p", "3", "--l-max", "0"],
         ["orb", "--kind", "ss-u0-case0", "--params", "81", "--p", "3", "--oracle",
          "--shell-window", "-2"],
+        ["germ", "--x0", "0", "0", "0", "--x", "0", "1", "0", "--p", "3"],
     ], ids=["germ-side0", "values-lam0", "orb-case0-lam0", "orb-case1-u0",
             "xi-small-window", "lint-even-lplus", "values-missing-params",
             "xi-missing-params", "values-unparsed", "lint-even-p",
             "oracle-window-edge", "oracle-case0-lam0", "germ-unparsed",
             "lint-negative-m", "lint-closed-negative-lminus",
             "lint-closed-negative-lplus", "verify-zero-empty-m",
-            "verify-zero-empty-l", "oracle-negative-window"])
+            "verify-zero-empty-l", "oracle-negative-window", "germ-delta-zero"])
     def test_bad_inputs_exit_with_an_error_line(self, argv, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")

@@ -43,6 +43,14 @@ class TestVerifyZero:
         r = verify_zero(3, m_max=1, l_max=2, method="oracle")
         assert r.constant
 
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_oracle_method_matches_closed_per_sample(self, p):
+        oracle = verify_zero(p, m_max=1, l_max=3, method="oracle")
+        closed = verify_zero(p, m_max=1, l_max=3)
+        assert oracle.constant and closed.constant
+        assert len(oracle.samples) == 18
+        assert oracle.samples == closed.samples
+
     def test_every_failing_point_is_reported(self, monkeypatch):
         phi1_ok = verify.phi1
         bad = {(0, 1, 1), (1, 2, INF)}
