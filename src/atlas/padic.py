@@ -14,6 +14,12 @@ operands share their prime.  Capped scalars are unhashable: equality at the
 shared precision is not transitive, so no hash can agree with it.  Exact
 values hash as the rational or smaller-field element they equal, so a
 PadicScalar, QuadElt or QuatElt equal to an int or Fraction hashes like it.
+
+A product of two exact quaternions, and the rows of `quat_solve`, run on
+integer coordinates: q = ((a + b pi) + (c + d pi) j) / den, with den the lcm
+of the coordinates' denominators (`_int_coords`, `_int_quat_mul`), and one
+Fraction per coordinate of the result.  A product with a capped coordinate
+keeps the formula on the eight scalar coordinates.
 """
 
 from __future__ import annotations
@@ -595,7 +601,9 @@ class QuatElt:
             raise ValueError("mixed primes")
         self.x = x
         self.y = y
-        self.eps = Fraction(eps) if eps is not None else Fraction(smallest_nonresidue(x.p))
+        if eps is None:
+            eps = smallest_nonresidue(x.p)
+        self.eps = eps if isinstance(eps, Fraction) else Fraction(eps)
 
     @classmethod
     def from_f(cls, x: QuadElt) -> "QuatElt":
@@ -679,12 +687,24 @@ class QuatElt:
 
     def __mul__(self, other):
         """(x1 + y1 j)(x2 + y2 j) = (x1 x2 + eps y1 conj(y2))
-        + (x1 y2 + y1 conj(x2)) j, from the eight scalar coordinates."""
+        + (x1 y2 + y1 conj(x2)) j.  Exact operands with an integral j^2
+        multiply on integer coordinates (`_int_coords`, `_int_quat_mul`); an
+        operand with a capped coordinate takes the formula on the eight scalar
+        coordinates."""
         o = self._coerce(other)
         p = self.p
+        if o.p != p:
+            raise ValueError("mixed primes")
+        eps = self.eps
+        u, v = _int_coords(self), _int_coords(o)
+        if u is not None and v is not None and eps.denominator == 1:
+            den = u[0] * v[0]
+            s = [PadicScalar(p, _fr=Fraction(t, den) if t else _FR_ZERO)
+                 for t in _int_quat_mul(u[1], v[1], p, eps.numerator)]
+            return QuatElt(QuadElt(s[0], s[1]), QuadElt(s[2], s[3]), eps)
         a1, b1, c1, d1 = self.x.a, self.x.b, self.y.a, self.y.b
         a2, b2, c2, d2 = o.x.a, o.x.b, o.y.a, o.y.b
-        eps, pp = PadicScalar(p, _fr=self.eps), PadicScalar(p, _fr=Fraction(p))
+        eps, pp = PadicScalar(p, _fr=eps), PadicScalar(p, _fr=Fraction(p))
         nb2, nd2 = -b2, -d2
         e1, f1 = c1 * eps, d1 * eps
         return QuatElt(
@@ -723,6 +743,20 @@ class QuatElt:
 
     def __repr__(self):
         return f"[{self.x} + {self.y}*j]"
+
+
+def _int_coords(q):
+    """(den, (a, b, c, d)) with q = ((a + b pi) + (c + d pi) j) / den and den
+    the lcm of the coordinates' denominators; None when a coordinate is
+    capped."""
+    x, y = q.x, q.y
+    fa, fb, fc, fd = x.a._fr, x.b._fr, y.a._fr, y.b._fr
+    if fa is None or fb is None or fc is None or fd is None:
+        return None
+    da, db, dc, dd = fa.denominator, fb.denominator, fc.denominator, fd.denominator
+    den = math.lcm(da, db, dc, dd)
+    return den, (fa.numerator * (den // da), fb.numerator * (den // db),
+                 fc.numerator * (den // dc), fd.numerator * (den // dd))
 
 
 def _int_quat_mul(u, v, p: int, e: int):
@@ -794,12 +828,11 @@ def quat_solve(A, B):
         row = (*ra, *rb)
         if any(q.p != p or q.eps != eps for q in row):
             raise ValueError("mixed primes or quaternion models")
-        fr = [s._fr for q in row for s in (q.x.a, q.x.b, q.y.a, q.y.b)]
-        if any(f is None for f in fr):
+        coords = [_int_coords(q) for q in row]
+        if None in coords:
             raise PrecisionError("quat_solve takes exact entries only")
-        den = math.lcm(*(f.denominator for f in fr))
-        ints = [f.numerator * (den // f.denominator) for f in fr]
-        rows.append(_primitive([tuple(ints[k:k + 4]) for k in range(0, len(ints), 4)]))
+        den = math.lcm(*(d for d, _ in coords))
+        rows.append(_primitive([tuple(s * (den // d) for s in q) for d, q in coords]))
     if not _eliminate(rows, p, e):
         return None
     n = len(rows)

@@ -10,10 +10,12 @@ from atlas.integrate import (TAIL_SAMPLES, Ball0, BallF, _conj_polys, _eta,
                              _iwasawa_t_integral, _shell_bounds, _taylor,
                              auto_window, close_poly_geometric_tail,
                              iwasawa_orbit_u0, phi_from_xi, xi_integral)
-from atlas.orbits import (INF, BPoint, make_bpoint_rs1,
+from atlas.cli import main
+from atlas.orbits import (INF, XI_CHOICES, BPoint, U1LieElt, admissible_xi,
+                          cayley, cayley_inv, make_bpoint_rs1,
                           u0_nilpotent_family_member, u0_ss_case0,
                           u0_ss_case1)
-from atlas.padic import PadicScalar, QuadElt
+from atlas.padic import PadicScalar, QuadElt, QuatElt
 from atlas.svalue import LogQVal
 from atlas.values import (nil_family_orb_u0_fn, orb_u0_ss_case0,
                           orb_u0_ss_case1, phi_eval)
@@ -626,21 +628,48 @@ class TestIwasawa:
         assert auto_window(y) >= 8
 
 
+def forbid_capped(monkeypatch):
+    """Make every constructor of a capped scalar fail."""
+    def capped(*args, **kwargs):
+        raise AssertionError("capped arithmetic reached")
+
+    monkeypatch.setattr(padic, "_capped", capped)
+    monkeypatch.setattr(PadicScalar, "zero_at", classmethod(capped))
+    monkeypatch.setattr(PadicScalar, "from_rational_absprec", classmethod(capped))
+
+
 class TestExactness:
     def test_integrators_build_no_capped_scalar(self, monkeypatch):
         elements = criterion4_elements()
         points = [make_bpoint_rs1(*mlp, 3) for mlp in XI_POINTS]
-
-        def capped(*args, **kwargs):
-            raise AssertionError("capped arithmetic reached")
-
-        monkeypatch.setattr(padic, "_capped", capped)
-        monkeypatch.setattr(PadicScalar, "zero_at", classmethod(capped))
-        monkeypatch.setattr(PadicScalar, "from_rational_absprec", classmethod(capped))
+        forbid_capped(monkeypatch)
         for y, want in elements:
             assert iwasawa_orbit_u0(y) == want
         for x in points:
             xi_integral(x, 14)
+
+    def test_cayley_and_verify_build_no_capped_scalar(self, monkeypatch, capsys):
+        # criterion 7's Cayley round trips and chart screen on seeded
+        # integral elements, then both `atlas verify` commands
+        rng = random.Random(101)
+        p = 5
+
+        def quat(traceless=False):
+            a = 0 if traceless else rng.randint(-9, 9)
+            return QuatElt(QuadElt.exact(a, rng.randint(-9, 9), p),
+                           QuadElt.exact(rng.randint(-9, 9), rng.randint(-9, 9), p))
+        elements = [U1LieElt(quat(True), PadicScalar.exact(rng.randint(-9, 9), p), quat(),
+                             QuadElt.exact(0, rng.randint(-9, 9), p)) for _ in range(30)]
+        forbid_capped(monkeypatch)
+        for x in elements:
+            xi = rng.choice(XI_CHOICES)
+            g = cayley(x, xi)
+            assert cayley_inv(g, xi).to_matrix() == x.to_matrix()
+            admissible = [xj for xj in XI_CHOICES if admissible_xi(g, xj)]
+            assert admissible and cayley_inv(g, admissible[0]).is_integral()
+        assert main(["verify", "zero", "--p", "3", "--m-max", "1", "--l-max", "3"]) == 0
+        assert main(["verify", "x0", "--p", "5"]) == 0
+        assert "constant" in capsys.readouterr().out
 
 
 class TestXi:

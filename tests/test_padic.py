@@ -17,6 +17,15 @@ def exact(x, p):
     return PadicScalar.exact(Fraction(x), p)
 
 
+def quad_formula(q1, q2):
+    """(x1 + y1 j)(x2 + y2 j) from QuadElt arithmetic: the reference for the
+    QuatElt product."""
+    x1, y1, x2, y2 = q1.x, q1.y, q2.x, q2.y
+    eps = PadicScalar(q1.p, _fr=q1.eps)
+    return QuatElt(x1 * x2 + eps * y1 * y2.conj(),
+                   x1 * y2 + y1 * x2.conj(), q1.eps)
+
+
 class TestVal:
     def test_examples(self):
         assert exact(5, 5).val() == 1
@@ -138,6 +147,17 @@ class TestBoundaryValidation:
         pairs = [(exact(2, 3), exact(2, 5)),
                  (PadicScalar.capped(3, 0, 2, 4), PadicScalar.capped(5, 0, 2, 4)),
                  (exact(2, 3), PadicScalar.capped(5, 0, 2, 4))]
+        # QuadElt and QuatElt, exact with exact and exact with capped; j^2 = 2
+        # at both primes, so only the prime tells the quaternions apart
+        assert smallest_nonresidue(3) == smallest_nonresidue(5) == 2
+        for p, q in ((3, 5), (5, 3)):
+            x = QuadElt.exact(2, 1, p)
+            pairs += [(x, QuadElt.exact(2, 1, q)),
+                      (x, QuadElt(PadicScalar.capped(q, 0, 2, 4), exact(1, q)))]
+            z = QuatElt(x, QuadElt.exact(1, 1, p))
+            pairs += [(z, QuatElt(QuadElt.exact(2, 1, q), QuadElt.exact(1, 1, q))),
+                      (z, QuatElt(QuadElt(PadicScalar.capped(q, 0, 2, 4), exact(1, q)),
+                                  QuadElt.exact(1, 1, q)))]
         for x, y in pairs:
             for a, b in ((x, y), (y, x)):
                 with pytest.raises(ValueError):
@@ -244,12 +264,6 @@ class TestQuatElt:
     def test_product_matches_the_quad_formula(self):
         """The coordinate product groups every sum and product as the QuadElt
         formula does, so capped results are structurally identical."""
-        def quad_formula(q1, q2):
-            x1, y1, x2, y2 = q1.x, q1.y, q2.x, q2.y
-            eps = PadicScalar(q1.p, _fr=q1.eps)
-            return QuatElt(x1 * x2 + eps * y1 * y2.conj(),
-                           x1 * y2 + y1 * x2.conj(), q1.eps)
-
         def state(q):
             return [(s._fr, s._v, s._unit, s._n) for s in (q.x.a, q.x.b, q.y.a, q.y.b)]
 
@@ -271,3 +285,40 @@ class TestQuatElt:
             for _ in range(300):
                 q1, q2 = quat(), quat()
                 assert state(q1 * q2) == state(quad_formula(q1, q2))
+
+    def test_exact_product_matches_the_quad_formula(self, monkeypatch):
+        """All-exact operands take the integer-coordinate product; it equals
+        the QuadElt formula and hashes alike, and never multiplies scalars."""
+        rng = random.Random(89)
+        pairs = []
+        for p in (3, 5, 7):
+            def scalar():
+                if rng.randrange(3) == 0:
+                    return exact(0, p)
+                return exact(Fraction(rng.randint(-30, 30), rng.choice((1, 2, p, p * p))), p)
+
+            def quat():
+                return QuatElt(QuadElt(scalar(), scalar()), QuadElt(scalar(), scalar()))
+            special = [QuatElt.one(p), QuatElt.j(p), QuatElt.from_f(QuadElt.pi(p)),
+                       QuatElt.zero(p)]
+            for _ in range(200):
+                pairs.append((quat(), quat()))
+            for s in special:
+                pairs += [(s, quat()), (quat(), s)] + [(s, t) for t in special]
+        assert len(pairs) >= 600
+        dens = {s.rational.denominator for q1, q2 in pairs
+                for s in (q1.x.a, q1.x.b, q1.y.a, q1.y.b)}
+        assert {1, 2, 3, 5, 7, 9, 25, 49} <= dens
+        want = [quad_formula(q1, q2) for q1, q2 in pairs]
+
+        def no_scalar_product(*args):
+            raise AssertionError("scalar product reached")
+
+        monkeypatch.setattr(PadicScalar, "__mul__", no_scalar_product)
+        monkeypatch.setattr(PadicScalar, "__rmul__", no_scalar_product)
+        for (q1, q2), w in zip(pairs, want):
+            got = q1 * q2
+            assert got.eps == w.eps
+            assert [s.rational for s in (got.x.a, got.x.b, got.y.a, got.y.b)] == \
+                [s.rational for s in (w.x.a, w.x.b, w.y.a, w.y.b)]
+            assert got == w and hash(got) == hash(w)

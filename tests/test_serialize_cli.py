@@ -189,6 +189,24 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert data["rs"] is True and data["side"] == 1
 
+    def test_invariants_of_a_capped_element(self, tmp_path, capsys):
+        # b has capped coordinates, so its products take the scalar formula
+        # of QuatElt.__mul__; the expected JSON is that formula's output
+        p = 3
+        alpha = QuatElt(QuadElt.exact(0, 1, p), QuadElt.exact(1, 0, p))
+        b = QuatElt(QuadElt(PadicScalar.capped(p, 0, 2, 8), PadicScalar.exact(1, p)),
+                    QuadElt(PadicScalar.capped(p, 1, 4, 6), PadicScalar.exact(0, p)))
+        f = tmp_path / "elem.json"
+        f.write_text(json.dumps(encode_element(U1RedElt(alpha, b))))
+        assert main(["invariants", "--elem", str(f)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "invariants": {
+                "lambda": {"num": "-5", "den": "1"},
+                "u": {"v": 0, "digits": [2, 0, 2, 2, 1, 0, 2, 2], "p": 3, "N": 8},
+                "wtilde": {"v": 0, "digits": [2, 1, 2, 2, 2, 1, 0], "p": 3, "N": 7},
+                "p": 3},
+            "rs": True, "side": 1}
+
     @pytest.mark.parametrize("bad", ["eps", "prime", "space", "field", "json",
                                      "missing"])
     def test_invariants_rejects_bad_elements(self, bad, tmp_path, capsys):
