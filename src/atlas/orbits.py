@@ -11,8 +11,8 @@ from fractions import Fraction
 
 from .errors import (CayleyUndefinedError, InputError,
                      NotRegularSemisimpleError, UnrealizableError)
-from .padic import (INF, PadicScalar, QuadElt, QuatElt, hensel_sqrt,
-                    quat_solve, smallest_nonresidue)
+from .padic import (INF, PadicScalar, QuadElt, QuatElt, cayley_solve,
+                    hensel_sqrt, quat_solve, smallest_nonresidue)
 
 
 def _ps(x, p: int) -> PadicScalar:
@@ -452,31 +452,29 @@ def u1_is_unitary(g: U1GroupElt) -> bool:
 XI_CHOICES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def _in_chart(M, xi):
-    """xi M for the chart xi = diag(s1, s1, s2) = xi^{-1}, signs s1, s2 = +-1:
-    the rows with sign -1 are negated."""
-    s1, s2 = xi
-    return [row if s > 0 else [-q for q in row] for row, s in zip(M, (s1, s1, s2))]
-
-
 def cayley(x, xi=(1, 1)) -> U1GroupElt:
-    """The transform x -> xi (1+x)(1-x)^{-1} into the unitary group; the two
-    factors commute, so a single linear solve computes the product."""
+    """The transform x -> xi (1+x)(1-x)^{-1} into the unitary group, for the
+    chart xi = diag(s1, s1, s2), signs s1, s2 = +-1; the two factors commute,
+    so one solve (1 - x) Z = 1 + x computes the product, and xi negates the
+    rows of Z with sign -1."""
     if isinstance(x, U1RedElt):
         x = U1LieElt(x.alpha, _ps(0, x.p), x.b, QuadElt.zero(x.p))
-    p = x.p
-    M = x.to_matrix()
-    I = quat_identity(p)
-    return U1GroupElt(_in_chart(quat_mat_solve(mat_sub(I, M), mat_add(I, M)), xi))
+    s1, s2 = xi
+    Z = cayley_solve(x.to_matrix(), (1, 1, 1), (s1, s1, s2))
+    if Z is None:
+        raise CayleyUndefinedError("singular matrix over D")
+    return U1GroupElt(Z)
 
 
 def cayley_inv(g: U1GroupElt, xi=(1, 1)) -> U1LieElt:
-    """Inverse transform -(1 - xi^{-1} g)(1 + xi^{-1} g)^{-1}."""
-    p = g.p
-    h = _in_chart(g.M, xi)
-    I = quat_identity(p)
-    M = quat_mat_solve(mat_add(I, h), mat_sub(h, I))
-    return u1_lie_from_matrix(M)
+    """Inverse transform -(1 - h)(1 + h)^{-1}, h = xi^{-1} g = xi g: the
+    solve (1 + h) Z = -(1 - h) is the Cayley system of g with row signs
+    -xi and every row of the solution negated."""
+    s1, s2 = xi
+    Z = cayley_solve(g.M, (-s1, -s1, -s2), (-1, -1, -1))
+    if Z is None:
+        raise CayleyUndefinedError("singular matrix over D")
+    return u1_lie_from_matrix(Z)
 
 
 def admissible_xi(g: U1GroupElt, xi) -> bool:

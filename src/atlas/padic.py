@@ -15,11 +15,17 @@ shared precision is not transitive, so no hash can agree with it.  Exact
 values hash as the rational or smaller-field element they equal, so a
 PadicScalar, QuadElt or QuatElt equal to an int or Fraction hashes like it.
 
-A product of two exact quaternions, and the rows of `quat_solve`, run on
-integer coordinates: q = ((a + b pi) + (c + d pi) j) / den, with den the lcm
-of the coordinates' denominators (`_int_coords`, `_int_quat_mul`), and one
-Fraction per coordinate of the result.  A product with a capped coordinate
-keeps the formula on the eight scalar coordinates.
+A product of two exact quaternions runs on integer coordinates:
+q = ((a + b pi) + (c + d pi) j) / den, with den the lcm of the coordinates'
+denominators (`_int_coords`, `_int_quat_mul`), and one Fraction per
+coordinate of the result.  A product with a capped coordinate keeps the
+formula on the eight scalar coordinates.  The linear solves over D work on
+the same coordinates, one denominator per row (`_int_rows`, which also checks
+the entries): `quat_solve` reads the rows of [A | B], and `cayley_solve`
+writes the rows of [1 - S M | 1 + S M], S a diagonal of signs, from those of
+M alone, adding the row denominator for the 1 on the diagonal.  Both end in
+`_solve_rows`, which eliminates on integers and builds Fractions only for
+the solution.
 """
 
 from __future__ import annotations
@@ -251,7 +257,7 @@ class PadicScalar:
     def _coerce(self, other):
         if isinstance(other, PadicScalar):
             if other.p != self.p:
-                raise ValueError("mixed primes")
+                raise InputError("mixed primes")
             return other
         if isinstance(other, Fraction):
             return PadicScalar(self.p, _fr=other)
@@ -475,7 +481,7 @@ class QuadElt:
 
     def __init__(self, a: PadicScalar, b: PadicScalar):
         if a.p != b.p:
-            raise ValueError("mixed primes")
+            raise InputError("mixed primes")
         self.a = a
         self.b = b
 
@@ -598,7 +604,7 @@ class QuatElt:
 
     def __init__(self, x: QuadElt, y: QuadElt, eps=None):
         if x.p != y.p:
-            raise ValueError("mixed primes")
+            raise InputError("mixed primes")
         self.x = x
         self.y = y
         if eps is None:
@@ -628,7 +634,7 @@ class QuatElt:
     def _coerce(self, other) -> "QuatElt":
         if isinstance(other, QuatElt):
             if other.eps != self.eps:
-                raise ValueError("mixed quaternion models")
+                raise InputError("mixed quaternion models")
             return other
         if isinstance(other, QuadElt):
             return QuatElt(other, QuadElt.zero(self.p), self.eps)
@@ -694,7 +700,7 @@ class QuatElt:
         o = self._coerce(other)
         p = self.p
         if o.p != p:
-            raise ValueError("mixed primes")
+            raise InputError("mixed primes")
         eps = self.eps
         u, v = _int_coords(self), _int_coords(o)
         if u is not None and v is not None and eps.denominator == 1:
@@ -799,7 +805,7 @@ def _eliminate(rows, p: int, e: int) -> bool:
         a, b, c, d = prow[col]
         norm = _int_nrd(prow[col], p, e)
         if norm == 0:
-            raise ValueError(f"j^2 = {e} is a square: D is not a division algebra")
+            raise InputError(f"j^2 = {e} is a square: D is not a division algebra")
         pconj = (a, -b, -c, -d)
         for r in range(n):
             f = rows[r][col]
@@ -812,34 +818,44 @@ def _eliminate(rows, p: int, e: int) -> bool:
     return True
 
 
-def quat_solve(A, B):
-    """Z with A Z = B, for a square A and exact QuatElt entries; None when A is
-    singular.  Each row of [A | B] is multiplied by the lcm of its
-    denominators, a central factor that leaves Z unchanged, to integer
-    coordinates (a, b, c, d) of (a + b pi) + (c + d pi) j; `_eliminate` makes
-    A diagonal, and Fractions are built only at the end:
-    Z_i = conj(D_i) R_i / N(D_i).  A capped entry raises PrecisionError."""
-    p, eps = A[0][0].p, A[0][0].eps
+def _int_rows(rows):
+    """(p, eps, [(den, [(a, b, c, d), ...]), ...]): the exact QuatElt entries of
+    each row as integer coordinates over one denominator per row, the lcm of
+    the row's coordinate denominators, so that every entry is
+    ((a + b pi) + (c + d pi) j) / den.  Every entry must share the first
+    one's prime and j^2 model, j^2 must be an integer, and a capped entry
+    raises PrecisionError."""
+    p, eps = rows[0][0].p, rows[0][0].eps
     if eps.denominator != 1:
-        raise ValueError(f"quaternion model with a non-integral j^2 = {eps}")
-    e = eps.numerator
-    rows = []
-    for ra, rb in zip(A, B):
-        row = (*ra, *rb)
-        if any(q.p != p or q.eps != eps for q in row):
-            raise ValueError("mixed primes or quaternion models")
+        raise InputError(f"quaternion model with a non-integral j^2 = {eps}")
+    out = []
+    for row in rows:
+        for q in row:
+            if q.p != p:
+                raise InputError("mixed primes")
+            if q.eps != eps:
+                raise InputError("mixed quaternion models")
         coords = [_int_coords(q) for q in row]
         if None in coords:
-            raise PrecisionError("quat_solve takes exact entries only")
+            raise PrecisionError("the quaternion solve takes exact entries only")
         den = math.lcm(*(d for d, _ in coords))
-        rows.append(_primitive([tuple(s * (den // d) for s in q) for d, q in coords]))
+        out.append((den, [tuple(s * (den // d) for s in q) for d, q in coords]))
+    return p, eps, out
+
+
+def _solve_rows(rows, p: int, eps: Fraction, signs):
+    """Z with A Z = B from the primitive integer rows of [A | B], row i of Z
+    multiplied by signs[i] = +-1; None when A is singular.  `_eliminate` makes
+    A diagonal, and Fractions are built only for Z:
+    Z_i = conj(D_i) R_i / N(D_i)."""
+    e = eps.numerator
     if not _eliminate(rows, p, e):
         return None
     n = len(rows)
     out = []
-    for i, row in enumerate(rows):
+    for i, (row, sign) in enumerate(zip(rows, signs)):
         a, b, c, d = row[i]
-        norm = _int_nrd(row[i], p, e)
+        norm = sign * _int_nrd(row[i], p, e)
         zs = []
         for y in row[n:]:
             s = [PadicScalar(p, _fr=Fraction(t, norm))
@@ -847,3 +863,35 @@ def quat_solve(A, B):
             zs.append(QuatElt(QuadElt(s[0], s[1]), QuadElt(s[2], s[3]), eps))
         out.append(zs)
     return out
+
+
+def quat_solve(A, B):
+    """Z with A Z = B, for a square A and exact QuatElt entries; None when A is
+    singular.  Each row of [A | B] is multiplied by the lcm of its
+    denominators, a central factor that leaves Z unchanged, to integer
+    coordinates (`_int_rows`) and divided by their content; `_solve_rows`
+    eliminates.  A capped entry raises PrecisionError."""
+    p, eps, rows = _int_rows([(*ra, *rb) for ra, rb in zip(A, B)])
+    return _solve_rows([_primitive(row) for _, row in rows], p, eps, [1] * len(rows))
+
+
+def cayley_solve(M, signs, out_signs):
+    """Z with (1 - S M) Z = 1 + S M for S = diag(signs), signs = +-1, and row i
+    of Z multiplied by out_signs[i]; None when 1 - S M is singular.  The rows of
+    [1 - S M | 1 + S M] are written from the integer coordinates of M over one
+    denominator den per row (`_int_rows`): the sign s of row i negates M's
+    coordinates on one side, and the 1 on the diagonal adds den to the first
+    coordinate.  The entry checks are those of `quat_solve`, and M must be in
+    the identity's model j^2 = smallest_nonresidue(p)."""
+    p, eps, rows = _int_rows(M)
+    if eps != smallest_nonresidue(p):
+        raise InputError("mixed quaternion models")
+    built = []
+    for i, ((den, qs), s) in enumerate(zip(rows, signs)):
+        neg = [(-a, -b, -c, -d) for a, b, c, d in qs]
+        left, right = (neg, qs) if s > 0 else (qs, neg)
+        for side in (left, right):
+            a, b, c, d = side[i]
+            side[i] = (den + a, b, c, d)
+        built.append(_primitive(left + right))
+    return _solve_rows(built, p, eps, out_signs)

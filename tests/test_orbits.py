@@ -5,16 +5,16 @@ from fractions import Fraction
 import pytest
 
 from atlas import padic
-from atlas.errors import (AtlasError, CayleyUndefinedError,
+from atlas.errors import (AtlasError, CayleyUndefinedError, InputError,
                           NotRegularSemisimpleError, PrecisionError,
                           UnrealizableError)
-from atlas.orbits import (INF, XI_CHOICES, BPoint, U0RedElt, U1LieElt,
-                          U1RedElt, case_of, cayley, cayley_inv,
-                          in_side1_closure, make_bpoint_rs1, mat_add,
+from atlas.orbits import (INF, XI_CHOICES, BPoint, U0RedElt, U1GroupElt,
+                          U1LieElt, U1RedElt, case_of, cayley, cayley_inv,
+                          in_side1_closure, make_bpoint_rs1, mat_add, mat_sub,
                           nilpotent_family_member, orbit_reps, quat_identity,
                           quat_mat_solve, section_sigma,
                           u0_nilpotent_family_member, u0_ss_case1, u1_dagger,
-                          u1_is_unitary)
+                          u1_is_unitary, u1_lie_from_matrix)
 from atlas.padic import PadicScalar, QuadElt, QuatElt, smallest_nonresidue
 
 
@@ -272,6 +272,122 @@ class TestCayley:
             y = cayley_inv(g, (1, 1))
             assert x.is_rs() == y.is_rs()
             done += 1
+
+
+def reference_in_chart(M, xi):
+    """xi M for the chart xi = diag(s1, s1, s2): the rows with sign -1
+    negated, as QuatElt."""
+    s1, s2 = xi
+    return [row if s > 0 else [-q for q in row] for row, s in zip(M, (s1, s1, s2))]
+
+
+def reference_cayley(x, xi):
+    """xi (1 + M)(1 - M)^{-1} through 1 -+ M built as QuatElt matrices."""
+    M = x.to_matrix()
+    I = quat_identity(x.p)
+    return reference_in_chart(quat_mat_solve(mat_sub(I, M), mat_add(I, M)), xi)
+
+
+def reference_cayley_inv(g, xi):
+    """-(1 - h)(1 + h)^{-1}, h = xi g, through 1 + h and h - 1 as QuatElt."""
+    h = reference_in_chart(g.M, xi)
+    I = quat_identity(g.p)
+    return u1_lie_from_matrix(quat_mat_solve(mat_add(I, h), mat_sub(h, I)))
+
+
+def lie_coords(x):
+    return [s.rational for s in (x.alpha.x.a, x.alpha.x.b, x.alpha.y.a, x.alpha.y.b,
+                                 x.beta, x.b.x.a, x.b.x.b, x.b.y.a, x.b.y.b,
+                                 x.d.a, x.d.b)]
+
+
+def rand_lie(rng, p, dens):
+    def c():
+        return Fraction(rng.randint(-9, 9), rng.choice(dens))
+
+    def q(traceless=False):
+        return QuatElt(QuadElt.exact(0 if traceless else c(), c(), p),
+                       QuadElt.exact(c(), c(), p))
+    return U1LieElt(q(traceless=True), PadicScalar.exact(c(), p), q(),
+                    QuadElt.exact(0, c(), p))
+
+
+class TestCayleySolve:
+    """cayley and cayley_inv write the rows of [1 - s xi M | 1 + s xi M] from
+    the integer coordinates of M; they must equal the composition through
+    QuatElt matrices coordinate for coordinate."""
+
+    def test_matches_the_quaternion_matrix_composition(self):
+        rng = random.Random(97)
+        forward = inverse = undefined = 0
+        for p in (3, 5, 7):
+            for dens in ((1,), (1, 2, p, p * p, 3 * p)):
+                for _ in range(6):
+                    x = rand_lie(rng, p, dens)
+                    for xi in XI_CHOICES:
+                        g = cayley(x, xi)
+                        want = reference_cayley(x, xi)
+                        assert coords(g.M) == coords(want)
+                        assert all(q.eps == w.eps for row, wrow in zip(g.M, want)
+                                   for q, w in zip(row, wrow))
+                        forward += 1
+                        for xj in XI_CHOICES:
+                            try:
+                                want = reference_cayley_inv(g, xj)
+                            except CayleyUndefinedError:
+                                with pytest.raises(CayleyUndefinedError):
+                                    cayley_inv(g, xj)
+                                undefined += 1
+                                continue
+                            assert lie_coords(cayley_inv(g, xj)) == lie_coords(want)
+                            inverse += 1
+        assert forward == 144 and inverse >= 500 and undefined >= 1
+
+    def test_singular_chart_raises(self):
+        # cayley(0) in the chart (1, 1) is the identity, and 1 + xi^{-1} g
+        # vanishes in the chart (-1, -1)
+        p = 5
+        zero = U1LieElt(QuatElt.zero(p), PadicScalar.exact(0, p), QuatElt.zero(p),
+                        QuadElt.zero(p))
+        g = cayley(zero, (1, 1))
+        with pytest.raises(CayleyUndefinedError):
+            cayley_inv(g, (-1, -1))
+        with pytest.raises(CayleyUndefinedError):
+            reference_cayley_inv(g, (-1, -1))
+
+    def test_capped_entry_raises_precision_error(self):
+        p = 5
+        c = PadicScalar.exact(Fraction(3, 5), p).to_capped(6)
+        b = QuatElt(QuadElt(c, PadicScalar.exact(0, p)), QuadElt.zero(p))
+        x = U1LieElt(QuatElt.zero(p), PadicScalar.exact(1, p), b, QuadElt.zero(p))
+        with pytest.raises(PrecisionError):
+            cayley(x, (1, 1))
+        M = cayley(U1LieElt(QuatElt.zero(p), PadicScalar.exact(1, p), QuatElt.one(p),
+                            QuadElt.zero(p)), (1, 1)).M
+        M[1][2] = b
+        with pytest.raises(PrecisionError):
+            cayley_inv(U1GroupElt(M), (1, 1))
+
+    def test_mixed_primes_refused(self):
+        # j^2 = 2 at p = 3 and p = 5, so only the prime tells the entries apart
+        M = quat_identity(3)
+        M[2][1] = QuatElt(QuadElt.exact(1, 1, 5), QuadElt.exact(0, 1, 5))
+        for xi in XI_CHOICES:
+            with pytest.raises(InputError):
+                cayley_inv(U1GroupElt(M), xi)
+
+    def test_foreign_quaternion_model_refused(self):
+        # j^2 = 5 is a non-residue mod 7 too, but not the identity's model
+        # j^2 = 3: the transform never mixes the two
+        p = 7
+        one, zero = QuadElt.one(p), QuadElt.zero(p)
+        M = [[QuatElt(one if i == k else zero, zero, 5) for k in range(3)]
+             for i in range(3)]
+        for xi in XI_CHOICES:
+            with pytest.raises(InputError, match="mixed quaternion models"):
+                cayley_inv(U1GroupElt(M), xi)
+            with pytest.raises(ValueError):
+                reference_cayley_inv(U1GroupElt(M), xi)
 
 
 def _admissible(g, xi):

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from atlas.errors import NoSquareRootError, PrecisionError
+from atlas.errors import InputError, NoSquareRootError, PrecisionError
 from atlas.orbits import BPoint
 from atlas.padic import (DEFAULT_PRECISION, PadicScalar, QuadElt, QuatElt,
-                         hensel_sqrt, legendre, smallest_nonresidue)
+                         hensel_sqrt, legendre, quat_solve, smallest_nonresidue)
 from atlas.serialize import decode_scalar
 
 INF = math.inf
@@ -160,10 +160,17 @@ class TestBoundaryValidation:
                                   QuadElt.exact(1, 1, q)))]
         for x, y in pairs:
             for a, b in ((x, y), (y, x)):
-                with pytest.raises(ValueError):
+                with pytest.raises(InputError, match="mixed primes"):
                     a + b
-                with pytest.raises(ValueError):
+                with pytest.raises(InputError, match="mixed primes"):
                     a * b
+        # the constructors and the solve check the prime too
+        x3, x5 = QuadElt.exact(2, 1, 3), QuadElt.exact(2, 1, 5)
+        for bad in (lambda: QuadElt(exact(1, 3), exact(1, 5)),
+                    lambda: QuatElt(x3, x5),
+                    lambda: quat_solve([[QuatElt(x3, x3)]], [[QuatElt(x5, x5)]])):
+            with pytest.raises(InputError, match="mixed primes"):
+                bad()
 
 
 class TestHensel:
@@ -322,3 +329,31 @@ class TestQuatElt:
             assert [s.rational for s in (got.x.a, got.x.b, got.y.a, got.y.b)] == \
                 [s.rational for s in (w.x.a, w.x.b, w.y.a, w.y.b)]
             assert got == w and hash(got) == hash(w)
+
+
+class TestQuaternionInputErrors:
+    """Each kind of malformed quaternion model raises InputError, which is a
+    ValueError too, so QuatElt.__eq__ still answers NotImplemented; mixed
+    primes are in TestBoundaryValidation."""
+
+    def test_mixed_quaternion_models(self):
+        x = QuadElt.exact(2, 1, 7)
+        q, r = QuatElt(x, x), QuatElt(x, x, 5)
+        assert q.eps == 3
+        for bad in (lambda: q + r, lambda: q * r, lambda: quat_solve([[q]], [[r]])):
+            with pytest.raises(InputError, match="mixed quaternion models"):
+                bad()
+        assert q.__eq__(r) is NotImplemented
+
+    def test_non_integral_j_squared(self):
+        x = QuadElt.exact(2, 1, 5)
+        q = QuatElt(x, x, Fraction(2, 25))
+        with pytest.raises(InputError, match="non-integral"):
+            quat_solve([[q]], [[q]])
+
+    def test_j_squared_a_square(self):
+        # j^2 = 1 at p = 3: 1 + j has reduced norm 0, a zero divisor
+        one, zero = QuadElt.one(3), QuadElt.zero(3)
+        pivot = QuatElt(one, one, 1)
+        with pytest.raises(InputError, match="is a square"):
+            quat_solve([[pivot]], [[QuatElt(one, zero, 1)]])
