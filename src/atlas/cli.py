@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import padic
 from .errors import AtlasError, InputError
-from .germs import dorb1, gamma_n_mu, phi_closed
+from .germs import UNNEEDED, dorb1, gamma_n_mu, germ_terms, phi_closed
 from .integrate import (DEFAULT_WINDOW, auto_window, iwasawa_orbit_u0,
                         phi_from_xi)
 from .keating import check_closed_form, l_int_closed, l_int_keating
@@ -143,7 +143,7 @@ def cmd_values(args) -> int:
         lam0, u0, wt0 = _parse("--params", args.params, Fraction, Fraction, Fraction)
         x0 = BPoint.exact(lam0, u0, wt0, p)
         vals = {}
-        for rep in orbit_reps(x0, "s_red"):
+        for rep in orbit_reps(x0):
             v = forced_s_values(x0, rep)
             vals[rep.tag] = None if v is None else str(v)
         out["case"] = case_of(x0)
@@ -166,20 +166,14 @@ def cmd_germ(args) -> int:
                              "ds": str(g.dvalue),
                              "s_form": repr(g.s_form)}
     contributions = {}
-    from .germs import UNNEEDED, dgamma_table
-    for rep in orbit_reps(x0, "s_red"):
-        if rep.tag == "n_mu":
-            contributions[rep.tag] = "family (see gamma_n_mu)"
-            continue
-        coeff = dgamma_table(x0, rep, x)
-        if coeff is UNNEEDED:
-            contributions[rep.tag] = "unneeded"
-            continue
-        val = forced_s_values(x0, rep)
-        contributions[rep.tag] = {
-            "dGamma": str(coeff),
-            "orb": None if val is None else str(val),
-        }
+    for tag, coeff, val in germ_terms(x0, x):
+        if coeff is None:
+            contributions[tag] = "family (see gamma_n_mu)"
+        elif coeff is UNNEEDED:
+            contributions[tag] = "unneeded"
+        else:
+            contributions[tag] = {"dGamma": str(coeff),
+                                  "orb": None if val is None else str(val)}
     out["contributions"] = contributions
     d = dorb1(x0, x)
     out["dOrb1"] = {"varying": str(d.varying), "constant": d.const_tag}

@@ -6,8 +6,11 @@ class AtlasError(Exception):
 
 
 class InputError(AtlasError, ValueError):
-    """Malformed input: p not an odd prime, a scalar recorded under another
-    prime, or a quaternion model other than the package's j^2 = eps."""
+    """Malformed input: p not an odd prime, operands or a scalar under
+    another prime, a serialized quaternion whose j^2 is not
+    smallest_nonresidue(p), or an element outside its space (a reduced
+    matrix with tr A or d nonzero, an alpha with a trace, a matrix not in
+    Lie coordinates)."""
 
 
 class PrecisionError(AtlasError):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import (ExcludedCaseError, InputError,
                      NotRegularSemisimpleError, UnrealizableError)
 from .integrate import DEFAULT_WINDOW, phi_from_xi
-from .orbits import BPoint, OrbitRep, case_of, in_side1_closure
+from .orbits import BPoint, OrbitRep, case_of, in_side1_closure, orbit_reps
 from .padic import PadicScalar, _sqrt_mod_p
 from .svalue import LaurentX, LogQVal, dds_s0
 from .values import eta_minus1, forced_s_values, transfer_sign_0ii
@@ -187,6 +187,22 @@ def phi_closed(x: BPoint) -> LogQVal:
     return out(-t ** e * (4 * t + (vd + 4 * vu - 4 * vw + 1) * (1 - t)) / den)
 
 
+def germ_terms(x0: BPoint, x: BPoint):
+    """(tag, dGamma, forced value) for each orbit representative over x0, at
+    x.  The family n_mu has neither: its part is the family contribution.  An
+    entry whose paired orbit integral vanishes has dGamma UNNEEDED, and the
+    value is None there and wherever the transfer forces none."""
+    out = []
+    for rep in orbit_reps(x0):
+        if rep.tag == "n_mu":
+            out.append((rep.tag, None, None))
+            continue
+        coeff = dgamma_table(x0, rep, x)
+        val = None if coeff is UNNEEDED else forced_s_values(x0, rep)
+        out.append((rep.tag, coeff, val))
+    return out
+
+
 @dataclass
 class Dorb1:
     """Assembled first-derivative term: an exact graded value around zero, or
@@ -211,7 +227,6 @@ def dorb1(x0: BPoint, x: BPoint, method: str = "closed",
     base point the unknown constant is kept symbolic.  For the diagonal-type
     base points the section's transfer factor is folded in, so that twice the
     result plus the intersection term is the comparison function."""
-    from .orbits import orbit_reps
     p = x0.p
     c = case_of(x0)
     if c == "split":
@@ -223,30 +238,19 @@ def dorb1(x0: BPoint, x: BPoint, method: str = "closed",
     if not is_in_neighborhood(x0, x):
         raise UnrealizableError("x outside the recorded neighborhood of x0")
 
+    if c != "zero":
+        total = LogQVal.const(0, p)
+    elif method == "closed":
+        total = phi_closed(x)
+    elif method == "oracle":
+        total = phi_from_xi(x, window)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    for _, coeff, val in germ_terms(x0, x):
+        if val is not None:
+            total = total + coeff * val
     if c == "zero":
-        if method == "closed":
-            phi = phi_closed(x)
-        elif method == "oracle":
-            phi = phi_from_xi(x, window)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        total = phi
-        for rep in orbit_reps(x0, "s_red"):
-            if rep.tag == "n_mu":
-                continue
-            coeff = dgamma_table(x0, rep, x)
-            total = total + coeff * forced_s_values(x0, rep)
         return Dorb1(total, None)
-
-    total = LogQVal.const(0, p)
-    for rep in orbit_reps(x0, "s_red"):
-        coeff = dgamma_table(x0, rep, x)
-        if coeff is UNNEEDED:
-            continue
-        val = forced_s_values(x0, rep)
-        if val is None:
-            continue
-        total = total + coeff * val
     if c == "0ii":
         total = total * transfer_sign_0ii(x0)   # transfer factor of the section
     return Dorb1(total, f"C({c};{x0.lam!r},{x0.u!r},{x0.wtilde!r})")

@@ -12,7 +12,7 @@ from fractions import Fraction
 from .errors import (CayleyUndefinedError, InputError,
                      NotRegularSemisimpleError, UnrealizableError)
 from .padic import (INF, PadicScalar, QuadElt, QuatElt, cayley_solve,
-                    hensel_sqrt, quat_solve, smallest_nonresidue)
+                    hensel_sqrt, quat_solve)
 
 
 def _ps(x, p: int) -> PadicScalar:
@@ -165,9 +165,9 @@ class SRedElt:
         p = z[0][0].p
         tr = z[0][0] + z[1][1]
         if not tr.is_zero_at_precision():
-            raise ValueError("not reduced: tr A != 0")
+            raise InputError("not reduced: tr A != 0")
         if not z[2][2].is_zero_at_precision():
-            raise ValueError("not reduced: d != 0")
+            raise InputError("not reduced: d != 0")
         self.z = z
 
     @classmethod
@@ -312,7 +312,7 @@ class U1RedElt:
     def __init__(self, alpha: QuatElt, b: QuatElt):
         tr = alpha.trd()
         if not tr.is_zero_at_precision():
-            raise ValueError("alpha must be traceless")
+            raise InputError("alpha must be traceless")
         self.alpha = alpha
         self.b = b
 
@@ -401,9 +401,9 @@ def u1_lie_from_matrix(M) -> U1LieElt:
     b = M[1][2]
     d = M[2][2]
     if not _is_f0_scalar(beta):
-        raise ValueError("matrix not in Lie coordinates: beta not in F0")
+        raise InputError("matrix not in Lie coordinates: beta not in F0")
     if not d.y.is_zero():
-        raise ValueError("matrix not in Lie coordinates: d not in F")
+        raise InputError("matrix not in Lie coordinates: d not in F")
     return U1LieElt(alpha, beta.x.a, b, d.x)
 
 
@@ -553,11 +553,10 @@ def in_side1_closure(x0: BPoint) -> bool:
 
 @dataclass(frozen=True)
 class OrbitRep:
-    space: str                 # 's_red' | 'u0_red' | 'u1_red'
+    """A representative in the reduced anti-hermitian space; excluded marks
+    the split case, which the comparison skips."""
     tag: str
     payload: object            # None for a family descriptor
-    base_point: BPoint
-    param: object = None
     excluded: bool = False
 
 
@@ -582,14 +581,13 @@ def u0_nilpotent_family_member(beta, p: int) -> U0RedElt:
     return U0RedElt.exact(0, beta * p, 0, QuadElt.pi(p), 0, p)
 
 
-def u0_ss_case0(lam0, p: int, eps_unit=1) -> U0RedElt:
+def u0_ss_case0(lam0, p: int) -> U0RedElt:
     """Semisimple representative over (lam0, 0, 0) on the quasi-split side;
     lam0 = 0 is the zero orbit, which has none."""
     lam0 = Fraction(lam0)
     if lam0 == 0:
         raise InputError("lam0 must be nonzero")
-    eps_unit = Fraction(eps_unit)
-    return U0RedElt.exact(0, -lam0 / eps_unit, eps_unit, 0, 0, p)
+    return U0RedElt.exact(0, -lam0, 1, 0, 0, p)
 
 
 def u0_ss_case1(x0: BPoint) -> U0RedElt:
@@ -631,34 +629,16 @@ def u0_ss_case1(x0: BPoint) -> U0RedElt:
     return y
 
 
-def orbit_reps(x0: BPoint, space: str = "s_red"):
+def orbit_reps(x0: BPoint):
     """The representative list of the relevant orbits in the fiber over a
-    degenerate base point."""
+    degenerate base point, in the reduced anti-hermitian space."""
     p = x0.p
     c = case_of(x0)
 
-    if space == "u0_red":
-        if c == "zero":
-            zero_rep = U0RedElt.exact(0, 0, 0, 0, 0, p)
-            return [OrbitRep("u0_red", "zero", zero_rep, x0),
-                    OrbitRep("u0_red", "n_beta", None, x0)]
-        if c in ("0i", "0ii", "split"):
-            reps = [OrbitRep("u0_red", "y0", u0_ss_case0(x0.lam.rational, p), x0,
-                             excluded=(c == "split"))]
-            if c == "0ii":
-                eps = smallest_nonresidue(p)
-                reps.append(OrbitRep("u0_red", "y0_alt",
-                                     u0_ss_case0(x0.lam.rational, p, eps), x0))
-            return reps
-        return [OrbitRep("u0_red", "y0", u0_ss_case1(x0), x0)]
-
-    if space != "s_red":
-        raise ValueError(f"unknown space {space!r}")
-
     if c == "zero":
-        return [OrbitRep("s_red", "n_mu", None, x0),
-                OrbitRep("s_red", "n0_plus", regular_nilpotent(+1, p), x0),
-                OrbitRep("s_red", "n0_minus", regular_nilpotent(-1, p), x0)]
+        return [OrbitRep("n_mu", None),
+                OrbitRep("n0_plus", regular_nilpotent(+1, p)),
+                OrbitRep("n0_minus", regular_nilpotent(-1, p))]
 
     if c == "1":
         lam0, u0, wt0 = x0.lam, x0.u, x0.wtilde
@@ -666,8 +646,7 @@ def orbit_reps(x0: BPoint, space: str = "s_red"):
         zero, one = _ps(0, p), _ps(1, p)
         y_plus = SRedElt([[alpha, zero, one], [one, -alpha, zero], [u0, zero, zero]])
         y_minus = SRedElt([[alpha, one, one], [zero, -alpha, zero], [u0, zero, zero]])
-        return [OrbitRep("s_red", "y_plus", y_plus, x0),
-                OrbitRep("s_red", "y_minus", y_minus, x0)]
+        return [OrbitRep("y_plus", y_plus), OrbitRep("y_minus", y_minus)]
 
     lam0 = x0.lam
     zero, one = _ps(0, p), _ps(1, p)
@@ -677,9 +656,8 @@ def orbit_reps(x0: BPoint, space: str = "s_red"):
         y0 = SRedElt([[zero, mlam, zero], [one, zero, zero], [zero, zero, zero]])
         y_plus = SRedElt([[zero, mlam, one], [one, zero, zero], [zero, zero, zero]])
         y_minus = SRedElt([[zero, mlam, zero], [one, zero, zero], [one, zero, zero]])
-        return [OrbitRep("s_red", "y0", y0, x0, excluded=excl),
-                OrbitRep("s_red", "y_plus", y_plus, x0, excluded=excl),
-                OrbitRep("s_red", "y_minus", y_minus, x0, excluded=excl)]
+        return [OrbitRep("y0", y0, excl), OrbitRep("y_plus", y_plus, excl),
+                OrbitRep("y_minus", y_minus, excl)]
 
     # case 0ii: diagonalizable shapes with alpha^2 = -lam0/p
     alpha = padic_sqrt(-(lam0 / p))
@@ -688,11 +666,8 @@ def orbit_reps(x0: BPoint, space: str = "s_red"):
     y_pm = SRedElt([[alpha, zero, one], [zero, -alpha, zero], [zero, one, zero]])
     y_mm = SRedElt([[alpha, zero, zero], [zero, -alpha, zero], [one, one, zero]])
     y_mp = SRedElt([[alpha, zero, zero], [zero, -alpha, one], [one, zero, zero]])
-    return [OrbitRep("s_red", "y0", y0, x0),
-            OrbitRep("s_red", "y_pp", y_pp, x0),
-            OrbitRep("s_red", "y_pm", y_pm, x0),
-            OrbitRep("s_red", "y_mm", y_mm, x0),
-            OrbitRep("s_red", "y_mp", y_mp, x0)]
+    return [OrbitRep("y0", y0), OrbitRep("y_pp", y_pp), OrbitRep("y_pm", y_pm),
+            OrbitRep("y_mm", y_mm), OrbitRep("y_mp", y_mp)]
 
 
 # ---------------------------------------------------------------------------

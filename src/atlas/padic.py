@@ -1,6 +1,9 @@
 """Exact and capped-precision arithmetic for Q_p, its ramified quadratic
 extension F = Q_p(pi) with pi^2 = p, and the quaternion division algebra
-D = F + F*j with j^2 = eps, j*a = conj(a)*j.
+D = F + F*j with j^2 = eps, j*a = conj(a)*j.  Over Q_p that algebra is
+unique up to isomorphism, so p fixes the model: eps is always
+smallest_nonresidue(p), a unit that is not a square mod p, and no element
+stores it.
 
 Scalars come in two flavours: exact rationals (Fraction-backed) and capped
 p-adic expansions storing a valuation plus finitely many unit digits.  Mixed
@@ -21,11 +24,11 @@ denominators (`_int_coords`, `_int_quat_mul`), and one Fraction per
 coordinate of the result.  A product with a capped coordinate keeps the
 formula on the eight scalar coordinates.  The linear solves over D work on
 the same coordinates, one denominator per row (`_int_rows`, which also checks
-the entries): `quat_solve` reads the rows of [A | B], and `cayley_solve`
-writes the rows of [1 - S M | 1 + S M], S a diagonal of signs, from those of
-M alone, adding the row denominator for the 1 on the diagonal.  Both end in
-`_solve_rows`, which eliminates on integers and builds Fractions only for
-the solution.
+that the entries are exact and share a prime): `quat_solve` reads the rows
+of [A | B], and `cayley_solve` writes the rows of [1 - S M | 1 + S M], S a
+diagonal of signs, from those of M alone, adding the row denominator for the
+1 on the diagonal.  Both end in `_solve_rows`, which eliminates on integers
+and builds Fractions only for the solution.
 """
 
 from __future__ import annotations
@@ -597,19 +600,16 @@ class QuadElt:
 
 
 class QuatElt:
-    """x + y*j in D = F + F*j, with j^2 = eps a fixed non-residue unit and
+    """x + y*j in D = F + F*j, with j^2 = smallest_nonresidue(p) and
     j*a = conj(a)*j for a in F."""
 
-    __slots__ = ("x", "y", "eps")
+    __slots__ = ("x", "y")
 
-    def __init__(self, x: QuadElt, y: QuadElt, eps=None):
+    def __init__(self, x: QuadElt, y: QuadElt):
         if x.p != y.p:
             raise InputError("mixed primes")
         self.x = x
         self.y = y
-        if eps is None:
-            eps = smallest_nonresidue(x.p)
-        self.eps = eps if isinstance(eps, Fraction) else Fraction(eps)
 
     @classmethod
     def from_f(cls, x: QuadElt) -> "QuatElt":
@@ -633,25 +633,23 @@ class QuatElt:
 
     def _coerce(self, other) -> "QuatElt":
         if isinstance(other, QuatElt):
-            if other.eps != self.eps:
-                raise InputError("mixed quaternion models")
             return other
         if isinstance(other, QuadElt):
-            return QuatElt(other, QuadElt.zero(self.p), self.eps)
+            return QuatElt(other, QuadElt.zero(self.p))
         if isinstance(other, (int, Fraction, PadicScalar)):
             z = QuadElt.zero(self.p)
-            return QuatElt(z._coerce(other), z, self.eps)
+            return QuatElt(z._coerce(other), z)
         raise TypeError(f"cannot coerce {type(other)} to QuatElt")
 
     def conj(self) -> "QuatElt":
         """Main involution: x + y*j -> conj(x) - y*j."""
-        return QuatElt(self.x.conj(), -self.y, self.eps)
+        return QuatElt(self.x.conj(), -self.y)
 
     def trd(self) -> PadicScalar:
         return self.x.trace()
 
     def nrd(self) -> PadicScalar:
-        eps = PadicScalar(self.p, _fr=self.eps)
+        eps = PadicScalar(self.p, _fr=Fraction(smallest_nonresidue(self.p)))
         return self.x.norm() - eps * self.y.norm()
 
     def v_d(self):
@@ -671,19 +669,19 @@ class QuatElt:
 
     def plus_part(self) -> "QuatElt":
         """Component fixed by conjugation by pi (the F-part)."""
-        return QuatElt(self.x, QuadElt.zero(self.p), self.eps)
+        return QuatElt(self.x, QuadElt.zero(self.p))
 
     def minus_part(self) -> "QuatElt":
-        return QuatElt(QuadElt.zero(self.p), self.y, self.eps)
+        return QuatElt(QuadElt.zero(self.p), self.y)
 
     def __add__(self, other):
         o = self._coerce(other)
-        return QuatElt(self.x + o.x, self.y + o.y, self.eps)
+        return QuatElt(self.x + o.x, self.y + o.y)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuatElt(-self.x, -self.y, self.eps)
+        return QuatElt(-self.x, -self.y)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -693,32 +691,30 @@ class QuatElt:
 
     def __mul__(self, other):
         """(x1 + y1 j)(x2 + y2 j) = (x1 x2 + eps y1 conj(y2))
-        + (x1 y2 + y1 conj(x2)) j.  Exact operands with an integral j^2
-        multiply on integer coordinates (`_int_coords`, `_int_quat_mul`); an
-        operand with a capped coordinate takes the formula on the eight scalar
-        coordinates."""
+        + (x1 y2 + y1 conj(x2)) j.  Exact operands multiply on integer
+        coordinates (`_int_coords`, `_int_quat_mul`); an operand with a capped
+        coordinate takes the formula on the eight scalar coordinates."""
         o = self._coerce(other)
         p = self.p
         if o.p != p:
             raise InputError("mixed primes")
-        eps = self.eps
+        eps = smallest_nonresidue(p)
         u, v = _int_coords(self), _int_coords(o)
-        if u is not None and v is not None and eps.denominator == 1:
+        if u is not None and v is not None:
             den = u[0] * v[0]
             s = [PadicScalar(p, _fr=Fraction(t, den) if t else _FR_ZERO)
-                 for t in _int_quat_mul(u[1], v[1], p, eps.numerator)]
-            return QuatElt(QuadElt(s[0], s[1]), QuadElt(s[2], s[3]), eps)
+                 for t in _int_quat_mul(u[1], v[1], p, eps)]
+            return QuatElt(QuadElt(s[0], s[1]), QuadElt(s[2], s[3]))
         a1, b1, c1, d1 = self.x.a, self.x.b, self.y.a, self.y.b
         a2, b2, c2, d2 = o.x.a, o.x.b, o.y.a, o.y.b
-        eps, pp = PadicScalar(p, _fr=eps), PadicScalar(p, _fr=Fraction(p))
+        eps, pp = PadicScalar(p, _fr=Fraction(eps)), PadicScalar(p, _fr=Fraction(p))
         nb2, nd2 = -b2, -d2
         e1, f1 = c1 * eps, d1 * eps
         return QuatElt(
             QuadElt(a1 * a2 + b1 * b2 * pp + (e1 * c2 + f1 * nd2 * pp),
                     a1 * b2 + b1 * a2 + (e1 * nd2 + f1 * c2)),
             QuadElt(a1 * c2 + b1 * d2 * pp + (c1 * a2 + d1 * nb2 * pp),
-                    a1 * d2 + b1 * c2 + (c1 * nb2 + d1 * a2)),
-            self.eps)
+                    a1 * d2 + b1 * c2 + (c1 * nb2 + d1 * a2)))
 
     def __rmul__(self, other):
         # scalar (central) multiplication only
@@ -729,7 +725,7 @@ class QuatElt:
         n = self.nrd()
         c = self.conj()
         return QuatElt(QuadElt(c.x.a / n, c.x.b / n),
-                       QuadElt(c.y.a / n, c.y.b / n), self.eps)
+                       QuadElt(c.y.a / n, c.y.b / n))
 
     def __truediv__(self, other):
         return self * self._coerce(other).inv()
@@ -745,7 +741,7 @@ class QuatElt:
         # an element of F equals its embedding in D
         if self.y.a.is_exact_zero() and self.y.b.is_exact_zero():
             return hash(self.x)
-        return hash((self.x, self.y, self.eps))
+        return hash((self.x, self.y))
 
     def __repr__(self):
         return f"[{self.x} + {self.y}*j]"
@@ -791,10 +787,11 @@ def _primitive(row):
 def _eliminate(rows, p: int, e: int) -> bool:
     """Fraction-free Gauss-Jordan, in place, on the primitive integer rows of
     [A | B]: clearing column col uses row_r <- N(P) row_r - (f conj(P)) row_col,
-    with P the pivot, f the entry cleared and N(P) = a^2 - p b^2 - eps(c^2 - p d^2)
-    an integer, and each new row is divided by its content.  With exact
-    entries every nonzero pivot gives the same solution, so the first is taken.
-    False when A is singular."""
+    with P the pivot, f the entry cleared and N(P) = a^2 - p b^2 - e(c^2 - p d^2)
+    an integer, and each new row is divided by its content.  N(P) is nonzero:
+    e = smallest_nonresidue(p), so the reduced norm of the division algebra is
+    anisotropic.  With exact entries every nonzero pivot gives the same
+    solution, so the first is taken.  False when A is singular."""
     n = len(rows)
     for col in range(n):
         piv = next((r for r in range(col, n) if any(rows[r][col])), None)
@@ -804,8 +801,6 @@ def _eliminate(rows, p: int, e: int) -> bool:
         prow = rows[col]
         a, b, c, d = prow[col]
         norm = _int_nrd(prow[col], p, e)
-        if norm == 0:
-            raise InputError(f"j^2 = {e} is a square: D is not a division algebra")
         pconj = (a, -b, -c, -d)
         for r in range(n):
             f = rows[r][col]
@@ -819,36 +814,32 @@ def _eliminate(rows, p: int, e: int) -> bool:
 
 
 def _int_rows(rows):
-    """(p, eps, [(den, [(a, b, c, d), ...]), ...]): the exact QuatElt entries of
+    """(p, [(den, [(a, b, c, d), ...]), ...]): the exact QuatElt entries of
     each row as integer coordinates over one denominator per row, the lcm of
     the row's coordinate denominators, so that every entry is
     ((a + b pi) + (c + d pi) j) / den.  Every entry must share the first
-    one's prime and j^2 model, j^2 must be an integer, and a capped entry
-    raises PrecisionError."""
-    p, eps = rows[0][0].p, rows[0][0].eps
-    if eps.denominator != 1:
-        raise InputError(f"quaternion model with a non-integral j^2 = {eps}")
+    one's prime (InputError otherwise), and a capped entry raises
+    PrecisionError."""
+    p = rows[0][0].p
     out = []
     for row in rows:
         for q in row:
             if q.p != p:
                 raise InputError("mixed primes")
-            if q.eps != eps:
-                raise InputError("mixed quaternion models")
         coords = [_int_coords(q) for q in row]
         if None in coords:
             raise PrecisionError("the quaternion solve takes exact entries only")
         den = math.lcm(*(d for d, _ in coords))
         out.append((den, [tuple(s * (den // d) for s in q) for d, q in coords]))
-    return p, eps, out
+    return p, out
 
 
-def _solve_rows(rows, p: int, eps: Fraction, signs):
+def _solve_rows(rows, p: int, signs):
     """Z with A Z = B from the primitive integer rows of [A | B], row i of Z
     multiplied by signs[i] = +-1; None when A is singular.  `_eliminate` makes
     A diagonal, and Fractions are built only for Z:
     Z_i = conj(D_i) R_i / N(D_i)."""
-    e = eps.numerator
+    e = smallest_nonresidue(p)
     if not _eliminate(rows, p, e):
         return None
     n = len(rows)
@@ -860,7 +851,7 @@ def _solve_rows(rows, p: int, eps: Fraction, signs):
         for y in row[n:]:
             s = [PadicScalar(p, _fr=Fraction(t, norm))
                  for t in _int_quat_mul((a, -b, -c, -d), y, p, e)]
-            zs.append(QuatElt(QuadElt(s[0], s[1]), QuadElt(s[2], s[3]), eps))
+            zs.append(QuatElt(QuadElt(s[0], s[1]), QuadElt(s[2], s[3])))
         out.append(zs)
     return out
 
@@ -871,8 +862,8 @@ def quat_solve(A, B):
     denominators, a central factor that leaves Z unchanged, to integer
     coordinates (`_int_rows`) and divided by their content; `_solve_rows`
     eliminates.  A capped entry raises PrecisionError."""
-    p, eps, rows = _int_rows([(*ra, *rb) for ra, rb in zip(A, B)])
-    return _solve_rows([_primitive(row) for _, row in rows], p, eps, [1] * len(rows))
+    p, rows = _int_rows([(*ra, *rb) for ra, rb in zip(A, B)])
+    return _solve_rows([_primitive(row) for _, row in rows], p, [1] * len(rows))
 
 
 def cayley_solve(M, signs, out_signs):
@@ -881,11 +872,8 @@ def cayley_solve(M, signs, out_signs):
     [1 - S M | 1 + S M] are written from the integer coordinates of M over one
     denominator den per row (`_int_rows`): the sign s of row i negates M's
     coordinates on one side, and the 1 on the diagonal adds den to the first
-    coordinate.  The entry checks are those of `quat_solve`, and M must be in
-    the identity's model j^2 = smallest_nonresidue(p)."""
-    p, eps, rows = _int_rows(M)
-    if eps != smallest_nonresidue(p):
-        raise InputError("mixed quaternion models")
+    coordinate.  The entry checks are those of `quat_solve`."""
+    p, rows = _int_rows(M)
     built = []
     for i, ((den, qs), s) in enumerate(zip(rows, signs)):
         neg = [(-a, -b, -c, -d) for a, b, c, d in qs]
@@ -894,4 +882,4 @@ def cayley_solve(M, signs, out_signs):
             a, b, c, d = side[i]
             side[i] = (den + a, b, c, d)
         built.append(_primitive(left + right))
-    return _solve_rows(built, p, eps, out_signs)
+    return _solve_rows(built, p, out_signs)

@@ -49,18 +49,20 @@ def decode_quad(obj, p: int) -> QuadElt:
 
 
 def encode_quat(z: QuatElt):
-    return {"x": encode_quad(z.x), "y": encode_quad(z.y), "eps": str(z.eps)}
+    return {"x": encode_quad(z.x), "y": encode_quad(z.y),
+            "eps": str(smallest_nonresidue(z.p))}
 
 
 def decode_quat(obj, p: int) -> QuatElt:
     """Only the package's model j^2 = smallest_nonresidue(p) is accepted: any
-    other eps is a different algebra, split when eps is a square."""
+    other eps is another presentation, or the split algebra when eps is a
+    square."""
     x, y = decode_quad(obj["x"], p), decode_quad(obj["y"], p)
     eps = Fraction(obj["eps"])
     if eps != smallest_nonresidue(p):
         raise InputError(f"quaternion model j^2 = {eps}; at p = {p} the model "
                          f"is j^2 = {smallest_nonresidue(p)}")
-    return QuatElt(x, y, eps)
+    return QuatElt(x, y)
 
 
 def encode_bpoint(x: BPoint):

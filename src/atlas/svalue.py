@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InputError
+
 
 class _Graded:
     """A finite sum  sum_k c_k g^k  with rational coefficients and integer
@@ -29,7 +31,7 @@ class _Graded:
     def _check(self, other):
         if type(other) is type(self):
             if other.p != self.p:
-                raise ValueError("mixed primes")
+                raise InputError("mixed primes")
             return other
         if isinstance(other, _Graded):
             raise TypeError(f"{type(self).__name__} and "

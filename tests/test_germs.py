@@ -167,7 +167,7 @@ class TestDGammaTable:
         p = 3
         x0 = zero_point(p)
         x = make_bpoint_rs1(1, 2, 3, p)
-        reps = {r.tag: r for r in orbit_reps(x0, "s_red")}
+        reps = {r.tag: r for r in orbit_reps(x0)}
         assert dgamma_table(x0, reps["n0_plus"], x).is_zero()
         k = x.delta().val() - 1
         assert dgamma_table(x0, reps["n0_minus"], x) == LogQVal({1: -k}, p)
@@ -177,7 +177,7 @@ class TestDGammaTable:
         x0 = BPoint.exact(1, 0, 0, p)
         assert case_of(x0) == "0i"
         x = BPoint.exact(1, 27, 0, p)
-        reps = {r.tag: r for r in orbit_reps(x0, "s_red")}
+        reps = {r.tag: r for r in orbit_reps(x0)}
         assert dgamma_table(x0, reps["y_plus"], x).is_zero()
         v = x.delta().val() - x0.lam.val()
         e = PadicScalar.exact(-1, p).eta()
@@ -187,7 +187,7 @@ class TestDGammaTable:
         p = 3
         x0 = BPoint.exact(-3, 1, 1, p)
         x = BPoint.exact(-3 + 3 ** 7, 1, 1, p)
-        reps = {r.tag: r for r in orbit_reps(x0, "s_red")}
+        reps = {r.tag: r for r in orbit_reps(x0)}
         v = x.delta().val() - 2 * x0.u.val() - 1
         assert dgamma_table(x0, reps["y_minus"], x) == LogQVal({1: -v}, p)
 
@@ -195,7 +195,7 @@ class TestDGammaTable:
         p = 5
         x0 = BPoint.exact(-20, 0, 0, p)
         x = BPoint.exact(-20, 5 ** 8, 0, p)
-        reps = {r.tag: r for r in orbit_reps(x0, "s_red")}
+        reps = {r.tag: r for r in orbit_reps(x0)}
         assert dgamma_table(x0, reps["y_pm"], x) is UNNEEDED
         assert dgamma_table(x0, reps["y_mp"], x) is UNNEEDED
         assert dgamma_table(x0, reps["y_pp"], x).is_zero()
@@ -204,7 +204,7 @@ class TestDGammaTable:
         p = 3
         x0 = BPoint.exact(1, 0, 0, p)
         far = BPoint.exact(2, 1, 0, p)
-        reps = orbit_reps(x0, "s_red")
+        reps = orbit_reps(x0)
         with pytest.raises(UnrealizableError):
             dgamma_table(x0, reps[1], far)
 
@@ -212,7 +212,7 @@ class TestDGammaTable:
         # the n0_minus row read v(Delta) = inf and raised OverflowError
         p = 3
         x0 = zero_point(p)
-        reps = {r.tag: r for r in orbit_reps(x0, "s_red")}
+        reps = {r.tag: r for r in orbit_reps(x0)}
         for x in (BPoint.exact(0, 1, 0, p), BPoint.exact(0, 0, 0, p),
                   BPoint.exact(3, 0, 0, p)):
             assert x.delta().is_exact_zero()
@@ -229,7 +229,7 @@ class TestDGammaTable:
         assert x.side() == 1
         dl = x.delta() / x.lam
         s_form = LaurentX({-dl.val(): 1}, p) * dl.eta()
-        reps = {r.tag: r for r in orbit_reps(x0, "s_red")}
+        reps = {r.tag: r for r in orbit_reps(x0)}
         assert dds_s0(s_form) == dgamma_table(x0, reps["y_minus"], x)
 
 
@@ -287,7 +287,7 @@ class TestDorb1:
         d2 = dorb1(x0, x2)
         diff = d2 - d
         # slope is the forced value times the change in v(Delta)
-        v = forced_s_values(x0, orbit_reps(x0, "s_red")[1])
+        v = forced_s_values(x0, orbit_reps(x0)[1])
         assert diff == LogQVal({1: -2 * v}, p)
 
     def test_split_rejected(self):

@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+import test_acceptance
 
 from atlas import integrate, padic
 from atlas.errors import ConductorError, InputError, PrecisionError, StabilizationError
@@ -11,14 +12,15 @@ from atlas.integrate import (TAIL_SAMPLES, Ball0, BallF, _conj_polys, _eta,
                              auto_window, close_poly_geometric_tail,
                              iwasawa_orbit_u0, phi_from_xi, xi_integral)
 from atlas.cli import main
-from atlas.orbits import (INF, XI_CHOICES, BPoint, U1LieElt, admissible_xi,
-                          cayley, cayley_inv, make_bpoint_rs1,
+from atlas.orbits import (INF, XI_CHOICES, BPoint, U0RedElt, U1LieElt,
+                          admissible_xi, cayley, cayley_inv, make_bpoint_rs1,
                           u0_nilpotent_family_member, u0_ss_case0,
                           u0_ss_case1)
 from atlas.padic import PadicScalar, QuadElt, QuatElt
 from atlas.svalue import LogQVal
 from atlas.values import (nil_family_orb_u0_fn, orb_u0_ss_case0,
                           orb_u0_ss_case1, phi_eval)
+from atlas.verify import expected_constant_at_zero, phi1
 
 # the criterion-5 points (m, l-, l+) at p = 3
 XI_POINTS = ((0, 1, INF), (1, 3, 5), (0, 2, 3), (1, 1, 3), (2, 3, 5), (2, 1, 7),
@@ -404,7 +406,7 @@ class TestIwasawa:
         p = 5
         lam0 = Fraction(-5)          # 0ii-type: two orbits upstairs
         a = iwasawa_orbit_u0(u0_ss_case0(lam0, p))
-        b = iwasawa_orbit_u0(u0_ss_case0(lam0, p, eps_unit=2))
+        b = iwasawa_orbit_u0(U0RedElt.exact(0, -lam0 / 2, 2, 0, 0, p))
         assert a == b == orb_u0_ss_case0(lam0, p)
 
     def test_ss_case1_spot(self):
@@ -670,6 +672,20 @@ class TestExactness:
         assert main(["verify", "zero", "--p", "3", "--m-max", "1", "--l-max", "3"]) == 0
         assert main(["verify", "x0", "--p", "5"]) == 0
         assert "constant" in capsys.readouterr().out
+
+    def test_criteria_build_no_capped_scalar(self, monkeypatch):
+        # criteria 1, 3 and 6 as the acceptance suite runs them, and
+        # criterion 2 on a sparse subgrid of its side-1 grid
+        forbid_capped(monkeypatch)
+        test_acceptance.test_criterion_1_closed_vs_oracle_lint()
+        test_acceptance.test_criterion_3_constancy_at_nonzero_base_points()
+        test_acceptance.test_criterion_6_fourier_involution_and_matching()
+        for p in (3, 5, 7):
+            want = expected_constant_at_zero(p)
+            for m in (0, 4, 8):
+                for lm in (1, 10, 19):
+                    for lp in (1, 19, INF):
+                        assert phi1(make_bpoint_rs1(m, lm, lp, p)) == want
 
 
 class TestXi:

@@ -11,7 +11,7 @@ from atlas.errors import AtlasError, InputError
 from atlas.integrate import DEFAULT_WINDOW, auto_window
 from atlas.orbits import (BPoint, U0RedElt, U1RedElt, section_sigma,
                           u0_nilpotent_family_member, u0_ss_case0, u0_ss_case1)
-from atlas.padic import PadicScalar, QuadElt, QuatElt
+from atlas.padic import PadicScalar, QuadElt, QuatElt, smallest_nonresidue
 from atlas.serialize import (decode_bpoint, decode_element, decode_quat,
                              decode_scalar, encode_bpoint, encode_element,
                              encode_quat, encode_scalar)
@@ -121,14 +121,18 @@ class TestSerialize:
         assert back.invariants().lam == u.invariants().lam
 
     def test_decoders_reject_foreign_models_and_primes(self):
-        p = 3
-        obj = encode_quat(QuatElt.j(p))
-        assert decode_quat(obj, p) == QuatElt.j(p)
-        obj["eps"] = "1"
-        with pytest.raises(InputError):
-            decode_quat(obj, p)
-        with pytest.raises(InputError):
-            decode_scalar(encode_scalar(PadicScalar.capped(5, 0, 2, 4)), p)
+        for p in (3, 5, 7):
+            obj = encode_quat(QuatElt.j(p))
+            assert obj["eps"] == str(smallest_nonresidue(p))
+            assert decode_quat(obj, p) == QuatElt.j(p)
+            # a square, and a non-residue other than the model's
+            for eps in ("1", str(smallest_nonresidue(p) + p)):
+                obj["eps"] = eps
+                with pytest.raises(InputError):
+                    decode_quat(obj, p)
+            q = 5 if p == 3 else 3
+            with pytest.raises(InputError):
+                decode_scalar(encode_scalar(PadicScalar.capped(q, 0, 2, 4)), p)
         assert issubclass(InputError, AtlasError) and issubclass(InputError, ValueError)
 
     def test_bpoint_round_trip(self):
@@ -208,7 +212,7 @@ class TestCli:
             "rs": True, "side": 1}
 
     @pytest.mark.parametrize("bad", ["eps", "prime", "space", "field", "json",
-                                     "missing"])
+                                     "missing", "trace", "corner", "traceless"])
     def test_invariants_rejects_bad_elements(self, bad, tmp_path, capsys):
         # the last four ended in a ValueError, KeyError, JSONDecodeError and
         # FileNotFoundError traceback
@@ -224,6 +228,14 @@ class TestCli:
             obj = {"space": "u9_red", "p": 3}
         elif bad == "field":
             obj = {"space": "s_red", "p": 3}
+        elif bad in ("trace", "corner"):
+            # tr A != 0, or a nonzero lower-right entry d
+            k = 0 if bad == "trace" else 2
+            obj = {"space": "s_red", "p": p,
+                   "z": [[encode_scalar(PadicScalar.exact(int(i == j == k), p))
+                          for j in range(3)] for i in range(3)]}
+        elif bad == "traceless":
+            obj["alpha"] = encode_quat(QuatElt.one(p))
         f = tmp_path / "elem.json"
         if bad == "json":
             f.write_text("{not json")

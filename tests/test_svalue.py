@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from atlas.errors import InputError
 from atlas.svalue import LaurentX, LogQVal, dds_s0, zeta1
 
 
@@ -52,6 +53,13 @@ class TestLaurentX:
                 a + b
             with pytest.raises(TypeError):
                 a * b
+
+    def test_mixed_primes_refused(self):
+        a, b = LogQVal.const(1, 3), LogQVal.const(1, 5)
+        for bad in (lambda: a + b, lambda: a * b):
+            with pytest.raises(InputError, match="mixed primes"):
+                bad()
+        assert a.__eq__(b) is NotImplemented
 
 
 class TestValueDds:

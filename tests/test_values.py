@@ -128,7 +128,7 @@ class TestForced:
         p = 3
         x0 = BPoint.exact(-1, 0, 0, p)      # -lam0 = 1 square -> split; pick another
         x0 = BPoint.exact(1, 0, 0, p)       # -lam0 = -1 nonsquare at p=3
-        reps = {r.tag: r for r in orbit_reps(x0, "s_red")}
+        reps = {r.tag: r for r in orbit_reps(x0)}
         vp = forced_s_values(x0, reps["y_plus"])
         vm = forced_s_values(x0, reps["y_minus"])
         assert vp == Fraction(1, 2)
@@ -138,7 +138,7 @@ class TestForced:
     def test_case_0ii_zeros(self):
         p = 5
         x0 = BPoint.exact(-20, 0, 0, p)
-        reps = {r.tag: r for r in orbit_reps(x0, "s_red")}
+        reps = {r.tag: r for r in orbit_reps(x0)}
         assert forced_s_values(x0, reps["y_pm"]) == 0
         assert forced_s_values(x0, reps["y_mp"]) == 0
         vpp = forced_s_values(x0, reps["y_pp"])
@@ -149,7 +149,7 @@ class TestForced:
     def test_case_1_half(self):
         p = 5
         x0 = BPoint.exact(0, 1, 0, p)
-        reps = {r.tag: r for r in orbit_reps(x0, "s_red")}
+        reps = {r.tag: r for r in orbit_reps(x0)}
         v = forced_s_values(x0, reps["y_minus"])
         assert v == Fraction(1, 2) * orb_u0_ss_case1(0, 1, p)
         assert forced_s_values(x0, reps["y_plus"]) == v
@@ -157,6 +157,6 @@ class TestForced:
     def test_split_excluded(self):
         p = 5
         x0 = BPoint.exact(-4, 0, 0, p)
-        rep = orbit_reps(x0, "s_red")[0]
+        rep = orbit_reps(x0)[0]
         with pytest.raises(ExcludedCaseError):
             forced_s_values(x0, rep)
