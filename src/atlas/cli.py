@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import padic
 from .errors import AtlasError, InputError
-from .germs import UNNEEDED, dorb1, gamma_n_mu, germ_terms, phi_closed
+from .germs import UNNEEDED, dorb1, gamma_n_mu, phi_closed
 from .integrate import (DEFAULT_WINDOW, auto_window, iwasawa_orbit_u0,
                         phi_from_xi)
 from .keating import check_closed_form, l_int_closed, l_int_keating
@@ -165,8 +165,9 @@ def cmd_germ(args) -> int:
         out["gamma_n_mu"] = {"value_at_0": str(g.value_at_0),
                              "ds": str(g.dvalue),
                              "s_form": repr(g.s_form)}
+    d = dorb1(x0, x)
     contributions = {}
-    for tag, coeff, val in germ_terms(x0, x):
+    for tag, coeff, val in d.terms:
         if coeff is None:
             contributions[tag] = "family (see gamma_n_mu)"
         elif coeff is UNNEEDED:
@@ -175,7 +176,6 @@ def cmd_germ(args) -> int:
             contributions[tag] = {"dGamma": str(coeff),
                                   "orb": None if val is None else str(val)}
     out["contributions"] = contributions
-    d = dorb1(x0, x)
     out["dOrb1"] = {"varying": str(d.varying), "constant": d.const_tag}
     print(json.dumps(out, indent=2))
     return 0

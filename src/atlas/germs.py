@@ -24,6 +24,9 @@ UNNEEDED = "unneeded"
 
 NEIGHBORHOOD_DEPTH = 4
 
+# the two ways to compute the family contribution around zero
+METHODS = ("closed", "oracle")
+
 
 @dataclass
 class GermCoeff:
@@ -31,6 +34,12 @@ class GermCoeff:
     value_at_0: Fraction
     dvalue: LogQVal
     s_form: LaurentX | None = None
+
+
+def check_method(method: str) -> None:
+    """InputError unless method is one of METHODS."""
+    if method not in METHODS:
+        raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 def zero_point(p: int) -> BPoint:
@@ -159,10 +168,11 @@ def dgamma_table(x0: BPoint, rep: OrbitRep, x: BPoint):
 
 def phi_closed(x: BPoint) -> LogQVal:
     """The closed-form family contribution for a side-1 point near zero, a
-    rational multiple of log q dispatched on five valuation patterns."""
+    rational multiple of log q dispatched on five valuation patterns.  A
+    side-0 point is an InputError."""
     p = x.p
     if x.side() != 1:
-        raise ValueError("phi_closed requires a side-1 point")
+        raise InputError("phi_closed requires a side-1 point")
     t = Fraction(1, p)
     vd = x.delta().val()
     vu = x.u.val()
@@ -206,9 +216,11 @@ def germ_terms(x0: BPoint, x: BPoint):
 @dataclass
 class Dorb1:
     """Assembled first-derivative term: an exact graded value around zero, or
-    a varying part plus a symbolic base-point constant elsewhere."""
+    a varying part plus a symbolic base-point constant elsewhere, with the
+    per-representative terms of germ_terms that went into it."""
     varying: LogQVal
-    const_tag: str | None = None
+    const_tag: str | None
+    terms: list
 
     def __sub__(self, other: "Dorb1") -> LogQVal:
         if self.const_tag != other.const_tag:
@@ -226,31 +238,32 @@ def dorb1(x0: BPoint, x: BPoint, method: str = "closed",
     sum when method='oracle') and the result is absolute; around a nonzero
     base point the unknown constant is kept symbolic.  For the diagonal-type
     base points the section's transfer factor is folded in, so that twice the
-    result plus the intersection term is the comparison function."""
+    result plus the intersection term is the comparison function.  A method
+    outside METHODS is an InputError."""
+    check_method(method)
     p = x0.p
     c = case_of(x0)
     if c == "split":
         raise ExcludedCaseError("excluded split case")
+    if not is_in_neighborhood(x0, x):
+        raise UnrealizableError("x outside the recorded neighborhood of x0")
     if not in_side1_closure(x0):
         raise UnrealizableError("base point is not in the closure of side 1")
     if x.side() != 1:
         raise InputError("dorb1 evaluates on side-1 points")
-    if not is_in_neighborhood(x0, x):
-        raise UnrealizableError("x outside the recorded neighborhood of x0")
 
     if c != "zero":
         total = LogQVal.const(0, p)
     elif method == "closed":
         total = phi_closed(x)
-    elif method == "oracle":
-        total = phi_from_xi(x, window)
     else:
-        raise ValueError(f"unknown method {method!r}")
-    for _, coeff, val in germ_terms(x0, x):
+        total = phi_from_xi(x, window)
+    terms = germ_terms(x0, x)
+    for _, coeff, val in terms:
         if val is not None:
             total = total + coeff * val
     if c == "zero":
-        return Dorb1(total, None)
+        return Dorb1(total, None, terms)
     if c == "0ii":
         total = total * transfer_sign_0ii(x0)   # transfer factor of the section
-    return Dorb1(total, f"C({c};{x0.lam!r},{x0.u!r},{x0.wtilde!r})")
+    return Dorb1(total, f"C({c};{x0.lam!r},{x0.u!r},{x0.wtilde!r})", terms)

@@ -11,8 +11,8 @@ from fractions import Fraction
 
 from .errors import (CayleyUndefinedError, InputError,
                      NotRegularSemisimpleError, UnrealizableError)
-from .padic import (INF, PadicScalar, QuadElt, QuatElt, cayley_solve,
-                    hensel_sqrt, quat_solve)
+from .padic import (INF, PadicScalar, QuadElt, QuatElt, _check_odd_prime,
+                    cayley_solve, hensel_sqrt, legendre, quat_solve)
 
 
 def _ps(x, p: int) -> PadicScalar:
@@ -675,31 +675,24 @@ def orbit_reps(x0: BPoint):
 
 
 def make_bpoint_rs1(m: int, lminus: int, lplus, p: int) -> BPoint:
-    """An integral side-1 point with the requested parameters: u = p^m,
-    wt = xi p^((2m + lplus - 1)/2) (or 0 when lplus is infinite), and the
-    discriminant a unit delta times p^(2m + lminus); the units are searched
-    until the derived invariants round-trip."""
+    """The integral side-1 point with invariants (m, l_minus, l_plus):
+    u = p^m, wt = p^((2m + lplus - 1)/2) and lam = d p^lminus - p^lplus
+    (wt = 0 and lam = d p^lminus when lplus is infinite), with d the least
+    unit in 1..p-1 such that legendre(-d, p) legendre(-1, p)^lminus = -1.
+
+    Then Delta = lam u^2 + wt^2 p = d p^(2m + lminus) exactly, so the side is
+    eta(-Delta) = -1 for this d, and half the units qualify.  The point
+    round-trips through ml_params: v(u) = m, 2 v(wt) + 1 - 2m = lplus,
+    v(Delta) - 2m = lminus, and when lminus != lplus the two terms of lam
+    have different valuations, so v(lam) = min(lminus, lplus)."""
+    _check_odd_prime(p)
     if m < 0 or lminus < 1:
         raise UnrealizableError("need m >= 0 and l_minus >= 1")
     if lplus is not INF and (lplus < 1 or lplus % 2 == 0):
         raise UnrealizableError("l_plus must be odd or infinite")
-    u = Fraction(p) ** m
-    for xi_unit in range(1, p):
-        if lplus is INF:
-            wt = Fraction(0)
-        else:
-            wt = xi_unit * Fraction(p) ** ((2 * m + lplus - 1) // 2)
-        for delta_unit in range(1, p):
-            dlt = delta_unit * Fraction(p) ** (2 * m + lminus)
-            lam = (dlt - wt * wt * p) / (u * u)
-            x = BPoint.exact(lam, u, wt, p)
-            try:
-                if x.side() != 1:
-                    continue
-                if x.ml_params() == (m, lminus, lplus):
-                    return x
-            except (UnrealizableError, NotRegularSemisimpleError):
-                continue
-        if lplus is INF:
-            break
-    raise UnrealizableError(f"unrealizable invariants (m={m}, l-={lminus}, l+={lplus})")
+    sign = legendre(-1, p) ** (lminus % 2)
+    d = next(d for d in range(1, p) if legendre(-d, p) * sign == -1)
+    if lplus is INF:
+        return BPoint.exact(d * p ** lminus, p ** m, 0, p)
+    return BPoint.exact(d * p ** lminus - p ** lplus, p ** m,
+                        p ** ((2 * m + lplus - 1) // 2), p)

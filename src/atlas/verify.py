@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ExcludedCaseError, InputError, UnrealizableError
-from .germs import NEIGHBORHOOD_DEPTH, dorb1, is_in_neighborhood, zero_point
+from .germs import (NEIGHBORHOOD_DEPTH, check_method, dorb1, is_in_neighborhood,
+                    zero_point)
 from .keating import l_int
 from .orbits import INF, BPoint, case_of, in_side1_closure, make_bpoint_rs1
 from .svalue import LogQVal
@@ -34,7 +35,9 @@ def expected_constant_at_zero(p: int) -> LogQVal:
 def phi1(x: BPoint, method: str = "closed") -> LogQVal:
     """The comparison function at a regular semisimple point: zero on the
     split side, else twice the derivative term around zero plus the
-    intersection length times log q."""
+    intersection length times log q.  A method outside germs.METHODS is an
+    InputError."""
+    check_method(method)
     p = x.p
     if x.side() == 0:
         return LogQVal.const(0, p)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from atlas import cli
+from atlas import cli, germs
 from atlas.errors import (ExcludedCaseError, InputError,
                           NotRegularSemisimpleError, UnrealizableError)
 from atlas.germs import (UNNEEDED, dgamma_table, dorb1, gamma_n_mu,
@@ -14,6 +14,7 @@ from atlas.orbits import (INF, BPoint, case_of, make_bpoint_rs1, orbit_reps,
 from atlas.padic import PadicScalar
 from atlas.svalue import LaurentX, LogQVal, dds_s0, zeta1
 from atlas.values import forced_s_values
+from atlas.verify import phi1, verify_zero
 
 
 class TestGammaFamily:
@@ -248,6 +249,12 @@ class TestPhiClosed:
         x = make_bpoint_rs1(2, 5, 3, 3)
         assert phi_closed(x) == phi_from_xi(x, 12)
 
+    def test_side0_point_is_an_input_error(self):
+        x = BPoint.exact(2, 1, 0, 3)
+        assert x.side() == 0
+        with pytest.raises(InputError, match="side-1"):
+            phi_closed(x)
+
 
 class TestDorb1:
     def test_zero_base(self):
@@ -295,6 +302,29 @@ class TestDorb1:
         x0 = BPoint.exact(-4, 0, 0, p)
         with pytest.raises(ExcludedCaseError):
             dorb1(x0, BPoint.exact(-4, 5 ** 8, 0, p))
+
+    @pytest.mark.parametrize("call", [
+        lambda: dorb1(BPoint.exact(-3, 1, 1, 3), BPoint.exact(-3 + 2 * 3 ** 7, 1, 1, 3),
+                      method="exact"),
+        lambda: phi1(BPoint.exact(2, 1, 0, 3), method="exact"),
+        lambda: verify_zero(3, 0, 1, method="exact"),
+    ], ids=["dorb1-nonzero-base", "phi1-side0", "verify_zero"])
+    def test_unknown_method_is_an_input_error(self, call):
+        with pytest.raises(InputError, match="unknown method 'exact'"):
+            call()
+
+    def test_germ_command_computes_each_term_once(self, monkeypatch, capsys):
+        calls = {"orbit_reps": 0, "dgamma_table": 0, "forced_s_values": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(germs, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(germs, name, counted)
+        argv = ["germ", "--x0", "-27", "1", "3", "--x", "6534", "1", "3", "--p", "3"]
+        assert cli.main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert list(out["contributions"]) == ["y_plus", "y_minus"]
+        assert calls == {"orbit_reps": 1, "dgamma_table": 2, "forced_s_values": 2}
 
 
 class TestNeighborhood:

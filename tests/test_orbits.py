@@ -63,7 +63,60 @@ class TestBPoint:
             x.ml_params()
 
 
+def _search_bpoint_rs1(m, lminus, lplus, p):
+    """Reference for make_bpoint_rs1: search the units xi and delta in
+    1..p-1 for wt = xi p^((2m + lplus - 1)/2) (0 when lplus is infinite) and
+    Delta = delta p^(2m + lminus) until the point is on side 1 and its
+    invariants round-trip."""
+    u = Fraction(p) ** m
+    for xi_unit in range(1, p):
+        if lplus is INF:
+            wt = Fraction(0)
+        else:
+            wt = xi_unit * Fraction(p) ** ((2 * m + lplus - 1) // 2)
+        for delta_unit in range(1, p):
+            dlt = delta_unit * Fraction(p) ** (2 * m + lminus)
+            lam = (dlt - wt * wt * p) / (u * u)
+            x = BPoint.exact(lam, u, wt, p)
+            try:
+                if x.side() != 1:
+                    continue
+                if x.ml_params() == (m, lminus, lplus):
+                    return x
+            except (UnrealizableError, NotRegularSemisimpleError):
+                continue
+        if lplus is INF:
+            break
+    raise UnrealizableError(f"unrealizable invariants (m={m}, l-={lminus}, l+={lplus})")
+
+
+def _coords(x):
+    return x.lam.rational, x.u.rational, x.wtilde.rational
+
+
 class TestMakeBPoint:
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_matches_the_unit_search_on_the_criterion_2_grid(self, p):
+        # m <= 8, l- <= 19, l+ odd <= 19 or infinite, as criterion 2 sweeps
+        for m in range(9):
+            for lm in range(1, 20):
+                for lp in list(range(1, 20, 2)) + [INF]:
+                    assert (_coords(make_bpoint_rs1(m, lm, lp, p))
+                            == _coords(_search_bpoint_rs1(m, lm, lp, p)))
+
+    @pytest.mark.parametrize("p", [11, 13])
+    def test_matches_the_unit_search_on_a_sparse_grid(self, p):
+        for m in (0, 1, 4):
+            for lm in (1, 2, 5, 8):
+                for lp in (1, 3, 5, 9, INF):
+                    assert (_coords(make_bpoint_rs1(m, lm, lp, p))
+                            == _coords(_search_bpoint_rs1(m, lm, lp, p)))
+
+    @pytest.mark.parametrize("p", [1, -3, 2, 4, 9])
+    def test_rejects_a_non_prime(self, p):
+        with pytest.raises(InputError, match="odd prime"):
+            make_bpoint_rs1(1, 1, 3, p)
+
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_round_trip_grid(self, p):
         for m in range(0, 3):
@@ -75,7 +128,7 @@ class TestMakeBPoint:
                     assert x.is_integral()
 
     def test_equal_l_values(self):
-        # l- = l+ forces a unit search; must still round-trip
+        # l- = l+: both terms of lam have valuation l-, and v(lam) is not checked
         for p in (3, 5):
             x = make_bpoint_rs1(2, 3, 3, p)
             assert x.ml_params() == (2, 3, 3)
