@@ -11,15 +11,15 @@ from fractions import Fraction
 
 from . import padic
 from .errors import AtlasError, InputError
-from .germs import UNNEEDED, dorb1, gamma_n_mu, phi_closed
+from .germs import UNNEEDED, BasePointPlan, dorb1, gamma_n_mu, phi_closed
 from .integrate import (DEFAULT_WINDOW, auto_window, iwasawa_orbit_u0,
                         phi_from_xi)
 from .keating import check_closed_form, l_int_closed, l_int_keating
-from .orbits import (INF, BPoint, case_of, make_bpoint_rs1, orbit_reps,
-                     u0_nilpotent_family_member, u0_ss_case0, u0_ss_case1)
+from .orbits import (INF, BPoint, make_bpoint_rs1, u0_nilpotent_family_member,
+                     u0_ss_case0, u0_ss_case1)
 from .serialize import decode_element, encode_bpoint
-from .values import (forced_s_values, orb_nil_family_s, orb_nil_reg_s,
-                     orb_u0_ss_case0, orb_u0_ss_case1, orb_u0_zero)
+from .values import (orb_nil_family_s, orb_nil_reg_s, orb_u0_ss_case0,
+                     orb_u0_ss_case1, orb_u0_zero)
 from .verify import ZERO_L_MAX, ZERO_M_MAX
 from .verify import report as render_report
 from .verify import verify_x0, verify_zero, verify_x0_library
@@ -141,12 +141,12 @@ def cmd_values(args) -> int:
             out["value"] = str(orb_u0_ss_case0(lam0, p))
     elif args.what == "forced-s":
         lam0, u0, wt0 = _parse("--params", args.params, Fraction, Fraction, Fraction)
-        x0 = BPoint.exact(lam0, u0, wt0, p)
+        plan = BasePointPlan(BPoint.exact(lam0, u0, wt0, p))
         vals = {}
-        for rep in orbit_reps(x0):
-            v = forced_s_values(x0, rep)
+        for rep in plan.reps:
+            v = plan.forced(rep)
             vals[rep.tag] = None if v is None else str(v)
-        out["case"] = case_of(x0)
+        out["case"] = plan.case
         out["values"] = vals
     else:
         raise AtlasError(f"unknown value family {args.what}")
@@ -250,7 +250,7 @@ def _global_options(**defaults) -> argparse.ArgumentParser:
     return opts
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="atlas",
         parents=[_global_options(shell_window=None, format="json")],
@@ -305,8 +305,14 @@ def main(argv=None) -> int:
     sp.add_argument("--l-max", type=int, default=ZERO_L_MAX)
     sp.add_argument("--spec", default=None)
     sp.set_defaults(func=cmd_verify)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    # no reference to the parser outlives parse_args: its reference cycles
+    # are garbage before the command runs and go in a young collection
+    # instead of being promoted with the command's data
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "p", None) is not None:
             padic._check_odd_prime(args.p)

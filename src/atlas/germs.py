@@ -5,12 +5,17 @@ derivative term around every base point.
 
 Around a nonzero base point the assembled value is only defined modulo an
 unknown constant depending on the base point; it is returned as a varying
-part plus a symbolic constant tag, and consumers compare differences."""
+part plus a symbolic constant tag, and consumers compare differences.
+
+What the assembly reads of a base point (its case, neighborhood, orbit
+representatives and forced values) sits in a BasePointPlan, which a caller
+evaluating many points around one base point builds once."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (ExcludedCaseError, InputError,
                      NotRegularSemisimpleError, UnrealizableError)
@@ -93,56 +98,116 @@ def gamma_n_mu(x: BPoint, mu) -> GermCoeff:
     return GermCoeff(("n_mu", mu), value0, dds_s0(s_form), s_form)
 
 
-def is_in_neighborhood(x0: BPoint, x: BPoint) -> bool:
-    """Membership in the combinatorial neighborhood of a base point: the
-    nonzero coordinates of x0 are frozen to congruence depth
-    NEIGHBORHOOD_DEPTH, and the discriminant valuation exceeds every frozen
-    valuation by at least that depth."""
-    if x.p != x0.p:
+class BasePointPlan:
+    """What the verdicts around one degenerate base point x0 read of it: its
+    case, the split and side-1-closure verdicts, the valuations the
+    neighborhood freezes, the orbit representatives, the forced value of
+    each representative and the case-0ii transfer sign.
+
+    A plain value: the caller builds it and keeps it while it evaluates
+    around x0, and no module holds one.  is_in_neighborhood, dgamma_table,
+    germ_terms and dorb1 take it in place of x0, and build a one-shot plan
+    when given a BPoint.  Each field is computed on first use and at most
+    once, so the errors come in the same order as without a plan: the case
+    (NotRegularSemisimpleError, UnrealizableError) when first read, the
+    closure verdict and the case-0ii root only where a caller reaches
+    them."""
+
+    def __init__(self, x0: BPoint):
+        self.x0 = x0
+        self.p = x0.p
+        self._frozen = []     # valuations of x0's coordinates, in order
+        self._forced = {}     # representative tag -> forced value
+
+    @cached_property
+    def case(self) -> str:
+        return case_of(self.x0)
+
+    def usable_case(self) -> str:
+        """The case; ExcludedCaseError for the split case, which every
+        comparison routine rejects."""
+        if self.case == "split":
+            raise ExcludedCaseError("excluded split case")
+        return self.case
+
+    @cached_property
+    def side1_closure(self) -> bool:
+        return in_side1_closure(self.x0, self.case)
+
+    def frozen(self):
+        """(coordinate, valuation) of x0 for lambda, u and wtilde in turn,
+        the valuation None for an exact zero, which the neighborhood leaves
+        free; each valuation is computed when first reached."""
+        vals = self._frozen
+        for i, s0 in enumerate((self.x0.lam, self.x0.u, self.x0.wtilde)):
+            if i == len(vals):
+                vals.append(None if s0.is_exact_zero() else s0.val())
+            yield s0, vals[i]
+
+    @cached_property
+    def reps(self) -> list:
+        return orbit_reps(self.x0, self.case)
+
+    def forced(self, rep: OrbitRep):
+        """forced_s_values(x0, rep), computed once per representative."""
+        if rep.tag not in self._forced:
+            self._forced[rep.tag] = forced_s_values(self.x0, rep, self.case)
+        return self._forced[rep.tag]
+
+    @cached_property
+    def sign_0ii(self) -> int:
+        return transfer_sign_0ii(self.x0)
+
+
+def base_point_plan(x0) -> BasePointPlan:
+    """x0 itself when it is a BasePointPlan, else a one-shot plan for the
+    BPoint x0."""
+    return x0 if isinstance(x0, BasePointPlan) else BasePointPlan(x0)
+
+
+def is_in_neighborhood(x0, x: BPoint) -> bool:
+    """Membership in the combinatorial neighborhood of a base point x0 (a
+    BPoint or its plan): the nonzero coordinates of x0 are frozen to
+    congruence depth NEIGHBORHOOD_DEPTH, and the discriminant valuation
+    exceeds every frozen valuation by at least that depth."""
+    plan = base_point_plan(x0)
+    if x.p != plan.p:
         return False
-    c = case_of(x0)
-    if c == "zero":
+    if plan.case == "zero":
         return x.is_integral()
-    fixed = []
-
-    def close(s, s0):
-        if s0.is_exact_zero():
-            return True
+    for s, (s0, v0) in zip((x.lam, x.u, x.wtilde), plan.frozen()):
+        if v0 is None:
+            continue
         d = s - s0
-        if d.is_exact_zero():
-            fixed.append(s0.val())
-            return True
-        fixed.append(s0.val())
-        return d.val() >= s0.val() + NEIGHBORHOOD_DEPTH
-
-    ok = (close(x.lam, x0.lam) and close(x.u, x0.u)
-          and close(x.wtilde, x0.wtilde))
-    if not ok:
-        return False
+        if not d.is_exact_zero() and d.val() < v0 + NEIGHBORHOOD_DEPTH:
+            return False
     vd = x.delta().val()
-    return all(vd >= f + NEIGHBORHOOD_DEPTH for f in fixed)
+    return all(vd >= v0 + NEIGHBORHOOD_DEPTH
+               for _, v0 in plan.frozen() if v0 is not None)
 
 
-def dgamma_table(x0: BPoint, rep: OrbitRep, x: BPoint):
+def dgamma_table(x0, rep: OrbitRep, x: BPoint):
     """Tabulated derivative of the germ coefficient at the center, evaluated
-    at x near x0.  Entries whose paired orbit integral vanishes identically
-    are returned as the UNNEEDED marker.  An x with Delta = 0 raises
-    NotRegularSemisimpleError: the entries read log|Delta|."""
-    p = x0.p
-    c = case_of(x0)
-    if c == "split":
-        raise ExcludedCaseError("excluded split case")
-    if not is_in_neighborhood(x0, x):
+    at x near the base point x0 (a BPoint or its plan).  Entries whose
+    paired orbit integral vanishes identically are returned as the UNNEEDED
+    marker.  An x with Delta = 0 raises NotRegularSemisimpleError: the
+    entries read log|Delta|.  The family representative at zero is an
+    InputError: its coefficients come from gamma_n_mu."""
+    plan = base_point_plan(x0)
+    p = plan.p
+    c = plan.usable_case()
+    if not is_in_neighborhood(plan, x):
         raise UnrealizableError("x outside the recorded neighborhood of x0")
     d = x.delta()
     if d.is_zero_at_precision():
         raise NotRegularSemisimpleError("not regular semisimple: Delta = 0")
+    x0 = plan.x0
     if c == "zero":
         if rep.tag == "n0_plus":
             return LogQVal.const(0, p)
         if rep.tag == "n0_minus":
             return LogQVal({1: Fraction(-(d.val() - 1))}, p)   # log|Delta/p|
-        raise ValueError("family coefficients come from gamma_n_mu")
+        raise InputError("family coefficients come from gamma_n_mu")
     if c == "0i":
         if rep.tag == "y_plus":
             return LogQVal.const(0, p)
@@ -197,18 +262,20 @@ def phi_closed(x: BPoint) -> LogQVal:
     return out(-t ** e * (4 * t + (vd + 4 * vu - 4 * vw + 1) * (1 - t)) / den)
 
 
-def germ_terms(x0: BPoint, x: BPoint):
-    """(tag, dGamma, forced value) for each orbit representative over x0, at
-    x.  The family n_mu has neither: its part is the family contribution.  An
-    entry whose paired orbit integral vanishes has dGamma UNNEEDED, and the
-    value is None there and wherever the transfer forces none."""
+def germ_terms(x0, x: BPoint):
+    """(tag, dGamma, forced value) for each orbit representative over the
+    base point x0 (a BPoint or its plan), at x.  The family n_mu has
+    neither: its part is the family contribution.  An entry whose paired
+    orbit integral vanishes has dGamma UNNEEDED, and the value is None there
+    and wherever the transfer forces none."""
+    plan = base_point_plan(x0)
     out = []
-    for rep in orbit_reps(x0):
+    for rep in plan.reps:
         if rep.tag == "n_mu":
             out.append((rep.tag, None, None))
             continue
-        coeff = dgamma_table(x0, rep, x)
-        val = None if coeff is UNNEEDED else forced_s_values(x0, rep)
+        coeff = dgamma_table(plan, rep, x)
+        val = None if coeff is UNNEEDED else plan.forced(rep)
         out.append((rep.tag, coeff, val))
     return out
 
@@ -224,15 +291,15 @@ class Dorb1:
 
     def __sub__(self, other: "Dorb1") -> LogQVal:
         if self.const_tag != other.const_tag:
-            raise ValueError("differencing across distinct base points")
+            raise InputError("differencing across distinct base points")
         return self.varying - other.varying
 
 
-def dorb1(x0: BPoint, x: BPoint, method: str = "closed",
+def dorb1(x0, x: BPoint, method: str = "closed",
           window: int = DEFAULT_WINDOW) -> Dorb1:
-    """The first-derivative term at x in the recorded neighborhood of x0,
-    assembled from the coefficient table and the transfer-forced orbit
-    values.
+    """The first-derivative term at x in the recorded neighborhood of the
+    base point x0 (a BPoint or its plan), assembled from the coefficient
+    table and the transfer-forced orbit values.
 
     Around zero the family contribution is added (closed form, or the shell
     sum when method='oracle') and the result is absolute; around a nonzero
@@ -241,13 +308,12 @@ def dorb1(x0: BPoint, x: BPoint, method: str = "closed",
     result plus the intersection term is the comparison function.  A method
     outside METHODS is an InputError."""
     check_method(method)
-    p = x0.p
-    c = case_of(x0)
-    if c == "split":
-        raise ExcludedCaseError("excluded split case")
-    if not is_in_neighborhood(x0, x):
+    plan = base_point_plan(x0)
+    p = plan.p
+    c = plan.usable_case()
+    if not is_in_neighborhood(plan, x):
         raise UnrealizableError("x outside the recorded neighborhood of x0")
-    if not in_side1_closure(x0):
+    if not plan.side1_closure:
         raise UnrealizableError("base point is not in the closure of side 1")
     if x.side() != 1:
         raise InputError("dorb1 evaluates on side-1 points")
@@ -258,12 +324,13 @@ def dorb1(x0: BPoint, x: BPoint, method: str = "closed",
         total = phi_closed(x)
     else:
         total = phi_from_xi(x, window)
-    terms = germ_terms(x0, x)
+    terms = germ_terms(plan, x)
     for _, coeff, val in terms:
         if val is not None:
             total = total + coeff * val
     if c == "zero":
         return Dorb1(total, None, terms)
     if c == "0ii":
-        total = total * transfer_sign_0ii(x0)   # transfer factor of the section
+        total = total * plan.sign_0ii   # transfer factor of the section
+    x0 = plan.x0
     return Dorb1(total, f"C({c};{x0.lam!r},{x0.u!r},{x0.wtilde!r})", terms)

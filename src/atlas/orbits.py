@@ -88,7 +88,7 @@ def quat_mat_solve(A, B):
 # the invariant quotient
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BPoint:
     """A point (lambda, u, wtilde) of the reduced quotient, where the third
     invariant is w = wtilde * pi and the rescaled discriminant is
@@ -100,7 +100,13 @@ class BPoint:
 
     @classmethod
     def exact(cls, lam, u, wtilde, p: int) -> "BPoint":
-        return cls(_ps(Fraction(lam), p), _ps(Fraction(u), p), _ps(Fraction(wtilde), p))
+        """The point with the given rational coordinates: one Fraction per
+        coordinate and one check of p, made after lam is parsed and before u
+        and wtilde are, as one PadicScalar.exact per coordinate would."""
+        lam = Fraction(lam)
+        _check_odd_prime(p)
+        return cls(PadicScalar(p, _fr=lam), PadicScalar(p, _fr=Fraction(u)),
+                   PadicScalar(p, _fr=Fraction(wtilde)))
 
     @property
     def p(self) -> int:
@@ -539,9 +545,10 @@ def case_of(x0: BPoint) -> str:
     return "0i"
 
 
-def in_side1_closure(x0: BPoint) -> bool:
-    """Whether regular semisimple side-1 points accumulate at x0."""
-    c = case_of(x0)
+def in_side1_closure(x0: BPoint, case: str | None = None) -> bool:
+    """Whether regular semisimple side-1 points accumulate at x0; case is
+    case_of(x0) when the caller holds it."""
+    c = case_of(x0) if case is None else case
     if not x0.is_integral():
         return False
     if c == "split":
@@ -629,11 +636,12 @@ def u0_ss_case1(x0: BPoint) -> U0RedElt:
     return y
 
 
-def orbit_reps(x0: BPoint):
+def orbit_reps(x0: BPoint, case: str | None = None):
     """The representative list of the relevant orbits in the fiber over a
-    degenerate base point, in the reduced anti-hermitian space."""
+    degenerate base point, in the reduced anti-hermitian space; case is
+    case_of(x0) when the caller holds it."""
     p = x0.p
-    c = case_of(x0)
+    c = case_of(x0) if case is None else case
 
     if c == "zero":
         return [OrbitRep("n_mu", None),

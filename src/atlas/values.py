@@ -210,12 +210,13 @@ def transfer_sign_0ii(x0: BPoint) -> int:
     return (-padic_sqrt(-(x0.lam / x0.p))).eta()
 
 
-def forced_s_values(x0: BPoint, rep: OrbitRep):
+def forced_s_values(x0: BPoint, rep: OrbitRep, case: str | None = None):
     """The transfer-forced orbit-integral values over a degenerate base point,
     for any function transferring to (the lattice indicator, 0).  Returns a
-    rational, or None for representatives that carry no forced value."""
+    rational, or None for representatives that carry no forced value; case
+    is case_of(x0) when the caller holds it."""
     p = x0.p
-    c = case_of(x0)
+    c = case_of(x0) if case is None else case
     if c == "split":
         raise ExcludedCaseError("excluded split case")
     if not x0.is_integral():

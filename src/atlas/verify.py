@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ExcludedCaseError, InputError, UnrealizableError
-from .germs import (NEIGHBORHOOD_DEPTH, check_method, dorb1, is_in_neighborhood,
-                    zero_point)
+from .errors import InputError, UnrealizableError
+from .germs import (NEIGHBORHOOD_DEPTH, BasePointPlan, base_point_plan,
+                    check_method, dorb1, is_in_neighborhood, zero_point)
 from .keating import l_int
-from .orbits import INF, BPoint, case_of, in_side1_closure, make_bpoint_rs1
+from .orbits import INF, BPoint, case_of, make_bpoint_rs1
 from .svalue import LogQVal
 
 # the grid of verify_zero (m <= ZERO_M_MAX; l- and odd l+ up to ZERO_L_MAX,
@@ -37,11 +37,16 @@ def phi1(x: BPoint, method: str = "closed") -> LogQVal:
     split side, else twice the derivative term around zero plus the
     intersection length times log q.  A method outside germs.METHODS is an
     InputError."""
+    return _phi1(BasePointPlan(zero_point(x.p)), x, method)
+
+
+def _phi1(zero: BasePointPlan, x: BPoint, method: str) -> LogQVal:
+    """phi1 at x, reading the zero base point from its plan zero."""
     check_method(method)
     p = x.p
     if x.side() == 0:
         return LogQVal.const(0, p)
-    d = dorb1(zero_point(p), x, method=method)
+    d = dorb1(zero, x, method=method)
     return d.varying + d.varying + LogQVal({1: l_int(x)}, p)
 
 
@@ -77,11 +82,12 @@ def verify_zero(p: int, m_max: int = ZERO_M_MAX, l_max: int = ZERO_L_MAX,
     want = expected_constant_at_zero(p)
     rep = VerifyReport(base_point="0", case_tag="zero",
                        value=str(want), notes=f"p={p} grid m<={m_max} l<={l_max}")
+    zero = BasePointPlan(zero_point(p))
     for m in range(m_max + 1):
         for lm in range(1, l_max + 1):
             for lp in list(range(1, l_max + 1, 2)) + [INF]:
                 x = make_bpoint_rs1(m, lm, lp, p)
-                got = phi1(x, method=method)
+                got = _phi1(zero, x, method)
                 rep.samples.append((f"(m={m},l-={lm},l+={lp})", str(got)))
                 if got != want:
                     rep.constant = False
@@ -90,15 +96,16 @@ def verify_zero(p: int, m_max: int = ZERO_M_MAX, l_max: int = ZERO_L_MAX,
     return rep
 
 
-def neighborhood_samples(x0: BPoint, count: int = NEIGHBORHOOD_SAMPLES):
+def neighborhood_samples(x0, count: int = NEIGHBORHOOD_SAMPLES):
     """Side-1 regular semisimple samples in the recorded neighborhood of a
-    degenerate base point, sweeping the discriminant valuation."""
-    p = x0.p
-    c = case_of(x0)
-    if c == "split":
-        raise ExcludedCaseError("excluded split case")
-    if not in_side1_closure(x0):
+    degenerate base point x0 (a BPoint or its plan), sweeping the
+    discriminant valuation."""
+    plan = base_point_plan(x0)
+    p = plan.p
+    c = plan.usable_case()
+    if not plan.side1_closure:
         raise UnrealizableError("base point is not in the closure of side 1")
+    x0 = plan.x0
     out = []
     if c in ("0i", "0ii"):
         lam0 = x0.lam.rational
@@ -106,7 +113,7 @@ def neighborhood_samples(x0: BPoint, count: int = NEIGHBORHOOD_SAMPLES):
         m0 = v0 + NEIGHBORHOOD_DEPTH + 2
         for m in range(m0, m0 + count):
             x = BPoint.exact(lam0, Fraction(p) ** m, 0, p)
-            if x.side() == 1 and is_in_neighborhood(x0, x):
+            if x.side() == 1 and is_in_neighborhood(plan, x):
                 out.append(x)
         if c == "0ii":
             # second branch: tune the third coordinate so the two terms of the
@@ -117,7 +124,7 @@ def neighborhood_samples(x0: BPoint, count: int = NEIGHBORHOOD_SAMPLES):
                 for e in range(1, p):
                     d = 1 + Fraction(e) * Fraction(p) ** j
                     x = BPoint.exact(lam0, u, a * u * d, p)
-                    if x.is_rs() and x.side() == 1 and is_in_neighborhood(x0, x):
+                    if x.is_rs() and x.side() == 1 and is_in_neighborhood(plan, x):
                         out.append(x)
                         break
         return out
@@ -133,7 +140,7 @@ def neighborhood_samples(x0: BPoint, count: int = NEIGHBORHOOD_SAMPLES):
         for dlt in range(1, p):
             lam = lam0 + Fraction(dlt) * Fraction(p) ** k
             x = BPoint.exact(lam, u0, wt0, p)
-            if x.is_rs() and x.side() == 1 and is_in_neighborhood(x0, x):
+            if x.is_rs() and x.side() == 1 and is_in_neighborhood(plan, x):
                 out.append(x)
                 break
     return out
@@ -153,18 +160,18 @@ def verify_x0(x0: BPoint, count: int = NEIGHBORHOOD_SAMPLES) -> VerifyReport:
     must cancel exactly between any two neighborhood samples; the notes name
     every sample that differs from the first."""
     p = x0.p
-    c = case_of(x0)
+    plan = BasePointPlan(x0)
     label = f"(lam={x0.lam!r}, u={x0.u!r}, wt={x0.wtilde!r})"
-    rep = VerifyReport(base_point=label, case_tag=c,
+    rep = VerifyReport(base_point=label, case_tag=plan.case,
                        value="constant modulo the base-point constant",
                        notes=f"p={p} differencing over >= {count} samples")
-    samples = neighborhood_samples(x0, count)
+    samples = neighborhood_samples(plan, count)
     if len(samples) < count:
         raise UnrealizableError(
             f"could not build {count} neighborhood samples at {label}")
     vals = []
     for x in samples:
-        d = dorb1(x0, x)
+        d = dorb1(plan, x)
         li = l_int(x)
         vals.append(d.varying + d.varying + LogQVal({1: li}, p))
         rep.samples.append((f"v(Delta)={x.delta().val()}", str(vals[-1])))
@@ -188,8 +195,9 @@ def base_point_library(p: int):
         lam0 = None
         for cand in range(1, p):
             x0 = BPoint.exact(Fraction(cand) * p ** v, 0, 0, p)
+            plan = BasePointPlan(x0)
             try:
-                if case_of(x0) == "0i" and in_side1_closure(x0):
+                if plan.case == "0i" and plan.side1_closure:
                     lam0 = x0
                     break
             except UnrealizableError:
@@ -241,4 +249,4 @@ def report(reports, fmt: str = "json") -> str:
             status = "constant" if r.constant else "VARIES"
             lines.append(f"{name}: {status} [{r.value}] over {len(r.samples)} samples")
         return "\n".join(lines)
-    raise ValueError(f"unknown format {fmt!r}")
+    raise InputError(f"unknown format {fmt!r}")

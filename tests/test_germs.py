@@ -4,17 +4,23 @@ from fractions import Fraction
 
 import pytest
 
-from atlas import cli, germs
+import sys
+from collections import Counter
+
+from atlas import cli, germs, orbits, values
 from atlas.errors import (ExcludedCaseError, InputError,
                           NotRegularSemisimpleError, UnrealizableError)
-from atlas.germs import (UNNEEDED, dgamma_table, dorb1, gamma_n_mu,
+from atlas.germs import (NEIGHBORHOOD_DEPTH, UNNEEDED, BasePointPlan, Dorb1,
+                         check_method, dgamma_table, dorb1, gamma_n_mu,
                          is_in_neighborhood, phi_closed, zero_point)
-from atlas.orbits import (INF, BPoint, case_of, make_bpoint_rs1, orbit_reps,
-                          padic_sqrt)
+from atlas.integrate import DEFAULT_WINDOW, phi_from_xi
+from atlas.orbits import (INF, BPoint, case_of, in_side1_closure,
+                          make_bpoint_rs1, orbit_reps, padic_sqrt)
 from atlas.padic import PadicScalar
 from atlas.svalue import LaurentX, LogQVal, dds_s0, zeta1
-from atlas.values import forced_s_values
-from atlas.verify import phi1, verify_zero
+from atlas.values import eta_minus1, forced_s_values, transfer_sign_0ii
+from atlas.verify import (base_point_library, neighborhood_samples, phi1,
+                          verify_x0, verify_zero)
 
 
 class TestGammaFamily:
@@ -338,3 +344,277 @@ class TestNeighborhood:
         assert is_in_neighborhood(x0, BPoint.exact(-3 + 3 ** 9, 1, 1, p))
         assert not is_in_neighborhood(x0, BPoint.exact(-3 + 3, 1, 1, p))
         assert not is_in_neighborhood(x0, BPoint.exact(-3, 2, 1, p))
+
+
+# ---------------------------------------------------------------------------
+# the per-call assembly of dorb1, which classified the base point on every
+# use, kept as the reference for the assembly on a BasePointPlan
+
+
+def _reference_in_neighborhood(x0, x):
+    if x.p != x0.p:
+        return False
+    c = case_of(x0)
+    if c == "zero":
+        return x.is_integral()
+    fixed = []
+
+    def close(s, s0):
+        if s0.is_exact_zero():
+            return True
+        d = s - s0
+        if d.is_exact_zero():
+            fixed.append(s0.val())
+            return True
+        fixed.append(s0.val())
+        return d.val() >= s0.val() + NEIGHBORHOOD_DEPTH
+
+    ok = (close(x.lam, x0.lam) and close(x.u, x0.u)
+          and close(x.wtilde, x0.wtilde))
+    if not ok:
+        return False
+    vd = x.delta().val()
+    return all(vd >= f + NEIGHBORHOOD_DEPTH for f in fixed)
+
+
+def _reference_dgamma_table(x0, rep, x):
+    p = x0.p
+    c = case_of(x0)
+    if c == "split":
+        raise ExcludedCaseError("excluded split case")
+    if not _reference_in_neighborhood(x0, x):
+        raise UnrealizableError("x outside the recorded neighborhood of x0")
+    d = x.delta()
+    if d.is_zero_at_precision():
+        raise NotRegularSemisimpleError("not regular semisimple: Delta = 0")
+    if c == "zero":
+        if rep.tag == "n0_plus":
+            return LogQVal.const(0, p)
+        if rep.tag == "n0_minus":
+            return LogQVal({1: Fraction(-(d.val() - 1))}, p)
+        raise InputError("family coefficients come from gamma_n_mu")
+    if c == "0i":
+        if rep.tag == "y_plus":
+            return LogQVal.const(0, p)
+        if rep.tag == "y_minus":
+            v = d.val() - x0.lam.val()
+            return LogQVal({1: Fraction(-(-x0.lam).eta() * v)}, p)
+        return UNNEEDED
+    if c == "0ii":
+        if rep.tag == "y_pp":
+            return LogQVal.const(0, p)
+        if rep.tag == "y_mm":
+            v = d.val() - x0.lam.val()
+            return LogQVal({1: Fraction(-eta_minus1(p) * v)}, p)
+        return UNNEEDED
+    if rep.tag == "y_plus":
+        return LogQVal.const(0, p)
+    if rep.tag == "y_minus":
+        v = d.val() - 2 * x0.u.val() - 1
+        return LogQVal({1: Fraction(-v)}, p)
+    return UNNEEDED
+
+
+def _reference_dorb1(x0, x, method="closed", window=DEFAULT_WINDOW):
+    check_method(method)
+    p = x0.p
+    c = case_of(x0)
+    if c == "split":
+        raise ExcludedCaseError("excluded split case")
+    if not _reference_in_neighborhood(x0, x):
+        raise UnrealizableError("x outside the recorded neighborhood of x0")
+    if not in_side1_closure(x0):
+        raise UnrealizableError("base point is not in the closure of side 1")
+    if x.side() != 1:
+        raise InputError("dorb1 evaluates on side-1 points")
+    if c != "zero":
+        total = LogQVal.const(0, p)
+    elif method == "closed":
+        total = phi_closed(x)
+    else:
+        total = phi_from_xi(x, window)
+    terms = []
+    for rep in orbit_reps(x0):
+        if rep.tag == "n_mu":
+            terms.append((rep.tag, None, None))
+            continue
+        coeff = _reference_dgamma_table(x0, rep, x)
+        val = None if coeff is UNNEEDED else forced_s_values(x0, rep)
+        terms.append((rep.tag, coeff, val))
+    for _, coeff, val in terms:
+        if val is not None:
+            total = total + coeff * val
+    if c == "zero":
+        return Dorb1(total, None, terms)
+    if c == "0ii":
+        total = total * transfer_sign_0ii(x0)
+    return Dorb1(total, f"C({c};{x0.lam!r},{x0.u!r},{x0.wtilde!r})", terms)
+
+
+def _outcome(call):
+    """(varying, const_tag, terms) of a Dorb1, or (type, message) of the
+    error raised."""
+    try:
+        d = call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return d.varying, d.const_tag, d.terms
+
+
+def _same_as_reference(x0, x, plan, method="closed"):
+    """The outcome of dorb1 on a shared plan, equal to that of dorb1 on x0
+    and of the reference; also compares the neighborhood verdicts."""
+    want = _outcome(lambda: _reference_dorb1(x0, x, method))
+    assert _outcome(lambda: dorb1(x0, x, method)) == want
+    assert _outcome(lambda: dorb1(plan, x, method)) == want
+    try:
+        inside = _reference_in_neighborhood(x0, x)
+    except Exception as exc:
+        with pytest.raises(type(exc), match=str(exc)):
+            is_in_neighborhood(plan, x)
+    else:
+        assert is_in_neighborhood(plan, x) == inside
+    return want
+
+
+def _near(rng, x0):
+    """A point whose coordinates differ from x0's by p-adically small or
+    large amounts, or not at all."""
+    p = x0.p
+    coords = []
+    for s0 in (x0.lam, x0.u, x0.wtilde):
+        r = s0.rational
+        if rng.random() < 0.3:
+            coords.append(r)
+        else:
+            unit = rng.choice([c for c in range(1 - p, p) if c])
+            coords.append(r + unit * Fraction(p) ** rng.randint(0, 14))
+    return BPoint.exact(*coords, p)
+
+
+class TestBasePointPlan:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_zero_matches_the_per_call_assembly_on_a_sparse_grid(self, p):
+        plan = BasePointPlan(zero_point(p))
+        for m in (0, 1, 4):
+            for lm in (1, 2, 5, 8):
+                for lp in (1, 3, 5, 9, INF):
+                    x = make_bpoint_rs1(m, lm, lp, p)
+                    want = _same_as_reference(plan.x0, x, plan)
+                    assert want[1] is None and len(want[2]) == 3
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_library_matches_the_per_call_assembly(self, p):
+        rng = random.Random(1601 + p)
+        kinds = Counter()
+        for _, x0 in base_point_library(p):
+            plan = BasePointPlan(x0)
+            points = neighborhood_samples(x0) + [_near(rng, x0) for _ in range(40)]
+            for i, x in enumerate(points):
+                want = _same_as_reference(x0, x, plan)
+                if i < 5:
+                    assert want[1] is not None
+                kinds[want[0] if isinstance(want[0], type) else "value"] += 1
+        # the random points reach the value and the usual refusals
+        assert kinds["value"] >= 100
+        assert kinds[UnrealizableError] >= 50
+        assert kinds[InputError] >= 20
+
+    @pytest.mark.parametrize("x0, x, method, error", [
+        ((-4, 0, 0, 5), (-4, 5 ** 8, 0, 5), "closed", ExcludedCaseError),
+        ((-3, 1, 1, 3), (0, 1, 1, 3), "closed", UnrealizableError),
+        ((0, 0, 0, 3), (1, 1, 0, 5), "closed", UnrealizableError),
+        ((3, 0, 0, 3), (3, 3 ** 6, 0, 3), "closed", UnrealizableError),
+        ((0, Fraction(1, 3), 0, 3), (0, Fraction(1, 3), 0, 3), "closed",
+         UnrealizableError),
+        ((0, 0, 0, 3), (2, 1, 0, 3), "closed", InputError),
+        ((0, 0, 0, 3), (0, 1, 0, 3), "closed", NotRegularSemisimpleError),
+        ((1, 1, 0, 3), (1, 1, 0, 3), "closed", NotRegularSemisimpleError),
+        ((-4, 0, 0, 5), (-4, 5 ** 8, 0, 5), "exact", InputError),
+        ((0, 0, 0, 3), (6, 1, 0, 3), "exact", InputError),
+    ], ids=["split", "outside", "other-prime", "not-in-closure-0i",
+            "not-in-closure-1", "side-0", "delta-zero", "not-degenerate",
+            "split-and-unknown-method", "unknown-method"])
+    def test_errors_match_the_per_call_assembly(self, x0, x, method, error):
+        x0, x = BPoint.exact(*x0), BPoint.exact(*x)
+        want = _same_as_reference(x0, x, BasePointPlan(x0), method)
+        assert want[0] is error
+
+    def test_each_field_is_computed_once(self, monkeypatch):
+        counts = _count_calls(monkeypatch)
+        p = 5
+        x0 = BPoint.exact(-5, 0, 0, p)              # case 0ii
+        plan = BasePointPlan(x0)
+        for x in neighborhood_samples(plan):
+            dorb1(plan, x)
+        assert counts["case_of"] == 1 and counts["orbit_reps"] == 1
+        assert counts["forced_s_values"] == 2      # y_pp and y_mm
+        assert counts["transfer_sign_0ii"] == 3    # the plan's and one per forced value
+
+    def test_phi1_classifies_zero_once(self, monkeypatch):
+        counts = _count_calls(monkeypatch)
+        for p in (3, 5):
+            for m in (0, 1, 4):
+                for lm in (1, 2, 5):
+                    for lp in (1, 3, INF):
+                        counts.clear()
+                        phi1(make_bpoint_rs1(m, lm, lp, p))
+                        assert counts["case_of"] == 1
+                        assert counts["delta"] <= 11, counts["delta"]
+
+    def test_verify_zero_builds_one_plan(self, monkeypatch):
+        counts = _count_calls(monkeypatch)
+        r = verify_zero(3, 2, 5)
+        assert r.constant and len(r.samples) == 3 * 5 * 4
+        assert counts["orbit_reps"] == 1 and counts["case_of"] == 1
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_verify_x0_builds_one_plan(self, monkeypatch, p):
+        library = base_point_library(p)
+        counts = _count_calls(monkeypatch)
+        for _, x0 in library:
+            counts.clear()
+            assert verify_x0(x0).constant
+            assert counts["orbit_reps"] == 1 and counts["case_of"] == 1
+
+
+def _count_calls(monkeypatch):
+    """Count the calls of case_of, orbit_reps, forced_s_values,
+    transfer_sign_0ii and BPoint.delta, wrapping each function in every
+    atlas module that binds it."""
+    counts = Counter()
+    modules = [m for name, m in sys.modules.items()
+               if m is not None and name.startswith("atlas.")]
+    for fn in (orbits.case_of, orbits.orbit_reps, values.forced_s_values,
+               values.transfer_sign_0ii):
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+        for mod in modules:
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    delta = BPoint.delta
+
+    def counted_delta(self):
+        counts["delta"] += 1
+        return delta(self)
+    monkeypatch.setattr(BPoint, "delta", counted_delta)
+    return counts
+
+
+class TestTypedErrors:
+    def test_differencing_across_base_points_is_an_input_error(self):
+        p = 3
+        a = dorb1(BPoint.exact(-3, 1, 1, p), BPoint.exact(-3 + 2 * 3 ** 7, 1, 1, p))
+        b = dorb1(BPoint.exact(0, 1, 0, p), BPoint.exact(3 ** 6, 1, 0, p))
+        with pytest.raises(InputError, match="distinct base points"):
+            a - b
+
+    def test_family_row_at_zero_is_an_input_error(self):
+        p = 3
+        x0 = zero_point(p)
+        family = orbit_reps(x0)[0]
+        assert family.tag == "n_mu"
+        with pytest.raises(InputError, match="gamma_n_mu"):
+            dgamma_table(x0, family, make_bpoint_rs1(1, 2, 3, p))

@@ -56,6 +56,32 @@ class TestBPoint:
         assert make_bpoint_rs1(1, 1, 3, 3).ml_params() == (1, 1, 3)
         assert make_bpoint_rs1(1, 3, 1, 3).ml_params() == (1, 3, 1)
 
+    def test_exact_matches_one_padic_scalar_per_coordinate(self):
+        rng = random.Random(1603)
+        for _ in range(400):
+            p = rng.choice([3, 5, 7, 11])
+            coords = [rng.choice([0, rng.randint(-99, 99),
+                                  Fraction(rng.randint(-99, 99), rng.randint(1, 99)),
+                                  f"{rng.randint(-99, 99)}/{rng.randint(1, 99)}"])
+                      for _ in range(3)]
+            x = BPoint.exact(*coords, p)
+            for s, v in zip((x.lam, x.u, x.wtilde), coords):
+                want = PadicScalar.exact(Fraction(v), p)
+                assert s.p == p and s.is_exact and type(s.rational) is Fraction
+                assert s.rational == want.rational and s == want
+
+    @pytest.mark.parametrize("p", [1, -3, 2, 4, 9, 3.0, "3"])
+    def test_exact_rejects_a_non_prime(self, p):
+        with pytest.raises(InputError, match="odd prime"):
+            BPoint.exact(1, 2, 3, p)
+
+    def test_exact_reads_lam_before_p_and_p_before_u(self):
+        with pytest.raises(ValueError) as lam_first:
+            BPoint.exact("1/x", 1, 0, 4)
+        assert not isinstance(lam_first.value, InputError)
+        with pytest.raises(InputError, match="odd prime"):
+            BPoint.exact(1, "1/x", 0, 4)
+
     def test_ml_params_r0_error(self):
         x = BPoint.exact(3, 0, 0, 3)
         with pytest.raises(UnrealizableError):

@@ -52,14 +52,15 @@ class TestVerifyZero:
         assert oracle.samples == closed.samples
 
     def test_every_failing_point_is_reported(self, monkeypatch):
-        phi1_ok = verify.phi1
+        # verify_zero evaluates each point through _phi1 on one zero plan
+        phi1_ok = verify._phi1
         bad = {(0, 1, 1), (1, 2, INF)}
 
-        def wrong(x, method="closed"):
-            v = phi1_ok(x, method=method)
+        def wrong(zero, x, method):
+            v = phi1_ok(zero, x, method)
             return v + LogQVal({1: 1}, x.p) if x.ml_params() in bad else v
 
-        monkeypatch.setattr(verify, "phi1", wrong)
+        monkeypatch.setattr(verify, "_phi1", wrong)
         r = verify_zero(3, m_max=1, l_max=3)
         assert not r.constant and r.value == "varies"
         assert r.notes.count("; FAIL at") == 2
@@ -135,3 +136,8 @@ class TestReport:
         assert "constant" in csv_blob.splitlines()[0]
         txt = report([("zero p=3", r)], "text")
         assert "constant" in txt
+
+    def test_unknown_format_is_an_input_error(self):
+        r = verify_zero(3, m_max=0, l_max=1)
+        with pytest.raises(InputError, match="unknown format 'xml'"):
+            report([("zero p=3", r)], "xml")
