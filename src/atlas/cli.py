@@ -143,9 +143,9 @@ def cmd_values(args) -> int:
         lam0, u0, wt0 = _parse("--params", args.params, Fraction, Fraction, Fraction)
         plan = BasePointPlan(BPoint.exact(lam0, u0, wt0, p))
         vals = {}
-        for rep in plan.reps:
-            v = plan.forced(rep)
-            vals[rep.tag] = None if v is None else str(v)
+        for tag in plan.reps:
+            v = plan.forced(tag)
+            vals[tag] = None if v is None else str(v)
         out["case"] = plan.case
         out["values"] = vals
     else:

@@ -17,10 +17,6 @@ class PrecisionError(AtlasError):
     """A capped value is indistinguishable from zero at its stored precision."""
 
 
-class NoSquareRootError(AtlasError):
-    pass
-
-
 class NotRegularSemisimpleError(AtlasError):
     pass
 

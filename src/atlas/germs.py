@@ -7,9 +7,9 @@ Around a nonzero base point the assembled value is only defined modulo an
 unknown constant depending on the base point; it is returned as a varying
 part plus a symbolic constant tag, and consumers compare differences.
 
-What the assembly reads of a base point (its case, neighborhood, orbit
-representatives and forced values) sits in a BasePointPlan, which a caller
-evaluating many points around one base point builds once."""
+What the assembly reads of a base point (its case, neighborhood, orbit tags
+and forced values) sits in a BasePointPlan, which a caller evaluating many
+points around one base point builds once."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from functools import cached_property
 from .errors import (ExcludedCaseError, InputError,
                      NotRegularSemisimpleError, UnrealizableError)
 from .integrate import DEFAULT_WINDOW, phi_from_xi
-from .orbits import BPoint, OrbitRep, case_of, in_side1_closure, orbit_reps
+from .orbits import BPoint, case_of, in_side1_closure, orbit_reps
 from .padic import PadicScalar, _sqrt_mod_p
 from .svalue import LaurentX, LogQVal, dds_s0
 from .values import eta_minus1, forced_s_values, transfer_sign_0ii
@@ -101,8 +101,8 @@ def gamma_n_mu(x: BPoint, mu) -> GermCoeff:
 class BasePointPlan:
     """What the verdicts around one degenerate base point x0 read of it: its
     case, the split and side-1-closure verdicts, the valuations the
-    neighborhood freezes, the orbit representatives, the forced value of
-    each representative and the case-0ii transfer sign.
+    neighborhood freezes, the orbit tags, the forced value of each tag and
+    the case-0ii transfer sign.
 
     A plain value: the caller builds it and keeps it while it evaluates
     around x0, and no module holds one.  is_in_neighborhood, dgamma_table,
@@ -110,14 +110,13 @@ class BasePointPlan:
     when given a BPoint.  Each field is computed on first use and at most
     once, so the errors come in the same order as without a plan: the case
     (NotRegularSemisimpleError, UnrealizableError) when first read, the
-    closure verdict and the case-0ii root only where a caller reaches
-    them."""
+    closure verdict only where a caller reaches it."""
 
     def __init__(self, x0: BPoint):
         self.x0 = x0
         self.p = x0.p
         self._frozen = []     # valuations of x0's coordinates, in order
-        self._forced = {}     # representative tag -> forced value
+        self._forced = {}     # orbit tag -> forced value
 
     @cached_property
     def case(self) -> str:
@@ -145,14 +144,15 @@ class BasePointPlan:
             yield s0, vals[i]
 
     @cached_property
-    def reps(self) -> list:
-        return orbit_reps(self.x0, self.case)
+    def reps(self) -> tuple:
+        """The orbit tags over x0, orbit_reps(case)."""
+        return orbit_reps(self.case)
 
-    def forced(self, rep: OrbitRep):
-        """forced_s_values(x0, rep), computed once per representative."""
-        if rep.tag not in self._forced:
-            self._forced[rep.tag] = forced_s_values(self.x0, rep, self.case)
-        return self._forced[rep.tag]
+    def forced(self, tag: str):
+        """forced_s_values(x0, tag, case), computed once per tag."""
+        if tag not in self._forced:
+            self._forced[tag] = forced_s_values(self.x0, tag, self.case)
+        return self._forced[tag]
 
     @cached_property
     def sign_0ii(self) -> int:
@@ -186,13 +186,13 @@ def is_in_neighborhood(x0, x: BPoint) -> bool:
                for _, v0 in plan.frozen() if v0 is not None)
 
 
-def dgamma_table(x0, rep: OrbitRep, x: BPoint):
-    """Tabulated derivative of the germ coefficient at the center, evaluated
-    at x near the base point x0 (a BPoint or its plan).  Entries whose
-    paired orbit integral vanishes identically are returned as the UNNEEDED
-    marker.  An x with Delta = 0 raises NotRegularSemisimpleError: the
-    entries read log|Delta|.  The family representative at zero is an
-    InputError: its coefficients come from gamma_n_mu."""
+def dgamma_table(x0, tag: str, x: BPoint):
+    """Tabulated derivative at the center of the germ coefficient of the
+    orbit tag, evaluated at x near the base point x0 (a BPoint or its
+    plan).  Entries whose paired orbit integral vanishes identically are
+    returned as the UNNEEDED marker.  An x with Delta = 0 raises
+    NotRegularSemisimpleError: the entries read log|Delta|.  The family tag
+    n_mu at zero is an InputError: its coefficients come from gamma_n_mu."""
     plan = base_point_plan(x0)
     p = plan.p
     c = plan.usable_case()
@@ -203,29 +203,29 @@ def dgamma_table(x0, rep: OrbitRep, x: BPoint):
         raise NotRegularSemisimpleError("not regular semisimple: Delta = 0")
     x0 = plan.x0
     if c == "zero":
-        if rep.tag == "n0_plus":
+        if tag == "n0_plus":
             return LogQVal.const(0, p)
-        if rep.tag == "n0_minus":
+        if tag == "n0_minus":
             return LogQVal({1: Fraction(-(d.val() - 1))}, p)   # log|Delta/p|
         raise InputError("family coefficients come from gamma_n_mu")
     if c == "0i":
-        if rep.tag == "y_plus":
+        if tag == "y_plus":
             return LogQVal.const(0, p)
-        if rep.tag == "y_minus":
+        if tag == "y_minus":
             v = d.val() - x0.lam.val()
             return LogQVal({1: Fraction(-(-x0.lam).eta() * v)}, p)
         return UNNEEDED
     if c == "0ii":
-        if rep.tag == "y_pp":
+        if tag == "y_pp":
             return LogQVal.const(0, p)
-        if rep.tag == "y_mm":
+        if tag == "y_mm":
             v = d.val() - x0.lam.val()
             return LogQVal({1: Fraction(-eta_minus1(p) * v)}, p)
         return UNNEEDED
     # case 1
-    if rep.tag == "y_plus":
+    if tag == "y_plus":
         return LogQVal.const(0, p)
-    if rep.tag == "y_minus":
+    if tag == "y_minus":
         v = d.val() - 2 * x0.u.val() - 1
         return LogQVal({1: Fraction(-v)}, p)      # log|Delta/(u0^2 p)|
     return UNNEEDED
@@ -263,20 +263,20 @@ def phi_closed(x: BPoint) -> LogQVal:
 
 
 def germ_terms(x0, x: BPoint):
-    """(tag, dGamma, forced value) for each orbit representative over the
-    base point x0 (a BPoint or its plan), at x.  The family n_mu has
-    neither: its part is the family contribution.  An entry whose paired
-    orbit integral vanishes has dGamma UNNEEDED, and the value is None there
-    and wherever the transfer forces none."""
+    """(tag, dGamma, forced value) for each orbit tag over the base point
+    x0 (a BPoint or its plan), at x.  The family n_mu has neither: its part
+    is the family contribution.  An entry whose paired orbit integral
+    vanishes has dGamma UNNEEDED, and the value is None there and wherever
+    the transfer forces none."""
     plan = base_point_plan(x0)
     out = []
-    for rep in plan.reps:
-        if rep.tag == "n_mu":
-            out.append((rep.tag, None, None))
+    for tag in plan.reps:
+        if tag == "n_mu":
+            out.append((tag, None, None))
             continue
-        coeff = dgamma_table(plan, rep, x)
-        val = None if coeff is UNNEEDED else plan.forced(rep)
-        out.append((rep.tag, coeff, val))
+        coeff = dgamma_table(plan, tag, x)
+        val = None if coeff is UNNEEDED else plan.forced(tag)
+        out.append((tag, coeff, val))
     return out
 
 
@@ -284,7 +284,7 @@ def germ_terms(x0, x: BPoint):
 class Dorb1:
     """Assembled first-derivative term: an exact graded value around zero, or
     a varying part plus a symbolic base-point constant elsewhere, with the
-    per-representative terms of germ_terms that went into it."""
+    per-tag terms of germ_terms that went into it."""
     varying: LogQVal
     const_tag: str | None
     terms: list

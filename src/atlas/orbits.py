@@ -1,7 +1,7 @@
 """Elements of the three reduced spaces (anti-hermitian matrices, and the two
 unitary Lie algebras), their common invariants (lambda, u, w), sections of the
-invariant map, Cayley transforms, and orbit representatives over degenerate
-base points of the quotient."""
+invariant map, Cayley transforms, and the cases of degenerate base points of
+the quotient with the tags of the orbits over each."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from fractions import Fraction
 from .errors import (CayleyUndefinedError, InputError,
                      NotRegularSemisimpleError, UnrealizableError)
 from .padic import (INF, PadicScalar, QuadElt, QuatElt, _check_odd_prime,
-                    cayley_solve, hensel_sqrt, legendre, quat_solve)
+                    cayley_solve, legendre, quat_solve)
 
 
 def _ps(x, p: int) -> PadicScalar:
@@ -30,16 +30,6 @@ def _rational_sqrt(x: Fraction):
     if rn * rn == n and rd * rd == d:
         return Fraction(rn, rd)
     return None
-
-
-def padic_sqrt(x: PadicScalar) -> PadicScalar:
-    """Square root in Q_p: exact when the rational is a perfect square,
-    otherwise a capped Hensel lift."""
-    if x.is_exact:
-        r = _rational_sqrt(x.rational)
-        if r is not None:
-            return PadicScalar.exact(r, x.p)
-    return hensel_sqrt(x)
 
 
 # ---------------------------------------------------------------------------
@@ -286,20 +276,6 @@ class U0RedElt:
         return (ok(self.a1) and ok(self.a2) and ok(self.a3)
                 and self.b1.is_integral() and self.b2.is_integral())
 
-    def conj_by_h(self, h) -> "U0RedElt":
-        """Conjugate by diag(h, 1) for h a 2x2 matrix over F lying in the
-        hermitian stabilizer; the result is reassembled from the new matrix."""
-        M = self.matrix()
-        p = self.p
-        one, zero = QuadElt.one(p), QuadElt.zero(p)
-        dh = h[0][0] * h[1][1] - h[0][1] * h[1][0]
-        hinv = [[h[1][1] / dh, -(h[0][1] / dh)], [-(h[1][0] / dh), h[0][0] / dh]]
-        H = [[h[0][0], h[0][1], zero], [h[1][0], h[1][1], zero], [zero, zero, one]]
-        Hi = [[hinv[0][0], hinv[0][1], zero], [hinv[1][0], hinv[1][1], zero],
-              [zero, zero, one]]
-        N = mat_mul(Hi, mat_mul(M, H))
-        return U0RedElt(N[0][0].a, N[0][1].a, N[1][0].a, N[0][2], N[1][2])
-
     def __repr__(self):
         return (f"U0RedElt(a1={self.a1!r}, a2={self.a2!r}, a3={self.a3!r}, "
                 f"b1={self.b1!r}, b2={self.b2!r})")
@@ -440,21 +416,6 @@ class U1GroupElt:
         return f"U1GroupElt({self.M!r})"
 
 
-def u1_dagger(M):
-    """The adjoint involution on 3x3 quaternion matrices in this presentation:
-    entry (i,j) of the adjoint is (J_j/J_i) * conj(M[j][i]) for J = (1, -p, 1)."""
-    p = M[0][0].p
-    J = [Fraction(1), Fraction(-p), Fraction(1)]
-    return [[M[j][i].conj() * (J[j] / J[i]) for j in range(3)] for i in range(3)]
-
-
-def u1_is_unitary(g: U1GroupElt) -> bool:
-    p = g.p
-    prod = mat_mul(g.M, u1_dagger(g.M))
-    I = quat_identity(p)
-    return all((prod[i][j] - I[i][j]).is_zero() for i in range(3) for j in range(3))
-
-
 XI_CHOICES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
@@ -545,40 +506,37 @@ def case_of(x0: BPoint) -> str:
     return "0i"
 
 
-def in_side1_closure(x0: BPoint, case: str | None = None) -> bool:
-    """Whether regular semisimple side-1 points accumulate at x0; case is
-    case_of(x0) when the caller holds it."""
-    c = case_of(x0) if case is None else case
+def in_side1_closure(x0: BPoint, case: str) -> bool:
+    """Whether regular semisimple side-1 points accumulate at x0, whose case
+    is case_of(x0)."""
     if not x0.is_integral():
         return False
-    if c == "split":
+    if case == "split":
         return False
-    if c == "0i":
+    if case == "0i":
         return (-x0.lam).eta() == -1
     return True
 
 
-@dataclass(frozen=True)
-class OrbitRep:
-    """A representative in the reduced anti-hermitian space; excluded marks
-    the split case, which the comparison skips."""
-    tag: str
-    payload: object            # None for a family descriptor
-    excluded: bool = False
+def orbit_reps(case: str) -> tuple:
+    """The tags of the relevant orbits in the fiber over a degenerate base
+    point of the given case, in the order the comparison reads them.
 
-
-def nilpotent_family_member(mu, p: int) -> SRedElt:
-    """n(mu) = pi [[0, mu, 1], [0, 0, 0], [0, 1, 0]]."""
-    mu = _ps(Fraction(mu), p) if not isinstance(mu, PadicScalar) else mu
-    zero, one = _ps(0, p), _ps(1, p)
-    return SRedElt([[zero, mu, one], [zero, zero, zero], [zero, one, zero]])
-
-
-def regular_nilpotent(sign: int, p: int) -> SRedElt:
-    z = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
-    if sign < 0:
-        z = [list(r) for r in zip(*z)]
-    return SRedElt.exact(z, p)
+    The verdict reads an orbit only through its germ coefficient and its
+    transfer-forced value, both dispatched on the tag, so no representative
+    is built: n_mu is the nilpotent family at zero, n0_plus and n0_minus
+    the two regular nilpotent orbits, and over (lam0, 0, 0) y0 is the
+    semisimple orbit.  The split case has the tags of case 0i, and every
+    comparison routine rejects it."""
+    if case == "zero":
+        return ("n_mu", "n0_plus", "n0_minus")
+    if case == "1":
+        return ("y_plus", "y_minus")
+    if case in ("0i", "split"):
+        return ("y0", "y_plus", "y_minus")
+    if case == "0ii":
+        return ("y0", "y_pp", "y_pm", "y_mm", "y_mp")
+    raise InputError(f"unknown case {case!r}")
 
 
 def u0_nilpotent_family_member(beta, p: int) -> U0RedElt:
@@ -634,48 +592,6 @@ def u0_ss_case1(x0: BPoint) -> U0RedElt:
             and inv.wtilde.same_value(x0.wtilde)):
         raise UnrealizableError("representative does not hit the base point")
     return y
-
-
-def orbit_reps(x0: BPoint, case: str | None = None):
-    """The representative list of the relevant orbits in the fiber over a
-    degenerate base point, in the reduced anti-hermitian space; case is
-    case_of(x0) when the caller holds it."""
-    p = x0.p
-    c = case_of(x0) if case is None else case
-
-    if c == "zero":
-        return [OrbitRep("n_mu", None),
-                OrbitRep("n0_plus", regular_nilpotent(+1, p)),
-                OrbitRep("n0_minus", regular_nilpotent(-1, p))]
-
-    if c == "1":
-        lam0, u0, wt0 = x0.lam, x0.u, x0.wtilde
-        alpha = wt0 / u0
-        zero, one = _ps(0, p), _ps(1, p)
-        y_plus = SRedElt([[alpha, zero, one], [one, -alpha, zero], [u0, zero, zero]])
-        y_minus = SRedElt([[alpha, one, one], [zero, -alpha, zero], [u0, zero, zero]])
-        return [OrbitRep("y_plus", y_plus), OrbitRep("y_minus", y_minus)]
-
-    lam0 = x0.lam
-    zero, one = _ps(0, p), _ps(1, p)
-    if c in ("0i", "split"):
-        excl = c == "split"
-        mlam = -(lam0 / p)
-        y0 = SRedElt([[zero, mlam, zero], [one, zero, zero], [zero, zero, zero]])
-        y_plus = SRedElt([[zero, mlam, one], [one, zero, zero], [zero, zero, zero]])
-        y_minus = SRedElt([[zero, mlam, zero], [one, zero, zero], [one, zero, zero]])
-        return [OrbitRep("y0", y0, excl), OrbitRep("y_plus", y_plus, excl),
-                OrbitRep("y_minus", y_minus, excl)]
-
-    # case 0ii: diagonalizable shapes with alpha^2 = -lam0/p
-    alpha = padic_sqrt(-(lam0 / p))
-    y0 = SRedElt([[alpha, zero, zero], [zero, -alpha, zero], [zero, zero, zero]])
-    y_pp = SRedElt([[alpha, zero, one], [zero, -alpha, one], [zero, zero, zero]])
-    y_pm = SRedElt([[alpha, zero, one], [zero, -alpha, zero], [zero, one, zero]])
-    y_mm = SRedElt([[alpha, zero, zero], [zero, -alpha, zero], [one, one, zero]])
-    y_mp = SRedElt([[alpha, zero, zero], [zero, -alpha, one], [one, zero, zero]])
-    return [OrbitRep("y0", y0), OrbitRep("y_pp", y_pp), OrbitRep("y_pm", y_pm),
-            OrbitRep("y_mm", y_mm), OrbitRep("y_mp", y_mp)]
 
 
 # ---------------------------------------------------------------------------

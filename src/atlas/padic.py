@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import InputError, NoSquareRootError, PrecisionError
+from .errors import InputError, PrecisionError
 
 DEFAULT_PRECISION = 24
 
@@ -416,38 +416,6 @@ class PadicScalar:
         if self._n == 0:
             return f"O({self.p}^{self._v})"
         return f"{self._unit}*{self.p}^{self._v} + O({self.p}^{self._v + self._n})"
-
-
-def hensel_sqrt(u: PadicScalar, ndigits: int = DEFAULT_PRECISION) -> PadicScalar:
-    """Capped square root of u, when one exists in Q_p.
-
-    Requires even valuation and quadratic-residue unit part.  The branch is
-    deterministic: the root whose leading digit lies in 1..(p-1)/2 is chosen.
-    """
-    p = u.p
-    v = u.val()
-    if v is INF:
-        return PadicScalar.exact(0, p)
-    if v % 2:
-        raise NoSquareRootError("no square root: odd valuation")
-    u0 = u.unit_mod(1)
-    if legendre(u0, p) != 1:
-        raise NoSquareRootError(f"no square root: {u0} is not a QR mod {p}")
-    n = ndigits
-    target = u.unit_mod(n) if u.rel_precision >= n else u.unit_mod(int(u.rel_precision))
-    if u.rel_precision < n:
-        n = int(u.rel_precision)
-    # square root mod p (p = 3 mod 4 shortcut, else Tonelli-Shanks)
-    s = _sqrt_mod_p(target % p, p)
-    # Newton lifting: s <- (s + target/s)/2, doubling precision each step
-    k = 1
-    while k < n:
-        k = min(2 * k, n)
-        m = p ** k
-        s = (s + target * pow(s, -1, m)) % m * pow(2, -1, m) % m
-    if s % p > (p - 1) // 2:
-        s = (p ** n - s) % p ** n
-    return PadicScalar.capped(p, v // 2, s, n)
 
 
 def _sqrt_mod_p(a: int, p: int) -> int:

@@ -12,8 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ExcludedCaseError, InputError, UnrealizableError
-from .orbits import INF, BPoint, OrbitRep, case_of, padic_sqrt
-from .padic import PadicScalar, legendre
+from .orbits import INF, BPoint, _rational_sqrt
+from .padic import PadicScalar, _sqrt_mod_p, legendre
 from .svalue import LogQVal, zeta1
 
 PHI_TAGS = ("phi0", "phi1", "phi2", "phi3")
@@ -205,48 +205,59 @@ def orb_u0_ss_case1(lam0, u0, p: int) -> Fraction:
 
 
 def transfer_sign_0ii(x0: BPoint) -> int:
-    """eta(-alpha) for the root alpha = padic_sqrt(-lam0/p) that the case-0ii
-    orbit representatives carry: the sign of the section's transfer factor."""
-    return (-padic_sqrt(-(x0.lam / x0.p))).eta()
+    """eta(-alpha) for the square root alpha of -lam0/p fixed by the case-0ii
+    convention: the sign of the section's transfer factor.
 
-
-def forced_s_values(x0: BPoint, rep: OrbitRep, case: str | None = None):
-    """The transfer-forced orbit-integral values over a degenerate base point,
-    for any function transferring to (the lattice indicator, 0).  Returns a
-    rational, or None for representatives that carry no forced value; case
-    is case_of(x0) when the caller holds it."""
+    alpha is the positive root when -lam0/p is a rational square, and else
+    the p-adic root whose leading digit s lies in 1..(p-1)/2.  In the second
+    case eta(-alpha) reads only v(alpha) and s, so it comes from residues:
+    legendre(-s, p) legendre(-1, p)^v(alpha), with no root lifted."""
     p = x0.p
-    c = case_of(x0) if case is None else case
-    if c == "split":
+    a = -(x0.lam / p)
+    r = _rational_sqrt(a.rational) if a.is_exact else None
+    if r is not None:
+        return PadicScalar.exact(-r, p).eta()
+    s = _sqrt_mod_p(a.unit_mod(1), p)
+    s = min(s, p - s)
+    return legendre(-s, p) * legendre(-1, p) ** (a.val() // 2 % 2)
+
+
+def forced_s_values(x0: BPoint, tag: str, case: str):
+    """The transfer-forced orbit-integral values over a degenerate base point
+    x0 of the given case, for any function transferring to (the lattice
+    indicator, 0).  Returns a rational, or None for the orbit tags that
+    carry no forced value."""
+    p = x0.p
+    if case == "split":
         raise ExcludedCaseError("excluded split case")
     if not x0.is_integral():
-        return Fraction(0) if rep.tag != "y0" else None
-    if c == "zero":
-        if rep.tag == "n0_plus":
+        return Fraction(0) if tag != "y0" else None
+    if case == "zero":
+        if tag == "n0_plus":
             return orb_nil_reg_s("plus", p)
-        if rep.tag == "n0_minus":
+        if tag == "n0_minus":
             return orb_nil_reg_s("minus", p)
         return None
-    if c == "0i":
+    if case == "0i":
         half = _ss_case0_value(x0.lam.val(), p) / 2
-        if rep.tag == "y_plus":
+        if tag == "y_plus":
             return half
-        if rep.tag == "y_minus":
+        if tag == "y_minus":
             return (-x0.lam).eta() * half
         return None
-    if c == "0ii":
-        if rep.tag in ("y_pm", "y_mp"):
+    if case == "0ii":
+        if tag in ("y_pm", "y_mp"):
             return Fraction(0)
         half = (Fraction(transfer_sign_0ii(x0), 2)
                 * _ss_case0_value(x0.lam.val(), p))
-        if rep.tag == "y_pp":
+        if tag == "y_pp":
             return half
-        if rep.tag == "y_mm":
+        if tag == "y_mm":
             return eta_minus1(p) * half
         return None
     # case 1
     vlam = INF if x0.lam.is_exact_zero() else x0.lam.val()
     half = _ss_case1_value(vlam, x0.u.val(), p) / 2
-    if rep.tag in ("y_plus", "y_minus"):
+    if tag in ("y_plus", "y_minus"):
         return half
     return None

@@ -12,15 +12,17 @@ from atlas.errors import (ExcludedCaseError, InputError,
                           NotRegularSemisimpleError, UnrealizableError)
 from atlas.germs import (NEIGHBORHOOD_DEPTH, UNNEEDED, BasePointPlan, Dorb1,
                          check_method, dgamma_table, dorb1, gamma_n_mu,
-                         is_in_neighborhood, phi_closed, zero_point)
+                         germ_terms, is_in_neighborhood, phi_closed,
+                         zero_point)
 from atlas.integrate import DEFAULT_WINDOW, phi_from_xi
 from atlas.orbits import (INF, BPoint, case_of, in_side1_closure,
-                          make_bpoint_rs1, orbit_reps, padic_sqrt)
+                          make_bpoint_rs1, orbit_reps)
 from atlas.padic import PadicScalar
 from atlas.svalue import LaurentX, LogQVal, dds_s0, zeta1
 from atlas.values import eta_minus1, forced_s_values, transfer_sign_0ii
 from atlas.verify import (base_point_library, neighborhood_samples, phi1,
                           verify_x0, verify_zero)
+from test_padic import padic_sqrt
 
 
 class TestGammaFamily:
@@ -174,58 +176,52 @@ class TestDGammaTable:
         p = 3
         x0 = zero_point(p)
         x = make_bpoint_rs1(1, 2, 3, p)
-        reps = {r.tag: r for r in orbit_reps(x0)}
-        assert dgamma_table(x0, reps["n0_plus"], x).is_zero()
+        assert dgamma_table(x0, "n0_plus", x).is_zero()
         k = x.delta().val() - 1
-        assert dgamma_table(x0, reps["n0_minus"], x) == LogQVal({1: -k}, p)
+        assert dgamma_table(x0, "n0_minus", x) == LogQVal({1: -k}, p)
 
     def test_case_0i_row(self):
         p = 3
         x0 = BPoint.exact(1, 0, 0, p)
         assert case_of(x0) == "0i"
         x = BPoint.exact(1, 27, 0, p)
-        reps = {r.tag: r for r in orbit_reps(x0)}
-        assert dgamma_table(x0, reps["y_plus"], x).is_zero()
+        assert dgamma_table(x0, "y_plus", x).is_zero()
         v = x.delta().val() - x0.lam.val()
         e = PadicScalar.exact(-1, p).eta()
-        assert dgamma_table(x0, reps["y_minus"], x) == LogQVal({1: -e * v}, p)
+        assert dgamma_table(x0, "y_minus", x) == LogQVal({1: -e * v}, p)
 
     def test_case_1_row(self):
         p = 3
         x0 = BPoint.exact(-3, 1, 1, p)
         x = BPoint.exact(-3 + 3 ** 7, 1, 1, p)
-        reps = {r.tag: r for r in orbit_reps(x0)}
         v = x.delta().val() - 2 * x0.u.val() - 1
-        assert dgamma_table(x0, reps["y_minus"], x) == LogQVal({1: -v}, p)
+        assert dgamma_table(x0, "y_minus", x) == LogQVal({1: -v}, p)
 
     def test_unneeded_rows(self):
         p = 5
         x0 = BPoint.exact(-20, 0, 0, p)
         x = BPoint.exact(-20, 5 ** 8, 0, p)
-        reps = {r.tag: r for r in orbit_reps(x0)}
-        assert dgamma_table(x0, reps["y_pm"], x) is UNNEEDED
-        assert dgamma_table(x0, reps["y_mp"], x) is UNNEEDED
-        assert dgamma_table(x0, reps["y_pp"], x).is_zero()
+        assert dgamma_table(x0, "y_pm", x) is UNNEEDED
+        assert dgamma_table(x0, "y_mp", x) is UNNEEDED
+        assert dgamma_table(x0, "y_pp", x).is_zero()
 
     def test_neighborhood_enforced(self):
         p = 3
         x0 = BPoint.exact(1, 0, 0, p)
         far = BPoint.exact(2, 1, 0, p)
-        reps = orbit_reps(x0)
         with pytest.raises(UnrealizableError):
-            dgamma_table(x0, reps[1], far)
+            dgamma_table(x0, "y_plus", far)
 
     def test_delta_zero_is_not_regular_semisimple(self):
         # the n0_minus row read v(Delta) = inf and raised OverflowError
         p = 3
         x0 = zero_point(p)
-        reps = {r.tag: r for r in orbit_reps(x0)}
         for x in (BPoint.exact(0, 1, 0, p), BPoint.exact(0, 0, 0, p),
                   BPoint.exact(3, 0, 0, p)):
             assert x.delta().is_exact_zero()
             for tag in ("n0_plus", "n0_minus"):
                 with pytest.raises(NotRegularSemisimpleError):
-                    dgamma_table(x0, reps[tag], x)
+                    dgamma_table(x0, tag, x)
 
     def test_sform_consistency_case_0i(self):
         # the tabulated row equals d/ds at 0 of eta(Delta/lam)|Delta/lam|^{-s}
@@ -236,8 +232,37 @@ class TestDGammaTable:
         assert x.side() == 1
         dl = x.delta() / x.lam
         s_form = LaurentX({-dl.val(): 1}, p) * dl.eta()
-        reps = {r.tag: r for r in orbit_reps(x0)}
-        assert dds_s0(s_form) == dgamma_table(x0, reps["y_minus"], x)
+        assert dds_s0(s_form) == dgamma_table(x0, "y_minus", x)
+
+
+class TestOrbitTags:
+    # per case, a base point, a point near it and the tags that have a row
+    # of the table; every other tag but the family n_mu reads UNNEEDED
+    @pytest.mark.parametrize("x0, x, rows", [
+        ((0, 0, 0, 3), (6, 1, 0, 3), {"n0_plus", "n0_minus"}),
+        ((1, 0, 0, 3), (1, 27, 0, 3), {"y_plus", "y_minus"}),
+        ((-20, 0, 0, 5), (-20, 5 ** 8, 0, 5), {"y_pp", "y_mm"}),
+        ((-21, 0, 0, 3), (-21, 3 ** 3, 0, 3), {"y_pp", "y_mm"}),
+        ((-3, 1, 1, 3), (-3 + 2 * 3 ** 7, 1, 1, 3), {"y_plus", "y_minus"}),
+    ], ids=["zero", "0i", "0ii", "0ii-irrational", "1"])
+    def test_each_tag_reads_its_row_and_forced_value(self, x0, x, rows):
+        x0, x = BPoint.exact(*x0), BPoint.exact(*x)
+        case = case_of(x0)
+        tags = orbit_reps(case)
+        assert rows <= set(tags)
+        terms = germ_terms(x0, x)
+        assert tuple(tag for tag, _, _ in terms) == tags
+        for tag, coeff, val in terms:
+            if tag == "n_mu":
+                assert (coeff, val) == (None, None)
+                continue
+            assert coeff == dgamma_table(x0, tag, x)
+            if tag in rows:
+                forced = forced_s_values(x0, tag, case)
+                assert isinstance(coeff, LogQVal)
+                assert forced is not None and val == forced
+            else:
+                assert coeff is UNNEEDED and val is None
 
 
 class TestPhiClosed:
@@ -300,7 +325,7 @@ class TestDorb1:
         d2 = dorb1(x0, x2)
         diff = d2 - d
         # slope is the forced value times the change in v(Delta)
-        v = forced_s_values(x0, orbit_reps(x0)[1])
+        v = forced_s_values(x0, "y_minus", "1")
         assert diff == LogQVal({1: -2 * v}, p)
 
     def test_split_rejected(self):
@@ -377,7 +402,7 @@ def _reference_in_neighborhood(x0, x):
     return all(vd >= f + NEIGHBORHOOD_DEPTH for f in fixed)
 
 
-def _reference_dgamma_table(x0, rep, x):
+def _reference_dgamma_table(x0, tag, x):
     p = x0.p
     c = case_of(x0)
     if c == "split":
@@ -388,28 +413,28 @@ def _reference_dgamma_table(x0, rep, x):
     if d.is_zero_at_precision():
         raise NotRegularSemisimpleError("not regular semisimple: Delta = 0")
     if c == "zero":
-        if rep.tag == "n0_plus":
+        if tag == "n0_plus":
             return LogQVal.const(0, p)
-        if rep.tag == "n0_minus":
+        if tag == "n0_minus":
             return LogQVal({1: Fraction(-(d.val() - 1))}, p)
         raise InputError("family coefficients come from gamma_n_mu")
     if c == "0i":
-        if rep.tag == "y_plus":
+        if tag == "y_plus":
             return LogQVal.const(0, p)
-        if rep.tag == "y_minus":
+        if tag == "y_minus":
             v = d.val() - x0.lam.val()
             return LogQVal({1: Fraction(-(-x0.lam).eta() * v)}, p)
         return UNNEEDED
     if c == "0ii":
-        if rep.tag == "y_pp":
+        if tag == "y_pp":
             return LogQVal.const(0, p)
-        if rep.tag == "y_mm":
+        if tag == "y_mm":
             v = d.val() - x0.lam.val()
             return LogQVal({1: Fraction(-eta_minus1(p) * v)}, p)
         return UNNEEDED
-    if rep.tag == "y_plus":
+    if tag == "y_plus":
         return LogQVal.const(0, p)
-    if rep.tag == "y_minus":
+    if tag == "y_minus":
         v = d.val() - 2 * x0.u.val() - 1
         return LogQVal({1: Fraction(-v)}, p)
     return UNNEEDED
@@ -423,7 +448,7 @@ def _reference_dorb1(x0, x, method="closed", window=DEFAULT_WINDOW):
         raise ExcludedCaseError("excluded split case")
     if not _reference_in_neighborhood(x0, x):
         raise UnrealizableError("x outside the recorded neighborhood of x0")
-    if not in_side1_closure(x0):
+    if not in_side1_closure(x0, c):
         raise UnrealizableError("base point is not in the closure of side 1")
     if x.side() != 1:
         raise InputError("dorb1 evaluates on side-1 points")
@@ -434,13 +459,13 @@ def _reference_dorb1(x0, x, method="closed", window=DEFAULT_WINDOW):
     else:
         total = phi_from_xi(x, window)
     terms = []
-    for rep in orbit_reps(x0):
-        if rep.tag == "n_mu":
-            terms.append((rep.tag, None, None))
+    for tag in orbit_reps(c):
+        if tag == "n_mu":
+            terms.append((tag, None, None))
             continue
-        coeff = _reference_dgamma_table(x0, rep, x)
-        val = None if coeff is UNNEEDED else forced_s_values(x0, rep)
-        terms.append((rep.tag, coeff, val))
+        coeff = _reference_dgamma_table(x0, tag, x)
+        val = None if coeff is UNNEEDED else forced_s_values(x0, tag, c)
+        terms.append((tag, coeff, val))
     for _, coeff, val in terms:
         if val is not None:
             total = total + coeff * val
@@ -614,7 +639,7 @@ class TestTypedErrors:
     def test_family_row_at_zero_is_an_input_error(self):
         p = 3
         x0 = zero_point(p)
-        family = orbit_reps(x0)[0]
-        assert family.tag == "n_mu"
+        family = orbit_reps(case_of(x0))[0]
+        assert family == "n_mu"
         with pytest.raises(InputError, match="gamma_n_mu"):
             dgamma_table(x0, family, make_bpoint_rs1(1, 2, 3, p))

@@ -12,6 +12,7 @@ from atlas.integrate import (TAIL_SAMPLES, Ball0, BallF, _conj_polys, _eta,
                              auto_window, close_poly_geometric_tail,
                              iwasawa_orbit_u0, phi_from_xi, xi_integral)
 from atlas.cli import main
+from atlas.germs import dorb1, is_in_neighborhood
 from atlas.orbits import (INF, XI_CHOICES, BPoint, U0RedElt, U1LieElt,
                           admissible_xi, cayley, cayley_inv, make_bpoint_rs1,
                           u0_nilpotent_family_member, u0_ss_case0,
@@ -640,7 +641,42 @@ def forbid_capped(monkeypatch):
     monkeypatch.setattr(PadicScalar, "from_rational_absprec", classmethod(capped))
 
 
+def side1_neighborhood_samples(x0, count, rng):
+    """count side-1 points in the neighborhood of a base point (lam0, 0, 0)
+    with v(lam0) = 1: lam0 perturbed by r p^k for k in 5..8, u and wt of the
+    form r p^k, each kept when is_in_neighborhood accepts it."""
+    p = x0.p
+    lam0 = x0.lam.rational
+    out = []
+    for _ in range(1000):
+        r = rng.choice((-1, 1)) * rng.randint(1, p - 1)
+        lam = lam0 + r * Fraction(p) ** rng.randint(5, 8)
+        u = rng.randint(1, p - 1) * Fraction(p) ** rng.randint(0, 4)
+        wt = rng.randint(0, p - 1) * Fraction(p) ** rng.randint(0, 4)
+        x = BPoint.exact(lam, u, wt, p)
+        if x.is_rs() and is_in_neighborhood(x0, x) and x.side() == 1:
+            out.append(x)
+            if len(out) == count:
+                return out
+    raise AssertionError(f"fewer than {count} samples around {x0!r}")
+
+
 class TestExactness:
+    def test_case_0ii_with_an_irrational_root_builds_no_capped_scalar(
+            self, monkeypatch, capsys):
+        # -lam0/p is 7, 6 and 11: a square in Q_p but not in Q
+        rng = random.Random(7)
+        samples = [(x0, side1_neighborhood_samples(x0, 30, rng))
+                   for x0 in (BPoint.exact(-21, 0, 0, 3), BPoint.exact(-30, 0, 0, 5),
+                              BPoint.exact(-77, 0, 0, 7))]
+        forbid_capped(monkeypatch)
+        for x0, xs in samples:
+            for x in xs:
+                assert dorb1(x0, x).const_tag is not None
+        assert main(["values", "--what", "forced-s", "--params", "-30", "0", "0",
+                     "--p", "5"]) == 0
+        assert '"y_mm": "1"' in capsys.readouterr().out
+
     def test_integrators_build_no_capped_scalar(self, monkeypatch):
         elements = criterion4_elements()
         points = [make_bpoint_rs1(*mlp, 3) for mlp in XI_POINTS]

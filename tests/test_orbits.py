@@ -5,18 +5,20 @@ from fractions import Fraction
 import pytest
 
 from atlas import padic
-from atlas.errors import (AtlasError, CayleyUndefinedError, InputError,
+from atlas.errors import (AtlasError, CayleyUndefinedError,
+                          ExcludedCaseError, InputError,
                           NotRegularSemisimpleError, PrecisionError,
                           UnrealizableError)
+from atlas.germs import BasePointPlan
 from atlas.orbits import (INF, XI_CHOICES, BPoint, SRedElt, U0RedElt,
-                          U1GroupElt, U1LieElt, U1RedElt, case_of, cayley,
+                          U1GroupElt, U1LieElt, U1RedElt, _ps, case_of, cayley,
                           cayley_inv, in_side1_closure, make_bpoint_rs1,
-                          mat_add, mat_sub,
-                          nilpotent_family_member, orbit_reps, quat_identity,
+                          mat_add, mat_mul, mat_sub, orbit_reps, quat_identity,
                           quat_mat_solve, section_sigma,
-                          u0_nilpotent_family_member, u0_ss_case1, u1_dagger,
-                          u1_is_unitary, u1_lie_from_matrix)
+                          u0_nilpotent_family_member, u0_ss_case1,
+                          u1_lie_from_matrix)
 from atlas.padic import PadicScalar, QuadElt, QuatElt, smallest_nonresidue
+from test_padic import padic_sqrt
 
 
 def rand_quat(p, traceless=False, lo=-9, hi=9):
@@ -30,6 +32,36 @@ def rand_k1_lie(p):
                     PadicScalar.exact(random.randint(-9, 9), p),
                     rand_quat(p),
                     QuadElt.exact(0, random.randint(-9, 9), p))
+
+
+def conj_by_h(y, h) -> U0RedElt:
+    """Conjugate y by diag(h, 1) for h a 2x2 matrix over F lying in the
+    hermitian stabilizer; the result is reassembled from the new matrix."""
+    M = y.matrix()
+    p = y.p
+    one, zero = QuadElt.one(p), QuadElt.zero(p)
+    dh = h[0][0] * h[1][1] - h[0][1] * h[1][0]
+    hinv = [[h[1][1] / dh, -(h[0][1] / dh)], [-(h[1][0] / dh), h[0][0] / dh]]
+    H = [[h[0][0], h[0][1], zero], [h[1][0], h[1][1], zero], [zero, zero, one]]
+    Hi = [[hinv[0][0], hinv[0][1], zero], [hinv[1][0], hinv[1][1], zero],
+          [zero, zero, one]]
+    N = mat_mul(Hi, mat_mul(M, H))
+    return U0RedElt(N[0][0].a, N[0][1].a, N[1][0].a, N[0][2], N[1][2])
+
+
+def u1_dagger(M):
+    """The adjoint involution on 3x3 quaternion matrices in this presentation:
+    entry (i,j) of the adjoint is (J_j/J_i) * conj(M[j][i]) for J = (1, -p, 1)."""
+    p = M[0][0].p
+    J = [Fraction(1), Fraction(-p), Fraction(1)]
+    return [[M[j][i].conj() * (J[j] / J[i]) for j in range(3)] for i in range(3)]
+
+
+def u1_is_unitary(g: U1GroupElt) -> bool:
+    p = g.p
+    prod = mat_mul(g.M, u1_dagger(g.M))
+    I = quat_identity(p)
+    return all((prod[i][j] - I[i][j]).is_zero() for i in range(3) for j in range(3))
 
 
 class TestBPoint:
@@ -274,7 +306,7 @@ class TestInvariantsU0:
             t = QuadElt.exact(random.randint(-9, 9), 0, p)
             zero, one = QuadElt.zero(p), QuadElt.one(p)
             h = [[z.inv(), t * z.conj()], [zero, z.conj()]]
-            yh = y.conj_by_h(h)
+            yh = conj_by_h(y, h)
             ix, iy = y.invariants(), yh.invariants()
             assert ix.lam.same_value(iy.lam)
             assert ix.u.same_value(iy.u)
@@ -600,15 +632,96 @@ class TestQuatMatSolve:
                 assert math.gcd(*(t for q in row for t in q)) == 1
 
 
+# the representative matrices in the reduced anti-hermitian space, of which
+# orbit_reps keeps only the tags: the reference that each tag names an orbit
+# over its base point
+
+def nilpotent_family_member(mu, p: int) -> SRedElt:
+    """n(mu) = pi [[0, mu, 1], [0, 0, 0], [0, 1, 0]]."""
+    mu = _ps(Fraction(mu), p) if not isinstance(mu, PadicScalar) else mu
+    zero, one = _ps(0, p), _ps(1, p)
+    return SRedElt([[zero, mu, one], [zero, zero, zero], [zero, one, zero]])
+
+
+def regular_nilpotent(sign: int, p: int) -> SRedElt:
+    z = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+    if sign < 0:
+        z = [list(r) for r in zip(*z)]
+    return SRedElt.exact(z, p)
+
+
+def reference_orbit_reps(x0: BPoint) -> dict:
+    """{tag: representative} over a degenerate base point; the family n_mu
+    maps to None, and case 0ii takes the root alpha = padic_sqrt(-lam0/p)."""
+    p = x0.p
+    c = case_of(x0)
+
+    if c == "zero":
+        return {"n_mu": None, "n0_plus": regular_nilpotent(+1, p),
+                "n0_minus": regular_nilpotent(-1, p)}
+
+    if c == "1":
+        lam0, u0, wt0 = x0.lam, x0.u, x0.wtilde
+        alpha = wt0 / u0
+        zero, one = _ps(0, p), _ps(1, p)
+        y_plus = SRedElt([[alpha, zero, one], [one, -alpha, zero], [u0, zero, zero]])
+        y_minus = SRedElt([[alpha, one, one], [zero, -alpha, zero], [u0, zero, zero]])
+        return {"y_plus": y_plus, "y_minus": y_minus}
+
+    lam0 = x0.lam
+    zero, one = _ps(0, p), _ps(1, p)
+    if c in ("0i", "split"):
+        mlam = -(lam0 / p)
+        y0 = SRedElt([[zero, mlam, zero], [one, zero, zero], [zero, zero, zero]])
+        y_plus = SRedElt([[zero, mlam, one], [one, zero, zero], [zero, zero, zero]])
+        y_minus = SRedElt([[zero, mlam, zero], [one, zero, zero], [one, zero, zero]])
+        return {"y0": y0, "y_plus": y_plus, "y_minus": y_minus}
+
+    # case 0ii: diagonalizable shapes with alpha^2 = -lam0/p
+    alpha = padic_sqrt(-(lam0 / p))
+    y0 = SRedElt([[alpha, zero, zero], [zero, -alpha, zero], [zero, zero, zero]])
+    y_pp = SRedElt([[alpha, zero, one], [zero, -alpha, one], [zero, zero, zero]])
+    y_pm = SRedElt([[alpha, zero, one], [zero, -alpha, zero], [zero, one, zero]])
+    y_mm = SRedElt([[alpha, zero, zero], [zero, -alpha, zero], [one, one, zero]])
+    y_mp = SRedElt([[alpha, zero, zero], [zero, -alpha, one], [one, zero, zero]])
+    return {"y0": y0, "y_pp": y_pp, "y_pm": y_pm, "y_mm": y_mm, "y_mp": y_mp}
+
+
+def _lies_over(y: SRedElt, x0: BPoint) -> bool:
+    """Whether y has the invariants of x0, compared exactly."""
+    iv = y.invariants()
+    return (iv.lam.rational, iv.u.rational, iv.wtilde.rational) == (
+        x0.lam.rational, x0.u.rational, x0.wtilde.rational)
+
+
 class TestOrbitReps:
+    @pytest.mark.parametrize("case, tags", [
+        ("zero", ("n_mu", "n0_plus", "n0_minus")),
+        ("0i", ("y0", "y_plus", "y_minus")),
+        ("split", ("y0", "y_plus", "y_minus")),
+        ("0ii", ("y0", "y_pp", "y_pm", "y_mm", "y_mp")),
+        ("1", ("y_plus", "y_minus")),
+    ])
+    def test_tags_of_each_case(self, case, tags):
+        assert orbit_reps(case) == tags
+
+    def test_unknown_case_is_an_input_error(self):
+        with pytest.raises(InputError, match="unknown case"):
+            orbit_reps("0iii")
+
+    @pytest.mark.parametrize("x0", [(0, 0, 0, 3), (1, 0, 0, 3), (-4, 0, 0, 5),
+                                    (-20, 0, 0, 5), (-30, 0, 0, 5), (-21, 0, 0, 3),
+                                    (-3, 1, 1, 3), (-27, 1, 3, 3)])
+    def test_tags_name_the_reference_representatives(self, x0):
+        x0 = BPoint.exact(*x0)
+        assert tuple(reference_orbit_reps(x0)) == orbit_reps(case_of(x0))
+
     def test_zero_base_point(self):
         x0 = BPoint.exact(0, 0, 0, 3)
-        reps = orbit_reps(x0)
-        tags = [r.tag for r in reps]
-        assert tags == ["n_mu", "n0_plus", "n0_minus"]
-        for r in reps[1:]:
-            iv = r.payload.invariants()
-            assert iv.lam.is_exact_zero() and iv.u.is_exact_zero()
+        reps = reference_orbit_reps(x0)
+        assert tuple(reps) == orbit_reps(case_of(x0)) == ("n_mu", "n0_plus", "n0_minus")
+        for tag in ("n0_plus", "n0_minus"):
+            assert _lies_over(reps[tag], x0)
         for mu in (0, 1, Fraction(1, 3)):
             n = nilpotent_family_member(mu, 3)
             iv = n.invariants()
@@ -619,35 +732,54 @@ class TestOrbitReps:
         p = 5
         x0 = BPoint.exact(-5 * 4, 0, 0, p)   # -lam/p = 4 a square
         assert case_of(x0) == "0ii"
-        reps = orbit_reps(x0)
-        assert [r.tag for r in reps] == ["y0", "y_pp", "y_pm", "y_mm", "y_mp"]
-        for r in reps:
-            iv = r.payload.invariants()
+        reps = reference_orbit_reps(x0)
+        assert tuple(reps) == orbit_reps("0ii") == ("y0", "y_pp", "y_pm", "y_mm", "y_mp")
+        for y in reps.values():
+            assert _lies_over(y, x0)
+
+    @pytest.mark.parametrize("x0", [(-30, 0, 0, 5), (-21, 0, 0, 3), (-77, 0, 0, 7)])
+    def test_case_0ii_irrational_root(self, x0):
+        # alpha is a capped root, so lam agrees to its precision and u, wt
+        # are exact zeros
+        x0 = BPoint.exact(*x0)
+        assert case_of(x0) == "0ii"
+        for y in reference_orbit_reps(x0).values():
+            assert not y.z[0][0].is_exact
+            iv = y.invariants()
             assert iv.lam.same_value(x0.lam)
             assert iv.u.is_exact_zero() or iv.u.is_zero_at_precision()
+            assert iv.wtilde.is_exact_zero() or iv.wtilde.is_zero_at_precision()
+
+    def test_case_0i_reps(self):
+        for x0 in (BPoint.exact(1, 0, 0, 3), BPoint.exact(Fraction(5, 7), 0, 0, 5)):
+            assert case_of(x0) == "0i"
+            for y in reference_orbit_reps(x0).values():
+                assert _lies_over(y, x0)
 
     def test_case_1_two_reps(self):
         p = 3
         x0 = BPoint.exact(-3, 1, 1, p)
         assert case_of(x0) == "1"
-        reps = orbit_reps(x0)
-        assert [r.tag for r in reps] == ["y_plus", "y_minus"]
-        for r in reps:
-            iv = r.payload.invariants()
-            assert iv.lam.same_value(x0.lam) and iv.u.same_value(x0.u) \
-                and iv.wtilde.same_value(x0.wtilde)
+        reps = reference_orbit_reps(x0)
+        assert tuple(reps) == orbit_reps("1") == ("y_plus", "y_minus")
+        for y in reps.values():
+            assert _lies_over(y, x0)
 
     def test_split_flagged(self):
+        # the split case keeps the tags of case 0i; the exclusion is checked
+        # by in_side1_closure and by the plan, which every comparison reads
         p = 5
         x0 = BPoint.exact(-4, 0, 0, p)
         assert case_of(x0) == "split"
-        reps = orbit_reps(x0)
-        assert all(r.excluded for r in reps)
-        assert not in_side1_closure(x0)
+        assert orbit_reps("split") == orbit_reps("0i")
+        assert not in_side1_closure(x0, "split")
+        with pytest.raises(ExcludedCaseError):
+            BasePointPlan(x0).usable_case()
 
     def test_rs_base_point_rejected(self):
+        # a point with Delta != 0 has no case, hence no orbit tags
         with pytest.raises(NotRegularSemisimpleError):
-            orbit_reps(BPoint.exact(1, 1, 0, 5))
+            case_of(BPoint.exact(1, 1, 0, 5))
 
     def test_u0_reps(self):
         p = 3
@@ -669,10 +801,10 @@ class TestClosure:
         # when -1 is a square
         x3 = BPoint.exact(2 * 3, 0, 0, 3)
         if case_of(x3) == "0i":
-            assert not in_side1_closure(x3)
+            assert not in_side1_closure(x3, "0i")
         found = False
         for c in range(1, 5):
             x5 = BPoint.exact(c * 5, 0, 0, 5)
-            if case_of(x5) == "0i" and in_side1_closure(x5):
+            if case_of(x5) == "0i" and in_side1_closure(x5, "0i"):
                 found = True
         assert found

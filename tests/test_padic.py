@@ -1,14 +1,17 @@
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from atlas.errors import InputError, NoSquareRootError, PrecisionError
-from atlas.orbits import BPoint
+from atlas.cli import main
+from atlas.errors import InputError, PrecisionError
+from atlas.orbits import BPoint, _rational_sqrt, case_of
 from atlas.padic import (DEFAULT_PRECISION, PadicScalar, QuadElt, QuatElt,
-                         hensel_sqrt, legendre, quat_solve, smallest_nonresidue)
+                         _sqrt_mod_p, legendre, quat_solve, smallest_nonresidue)
 from atlas.serialize import decode_scalar
+from atlas.values import transfer_sign_0ii
 
 INF = math.inf
 
@@ -173,6 +176,53 @@ class TestBoundaryValidation:
                 bad()
 
 
+class NoSquareRootError(Exception):
+    pass
+
+
+def hensel_sqrt(u: PadicScalar, ndigits: int = DEFAULT_PRECISION) -> PadicScalar:
+    """Capped square root of u, when one exists in Q_p.
+
+    Requires even valuation and quadratic-residue unit part.  The branch is
+    deterministic: the root whose leading digit lies in 1..(p-1)/2 is chosen.
+    """
+    p = u.p
+    v = u.val()
+    if v is INF:
+        return PadicScalar.exact(0, p)
+    if v % 2:
+        raise NoSquareRootError("no square root: odd valuation")
+    u0 = u.unit_mod(1)
+    if legendre(u0, p) != 1:
+        raise NoSquareRootError(f"no square root: {u0} is not a QR mod {p}")
+    n = ndigits
+    target = u.unit_mod(n) if u.rel_precision >= n else u.unit_mod(int(u.rel_precision))
+    if u.rel_precision < n:
+        n = int(u.rel_precision)
+    # square root mod p (p = 3 mod 4 shortcut, else Tonelli-Shanks)
+    s = _sqrt_mod_p(target % p, p)
+    # Newton lifting: s <- (s + target/s)/2, doubling precision each step
+    k = 1
+    while k < n:
+        k = min(2 * k, n)
+        m = p ** k
+        s = (s + target * pow(s, -1, m)) % m * pow(2, -1, m) % m
+    if s % p > (p - 1) // 2:
+        s = (p ** n - s) % p ** n
+    return PadicScalar.capped(p, v // 2, s, n)
+
+
+def padic_sqrt(x: PadicScalar) -> PadicScalar:
+    """Square root in Q_p: exact when the rational is a perfect square,
+    otherwise a capped Hensel lift.  The case-0ii transfer sign is eta(-root)
+    of this root of -lam0/p."""
+    if x.is_exact:
+        r = _rational_sqrt(x.rational)
+        if r is not None:
+            return PadicScalar.exact(r, x.p)
+    return hensel_sqrt(x)
+
+
 class TestHensel:
     def test_examples(self):
         s = hensel_sqrt(exact(4, 5), 3)
@@ -205,6 +255,55 @@ class TestHensel:
         for p in (3, 5, 7):
             s = hensel_sqrt(exact(1, p), 10)
             assert s.unit_mod(1) <= (p - 1) // 2
+
+
+def case_0ii_sweep(rng, count):
+    """count case-0ii base points (lam0, 0, 0) per prime p = 3, 5, 7, 11, 13
+    and per v(lam0) = 1, 3, 5: -lam0/p is p^(v-1) times a unit num/den, den
+    1 for odd k and prime to p for even k, so lam0 is an integer or not, and
+    every fifth unit a rational square."""
+    for p in (3, 5, 7, 11, 13):
+        for v in (1, 3, 5):
+            for k in range(count):
+                den = 1 if k % 2 else rng.choice([b for b in range(2, 60) if b % p])
+                if k % 5 == 0:
+                    num = rng.choice([a for a in range(1, 60) if a % p])
+                    unit = Fraction(num, den) ** 2
+                else:
+                    num = 0
+                    while num % p == 0 or legendre(num * den, p) != 1:
+                        num = rng.randint(1, p ** 6)
+                    unit = Fraction(num, den)
+                yield BPoint.exact(-unit * p ** v, 0, 0, p)
+
+
+class TestTransferSign0ii:
+    def test_matches_the_hensel_root_reference(self):
+        # the sign read from residues against eta(-alpha) for the root the
+        # case-0ii convention fixes, exact or lifted to DEFAULT_PRECISION
+        rng = random.Random(61)
+        points = list(case_0ii_sweep(rng, 660))
+        assert len(points) == 9900
+        for x0 in points:
+            assert case_of(x0) == "0ii"
+            want = (-padic_sqrt(-(x0.lam / x0.p))).eta()
+            assert transfer_sign_0ii(x0) == want, x0
+
+    def test_both_branches_of_the_convention(self):
+        # -lam0/p = 4: the positive rational root 2 gives +1, while the root
+        # with leading digit in 1..(p-1)/2, which is -2, gives -1
+        x0 = BPoint.exact(-12, 0, 0, 3)
+        assert transfer_sign_0ii(x0) == 1
+        assert (-hensel_sqrt(exact(4, 3))).eta() == -1
+
+    @pytest.mark.parametrize("lam0, p, y_mm", [(-12, 3, "-1"), (-30, 5, "1")])
+    def test_forced_s_output(self, lam0, p, y_mm, capsys):
+        argv = ["values", "--what", "forced-s", "--params", str(lam0), "0", "0",
+                "--p", str(p)]
+        assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["case"] == "0ii"
+        assert out["values"]["y_mm"] == y_mm
 
 
 class TestQuadElt:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from atlas.errors import ExcludedCaseError
-from atlas.orbits import BPoint, orbit_reps
+from atlas.orbits import BPoint, case_of, orbit_reps
 from atlas.padic import PadicScalar, legendre
 from atlas.svalue import LogQVal
 from atlas.values import (CClassFn, eta_minus1, ext_fourier, forced_s_values,
@@ -128,35 +128,32 @@ class TestForced:
         p = 3
         x0 = BPoint.exact(-1, 0, 0, p)      # -lam0 = 1 square -> split; pick another
         x0 = BPoint.exact(1, 0, 0, p)       # -lam0 = -1 nonsquare at p=3
-        reps = {r.tag: r for r in orbit_reps(x0)}
-        vp = forced_s_values(x0, reps["y_plus"])
-        vm = forced_s_values(x0, reps["y_minus"])
+        vp = forced_s_values(x0, "y_plus", "0i")
+        vm = forced_s_values(x0, "y_minus", "0i")
         assert vp == Fraction(1, 2)
         assert vm == ex(-1, p).eta() * Fraction(1, 2)
-        assert forced_s_values(x0, reps["y0"]) is None
+        assert forced_s_values(x0, "y0", "0i") is None
 
     def test_case_0ii_zeros(self):
         p = 5
         x0 = BPoint.exact(-20, 0, 0, p)
-        reps = {r.tag: r for r in orbit_reps(x0)}
-        assert forced_s_values(x0, reps["y_pm"]) == 0
-        assert forced_s_values(x0, reps["y_mp"]) == 0
-        vpp = forced_s_values(x0, reps["y_pp"])
-        vmm = forced_s_values(x0, reps["y_mm"])
+        assert forced_s_values(x0, "y_pm", "0ii") == 0
+        assert forced_s_values(x0, "y_mp", "0ii") == 0
+        vpp = forced_s_values(x0, "y_pp", "0ii")
+        vmm = forced_s_values(x0, "y_mm", "0ii")
         assert vpp == eta_minus1(p) * vmm
         assert vpp != 0
 
     def test_case_1_half(self):
         p = 5
         x0 = BPoint.exact(0, 1, 0, p)
-        reps = {r.tag: r for r in orbit_reps(x0)}
-        v = forced_s_values(x0, reps["y_minus"])
+        v = forced_s_values(x0, "y_minus", "1")
         assert v == Fraction(1, 2) * orb_u0_ss_case1(0, 1, p)
-        assert forced_s_values(x0, reps["y_plus"]) == v
+        assert forced_s_values(x0, "y_plus", "1") == v
 
     def test_split_excluded(self):
         p = 5
         x0 = BPoint.exact(-4, 0, 0, p)
-        rep = orbit_reps(x0)[0]
+        tag = orbit_reps(case_of(x0))[0]
         with pytest.raises(ExcludedCaseError):
-            forced_s_values(x0, rep)
+            forced_s_values(x0, tag, "split")

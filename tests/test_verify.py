@@ -97,7 +97,7 @@ class TestVerifyX0:
         # not a square
         x0 = BPoint.exact(2 * 3, 0, 0, 3)
         from atlas.orbits import case_of, in_side1_closure
-        if case_of(x0) == "0i" and not in_side1_closure(x0):
+        if case_of(x0) == "0i" and not in_side1_closure(x0, "0i"):
             with pytest.raises(UnrealizableError):
                 verify_x0(x0)
 
