@@ -234,34 +234,13 @@ def cmd_verify(args) -> int:
     return 0 if all(r.constant for _, r in reports) else 1
 
 
-def _global_options(**defaults) -> argparse.ArgumentParser:
-    """The flags accepted before and after the subcommand.  Only the
-    top-level copy carries defaults: argparse copies a subparser's defaults
-    over the top-level namespace, so the subparser copies leave unset flags
-    out (SUPPRESS) and the value given before the subcommand survives."""
-    opts = argparse.ArgumentParser(add_help=False,
-                                   argument_default=argparse.SUPPRESS)
-    opts.add_argument("--shell-window", type=int,
-                      help="shell window of the orb oracles (default: the "
-                           "library's, auto_window(y) for the u0 kinds and "
-                           f"{DEFAULT_WINDOW} for xi)")
-    opts.add_argument("--format", choices=("json", "csv", "text"))
-    opts.set_defaults(**defaults)
-    return opts
-
-
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="atlas",
-        parents=[_global_options(shell_window=None, format="json")],
         description="exact arithmetic for the rank-three comparison identity")
     sub = ap.add_subparsers(dest="cmd", required=True)
-    common = _global_options()
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
-
-    sp = add_parser("lint", help="intersection-number tables")
+    sp = sub.add_parser("lint", help="intersection-number tables")
     sp.add_argument("--m", type=int, nargs="+", required=True)
     sp.add_argument("--lminus", type=int, nargs="+", required=True)
     sp.add_argument("--lplus", type=_parse_lplus, nargs="+", required=True)
@@ -270,40 +249,46 @@ def _parser() -> argparse.ArgumentParser:
     g.add_argument("--oracle", dest="mode", action="store_const", const="oracle")
     g.add_argument("--closed", dest="mode", action="store_const", const="closed")
     g.add_argument("--both", dest="mode", action="store_const", const="both")
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(mode="both", func=cmd_lint)
 
-    sp = add_parser("orb", help="orbital-integral oracles")
+    sp = sub.add_parser("orb", help="orbital-integral oracles")
     sp.add_argument("--kind", choices=("nil-u0", "ss-u0-case0", "ss-u0-case1", "xi"),
                     required=True)
     sp.add_argument("--params", nargs="+", required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--oracle", action="store_true")
+    sp.add_argument("--shell-window", type=int,
+                    help="shell window of the --oracle sums (default: the "
+                         "library's, auto_window(y) for the u0 kinds and "
+                         f"{DEFAULT_WINDOW} for xi)")
     sp.set_defaults(func=cmd_orb)
 
-    sp = add_parser("values", help="closed-form orbital values")
+    sp = sub.add_parser("values", help="closed-form orbital values")
     sp.add_argument("--what", choices=("nil-s", "nil-u0", "ss-u0", "forced-s"),
                     required=True)
     sp.add_argument("--params", nargs="*", default=[])
     sp.add_argument("--p", type=int, required=True)
     sp.set_defaults(func=cmd_values)
 
-    sp = add_parser("germ", help="germ coefficients and assembly")
+    sp = sub.add_parser("germ", help="germ coefficients and assembly")
     sp.add_argument("--x0", nargs=3, required=True, metavar=("LAM", "U", "WT"))
     sp.add_argument("--x", nargs=3, required=True, metavar=("LAM", "U", "WT"))
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--mu", default=None)
     sp.set_defaults(func=cmd_germ)
 
-    sp = add_parser("invariants", help="invariants of a serialized element")
+    sp = sub.add_parser("invariants", help="invariants of a serialized element")
     sp.add_argument("--elem", required=True)
     sp.set_defaults(func=cmd_invariants)
 
-    sp = add_parser("verify", help="constancy verification")
+    sp = sub.add_parser("verify", help="constancy verification")
     sp.add_argument("which", choices=("zero", "x0"))
     sp.add_argument("--p", type=int, default=3)
     sp.add_argument("--m-max", type=int, default=ZERO_M_MAX)
     sp.add_argument("--l-max", type=int, default=ZERO_L_MAX)
     sp.add_argument("--spec", default=None)
+    sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
     sp.set_defaults(func=cmd_verify)
     return ap
 

@@ -6,15 +6,16 @@ class AtlasError(Exception):
 
 
 class InputError(AtlasError, ValueError):
-    """Malformed input: p not an odd prime, operands or a scalar under
-    another prime, a serialized quaternion whose j^2 is not
-    smallest_nonresidue(p), or an element outside its space (a reduced
-    matrix with tr A or d nonzero, an alpha with a trace, a matrix not in
-    Lie coordinates)."""
+    """Malformed input: p not an odd prime, operands under two primes, a
+    serialized scalar not of the form {"num": ..., "den": ...}, a serialized
+    quaternion whose j^2 is not smallest_nonresidue(p), a negative precision,
+    or an element outside its space (a reduced matrix with tr A or d
+    nonzero, an alpha with a trace, a matrix not in Lie coordinates)."""
 
 
 class PrecisionError(AtlasError):
-    """A capped value is indistinguishable from zero at its stored precision."""
+    """A capped value indistinguishable from zero at its precision, or given
+    to an exact-only operation (quaternion product or solve, JSON encoding)."""
 
 
 class NotRegularSemisimpleError(AtlasError):

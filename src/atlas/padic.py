@@ -5,25 +5,26 @@ unique up to isomorphism, so p fixes the model: eps is always
 smallest_nonresidue(p), a unit that is not a square mod p, and no element
 stores it.
 
-Scalars come in two flavours: exact rationals (Fraction-backed) and capped
-p-adic expansions storing a valuation plus finitely many unit digits.  Mixed
-arithmetic coerces exact to capped; capped results track the worst-case
-precision of their inputs, so a capped value is always a rigorous statement
-"x = p^v * unit  mod p^(v+N)".
+Scalars come in two flavours: exact rationals (Fraction-backed), all that
+the package reads and writes, and capped p-adic expansions storing a
+valuation plus finitely many unit digits, which no verdict builds.  Mixed
+scalar arithmetic coerces exact to capped; capped results track the
+worst-case precision of their inputs, so a capped value is always a rigorous
+statement "x = p^v * unit  mod p^(v+N)".
 
-p is validated (odd prime) at the public entry points, PadicScalar.exact and
-PadicScalar.capped; arithmetic trusts its operands and only checks that two
-operands share their prime.  Capped scalars are unhashable: equality at the
-shared precision is not transitive, so no hash can agree with it.  Exact
-values hash as the rational or smaller-field element they equal, so a
-PadicScalar, QuadElt or QuatElt equal to an int or Fraction hashes like it.
+p is validated (odd prime) at the public entry point, PadicScalar.exact;
+arithmetic trusts its operands and only checks that two operands share their
+prime.  Capped scalars are unhashable: equality at the shared precision is
+not transitive, so no hash can agree with it.  Exact values hash as the
+rational or smaller-field element they equal, so a PadicScalar, QuadElt or
+QuatElt equal to an int or Fraction hashes like it.
 
-A product of two exact quaternions runs on integer coordinates:
+Quaternion products and solves take exact coordinates only; a capped one
+raises PrecisionError.  A product runs on integer coordinates:
 q = ((a + b pi) + (c + d pi) j) / den, with den the lcm of the coordinates'
 denominators (`_int_coords`, `_int_quat_mul`), and one Fraction per
-coordinate of the result.  A product with a capped coordinate keeps the
-formula on the eight scalar coordinates.  The linear solves over D work on
-the same coordinates, one denominator per row (`_int_rows`, which also checks
+coordinate of the result.  The linear solves over D work on the same
+coordinates, one denominator per row (`_int_rows`, which also checks
 that the entries are exact and share a prime): `quat_solve` reads the rows
 of [A | B], and `cayley_solve` writes the rows of [1 - S M | 1 + S M], S a
 diagonal of signs, from those of M alone, adding the row denominator for the
@@ -139,13 +140,6 @@ class PadicScalar:
         return cls(p, _fr=Fraction(value))
 
     @classmethod
-    def capped(cls, p: int, v: int, unit: int, ndigits: int) -> "PadicScalar":
-        _check_odd_prime(p)
-        if ndigits < 0:
-            raise ValueError("negative precision")
-        return _capped(p, v, unit % p ** ndigits, ndigits)
-
-    @classmethod
     def zero_at(cls, p: int, absprec: int) -> "PadicScalar":
         """A capped value known only to be O(p^absprec)."""
         return cls(p, _v=absprec, _unit=0, _n=0)
@@ -161,6 +155,9 @@ class PadicScalar:
         return cls(p, _v=v, _unit=_unit_mod(num, den, p, n), _n=n)
 
     def to_capped(self, ndigits: int = DEFAULT_PRECISION) -> "PadicScalar":
+        """The value capped to ndigits unit digits; a capped value as it is."""
+        if ndigits < 0:
+            raise InputError(f"negative precision {ndigits}")
         if self._fr is None:
             return self
         split = _frac_split(self._fr, self.p)
@@ -660,29 +657,19 @@ class QuatElt:
     def __mul__(self, other):
         """(x1 + y1 j)(x2 + y2 j) = (x1 x2 + eps y1 conj(y2))
         + (x1 y2 + y1 conj(x2)) j.  Exact operands multiply on integer
-        coordinates (`_int_coords`, `_int_quat_mul`); an operand with a capped
-        coordinate takes the formula on the eight scalar coordinates."""
+        coordinates (`_int_coords`, `_int_quat_mul`); a capped coordinate
+        raises PrecisionError."""
         o = self._coerce(other)
         p = self.p
         if o.p != p:
             raise InputError("mixed primes")
-        eps = smallest_nonresidue(p)
         u, v = _int_coords(self), _int_coords(o)
-        if u is not None and v is not None:
-            den = u[0] * v[0]
-            s = [PadicScalar(p, _fr=Fraction(t, den) if t else _FR_ZERO)
-                 for t in _int_quat_mul(u[1], v[1], p, eps)]
-            return QuatElt(QuadElt(s[0], s[1]), QuadElt(s[2], s[3]))
-        a1, b1, c1, d1 = self.x.a, self.x.b, self.y.a, self.y.b
-        a2, b2, c2, d2 = o.x.a, o.x.b, o.y.a, o.y.b
-        eps, pp = PadicScalar(p, _fr=Fraction(eps)), PadicScalar(p, _fr=Fraction(p))
-        nb2, nd2 = -b2, -d2
-        e1, f1 = c1 * eps, d1 * eps
-        return QuatElt(
-            QuadElt(a1 * a2 + b1 * b2 * pp + (e1 * c2 + f1 * nd2 * pp),
-                    a1 * b2 + b1 * a2 + (e1 * nd2 + f1 * c2)),
-            QuadElt(a1 * c2 + b1 * d2 * pp + (c1 * a2 + d1 * nb2 * pp),
-                    a1 * d2 + b1 * c2 + (c1 * nb2 + d1 * a2)))
+        if u is None or v is None:
+            raise PrecisionError("the quaternion product takes exact coordinates only")
+        den = u[0] * v[0]
+        s = [PadicScalar(p, _fr=Fraction(t, den) if t else _FR_ZERO)
+             for t in _int_quat_mul(u[1], v[1], p, smallest_nonresidue(p))]
+        return QuatElt(QuadElt(s[0], s[1]), QuadElt(s[2], s[3]))
 
     def __rmul__(self, other):
         # scalar (central) multiplication only

@@ -1,5 +1,7 @@
 """JSON encodings for scalars, field and quaternion elements, reduced
-elements, and quotient points."""
+elements, and quotient points.  Every scalar is exact, a rational written
+{"num": "...", "den": "..."}; a capped scalar neither encodes
+(PrecisionError) nor decodes (InputError)."""
 
 from __future__ import annotations
 
@@ -10,34 +12,18 @@ from .orbits import BPoint, SRedElt, U0RedElt, U1RedElt
 from .padic import PadicScalar, QuadElt, QuatElt, smallest_nonresidue
 
 
-def _digits(unit: int, p: int, n: int):
-    out = []
-    for _ in range(n):
-        unit, r = divmod(unit, p)
-        out.append(r)
-    return out
-
-
-def _undigits(digits, p: int) -> int:
-    out = 0
-    for d in reversed(digits):
-        out = out * p + d
-    return out
-
-
 def encode_scalar(s: PadicScalar):
-    if s.is_exact:
-        r = s.rational
-        return {"num": str(r.numerator), "den": str(r.denominator)}
-    return {"v": s._v, "digits": _digits(s._unit, s.p, s._n), "p": s.p, "N": s._n}
+    """The exact form of s; a capped s raises PrecisionError."""
+    r = s.rational
+    return {"num": str(r.numerator), "den": str(r.denominator)}
 
 
 def decode_scalar(obj, p: int) -> PadicScalar:
-    if "num" in obj:
-        return PadicScalar.exact(Fraction(int(obj["num"]), int(obj["den"])), p)
-    if obj["p"] != p:
-        raise InputError(f"prime mismatch: a p = {obj['p']} scalar in a p = {p} object")
-    return PadicScalar.capped(p, obj["v"], _undigits(obj["digits"], p), obj["N"])
+    """The exact scalar of obj; InputError for an object without "num"."""
+    if not isinstance(obj, dict) or "num" not in obj:
+        raise InputError('a scalar must be exact, {"num": "...", "den": "..."}; '
+                         f"got {obj!r}")
+    return PadicScalar.exact(Fraction(int(obj["num"]), int(obj["den"])), p)
 
 
 def encode_quad(z: QuadElt):
@@ -68,12 +54,6 @@ def decode_quat(obj, p: int) -> QuatElt:
 def encode_bpoint(x: BPoint):
     return {"lambda": encode_scalar(x.lam), "u": encode_scalar(x.u),
             "wtilde": encode_scalar(x.wtilde), "p": x.p}
-
-
-def decode_bpoint(obj) -> BPoint:
-    p = obj["p"]
-    return BPoint(decode_scalar(obj["lambda"], p), decode_scalar(obj["u"], p),
-                  decode_scalar(obj["wtilde"], p))
 
 
 def encode_element(elt):

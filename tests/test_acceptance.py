@@ -1,10 +1,13 @@
 """Acceptance criteria, one test per criterion, each printing a pass/fail
 line.  Everything runs in exact arithmetic; every tolerance is exact
-equality.  Run with `pytest -s tests/test_acceptance.py` to see the lines."""
+equality, and every test runs under the conftest guard `forbid_capped`.
+Run with `pytest -s tests/test_acceptance.py` to see the lines."""
 
 import random
 import time
 from fractions import Fraction
+
+import pytest
 
 from atlas.errors import CayleyUndefinedError
 from atlas.germs import gamma_n_mu, phi_closed
@@ -22,6 +25,8 @@ from atlas.values import (CClassFn, eta_minus1, ext_fourier,
                           orb_u0_zero, phi_eval)
 from atlas.verify import (base_point_library, expected_constant_at_zero, phi1,
                           verify_x0)
+
+pytestmark = pytest.mark.usefixtures("forbid_capped")
 
 LPLUS_GRID = list(range(1, 20, 2)) + [INF]
 

@@ -3,9 +3,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-import test_acceptance
 
-from atlas import integrate, padic
+from atlas import integrate
 from atlas.errors import ConductorError, InputError, PrecisionError, StabilizationError
 from atlas.integrate import (TAIL_SAMPLES, Ball0, BallF, _conj_polys, _eta,
                              _iwasawa_t_integral, _shell_bounds, _taylor,
@@ -21,7 +20,6 @@ from atlas.padic import PadicScalar, QuadElt, QuatElt
 from atlas.svalue import LogQVal
 from atlas.values import (nil_family_orb_u0_fn, orb_u0_ss_case0,
                           orb_u0_ss_case1, phi_eval)
-from atlas.verify import expected_constant_at_zero, phi1
 
 # the criterion-5 points (m, l-, l+) at p = 3
 XI_POINTS = ((0, 1, INF), (1, 3, 5), (0, 2, 3), (1, 1, 3), (2, 3, 5), (2, 1, 7),
@@ -631,16 +629,6 @@ class TestIwasawa:
         assert auto_window(y) >= 8
 
 
-def forbid_capped(monkeypatch):
-    """Make every constructor of a capped scalar fail."""
-    def capped(*args, **kwargs):
-        raise AssertionError("capped arithmetic reached")
-
-    monkeypatch.setattr(padic, "_capped", capped)
-    monkeypatch.setattr(PadicScalar, "zero_at", classmethod(capped))
-    monkeypatch.setattr(PadicScalar, "from_rational_absprec", classmethod(capped))
-
-
 def side1_neighborhood_samples(x0, count, rng):
     """count side-1 points in the neighborhood of a base point (lam0, 0, 0)
     with v(lam0) = 1: lam0 perturbed by r p^k for k in 5..8, u and wt of the
@@ -662,14 +650,16 @@ def side1_neighborhood_samples(x0, count, rng):
 
 
 class TestExactness:
+    """Verdict paths under the conftest guard `forbid_capped`, as is every
+    test in tests/test_acceptance.py."""
+
     def test_case_0ii_with_an_irrational_root_builds_no_capped_scalar(
-            self, monkeypatch, capsys):
+            self, forbid_capped, capsys):
         # -lam0/p is 7, 6 and 11: a square in Q_p but not in Q
         rng = random.Random(7)
         samples = [(x0, side1_neighborhood_samples(x0, 30, rng))
                    for x0 in (BPoint.exact(-21, 0, 0, 3), BPoint.exact(-30, 0, 0, 5),
                               BPoint.exact(-77, 0, 0, 7))]
-        forbid_capped(monkeypatch)
         for x0, xs in samples:
             for x in xs:
                 assert dorb1(x0, x).const_tag is not None
@@ -677,16 +667,15 @@ class TestExactness:
                      "--p", "5"]) == 0
         assert '"y_mm": "1"' in capsys.readouterr().out
 
-    def test_integrators_build_no_capped_scalar(self, monkeypatch):
+    def test_integrators_build_no_capped_scalar(self, forbid_capped):
         elements = criterion4_elements()
         points = [make_bpoint_rs1(*mlp, 3) for mlp in XI_POINTS]
-        forbid_capped(monkeypatch)
         for y, want in elements:
             assert iwasawa_orbit_u0(y) == want
         for x in points:
             xi_integral(x, 14)
 
-    def test_cayley_and_verify_build_no_capped_scalar(self, monkeypatch, capsys):
+    def test_cayley_and_verify_build_no_capped_scalar(self, forbid_capped, capsys):
         # criterion 7's Cayley round trips and chart screen on seeded
         # integral elements, then both `atlas verify` commands
         rng = random.Random(101)
@@ -698,7 +687,6 @@ class TestExactness:
                            QuadElt.exact(rng.randint(-9, 9), rng.randint(-9, 9), p))
         elements = [U1LieElt(quat(True), PadicScalar.exact(rng.randint(-9, 9), p), quat(),
                              QuadElt.exact(0, rng.randint(-9, 9), p)) for _ in range(30)]
-        forbid_capped(monkeypatch)
         for x in elements:
             xi = rng.choice(XI_CHOICES)
             g = cayley(x, xi)
@@ -708,20 +696,6 @@ class TestExactness:
         assert main(["verify", "zero", "--p", "3", "--m-max", "1", "--l-max", "3"]) == 0
         assert main(["verify", "x0", "--p", "5"]) == 0
         assert "constant" in capsys.readouterr().out
-
-    def test_criteria_build_no_capped_scalar(self, monkeypatch):
-        # criteria 1, 3 and 6 as the acceptance suite runs them, and
-        # criterion 2 on a sparse subgrid of its side-1 grid
-        forbid_capped(monkeypatch)
-        test_acceptance.test_criterion_1_closed_vs_oracle_lint()
-        test_acceptance.test_criterion_3_constancy_at_nonzero_base_points()
-        test_acceptance.test_criterion_6_fourier_involution_and_matching()
-        for p in (3, 5, 7):
-            want = expected_constant_at_zero(p)
-            for m in (0, 4, 8):
-                for lm in (1, 10, 19):
-                    for lp in (1, 19, INF):
-                        assert phi1(make_bpoint_rs1(m, lm, lp, p)) == want
 
 
 class TestXi:

@@ -20,6 +20,14 @@ def exact(x, p):
     return PadicScalar.exact(Fraction(x), p)
 
 
+def capped(p, v, unit, ndigits):
+    """The capped fixture p^v * unit + O(p^(v + ndigits)), unit prime to p,
+    built by to_capped; ndigits = 0 gives O(p^v)."""
+    if ndigits == 0:
+        return exact(0, p).to_capped(v)
+    return exact(Fraction(unit) * Fraction(p) ** v, p).to_capped(ndigits)
+
+
 def quad_formula(q1, q2):
     """(x1 + y1 j)(x2 + y2 j) from QuadElt arithmetic: the reference for the
     QuatElt product."""
@@ -75,25 +83,25 @@ class TestEta:
 
 class TestCapped:
     def test_tracking(self):
-        x = PadicScalar.capped(5, 0, 7, 4)
-        y = PadicScalar.capped(5, 0, 7 + 125, 3)
+        x = capped(5, 0, 7, 4)
+        y = capped(5, 0, 7 + 125, 3)
         d = x - y
         # difference is O(5^3): nothing is known about its unit part
         assert d.is_zero_at_precision()
         assert d.abs_precision == 3
 
     def test_mixed_coercion(self):
-        x = PadicScalar.capped(5, 1, 2, 4)
+        x = capped(5, 1, 2, 4)
         y = exact(Fraction(3, 7), 5)
         z = x * y
         assert not z.is_exact
         assert z.val() == 1
 
     def test_inv_round_trip(self):
-        x = PadicScalar.capped(7, -2, 12, 6)
+        x = capped(7, -2, 12, 6)
         assert (x * x.inv() - 1).is_zero_at_precision()
         # powers agree with the repeated product digit for digit
-        for y in (x, exact(Fraction(-14, 3), 7), PadicScalar.capped(7, 1, 3, 0)):
+        for y in (x, exact(Fraction(-14, 3), 7), capped(7, 1, 3, 0)):
             for k in range(-3, 10):
                 if k < 0 and y.is_zero_at_precision():
                     continue
@@ -105,8 +113,8 @@ class TestCapped:
 
     def test_hash_agrees_with_eq(self):
         one = exact(1, 3)
-        a = PadicScalar.capped(3, 0, 1, 5)
-        b = PadicScalar.capped(3, 0, 1 + 3 ** 5, 8)
+        a = capped(3, 0, 1, 5)
+        b = capped(3, 0, 1 + 3 ** 5, 8)
         assert one == a and a == b and one != b
         assert hash(one) == hash(exact(Fraction(4, 4), 3))
         # equality at shared precision is not transitive: capped values,
@@ -138,28 +146,30 @@ class TestBoundaryValidation:
         with pytest.raises(ValueError):
             PadicScalar.exact(1, p)
         with pytest.raises(ValueError):
-            PadicScalar.capped(p, 0, 1, 5)
-        with pytest.raises(ValueError):
             decode_scalar({"num": "1", "den": "1"}, p)
-        with pytest.raises(ValueError):
-            decode_scalar({"v": 0, "digits": [1], "p": p, "N": 1}, p)
         with pytest.raises(ValueError):
             BPoint.exact(1, 1, 0, p)
 
+    def test_to_capped_rejects_negative_precision(self):
+        for x in (exact(Fraction(3, 5), 5), capped(5, 0, 2, 4)):
+            with pytest.raises(InputError, match="negative precision -1"):
+                x.to_capped(-1)
+        assert exact(3, 5).to_capped(0).is_zero_at_precision()
+
     def test_rejects_mixed_primes(self):
         pairs = [(exact(2, 3), exact(2, 5)),
-                 (PadicScalar.capped(3, 0, 2, 4), PadicScalar.capped(5, 0, 2, 4)),
-                 (exact(2, 3), PadicScalar.capped(5, 0, 2, 4))]
+                 (capped(3, 0, 2, 4), capped(5, 0, 2, 4)),
+                 (exact(2, 3), capped(5, 0, 2, 4))]
         # QuadElt and QuatElt, exact with exact and exact with capped; j^2 = 2
         # at both primes, so only the prime tells the quaternions apart
         assert smallest_nonresidue(3) == smallest_nonresidue(5) == 2
         for p, q in ((3, 5), (5, 3)):
             x = QuadElt.exact(2, 1, p)
             pairs += [(x, QuadElt.exact(2, 1, q)),
-                      (x, QuadElt(PadicScalar.capped(q, 0, 2, 4), exact(1, q)))]
+                      (x, QuadElt(capped(q, 0, 2, 4), exact(1, q)))]
             z = QuatElt(x, QuadElt.exact(1, 1, p))
             pairs += [(z, QuatElt(QuadElt.exact(2, 1, q), QuadElt.exact(1, 1, q))),
-                      (z, QuatElt(QuadElt(PadicScalar.capped(q, 0, 2, 4), exact(1, q)),
+                      (z, QuatElt(QuadElt(capped(q, 0, 2, 4), exact(1, q)),
                                   QuadElt.exact(1, 1, q)))]
         for x, y in pairs:
             for a, b in ((x, y), (y, x)):
@@ -209,7 +219,7 @@ def hensel_sqrt(u: PadicScalar, ndigits: int = DEFAULT_PRECISION) -> PadicScalar
         s = (s + target * pow(s, -1, m)) % m * pow(2, -1, m) % m
     if s % p > (p - 1) // 2:
         s = (p ** n - s) % p ** n
-    return PadicScalar.capped(p, v // 2, s, n)
+    return capped(p, v // 2, s, n)
 
 
 def padic_sqrt(x: PadicScalar) -> PadicScalar:
@@ -367,30 +377,18 @@ class TestQuatElt:
             assert w.plus_part() == z.plus_part()
             assert (w.minus_part() + z.minus_part()).is_zero()
 
-    def test_product_matches_the_quad_formula(self):
-        """The coordinate product groups every sum and product as the QuadElt
-        formula does, so capped results are structurally identical."""
-        def state(q):
-            return [(s._fr, s._v, s._unit, s._n) for s in (q.x.a, q.x.b, q.y.a, q.y.b)]
-
-        rng = random.Random(83)
+    def test_capped_coordinate_product_raises(self):
+        """A product takes exact coordinates only: a capped coordinate of
+        either operand raises PrecisionError."""
         for p in (3, 5):
-            def scalar():
-                kind = rng.randrange(4)
-                if kind == 0:
-                    return exact(0, p)
-                if kind == 1:
-                    return exact(Fraction(rng.randint(-30, 30), rng.choice((1, 2, p, p * p))), p)
-                if kind == 2:
-                    return PadicScalar.capped(p, rng.randint(-2, 3), rng.randrange(1, p ** 6),
-                                              rng.randint(1, 6))
-                return PadicScalar.zero_at(p, rng.randint(-2, 4))
-
-            def quat():
-                return QuatElt(QuadElt(scalar(), scalar()), QuadElt(scalar(), scalar()))
-            for _ in range(300):
-                q1, q2 = quat(), quat()
-                assert state(q1 * q2) == state(quad_formula(q1, q2))
+            q = QuatElt(QuadElt.exact(2, 1, p), QuadElt.exact(0, 3, p))
+            for k in range(4):
+                coords = [exact(x, p) for x in (2, 1, Fraction(1, p), 0)]
+                coords[k] = capped(p, -1, 2, 4)
+                c = QuatElt(QuadElt(*coords[:2]), QuadElt(*coords[2:]))
+                for a, b in ((c, q), (q, c), (c, c), (2, c), (c, QuadElt.pi(p))):
+                    with pytest.raises(PrecisionError, match="exact coordinates only"):
+                        a * b
 
     def test_exact_product_matches_the_quad_formula(self, monkeypatch):
         """All-exact operands take the integer-coordinate product; it equals

@@ -1,7 +1,7 @@
 """The README's CLI section stays runnable: every example exits 0, the
 ones that read an input file run next to a valid elem.json and
 basepoints.json, and every flag the section names is one the parser
-accepts."""
+accepts.  Every test runs under the conftest guard `forbid_capped`."""
 
 import json
 import re
@@ -20,6 +20,8 @@ CLI_SECTION = re.search(r"## CLI\n(.*?)\n## ", README, re.S).group(1)
 CLI_BLOCK = re.search(r"```sh\n(.*?)```", CLI_SECTION, re.S).group(1)
 EXAMPLES = [shlex.split(line)[1:] for line in CLI_BLOCK.splitlines()]
 SUBCOMMANDS = ("lint", "orb", "values", "germ", "invariants", "verify")
+
+pytestmark = pytest.mark.usefixtures("forbid_capped")
 
 
 @pytest.mark.parametrize("argv", EXAMPLES, ids=[" ".join(a[:3]) for a in EXAMPLES])

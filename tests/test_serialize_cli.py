@@ -7,14 +7,15 @@ import pytest
 
 from atlas import cli
 from atlas.cli import main
-from atlas.errors import AtlasError, InputError
+from atlas.errors import AtlasError, InputError, PrecisionError
 from atlas.integrate import DEFAULT_WINDOW, auto_window
 from atlas.orbits import (BPoint, U0RedElt, U1RedElt, section_sigma,
                           u0_nilpotent_family_member, u0_ss_case0, u0_ss_case1)
 from atlas.padic import PadicScalar, QuadElt, QuatElt, smallest_nonresidue
-from atlas.serialize import (decode_bpoint, decode_element, decode_quat,
-                             decode_scalar, encode_bpoint, encode_element,
-                             encode_quat, encode_scalar)
+from atlas.serialize import (decode_element, decode_quat, decode_scalar,
+                             encode_bpoint, encode_element, encode_quat,
+                             encode_scalar)
+from test_padic import capped
 
 
 # stdout of `atlas orb ... --oracle`, pinned as literals from the
@@ -97,15 +98,26 @@ GOLDEN_ORACLE = {
     ),
 }
 
+EXACT_FORM = '{"num": "...", "den": "..."}'
+
+
+def capped_json(p):
+    """2 + O(p^4) in the capped schema {"v", "digits", "p", "N"}, which no
+    decoder reads."""
+    return {"v": 0, "digits": [2, 0, 0, 0], "p": p, "N": 4}
+
 
 class TestSerialize:
     def test_scalar_round_trip(self):
         p = 5
         x = PadicScalar.exact(Fraction(-7, 3), p)
         assert decode_scalar(json.loads(json.dumps(encode_scalar(x))), p) == x
-        c = PadicScalar.capped(p, -2, 57, 3)
-        back = decode_scalar(json.loads(json.dumps(encode_scalar(c))), p)
-        assert back.val() == -2 and back.unit_mod(3) == 57
+        # only the exact form is read and written
+        with pytest.raises(InputError) as err:
+            decode_scalar({"v": -2, "digits": [2, 1, 2], "p": p, "N": 3}, p)
+        assert EXACT_FORM in str(err.value)
+        with pytest.raises(PrecisionError):
+            encode_scalar(capped(p, -2, 57, 3))
 
     def test_element_round_trips(self):
         p = 3
@@ -131,13 +143,18 @@ class TestSerialize:
                 with pytest.raises(InputError):
                     decode_quat(obj, p)
             q = 5 if p == 3 else 3
-            with pytest.raises(InputError):
-                decode_scalar(encode_scalar(PadicScalar.capped(q, 0, 2, 4)), p)
+            with pytest.raises(InputError, match="a scalar must be exact"):
+                decode_scalar(capped_json(q), p)
         assert issubclass(InputError, AtlasError) and issubclass(InputError, ValueError)
 
     def test_bpoint_round_trip(self):
+        # each coordinate is written in the exact form; `--spec` files, the
+        # one base-point input, are read by cli._spec_point
         x = BPoint.exact(Fraction(-7, 2), 3, 9, 5)
-        assert decode_bpoint(json.loads(json.dumps(encode_bpoint(x)))).lam == x.lam
+        obj = json.loads(json.dumps(encode_bpoint(x)))
+        assert obj["p"] == 5 and obj["lambda"] == {"num": "-7", "den": "2"}
+        assert [decode_scalar(obj[k], 5) for k in ("lambda", "u", "wtilde")] == \
+            [x.lam, x.u, x.wtilde]
 
 
 class TestCli:
@@ -194,22 +211,17 @@ class TestCli:
         assert data["rs"] is True and data["side"] == 1
 
     def test_invariants_of_a_capped_element(self, tmp_path, capsys):
-        # b has capped coordinates, so its products take the scalar formula
-        # of QuatElt.__mul__; the expected JSON is that formula's output
+        # a capped coordinate: the error names the exact form
         p = 3
         alpha = QuatElt(QuadElt.exact(0, 1, p), QuadElt.exact(1, 0, p))
-        b = QuatElt(QuadElt(PadicScalar.capped(p, 0, 2, 8), PadicScalar.exact(1, p)),
-                    QuadElt(PadicScalar.capped(p, 1, 4, 6), PadicScalar.exact(0, p)))
+        obj = encode_element(U1RedElt(alpha, QuatElt.one(p)))
+        obj["b"]["x"]["a"] = {"v": 0, "digits": [2, 0, 2, 2, 1, 0, 2, 2], "p": p, "N": 8}
         f = tmp_path / "elem.json"
-        f.write_text(json.dumps(encode_element(U1RedElt(alpha, b))))
-        assert main(["invariants", "--elem", str(f)]) == 0
-        assert json.loads(capsys.readouterr().out) == {
-            "invariants": {
-                "lambda": {"num": "-5", "den": "1"},
-                "u": {"v": 0, "digits": [2, 0, 2, 2, 1, 0, 2, 2], "p": 3, "N": 8},
-                "wtilde": {"v": 0, "digits": [2, 1, 2, 2, 2, 1, 0], "p": 3, "N": 7},
-                "p": 3},
-            "rs": True, "side": 1}
+        f.write_text(json.dumps(obj))
+        assert main(["invariants", "--elem", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: a scalar must be exact, " + EXACT_FORM)
 
     @pytest.mark.parametrize("bad", ["eps", "prime", "space", "field", "json",
                                      "missing", "trace", "corner", "traceless"])
@@ -223,7 +235,7 @@ class TestCli:
             # reduced norm 0
             obj["alpha"]["eps"] = obj["b"]["eps"] = "1"
         elif bad == "prime":
-            obj["b"]["x"]["a"] = encode_scalar(PadicScalar.capped(5, 0, 2, 4))
+            obj["b"]["x"]["a"] = capped_json(5)
         elif bad == "space":
             obj = {"space": "u9_red", "p": 3}
         elif bad == "field":
@@ -272,21 +284,38 @@ class TestCli:
         assert main(["verify", "x0", "--spec", str(f)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("where", ["before", "after"])
-    def test_global_flags_reach_the_command(self, where, monkeypatch):
+    def test_format_reaches_lint_and_verify(self, monkeypatch):
         seen = []
 
         def record(args):
-            seen.append((args.shell_window, args.format))
+            seen.append((args.cmd, args.format))
             return 0
 
-        monkeypatch.setattr(cli, "cmd_values", record)
-        flags = ["--shell-window", "9", "--format", "csv"]
-        command = ["values", "--what", "nil-u0", "--p", "3"]
-        argv = flags + command if where == "before" else command + flags
-        assert main(argv) == 0
-        assert main(command) == 0
-        assert seen == [(9, "csv"), (None, "json")]
+        monkeypatch.setattr(cli, "cmd_lint", record)
+        monkeypatch.setattr(cli, "cmd_verify", record)
+        lint = ["lint", "--m", "0", "--lminus", "1", "--lplus", "inf", "--p", "3"]
+        for argv in (lint + ["--format", "csv"], lint,
+                     ["verify", "zero", "--format", "text"], ["verify", "x0"]):
+            assert main(argv) == 0
+        assert seen == [("lint", "csv"), ("lint", "json"),
+                        ("verify", "text"), ("verify", "json")]
+
+    @pytest.mark.parametrize("argv", [
+        ["values", "--what", "nil-u0", "--p", "3", "--shell-window", "9"],
+        ["values", "--what", "nil-u0", "--p", "3", "--format", "csv"],
+        ["germ", "--x0", "0", "0", "0", "--x", "6", "1", "0", "--p", "3",
+         "--format", "csv"],
+        ["--format", "csv", "verify", "zero"],
+        ["--shell-window", "9", "orb", "--kind", "nil-u0", "--params", "1", "--p", "3"],
+        ["lint", "--m", "0", "--lminus", "1", "--lplus", "inf", "--p", "3",
+         "--format", "text"],
+    ], ids=["values-window", "values-format", "germ-format", "format-first",
+            "window-first", "lint-text"])
+    def test_flags_a_command_does_not_read_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: atlas")
 
     @pytest.mark.parametrize("argv", [
         ["germ", "--x0", "0", "0", "0", "--x", "1", "1", "0", "--p", "5"],
