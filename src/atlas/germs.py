@@ -149,9 +149,11 @@ class BasePointPlan:
         return orbit_reps(self.case)
 
     def forced(self, tag: str):
-        """forced_s_values(x0, tag, case), computed once per tag."""
+        """forced_s_values(x0, tag, case, sign_0ii), computed once per tag;
+        the case-0ii tags read the plan's sign."""
         if tag not in self._forced:
-            self._forced[tag] = forced_s_values(self.x0, tag, self.case)
+            sign = self.sign_0ii if self.case == "0ii" else None
+            self._forced[tag] = forced_s_values(self.x0, tag, self.case, sign)
         return self._forced[tag]
 
     @cached_property

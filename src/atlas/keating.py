@@ -128,7 +128,8 @@ def check_closed_form(value, oracle, m: int, lminus: int, lplus, p: int) -> None
 def int_group(g: U1GroupElt) -> Fraction:
     """Intersection number of a regular semisimple unitary group element:
     zero off the integral model, else computed through an inverse Cayley
-    transform landing integrally in the Lie algebra."""
+    transform landing integrally in the Lie algebra; CayleyUndefinedError
+    naming g when no chart gives one."""
     if not g.is_integral():
         return Fraction(0)
     for xi in XI_CHOICES:
@@ -144,4 +145,4 @@ def int_group(g: U1GroupElt) -> Fraction:
         if not red.is_rs():
             raise NotRegularSemisimpleError("group element is not rs")
         return l_int(red.invariants())
-    raise AssertionError("no admissible Cayley chart for an integral element")
+    raise CayleyUndefinedError(f"no admissible Cayley chart for the integral element {g!r}")

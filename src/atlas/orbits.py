@@ -10,9 +10,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (CayleyUndefinedError, InputError,
-                     NotRegularSemisimpleError, UnrealizableError)
-from .padic import (INF, PadicScalar, QuadElt, QuatElt, _check_odd_prime,
-                    cayley_solve, legendre, quat_solve)
+                     NotRegularSemisimpleError, PrecisionError,
+                     UnrealizableError)
+from .padic import (_FR_ZERO, INF, PadicScalar, QuadElt, QuatElt,
+                    _check_odd_prime, _int_coords, _int_nrd, _int_quat_mul,
+                    _int_val, cayley_solve, legendre, quat_solve,
+                    smallest_nonresidue)
 
 
 def _ps(x, p: int) -> PadicScalar:
@@ -34,19 +37,6 @@ def _rational_sqrt(x: Fraction):
 
 # ---------------------------------------------------------------------------
 # generic small-matrix helpers (entries: PadicScalar, QuadElt, or QuatElt)
-
-def mat_mul(A, B):
-    n, m, k = len(A), len(B[0]), len(B)
-    return [[sum_entries([A[i][t] * B[t][j] for t in range(k)]) for j in range(m)]
-            for i in range(n)]
-
-
-def sum_entries(xs):
-    out = xs[0]
-    for x in xs[1:]:
-        out = out + x
-    return out
-
 
 def mat_add(A, B):
     return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
@@ -198,20 +188,6 @@ class SRedElt:
     def is_integral(self) -> bool:
         return all(e.is_exact_zero() or e.val() >= 0 for row in self.z for e in row)
 
-    def conj_by(self, h) -> "SRedElt":
-        """Conjugate by diag(h, 1) for h a 2x2 matrix over F0 (entries coerced)."""
-        p = self.p
-        h = [[_ps(Fraction(x), p) if not isinstance(x, PadicScalar) else x for x in row]
-             for row in h]
-        dh = det2(h)
-        hinv = [[h[1][1] / dh, -h[0][1] / dh], [-h[1][0] / dh, h[0][0] / dh]]
-        one = _ps(1, p)
-        zero = _ps(0, p)
-        H = [[h[0][0], h[0][1], zero], [h[1][0], h[1][1], zero], [zero, zero, one]]
-        Hi = [[hinv[0][0], hinv[0][1], zero], [hinv[1][0], hinv[1][1], zero],
-              [zero, zero, one]]
-        return SRedElt(mat_mul(Hi, mat_mul(self.z, H)))
-
     def __repr__(self):
         return f"SRedElt({self.z!r})"
 
@@ -287,9 +263,16 @@ class U0RedElt:
 
 class U1RedElt:
     """Reduced element stored in (alpha, b) coordinates: alpha a traceless
-    quaternion, b a quaternion."""
+    quaternion, b a quaternion.
 
-    __slots__ = ("alpha", "b")
+    The invariants and the rs test read the conjugate b^-1 alpha b, which
+    each element computes once, on integer coordinates: with
+    alpha = A / den_a and b = B / den_b (`padic._int_coords`),
+    b^-1 alpha b = P / (N(B) den_a) for P = conj(B) A B, so no quaternion
+    inverse and no Fraction product is built.  A capped coordinate raises
+    PrecisionError."""
+
+    __slots__ = ("alpha", "b", "_conj")
 
     def __init__(self, alpha: QuatElt, b: QuatElt):
         tr = alpha.trd()
@@ -297,29 +280,45 @@ class U1RedElt:
             raise InputError("alpha must be traceless")
         self.alpha = alpha
         self.b = b
+        self._conj = None
 
     @property
     def p(self) -> int:
         return self.alpha.p
 
-    def invariants(self) -> BPoint:
-        """lambda = Nrd(alpha), u = 2 Nrd(b), w = u * plus(b^-1 alpha b)."""
-        p = self.p
-        lam = self.alpha.nrd()
-        if self.b.is_zero():
-            return BPoint(lam, _ps(0, p), _ps(0, p))
-        u = self.b.nrd() + self.b.nrd()
-        aprime = self.b.inv() * self.alpha * self.b
-        wt = u * aprime.x.pi_coeff()
-        return BPoint(lam, u, wt)
+    def _conjugate(self):
+        """(den_a, N(A), den_b, N(B), P), computed on first use."""
+        if self._conj is None:
+            p = self.p
+            if self.b.p != p:
+                raise InputError("mixed primes")
+            ca, cb = _int_coords(self.alpha), _int_coords(self.b)
+            if ca is None or cb is None:
+                raise PrecisionError("U1RedElt invariants take exact coordinates only")
+            (den_a, A), (den_b, B) = ca, cb
+            e = smallest_nonresidue(p)
+            a, b, c, d = B
+            P = _int_quat_mul(_int_quat_mul((a, -b, -c, -d), A, p, e), B, p, e)
+            self._conj = (den_a, _int_nrd(A, p, e), den_b, _int_nrd(B, p, e), P)
+        return self._conj
 
-    def alpha_prime(self) -> QuatElt:
-        return self.b.inv() * self.alpha * self.b
+    def invariants(self) -> BPoint:
+        """lambda = Nrd(alpha) = N(A) / den_a^2, u = 2 Nrd(b) = 2 N(B) / den_b^2
+        and w = u * plus(b^-1 alpha b), whose pi-coefficient is
+        wtilde = 2 P_b / (den_b^2 den_a); u = wtilde = 0 when b = 0."""
+        p = self.p
+        den_a, na, den_b, nb, P = self._conjugate()
+        lam = PadicScalar(p, _fr=Fraction(na, den_a * den_a))
+        if not nb:
+            return BPoint(lam, PadicScalar(p, _fr=_FR_ZERO), PadicScalar(p, _fr=_FR_ZERO))
+        dd = den_b * den_b
+        return BPoint(lam, PadicScalar(p, _fr=Fraction(2 * nb, dd)),
+                      PadicScalar(p, _fr=Fraction(2 * P[1], dd * den_a)))
 
     def is_rs(self) -> bool:
-        if self.b.is_zero():
-            return False
-        return not self.alpha_prime().minus_part().is_zero()
+        """b != 0 and b^-1 alpha b has a nonzero j-part (P_c, P_d)."""
+        _, _, _, nb, P = self._conjugate()
+        return nb != 0 and (P[2] != 0 or P[3] != 0)
 
     def is_integral(self) -> bool:
         return self.alpha.is_integral() and self.b.is_integral()
@@ -448,14 +447,33 @@ def admissible_xi(g: U1GroupElt, xi) -> bool:
     """Whether the chart xi has an integral inverse transform at an integral
     group element: mod the uniformizer the element is block-triangular with
     diagonal (alpha, alpha, d), so 1 + xi^{-1} g is invertible over the
-    maximal order exactly when 1 + s1 alpha and 1 + s2 d are units."""
+    maximal order exactly when 1 + s1 alpha and 1 + s2 d are units, that is
+    nonzero with v_D = 0 (`_one_plus_is_unit`).  A capped coordinate raises
+    PrecisionError."""
     s1, s2 = xi
-    alpha = g.M[0][0]
-    d = g.M[2][2]
-    e1 = QuatElt.one(g.p) + alpha * s1
-    e2 = QuatElt.one(g.p) + d * s2
-    return (not e1.is_zero() and e1.v_d() == 0
-            and not e2.is_zero() and e2.v_d() == 0)
+    p = g.p
+    alpha, d = g.M[0][0], g.M[2][2]
+    if d.p != p:
+        raise InputError("mixed primes")
+    ca, cd = _int_coords(alpha), _int_coords(d)
+    if ca is None or cd is None:
+        raise PrecisionError("the Cayley chart test takes exact coordinates only")
+    return _one_plus_is_unit(ca, s1, p) and _one_plus_is_unit(cd, s2, p)
+
+
+def _one_plus_is_unit(coords, s: int, p: int) -> bool:
+    """Whether 1 + s q is a unit of the maximal order of D, for q with integer
+    coordinates (den, (a, b, c, d)) and s = +-1.  1 + s q has the coordinates
+    (den + s a, s b, s c, s d) over den, so its
+    v_D = min(2 v(a'), 2 v(b') + 1, 2 v(c'), 2 v(d') + 1) - 2 v(den), which is
+    0 exactly when p^v(den) divides all four and p^(v(den) + 1) does not
+    divide both a' and c' (2 v(b') + 1 and 2 v(d') + 1 are odd)."""
+    den, (a, b, c, d) = coords
+    a = den + s * a
+    pk = p ** _int_val(den, p)
+    if a % pk or b % pk or c % pk or d % pk:
+        return False
+    return (a // pk) % p != 0 or (c // pk) % p != 0
 
 
 def reduce_elt(x):

@@ -188,19 +188,6 @@ class PadicScalar:
             return self._fr == 0
         return self._n == 0
 
-    @property
-    def abs_precision(self):
-        """Known modulo p^(this); INF for exact values."""
-        if self.is_exact:
-            return INF
-        return self._v + self._n
-
-    @property
-    def rel_precision(self):
-        if self.is_exact:
-            return INF
-        return self._n
-
     # -- queries --------------------------------------------------------
 
     def val(self):
@@ -617,27 +604,11 @@ class QuatElt:
         eps = PadicScalar(self.p, _fr=Fraction(smallest_nonresidue(self.p)))
         return self.x.norm() - eps * self.y.norm()
 
-    def v_d(self):
-        """Valuation v(Nrd), normalized with v(p) = 1 so v_D(pi) = 1, v_D(j) = 0.
-
-        Exact even on capped data: the two norm summands can never cancel.
-        """
-        vx = self.x.val_f()
-        vy = self.y.val_f()
-        return min(vx, vy)
-
     def is_zero(self) -> bool:
         return self.x.is_zero() and self.y.is_zero()
 
     def is_integral(self) -> bool:
         return self.x.is_integral() and self.y.is_integral()
-
-    def plus_part(self) -> "QuatElt":
-        """Component fixed by conjugation by pi (the F-part)."""
-        return QuatElt(self.x, QuadElt.zero(self.p))
-
-    def minus_part(self) -> "QuatElt":
-        return QuatElt(QuadElt.zero(self.p), self.y)
 
     def __add__(self, other):
         o = self._coerce(other)

@@ -222,11 +222,12 @@ def transfer_sign_0ii(x0: BPoint) -> int:
     return legendre(-s, p) * legendre(-1, p) ** (a.val() // 2 % 2)
 
 
-def forced_s_values(x0: BPoint, tag: str, case: str):
+def forced_s_values(x0: BPoint, tag: str, case: str, sign_0ii):
     """The transfer-forced orbit-integral values over a degenerate base point
     x0 of the given case, for any function transferring to (the lattice
     indicator, 0).  Returns a rational, or None for the orbit tags that
-    carry no forced value."""
+    carry no forced value.  sign_0ii is transfer_sign_0ii(x0), which only
+    y_pp and y_mm read; pass None in every other case."""
     p = x0.p
     if case == "split":
         raise ExcludedCaseError("excluded split case")
@@ -248,8 +249,7 @@ def forced_s_values(x0: BPoint, tag: str, case: str):
     if case == "0ii":
         if tag in ("y_pm", "y_mp"):
             return Fraction(0)
-        half = (Fraction(transfer_sign_0ii(x0), 2)
-                * _ss_case0_value(x0.lam.val(), p))
+        half = Fraction(sign_0ii, 2) * _ss_case0_value(x0.lam.val(), p)
         if tag == "y_pp":
             return half
         if tag == "y_mm":

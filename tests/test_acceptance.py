@@ -25,6 +25,7 @@ from atlas.values import (CClassFn, eta_minus1, ext_fourier,
                           orb_u0_zero, phi_eval)
 from atlas.verify import (base_point_library, expected_constant_at_zero, phi1,
                           verify_x0)
+from test_orbits import s_conj_by
 
 pytestmark = pytest.mark.usefixtures("forbid_capped")
 
@@ -212,7 +213,7 @@ def test_criterion_7_structural_properties():
         h = [[random.randint(-5, 5) for _ in range(2)] for _ in range(2)]
         if h[0][0] * h[1][1] - h[0][1] * h[1][0] == 0:
             continue
-        iv = y.conj_by(h).invariants()
+        iv = s_conj_by(y, h).invariants()
         if not (iv.lam.same_value(x.lam) and iv.u.same_value(x.u)
                 and iv.wtilde.same_value(x.wtilde)):
             ok = False

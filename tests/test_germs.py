@@ -258,7 +258,7 @@ class TestOrbitTags:
                 continue
             assert coeff == dgamma_table(x0, tag, x)
             if tag in rows:
-                forced = forced_s_values(x0, tag, case)
+                forced = forced_s_values(x0, tag, case, _sign(x0, case))
                 assert isinstance(coeff, LogQVal)
                 assert forced is not None and val == forced
             else:
@@ -325,7 +325,7 @@ class TestDorb1:
         d2 = dorb1(x0, x2)
         diff = d2 - d
         # slope is the forced value times the change in v(Delta)
-        v = forced_s_values(x0, "y_minus", "1")
+        v = forced_s_values(x0, "y_minus", "1", None)
         assert diff == LogQVal({1: -2 * v}, p)
 
     def test_split_rejected(self):
@@ -402,6 +402,11 @@ def _reference_in_neighborhood(x0, x):
     return all(vd >= f + NEIGHBORHOOD_DEPTH for f in fixed)
 
 
+def _sign(x0, case):
+    """The sign_0ii argument of forced_s_values for a base point of the case."""
+    return transfer_sign_0ii(x0) if case == "0ii" else None
+
+
 def _reference_dgamma_table(x0, tag, x):
     p = x0.p
     c = case_of(x0)
@@ -464,7 +469,7 @@ def _reference_dorb1(x0, x, method="closed", window=DEFAULT_WINDOW):
             terms.append((tag, None, None))
             continue
         coeff = _reference_dgamma_table(x0, tag, x)
-        val = None if coeff is UNNEEDED else forced_s_values(x0, tag, c)
+        val = None if coeff is UNNEEDED else forced_s_values(x0, tag, c, _sign(x0, c))
         terms.append((tag, coeff, val))
     for _, coeff, val in terms:
         if val is not None:
@@ -574,7 +579,7 @@ class TestBasePointPlan:
             dorb1(plan, x)
         assert counts["case_of"] == 1 and counts["orbit_reps"] == 1
         assert counts["forced_s_values"] == 2      # y_pp and y_mm
-        assert counts["transfer_sign_0ii"] == 3    # the plan's and one per forced value
+        assert counts["transfer_sign_0ii"] == 1    # the plan's, read by both forced values
 
     def test_phi1_classifies_zero_once(self, monkeypatch):
         counts = _count_calls(monkeypatch)

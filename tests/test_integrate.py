@@ -20,6 +20,7 @@ from atlas.padic import PadicScalar, QuadElt, QuatElt
 from atlas.svalue import LogQVal
 from atlas.values import (nil_family_orb_u0_fn, orb_u0_ss_case0,
                           orb_u0_ss_case1, phi_eval)
+from test_padic import abs_precision, rel_precision
 
 # the criterion-5 points (m, l-, l+) at p = 3
 XI_POINTS = ((0, 1, INF), (1, 3, 5), (0, 2, 3), (1, 1, 3), (2, 3, 5), (2, 1, 7),
@@ -138,8 +139,8 @@ def val_at_least(s, m):
     """Ternary v(s) >= m for a scalar: True / False / None (undecided)."""
     if s.is_exact:
         return s.is_exact_zero() or s.val() >= m
-    if s.rel_precision == 0:
-        return True if s.abs_precision >= m else None
+    if rel_precision(s) == 0:
+        return True if abs_precision(s) >= m else None
     return s.val() >= m
 
 

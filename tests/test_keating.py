@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import atlas
-from atlas.errors import InputError, NotRegularSemisimpleError
+from atlas import keating
+from atlas.errors import (AtlasError, CayleyUndefinedError, InputError,
+                          NotRegularSemisimpleError)
 from atlas.keating import (DistParams, dist_j, int_group, keating_n, l_int,
                            l_int_closed, l_int_keating)
 from atlas.orbits import (INF, XI_CHOICES, BPoint, U1RedElt, cayley,
@@ -141,6 +143,17 @@ class TestIntGroup:
                 assert int_group(cayley(x, xi)) == want
             done += 1
 
+    def test_no_admissible_chart_is_a_typed_error(self, monkeypatch):
+        p = 5
+        x = U1RedElt(QuatElt(QuadElt.exact(0, 1, p), QuadElt.exact(1, 0, p)),
+                     QuatElt.one(p))
+        g = cayley(x, (1, 1))
+        monkeypatch.setattr(keating, "admissible_xi", lambda g, xi: False)
+        with pytest.raises(CayleyUndefinedError) as err:
+            int_group(g)
+        assert isinstance(err.value, AtlasError)
+        assert str(err.value) == f"no admissible Cayley chart for the integral element {g!r}"
+
     def test_non_integral_gives_zero(self):
         p = 3
         alpha = QuatElt(QuadElt.exact(0, Fraction(1, 3), p), QuadElt.zero(p))
@@ -150,7 +163,8 @@ class TestIntGroup:
             assert int_group(g) == 0
 
     def test_invariant_under_sign_conjugation(self):
-        from atlas.orbits import U1GroupElt, mat_mul
+        from atlas.orbits import U1GroupElt
+        from test_orbits import mat_mul
         random.seed(67)
         p = 3
         done = 0

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -5,20 +6,22 @@ from fractions import Fraction
 import pytest
 
 from atlas import padic
+from atlas.cli import main
 from atlas.errors import (AtlasError, CayleyUndefinedError,
                           ExcludedCaseError, InputError,
                           NotRegularSemisimpleError, PrecisionError,
                           UnrealizableError)
 from atlas.germs import BasePointPlan
 from atlas.orbits import (INF, XI_CHOICES, BPoint, SRedElt, U0RedElt,
-                          U1GroupElt, U1LieElt, U1RedElt, _ps, case_of, cayley,
-                          cayley_inv, in_side1_closure, make_bpoint_rs1,
-                          mat_add, mat_mul, mat_sub, orbit_reps, quat_identity,
-                          quat_mat_solve, section_sigma,
+                          U1GroupElt, U1LieElt, U1RedElt, _ps, admissible_xi,
+                          case_of, cayley, cayley_inv, det2, in_side1_closure,
+                          make_bpoint_rs1, mat_add, mat_sub, orbit_reps,
+                          quat_identity, quat_mat_solve, section_sigma,
                           u0_nilpotent_family_member, u0_ss_case1,
                           u1_lie_from_matrix)
 from atlas.padic import PadicScalar, QuadElt, QuatElt, smallest_nonresidue
-from test_padic import padic_sqrt
+from atlas.serialize import encode_element
+from test_padic import capped, minus_part, padic_sqrt, v_d
 
 
 def rand_quat(p, traceless=False, lo=-9, hi=9):
@@ -32,6 +35,40 @@ def rand_k1_lie(p):
                     PadicScalar.exact(random.randint(-9, 9), p),
                     rand_quat(p),
                     QuadElt.exact(0, random.randint(-9, 9), p))
+
+
+def mat_mul(A, B):
+    n, m, k = len(A), len(B[0]), len(B)
+    return [[sum_entries([A[i][t] * B[t][j] for t in range(k)]) for j in range(m)]
+            for i in range(n)]
+
+
+def sum_entries(xs):
+    out = xs[0]
+    for x in xs[1:]:
+        out = out + x
+    return out
+
+
+def s_conj_by(y: SRedElt, h) -> SRedElt:
+    """Conjugate y by diag(h, 1) for h a 2x2 matrix over F0 (entries coerced)."""
+    p = y.p
+    h = [[_ps(Fraction(x), p) if not isinstance(x, PadicScalar) else x for x in row]
+         for row in h]
+    dh = det2(h)
+    hinv = [[h[1][1] / dh, -h[0][1] / dh], [-h[1][0] / dh, h[0][0] / dh]]
+    one = _ps(1, p)
+    zero = _ps(0, p)
+    H = [[h[0][0], h[0][1], zero], [h[1][0], h[1][1], zero], [zero, zero, one]]
+    Hi = [[hinv[0][0], hinv[0][1], zero], [hinv[1][0], hinv[1][1], zero],
+          [zero, zero, one]]
+    return SRedElt(mat_mul(Hi, mat_mul(y.z, H)))
+
+
+def alpha_prime(x: U1RedElt) -> QuatElt:
+    """The conjugate b^-1 alpha b through QuatElt.inv and two products: the
+    reference for the integer-coordinate conjugate of U1RedElt."""
+    return x.b.inv() * x.alpha * x.b
 
 
 def conj_by_h(y, h) -> U0RedElt:
@@ -246,7 +283,7 @@ class TestInvariantsU1:
                 continue
             x = U1RedElt(alpha, b)
             d = x.invariants().delta()
-            m = x.alpha_prime().minus_part()
+            m = minus_part(alpha_prime(x))
             want = 4 * b.nrd() * b.nrd() * m.nrd()
             assert (d - want).is_exact_zero()
             if x.is_rs():
@@ -404,6 +441,206 @@ class TestCayley:
             done += 1
 
 
+def reference_invariants(x: U1RedElt) -> BPoint:
+    """The invariants through QuatElt arithmetic: lambda = Nrd(alpha),
+    u = 2 Nrd(b) and wtilde = u times the pi-coefficient of alpha_prime(x)."""
+    p = x.p
+    lam = x.alpha.nrd()
+    if x.b.is_zero():
+        return BPoint(lam, _ps(0, p), _ps(0, p))
+    u = x.b.nrd() + x.b.nrd()
+    return BPoint(lam, u, u * alpha_prime(x).x.pi_coeff())
+
+
+def reference_is_rs(x: U1RedElt) -> bool:
+    if x.b.is_zero():
+        return False
+    return not minus_part(alpha_prime(x)).is_zero()
+
+
+def reference_admissible_xi(g: U1GroupElt, xi) -> bool:
+    """1 + s1 alpha and 1 + s2 d nonzero with v_D = 0, built as QuatElt."""
+    s1, s2 = xi
+    e1 = QuatElt.one(g.p) + g.M[0][0] * s1
+    e2 = QuatElt.one(g.p) + g.M[2][2] * s2
+    return (not e1.is_zero() and v_d(e1) == 0
+            and not e2.is_zero() and v_d(e2) == 0)
+
+
+def rand_coord(rng, p):
+    """Often zero, often integral, often with p (or p^2, p^3) in the
+    denominator or the numerator."""
+    r = rng.random()
+    if r < 0.2:
+        return Fraction(0)
+    num = rng.randint(-9, 9) * p ** rng.choice((0, 0, 1, 2))
+    return Fraction(num, rng.choice((1, 1, 1, 2, p, p * p, p ** 3, 3 * p)))
+
+
+def rand_coord_quat(rng, p, traceless=False):
+    a = Fraction(0) if traceless else rand_coord(rng, p)
+    return QuatElt(QuadElt.exact(a, rand_coord(rng, p), p),
+                   QuadElt.exact(rand_coord(rng, p), rand_coord(rng, p), p))
+
+
+def _scalars(x: BPoint):
+    return tuple((s.p, s.rational) for s in (x.lam, x.u, x.wtilde))
+
+
+def _count_scalars(monkeypatch):
+    """A counter of PadicScalar constructions."""
+    made = [0]
+    init = PadicScalar.__init__
+
+    def counted(self, *args, **kwargs):
+        made[0] += 1
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(PadicScalar, "__init__", counted)
+    return made
+
+
+class TestConjugateOnIntegerCoordinates:
+    """U1RedElt reads b^-1 alpha b from integer coordinates, and
+    admissible_xi reads v_D of 1 + s alpha from them: both must agree with
+    the QuatElt references."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_invariants_and_rs_match_the_quaternion_path(self, p):
+        rng = random.Random(2000 + p)
+        zero_b = rs = non_rs = nonintegral = p_den = 0
+        for _ in range(500):
+            alpha = rand_coord_quat(rng, p, traceless=True)
+            b = QuatElt.zero(p) if rng.random() < 0.1 else rand_coord_quat(rng, p)
+            x = U1RedElt(alpha, b)
+            iv = x.invariants()
+            assert _scalars(iv) == _scalars(reference_invariants(x))
+            assert x.is_rs() == reference_is_rs(x)
+            # a second read takes the stored conjugate
+            assert _scalars(x.invariants()) == _scalars(iv) and x.is_rs() == reference_is_rs(x)
+            zero_b += b.is_zero()
+            rs += x.is_rs()
+            non_rs += not x.is_rs() and not b.is_zero()
+            nonintegral += not x.is_integral()
+            p_den += any(s.rational.denominator % p == 0
+                         for q in (alpha, b) for s in (q.x.a, q.x.b, q.y.a, q.y.b))
+        assert zero_b >= 25 and rs >= 250 and non_rs >= 5
+        assert nonintegral >= 250 and p_den >= 250
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_admissible_xi_matches_the_v_d_chart_test(self, p):
+        rng = random.Random(3000 + p)
+        outcomes = {True: 0, False: 0}
+        zero_shift = 0
+        for k in range(500):
+            M = quat_identity(p)
+            if k % 5 == 0:
+                # a Cayley image, as int_group screens it
+                x = U1RedElt(rand_coord_quat(rng, p, traceless=True),
+                             rand_coord_quat(rng, p))
+                M = cayley(x, rng.choice(XI_CHOICES)).M
+            else:
+                M[0][0] = rand_coord_quat(rng, p)
+                M[2][2] = rng.choice((QuatElt(QuadElt.exact(rand_coord(rng, p), 0, p),
+                                              QuadElt.exact(0, 0, p)),
+                                      rand_coord_quat(rng, p), QuatElt.one(p),
+                                      -QuatElt.one(p)))
+            g = U1GroupElt(M)
+            for xi in XI_CHOICES:
+                want = reference_admissible_xi(g, xi)
+                assert admissible_xi(g, xi) == want
+                outcomes[want] += 1
+                zero_shift += (QuatElt.one(p) + M[2][2] * xi[1]).is_zero()
+        assert outcomes[True] >= 300 and outcomes[False] >= 300 and zero_shift >= 50
+
+    def test_capped_coordinate_raises_precision_error(self):
+        p = 5
+        c = capped(p, 0, 2, 6)
+        capped_q = QuatElt(QuadElt(c, PadicScalar.exact(0, p)), QuadElt.exact(1, 1, p))
+        traceless = QuatElt(QuadElt(PadicScalar.exact(0, p), c), QuadElt.exact(1, 0, p))
+        for x in (U1RedElt(QuatElt.j(p), capped_q), U1RedElt(traceless, QuatElt.one(p))):
+            with pytest.raises(PrecisionError):
+                x.invariants()
+            with pytest.raises(PrecisionError):
+                x.is_rs()
+        for entry in ((0, 0), (2, 2)):
+            M = quat_identity(p)
+            M[entry[0]][entry[1]] = capped_q
+            for xi in XI_CHOICES:
+                with pytest.raises(PrecisionError):
+                    admissible_xi(U1GroupElt(M), xi)
+
+    def test_counts_of_scalars_built(self, monkeypatch):
+        p = 5
+        x = U1RedElt(QuatElt(QuadElt.exact(0, Fraction(1, 5), p), QuadElt.exact(2, -3, p)),
+                     QuatElt(QuadElt.exact(Fraction(1, 2), 3, p), QuadElt.exact(1, -1, p)))
+        g = cayley(x, (1, 1))
+        made = _count_scalars(monkeypatch)
+        assert x.is_rs() and made[0] == 0
+        fresh = U1RedElt(x.alpha, x.b)
+        made[0] = 0
+        fresh.invariants()
+        assert made[0] == 3
+        for xi in XI_CHOICES:
+            made[0] = 0
+            admissible_xi(g, xi)
+            assert made[0] == 0
+
+
+INVARIANTS_RS = """{
+  "invariants": {
+    "lambda": {
+      "num": "12115",
+      "den": "81"
+    },
+    "u": {
+      "num": "-755",
+      "den": "18"
+    },
+    "wtilde": {
+      "num": "17861",
+      "den": "54"
+    },
+    "p": 3
+  },
+  "rs": true,
+  "side": 1
+}
+"""
+
+INVARIANTS_B0 = """{
+  "invariants": {
+    "lambda": {
+      "num": "12115",
+      "den": "81"
+    },
+    "u": {
+      "num": "0",
+      "den": "1"
+    },
+    "wtilde": {
+      "num": "0",
+      "den": "1"
+    },
+    "p": 3
+  },
+  "rs": false
+}
+"""
+
+
+@pytest.mark.parametrize("b, golden", [
+    (QuatElt(QuadElt.exact(Fraction(1, 2), 3, 3), QuadElt.exact(Fraction(1, 3), -1, 3)),
+     INVARIANTS_RS),
+    (QuatElt.zero(3), INVARIANTS_B0)], ids=["rs", "b-zero"])
+def test_atlas_invariants_of_a_u1_red_element(b, golden, tmp_path, capsys):
+    alpha = QuatElt(QuadElt.exact(0, Fraction(1, 3), 3),
+                    QuadElt.exact(Fraction(2, 9), -5, 3))
+    f = tmp_path / "elem.json"
+    f.write_text(json.dumps(encode_element(U1RedElt(alpha, b))))
+    assert main(["invariants", "--elem", str(f)]) == 0
+    assert capsys.readouterr().out == golden
+
+
 def reference_in_chart(M, xi):
     """xi M for the chart xi = diag(s1, s1, s2): the rows with sign -1
     negated, as QuatElt."""
@@ -524,7 +761,7 @@ def reference_solve(A, B):
         best = None
         for r in range(col, n):
             if not M[r][col].is_zero():
-                v = M[r][col].v_d()
+                v = v_d(M[r][col])
                 if piv is None or v < best:
                     piv, best = r, v
         if piv is None:

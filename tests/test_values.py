@@ -9,7 +9,8 @@ from atlas.svalue import LogQVal
 from atlas.values import (CClassFn, eta_minus1, ext_fourier, forced_s_values,
                           nil_family_orb_s_fn, nil_family_orb_u0_fn,
                           orb_nil_family_s, orb_nil_reg_s, orb_u0_ss_case0,
-                          orb_u0_ss_case1, orb_u0_zero, phi_eval)
+                          orb_u0_ss_case1, orb_u0_zero, phi_eval,
+                          transfer_sign_0ii)
 
 
 def ex(x, p):
@@ -128,32 +129,33 @@ class TestForced:
         p = 3
         x0 = BPoint.exact(-1, 0, 0, p)      # -lam0 = 1 square -> split; pick another
         x0 = BPoint.exact(1, 0, 0, p)       # -lam0 = -1 nonsquare at p=3
-        vp = forced_s_values(x0, "y_plus", "0i")
-        vm = forced_s_values(x0, "y_minus", "0i")
+        vp = forced_s_values(x0, "y_plus", "0i", None)
+        vm = forced_s_values(x0, "y_minus", "0i", None)
         assert vp == Fraction(1, 2)
         assert vm == ex(-1, p).eta() * Fraction(1, 2)
-        assert forced_s_values(x0, "y0", "0i") is None
+        assert forced_s_values(x0, "y0", "0i", None) is None
 
     def test_case_0ii_zeros(self):
         p = 5
         x0 = BPoint.exact(-20, 0, 0, p)
-        assert forced_s_values(x0, "y_pm", "0ii") == 0
-        assert forced_s_values(x0, "y_mp", "0ii") == 0
-        vpp = forced_s_values(x0, "y_pp", "0ii")
-        vmm = forced_s_values(x0, "y_mm", "0ii")
+        sign = transfer_sign_0ii(x0)
+        assert forced_s_values(x0, "y_pm", "0ii", sign) == 0
+        assert forced_s_values(x0, "y_mp", "0ii", sign) == 0
+        vpp = forced_s_values(x0, "y_pp", "0ii", sign)
+        vmm = forced_s_values(x0, "y_mm", "0ii", sign)
         assert vpp == eta_minus1(p) * vmm
         assert vpp != 0
 
     def test_case_1_half(self):
         p = 5
         x0 = BPoint.exact(0, 1, 0, p)
-        v = forced_s_values(x0, "y_minus", "1")
+        v = forced_s_values(x0, "y_minus", "1", None)
         assert v == Fraction(1, 2) * orb_u0_ss_case1(0, 1, p)
-        assert forced_s_values(x0, "y_plus", "1") == v
+        assert forced_s_values(x0, "y_plus", "1", None) == v
 
     def test_split_excluded(self):
         p = 5
         x0 = BPoint.exact(-4, 0, 0, p)
         tag = orbit_reps(case_of(x0))[0]
         with pytest.raises(ExcludedCaseError):
-            forced_s_values(x0, tag, "split")
+            forced_s_values(x0, tag, "split", None)
