@@ -142,12 +142,9 @@ def cmd_values(args) -> int:
     elif args.what == "forced-s":
         lam0, u0, wt0 = _parse("--params", args.params, Fraction, Fraction, Fraction)
         plan = BasePointPlan(BPoint.exact(lam0, u0, wt0, p))
-        vals = {}
-        for tag in plan.reps:
-            v = plan.forced(tag)
-            vals[tag] = None if v is None else str(v)
-        out["case"] = plan.case
-        out["values"] = vals
+        out["case"] = plan.usable_case()
+        out["values"] = {tag: None if v is None else str(v)
+                         for tag, v in plan.forced.items()}
     else:
         raise AtlasError(f"unknown value family {args.what}")
     print(json.dumps(out, indent=2))

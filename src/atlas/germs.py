@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import (ExcludedCaseError, InputError,
                      NotRegularSemisimpleError, UnrealizableError)
@@ -99,28 +98,35 @@ def gamma_n_mu(x: BPoint, mu) -> GermCoeff:
 
 
 class BasePointPlan:
-    """What the verdicts around one degenerate base point x0 read of it: its
-    case, the split and side-1-closure verdicts, the valuations the
-    neighborhood freezes, the orbit tags, the forced value of each tag and
-    the case-0ii transfer sign.
+    """What the verdicts around one degenerate base point x0 read of it, all
+    computed when the plan is built: its case, the side-1-closure verdict,
+    the coordinates with the valuations the neighborhood freezes (frozen),
+    the orbit tags (reps), the forced value of each tag (forced, empty in
+    the split case) and, in case 0ii, the transfer sign (sign_0ii, else
+    None).
 
     A plain value: the caller builds it and keeps it while it evaluates
     around x0, and no module holds one.  is_in_neighborhood, dgamma_table,
     germ_terms and dorb1 take it in place of x0, and build a one-shot plan
-    when given a BPoint.  Each field is computed on first use and at most
-    once, so the errors come in the same order as without a plan: the case
-    (NotRegularSemisimpleError, UnrealizableError) when first read, the
-    closure verdict only where a caller reaches it."""
+    when given a BPoint.  Building a plan raises only what case_of raises;
+    the split case (usable_case) and the closure verdict raise where a
+    caller reads them, so the errors come in the same order as without a
+    plan."""
 
     def __init__(self, x0: BPoint):
         self.x0 = x0
         self.p = x0.p
-        self._frozen = []     # valuations of x0's coordinates, in order
-        self._forced = {}     # orbit tag -> forced value
-
-    @cached_property
-    def case(self) -> str:
-        return case_of(self.x0)
+        self.case = case = case_of(x0)
+        self.side1_closure = in_side1_closure(x0, case)
+        # the valuation is None for an exact zero, which the neighborhood
+        # leaves free
+        self.frozen = tuple((s0, None if s0.is_exact_zero() else s0.val())
+                            for s0 in (x0.lam, x0.u, x0.wtilde))
+        self.reps = orbit_reps(case)
+        self.sign_0ii = transfer_sign_0ii(x0) if case == "0ii" else None
+        self.forced = {} if case == "split" else {
+            tag: forced_s_values(x0, tag, case, self.sign_0ii)
+            for tag in self.reps}
 
     def usable_case(self) -> str:
         """The case; ExcludedCaseError for the split case, which every
@@ -128,37 +134,6 @@ class BasePointPlan:
         if self.case == "split":
             raise ExcludedCaseError("excluded split case")
         return self.case
-
-    @cached_property
-    def side1_closure(self) -> bool:
-        return in_side1_closure(self.x0, self.case)
-
-    def frozen(self):
-        """(coordinate, valuation) of x0 for lambda, u and wtilde in turn,
-        the valuation None for an exact zero, which the neighborhood leaves
-        free; each valuation is computed when first reached."""
-        vals = self._frozen
-        for i, s0 in enumerate((self.x0.lam, self.x0.u, self.x0.wtilde)):
-            if i == len(vals):
-                vals.append(None if s0.is_exact_zero() else s0.val())
-            yield s0, vals[i]
-
-    @cached_property
-    def reps(self) -> tuple:
-        """The orbit tags over x0, orbit_reps(case)."""
-        return orbit_reps(self.case)
-
-    def forced(self, tag: str):
-        """forced_s_values(x0, tag, case, sign_0ii), computed once per tag;
-        the case-0ii tags read the plan's sign."""
-        if tag not in self._forced:
-            sign = self.sign_0ii if self.case == "0ii" else None
-            self._forced[tag] = forced_s_values(self.x0, tag, self.case, sign)
-        return self._forced[tag]
-
-    @cached_property
-    def sign_0ii(self) -> int:
-        return transfer_sign_0ii(self.x0)
 
 
 def base_point_plan(x0) -> BasePointPlan:
@@ -177,7 +152,7 @@ def is_in_neighborhood(x0, x: BPoint) -> bool:
         return False
     if plan.case == "zero":
         return x.is_integral()
-    for s, (s0, v0) in zip((x.lam, x.u, x.wtilde), plan.frozen()):
+    for s, (s0, v0) in zip((x.lam, x.u, x.wtilde), plan.frozen):
         if v0 is None:
             continue
         d = s - s0
@@ -185,50 +160,47 @@ def is_in_neighborhood(x0, x: BPoint) -> bool:
             return False
     vd = x.delta().val()
     return all(vd >= v0 + NEIGHBORHOOD_DEPTH
-               for _, v0 in plan.frozen() if v0 is not None)
+               for _, v0 in plan.frozen if v0 is not None)
 
 
-def dgamma_table(x0, tag: str, x: BPoint):
+def dgamma_table(x0, tag: str, vd: int):
     """Tabulated derivative at the center of the germ coefficient of the
-    orbit tag, evaluated at x near the base point x0 (a BPoint or its
-    plan).  Entries whose paired orbit integral vanishes identically are
-    returned as the UNNEEDED marker.  An x with Delta = 0 raises
-    NotRegularSemisimpleError: the entries read log|Delta|.  The family tag
-    n_mu at zero is an InputError: its coefficients come from gamma_n_mu."""
+    orbit tag over the base point x0 (a BPoint or its plan), at a point x of
+    its neighborhood with v(Delta(x)) = vd: the entries read x only through
+    log|Delta|.  The caller has checked x (germ_terms and dorb1 test the
+    neighborhood and Delta != 0 once per x).  Entries whose paired orbit
+    integral vanishes identically are returned as the UNNEEDED marker.  The
+    family tag n_mu at zero is an InputError: its coefficients come from
+    gamma_n_mu."""
     plan = base_point_plan(x0)
     p = plan.p
     c = plan.usable_case()
-    if not is_in_neighborhood(plan, x):
-        raise UnrealizableError("x outside the recorded neighborhood of x0")
-    d = x.delta()
-    if d.is_zero_at_precision():
-        raise NotRegularSemisimpleError("not regular semisimple: Delta = 0")
     x0 = plan.x0
     if c == "zero":
         if tag == "n0_plus":
             return LogQVal.const(0, p)
         if tag == "n0_minus":
-            return LogQVal({1: Fraction(-(d.val() - 1))}, p)   # log|Delta/p|
+            return LogQVal({1: Fraction(-(vd - 1))}, p)   # log|Delta/p|
         raise InputError("family coefficients come from gamma_n_mu")
     if c == "0i":
         if tag == "y_plus":
             return LogQVal.const(0, p)
         if tag == "y_minus":
-            v = d.val() - x0.lam.val()
+            v = vd - x0.lam.val()
             return LogQVal({1: Fraction(-(-x0.lam).eta() * v)}, p)
         return UNNEEDED
     if c == "0ii":
         if tag == "y_pp":
             return LogQVal.const(0, p)
         if tag == "y_mm":
-            v = d.val() - x0.lam.val()
+            v = vd - x0.lam.val()
             return LogQVal({1: Fraction(-eta_minus1(p) * v)}, p)
         return UNNEEDED
     # case 1
     if tag == "y_plus":
         return LogQVal.const(0, p)
     if tag == "y_minus":
-        v = d.val() - 2 * x0.u.val() - 1
+        v = vd - 2 * x0.u.val() - 1
         return LogQVal({1: Fraction(-v)}, p)      # log|Delta/(u0^2 p)|
     return UNNEEDED
 
@@ -269,15 +241,29 @@ def germ_terms(x0, x: BPoint):
     x0 (a BPoint or its plan), at x.  The family n_mu has neither: its part
     is the family contribution.  An entry whose paired orbit integral
     vanishes has dGamma UNNEEDED, and the value is None there and wherever
-    the transfer forces none."""
+    the transfer forces none.  x is checked once, for all the tags: the
+    split case (ExcludedCaseError), the neighborhood (UnrealizableError)
+    and Delta = 0 (NotRegularSemisimpleError), in that order."""
     plan = base_point_plan(x0)
+    plan.usable_case()
+    if not is_in_neighborhood(plan, x):
+        raise UnrealizableError("x outside the recorded neighborhood of x0")
+    d = x.delta()
+    if d.is_zero_at_precision():
+        raise NotRegularSemisimpleError("not regular semisimple: Delta = 0")
+    return _germ_rows(plan, d.val())
+
+
+def _germ_rows(plan: BasePointPlan, vd: int) -> list:
+    """The germ_terms of the plan's base point at a checked x with
+    v(Delta(x)) = vd."""
     out = []
     for tag in plan.reps:
         if tag == "n_mu":
             out.append((tag, None, None))
             continue
-        coeff = dgamma_table(plan, tag, x)
-        val = None if coeff is UNNEEDED else plan.forced(tag)
+        coeff = dgamma_table(plan, tag, vd)
+        val = None if coeff is UNNEEDED else plan.forced[tag]
         out.append((tag, coeff, val))
     return out
 
@@ -308,7 +294,9 @@ def dorb1(x0, x: BPoint, method: str = "closed",
     base point the unknown constant is kept symbolic.  For the diagonal-type
     base points the section's transfer factor is folded in, so that twice the
     result plus the intersection term is the comparison function.  A method
-    outside METHODS is an InputError."""
+    outside METHODS is an InputError.  x is checked once, for every tag:
+    the split case, the neighborhood, the base point's closure verdict and
+    the side of x (which refuses Delta = 0), in that order."""
     check_method(method)
     plan = base_point_plan(x0)
     p = plan.p
@@ -326,7 +314,7 @@ def dorb1(x0, x: BPoint, method: str = "closed",
         total = phi_closed(x)
     else:
         total = phi_from_xi(x, window)
-    terms = germ_terms(plan, x)
+    terms = _germ_rows(plan, x.delta().val())
     for _, coeff, val in terms:
         if val is not None:
             total = total + coeff * val

@@ -10,8 +10,8 @@ from fractions import Fraction
 
 from .errors import (CayleyUndefinedError, InputError,
                      NotRegularSemisimpleError, OracleMismatchError)
-from .orbits import (INF, XI_CHOICES, BPoint, U1GroupElt, admissible_xi,
-                     cayley_inv, reduce_elt)
+from .orbits import (INF, XI_CHOICES, BPoint, U1GroupElt, U1RedElt,
+                     admissible_xi, cayley_inv)
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def int_group(g: U1GroupElt) -> Fraction:
             continue
         if not x.is_integral():
             continue
-        red = reduce_elt(x)
+        red = U1RedElt(x.alpha, x.b)
         if not red.is_rs():
             raise NotRegularSemisimpleError("group element is not rs")
         return l_int(red.invariants())

@@ -266,11 +266,11 @@ class U1RedElt:
     quaternion, b a quaternion.
 
     The invariants and the rs test read the conjugate b^-1 alpha b, which
-    each element computes once, on integer coordinates: with
+    the element computes when it is built, on integer coordinates: with
     alpha = A / den_a and b = B / den_b (`padic._int_coords`),
     b^-1 alpha b = P / (N(B) den_a) for P = conj(B) A B, so no quaternion
-    inverse and no Fraction product is built.  A capped coordinate raises
-    PrecisionError."""
+    inverse and no Fraction product is built.  A non-traceless alpha or
+    mixed primes raise InputError, a capped coordinate PrecisionError."""
 
     __slots__ = ("alpha", "b", "_conj")
 
@@ -278,36 +278,31 @@ class U1RedElt:
         tr = alpha.trd()
         if not tr.is_zero_at_precision():
             raise InputError("alpha must be traceless")
+        p = alpha.p
+        if b.p != p:
+            raise InputError("mixed primes")
+        ca, cb = _int_coords(alpha), _int_coords(b)
+        if ca is None or cb is None:
+            raise PrecisionError("U1RedElt takes exact coordinates only")
+        (den_a, A), (den_b, B) = ca, cb
+        e = smallest_nonresidue(p)
+        a0, b0, c0, d0 = B
+        P = _int_quat_mul(_int_quat_mul((a0, -b0, -c0, -d0), A, p, e), B, p, e)
         self.alpha = alpha
         self.b = b
-        self._conj = None
+        # (den_a, N(A), den_b, N(B), P)
+        self._conj = (den_a, _int_nrd(A, p, e), den_b, _int_nrd(B, p, e), P)
 
     @property
     def p(self) -> int:
         return self.alpha.p
-
-    def _conjugate(self):
-        """(den_a, N(A), den_b, N(B), P), computed on first use."""
-        if self._conj is None:
-            p = self.p
-            if self.b.p != p:
-                raise InputError("mixed primes")
-            ca, cb = _int_coords(self.alpha), _int_coords(self.b)
-            if ca is None or cb is None:
-                raise PrecisionError("U1RedElt invariants take exact coordinates only")
-            (den_a, A), (den_b, B) = ca, cb
-            e = smallest_nonresidue(p)
-            a, b, c, d = B
-            P = _int_quat_mul(_int_quat_mul((a, -b, -c, -d), A, p, e), B, p, e)
-            self._conj = (den_a, _int_nrd(A, p, e), den_b, _int_nrd(B, p, e), P)
-        return self._conj
 
     def invariants(self) -> BPoint:
         """lambda = Nrd(alpha) = N(A) / den_a^2, u = 2 Nrd(b) = 2 N(B) / den_b^2
         and w = u * plus(b^-1 alpha b), whose pi-coefficient is
         wtilde = 2 P_b / (den_b^2 den_a); u = wtilde = 0 when b = 0."""
         p = self.p
-        den_a, na, den_b, nb, P = self._conjugate()
+        den_a, na, den_b, nb, P = self._conj
         lam = PadicScalar(p, _fr=Fraction(na, den_a * den_a))
         if not nb:
             return BPoint(lam, PadicScalar(p, _fr=_FR_ZERO), PadicScalar(p, _fr=_FR_ZERO))
@@ -317,7 +312,7 @@ class U1RedElt:
 
     def is_rs(self) -> bool:
         """b != 0 and b^-1 alpha b has a nonzero j-part (P_c, P_d)."""
-        _, _, _, nb, P = self._conjugate()
+        _, _, _, nb, P = self._conj
         return nb != 0 and (P[2] != 0 or P[3] != 0)
 
     def is_integral(self) -> bool:
@@ -353,11 +348,6 @@ class U1LieElt:
         return [[self.alpha, beta * p, self.b * pi],
                 [beta, self.alpha, self.b],
                 [pi * bbar, bbar * p, QuatElt.from_f(self.d)]]
-
-    def reduce(self):
-        """(reduced part, discarded (2 beta pi, d))."""
-        red = U1RedElt(self.alpha, self.b)
-        return red, (self.beta + self.beta, self.d)
 
     def is_integral(self) -> bool:
         return (self.alpha.is_integral() and self.b.is_integral()
@@ -474,15 +464,6 @@ def _one_plus_is_unit(coords, s: int, p: int) -> bool:
     if a % pk or b % pk or c % pk or d % pk:
         return False
     return (a // pk) % p != 0 or (c // pk) % p != 0
-
-
-def reduce_elt(x):
-    """Projection to the reduced subspace, discarding the trivial invariants."""
-    if isinstance(x, U1LieElt):
-        return x.reduce()[0]
-    if isinstance(x, (U1RedElt, SRedElt, U0RedElt)):
-        return x
-    raise TypeError(f"cannot reduce {type(x)}")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from .errors import InputError, UnrealizableError
 from .germs import (NEIGHBORHOOD_DEPTH, BasePointPlan, base_point_plan,
                     check_method, dorb1, is_in_neighborhood, zero_point)
 from .keating import l_int
-from .orbits import INF, BPoint, case_of, make_bpoint_rs1
+from .orbits import INF, BPoint, case_of, in_side1_closure, make_bpoint_rs1
 from .svalue import LogQVal
 
 # the grid of verify_zero (m <= ZERO_M_MAX; l- and odd l+ up to ZERO_L_MAX,
@@ -195,13 +195,13 @@ def base_point_library(p: int):
         lam0 = None
         for cand in range(1, p):
             x0 = BPoint.exact(Fraction(cand) * p ** v, 0, 0, p)
-            plan = BasePointPlan(x0)
             try:
-                if plan.case == "0i" and plan.side1_closure:
-                    lam0 = x0
-                    break
+                case = case_of(x0)
             except UnrealizableError:
                 continue
+            if case == "0i" and in_side1_closure(x0, case):
+                lam0 = x0
+                break
         if lam0 is not None:
             out.append((f"0i v(lam0)={v}", lam0))
     # diagonal case: -lam0/p an exact square, odd valuation

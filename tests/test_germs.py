@@ -176,41 +176,44 @@ class TestDGammaTable:
         p = 3
         x0 = zero_point(p)
         x = make_bpoint_rs1(1, 2, 3, p)
-        assert dgamma_table(x0, "n0_plus", x).is_zero()
-        k = x.delta().val() - 1
-        assert dgamma_table(x0, "n0_minus", x) == LogQVal({1: -k}, p)
+        vd = x.delta().val()
+        assert dgamma_table(x0, "n0_plus", vd).is_zero()
+        assert dgamma_table(x0, "n0_minus", vd) == LogQVal({1: -(vd - 1)}, p)
 
     def test_case_0i_row(self):
         p = 3
         x0 = BPoint.exact(1, 0, 0, p)
         assert case_of(x0) == "0i"
         x = BPoint.exact(1, 27, 0, p)
-        assert dgamma_table(x0, "y_plus", x).is_zero()
-        v = x.delta().val() - x0.lam.val()
+        vd = x.delta().val()
+        assert dgamma_table(x0, "y_plus", vd).is_zero()
+        v = vd - x0.lam.val()
         e = PadicScalar.exact(-1, p).eta()
-        assert dgamma_table(x0, "y_minus", x) == LogQVal({1: -e * v}, p)
+        assert dgamma_table(x0, "y_minus", vd) == LogQVal({1: -e * v}, p)
 
     def test_case_1_row(self):
         p = 3
         x0 = BPoint.exact(-3, 1, 1, p)
         x = BPoint.exact(-3 + 3 ** 7, 1, 1, p)
-        v = x.delta().val() - 2 * x0.u.val() - 1
-        assert dgamma_table(x0, "y_minus", x) == LogQVal({1: -v}, p)
+        vd = x.delta().val()
+        v = vd - 2 * x0.u.val() - 1
+        assert dgamma_table(x0, "y_minus", vd) == LogQVal({1: -v}, p)
 
     def test_unneeded_rows(self):
         p = 5
         x0 = BPoint.exact(-20, 0, 0, p)
         x = BPoint.exact(-20, 5 ** 8, 0, p)
-        assert dgamma_table(x0, "y_pm", x) is UNNEEDED
-        assert dgamma_table(x0, "y_mp", x) is UNNEEDED
-        assert dgamma_table(x0, "y_pp", x).is_zero()
+        vd = x.delta().val()
+        assert dgamma_table(x0, "y_pm", vd) is UNNEEDED
+        assert dgamma_table(x0, "y_mp", vd) is UNNEEDED
+        assert dgamma_table(x0, "y_pp", vd).is_zero()
 
     def test_neighborhood_enforced(self):
         p = 3
         x0 = BPoint.exact(1, 0, 0, p)
         far = BPoint.exact(2, 1, 0, p)
         with pytest.raises(UnrealizableError):
-            dgamma_table(x0, "y_plus", far)
+            germ_terms(x0, far)
 
     def test_delta_zero_is_not_regular_semisimple(self):
         # the n0_minus row read v(Delta) = inf and raised OverflowError
@@ -219,9 +222,8 @@ class TestDGammaTable:
         for x in (BPoint.exact(0, 1, 0, p), BPoint.exact(0, 0, 0, p),
                   BPoint.exact(3, 0, 0, p)):
             assert x.delta().is_exact_zero()
-            for tag in ("n0_plus", "n0_minus"):
-                with pytest.raises(NotRegularSemisimpleError):
-                    dgamma_table(x0, tag, x)
+            with pytest.raises(NotRegularSemisimpleError):
+                germ_terms(x0, x)
 
     def test_sform_consistency_case_0i(self):
         # the tabulated row equals d/ds at 0 of eta(Delta/lam)|Delta/lam|^{-s}
@@ -232,7 +234,7 @@ class TestDGammaTable:
         assert x.side() == 1
         dl = x.delta() / x.lam
         s_form = LaurentX({-dl.val(): 1}, p) * dl.eta()
-        assert dds_s0(s_form) == dgamma_table(x0, "y_minus", x)
+        assert dds_s0(s_form) == dgamma_table(x0, "y_minus", x.delta().val())
 
 
 class TestOrbitTags:
@@ -256,7 +258,7 @@ class TestOrbitTags:
             if tag == "n_mu":
                 assert (coeff, val) == (None, None)
                 continue
-            assert coeff == dgamma_table(x0, tag, x)
+            assert coeff == dgamma_table(x0, tag, x.delta().val())
             if tag in rows:
                 forced = forced_s_values(x0, tag, case, _sign(x0, case))
                 assert isinstance(coeff, LogQVal)
@@ -491,11 +493,21 @@ def _outcome(call):
     return d.varying, d.const_tag, d.terms
 
 
-def _same_as_reference(x0, x, plan, method="closed"):
-    """The outcome of dorb1 on a shared plan, equal to that of dorb1 on x0
-    and of the reference; also compares the neighborhood verdicts."""
+def _same_as_reference(x0, x, plan=None, method="closed"):
+    """The outcome of dorb1 on a shared plan (plan, or one built here),
+    equal to that of dorb1 on x0 and of the reference; also compares the
+    neighborhood verdicts.  A plan is built whole, so building one raises
+    what case_of raises, and a base point without a case has no plan."""
     want = _outcome(lambda: _reference_dorb1(x0, x, method))
     assert _outcome(lambda: dorb1(x0, x, method)) == want
+    if plan is None:
+        try:
+            case_of(x0)
+        except Exception as exc:
+            with pytest.raises(type(exc), match=str(exc)):
+                BasePointPlan(x0)
+            return want
+        plan = BasePointPlan(x0)
     assert _outcome(lambda: dorb1(plan, x, method)) == want
     try:
         inside = _reference_in_neighborhood(x0, x)
@@ -567,7 +579,7 @@ class TestBasePointPlan:
             "split-and-unknown-method", "unknown-method"])
     def test_errors_match_the_per_call_assembly(self, x0, x, method, error):
         x0, x = BPoint.exact(*x0), BPoint.exact(*x)
-        want = _same_as_reference(x0, x, BasePointPlan(x0), method)
+        want = _same_as_reference(x0, x, method=method)
         assert want[0] is error
 
     def test_each_field_is_computed_once(self, monkeypatch):
@@ -578,8 +590,8 @@ class TestBasePointPlan:
         for x in neighborhood_samples(plan):
             dorb1(plan, x)
         assert counts["case_of"] == 1 and counts["orbit_reps"] == 1
-        assert counts["forced_s_values"] == 2      # y_pp and y_mm
-        assert counts["transfer_sign_0ii"] == 1    # the plan's, read by both forced values
+        assert counts["forced_s_values"] == 5      # one per tag
+        assert counts["transfer_sign_0ii"] == 1    # the plan's, read by the forced values
 
     def test_phi1_classifies_zero_once(self, monkeypatch):
         counts = _count_calls(monkeypatch)
@@ -590,7 +602,22 @@ class TestBasePointPlan:
                         counts.clear()
                         phi1(make_bpoint_rs1(m, lm, lp, p))
                         assert counts["case_of"] == 1
-                        assert counts["delta"] <= 11, counts["delta"]
+                        assert counts["delta"] <= 10, counts["delta"]
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_dorb1_checks_each_sample_once(self, monkeypatch, p):
+        zero = BasePointPlan(zero_point(p))
+        plans = [BasePointPlan(x0) for _, x0 in base_point_library(p)]
+        samples = [(zero, make_bpoint_rs1(m, lm, lp, p))
+                   for m in (0, 2) for lm in (1, 4) for lp in (1, 5, INF)]
+        samples += [(plan, x) for plan in plans for x in neighborhood_samples(plan)]
+        counts = _count_calls(monkeypatch)
+        for plan, x in samples:
+            counts.clear()
+            dorb1(plan, x)
+            assert counts["is_in_neighborhood"] == 1
+            if plan.case != "zero":
+                assert counts["delta"] <= 3, counts["delta"]
 
     def test_verify_zero_builds_one_plan(self, monkeypatch):
         counts = _count_calls(monkeypatch)
@@ -610,13 +637,13 @@ class TestBasePointPlan:
 
 def _count_calls(monkeypatch):
     """Count the calls of case_of, orbit_reps, forced_s_values,
-    transfer_sign_0ii and BPoint.delta, wrapping each function in every
-    atlas module that binds it."""
+    transfer_sign_0ii, is_in_neighborhood and BPoint.delta, wrapping each
+    function in every atlas module that binds it."""
     counts = Counter()
     modules = [m for name, m in sys.modules.items()
                if m is not None and name.startswith("atlas.")]
     for fn in (orbits.case_of, orbits.orbit_reps, values.forced_s_values,
-               values.transfer_sign_0ii):
+               values.transfer_sign_0ii, germs.is_in_neighborhood):
         def counted(*args, _fn=fn, **kwargs):
             counts[_fn.__name__] += 1
             return _fn(*args, **kwargs)
@@ -647,4 +674,4 @@ class TestTypedErrors:
         family = orbit_reps(case_of(x0))[0]
         assert family == "n_mu"
         with pytest.raises(InputError, match="gamma_n_mu"):
-            dgamma_table(x0, family, make_bpoint_rs1(1, 2, 3, p))
+            dgamma_table(x0, family, make_bpoint_rs1(1, 2, 3, p).delta().val())

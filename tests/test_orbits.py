@@ -352,24 +352,12 @@ class TestInvariantsU0:
 
 
 class TestReduce:
-    def test_reduce_idempotent_and_recovery(self):
-        random.seed(37)
-        p = 5
-        for _ in range(25):
-            x = rand_k1_lie(p)
-            red, (twobetapi, d) = x.reduce()
-            assert red.alpha == x.alpha and red.b == x.b
-            back = U1LieElt(red.alpha, x.beta, red.b, d)
-            m1, m2 = x.to_matrix(), back.to_matrix()
-            assert all((a - b).is_zero() for r1, r2 in zip(m1, m2)
-                       for a, b in zip(r1, r2))
-
     def test_rs_equivalence(self):
         random.seed(41)
         p = 3
         for _ in range(100):
             x = rand_k1_lie(p)
-            assert x.is_rs() == x.reduce()[0].is_rs()
+            assert x.is_rs() == U1RedElt(x.alpha, x.b).is_rs()
 
     @pytest.mark.parametrize("k, match", [(0, "tr A != 0"), (2, "d != 0")])
     def test_not_reduced_refused(self, k, match):
@@ -557,11 +545,10 @@ class TestConjugateOnIntegerCoordinates:
         c = capped(p, 0, 2, 6)
         capped_q = QuatElt(QuadElt(c, PadicScalar.exact(0, p)), QuadElt.exact(1, 1, p))
         traceless = QuatElt(QuadElt(PadicScalar.exact(0, p), c), QuadElt.exact(1, 0, p))
-        for x in (U1RedElt(QuatElt.j(p), capped_q), U1RedElt(traceless, QuatElt.one(p))):
+        for alpha, b in ((QuatElt.j(p), capped_q), (traceless, QuatElt.one(p))):
+            # the element computes its conjugate when it is built
             with pytest.raises(PrecisionError):
-                x.invariants()
-            with pytest.raises(PrecisionError):
-                x.is_rs()
+                U1RedElt(alpha, b)
         for entry in ((0, 0), (2, 2)):
             M = quat_identity(p)
             M[entry[0]][entry[1]] = capped_q
@@ -1010,8 +997,10 @@ class TestOrbitReps:
         assert case_of(x0) == "split"
         assert orbit_reps("split") == orbit_reps("0i")
         assert not in_side1_closure(x0, "split")
+        plan = BasePointPlan(x0)      # built whole, with no forced value
+        assert plan.case == "split" and plan.forced == {}
         with pytest.raises(ExcludedCaseError):
-            BasePointPlan(x0).usable_case()
+            plan.usable_case()
 
     def test_rs_base_point_rejected(self):
         # a point with Delta != 0 has no case, hence no orbit tags

@@ -193,6 +193,15 @@ class TestCli:
         assert data["case"] == "0i"
         assert data["values"]["y_plus"] == "1/2"
 
+    def test_values_forced_split_is_excluded(self, capsys):
+        # a split plan holds no forced value; the command refuses the case
+        rc = main(["values", "--what", "forced-s", "--params", "-4", "0", "0",
+                   "--p", "5"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: excluded split case")
+
     def test_germ(self, capsys):
         rc = main(["germ", "--x0", "0", "0", "0", "--x", "6", "1", "0",
                    "--p", "3", "--mu", "2"])
