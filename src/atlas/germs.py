@@ -9,7 +9,9 @@ part plus a symbolic constant tag, and consumers compare differences.
 
 What the assembly reads of a base point (its case, neighborhood, orbit tags
 and forced values) sits in a BasePointPlan, which a caller evaluating many
-points around one base point builds once."""
+points around one base point builds once.  The per-tag terms of one
+evaluation (tag, dGamma, forced value) are read from `dorb1(...).terms`, the
+one checked entry to the coefficient rows."""
 
 from __future__ import annotations
 
@@ -80,7 +82,7 @@ def gamma_n_mu(x: BPoint, mu) -> GermCoeff:
         return GermCoeff(("n_mu", mu), Fraction(0), LogQVal.const(0, p),
                          LaurentX.const(0, p))
     vdp, vdisc = dp.val(), disc.val()
-    if not trace.is_exact_zero() and 2 * trace.val() < vdp:
+    if 2 * trace.val() < vdp:
         vnu, unit = trace.val(), trace.unit_mod(1)
     else:
         vnu = vdp // 2
@@ -106,9 +108,9 @@ class BasePointPlan:
     None).
 
     A plain value: the caller builds it and keeps it while it evaluates
-    around x0, and no module holds one.  is_in_neighborhood, dgamma_table,
-    germ_terms and dorb1 take it in place of x0, and build a one-shot plan
-    when given a BPoint.  Building a plan raises only what case_of raises;
+    around x0, and no module holds one.  is_in_neighborhood, dgamma_table
+    and dorb1 take it in place of x0, and build a one-shot plan when given a
+    BPoint.  Building a plan raises only what case_of raises;
     the split case (usable_case) and the closure verdict raise where a
     caller reads them, so the errors come in the same order as without a
     plan."""
@@ -155,8 +157,7 @@ def is_in_neighborhood(x0, x: BPoint) -> bool:
     for s, (s0, v0) in zip((x.lam, x.u, x.wtilde), plan.frozen):
         if v0 is None:
             continue
-        d = s - s0
-        if not d.is_exact_zero() and d.val() < v0 + NEIGHBORHOOD_DEPTH:
+        if (s - s0).val() < v0 + NEIGHBORHOOD_DEPTH:
             return False
     vd = x.delta().val()
     return all(vd >= v0 + NEIGHBORHOOD_DEPTH
@@ -167,8 +168,8 @@ def dgamma_table(x0, tag: str, vd: int):
     """Tabulated derivative at the center of the germ coefficient of the
     orbit tag over the base point x0 (a BPoint or its plan), at a point x of
     its neighborhood with v(Delta(x)) = vd: the entries read x only through
-    log|Delta|.  The caller has checked x (germ_terms and dorb1 test the
-    neighborhood and Delta != 0 once per x).  Entries whose paired orbit
+    log|Delta|.  The caller has checked x (dorb1 tests the neighborhood and
+    the side once per x).  Entries whose paired orbit
     integral vanishes identically are returned as the UNNEEDED marker.  The
     family tag n_mu at zero is an InputError: its coefficients come from
     gamma_n_mu."""
@@ -215,13 +216,13 @@ def phi_closed(x: BPoint) -> LogQVal:
     t = Fraction(1, p)
     vd = x.delta().val()
     vu = x.u.val()
-    vw = None if x.wtilde.is_exact_zero() else x.wtilde.val()
+    vw = x.wtilde.val()
     den = (1 - t) ** 2
 
     def out(c):
         return LogQVal({1: c}, p)
 
-    case_one = (vw is None) or (vd <= 2 * vw + 1)
+    case_one = vd <= 2 * vw + 1     # always when wtilde = 0
     if case_one:
         if vd > 4 * vu:
             return out(-t ** (-vu) * (2 * (1 + t) + (vd - 4 * vu - 1) * (1 - t)) / den)
@@ -236,27 +237,12 @@ def phi_closed(x: BPoint) -> LogQVal:
     return out(-t ** e * (4 * t + (vd + 4 * vu - 4 * vw + 1) * (1 - t)) / den)
 
 
-def germ_terms(x0, x: BPoint):
-    """(tag, dGamma, forced value) for each orbit tag over the base point
-    x0 (a BPoint or its plan), at x.  The family n_mu has neither: its part
-    is the family contribution.  An entry whose paired orbit integral
-    vanishes has dGamma UNNEEDED, and the value is None there and wherever
-    the transfer forces none.  x is checked once, for all the tags: the
-    split case (ExcludedCaseError), the neighborhood (UnrealizableError)
-    and Delta = 0 (NotRegularSemisimpleError), in that order."""
-    plan = base_point_plan(x0)
-    plan.usable_case()
-    if not is_in_neighborhood(plan, x):
-        raise UnrealizableError("x outside the recorded neighborhood of x0")
-    d = x.delta()
-    if d.is_zero_at_precision():
-        raise NotRegularSemisimpleError("not regular semisimple: Delta = 0")
-    return _germ_rows(plan, d.val())
-
-
 def _germ_rows(plan: BasePointPlan, vd: int) -> list:
-    """The germ_terms of the plan's base point at a checked x with
-    v(Delta(x)) = vd."""
+    """(tag, dGamma, forced value) for each orbit tag over the plan's base
+    point, at a checked x with v(Delta(x)) = vd.  The family n_mu has
+    neither: its part is the family contribution.  An entry whose paired
+    orbit integral vanishes has dGamma UNNEEDED, and the value is None there
+    and wherever the transfer forces none."""
     out = []
     for tag in plan.reps:
         if tag == "n_mu":
@@ -272,7 +258,7 @@ def _germ_rows(plan: BasePointPlan, vd: int) -> list:
 class Dorb1:
     """Assembled first-derivative term: an exact graded value around zero, or
     a varying part plus a symbolic base-point constant elsewhere, with the
-    per-tag terms of germ_terms that went into it."""
+    per-tag terms (tag, dGamma, forced value) that went into it."""
     varying: LogQVal
     const_tag: str | None
     terms: list

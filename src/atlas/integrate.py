@@ -36,7 +36,7 @@ from math import lcm
 
 from .errors import ConductorError, InputError, StabilizationError
 from .orbits import BPoint, U0RedElt
-from .padic import INF, PadicScalar, QuadElt, _frac_split, legendre
+from .padic import PadicScalar, QuadElt, eta, val
 from .svalue import LogQVal, zeta1
 
 DEPTH_CAP = 40
@@ -95,19 +95,6 @@ class BallF:
 # exact ball decisions
 
 
-def _val(x: Fraction, p: int):
-    """v(x), +inf for x = 0."""
-    split = _frac_split(x, p)
-    return INF if split is None else split[0]
-
-
-def _eta(x: Fraction, p: int) -> int:
-    """The quadratic character eta of a nonzero rational (PadicScalar.eta)."""
-    v, num, den = _frac_split(x, p)
-    s = legendre(num * den, p)
-    return s * legendre(-1, p) if v % 2 else s
-
-
 def _taylor(poly, c: Fraction, d: int, p: int):
     """(P(c), v(P(c)), min(v(P'(c)) + d, v(P''/2) + 2d)) for
     P = c0 + c1 t + c2 t^2 on the ball c + p^d Z_p: v(P) >= b on the whole
@@ -115,8 +102,8 @@ def _taylor(poly, c: Fraction, d: int, p: int):
     whole ball when the first is the smaller."""
     c0, c1, c2 = poly
     at_c = c0 + (c1 + c2 * c) * c
-    rest = min(_val(c1 + 2 * c2 * c, p) + d, _val(c2, p) + 2 * d)
-    return at_c, _val(at_c, p), rest
+    rest = min(val(c1 + 2 * c2 * c, p) + d, val(c2, p) + 2 * d)
+    return at_c, val(at_c, p), rest
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +167,7 @@ def _conj_polys(M) -> ConjPolys:
                            (2, 2, (m22, z, z))):
             den = lcm(*(c.denominator for c in poly))
             ints = tuple(c.numerator * (den // c.denominator) for c in poly)
-            out.append((i, j, part, ints, _val(den, p)))
+            out.append((i, j, part, ints, val(den, p)))
     return ConjPolys(out)
 
 
@@ -222,7 +209,7 @@ def _iwasawa_t_integral(polys: ConjPolys, k: int, p: int, window: int) -> Fracti
         b = w - ((part - bounds[row][col]) // 2)
         if poly[1] or poly[2]:
             bs.append(b)
-        elif _val(poly[0], p) < b:
+        elif val(poly[0], p) < b:
             return Fraction(0)
 
     def shell(j):
@@ -386,7 +373,7 @@ def xi_integral(x: BPoint, window: int = DEFAULT_WINDOW) -> LogQVal:
         g = (dprime / p, 2 * wprime * s, s * s)
         den = lcm(*(c.denominator for c in g))
         c0, c1, c2 = (c.numerator * (den // c.denominator) for c in g)
-        w, v2 = _val(den, p), _val(c2, p)
+        w, v2 = val(den, p), val(c2, p)
         bound = k + w                   # v(g) >= k  <=>  v(G) >= k + w
         sums = {}                       # eta(G(c)) (v(g) - k) by power of p
         stack = unit_cover(p)
@@ -394,8 +381,8 @@ def xi_integral(x: BPoint, window: int = DEFAULT_WINDOW) -> LogQVal:
             ball = stack.pop()
             c, e = ball.point(), ball.depth
             at_c = c0 + (c1 + c2 * c) * c
-            v0 = _val(at_c, p)
-            rest = min(_val(c1 + 2 * c2 * c, p) + e, v2 + 2 * e)
+            v0 = val(at_c, p)
+            rest = min(val(c1 + 2 * c2 * c, p) + e, v2 + 2 * e)
             if min(v0, rest) >= bound:
                 continue            # support requires |a| > 1
             if v0 >= rest:
@@ -404,11 +391,11 @@ def xi_integral(x: BPoint, window: int = DEFAULT_WINDOW) -> LogQVal:
                 stack.extend(ball.split(p))
                 continue
             vg = v0 - w
-            sums[vg - e - k] = sums.get(vg - e - k, 0) + _eta(at_c, p) * (vg - k)
+            sums[vg - e - k] = sums.get(vg - e - k, 0) + eta(at_c, p) * (vg - k)
         if not sums:
             return Fraction(0)
         low = min(sums)
-        n = _eta(den, p) * k * sum(a * p ** (i - low) for i, a in sums.items())
+        n = eta(den, p) * k * sum(a * p ** (i - low) for i, a in sums.items())
         return Fraction(n * p ** low) if low >= 0 else Fraction(n, p ** -low)
 
     values = {k: shell(k) for k in range(-window, window + 1)}

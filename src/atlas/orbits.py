@@ -9,13 +9,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (CayleyUndefinedError, InputError,
+from .errors import (CayleyUndefinedError, ExcludedCaseError, InputError,
                      NotRegularSemisimpleError, PrecisionError,
                      UnrealizableError)
 from .padic import (_FR_ZERO, INF, PadicScalar, QuadElt, QuatElt,
                     _check_odd_prime, _int_coords, _int_nrd, _int_quat_mul,
-                    _int_val, cayley_solve, legendre, quat_solve,
-                    smallest_nonresidue)
+                    _int_rows, _int_val, _primitive, _solve_rows, cayley_solve,
+                    legendre, smallest_nonresidue, val)
 
 
 def _ps(x, p: int) -> PadicScalar:
@@ -56,9 +56,14 @@ def quat_identity(p: int, n: int = 3):
 
 
 def quat_mat_solve(A, B):
-    """Solve A Z = B over the quaternion division algebra for exact entries
-    (fraction-free, padic.quat_solve); a capped entry raises PrecisionError."""
-    Z = quat_solve(A, B)
+    """Z with A Z = B over the quaternion division algebra, for a square A and
+    exact QuatElt entries; CayleyUndefinedError when A is singular.  Each row
+    of [A | B] is multiplied by the lcm of its denominators, a central factor
+    that leaves Z unchanged, to integer coordinates (`padic._int_rows`) and
+    divided by their content; `padic._solve_rows` eliminates.  A capped
+    entry raises PrecisionError."""
+    p, rows = _int_rows([(*ra, *rb) for ra, rb in zip(A, B)])
+    Z = _solve_rows([_primitive(row) for _, row in rows], p, [1] * len(rows))
     if Z is None:
         raise CayleyUndefinedError("singular matrix over D")
     return Z
@@ -106,9 +111,7 @@ class BPoint:
         return 0 if (-d).eta() == 1 else 1
 
     def is_integral(self) -> bool:
-        def ok(s):
-            return s.is_exact_zero() or s.val() >= 0
-        return ok(self.lam) and ok(self.u) and ok(self.wtilde)
+        return self.lam.val() >= 0 and self.u.val() >= 0 and self.wtilde.val() >= 0
 
     def ml_params(self):
         """(m, l_minus, l_plus) with m = v(u), l_plus = v_F(w) - 2m, and
@@ -125,7 +128,7 @@ class BPoint:
         else:
             lp = 2 * self.wtilde.val() + 1 - 2 * m
         lm = self.delta().val() - 2 * m
-        vl = INF if self.lam.is_exact_zero() else self.lam.val()
+        vl = self.lam.val()
         if lp is not INF and lp != lm:
             expected = min(lm, lp)
             if vl != expected:
@@ -186,7 +189,7 @@ class SRedElt:
         return self.invariants().is_rs()
 
     def is_integral(self) -> bool:
-        return all(e.is_exact_zero() or e.val() >= 0 for row in self.z for e in row)
+        return all(e.val() >= 0 for row in self.z for e in row)
 
     def __repr__(self):
         return f"SRedElt({self.z!r})"
@@ -247,9 +250,7 @@ class U0RedElt:
         return self.invariants().is_rs()
 
     def is_integral(self) -> bool:
-        def ok(s):
-            return s.is_exact_zero() or s.val() >= 0
-        return (ok(self.a1) and ok(self.a2) and ok(self.a3)
+        return (self.a1.val() >= 0 and self.a2.val() >= 0 and self.a3.val() >= 0
                 and self.b1.is_integral() and self.b2.is_integral())
 
     def __repr__(self):
@@ -351,7 +352,7 @@ class U1LieElt:
 
     def is_integral(self) -> bool:
         return (self.alpha.is_integral() and self.b.is_integral()
-                and (self.beta.is_exact_zero() or self.beta.val() >= 0)
+                and self.beta.val() >= 0
                 and self.d.is_integral())
 
     def is_rs(self) -> bool:
@@ -545,13 +546,22 @@ def u0_nilpotent_family_member(beta, p: int) -> U0RedElt:
     return U0RedElt.exact(0, beta * p, 0, QuadElt.pi(p), 0, p)
 
 
-def u0_ss_case0(lam0, p: int) -> U0RedElt:
-    """Semisimple representative over (lam0, 0, 0) on the quasi-split side;
-    lam0 = 0 is the zero orbit, which has none."""
+def _nonsplit_lam0(lam0, p: int) -> Fraction:
+    """lam0 as a Fraction, for a base point (lam0, 0, 0) the semisimple
+    values take: InputError for lam0 = 0, the zero orbit, and
+    ExcludedCaseError when -lam0 is a square (the split case)."""
     lam0 = Fraction(lam0)
     if lam0 == 0:
         raise InputError("lam0 must be nonzero")
-    return U0RedElt.exact(0, -lam0, 1, 0, 0, p)
+    if PadicScalar.exact(-lam0, p).is_square():
+        raise ExcludedCaseError("excluded case: -lam0 is a square")
+    return lam0
+
+
+def u0_ss_case0(lam0, p: int) -> U0RedElt:
+    """Semisimple representative over (lam0, 0, 0) on the quasi-split side,
+    for the lam0 that `_nonsplit_lam0` accepts."""
+    return U0RedElt.exact(0, -_nonsplit_lam0(lam0, p), 1, 0, 0, p)
 
 
 def u0_ss_case1(x0: BPoint) -> U0RedElt:
@@ -564,15 +574,14 @@ def u0_ss_case1(x0: BPoint) -> U0RedElt:
     wt0 = x0.wtilde.rational
     if u0 == 0:
         raise UnrealizableError("u0 = 0")
-    vp = lambda r: 0 if r == 0 else (PadicScalar.exact(r, p).val())
     if wt0 == 0:
         x1 = Fraction(1)
         y2 = -u0 / 2
         return U0RedElt.exact(0, 0, 0, QuadElt.exact(x1, 0, p),
                               QuadElt.exact(0, y2, p), p)
     # choose x1 = p^i with 2 v(u0) - v(wt0) <= 2i <= v(wt0) + 1
-    lo = 2 * vp(u0) - vp(wt0)
-    hi = vp(wt0) + 1
+    lo = 2 * val(u0, p) - val(wt0, p)
+    hi = val(wt0, p) + 1
     two_i = None
     for cand in range(lo, hi + 1):
         if cand % 2 == 0:

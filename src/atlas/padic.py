@@ -25,11 +25,14 @@ q = ((a + b pi) + (c + d pi) j) / den, with den the lcm of the coordinates'
 denominators (`_int_coords`, `_int_quat_mul`), and one Fraction per
 coordinate of the result.  The linear solves over D work on the same
 coordinates, one denominator per row (`_int_rows`, which also checks
-that the entries are exact and share a prime): `quat_solve` reads the rows
-of [A | B], and `cayley_solve` writes the rows of [1 - S M | 1 + S M], S a
-diagonal of signs, from those of M alone, adding the row denominator for the
-1 on the diagonal.  Both end in `_solve_rows`, which eliminates on integers
-and builds Fractions only for the solution.
+that the entries are exact and share a prime): `orbits.quat_mat_solve` reads
+the rows of [A | B], and `cayley_solve` writes the rows of [1 - S M | 1 + S M],
+S a diagonal of signs, from those of M alone, adding the row denominator for
+the 1 on the diagonal.  Both end in `_solve_rows`, which eliminates on
+integers and builds Fractions only for the solution.
+
+The valuation and the quadratic character of a rational are the module
+functions `val` and `eta`; the methods of an exact PadicScalar call them.
 """
 
 from __future__ import annotations
@@ -96,6 +99,25 @@ def _frac_split(x: Fraction, p: int):
         v = _int_val(den, p)
         return -v, num, den // p ** v
     return 0, num, den
+
+
+def val(x, p: int):
+    """v(x) of a rational x (Fraction or int); +inf for x = 0."""
+    split = _frac_split(x, p)
+    return INF if split is None else split[0]
+
+
+def eta(x, p: int) -> int:
+    """The quadratic character attached to F/Q_p of a nonzero rational x: +1
+    iff x is a norm.  It is legendre(unit mod p) * legendre(-1, p)^v(x),
+    since the norm group is generated by -p and the unit squares.
+    ValueError at 0."""
+    split = _frac_split(x, p)
+    if split is None:
+        raise ValueError("eta of zero")
+    v, num, den = split
+    s = legendre(num * den, p)
+    return s * legendre(-1, p) if v % 2 else s
 
 
 def _unit_mod(num: int, den: int, p: int, k: int) -> int:
@@ -191,14 +213,13 @@ class PadicScalar:
     # -- queries --------------------------------------------------------
 
     def val(self):
-        """p-adic valuation; +inf for exact zero.
+        """p-adic valuation; +inf for exact zero (the module function `val`).
 
         Raises PrecisionError when a capped value is indistinguishable from
         zero at its stored precision.
         """
-        if self.is_exact:
-            split = _frac_split(self._fr, self.p)
-            return INF if split is None else split[0]
+        if self._fr is not None:
+            return val(self._fr, self.p)
         if self._n == 0:
             raise PrecisionError(
                 f"precision exhausted: value is O({self.p}^{self._v})")
@@ -219,18 +240,14 @@ class PadicScalar:
         return self._unit % self.p ** k
 
     def eta(self) -> int:
-        """Quadratic character attached to F/Q_p: +1 iff the value is a norm.
-
-        Computed as legendre(unit mod p) * legendre(-1 mod p)^val, since the
-        norm group is generated by -p and the unit squares.
-        """
+        """Quadratic character attached to F/Q_p: +1 iff the value is a norm
+        (the module function `eta`; a capped value reads its leading digit).
+        ValueError at exact zero."""
+        if self._fr is not None:
+            return eta(self._fr, self.p)
         v = self.val()
-        if v is INF:
-            raise ValueError("eta of zero")
-        s = legendre(self.unit_mod(1), self.p)
-        if v % 2:
-            s *= legendre(-1, self.p)
-        return s
+        s = legendre(self._unit, self.p)
+        return s * legendre(-1, self.p) if v % 2 else s
 
     def is_square(self) -> bool:
         """Whether the value is a square in Q_p^x (even valuation, QR unit)."""
@@ -484,9 +501,7 @@ class QuadElt:
         return min(ca, cb)
 
     def is_integral(self) -> bool:
-        va = INF if self.a.is_exact_zero() else self.a.val()
-        vb = INF if self.b.is_exact_zero() else self.b.val()
-        return va >= 0 and vb >= 0
+        return min(self.a.val(), self.b.val()) >= 0
 
     def _coerce(self, other) -> "QuadElt":
         if isinstance(other, QuadElt):
@@ -782,23 +797,13 @@ def _solve_rows(rows, p: int, signs):
     return out
 
 
-def quat_solve(A, B):
-    """Z with A Z = B, for a square A and exact QuatElt entries; None when A is
-    singular.  Each row of [A | B] is multiplied by the lcm of its
-    denominators, a central factor that leaves Z unchanged, to integer
-    coordinates (`_int_rows`) and divided by their content; `_solve_rows`
-    eliminates.  A capped entry raises PrecisionError."""
-    p, rows = _int_rows([(*ra, *rb) for ra, rb in zip(A, B)])
-    return _solve_rows([_primitive(row) for _, row in rows], p, [1] * len(rows))
-
-
 def cayley_solve(M, signs, out_signs):
     """Z with (1 - S M) Z = 1 + S M for S = diag(signs), signs = +-1, and row i
     of Z multiplied by out_signs[i]; None when 1 - S M is singular.  The rows of
     [1 - S M | 1 + S M] are written from the integer coordinates of M over one
     denominator den per row (`_int_rows`): the sign s of row i negates M's
     coordinates on one side, and the 1 on the diagonal adds den to the first
-    coordinate.  The entry checks are those of `quat_solve`."""
+    coordinate.  The entry checks are those of `_int_rows`."""
     p, rows = _int_rows(M)
     built = []
     for i, ((den, qs), s) in enumerate(zip(rows, signs)):

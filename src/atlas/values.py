@@ -12,8 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ExcludedCaseError, InputError, UnrealizableError
-from .orbits import INF, BPoint, _rational_sqrt
-from .padic import PadicScalar, _sqrt_mod_p, legendre
+from .orbits import BPoint, _nonsplit_lam0, _rational_sqrt
+from .padic import PadicScalar, _check_odd_prime, _sqrt_mod_p, legendre, val
 from .svalue import LogQVal, zeta1
 
 PHI_TAGS = ("phi0", "phi1", "phi2", "phi3")
@@ -71,10 +71,7 @@ class CClassFn:
 
 def _phi_basis_eval(tag: str, x: PadicScalar) -> LogQVal:
     p = x.p
-    if x.is_exact_zero():
-        v = INF
-    else:
-        v = x.val()
+    v = x.val()
     if tag == "phi0":
         return LogQVal.const(1 if v >= 0 else 0, p)
     if v >= 0:
@@ -137,8 +134,6 @@ def orb_nil_family_s(mu, p: int) -> Fraction:
     """Value of the transferred function on the nilpotent family member with
     parameter mu: eta(-1) eta(mu) (-v(mu)) q^(1+v(mu)) for |mu| > 1, else 0."""
     mu = mu if isinstance(mu, PadicScalar) else PadicScalar.exact(mu, p)
-    if mu.is_exact_zero():
-        return Fraction(0)
     v = mu.val()
     if v >= 0:
         return Fraction(0)
@@ -172,13 +167,7 @@ def _ss_case0_value(vlam: int, p: int) -> Fraction:
 def orb_u0_ss_case0(lam0, p: int) -> Fraction:
     """Semisimple value over (lam0, 0, 0) on the quasi-split side; zero off
     the integral locus; the split case is excluded."""
-    lam0 = Fraction(lam0)
-    if lam0 == 0:
-        raise InputError("lam0 must be nonzero")
-    s = PadicScalar.exact(-lam0, p)
-    if s.is_square():
-        raise ExcludedCaseError("excluded case: -lam0 is a square")
-    v = PadicScalar.exact(lam0, p).val()
+    v = val(_nonsplit_lam0(lam0, p), p)
     if v < 0:
         return Fraction(0)
     return _ss_case0_value(v, p)
@@ -197,9 +186,9 @@ def orb_u0_ss_case1(lam0, u0, p: int) -> Fraction:
     lam0, u0 = Fraction(lam0), Fraction(u0)
     if u0 == 0:
         raise InputError("u0 must be nonzero")
-    vu = PadicScalar.exact(u0, p).val()
-    vlam = INF if lam0 == 0 else PadicScalar.exact(lam0, p).val()
-    if vu < 0 or (vlam is not INF and vlam < 0):
+    _check_odd_prime(p)
+    vu, vlam = val(u0, p), val(lam0, p)
+    if vu < 0 or vlam < 0:
         return Fraction(0)
     return _ss_case1_value(vlam, vu, p)
 
@@ -256,8 +245,7 @@ def forced_s_values(x0: BPoint, tag: str, case: str, sign_0ii):
             return eta_minus1(p) * half
         return None
     # case 1
-    vlam = INF if x0.lam.is_exact_zero() else x0.lam.val()
-    half = _ss_case1_value(vlam, x0.u.val(), p) / 2
+    half = _ss_case1_value(x0.lam.val(), x0.u.val(), p) / 2
     if tag in ("y_plus", "y_minus"):
         return half
     return None

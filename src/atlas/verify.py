@@ -17,6 +17,7 @@ from .germs import (NEIGHBORHOOD_DEPTH, BasePointPlan, base_point_plan,
                     check_method, dorb1, is_in_neighborhood, zero_point)
 from .keating import l_int
 from .orbits import INF, BPoint, case_of, in_side1_closure, make_bpoint_rs1
+from .padic import PadicScalar, _sqrt_mod_p
 from .svalue import LogQVal
 
 # the grid of verify_zero (m <= ZERO_M_MAX; l- and odd l+ up to ZERO_L_MAX,
@@ -99,7 +100,17 @@ def verify_zero(p: int, m_max: int = ZERO_M_MAX, l_max: int = ZERO_L_MAX,
 def neighborhood_samples(x0, count: int = NEIGHBORHOOD_SAMPLES):
     """Side-1 regular semisimple samples in the recorded neighborhood of a
     degenerate base point x0 (a BPoint or its plan), sweeping the
-    discriminant valuation."""
+    discriminant valuation.
+
+    In case 0ii the second family is (lam0, u, a u d) with d = 1 + e p^j,
+    j = NEIGHBORHOOD_DEPTH .. NEIGHBORHOOD_DEPTH + count - 1, and a a root
+    of -lam0/p.  With an exact root, Delta = p a^2 u^2 (d^2 - 1), where
+    d^2 - 1 has valuation j and (d^2 - 1) p^-j = 2e mod p.  a comes from
+    `_root_0ii` to relative precision NEIGHBORHOOD_DEPTH + count > j, so
+    a^2 d^2 - a0^2 differs from a0^2 (d^2 - 1), a0 an exact root, by a term
+    of valuation above v(a0^2) + j: v(Delta) and the leading digit of Delta,
+    so the side, are those of the exact root, and no rational root is
+    needed."""
     plan = base_point_plan(x0)
     p = plan.p
     c = plan.usable_case()
@@ -118,7 +129,7 @@ def neighborhood_samples(x0, count: int = NEIGHBORHOOD_SAMPLES):
         if c == "0ii":
             # second branch: tune the third coordinate so the two terms of the
             # discriminant cancel to a prescribed depth
-            a = _exact_sqrt(-lam0 / p)
+            a = _root_0ii(-(x0.lam / p), NEIGHBORHOOD_DEPTH + count)
             u = Fraction(p) ** m0
             for j in range(NEIGHBORHOOD_DEPTH, NEIGHBORHOOD_DEPTH + count):
                 for e in range(1, p):
@@ -146,12 +157,21 @@ def neighborhood_samples(x0, count: int = NEIGHBORHOOD_SAMPLES):
     return out
 
 
-def _exact_sqrt(r: Fraction) -> Fraction:
-    from .orbits import _rational_sqrt
-    s = _rational_sqrt(r)
-    if s is None:
-        raise UnrealizableError("library base points need exact square roots")
-    return s
+def _root_0ii(a: PadicScalar, n: int) -> Fraction:
+    """A root of the square a = p^(2k) t to relative precision n: p^k r with
+    r^2 = t mod p^n.  r starts from the square root of t mod p whose digit
+    lies in 1..(p-1)/2, the convention of `values.transfer_sign_0ii`, and
+    integer Newton steps lift it, each doubling the digits."""
+    p = a.p
+    mod = p ** n
+    t = a.unit_mod(n)
+    r = _sqrt_mod_p(t, p)
+    r = min(r, p - r)
+    m = p
+    while m < mod:
+        m = min(m * m, mod)
+        r = (r - (r * r - t) * pow(2 * r, -1, m)) % m
+    return r * Fraction(p) ** (a.val() // 2)
 
 
 def verify_x0(x0: BPoint, count: int = NEIGHBORHOOD_SAMPLES) -> VerifyReport:

@@ -11,8 +11,8 @@ from atlas import cli, germs, orbits, values
 from atlas.errors import (ExcludedCaseError, InputError,
                           NotRegularSemisimpleError, UnrealizableError)
 from atlas.germs import (NEIGHBORHOOD_DEPTH, UNNEEDED, BasePointPlan, Dorb1,
-                         check_method, dgamma_table, dorb1, gamma_n_mu,
-                         germ_terms, is_in_neighborhood, phi_closed,
+                         _germ_rows, check_method, dgamma_table, dorb1,
+                         gamma_n_mu, is_in_neighborhood, phi_closed,
                          zero_point)
 from atlas.integrate import DEFAULT_WINDOW, phi_from_xi
 from atlas.orbits import (INF, BPoint, case_of, in_side1_closure,
@@ -213,7 +213,7 @@ class TestDGammaTable:
         x0 = BPoint.exact(1, 0, 0, p)
         far = BPoint.exact(2, 1, 0, p)
         with pytest.raises(UnrealizableError):
-            germ_terms(x0, far)
+            dorb1(x0, far)
 
     def test_delta_zero_is_not_regular_semisimple(self):
         # the n0_minus row read v(Delta) = inf and raised OverflowError
@@ -223,7 +223,7 @@ class TestDGammaTable:
                   BPoint.exact(3, 0, 0, p)):
             assert x.delta().is_exact_zero()
             with pytest.raises(NotRegularSemisimpleError):
-                germ_terms(x0, x)
+                dorb1(x0, x)
 
     def test_sform_consistency_case_0i(self):
         # the tabulated row equals d/ds at 0 of eta(Delta/lam)|Delta/lam|^{-s}
@@ -252,7 +252,10 @@ class TestOrbitTags:
         case = case_of(x0)
         tags = orbit_reps(case)
         assert rows <= set(tags)
-        terms = germ_terms(x0, x)
+        # the 0ii point is on side 0, which dorb1 refuses: read the plan's
+        # rows at the checked point
+        assert is_in_neighborhood(x0, x) and x.is_rs()
+        terms = _germ_rows(BasePointPlan(x0), x.delta().val())
         assert tuple(tag for tag, _, _ in terms) == tags
         for tag, coeff, val in terms:
             if tag == "n_mu":

@@ -6,7 +6,7 @@ import pytest
 
 from atlas import integrate
 from atlas.errors import ConductorError, InputError, PrecisionError, StabilizationError
-from atlas.integrate import (TAIL_SAMPLES, Ball0, BallF, _conj_polys, _eta,
+from atlas.integrate import (TAIL_SAMPLES, Ball0, BallF, _conj_polys,
                              _iwasawa_t_integral, _shell_bounds, _taylor,
                              auto_window, close_poly_geometric_tail,
                              iwasawa_orbit_u0, phi_from_xi, xi_integral)
@@ -16,7 +16,7 @@ from atlas.orbits import (INF, XI_CHOICES, BPoint, U0RedElt, U1LieElt,
                           admissible_xi, cayley, cayley_inv, make_bpoint_rs1,
                           u0_nilpotent_family_member, u0_ss_case0,
                           u0_ss_case1)
-from atlas.padic import PadicScalar, QuadElt, QuatElt
+from atlas.padic import PadicScalar, QuadElt, QuatElt, eta
 from atlas.svalue import LogQVal
 from atlas.values import (nil_family_orb_u0_fn, orb_u0_ss_case0,
                           orb_u0_ss_case1, phi_eval)
@@ -88,7 +88,7 @@ def fraction_xi_integral(x, window):
             return Fraction(0)
         if vg >= rest:
             return None
-        return _eta(at_c, p) * Fraction(p) ** vg * (vg - k) * k
+        return eta(at_c, p) * Fraction(p) ** vg * (vg - k) * k
 
     return LogQVal({2: shell_sum(p, weight, window)}, p)
 
@@ -384,7 +384,7 @@ class TestTaylor:
             for _ in range(200):
                 x = Fraction(rng.choice((-1, 1)) * rng.randint(1, 500),
                              rng.randint(1, 500))
-                assert _eta(x, p) == PadicScalar.exact(x, p).eta()
+                assert eta(x, p) == PadicScalar.exact(x, p).eta()
 
 
 class TestIwasawa:

@@ -7,9 +7,9 @@ import pytest
 
 from atlas.cli import main
 from atlas.errors import InputError, PrecisionError
-from atlas.orbits import BPoint, _rational_sqrt, case_of
+from atlas.orbits import BPoint, _rational_sqrt, case_of, quat_mat_solve
 from atlas.padic import (DEFAULT_PRECISION, PadicScalar, QuadElt, QuatElt,
-                         _sqrt_mod_p, legendre, quat_solve, smallest_nonresidue)
+                         _sqrt_mod_p, eta, legendre, smallest_nonresidue, val)
 from atlas.serialize import decode_scalar
 from atlas.values import transfer_sign_0ii
 
@@ -85,6 +85,43 @@ class TestVal:
                 assert (x * y).val() == x.val() + y.val()
                 assert (x * y).eta() == x.eta() * y.eta()
                 assert (x * x).eta() == 1
+
+
+def count_val(x: Fraction, p: int) -> int:
+    """v(x) of a nonzero rational by dividing out p one factor at a time."""
+    v, num, den = 0, x.numerator, x.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+class TestValEtaFunctions:
+    """padic.val and padic.eta, the one implementation on rationals, against
+    the PadicScalar methods of the exact value and of its capped copy (whose
+    branch reads its own digits) and against a count of factors of p."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_agree_with_the_scalar_methods(self, p):
+        rng = random.Random(2300 + p)
+        signs = set()
+        for _ in range(300):
+            num = rng.choice((-1, 1)) * rng.randint(1, 999)
+            x = Fraction(num, rng.randint(1, 999)) * Fraction(p) ** rng.randint(-3, 3)
+            s = exact(x, p)
+            v = val(x, p)
+            assert v == count_val(x, p) == s.val() == s.to_capped().val()
+            assert eta(x, p) == s.eta() == s.to_capped().eta()
+            signs.add((v > 0) - (v < 0))
+        assert signs == {-1, 0, 1}
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_zero(self, p):
+        assert val(Fraction(0), p) == val(0, p) == exact(0, p).val() == INF
+        for bad in (lambda: eta(Fraction(0), p), lambda: exact(0, p).eta()):
+            with pytest.raises(ValueError, match="eta of zero"):
+                bad()
 
 
 class TestEta:
@@ -208,7 +245,7 @@ class TestBoundaryValidation:
         x3, x5 = QuadElt.exact(2, 1, 3), QuadElt.exact(2, 1, 5)
         for bad in (lambda: QuadElt(exact(1, 3), exact(1, 5)),
                     lambda: QuatElt(x3, x5),
-                    lambda: quat_solve([[QuatElt(x3, x3)]], [[QuatElt(x5, x5)]])):
+                    lambda: quat_mat_solve([[QuatElt(x3, x3)]], [[QuatElt(x5, x5)]])):
             with pytest.raises(InputError, match="mixed primes"):
                 bad()
 

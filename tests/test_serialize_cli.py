@@ -281,6 +281,29 @@ class TestCli:
         assert rc == 0
         assert "constant" in capsys.readouterr().out
 
+    def test_verify_x0_spec_takes_irrational_0ii_roots(self, tmp_path, capsys):
+        # -lam0/p = 7, 6, 11 is a square in Q_p but not in Q; these ended in
+        # "error: library base points need exact square roots" and exit 2
+        f = tmp_path / "x0.json"
+        f.write_text(json.dumps([
+            {"lambda": lam0, "u": "0", "wtilde": "0", "p": p}
+            for lam0, p in (("-21", 3), ("-30", 5), ("-77", 7))]))
+        assert main(["verify", "x0", "--spec", str(f), "--format", "json"]) == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert [r["case"] for r in reports.values()] == ["0ii"] * 3
+        assert all(r["constant"] for r in reports.values())
+
+    @pytest.mark.parametrize("lam0, p", [("-1", "3"), ("-4", "5")])
+    def test_split_case0_is_excluded_by_both_methods(self, lam0, p, capsys):
+        # the oracle summed the split orbit to the window's edge and raised
+        # StabilizationError, while the closed form excluded the case
+        errs = []
+        for method in ([], ["--oracle"]):
+            argv = ["orb", "--kind", "ss-u0-case0", "--params", lam0, "--p", p]
+            assert main(argv + method) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs == ["error: excluded case: -lam0 is a square\n"] * 2
+
     @pytest.mark.parametrize("entry", [
         {"lambda": "0", "u": "1", "p": 3},
         {"lambda": "x", "u": "1", "wtilde": "0", "p": 3},

@@ -6,9 +6,11 @@ import pytest
 from atlas import verify
 from atlas.cli import main
 from atlas.errors import ExcludedCaseError, InputError, UnrealizableError
+from atlas.germs import NEIGHBORHOOD_DEPTH
 from atlas.orbits import INF, BPoint, make_bpoint_rs1
+from atlas.padic import PadicScalar, legendre, val
 from atlas.svalue import LogQVal
-from atlas.verify import (base_point_library,
+from atlas.verify import (NEIGHBORHOOD_SAMPLES, _root_0ii, base_point_library,
                           expected_constant_at_zero, neighborhood_samples,
                           phi1, report, verify_x0, verify_zero)
 
@@ -117,6 +119,36 @@ class TestVerifyX0:
         assert r.notes.count("; FAIL at") == 2
         assert "FAIL at sample 2" in r.notes and "FAIL at sample 4" in r.notes
         assert len(r.samples) == len(xs)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_0ii_root_is_lifted_from_residues(self, p):
+        # every unit square t p^(2k): r^2 = t p^(2k) to relative precision n,
+        # with the leading digit in 1..(p-1)/2; the squares 1 and p^2 of the
+        # library get their exact roots 1 and p
+        n = 9
+        for k in (-1, 0, 1, 2):
+            for t in range(1, p ** 2):
+                if t % p == 0 or legendre(t, p) != 1:
+                    continue
+                a = Fraction(t) * Fraction(p) ** (2 * k)
+                r = _root_0ii(PadicScalar.exact(a, p), n)
+                assert val(r, p) == k
+                assert val(r * r - a, p) >= 2 * k + n
+                assert 1 <= r * Fraction(p) ** -k % p <= (p - 1) // 2
+        assert _root_0ii(PadicScalar.exact(1, p), n) == 1
+        assert _root_0ii(PadicScalar.exact(p * p, p), n) == p
+
+    @pytest.mark.parametrize("lam0, p", [(-21, 3), (-30, 5), (-77, 7)])
+    def test_irrational_0ii_root_samples_sweep_the_depth(self, lam0, p):
+        # -lam0/p has no rational root; the second family still reaches
+        # v(Delta) = v(lam0) + 2 m0 + j for each j, as with an exact root
+        x0 = BPoint.exact(lam0, 0, 0, p)
+        xs = neighborhood_samples(x0)
+        depth = NEIGHBORHOOD_DEPTH
+        m0 = 1 + depth + 2
+        second = [x.delta().val() for x in xs if not x.wtilde.is_exact_zero()]
+        assert second == [1 + 2 * m0 + j
+                          for j in range(depth, depth + NEIGHBORHOOD_SAMPLES)]
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_one_point_each_case(self, p):
