@@ -15,8 +15,8 @@ from .germs import UNNEEDED, BasePointPlan, dorb1, gamma_n_mu, phi_closed
 from .integrate import (DEFAULT_WINDOW, auto_window, iwasawa_orbit_u0,
                         phi_from_xi)
 from .keating import check_closed_form, l_int_closed, l_int_keating
-from .orbits import (INF, BPoint, make_bpoint_rs1, u0_nilpotent_family_member,
-                     u0_ss_case0, u0_ss_case1)
+from .orbits import (INF, BPoint, check_case1_point, make_bpoint_rs1,
+                     u0_nilpotent_family_member, u0_ss_case0, u0_ss_case1)
 from .serialize import decode_element, encode_bpoint
 from .values import (orb_nil_family_s, orb_nil_reg_s, orb_u0_ss_case0,
                      orb_u0_ss_case1, orb_u0_zero)
@@ -100,8 +100,10 @@ def cmd_orb(args) -> int:
             out["method"] = "closed"
     elif args.kind == "ss-u0-case1":
         lam0, u0, wt0 = _parse("--params", args.params, Fraction, Fraction, Fraction)
+        x0 = BPoint.exact(lam0, u0, wt0, p)
+        check_case1_point(x0)
         if args.oracle:
-            _u0_oracle(u0_ss_case1(BPoint.exact(lam0, u0, wt0, p)), args, out)
+            _u0_oracle(u0_ss_case1(x0), args, out)
         else:
             out["value"] = str(orb_u0_ss_case1(lam0, u0, p))
             out["method"] = "closed"

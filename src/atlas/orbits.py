@@ -115,7 +115,12 @@ class BPoint:
 
     def ml_params(self):
         """(m, l_minus, l_plus) with m = v(u), l_plus = v_F(w) - 2m, and
-        l_minus = v(Delta) - 2m; requires an integral side-1 point."""
+        l_minus = v(Delta) - 2m; requires an integral side-1 point.
+
+        v(lam) is not returned: it is min(l_minus, l_plus) whenever
+        l_minus != l_plus.  The terms of Delta = lam u^2 + wt^2 p have
+        valuations v(lam) + 2m and l_plus + 2m, so l_minus = min(v(lam),
+        l_plus) unless v(lam) = l_plus, and then l_minus >= l_plus."""
         if not self.is_integral():
             raise UnrealizableError("ml_params requires an integral point")
         if self.u.is_exact_zero():
@@ -127,14 +132,7 @@ class BPoint:
             lp = INF
         else:
             lp = 2 * self.wtilde.val() + 1 - 2 * m
-        lm = self.delta().val() - 2 * m
-        vl = self.lam.val()
-        if lp is not INF and lp != lm:
-            expected = min(lm, lp)
-            if vl != expected:
-                raise UnrealizableError(
-                    f"inconsistent invariants: v(lambda) = {vl}, expected {expected}")
-        return m, lm, lp
+        return m, self.delta().val() - 2 * m, lp
 
     def __repr__(self):
         return f"BPoint(lam={self.lam!r}, u={self.u!r}, wt={self.wtilde!r})"
@@ -558,6 +556,16 @@ def _nonsplit_lam0(lam0, p: int) -> Fraction:
     return lam0
 
 
+def check_case1_point(x0: BPoint) -> None:
+    """InputError unless x0 = (lam0, u0, wt0) is a base point the case-1
+    semisimple values take: u0 != 0 and Delta = lam0 u0^2 + wt0^2 p = 0."""
+    if x0.u.is_exact_zero():
+        raise InputError("u0 must be nonzero")
+    d = x0.delta()
+    if not d.is_exact_zero():
+        raise InputError(f"not a degenerate base point: Delta = {d}, not 0")
+
+
 def u0_ss_case0(lam0, p: int) -> U0RedElt:
     """Semisimple representative over (lam0, 0, 0) on the quasi-split side,
     for the lam0 that `_nonsplit_lam0` accepts."""
@@ -567,13 +575,12 @@ def u0_ss_case0(lam0, p: int) -> U0RedElt:
 def u0_ss_case1(x0: BPoint) -> U0RedElt:
     """Semisimple representative over a degenerate (lam0, u0, wt0) with
     u0 != 0, built from an eigenvector pair b = (x1, y2*pi) for the symplectic
-    invariant and solving the traceless matrix block exactly."""
+    invariant and solving the traceless matrix block exactly; InputError
+    off that locus (`check_case1_point`).  On it wt0 = 0 forces lam0 = 0."""
+    check_case1_point(x0)
     p = x0.p
-    lam0 = x0.lam.rational
     u0 = x0.u.rational
     wt0 = x0.wtilde.rational
-    if u0 == 0:
-        raise UnrealizableError("u0 = 0")
     if wt0 == 0:
         x1 = Fraction(1)
         y2 = -u0 / 2
@@ -593,13 +600,8 @@ def u0_ss_case1(x0: BPoint) -> U0RedElt:
     y2 = -u0 / (2 * x1)
     a2 = -2 * wt0 * x1 * x1 / (u0 * u0)
     a3 = -p * wt0 / (2 * x1 * x1)
-    y = U0RedElt.exact(0, a2, a3, QuadElt.exact(x1, 0, p),
-                       QuadElt.exact(0, y2, p), p)
-    inv = y.invariants()
-    if not (inv.lam.same_value(x0.lam) and inv.u.same_value(x0.u)
-            and inv.wtilde.same_value(x0.wtilde)):
-        raise UnrealizableError("representative does not hit the base point")
-    return y
+    return U0RedElt.exact(0, a2, a3, QuadElt.exact(x1, 0, p),
+                          QuadElt.exact(0, y2, p), p)
 
 
 # ---------------------------------------------------------------------------

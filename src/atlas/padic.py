@@ -5,12 +5,13 @@ unique up to isomorphism, so p fixes the model: eps is always
 smallest_nonresidue(p), a unit that is not a square mod p, and no element
 stores it.
 
-Scalars come in two flavours: exact rationals (Fraction-backed), all that
-the package reads and writes, and capped p-adic expansions storing a
-valuation plus finitely many unit digits, which no verdict builds.  Mixed
-scalar arithmetic coerces exact to capped; capped results track the
-worst-case precision of their inputs, so a capped value is always a rigorous
-statement "x = p^v * unit  mod p^(v+N)".
+A scalar is a rational r and an absolute precision prec, the statement
+"x = r + O(p^prec)"; prec is infinite for an exact value, which is all that
+the package reads and writes.  Only zero_at, from_rational_absprec and
+to_capped give a finite prec, and no verdict calls them.  Each operation is
+one formula in (r, prec) for both: a sum is known to the smaller precision,
+a product to min(prec1 + low2, prec2 + low1) with low = min(v(r), prec), and
+an inverse to prec - 2 v(r).
 
 p is validated (odd prime) at the public entry point, PadicScalar.exact;
 arithmetic trusts its operands and only checks that two operands share their
@@ -125,34 +126,16 @@ def _unit_mod(num: int, den: int, p: int, k: int) -> int:
     return num * pow(den, -1, m) % m
 
 
-def _capped(p: int, v: int, unit: int, n: int) -> "PadicScalar":
-    """The capped value p^v * unit + O(p^(v+n)) for 0 <= unit < p^n; only
-    strips p-divisible digits into the valuation.  Trusts p."""
-    while n > 0 and unit % p == 0:
-        if unit == 0:
-            return PadicScalar(p, _v=v + n, _unit=0, _n=0)
-        unit //= p
-        v += 1
-        n -= 1
-    return PadicScalar(p, _v=v, _unit=unit if n else 0, _n=n)
-
-
 class PadicScalar:
-    """An element of Q_p: either an exact rational or a capped expansion.
+    """An element of Q_p, r + O(p^prec) with r a Fraction and prec INF when
+    exact; it is zero at its precision, O(p^prec), when v(r) >= prec."""
 
-    Capped state means  value = p^v * unit + O(p^(v+n))  with 0 <= unit < p^n
-    and unit prime to p when n > 0.  n == 0 encodes "zero at precision p^v":
-    nothing is known beyond value = O(p^v).
-    """
+    __slots__ = ("p", "_fr", "_prec")
 
-    __slots__ = ("p", "_fr", "_v", "_unit", "_n")
-
-    def __init__(self, p, _fr=None, _v=None, _unit=None, _n=None):
+    def __init__(self, p, _fr, _prec=INF):
         self.p = p
         self._fr = _fr
-        self._v = _v
-        self._unit = _unit
-        self._n = _n
+        self._prec = _prec
 
     # -- constructors -------------------------------------------------
 
@@ -164,36 +147,28 @@ class PadicScalar:
     @classmethod
     def zero_at(cls, p: int, absprec: int) -> "PadicScalar":
         """A capped value known only to be O(p^absprec)."""
-        return cls(p, _v=absprec, _unit=0, _n=0)
+        return cls(p, _FR_ZERO, absprec)
 
     @classmethod
     def from_rational_absprec(cls, value, p: int, absprec: int) -> "PadicScalar":
         """Cap an exact rational at absolute precision p^absprec."""
-        split = _frac_split(value if isinstance(value, Fraction) else Fraction(value), p)
-        if split is None or split[0] >= absprec:
-            return cls.zero_at(p, absprec)
-        v, num, den = split
-        n = absprec - v
-        return cls(p, _v=v, _unit=_unit_mod(num, den, p, n), _n=n)
+        return cls(p, Fraction(value), absprec)
 
     def to_capped(self, ndigits: int = DEFAULT_PRECISION) -> "PadicScalar":
-        """The value capped to ndigits unit digits; a capped value as it is."""
+        """The value capped to ndigits unit digits, so at absolute precision
+        v + ndigits, and an exact zero at ndigits; a capped value as it is."""
         if ndigits < 0:
             raise InputError(f"negative precision {ndigits}")
-        if self._fr is None:
+        if self._prec != INF:
             return self
-        split = _frac_split(self._fr, self.p)
-        if split is None:
-            return PadicScalar.zero_at(self.p, ndigits)
-        v, num, den = split
-        return PadicScalar(self.p, _v=v, _unit=_unit_mod(num, den, self.p, ndigits),
-                           _n=ndigits)
+        v = val(self._fr, self.p)
+        return PadicScalar(self.p, self._fr, ndigits if v == INF else v + ndigits)
 
     # -- predicates ----------------------------------------------------
 
     @property
     def is_exact(self) -> bool:
-        return self._fr is not None
+        return self._prec == INF
 
     @property
     def rational(self) -> Fraction:
@@ -206,9 +181,13 @@ class PadicScalar:
 
     def is_zero_at_precision(self) -> bool:
         """True when nothing distinguishes the value from 0 at stored precision."""
-        if self.is_exact:
+        if self._prec == INF:
             return self._fr == 0
-        return self._n == 0
+        return val(self._fr, self.p) >= self._prec
+
+    def _low(self):
+        """min(v(r), prec): what the product rule reads as the valuation."""
+        return min(val(self._fr, self.p), self._prec)
 
     # -- queries --------------------------------------------------------
 
@@ -218,36 +197,32 @@ class PadicScalar:
         Raises PrecisionError when a capped value is indistinguishable from
         zero at its stored precision.
         """
-        if self._fr is not None:
-            return val(self._fr, self.p)
-        if self._n == 0:
+        v = val(self._fr, self.p)
+        if self._prec != INF and v >= self._prec:
             raise PrecisionError(
-                f"precision exhausted: value is O({self.p}^{self._v})")
-        return self._v
+                f"precision exhausted: value is O({self.p}^{self._prec})")
+        return v
 
     def unit_mod(self, k: int) -> int:
         """Unit part mod p^k."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        if self.is_exact:
-            split = _frac_split(self._fr, self.p)
-            if split is None:
-                raise PrecisionError("unit part of zero")
-            return _unit_mod(split[1], split[2], self.p, k)
-        if self._n < k:
-            raise PrecisionError(
-                f"only {self._n} unit digits stored, {k} requested")
-        return self._unit % self.p ** k
+        if self._prec != INF:
+            n = self._prec - self._low()
+            if n < k:
+                raise PrecisionError(f"only {n} unit digits stored, {k} requested")
+        split = _frac_split(self._fr, self.p)
+        if split is None:
+            raise PrecisionError("unit part of zero")
+        return _unit_mod(split[1], split[2], self.p, k)
 
     def eta(self) -> int:
         """Quadratic character attached to F/Q_p: +1 iff the value is a norm
-        (the module function `eta`; a capped value reads its leading digit).
+        (the module function `eta`, after the precision check of `val`).
         ValueError at exact zero."""
-        if self._fr is not None:
-            return eta(self._fr, self.p)
-        v = self.val()
-        s = legendre(self._unit, self.p)
-        return s * legendre(-1, self.p) if v % 2 else s
+        if self._prec != INF:
+            self.val()
+        return eta(self._fr, self.p)
 
     def is_square(self) -> bool:
         """Whether the value is a square in Q_p^x (even valuation, QR unit)."""
@@ -273,49 +248,17 @@ class PadicScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o._fr is not None and o._fr == 0:
+        # an exact zero leaves the other operand as it is
+        if o._fr == 0 and o._prec == INF:
             return self
-        p = self.p
-        a, b = self, o
-        if a._fr is not None:
-            if a._fr == 0:
-                return o
-            if b._fr is not None:
-                return PadicScalar(p, _fr=a._fr + b._fr)
-            a, b = b, a
-        # a is capped
-        if b._fr is not None:
-            m = a._v + a._n
-            bv = PadicScalar.from_rational_absprec(b._fr, p, m)
-        else:
-            m = min(a._v + a._n, b._v + b._n)
-            bv = b
-        # rebase to integers times p^base
-        base = m
-        if a._n and a._v < base:
-            base = a._v
-        if bv._n and bv._v < base:
-            base = bv._v
-        pm = p ** (m - base)
-        xa = a._unit * p ** (a._v - base) if a._n else 0
-        xb = bv._unit * p ** (bv._v - base) if bv._n else 0
-        raw = (xa + xb) % pm
-        if raw == 0:
-            return PadicScalar.zero_at(p, m)
-        v0 = _int_val(raw, p)
-        v = base + v0
-        if v >= m:
-            return PadicScalar.zero_at(p, m)
-        return _capped(p, v, raw // p ** v0, m - v)
+        if self._fr == 0 and self._prec == INF:
+            return o
+        return PadicScalar(self.p, self._fr + o._fr, min(self._prec, o._prec))
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self._fr is not None:
-            return PadicScalar(self.p, _fr=-self._fr)
-        if self._n == 0:
-            return self
-        return _capped(self.p, self._v, -self._unit % self.p ** self._n, self._n)
+        return PadicScalar(self.p, -self._fr, self._prec)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -330,40 +273,22 @@ class PadicScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        p = self.p
-        a, b = self, o
-        if a._fr is not None:
-            if b._fr is not None:
-                return PadicScalar(p, _fr=a._fr * b._fr)
-            a, b = b, a
-        # a is capped; an exact b is capped at a's relative precision
-        n = a._n
-        if b._fr is not None:
-            split = _frac_split(b._fr, p)
-            if split is None:
-                return b    # 0 * O(p^k) is exactly 0
-            vb, num, den = split
-            v = a._v + vb
-            if n == 0:
-                return PadicScalar.zero_at(p, v)
-            return _capped(p, v, _unit_mod(a._unit * num, den, p, n), n)
-        if b._n < n:
-            n = b._n
-        v = a._v + b._v
-        if n == 0:
-            return PadicScalar.zero_at(p, v)
-        return _capped(p, v, a._unit * b._unit % p ** n, n)
+        if self._prec == INF and o._prec == INF:
+            return PadicScalar(self.p, self._fr * o._fr)
+        return PadicScalar(self.p, self._fr * o._fr,
+                           min(self._prec + o._low(), o._prec + self._low()))
 
     __rmul__ = __mul__
 
     def inv(self):
-        if self._fr is not None:
-            if self._fr == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return PadicScalar(self.p, _fr=1 / self._fr)
-        if self._n == 0:
-            raise PrecisionError("inverse of a value indistinguishable from zero")
-        return _capped(self.p, -self._v, pow(self._unit, -1, self.p ** self._n), self._n)
+        prec = self._prec
+        if prec != INF:
+            if self.is_zero_at_precision():
+                raise PrecisionError("inverse of a value indistinguishable from zero")
+            prec -= 2 * val(self._fr, self.p)
+        elif self._fr == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return PadicScalar(self.p, 1 / self._fr, prec)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -407,16 +332,17 @@ class PadicScalar:
     def __hash__(self):
         # equality at shared precision is not transitive, so no hash can
         # agree with it on capped values; an exact value equals its rational
-        if self._fr is None:
+        if self._prec != INF:
             raise TypeError("unhashable: capped PadicScalar")
         return hash(self._fr)
 
     def __repr__(self):
-        if self.is_exact:
+        if self._prec == INF:
             return f"{self._fr}"
-        if self._n == 0:
-            return f"O({self.p}^{self._v})"
-        return f"{self._unit}*{self.p}^{self._v} + O({self.p}^{self._v + self._n})"
+        if self.is_zero_at_precision():
+            return f"O({self.p}^{self._prec})"
+        v = self.val()
+        return f"{self.unit_mod(self._prec - v)}*{self.p}^{v} + O({self.p}^{self._prec})"
 
 
 def _sqrt_mod_p(a: int, p: int) -> int:
@@ -693,9 +619,9 @@ def _int_coords(q):
     the lcm of the coordinates' denominators; None when a coordinate is
     capped."""
     x, y = q.x, q.y
-    fa, fb, fc, fd = x.a._fr, x.b._fr, y.a._fr, y.b._fr
-    if fa is None or fb is None or fc is None or fd is None:
+    if x.a._prec != INF or x.b._prec != INF or y.a._prec != INF or y.b._prec != INF:
         return None
+    fa, fb, fc, fd = x.a._fr, x.b._fr, y.a._fr, y.b._fr
     da, db, dc, dd = fa.denominator, fb.denominator, fc.denominator, fd.denominator
     den = math.lcm(da, db, dc, dd)
     return den, (fa.numerator * (den // da), fb.numerator * (den // db),

@@ -183,10 +183,16 @@ def _ss_case1_value(vlam, vu0: int, p: int) -> Fraction:
 
 
 def orb_u0_ss_case1(lam0, u0, p: int) -> Fraction:
+    """Semisimple value over a degenerate (lam0, u0, wt0) on the
+    quasi-split side, which reads only lam0 and u0.  Delta = 0 makes
+    -lam0/p = (wt0/u0)^2, so InputError when lam0 != 0 and -lam0/p is not a
+    square: then no wt0 gives a degenerate point."""
     lam0, u0 = Fraction(lam0), Fraction(u0)
     if u0 == 0:
         raise InputError("u0 must be nonzero")
     _check_odd_prime(p)
+    if lam0 != 0 and not PadicScalar.exact(-lam0 / p, p).is_square():
+        raise InputError(f"-lam0/p = {-lam0 / p} is not a square: no wt0 makes Delta 0")
     vu, vlam = val(u0, p), val(lam0, p)
     if vu < 0 or vlam < 0:
         return Fraction(0)

@@ -1,6 +1,5 @@
 import pytest
 
-from atlas import padic
 from atlas.padic import PadicScalar
 
 
@@ -10,7 +9,6 @@ def forbid_capped(monkeypatch):
     def capped(*args, **kwargs):
         raise AssertionError("capped arithmetic reached")
 
-    monkeypatch.setattr(padic, "_capped", capped)
     monkeypatch.setattr(PadicScalar, "zero_at", classmethod(capped))
     monkeypatch.setattr(PadicScalar, "from_rational_absprec", classmethod(capped))
     monkeypatch.setattr(PadicScalar, "to_capped", capped)

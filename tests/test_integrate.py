@@ -1,6 +1,8 @@
+import ast
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -675,6 +677,34 @@ class TestExactness:
             assert iwasawa_orbit_u0(y) == want
         for x in points:
             xi_integral(x, 14)
+
+    def test_the_guard_stops_every_capped_constructor(self, forbid_capped):
+        # the three constructors that set a finite precision, and the BallF
+        # point that bench/tracer.py hooks, which calls one of them
+        x = PadicScalar.exact(Fraction(3, 5), 5)
+        for build in (lambda: x.to_capped(4), lambda: PadicScalar.zero_at(5, 2),
+                      lambda: PadicScalar.from_rational_absprec(Fraction(3, 5), 5, 4),
+                      lambda: BallF(Fraction(1), 1, Fraction(2), 1).point(5)):
+            with pytest.raises(AssertionError, match="capped arithmetic reached"):
+                build()
+
+    def test_no_precision_is_passed_outside_padic(self):
+        # no PadicScalar(...) call outside padic.py passes a precision, as a
+        # third positional argument or as _prec=, so the constructors that
+        # the guard patches are the only way a capped value enters
+        root = Path(__file__).resolve().parents[1]
+        paths = [path for d in ("src/atlas", "tests", "bench")
+                 for path in sorted((root / d).glob("*.py")) if path.name != "padic.py"]
+        calls, found = 0, []
+        for path in paths:
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                f = getattr(node, "func", None)
+                if getattr(f, "id", getattr(f, "attr", None)) != "PadicScalar":
+                    continue
+                calls += 1
+                if len(node.args) > 2 or any(k.arg == "_prec" for k in node.keywords):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert calls >= 5 and found == []
 
     def test_cayley_and_verify_build_no_capped_scalar(self, forbid_capped, capsys):
         # criterion 7's Cayley round trips and chart screen on seeded

@@ -19,7 +19,7 @@ from atlas.orbits import (INF, XI_CHOICES, BPoint, SRedElt, U0RedElt,
                           quat_identity, quat_mat_solve, section_sigma,
                           u0_nilpotent_family_member, u0_ss_case1,
                           u1_lie_from_matrix)
-from atlas.padic import PadicScalar, QuadElt, QuatElt, smallest_nonresidue
+from atlas.padic import PadicScalar, QuadElt, QuatElt, smallest_nonresidue, val
 from atlas.serialize import encode_element
 from test_padic import capped, minus_part, padic_sqrt, v_d
 
@@ -124,6 +124,33 @@ class TestBPoint:
         assert x.ml_params() == (0, 1, INF)
         assert make_bpoint_rs1(1, 1, 3, 3).ml_params() == (1, 1, 3)
         assert make_bpoint_rs1(1, 3, 1, 3).ml_params() == (1, 3, 1)
+
+    def test_lam_valuation_follows_from_the_invariants(self):
+        # v(lam) = min(l_minus, l_plus) whenever l_minus != l_plus, on seeded
+        # integral side-1 points: random coordinates, and points with a unit
+        # u and Delta = c p^e for e > v(wt^2 p), where v(lam) = l_plus < l_minus
+        rng = random.Random(1607)
+        branches = {"v(lam) = l_minus": 0, "v(lam) = l_plus": 0}
+        for k in range(4000):
+            p = rng.choice((3, 5, 7, 11))
+
+            def coord(lo, hi):
+                return rng.choice([c for c in range(1, p * p) if c % p]) \
+                    * p ** rng.randint(lo, hi)
+            if k % 2:
+                x = BPoint.exact(rng.choice((0, -coord(0, 6), coord(0, 6))),
+                                 coord(0, 3), rng.choice((0, coord(0, 5))), p)
+            else:
+                u, wt = coord(0, 0), coord(0, 4)
+                e = 2 * val(wt, p) + 1 + rng.randint(1, 4)
+                x = BPoint.exact(Fraction(coord(e, e) - wt * wt * p, u * u), u, wt, p)
+            if x.delta().is_exact_zero() or x.side() != 1:
+                continue
+            m, lm, lp = x.ml_params()
+            if lm != lp:
+                assert x.lam.val() == min(lm, lp), x
+                branches["v(lam) = l_minus" if lm < lp else "v(lam) = l_plus"] += 1
+        assert min(branches.values()) >= 300, branches
 
     def test_exact_matches_one_padic_scalar_per_coordinate(self):
         rng = random.Random(1603)
@@ -1019,6 +1046,35 @@ class TestOrbitReps:
         iv = y.invariants()
         assert iv.lam.same_value(x1.lam) and iv.u.same_value(x1.u) \
             and iv.wtilde.same_value(x1.wtilde)
+
+    def test_case1_representative_hits_its_base_point(self):
+        # seeded degenerate points (lam0, u0, wt0), u0 != 0 and Delta = 0,
+        # with an integral representative window: the invariants are x0
+        rng = random.Random(2401)
+        hits = 0
+        for _ in range(1200):
+            p = rng.choice((3, 5, 7, 11))
+
+            def coord():
+                return Fraction(rng.choice((-1, 1)) * rng.randrange(1, p * p),
+                                rng.randrange(1, p * p)) * Fraction(p) ** rng.randint(-2, 5)
+            u0, wt0 = coord(), rng.choice((0, coord(), coord()))
+            x0 = BPoint.exact(-wt0 * wt0 * p / (u0 * u0), u0, wt0, p)
+            try:
+                y = u0_ss_case1(x0)
+            except UnrealizableError:      # no integral representative window
+                continue
+            iv = y.invariants()
+            assert (iv.lam, iv.u, iv.wtilde) == (x0.lam, x0.u, x0.wtilde), x0
+            hits += 1
+        assert hits >= 600
+
+    @pytest.mark.parametrize("coords, error", [
+        ((1, 1, 0), "Delta = 1, not 0"), ((9, 1, 0), "Delta = 9, not 0"),
+        ((0, 1, 1), "Delta = 3, not 0"), ((3, 0, 0), "u0 must be nonzero")])
+    def test_case1_refuses_a_point_off_the_degenerate_locus(self, coords, error):
+        with pytest.raises(InputError, match=error):
+            u0_ss_case1(BPoint.exact(*coords, 3))
 
 
 class TestClosure:

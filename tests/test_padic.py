@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -30,12 +31,12 @@ def capped(p, v, unit, ndigits):
 
 def abs_precision(s):
     """A capped scalar is known modulo p^(this); INF for exact values."""
-    return INF if s.is_exact else s._v + s._n
+    return s._prec
 
 
 def rel_precision(s):
     """The unit digits a capped scalar stores; INF for exact values."""
-    return INF if s.is_exact else s._n
+    return INF if s.is_exact else s._prec - min(val(s._fr, s.p), s._prec)
 
 
 def v_d(q):
@@ -202,6 +203,225 @@ class TestCapped:
                     assert hash(x) == hash(y)
         assert len({exact(1, 3), 1, Fraction(1), QuadElt.exact(1, 0, 3),
                     QuatElt.one(3)}) == 1
+
+
+class DigitRef:
+    """The digit implementation of capped scalars that PadicScalar's
+    (r, prec) form replaced, kept as the reference for it: an exact rational
+    fr, or (fr None) the value p^v * unit + O(p^(v+n)) with 0 <= unit < p^n,
+    unit prime to p when n > 0, and n == 0 for a value known only to be
+    O(p^v).  Mixed arithmetic caps the exact operand."""
+
+    def __init__(self, p, fr=None, v=None, unit=None, n=None):
+        self.p, self.fr, self.v, self.unit, self.n = p, fr, v, unit, n
+
+    @classmethod
+    def capped(cls, p, v, unit, n):
+        """p^v * unit + O(p^(v+n)) for 0 <= unit < p^n, with p-divisible
+        digits stripped into the valuation."""
+        while n > 0 and unit % p == 0:
+            if unit == 0:
+                return cls(p, v=v + n, unit=0, n=0)
+            unit //= p
+            v += 1
+            n -= 1
+        return cls(p, v=v, unit=unit if n else 0, n=n)
+
+    @classmethod
+    def from_rational_absprec(cls, value, p, absprec):
+        value = Fraction(value)
+        if value == 0 or val(value, p) >= absprec:
+            return cls(p, v=absprec, unit=0, n=0)
+        v = val(value, p)
+        return cls(p, v=v, unit=_unit_digits(value, p, absprec - v), n=absprec - v)
+
+    def to_capped(self, ndigits):
+        if self.fr == 0:
+            return DigitRef(self.p, v=ndigits, unit=0, n=0)
+        return DigitRef(self.p, v=val(self.fr, self.p),
+                        unit=_unit_digits(self.fr, self.p, ndigits), n=ndigits)
+
+    @property
+    def is_exact(self):
+        return self.fr is not None
+
+    def is_zero_at_precision(self):
+        return self.fr == 0 if self.is_exact else self.n == 0
+
+    def val(self):
+        if self.is_exact:
+            return val(self.fr, self.p)
+        if self.n == 0:
+            raise PrecisionError(f"precision exhausted: value is O({self.p}^{self.v})")
+        return self.v
+
+    def unit_mod(self, k):
+        if self.is_exact:
+            if self.fr == 0:
+                raise PrecisionError("unit part of zero")
+            return _unit_digits(self.fr, self.p, k)
+        if self.n < k:
+            raise PrecisionError(f"only {self.n} unit digits stored, {k} requested")
+        return self.unit % self.p ** k
+
+    def eta(self):
+        if self.is_exact:
+            return eta(self.fr, self.p)
+        v = self.val()
+        s = legendre(self.unit, self.p)
+        return s * legendre(-1, self.p) if v % 2 else s
+
+    def __add__(self, o):
+        p = self.p
+        if o.is_exact and o.fr == 0:
+            return self
+        a, b = self, o
+        if a.is_exact:
+            if a.fr == 0:
+                return o
+            if b.is_exact:
+                return DigitRef(p, fr=a.fr + b.fr)
+            a, b = b, a
+        # a is capped: rebase both to integers times p^base, mod p^m
+        if b.is_exact:
+            m = a.v + a.n
+            b = DigitRef.from_rational_absprec(b.fr, p, m)
+        else:
+            m = min(a.v + a.n, b.v + b.n)
+        base = min([m] + [s.v for s in (a, b) if s.n])
+        raw = sum(s.unit * p ** (s.v - base) for s in (a, b) if s.n) % p ** (m - base)
+        if raw == 0 or base + val(raw, p) >= m:
+            return DigitRef(p, v=m, unit=0, n=0)
+        v0 = val(raw, p)
+        return DigitRef.capped(p, base + v0, raw // p ** v0, m - base - v0)
+
+    def __neg__(self):
+        if self.is_exact:
+            return DigitRef(self.p, fr=-self.fr)
+        if self.n == 0:
+            return self
+        return DigitRef.capped(self.p, self.v, -self.unit % self.p ** self.n, self.n)
+
+    def __sub__(self, o):
+        return self + (-o)
+
+    def __mul__(self, o):
+        p = self.p
+        a, b = self, o
+        if a.is_exact:
+            if b.is_exact:
+                return DigitRef(p, fr=a.fr * b.fr)
+            a, b = b, a
+        # a is capped; an exact b is capped at a's relative precision
+        if b.is_exact:
+            if b.fr == 0:
+                return b
+            v, n = a.v + val(b.fr, p), a.n
+            unit = a.unit * _unit_digits(b.fr, p, n) if n else 0
+        else:
+            v, n = a.v + b.v, min(a.n, b.n)
+            unit = a.unit * b.unit
+        if n == 0:
+            return DigitRef(p, v=v, unit=0, n=0)
+        return DigitRef.capped(p, v, unit % p ** n, n)
+
+    def inv(self):
+        if self.is_exact:
+            if self.fr == 0:
+                raise ZeroDivisionError("inverse of zero")
+            return DigitRef(self.p, fr=1 / self.fr)
+        if self.n == 0:
+            raise PrecisionError("inverse of a value indistinguishable from zero")
+        return DigitRef.capped(self.p, -self.v, pow(self.unit, -1, self.p ** self.n), self.n)
+
+    def __truediv__(self, o):
+        return self * o.inv()
+
+    def __pow__(self, k):
+        if k < 0:
+            return self.inv() ** (-k)
+        out, sq = DigitRef(self.p, fr=Fraction(1)), self
+        while k:
+            if k & 1:
+                out = out * sq
+            k >>= 1
+            if k:
+                sq = sq * sq
+        return out
+
+    def __repr__(self):
+        if self.is_exact:
+            return f"{self.fr}"
+        if self.n == 0:
+            return f"O({self.p}^{self.v})"
+        return f"{self.unit}*{self.p}^{self.v} + O({self.p}^{self.v + self.n})"
+
+
+def _unit_digits(x: Fraction, p: int, k: int) -> int:
+    """The unit part of a nonzero rational x, mod p^k."""
+    u = x / Fraction(p) ** val(x, p)
+    return u.numerator * pow(u.denominator, -1, p ** k) % p ** k
+
+
+def digit_operands(p, rng, count):
+    """count pairs (PadicScalar, DigitRef) of one value: exact (zero among
+    them), capped by to_capped with 0..8 digits, by from_rational_absprec
+    (zero at precision when v >= absprec) and zero_at, valuations -3..6."""
+    out = [(exact(0, p), DigitRef(p, fr=Fraction(0)))]
+    while len(out) < count:
+        v = rng.randint(-3, 6)
+        num, den = (rng.choice([c for c in range(1, p ** 3) if c % p]) for _ in "nd")
+        x = Fraction(rng.choice((-1, 1)) * num, den) * Fraction(p) ** v
+        kind = rng.randrange(4)
+        if kind == 0:
+            out.append((exact(x, p), DigitRef(p, fr=x)))
+        elif kind == 1:
+            nd = rng.randint(0, 8)
+            out.append((exact(x, p).to_capped(nd), DigitRef(p, fr=x).to_capped(nd)))
+        elif kind == 2:
+            prec = v + rng.randint(-2, 8)
+            out.append((PadicScalar.from_rational_absprec(x, p, prec),
+                        DigitRef.from_rational_absprec(x, p, prec)))
+        else:
+            out.append((PadicScalar.zero_at(p, v), DigitRef(p, v=v, unit=0, n=0)))
+    return out
+
+
+def outcome(fn):
+    """What fn() gives, comparable across the two implementations: the
+    exactness and repr of a scalar, any other value as it is, or the type
+    of the error raised."""
+    try:
+        r = fn()
+    except (ArithmeticError, ValueError, PrecisionError) as exc:
+        return type(exc)
+    if isinstance(r, (PadicScalar, DigitRef)):
+        return r.is_exact, repr(r)
+    return r
+
+
+class TestDigitReference:
+    """PadicScalar's (r, prec) formulas against the digit implementation,
+    operation by operation, on seeded operands of every flavour."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_matches_the_digit_implementation(self, p):
+        rng = random.Random(2400 + p)
+        operands = digit_operands(p, rng, 30)
+        flavours = {(s.is_exact, s.is_zero_at_precision()) for s, _ in operands}
+        assert flavours == {(True, True), (True, False), (False, True), (False, False)}
+        unary = [lambda x: x.inv(), lambda x: -x, lambda x: x.val(),
+                 lambda x: x.eta(), lambda x: x.is_zero_at_precision(),
+                 lambda x: x.is_exact, repr]
+        unary += [lambda x, k=k: x ** k for k in range(-3, 10)]
+        unary += [lambda x, k=k: x.unit_mod(k) for k in range(1, 10)]
+        for s, d in operands:
+            for op in unary:
+                assert outcome(lambda: op(s)) == outcome(lambda: op(d)), (s, d)
+            for t, e in operands:
+                for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                    assert outcome(lambda: op(s, t)) == outcome(lambda: op(d, e)), \
+                        (op, s, t)
 
 
 class TestBoundaryValidation:

@@ -304,6 +304,22 @@ class TestCli:
             errs.append(capsys.readouterr().err)
         assert errs == ["error: excluded case: -lam0 is a square\n"] * 2
 
+    @pytest.mark.parametrize("argv, error", [
+        ("orb --kind ss-u0-case1 --params 1 1 0 --p 3 --oracle",
+         "not a degenerate base point: Delta = 1, not 0"),
+        ("orb --kind ss-u0-case1 --params 9 1 0 --p 3",
+         "not a degenerate base point: Delta = 9, not 0"),
+        ("orb --kind ss-u0-case1 --params 0 1 1 --p 3",
+         "not a degenerate base point: Delta = 3, not 0"),
+        ("values --what ss-u0 --params 9 1 --p 3",
+         "-lam0/p = -3 is not a square: no wt0 makes Delta 0"),
+    ], ids=["orb-oracle-delta-1", "orb-closed-delta-9", "orb-closed-delta-3",
+            "values-odd-valuation"])
+    def test_case1_values_refuse_non_degenerate_points(self, argv, error, capsys):
+        # each printed the value 2 for a point whose Delta is not 0
+        assert main(shlex.split(argv)) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
     @pytest.mark.parametrize("entry", [
         {"lambda": "0", "u": "1", "p": 3},
         {"lambda": "x", "u": "1", "wtilde": "0", "p": 3},

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from atlas.errors import ExcludedCaseError
+from atlas.errors import ExcludedCaseError, InputError
 from atlas.orbits import BPoint, case_of, orbit_reps
 from atlas.padic import PadicScalar, legendre
 from atlas.svalue import LogQVal
@@ -122,6 +122,12 @@ class TestSemisimpleValues:
         assert orb_u0_ss_case1(Fraction(-5), 1, 5) == 2   # v=1 > 0
         # |lam0| > |u0|^2 branch
         assert orb_u0_ss_case1(Fraction(-3), 3, 3) == 2   # v(lam)=1 < 2 v(u)=2
+
+    @pytest.mark.parametrize("lam0, p", [(9, 3), (3, 3), (-6, 3), (10, 5), (-21, 7)])
+    def test_case1_refuses_lam0_with_no_degenerate_point(self, lam0, p):
+        # Delta = 0 needs (wt0/u0)^2 = -lam0/p: odd valuation or a non-residue
+        with pytest.raises(InputError, match="is not a square"):
+            orb_u0_ss_case1(lam0, 1, p)
 
 
 class TestForced:
