@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -70,11 +71,10 @@ def cmd_lint(args) -> int:
     return 0
 
 
-def _u0_oracle(y, args, out) -> None:
+def _u0_oracle(y, args) -> dict:
     window = auto_window(y) if args.shell_window is None else args.shell_window
-    out["value"] = str(iwasawa_orbit_u0(y, window=window))
-    out["method"] = "shell-sum"
-    out["shells_used"] = window
+    return {"value": str(iwasawa_orbit_u0(y, window=window)),
+            "method": "shell-sum", "shells_used": window}
 
 
 def cmd_orb(args) -> int:
@@ -84,7 +84,7 @@ def cmd_orb(args) -> int:
         mu, = _parse("--params", args.params, Fraction)
         closed = orb_nil_family_s(mu, p)  # the matched side, for reference
         if args.oracle:
-            _u0_oracle(u0_nilpotent_family_member(mu, p), args, out)
+            out |= _u0_oracle(u0_nilpotent_family_member(mu, p), args)
         else:
             from .values import nil_family_orb_u0_fn, phi_eval
             v = phi_eval(nil_family_orb_u0_fn(p), padic.PadicScalar.exact(mu, p))
@@ -94,7 +94,7 @@ def cmd_orb(args) -> int:
     elif args.kind == "ss-u0-case0":
         lam0, = _parse("--params", args.params, Fraction)
         if args.oracle:
-            _u0_oracle(u0_ss_case0(lam0, p), args, out)
+            out |= _u0_oracle(u0_ss_case0(lam0, p), args)
         else:
             out["value"] = str(orb_u0_ss_case0(lam0, p))
             out["method"] = "closed"
@@ -103,7 +103,7 @@ def cmd_orb(args) -> int:
         x0 = BPoint.exact(lam0, u0, wt0, p)
         check_case1_point(x0)
         if args.oracle:
-            _u0_oracle(u0_ss_case1(x0), args, out)
+            out |= _u0_oracle(u0_ss_case1(x0), args)
         else:
             out["value"] = str(orb_u0_ss_case1(lam0, u0, p))
             out["method"] = "closed"
@@ -289,6 +289,8 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--spec", default=None)
     sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
     sp.set_defaults(func=cmd_verify)
+    for parser in (ap, *sub.choices.values()):   # -a/b is a value, like -27
+        parser._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     return ap
 
 

@@ -223,16 +223,14 @@ def phi_closed(x: BPoint) -> LogQVal:
         return LogQVal({1: c}, p)
 
     case_one = vd <= 2 * vw + 1     # always when wtilde = 0
+    if (vd > 4 * vu) if case_one else (vw >= 2 * vu):
+        return out(-t ** (-vu) * (2 * (1 + t) + (vd - 4 * vu - 1) * (1 - t)) / den)
     if case_one:
-        if vd > 4 * vu:
-            return out(-t ** (-vu) * (2 * (1 + t) + (vd - 4 * vu - 1) * (1 - t)) / den)
         if vd % 2 == 1:
             e = (2 * vu - vd + 1) // 2
             return out(-t ** e * ((4 * vu - vd + 3) - (4 * vu - vd - 1) * t) / den)
         e = (2 * vu - vd) // 2
         return out(-t ** e * ((2 * vu - vd // 2 + 1) * (1 - t * t) + t * (3 + t)) / den)
-    if vw >= 2 * vu:
-        return out(-t ** (-vu) * (2 * (1 + t) + (vd - 4 * vu - 1) * (1 - t)) / den)
     e = vu - vw
     return out(-t ** e * (4 * t + (vd + 4 * vu - 4 * vw + 1) * (1 - t)) / den)
 
@@ -262,11 +260,6 @@ class Dorb1:
     varying: LogQVal
     const_tag: str | None
     terms: list
-
-    def __sub__(self, other: "Dorb1") -> LogQVal:
-        if self.const_tag != other.const_tag:
-            raise InputError("differencing across distinct base points")
-        return self.varying - other.varying
 
 
 def dorb1(x0, x: BPoint, method: str = "closed",

@@ -19,9 +19,9 @@ a unit times pi^(e_ij k), with k = v_F(z) and
 
 so the lattice indicator depends on z only through k: each torus shell is
 evaluated once, as its volume times the unipotent integral of the bounds
-v_F(entry_ij) >= -e_ij k.  Only these bounds depend on k: each element keeps
+v_F(entry_ij) >= -e_ij k.  Only these bounds depend on k: each call keeps
 one ball tree per shell v(t) = j, in the integer coordinate tau = t p^-j,
-and refines it lazily across all k (see `_iwasawa_t_integral`).
+and refines it across all k (see `_iwasawa_t_integral`).
 
 The double-log shell sum behind the family contribution (`xi_integral`) is
 a pure (log q)^2 value.  Each shell v(t) = k is swept in the same kind of
@@ -95,14 +95,14 @@ class BallF:
 # exact ball decisions
 
 
-def _taylor(poly, c: Fraction, d: int, p: int):
-    """(P(c), v(P(c)), min(v(P'(c)) + d, v(P''/2) + 2d)) for
-    P = c0 + c1 t + c2 t^2 on the ball c + p^d Z_p: v(P) >= b on the whole
-    ball exactly when both valuations are >= b, and v(P) = v(P(c)) on the
-    whole ball when the first is the smaller."""
+def _taylor(poly, v2: int, c: Fraction, d: int, p: int):
+    """(P(c), v(P(c)), min(v(P'(c)) + d, v2 + 2d)) for P = c0 + c1 t + c2 t^2
+    on the ball c + p^d Z_p, v2 = v(c2): v(P) >= b on the whole ball exactly
+    when both valuations are >= b, and v(P) = v(P(c)) on the whole ball when
+    the first is the smaller."""
     c0, c1, c2 = poly
     at_c = c0 + (c1 + c2 * c) * c
-    rest = min(val(c1 + 2 * c2 * c, p) + d, val(c2, p) + 2 * d)
+    rest = min(val(c1 + 2 * c2 * c, p) + d, v2 + 2 * d)
     return at_c, val(at_c, p), rest
 
 
@@ -139,16 +139,7 @@ def close_poly_geometric_tail(values, p: int) -> Fraction:
 # the unitary-side orbital integrals in Iwasawa coordinates
 
 
-class ConjPolys:
-    """The coordinate polynomials of one element (`_conj_polys`) and, per
-    t-shell j, its tree (scaled t-dependent polynomials, leaves)."""
-    __slots__ = ("polys", "trees")
-
-    def __init__(self, polys: list):
-        self.polys, self.trees = polys, {}
-
-
-def _conj_polys(M) -> ConjPolys:
+def _conj_polys(M) -> tuple:
     """The coordinate polynomials of the conjugate of the exact matrix M by
     the unipotent diag([[1, t], [0, 1]], 1), denominators cleared once:
     integer tuples (i, j, part, (c0, c1, c2), w) with entry (i, j) = sum over
@@ -168,7 +159,7 @@ def _conj_polys(M) -> ConjPolys:
             den = lcm(*(c.denominator for c in poly))
             ints = tuple(c.numerator * (den // c.denominator) for c in poly)
             out.append((i, j, part, ints, val(den, p)))
-    return ConjPolys(out)
+    return tuple(out)
 
 
 def _shell_bounds(k: int):
@@ -180,46 +171,57 @@ def _shell_bounds(k: int):
             (k, -k, 0))
 
 
+def _lattice_bounds(polys, k: int):
+    """Each integer polynomial (`_conj_polys`) with its bound v >= b on the
+    torus shell k: as v_F(x + y pi) = min(2 v(x), 2 v(y) + 1), v_F(entry) >= m
+    (`_shell_bounds`) is v >= ceil((m - part)/2) on each rational part."""
+    bounds = _shell_bounds(k)
+    return ((poly, w - ((part - bounds[i][j]) // 2)) for i, j, part, poly, w in polys)
+
+
 def _leaf(ball: Ball0, scaled, p: int):
     """The ball with the Taylor pair (v(P(c)), rest) of every polynomial."""
     c = ball.point()
-    return ball, tuple(_taylor(poly, c, ball.depth, p)[1:] for poly in scaled)
+    return ball, tuple(_taylor(poly, v2, c, ball.depth, p)[1:]
+                       for poly, v2 in scaled)
 
 
-def _iwasawa_t_integral(polys: ConjPolys, k: int, p: int, window: int) -> Fraction:
+def _plant(polys, j: int, p: int):
+    """The tree of the t-shell j: the t-dependent polynomials in tau = t p^-j,
+    each with v(c2), and the leaves of its roots (Z_p, or the unit balls)."""
+    s = p ** -j
+    scaled = [((c0 * s * s, c1 * s, c2), val(c2, p))
+              for _, _, _, (c0, c1, c2), _ in polys if c1 or c2]
+    roots = [Ball0(0, 0)] if j == 0 else unit_cover(p)
+    return scaled, [_leaf(b, scaled, p) for b in roots]
+
+
+def _iwasawa_t_integral(polys, k: int, p: int, window: int, tree) -> Fraction:
     """Inner integral over the unipotent coordinate of the indicator of the
     lattice, on the torus shell v_F(z) = k; the unipotent acts first, the
-    torus scaling second.  With v_F(a + b pi) = min(2 v(a), 2 v(b) + 1),
-    v_F(entry) >= m is v(a) >= ceil(m/2) and v(b) >= ceil((m-1)/2); the
-    conditions constant in t are settled first.
+    torus scaling second.  The bounds are `_lattice_bounds(polys, k)`, and
+    the conditions constant in t are settled first.
 
     Z_p (j = 0) and each shell v(t) = j < 0 are swept in the integer
     coordinate tau = t s with s = p^-j: the bound v(c0 + c1 t + c2 t^2) >= b
     is v(c0 s^2 + c1 s tau + c2 tau^2) >= b - 2j, and the ball
     tau + p^e Z_p is the t-ball of depth e + j, of volume p^-(e+j).  DEPTH_CAP
     applies to that t-depth.  Only the bounds depend on k, so the tree of
-    shell j serves every k: a leaf passes when min(v(P(c)), rest) >= b for
-    every polynomial, fails when v(P(c)) < rest and v(P(c)) < b for one, and
-    is otherwise split, its children replacing it for later k.  The Taylor
-    test is exact, so a sub-ball of a decided ball is decided alike, and T(k)
-    and every ConductorError are those of a sweep from the roots."""
-    bounds = _shell_bounds(k)
+    shell j, tree(j) (`_plant`), serves every k: a leaf passes when
+    min(v(P(c)), rest) >= b for every polynomial, fails when v(P(c)) < rest
+    and v(P(c)) < b for one, and is otherwise split, its children replacing
+    it for later k.  The Taylor test is exact, so a sub-ball of a decided
+    ball is decided alike, and T(k) and every ConductorError are those of a
+    sweep from the roots."""
     bs = []
-    for row, col, part, poly, w in polys.polys:
-        b = w - ((part - bounds[row][col]) // 2)
+    for poly, b in _lattice_bounds(polys, k):
         if poly[1] or poly[2]:
             bs.append(b)
         elif val(poly[0], p) < b:
             return Fraction(0)
 
     def shell(j):
-        if j not in polys.trees:            # plant the tree of the t-shell j
-            s = p ** -j
-            scaled = [(c0 * s * s, c1 * s, c2)
-                      for _, _, _, (c0, c1, c2), _ in polys.polys if c1 or c2]
-            roots = [Ball0(0, 0)] if j == 0 else unit_cover(p)
-            polys.trees[j] = (scaled, [_leaf(b, scaled, p) for b in roots])
-        scaled, leaves = polys.trees[j]
+        scaled, leaves = tree(j)
         bj = [b - 2 * j for b in bs]
         passed = {}          # passing leaves by tau-depth
         i = 0
@@ -270,17 +272,16 @@ def auto_window(y: U0RedElt) -> int:
     return max(MIN_AUTO_WINDOW, 2 * max(vals, default=0) + 6)
 
 
-def z_shell_value(M, k: int, p: int, window: int, polys) -> Fraction:
-    """The torus shell v_F(z) = k of the orbital integral of M: its volume
-    (p - 1) p^-(k+1) times the unipotent integral over the coordinate
-    polynomials polys (`_conj_polys(M)`), or, for the nilpotent family
-    (polys None), times the lattice indicator of M itself."""
+def z_shell_value(polys, k: int, p: int, window: int, tree) -> Fraction:
+    """The torus shell v_F(z) = k of the orbital integral of the element of
+    polys (`_conj_polys`): its volume (p - 1) p^-(k+1) times the unipotent
+    integral over the trees tree(j), or, for the nilpotent family (tree
+    None), times the lattice indicator of the element, polys at t = 0."""
     vol = (p - 1) * Fraction(p) ** -(k + 1)
-    if polys is None:
-        inside = all(e.val_f() >= m for row, brow in zip(M, _shell_bounds(k))
-                     for e, m in zip(row, brow))
+    if tree is None:
+        inside = all(val(poly[0], p) >= b for poly, b in _lattice_bounds(polys, k))
         return vol if inside else Fraction(0)
-    return vol * _iwasawa_t_integral(polys, k, p, window)
+    return vol * _iwasawa_t_integral(polys, k, p, window, tree)
 
 
 def iwasawa_orbit_u0(y: U0RedElt, window: int | None = None):
@@ -291,20 +292,29 @@ def iwasawa_orbit_u0(y: U0RedElt, window: int | None = None):
     Elements of the nilpotent family (nonzero, all invariants zero) have the
     unipotent subgroup as stabilizer: for them the unipotent coordinate is
     omitted.  The torus z enters only through k = v_F(z) (`z_shell_value`).
+    The integral is exactly 0 when v(lam) < 0 or v(u) < 0: both are
+    integral on the lattice and constant on the orbit (README, Conventions).
     A window below 1 raises InputError, and a support that reaches the
     window's edge StabilizationError rather than return a truncated sum; a
     ConductorError from the unipotent integral propagates."""
     p = y.p
-    M = y.matrix()
     inv = y.invariants()
     if window is None:
         window = auto_window(y)
     if window < 1:
         raise InputError(f"torus shell window must be at least 1, got {window}")
-    is_zero_elt = all(e.is_zero() for row in M for e in row)
-    nilfam = (not is_zero_elt and inv.lam.is_exact_zero()
-              and inv.u.is_exact_zero() and inv.wtilde.is_exact_zero())
-    polys = None if nilfam else _conj_polys(M)
+    if inv.lam.val() < 0 or inv.u.val() < 0:
+        return Fraction(0)
+    polys = _conj_polys(y.matrix())
+    nilfam = (inv.lam.is_exact_zero() and inv.u.is_exact_zero()
+              and inv.wtilde.is_exact_zero()
+              and any(any(poly) for _, _, _, poly, _ in polys))
+    trees = {}          # t-shell j -> (scaled polynomials, leaves)
+
+    def tree(j):
+        if j not in trees:
+            trees[j] = _plant(polys, j, p)
+        return trees[j]
 
     # scan shells; support is bounded below, and either bounded above
     # (semisimple) or eventually geometric (nilpotent family)
@@ -312,7 +322,7 @@ def iwasawa_orbit_u0(y: U0RedElt, window: int | None = None):
     seen = False
     zeros = 0
     for k in range(-window, window + 1):
-        s = z_shell_value(M, k, p, window, polys)
+        s = z_shell_value(polys, k, p, window, None if nilfam else tree)
         values.append(s)
         if s == 0:
             zeros += 1
@@ -372,17 +382,15 @@ def xi_integral(x: BPoint, window: int = DEFAULT_WINDOW) -> LogQVal:
         s = Fraction(p) ** k
         g = (dprime / p, 2 * wprime * s, s * s)
         den = lcm(*(c.denominator for c in g))
-        c0, c1, c2 = (c.numerator * (den // c.denominator) for c in g)
-        w, v2 = val(den, p), val(c2, p)
+        poly = tuple(c.numerator * (den // c.denominator) for c in g)
+        w, v2 = val(den, p), val(poly[2], p)
         bound = k + w                   # v(g) >= k  <=>  v(G) >= k + w
         sums = {}                       # eta(G(c)) (v(g) - k) by power of p
         stack = unit_cover(p)
         while stack:
             ball = stack.pop()
-            c, e = ball.point(), ball.depth
-            at_c = c0 + (c1 + c2 * c) * c
-            v0 = val(at_c, p)
-            rest = min(val(c1 + 2 * c2 * c, p) + e, v2 + 2 * e)
+            e = ball.depth
+            at_c, v0, rest = _taylor(poly, v2, ball.point(), e, p)
             if min(v0, rest) >= bound:
                 continue            # support requires |a| > 1
             if v0 >= rest:

@@ -581,22 +581,11 @@ def u0_ss_case1(x0: BPoint) -> U0RedElt:
     p = x0.p
     u0 = x0.u.rational
     wt0 = x0.wtilde.rational
-    if wt0 == 0:
-        x1 = Fraction(1)
-        y2 = -u0 / 2
-        return U0RedElt.exact(0, 0, 0, QuadElt.exact(x1, 0, p),
-                              QuadElt.exact(0, y2, p), p)
-    # choose x1 = p^i with 2 v(u0) - v(wt0) <= 2i <= v(wt0) + 1
-    lo = 2 * val(u0, p) - val(wt0, p)
-    hi = val(wt0, p) + 1
-    two_i = None
-    for cand in range(lo, hi + 1):
-        if cand % 2 == 0:
-            two_i = cand
-            break
-    if two_i is None:
-        raise UnrealizableError("no integral representative window")
-    x1 = Fraction(p) ** (two_i // 2)
+    # x1 = p^i, 2i the least even number >= lo = 2 v(u0) - v(wt0) (0 if wt0 = 0):
+    # the window lo <= 2i <= v(wt0) + 1 of integral a2, a3 is empty only when
+    # v(u0) > v(wt0), and then v(lam0) < 0 and the orbit misses the lattice
+    lo = 2 * val(u0, p) - val(wt0, p) if wt0 else 0
+    x1 = Fraction(p) ** ((lo + lo % 2) // 2)
     y2 = -u0 / (2 * x1)
     a2 = -2 * wt0 * x1 * x1 / (u0 * u0)
     a3 = -p * wt0 / (2 * x1 * x1)

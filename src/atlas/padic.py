@@ -651,19 +651,21 @@ def _primitive(row):
     return row
 
 
-def _eliminate(rows, p: int, e: int) -> bool:
-    """Fraction-free Gauss-Jordan, in place, on the primitive integer rows of
-    [A | B]: clearing column col uses row_r <- N(P) row_r - (f conj(P)) row_col,
-    with P the pivot, f the entry cleared and N(P) = a^2 - p b^2 - e(c^2 - p d^2)
-    an integer, and each new row is divided by its content.  N(P) is nonzero:
+def _eliminate(aug, p: int, e: int):
+    """Fraction-free Gauss-Jordan on aug, the primitive integer rows of
+    [A | B], into new rows with A diagonal: clearing column col uses
+    row_r <- N(P) row_r - (f conj(P)) row_col, with P the pivot, f the entry
+    cleared and N(P) = a^2 - p b^2 - e(c^2 - p d^2) an integer, and each new
+    row is divided by its content.  N(P) is nonzero:
     e = smallest_nonresidue(p), so the reduced norm of the division algebra is
     anisotropic.  With exact entries every nonzero pivot gives the same
-    solution, so the first is taken.  False when A is singular."""
+    solution, so the first is taken.  None when A is singular."""
+    rows = list(aug)
     n = len(rows)
     for col in range(n):
         piv = next((r for r in range(col, n) if any(rows[r][col])), None)
         if piv is None:
-            return False
+            return None
         rows[col], rows[piv] = rows[piv], rows[col]
         prow = rows[col]
         a, b, c, d = prow[col]
@@ -677,7 +679,7 @@ def _eliminate(rows, p: int, e: int) -> bool:
             rows[r] = _primitive([
                 tuple(norm * s - t for s, t in zip(x, _int_quat_mul(g, y, p, e)))
                 for x, y in zip(rows[r], prow)])
-    return True
+    return rows
 
 
 def _int_rows(rows):
@@ -707,7 +709,8 @@ def _solve_rows(rows, p: int, signs):
     A diagonal, and Fractions are built only for Z:
     Z_i = conj(D_i) R_i / N(D_i)."""
     e = smallest_nonresidue(p)
-    if not _eliminate(rows, p, e):
+    rows = _eliminate(rows, p, e)
+    if rows is None:
         return None
     n = len(rows)
     out = []

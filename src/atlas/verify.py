@@ -41,13 +41,14 @@ def phi1(x: BPoint, method: str = "closed") -> LogQVal:
     return _phi1(BasePointPlan(zero_point(x.p)), x, method)
 
 
-def _phi1(zero: BasePointPlan, x: BPoint, method: str) -> LogQVal:
-    """phi1 at x, reading the zero base point from its plan zero."""
+def _phi1(plan: BasePointPlan, x: BPoint, method: str) -> LogQVal:
+    """2 dOrb1 + lInt log q at x around the base point of plan: phi1 itself
+    around zero, its varying part around a nonzero base point."""
     check_method(method)
     p = x.p
     if x.side() == 0:
         return LogQVal.const(0, p)
-    d = dorb1(zero, x, method=method)
+    d = dorb1(plan, x, method=method)
     return d.varying + d.varying + LogQVal({1: l_int(x)}, p)
 
 
@@ -189,12 +190,9 @@ def verify_x0(x0: BPoint, count: int = NEIGHBORHOOD_SAMPLES) -> VerifyReport:
     if len(samples) < count:
         raise UnrealizableError(
             f"could not build {count} neighborhood samples at {label}")
-    vals = []
-    for x in samples:
-        d = dorb1(plan, x)
-        li = l_int(x)
-        vals.append(d.varying + d.varying + LogQVal({1: li}, p))
-        rep.samples.append((f"v(Delta)={x.delta().val()}", str(vals[-1])))
+    vals = [_phi1(plan, x, "closed") for x in samples]
+    rep.samples = [(f"v(Delta)={x.delta().val()}", str(v))
+                   for x, v in zip(samples, vals)]
     ref = vals[0]
     for i, v in enumerate(vals[1:], start=1):
         if not (v - ref).is_zero():
@@ -212,18 +210,11 @@ def base_point_library(p: int):
     out = []
     # lam0 != 0, u0 = w0 = 0, F' a field different from the ramified one
     for v in range(0, 5):
-        lam0 = None
         for cand in range(1, p):
             x0 = BPoint.exact(Fraction(cand) * p ** v, 0, 0, p)
-            try:
-                case = case_of(x0)
-            except UnrealizableError:
-                continue
-            if case == "0i" and in_side1_closure(x0, case):
-                lam0 = x0
+            if case_of(x0) == "0i" and in_side1_closure(x0, "0i"):
+                out.append((f"0i v(lam0)={v}", x0))
                 break
-        if lam0 is not None:
-            out.append((f"0i v(lam0)={v}", lam0))
     # diagonal case: -lam0/p an exact square, odd valuation
     for v in (1, 3):
         x0 = BPoint.exact(-Fraction(p) ** v, 0, 0, p)
@@ -243,8 +234,8 @@ def base_point_library(p: int):
     return out
 
 
-def verify_x0_library(p: int, count: int = NEIGHBORHOOD_SAMPLES) -> list:
-    return [(name, verify_x0(x0, count)) for name, x0 in base_point_library(p)]
+def verify_x0_library(p: int) -> list:
+    return [(name, verify_x0(x0)) for name, x0 in base_point_library(p)]
 
 
 def report(reports, fmt: str = "json") -> str:

@@ -9,7 +9,7 @@ import pytest
 from atlas import integrate
 from atlas.errors import ConductorError, InputError, PrecisionError, StabilizationError
 from atlas.integrate import (TAIL_SAMPLES, Ball0, BallF, _conj_polys,
-                             _iwasawa_t_integral, _shell_bounds, _taylor,
+                             _iwasawa_t_integral, _plant, _shell_bounds, _taylor,
                              auto_window, close_poly_geometric_tail,
                              iwasawa_orbit_u0, phi_from_xi, xi_integral)
 from atlas.cli import main
@@ -85,7 +85,7 @@ def fraction_xi_integral(x, window):
     def weight(ball):
         c = ball.point()
         k = val(c, p)           # every center of the shell v = k has v = k
-        at_c, vg, rest = _taylor(g, c, ball.depth, p)
+        at_c, vg, rest = _taylor(g, 0, c, ball.depth, p)      # v(c2) = v(1)
         if min(vg, rest) >= k:
             return Fraction(0)
         if vg >= rest:
@@ -239,7 +239,8 @@ def fraction_t_integral(M, k, p, window):
     def ev(ball):
         out = Fraction(1)
         for poly, b in conds:
-            _, v0, rest = _taylor(poly, ball.point(), ball.depth, p)
+            _, v0, rest = _taylor(poly, val(poly[2], p), ball.point(),
+                                  ball.depth, p)
             if min(v0, rest) >= b:
                 continue
             if v0 < rest:
@@ -248,6 +249,18 @@ def fraction_t_integral(M, k, p, window):
         return out
 
     return _t_scan(ev, p, window)
+
+
+def shared_tree(polys, p):
+    """The trees of polys planted once per t-shell and shared by every torus
+    shell read through it, as iwasawa_orbit_u0 keeps them for one call."""
+    trees = {}
+
+    def tree(j):
+        if j not in trees:
+            trees[j] = _plant(polys, j, p)
+        return trees[j]
+    return tree
 
 
 def capped_t_integral(M, k, p, window):
@@ -370,7 +383,7 @@ class TestTaylor:
                     continue
                 c = Fraction(rng.randint(-90, 90), p ** rng.randint(0, 2))
                 d = rng.randint(-1, 3)
-                at_c, v0, rest = _taylor(poly, c, d, p)
+                at_c, v0, rest = _taylor(poly, val(poly[2], p), c, d, p)
                 assert at_c == poly[0] + poly[1] * c + poly[2] * c * c
                 vals = []
                 for s in range(p):
@@ -411,6 +424,62 @@ class TestIwasawa:
         b = iwasawa_orbit_u0(U0RedElt.exact(0, -lam0 / 2, 2, 0, 0, p))
         assert a == b == orb_u0_ss_case0(lam0, p)
 
+    def test_orbits_that_miss_the_lattice_are_zero(self):
+        # lam and u are integral on the lattice and constant on an orbit, so
+        # the oracle is 0 where v(lam) < 0 or v(u) < 0, as the closed forms
+        # are; the torus scan refused such case-0 points, and u0_ss_case1
+        # the case-1 points with v(u0) > v(wt0)
+        rng = random.Random(25)
+
+        def coord(p, lo, hi):
+            unit = Fraction(rng.choice((-1, 1)) * rng.randrange(1, p), rng.randrange(1, p))
+            return unit * Fraction(p) ** rng.randint(lo, hi)
+
+        case0 = [(Fraction(1, 9), 3)]
+        case1 = [(BPoint.exact(Fraction(-1, 3), 1, Fraction(1, 3), 3), 3)]
+        while len(case0) < 40 or len(case1) < 120:
+            p = rng.choice((3, 5, 7))
+            lam0 = coord(p, -4, -1)
+            if not PadicScalar.exact(-lam0, p).is_square():
+                case0.append((lam0, p))
+            u0, wt0 = coord(p, -2, 4), rng.choice((0, coord(p, -3, 6)))
+            x0 = BPoint.exact(-wt0 * wt0 * p / (u0 * u0), u0, wt0, p)
+            if x0.lam.val() < 0 or x0.u.val() < 0:
+                case1.append((x0, p))
+        for lam0, p in case0:
+            assert iwasawa_orbit_u0(u0_ss_case0(lam0, p)) == orb_u0_ss_case0(lam0, p)
+        for x0, p in case1:
+            want = orb_u0_ss_case1(x0.lam.rational, x0.u.rational, p)
+            assert iwasawa_orbit_u0(u0_ss_case1(x0)) == want, x0
+        assert sum(1 for x0, _ in case1 if x0.wtilde.rational
+                   and x0.u.val() > x0.wtilde.val()) >= 30
+
+    def test_nilpotent_shell_is_the_val_f_rule(self):
+        # the nilpotent-family shell reads v(c0) >= b on the coordinate
+        # polynomials at t = 0: on seeded matrices that is v_F(entry) >= m
+        # for the bounds m of _shell_bounds on the entries themselves
+        rng = random.Random(29)
+        seen = Counter()
+        for p in (3, 5, 7):
+            def scalar():
+                if rng.randrange(3):
+                    return Fraction(0)
+                return Fraction(rng.randint(-9, 9)) * Fraction(p) ** rng.randint(-1, 3)
+
+            for _ in range(40):
+                M = [[QuadElt.exact(scalar(), scalar(), p) for _ in range(3)]
+                     for _ in range(3)]
+                polys = _conj_polys(M)
+                for k in range(-3, 4):
+                    inside = all(e.val_f() >= m
+                                 for row, brow in zip(M, _shell_bounds(k))
+                                 for e, m in zip(row, brow))
+                    vol = (p - 1) * Fraction(p) ** -(k + 1)
+                    got = integrate.z_shell_value(polys, k, p, 8, None)
+                    assert got == (vol if inside else 0), (M, k)
+                    seen[inside] += 1
+        assert seen[True] >= 100 and seen[False] >= 100, seen
+
     def test_ss_case1_spot(self):
         p = 3
         x0 = BPoint.exact(0, 1, 0, p)
@@ -421,9 +490,9 @@ class TestIwasawa:
         shortcut = integrate.z_shell_value
         visited = []
 
-        def record(M, k, q, window, polys):
-            v = shortcut(M, k, q, window, polys)
-            visited.append((M, k, window, polys is None, v))
+        def record(polys, k, q, window, tree):
+            v = shortcut(polys, k, q, window, tree)
+            visited.append((M, k, window, tree is None, v))
             return v
 
         monkeypatch.setattr(integrate, "z_shell_value", record)
@@ -434,6 +503,7 @@ class TestIwasawa:
                   u0_ss_case1(BPoint.exact(-p ** 3, 1, p, p)),
                   u0_nilpotent_family_member(Fraction(1, p), p),
                   u0_nilpotent_family_member(p, p)):
+            M = y.matrix()
             iwasawa_orbit_u0(y)
         assert sum(1 for *_, v in visited if v != 0) >= 10
         for M, k, window, nilfam, v in visited:
@@ -443,9 +513,9 @@ class TestIwasawa:
         exact = integrate.z_shell_value
         pairs = []
 
-        def record(M, k, p, window, polys):
-            v = exact(M, k, p, window, polys)
-            if polys is not None:
+        def record(polys, k, p, window, tree):
+            v = exact(polys, k, p, window, tree)
+            if tree is not None:
                 pairs.append((M, k, p, window, v / ((p - 1) * Fraction(p) ** -(k + 1))))
             return v
 
@@ -456,6 +526,7 @@ class TestIwasawa:
         for y, want in criterion4_elements() + [
                 (u0_ss_case0(heavy0, 5), orb_u0_ss_case0(heavy0, 5)),
                 (u0_ss_case1(x0), orb_u0_ss_case1(0, 5 ** 4, 5))]:
+            M = y.matrix()
             assert iwasawa_orbit_u0(y) == want
         assert len(pairs) >= 900
         assert sum(1 for *_, t in pairs if t != 0) >= 100
@@ -477,9 +548,10 @@ class TestIwasawa:
                 M = [[QuadElt.exact(scalar(), scalar(), p) for _ in range(3)]
                      for _ in range(3)]
                 polys = _conj_polys(M)
+                tree = shared_tree(polys, p)
                 for k in range(-3, 1):
                     try:
-                        t = _iwasawa_t_integral(polys, k, p, 10)
+                        t = _iwasawa_t_integral(polys, k, p, 10, tree)
                     except StabilizationError:
                         continue
                     assert capped_t_integral(M, k, p, 10) == t, (M, k)
@@ -489,7 +561,7 @@ class TestIwasawa:
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_shared_tree_matches_a_fresh_one(self, p, monkeypatch):
-        # one _conj_polys per element read over shuffled torus shells gives
+        # one tree per element read over shuffled torus shells gives
         # what a fresh one per shell gives, raised errors included; entries
         # (0, 1), (0, 2) and (2, 1) often vanish at t = r, so the deep bounds
         # of negative shells pass near r, and a depth cap of 4 makes some
@@ -502,9 +574,9 @@ class TestIwasawa:
                 return Fraction(0)
             return Fraction(rng.randint(-9, 9) * p ** rng.randint(0, 2))
 
-        def outcome(polys, k, window):
+        def outcome(polys, tree, k, window):
             try:
-                return _iwasawa_t_integral(polys, k, p, window)
+                return _iwasawa_t_integral(polys, k, p, window, tree)
             except (ConductorError, StabilizationError) as exc:
                 return type(exc)
 
@@ -520,13 +592,16 @@ class TestIwasawa:
             if rng.randrange(2):            # m21 + m20 r = 0
                 E[2][1] = [-r * c for c in E[2][0]]
             M = [[QuadElt.exact(a, b, p) for a, b in row] for row in E]
-            shared = _conj_polys(M)
+            polys = _conj_polys(M)
+            shared = shared_tree(polys, p)
             ks = list(range(-9, 3))
             rng.shuffle(ks)
             for k in ks:
                 window = rng.choice((4, 10))
-                got = outcome(shared, k, window)
-                assert got == outcome(_conj_polys(M), k, window), (M, k, window)
+                got = outcome(polys, shared, k, window)
+                fresh = _conj_polys(M)
+                assert got == outcome(fresh, shared_tree(fresh, p), k, window), \
+                    (M, k, window)
                 seen[got if isinstance(got, type) else got != 0] += 1
         assert seen[ConductorError] >= 15 and seen[StabilizationError] >= 15
         assert seen[True] >= 100
@@ -568,6 +643,7 @@ class TestIwasawa:
              [zero, zero, QuadElt.exact(p * p, 0, p)],
              [zero, zero, zero]]
         polys = _conj_polys(M)
+        tree = shared_tree(polys, p)
 
         def outcome(fn, *args):
             try:
@@ -578,7 +654,7 @@ class TestIwasawa:
         got = {}
         for cap in range(1, 8):
             monkeypatch.setattr(integrate, "DEPTH_CAP", cap)
-            got[cap] = outcome(_iwasawa_t_integral, polys, -12, p, 10)
+            got[cap] = outcome(_iwasawa_t_integral, polys, -12, p, 10, tree)
             assert got[cap] == outcome(fraction_t_integral, M, -12, p, 10), cap
         assert got == {1: "cap", 2: "cap", 3: "cap", 4: Fraction(1, p ** 4),
                        5: Fraction(1, p ** 4), 6: Fraction(1, p ** 4),
@@ -602,9 +678,10 @@ class TestIwasawa:
         # a window too short for the t-scan to see four empty shells
         p = 3
         polys = _conj_polys(u0_ss_case1(BPoint.exact(0, 1, 0, p)).matrix())
-        assert _iwasawa_t_integral(polys, 0, p, 8) == 1
+        tree = shared_tree(polys, p)
+        assert _iwasawa_t_integral(polys, 0, p, 8, tree) == 1
         with pytest.raises(StabilizationError):
-            _iwasawa_t_integral(polys, 0, p, 3)
+            _iwasawa_t_integral(polys, 0, p, 3, tree)
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_short_windows_raise_or_agree(self, p):

@@ -875,7 +875,8 @@ class TestQuatMatSolve:
             e = smallest_nonresidue(p)
             rows = [[tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(6)]
                     for _ in range(3)]
-            if not padic._eliminate(rows, p, e):
+            rows = padic._eliminate(rows, p, e)
+            if rows is None:
                 continue
             for i, row in enumerate(rows):
                 assert all(not any(row[j]) for j in range(3) if j != i)
@@ -1049,9 +1050,8 @@ class TestOrbitReps:
 
     def test_case1_representative_hits_its_base_point(self):
         # seeded degenerate points (lam0, u0, wt0), u0 != 0 and Delta = 0,
-        # with an integral representative window: the invariants are x0
+        # integral or not: the invariants of every representative are x0
         rng = random.Random(2401)
-        hits = 0
         for _ in range(1200):
             p = rng.choice((3, 5, 7, 11))
 
@@ -1060,14 +1060,8 @@ class TestOrbitReps:
                                 rng.randrange(1, p * p)) * Fraction(p) ** rng.randint(-2, 5)
             u0, wt0 = coord(), rng.choice((0, coord(), coord()))
             x0 = BPoint.exact(-wt0 * wt0 * p / (u0 * u0), u0, wt0, p)
-            try:
-                y = u0_ss_case1(x0)
-            except UnrealizableError:      # no integral representative window
-                continue
-            iv = y.invariants()
+            iv = u0_ss_case1(x0).invariants()
             assert (iv.lam, iv.u, iv.wtilde) == (x0.lam, x0.u, x0.wtilde), x0
-            hits += 1
-        assert hits >= 600
 
     @pytest.mark.parametrize("coords, error", [
         ((1, 1, 0), "Delta = 1, not 0"), ((9, 1, 0), "Delta = 9, not 0"),

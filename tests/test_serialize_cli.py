@@ -320,6 +320,28 @@ class TestCli:
         assert main(shlex.split(argv)) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
 
+    @pytest.mark.parametrize("argv, value", [
+        ("values --what ss-u0 --p 3 --params -1/3 1", "0"),
+        ("orb --kind ss-u0-case1 --params -1/3 1 1/3 --p 3 --oracle", "0"),
+        ("values --what ss-u0 --p 3 --params -27 3 9", "8"),
+    ], ids=["values-fraction", "oracle-fraction", "values-integer"])
+    def test_params_take_negative_numbers(self, argv, value, capsys):
+        # argparse read -1/3 as an option and exited 2; -27 always worked
+        assert main(shlex.split(argv)) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == value
+
+    @pytest.mark.parametrize("argv", [
+        "orb --kind ss-u0-case0 --params 1/9 --p 3",
+        "orb --kind ss-u0-case1 --params 0 1/3 0 --p 3",
+    ], ids=["case0-lam0", "case1-u0"])
+    def test_oracle_is_zero_where_the_orbit_misses_the_lattice(self, argv, capsys):
+        # v(lam0) < 0 or v(u0) < 0: with --oracle both exited 2 with "no
+        # stabilization in the torus coordinate", where the closed method
+        # prints 0
+        for method in (" --oracle", ""):
+            assert main(shlex.split(argv + method)) == 0
+            assert json.loads(capsys.readouterr().out)["value"] == "0"
+
     @pytest.mark.parametrize("entry", [
         {"lambda": "0", "u": "1", "p": 3},
         {"lambda": "x", "u": "1", "wtilde": "0", "p": 3},
