@@ -101,10 +101,10 @@ def cmd_orb(args) -> int:
     elif args.kind == "ss-u0-case1":
         lam0, u0, wt0 = _parse("--params", args.params, Fraction, Fraction, Fraction)
         x0 = BPoint.exact(lam0, u0, wt0, p)
-        check_case1_point(x0)
-        if args.oracle:
+        if args.oracle:     # u0_ss_case1 checks the point
             out |= _u0_oracle(u0_ss_case1(x0), args)
         else:
+            check_case1_point(x0)
             out["value"] = str(orb_u0_ss_case1(lam0, u0, p))
             out["method"] = "closed"
     elif args.kind == "xi":

@@ -19,9 +19,11 @@ a unit times pi^(e_ij k), with k = v_F(z) and
 
 so the lattice indicator depends on z only through k: each torus shell is
 evaluated once, as its volume times the unipotent integral of the bounds
-v_F(entry_ij) >= -e_ij k.  Only these bounds depend on k: each call keeps
-one ball tree per shell v(t) = j, in the integer coordinate tau = t p^-j,
-and refines it across all k (see `_iwasawa_t_integral`).
+v_F(entry_ij) >= -e_ij k.  Those on entries constant in t are linear in k,
+so they hold on one interval of k per element (`_k_interval`), outside which
+a shell is an exact 0.  Only the bounds depend on k: each call keeps one
+ball tree per shell v(t) = j, in the integer coordinate tau = t p^-j, and
+refines it across all k (see `_iwasawa_t_integral`).
 
 The double-log shell sum behind the family contribution (`xi_integral`) is
 a pure (log q)^2 value.  Each shell v(t) = k is swept in the same kind of
@@ -179,6 +181,26 @@ def _lattice_bounds(polys, k: int):
     return ((poly, w - ((part - bounds[i][j]) // 2)) for i, j, part, poly, w in polys)
 
 
+def _k_interval(polys, p: int, at_zero: bool):
+    """The torus shells lo..hi (None for an open end, lo > hi for none) where
+    the bounds of `_lattice_bounds` on the polynomials constant in t hold, or
+    on every polynomial at t = 0 when at_zero.  The bound s k of
+    `_shell_bounds` is linear in k, so v(c0) >= w - ((part - s k) // 2) is
+    one inequality in k: s k <= part - 2 (w - v(c0))."""
+    slopes = _shell_bounds(1)
+    lo = hi = None
+    for i, j, part, (c0, c1, c2), w in polys:
+        if c0 and (at_zero or not (c1 or c2)):
+            s, r = slopes[i][j], part - 2 * (w - val(c0, p))
+            if s > 0:
+                hi = r // s if hi is None else min(hi, r // s)
+            elif s < 0:
+                lo = -(r // -s) if lo is None else max(lo, -(r // -s))
+            elif r < 0:
+                return 1, 0
+    return lo, hi
+
+
 def _leaf(ball: Ball0, scaled, p: int):
     """The ball with the Taylor pair (v(P(c)), rest) of every polynomial."""
     c = ball.point()
@@ -199,8 +221,8 @@ def _plant(polys, j: int, p: int):
 def _iwasawa_t_integral(polys, k: int, p: int, window: int, tree) -> Fraction:
     """Inner integral over the unipotent coordinate of the indicator of the
     lattice, on the torus shell v_F(z) = k; the unipotent acts first, the
-    torus scaling second.  The bounds are `_lattice_bounds(polys, k)`, and
-    the conditions constant in t are settled first.
+    torus scaling second, for k in `_k_interval(polys, p, False)`; the bounds
+    are those of `_lattice_bounds(polys, k)` on polynomials that depend on t.
 
     Z_p (j = 0) and each shell v(t) = j < 0 are swept in the integer
     coordinate tau = t s with s = p^-j: the bound v(c0 + c1 t + c2 t^2) >= b
@@ -213,12 +235,7 @@ def _iwasawa_t_integral(polys, k: int, p: int, window: int, tree) -> Fraction:
     it for later k.  The Taylor test is exact, so a sub-ball of a decided
     ball is decided alike, and T(k) and every ConductorError are those of a
     sweep from the roots."""
-    bs = []
-    for poly, b in _lattice_bounds(polys, k):
-        if poly[1] or poly[2]:
-            bs.append(b)
-        elif val(poly[0], p) < b:
-            return Fraction(0)
+    bs = [b for poly, b in _lattice_bounds(polys, k) if poly[1] or poly[2]]
 
     def shell(j):
         scaled, leaves = tree(j)
@@ -273,15 +290,13 @@ def auto_window(y: U0RedElt) -> int:
 
 
 def z_shell_value(polys, k: int, p: int, window: int, tree) -> Fraction:
-    """The torus shell v_F(z) = k of the orbital integral of the element of
-    polys (`_conj_polys`): its volume (p - 1) p^-(k+1) times the unipotent
-    integral over the trees tree(j), or, for the nilpotent family (tree
-    None), times the lattice indicator of the element, polys at t = 0."""
+    """The torus shell v_F(z) = k, for k in the element's `_k_interval`, of
+    the orbital integral of the element of polys (`_conj_polys`): its volume
+    (p - 1) p^-(k+1) times the unipotent integral over the trees tree(j), or,
+    for the nilpotent family (tree None), its volume alone, as the lattice
+    indicator of the element, polys at t = 0, is 1 on the interval."""
     vol = (p - 1) * Fraction(p) ** -(k + 1)
-    if tree is None:
-        inside = all(val(poly[0], p) >= b for poly, b in _lattice_bounds(polys, k))
-        return vol if inside else Fraction(0)
-    return vol * _iwasawa_t_integral(polys, k, p, window, tree)
+    return vol if tree is None else vol * _iwasawa_t_integral(polys, k, p, window, tree)
 
 
 def iwasawa_orbit_u0(y: U0RedElt, window: int | None = None):
@@ -316,13 +331,17 @@ def iwasawa_orbit_u0(y: U0RedElt, window: int | None = None):
             trees[j] = _plant(polys, j, p)
         return trees[j]
 
-    # scan shells; support is bounded below, and either bounded above
-    # (semisimple) or eventually geometric (nilpotent family)
+    # scan shells, an exact 0 outside the k-interval; support is bounded
+    # below, and either bounded above (semisimple) or eventually geometric
+    # (nilpotent family)
+    lo, hi = _k_interval(polys, p, nilfam)
     values = []
     seen = False
     zeros = 0
     for k in range(-window, window + 1):
-        s = z_shell_value(polys, k, p, window, None if nilfam else tree)
+        s = Fraction(0)
+        if (lo is None or lo <= k) and (hi is None or k <= hi):
+            s = z_shell_value(polys, k, p, window, None if nilfam else tree)
         values.append(s)
         if s == 0:
             zeros += 1

@@ -9,7 +9,8 @@ import pytest
 from atlas import integrate
 from atlas.errors import ConductorError, InputError, PrecisionError, StabilizationError
 from atlas.integrate import (TAIL_SAMPLES, Ball0, BallF, _conj_polys,
-                             _iwasawa_t_integral, _plant, _shell_bounds, _taylor,
+                             _iwasawa_t_integral, _k_interval, _lattice_bounds,
+                             _plant, _shell_bounds, _taylor,
                              auto_window, close_poly_geometric_tail,
                              iwasawa_orbit_u0, phi_from_xi, xi_integral)
 from atlas.cli import main
@@ -251,6 +252,12 @@ def fraction_t_integral(M, k, p, window):
     return _t_scan(ev, p, window)
 
 
+def in_span(span, k):
+    """Whether the torus shell k lies in the interval of `_k_interval`."""
+    lo, hi = span
+    return (lo is None or lo <= k) and (hi is None or k <= hi)
+
+
 def shared_tree(polys, p):
     """The trees of polys planted once per t-shell and shared by every torus
     shell read through it, as iwasawa_orbit_u0 keeps them for one call."""
@@ -455,9 +462,10 @@ class TestIwasawa:
                    and x0.u.val() > x0.wtilde.val()) >= 30
 
     def test_nilpotent_shell_is_the_val_f_rule(self):
-        # the nilpotent-family shell reads v(c0) >= b on the coordinate
-        # polynomials at t = 0: on seeded matrices that is v_F(entry) >= m
-        # for the bounds m of _shell_bounds on the entries themselves
+        # the nilpotent-family shells are the volume on the k-interval of
+        # v(c0) >= b on the coordinate polynomials at t = 0, and 0 outside
+        # it: on seeded matrices that is v_F(entry) >= m for the bounds m of
+        # _shell_bounds on the entries themselves
         rng = random.Random(29)
         seen = Counter()
         for p in (3, 5, 7):
@@ -470,12 +478,14 @@ class TestIwasawa:
                 M = [[QuadElt.exact(scalar(), scalar(), p) for _ in range(3)]
                      for _ in range(3)]
                 polys = _conj_polys(M)
+                span = _k_interval(polys, p, True)
                 for k in range(-3, 4):
                     inside = all(e.val_f() >= m
                                  for row, brow in zip(M, _shell_bounds(k))
                                  for e, m in zip(row, brow))
                     vol = (p - 1) * Fraction(p) ** -(k + 1)
-                    got = integrate.z_shell_value(polys, k, p, 8, None)
+                    got = (integrate.z_shell_value(polys, k, p, 8, None)
+                           if in_span(span, k) else 0)
                     assert got == (vol if inside else 0), (M, k)
                     seen[inside] += 1
         assert seen[True] >= 100 and seen[False] >= 100, seen
@@ -510,24 +520,41 @@ class TestIwasawa:
             assert ref_z_shell_value(M, k, p, window, nilfam) == v, (k, nilfam)
 
     def test_t_integrals_match_the_capped_reference(self, monkeypatch):
+        # every torus shell the scan reaches, up to three empty shells after
+        # a nonzero one: the t-integral inside the element's k-interval, an
+        # exact 0 outside it
         exact = integrate.z_shell_value
-        pairs = []
+        calls = {}
 
         def record(polys, k, p, window, tree):
             v = exact(polys, k, p, window, tree)
             if tree is not None:
-                pairs.append((M, k, p, window, v / ((p - 1) * Fraction(p) ** -(k + 1))))
+                calls[k] = v / ((p - 1) * Fraction(p) ** -(k + 1))
             return v
 
         monkeypatch.setattr(integrate, "z_shell_value", record)
         # the criterion-4 elements and two heavier points at p = 5
         heavy0 = 2 * Fraction(5) ** 6
         x0 = BPoint.exact(0, 5 ** 4, 0, 5)
+        pairs = []
         for y, want in criterion4_elements() + [
                 (u0_ss_case0(heavy0, 5), orb_u0_ss_case0(heavy0, 5)),
                 (u0_ss_case1(x0), orb_u0_ss_case1(0, 5 ** 4, 5))]:
-            M = y.matrix()
+            M, p = y.matrix(), y.p
+            calls.clear()
             assert iwasawa_orbit_u0(y) == want
+            if not calls:           # the nilpotent family: no t-integral
+                continue
+            span = _k_interval(_conj_polys(M), p, False)
+            window = auto_window(y)
+            seen, zeros = False, 0
+            for k in range(-window, window + 1):
+                assert (k in calls) == in_span(span, k), (M, k)
+                t = calls.get(k, Fraction(0))
+                pairs.append((M, k, p, window, t))
+                seen, zeros = (True, 0) if t else (seen, zeros + 1)
+                if seen and zeros >= 3:
+                    break
         assert len(pairs) >= 900
         assert sum(1 for *_, t in pairs if t != 0) >= 100
         for M, k, p, window, t in pairs:
@@ -549,15 +576,62 @@ class TestIwasawa:
                      for _ in range(3)]
                 polys = _conj_polys(M)
                 tree = shared_tree(polys, p)
+                span = _k_interval(polys, p, False)
                 for k in range(-3, 1):
                     try:
-                        t = _iwasawa_t_integral(polys, k, p, 10, tree)
+                        t = (_iwasawa_t_integral(polys, k, p, 10, tree)
+                             if in_span(span, k) else 0)
                     except StabilizationError:
                         continue
                     assert capped_t_integral(M, k, p, 10) == t, (M, k)
                     compared += 1
                     nonzero += t != 0
         assert compared >= 300 and nonzero >= 100
+
+    def test_k_interval_is_the_per_shell_rule(self):
+        # the interval holds exactly the torus shells k where v(c0) >= b for
+        # every bound of _lattice_bounds on the t-constant polynomials, or on
+        # all of them at t = 0
+        rng = random.Random(27)
+        kinds = Counter()
+        for p in (3, 5, 7):
+            def scalar():
+                if rng.randrange(3) == 0:
+                    return Fraction(0)
+                return (Fraction(rng.randint(-9, 9), rng.choice((1, p - 1)))
+                        * Fraction(p) ** rng.randint(-3, 3))
+
+            for _ in range(60):
+                M = [[QuadElt.exact(scalar(), scalar(), p) for _ in range(3)]
+                     for _ in range(3)]
+                polys = _conj_polys(M)
+                for at_zero in (False, True):
+                    span = _k_interval(polys, p, at_zero)
+                    kinds["open" if None in span else "empty" if span[0] > span[1]
+                          else "closed"] += 1
+                    for k in range(-12, 13):
+                        rule = all(val(poly[0], p) >= b
+                                   for poly, b in _lattice_bounds(polys, k)
+                                   if at_zero or not (poly[1] or poly[2]))
+                        assert in_span(span, k) == rule, (M, k, at_zero, span)
+        assert min(kinds["empty"], kinds["open"], kinds["closed"]) >= 10, kinds
+
+    def test_one_t_integral_per_shell_of_the_interval(self, monkeypatch):
+        # the heavy case-1 point's interval is 0..9: one t-integral per shell
+        # there, where the torus scan called one on 37 shells
+        x0 = BPoint.exact(0, 5 ** 4, 0, 5)
+        y = u0_ss_case1(x0)
+        assert _k_interval(_conj_polys(y.matrix()), 5, False) == (0, 9)
+        inner = integrate._iwasawa_t_integral
+        ks = []
+
+        def counted(polys, k, *args):
+            ks.append(k)
+            return inner(polys, k, *args)
+
+        monkeypatch.setattr(integrate, "_iwasawa_t_integral", counted)
+        assert iwasawa_orbit_u0(y) == orb_u0_ss_case1(0, 5 ** 4, 5) == 1562
+        assert ks == list(range(10))
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_shared_tree_matches_a_fresh_one(self, p, monkeypatch):

@@ -320,6 +320,25 @@ class TestCli:
         assert main(shlex.split(argv)) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
 
+    @pytest.mark.parametrize("method", ["", " --oracle"], ids=["closed", "oracle"])
+    def test_case1_point_is_checked_once_per_command(self, method, monkeypatch,
+                                                     capsys):
+        # with --oracle, cmd_orb checked the point and u0_ss_case1 again
+        from atlas import orbits
+        check = orbits.check_case1_point
+        calls = []
+
+        def counted(x0):
+            calls.append(x0)
+            return check(x0)
+
+        monkeypatch.setattr(orbits, "check_case1_point", counted)
+        monkeypatch.setattr(cli, "check_case1_point", counted)
+        assert main(shlex.split("orb --kind ss-u0-case1 --params -27 3 9 --p 3"
+                                + method)) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == "8"
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("argv, value", [
         ("values --what ss-u0 --p 3 --params -1/3 1", "0"),
         ("orb --kind ss-u0-case1 --params -1/3 1 1/3 --p 3 --oracle", "0"),
