@@ -4,10 +4,9 @@ Domains are split into valuation shells and residue balls c + p^d Z_p.  Every
 condition tested is a bound v(P(t)) >= b on a rational polynomial of degree
 at most two.  As the degree is below p, the sup norm of P on a ball is its
 Gauss norm, so three exact Taylor terms at the center decide the ball (see
-`_taylor`); undecided balls are subdivided up to a depth cap.  Infinite
-shell tails are closed analytically as polynomial-times-geometric series
-(degree at most two, from the double log factors of the log-weighted
-integrals; see `close_poly_geometric_tail`).
+`_taylor`); undecided balls are subdivided up to a depth cap.  The infinite
+shell tails of the log-weighted integral are closed analytically as a
+polynomial of degree at most two times p^-i (`close_poly_geometric_tail`).
 
 The Iwasawa-coordinate orbital integrals need no subdivision in the torus
 coordinate.  Conjugating by diag(z^-1, conj(z), 1) multiplies entry (i, j) by
@@ -20,10 +19,12 @@ a unit times pi^(e_ij k), with k = v_F(z) and
 so the lattice indicator depends on z only through k: each torus shell is
 evaluated once, as its volume times the unipotent integral of the bounds
 v_F(entry_ij) >= -e_ij k.  Those on entries constant in t are linear in k,
-so they hold on one interval of k per element (`_k_interval`), outside which
-a shell is an exact 0.  Only the bounds depend on k: each call keeps one
-ball tree per shell v(t) = j, in the integer coordinate tau = t p^-j, and
-refines it across all k (see `_iwasawa_t_integral`).
+so they hold on one interval lo..hi of k per element (`_k_interval`),
+outside which a shell is an exact 0: the torus scan is that interval, and
+the nilpotent family's integral its closed volume.  Only the bounds depend
+on k: each call keeps one ball tree per shell v(t) = j, in the integer
+coordinate tau = t p^-j, and refines it across all k (see
+`_iwasawa_t_integral`).
 
 The double-log shell sum behind the family contribution (`xi_integral`) is
 a pure (log q)^2 value.  Each shell v(t) = k is swept in the same kind of
@@ -113,28 +114,31 @@ def _taylor(poly, v2: int, c: Fraction, d: int, p: int):
 
 
 TAIL_SAMPLES = 7
-MAX_RATIO_POW = 8
 
 
 def close_poly_geometric_tail(values, p: int) -> Fraction:
-    """Sum over i >= 0 of a sequence recognized as P(i) r^i with deg P <= 2
-    and r = p^-a, 1 <= a <= MAX_RATIO_POW; values must supply at least
-    TAIL_SAMPLES shells (three determine P, the rest confirm the law)."""
+    """Sum over i >= 0 of a sequence recognized as P(i) p^-i with deg P <= 2;
+    values must supply at least TAIL_SAMPLES shells (three determine P, the
+    rest confirm the law).
+
+    The ratio is always 1/p.  Beyond its threshold, the xi shell k
+    (`xi_integral`) is eta(D'/p) p^v0 (v0 - k) k (1 - 1/p) p^-k with
+    v0 = v(D'/p), as g is dominated by D'/p; below it, g by t^2, the shell
+    is (1 - 1/p) k^2 p^k.  Read outward, either tail is a polynomial of
+    degree two times p^-i."""
     if all(v == 0 for v in values):
         return Fraction(0)
     if len(values) < TAIL_SAMPLES:
         raise StabilizationError("no stabilization: window too small")
-    for a in range(1, MAX_RATIO_POW + 1):
-        r = Fraction(1, p ** a)
-        u = [v / r ** i for i, v in enumerate(values)]
-        d3 = [u[i + 3] - 3 * u[i + 2] + 3 * u[i + 1] - u[i] for i in range(len(u) - 3)]
-        if all(x == 0 for x in d3):
-            # Newton form P(i) = c0 + c1 i + c2 i(i-1), summed against
-            # sum r^i, sum i r^i and sum i(i-1) r^i / 2
-            c1 = u[1] - u[0]
-            c2 = (u[2] - 2 * u[1] + u[0]) / 2
-            return u[0] / (1 - r) + c1 * r / (1 - r) ** 2 + 2 * c2 * r * r / (1 - r) ** 3
-    raise StabilizationError("no stabilization: no geometric ratio matches")
+    r = Fraction(1, p)
+    u = [v * p ** i for i, v in enumerate(values)]
+    if any(u[i + 3] - 3 * u[i + 2] + 3 * u[i + 1] - u[i] for i in range(len(u) - 3)):
+        raise StabilizationError("no stabilization: no geometric ratio matches")
+    # Newton form P(i) = c0 + c1 i + c2 i(i-1), summed against
+    # sum r^i, sum i r^i and sum i(i-1) r^i / 2
+    c1 = u[1] - u[0]
+    c2 = (u[2] - 2 * u[1] + u[0]) / 2
+    return u[0] / (1 - r) + c1 * r / (1 - r) ** 2 + 2 * c2 * r * r / (1 - r) ** 3
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +268,8 @@ def _iwasawa_t_integral(polys, k: int, p: int, window: int, tree) -> Fraction:
         return p ** -j * sum((Fraction(n, p ** e) for e, n in passed.items()),
                              Fraction(0))
 
-    # the support in t is a valuation interval: conditions are integrality of
-    # polynomials in t, which fail monotonically for large |t|
+    # a stop after four empty t-shells, a rule and not a bound: a condition
+    # can pass on a ball in any shell v(t) < 0 beyond them
     total = shell(0)
     zeros = 0 if total != 0 else 1
     for j in range(-1, -window - 1, -1):
@@ -289,29 +293,26 @@ def auto_window(y: U0RedElt) -> int:
     return max(MIN_AUTO_WINDOW, 2 * max(vals, default=0) + 6)
 
 
-def z_shell_value(polys, k: int, p: int, window: int, tree) -> Fraction:
-    """The torus shell v_F(z) = k, for k in the element's `_k_interval`, of
-    the orbital integral of the element of polys (`_conj_polys`): its volume
-    (p - 1) p^-(k+1) times the unipotent integral over the trees tree(j), or,
-    for the nilpotent family (tree None), its volume alone, as the lattice
-    indicator of the element, polys at t = 0, is 1 on the interval."""
-    vol = (p - 1) * Fraction(p) ** -(k + 1)
-    return vol if tree is None else vol * _iwasawa_t_integral(polys, k, p, window, tree)
-
-
 def iwasawa_orbit_u0(y: U0RedElt, window: int | None = None):
     """Orbital integral of the lattice indicator over the quasi-split
-    stabilizer group in Iwasawa coordinates, as an exact shell sum with the
-    zeta(1) measure factor.
+    stabilizer group in Iwasawa coordinates, with the zeta(1) measure factor:
+    the torus shell k = v_F(z), of volume (p - 1) p^-(k+1), is 0 outside the
+    element's `_k_interval` lo..hi.  On the nilpotent family (nonzero, all
+    invariants zero) the stabilizer is the unipotent subgroup and the
+    indicator is 1 on the interval: the integral is zeta(1) (p^-lo -
+    p^-(hi+1)), the second term dropped when hi is None.  Any other element
+    sums its shells max(lo, -window)..hi, volume times unipotent integral.
+    There hi is finite: the entries of positive slope in `_shell_bounds`,
+    (1, 0), (1, 2) and (2, 0), are a3, b2 and conj(b2) pi, constant in t, so
+    hi is None only when a3 = b2 = 0; then u = wtilde = 0 and lam = -a1^2,
+    the zero or a split-case element, which raises StabilizationError.
 
-    Elements of the nilpotent family (nonzero, all invariants zero) have the
-    unipotent subgroup as stabilizer: for them the unipotent coordinate is
-    omitted.  The torus z enters only through k = v_F(z) (`z_shell_value`).
-    The integral is exactly 0 when v(lam) < 0 or v(u) < 0: both are
-    integral on the lattice and constant on the orbit (README, Conventions).
-    A window below 1 raises InputError, and a support that reaches the
-    window's edge StabilizationError rather than return a truncated sum; a
-    ConductorError from the unipotent integral propagates."""
+    The integral is exactly 0 on an empty interval, and when v(lam) < 0 or
+    v(u) < 0, both integral on the lattice and constant on the orbit
+    (README, Conventions).  A window below 1 raises InputError; a support
+    reaching the window's edge (a nilpotent-family lo <= -window, a nonzero
+    shell -window, or hi > window) raises StabilizationError rather than
+    return a truncated sum; a ConductorError propagates."""
     p = y.p
     inv = y.invariants()
     if window is None:
@@ -324,6 +325,18 @@ def iwasawa_orbit_u0(y: U0RedElt, window: int | None = None):
     nilfam = (inv.lam.is_exact_zero() and inv.u.is_exact_zero()
               and inv.wtilde.is_exact_zero()
               and any(any(poly) for _, _, _, poly, _ in polys))
+    lo, hi = _k_interval(polys, p, nilfam)
+    if lo is not None and hi is not None and lo > hi:
+        return Fraction(0)
+    edge = (f"no stabilization in the torus coordinate: "
+            f"shell {-window} at the window's edge is nonzero")
+    if nilfam:
+        if lo is None or lo <= -window:
+            raise StabilizationError(edge)
+        tail = 0 if hi is None else Fraction(p) ** -(hi + 1)
+        return (Fraction(p) ** -lo - tail) * zeta1(p)
+    if hi is None or hi > window:
+        raise StabilizationError("no stabilization in the torus coordinate")
     trees = {}          # t-shell j -> (scaled polynomials, leaves)
 
     def tree(j):
@@ -331,32 +344,17 @@ def iwasawa_orbit_u0(y: U0RedElt, window: int | None = None):
             trees[j] = _plant(polys, j, p)
         return trees[j]
 
-    # scan shells, an exact 0 outside the k-interval; support is bounded
-    # below, and either bounded above (semisimple) or eventually geometric
-    # (nilpotent family)
-    lo, hi = _k_interval(polys, p, nilfam)
-    values = []
-    seen = False
-    zeros = 0
-    for k in range(-window, window + 1):
-        s = Fraction(0)
-        if (lo is None or lo <= k) and (hi is None or k <= hi):
-            s = z_shell_value(polys, k, p, window, None if nilfam else tree)
-        values.append(s)
-        if s == 0:
-            zeros += 1
-            if zeros >= 3 and seen:
-                return sum(values, Fraction(0)) * zeta1(p)
-        elif k == -window:
-            raise StabilizationError(f"no stabilization in the torus coordinate: "
-                                     f"shell {k} at the window's edge is nonzero")
-        else:
-            seen = True
-            zeros = 0
-    if nilfam and len(values) >= TAIL_SAMPLES:
-        head = sum(values[:-TAIL_SAMPLES], Fraction(0))
-        return (head + close_poly_geometric_tail(values[-TAIL_SAMPLES:], p)) * zeta1(p)
-    raise StabilizationError("no stabilization in the torus coordinate")
+    total = Fraction(0)
+    for k in range(-window if lo is None else max(lo, -window), hi + 1):
+        s = _iwasawa_t_integral(polys, k, p, window, tree)
+        if s and k == -window:
+            raise StabilizationError(edge)
+        total += (p - 1) * Fraction(p) ** -(k + 1) * s
+    if total == 0:
+        # not an exact 0: the t-scan stops after four empty t-shells, so it
+        # can truncate every shell of a non-empty interval to 0
+        raise StabilizationError("no stabilization in the torus coordinate")
+    return total * zeta1(p)
 
 
 # ---------------------------------------------------------------------------

@@ -157,10 +157,6 @@ class SRedElt:
             raise InputError("not reduced: d != 0")
         self.z = z
 
-    @classmethod
-    def exact(cls, rows, p: int) -> "SRedElt":
-        return cls([[_ps(Fraction(x), p) for x in row] for row in rows])
-
     @property
     def p(self) -> int:
         return self.z[0][0].p
@@ -182,12 +178,6 @@ class SRedElt:
         wt = ((c[0] * A[0][0] + c[1] * A[1][0]) * b[0]
               + (c[0] * A[0][1] + c[1] * A[1][1]) * b[1])
         return BPoint(lam, u, wt)
-
-    def is_rs(self) -> bool:
-        return self.invariants().is_rs()
-
-    def is_integral(self) -> bool:
-        return all(e.val() >= 0 for row in self.z for e in row)
 
     def __repr__(self):
         return f"SRedElt({self.z!r})"
@@ -243,13 +233,6 @@ class U0RedElt:
              - self.a3 * self.b1.norm())
         wt = s / self.p
         return BPoint(lam, u, wt)
-
-    def is_rs(self) -> bool:
-        return self.invariants().is_rs()
-
-    def is_integral(self) -> bool:
-        return (self.a1.val() >= 0 and self.a2.val() >= 0 and self.a3.val() >= 0
-                and self.b1.is_integral() and self.b2.is_integral())
 
     def __repr__(self):
         return (f"U0RedElt(a1={self.a1!r}, a2={self.a2!r}, a3={self.a3!r}, "
@@ -352,9 +335,6 @@ class U1LieElt:
         return (self.alpha.is_integral() and self.b.is_integral()
                 and self.beta.val() >= 0
                 and self.d.is_integral())
-
-    def is_rs(self) -> bool:
-        return U1RedElt(self.alpha, self.b).is_rs()
 
     def __repr__(self):
         return (f"U1LieElt(alpha={self.alpha!r}, beta={self.beta!r}, "

@@ -468,13 +468,6 @@ class QuadElt:
 
     __rmul__ = __mul__
 
-    def inv(self) -> "QuadElt":
-        n = self.norm()
-        return QuadElt(self.a / n, -self.b / n)
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inv()
-
     def __eq__(self, other):
         try:
             o = self._coerce(other)
@@ -541,10 +534,6 @@ class QuatElt:
     def trd(self) -> PadicScalar:
         return self.x.trace()
 
-    def nrd(self) -> PadicScalar:
-        eps = PadicScalar(self.p, _fr=Fraction(smallest_nonresidue(self.p)))
-        return self.x.norm() - eps * self.y.norm()
-
     def is_zero(self) -> bool:
         return self.x.is_zero() and self.y.is_zero()
 
@@ -587,15 +576,6 @@ class QuatElt:
         # scalar (central) multiplication only
         o = self._coerce(other)
         return o * self
-
-    def inv(self) -> "QuatElt":
-        n = self.nrd()
-        c = self.conj()
-        return QuatElt(QuadElt(c.x.a / n, c.x.b / n),
-                       QuadElt(c.y.a / n, c.y.b / n))
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inv()
 
     def __eq__(self, other):
         try:

@@ -55,9 +55,6 @@ class CClassFn:
             out[t] = out.get(t, LogQVal.const(0, self.p)) + v
         return CClassFn(out, self.p)
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def __eq__(self, other):
         if not isinstance(other, CClassFn):
             return NotImplemented

@@ -20,10 +20,10 @@ from atlas.orbits import (INF, XI_CHOICES, BPoint, U0RedElt, U1LieElt,
                           u0_nilpotent_family_member, u0_ss_case0,
                           u0_ss_case1)
 from atlas.padic import PadicScalar, QuadElt, QuatElt, eta
-from atlas.svalue import LogQVal
+from atlas.svalue import LogQVal, zeta1
 from atlas.values import (nil_family_orb_u0_fn, orb_u0_ss_case0,
                           orb_u0_ss_case1, phi_eval)
-from test_padic import abs_precision, rel_precision
+from test_padic import abs_precision, quad_inv, rel_precision
 
 # the criterion-5 points (m, l-, l+) at p = 3
 XI_POINTS = ((0, 1, INF), (1, 3, 5), (0, 2, 3), (1, 1, 3), (2, 3, 5), (2, 1, 7),
@@ -200,14 +200,16 @@ def f_shell(k, p):
             for u in range(1, p)]
 
 
-def _t_scan(ev, p, window):
+def _t_scan(ev, p, window, stop=4):
+    """Z_p and the t-shells -1, -2, ..., -window, ended after stop empty
+    shells in a row; stop None sweeps every shell to the window."""
     total = ball_sum(p, [Ball0(Fraction(0), 0)], ev)
     zeros = 0 if total != 0 else 1
     for j in range(-1, -window - 1, -1):
         s = ball_sum(p, f0_shell(j, p), ev)
         total += s
         zeros = zeros + 1 if s == 0 else 0
-        if zeros >= 4:
+        if stop is not None and zeros >= stop:
             break
     return total
 
@@ -229,10 +231,10 @@ def fraction_conj_polys(M):
     return out
 
 
-def fraction_t_integral(M, k, p, window):
+def fraction_t_integral(M, k, p, window, stop=4):
     """The t-integral swept in the t coordinate itself: Fraction polynomials
     and t-balls, each decided by the exact Taylor test, the depth cap on the
-    t-depth."""
+    t-depth; stop as in _t_scan."""
     bounds = _shell_bounds(k)
     conds = [(poly, -((part - bounds[i][j]) // 2))
              for i, j, part, poly in fraction_conj_polys(M)]
@@ -249,7 +251,21 @@ def fraction_t_integral(M, k, p, window):
             out = None
         return out
 
-    return _t_scan(ev, p, window)
+    return _t_scan(ev, p, window, stop)
+
+
+def swept_orbit(y, window=None):
+    """iwasawa_orbit_u0 of an element outside the nilpotent family with
+    each t-integral a full sweep of the t-shells 0..-window, with no stop
+    after empty shells: the volume-weighted sum over the torus shells
+    max(lo, -window)..hi of its `_k_interval`, times zeta(1)."""
+    M, p = y.matrix(), y.p
+    window = auto_window(y) if window is None else window
+    lo, hi = _k_interval(_conj_polys(M), p, False)
+    start = -window if lo is None else max(lo, -window)
+    total = sum(((p - 1) * Fraction(p) ** -(k + 1) * fraction_t_integral(M, k, p, window, None)
+                 for k in range(start, hi + 1)), Fraction(0))
+    return total * zeta1(p)
 
 
 def in_span(span, k):
@@ -295,7 +311,7 @@ def capped_xi_integral(x, window):
     return LogQVal({2: shell_sum(p, weight, window)}, p)
 
 
-# The per-z-ball sweep that z_shell_value replaces, kept as its reference:
+# The per-z-ball sweep that the torus shells replace, kept as their reference:
 # capped torus points from the f_shell balls, the conjugation by
 # diag(z^-1, conj(z), 1) rebuilt from them, undecided z-balls split.
 
@@ -304,7 +320,7 @@ ZERO_BOUNDS = ((0, 0, 0),) * 3
 
 def _torus(z):
     n = z.norm()
-    zi = z.inv()
+    zi = quad_inv(z)
     return z, n, n.inv(), z.conj(), zi, zi.conj()
 
 
@@ -330,11 +346,21 @@ def ref_z_shell_value(M, k, p, window, nilfam):
     return ball_sum(p, f_shell(k, p), ev)
 
 
+# U0RedElt.exact arguments, iwasawa_orbit_u0 today (None: it raises) and the
+# value with every t-shell swept to the window (`swept_orbit`); the third
+# element is from a seeded search, and its torus shells -6..3 all scan to 0
+TRUNCATED = [((0, 3, 0, 4, 4374, 3), 4373, 6560),
+             ((0, 25, 0, 1, 625, 5), 937, 4687),
+             ((-324, Fraction(-63, 2), 0, QuadElt.exact(-54, Fraction(4, 27), 3),
+               QuadElt.exact(0, -24, 3), 3), None, 8)]
+
+
 class TestTailLaw:
     def test_closes_every_polynomial_geometric_law(self):
-        # P(i) r^i for deg P <= 2 and r = p^-a, against
+        # P(i) r^i for deg P <= 2 and r = p^-a: for a = 1 against
         # sum r^i = 1/(1 - r), sum i r^i = r/(1 - r)^2 and
-        # sum i^2 r^i = r (1 + r)/(1 - r)^3
+        # sum i^2 r^i = r (1 + r)/(1 - r)^3; every tail closed has r = 1/p,
+        # so a >= 2 raises
         rng = random.Random(3)
         for p in (3, 5, 7):
             for a in range(1, 9):
@@ -344,6 +370,10 @@ class TestTailLaw:
                          for _ in range(deg + 1)] + [Fraction(0)] * (2 - deg)
                     c[deg] = c[deg] or Fraction(1)
                     values = [(c[0] + c[1] * i + c[2] * i * i) * r ** i for i in range(7)]
+                    if a >= 2:
+                        with pytest.raises(StabilizationError, match="no geometric ratio"):
+                            close_poly_geometric_tail(values, p)
+                        continue
                     want = (c[0] / (1 - r) + c[1] * r / (1 - r) ** 2
                             + c[2] * r * (1 + r) / (1 - r) ** 3)
                     assert close_poly_geometric_tail(values, p) == want, (p, a, c)
@@ -361,7 +391,7 @@ class TestTailLaw:
             close_poly_geometric_tail([Fraction(1, 3 ** i) for i in range(6)], 3)
 
     def test_no_geometric_law_raises(self):
-        # ratio 2, and ratio p^-9 beyond MAX_RATIO_POW
+        # ratio 2, and ratio p^-9
         for values in ([Fraction(2) ** i for i in range(7)],
                        [Fraction(1, 3 ** (9 * i)) for i in range(7)]):
             with pytest.raises(StabilizationError, match="no geometric ratio"):
@@ -484,8 +514,7 @@ class TestIwasawa:
                                  for row, brow in zip(M, _shell_bounds(k))
                                  for e, m in zip(row, brow))
                     vol = (p - 1) * Fraction(p) ** -(k + 1)
-                    got = (integrate.z_shell_value(polys, k, p, 8, None)
-                           if in_span(span, k) else 0)
+                    got = vol if in_span(span, k) else 0
                     assert got == (vol if inside else 0), (M, k)
                     seen[inside] += 1
         assert seen[True] >= 100 and seen[False] >= 100, seen
@@ -497,15 +526,18 @@ class TestIwasawa:
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_shell_values_match_z_ball_sweep(self, p, monkeypatch):
-        shortcut = integrate.z_shell_value
+        # each shell the scan evaluates, volume times t-integral, and every
+        # nilpotent-family shell of the window, the volume on the k-interval
+        # and 0 outside it, against the capped z-ball sweep
+        inner = integrate._iwasawa_t_integral
         visited = []
 
         def record(polys, k, q, window, tree):
-            v = shortcut(polys, k, q, window, tree)
-            visited.append((M, k, window, tree is None, v))
-            return v
+            t = inner(polys, k, q, window, tree)
+            visited.append((M, k, window, False, (q - 1) * Fraction(q) ** -(k + 1) * t))
+            return t
 
-        monkeypatch.setattr(integrate, "z_shell_value", record)
+        monkeypatch.setattr(integrate, "_iwasawa_t_integral", record)
         lam0 = 2 if p == 5 else 1      # -lam0 a non-square unit
         for y in (u0_ss_case0(lam0, p), u0_ss_case0(lam0 * p, p),
                   u0_ss_case1(BPoint.exact(0, 1, 0, p)),
@@ -515,24 +547,29 @@ class TestIwasawa:
                   u0_nilpotent_family_member(p, p)):
             M = y.matrix()
             iwasawa_orbit_u0(y)
+            inv = y.invariants()
+            if all(c.is_exact_zero() for c in (inv.lam, inv.u, inv.wtilde)):
+                window = auto_window(y)
+                span = _k_interval(_conj_polys(M), p, True)
+                visited += [(M, k, window, True, (p - 1) * Fraction(p) ** -(k + 1)
+                             if in_span(span, k) else 0)
+                            for k in range(-window, window + 1)]
         assert sum(1 for *_, v in visited if v != 0) >= 10
         for M, k, window, nilfam, v in visited:
             assert ref_z_shell_value(M, k, p, window, nilfam) == v, (k, nilfam)
 
     def test_t_integrals_match_the_capped_reference(self, monkeypatch):
-        # every torus shell the scan reaches, up to three empty shells after
-        # a nonzero one: the t-integral inside the element's k-interval, an
-        # exact 0 outside it
-        exact = integrate.z_shell_value
+        # every torus shell of the window: the t-integral inside the
+        # element's k-interval, where the scan evaluates it, an exact 0
+        # outside it
+        exact = integrate._iwasawa_t_integral
         calls = {}
 
         def record(polys, k, p, window, tree):
-            v = exact(polys, k, p, window, tree)
-            if tree is not None:
-                calls[k] = v / ((p - 1) * Fraction(p) ** -(k + 1))
-            return v
+            calls[k] = exact(polys, k, p, window, tree)
+            return calls[k]
 
-        monkeypatch.setattr(integrate, "z_shell_value", record)
+        monkeypatch.setattr(integrate, "_iwasawa_t_integral", record)
         # the criterion-4 elements and two heavier points at p = 5
         heavy0 = 2 * Fraction(5) ** 6
         x0 = BPoint.exact(0, 5 ** 4, 0, 5)
@@ -547,14 +584,9 @@ class TestIwasawa:
                 continue
             span = _k_interval(_conj_polys(M), p, False)
             window = auto_window(y)
-            seen, zeros = False, 0
             for k in range(-window, window + 1):
                 assert (k in calls) == in_span(span, k), (M, k)
-                t = calls.get(k, Fraction(0))
-                pairs.append((M, k, p, window, t))
-                seen, zeros = (True, 0) if t else (seen, zeros + 1)
-                if seen and zeros >= 3:
-                    break
+                pairs.append((M, k, p, window, calls.get(k, Fraction(0))))
         assert len(pairs) >= 900
         assert sum(1 for *_, t in pairs if t != 0) >= 100
         for M, k, p, window, t in pairs:
@@ -632,6 +664,122 @@ class TestIwasawa:
         monkeypatch.setattr(integrate, "_iwasawa_t_integral", counted)
         assert iwasawa_orbit_u0(y) == orb_u0_ss_case1(0, 5 ** 4, 5) == 1562
         assert ks == list(range(10))
+
+    def test_an_empty_interval_is_an_exact_zero(self, monkeypatch):
+        # v(wtilde) = -2 with lam and u integral: the interval is (3, 2), so
+        # every torus shell is 0; the scan used to refuse it
+        def no_t_integral(*args):
+            raise AssertionError("a t-integral was evaluated")
+
+        monkeypatch.setattr(integrate, "_iwasawa_t_integral", no_t_integral)
+        y = U0RedElt.exact(-189, Fraction(-45, 2), Fraction(-9, 2),
+                           QuadElt.exact(Fraction(27, 2), Fraction(-4, 9), 3), 0, 3)
+        assert _k_interval(_conj_polys(y.matrix()), 3, False) == (3, 2)
+        assert iwasawa_orbit_u0(y) == 0
+        assert iwasawa_orbit_u0(y, window=1) == 0
+
+    def test_hi_is_finite_when_delta_is_nonzero(self):
+        # the positive-slope entries a3, b2 and conj(b2) pi are constant in
+        # t, so hi is None only when a3 = b2 = 0, and then u = wtilde = 0,
+        # so Delta = 0, and lam = -a1^2: the zero element, the nilpotent
+        # family or the split case, the last of which raises
+        rng = random.Random(31)
+        seen = Counter()
+        for p in (3, 5, 7):
+            def scalar():
+                if rng.randrange(3) == 0:
+                    return Fraction(0)
+                return (Fraction(rng.randint(-9, 9), rng.choice((1, 2, p - 1)))
+                        * Fraction(p) ** rng.randint(-3, 4))
+
+            for _ in range(300):
+                y = U0RedElt.exact(scalar(), scalar(), scalar(),
+                                   QuadElt.exact(scalar(), scalar(), p),
+                                   QuadElt.exact(scalar(), scalar(), p), p)
+                inv = y.invariants()
+                _, hi = _k_interval(_conj_polys(y.matrix()), p, False)
+                seen["rs" if inv.is_rs() else "not rs"] += 1
+                if hi is not None:
+                    continue
+                seen["open"] += 1
+                assert not inv.is_rs(), y
+                assert y.a3.is_exact_zero() and y.b2.is_zero()
+                assert inv.u.is_exact_zero() and inv.wtilde.is_exact_zero()
+                assert inv.lam == -(y.a1 * y.a1)
+                if not inv.lam.is_exact_zero() and inv.lam.val() >= 0:
+                    seen["split"] += 1
+                    with pytest.raises(StabilizationError):
+                        iwasawa_orbit_u0(y)
+        assert seen["rs"] >= 600 and seen["open"] >= 20 and seen["split"] >= 5, seen
+
+    def test_nilpotent_family_is_the_closed_volume(self):
+        # seeded nilpotent matrices, with hi None and with hi finite: the
+        # closed volume is the sum over a full window of the shells where
+        # v_F(entry) >= m for the bounds m of _shell_bounds, plus the volume
+        # p^-(W+1) of the shells above the window when hi is None
+        rng = random.Random(37)
+        seen = Counter()
+        for p in (3, 5, 7):
+            def scalar():
+                return (Fraction(rng.choice((-1, 1)) * rng.randrange(1, p * p))
+                        * Fraction(p) ** rng.randint(-3, 3))
+
+            def quad():
+                return QuadElt.exact(scalar(), scalar(), p)
+
+            zero = QuadElt.exact(0, 0, p)
+            for _ in range(40):
+                # the nilpotent family member's shape, and the conjugate of
+                # (0, 0, a3, 0, b2) by the unipotent of parameter c
+                a3, b2 = rng.choice((0, scalar())), quad()
+                c = rng.randrange(1, p * p) * Fraction(p) ** rng.randint(-1, 1)
+                for y in (U0RedElt.exact(0, scalar(), 0, quad(), zero, p),
+                          U0RedElt.exact(a3 * c, -a3 * c * c, a3,
+                                         QuadElt.exact(c, 0, p) * b2, b2, p)):
+                    inv = y.invariants()
+                    assert all(x.is_exact_zero() for x in (inv.lam, inv.u, inv.wtilde))
+                    M, W = y.matrix(), 40
+                    shells = sum(((p - 1) * Fraction(p) ** -(k + 1)
+                                  for k in range(-W, W + 1)
+                                  if all(e.val_f() >= m
+                                         for row, brow in zip(M, _shell_bounds(k))
+                                         for e, m in zip(row, brow))), Fraction(0))
+                    _, hi = _k_interval(_conj_polys(M), p, True)
+                    if hi is None:
+                        shells += Fraction(p) ** -(W + 1)
+                    seen["open" if hi is None else "closed" if shells else "empty"] += 1
+                    assert iwasawa_orbit_u0(y) == shells * zeta1(p), y
+        assert min(seen["open"], seen["closed"], seen["empty"]) >= 30, seen
+
+    def test_nilpotent_family_evaluates_no_t_integral_and_no_tail(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(integrate, "_iwasawa_t_integral", forbidden)
+        monkeypatch.setattr(integrate, "close_poly_geometric_tail", forbidden)
+        for y, want in criterion4_elements():
+            if y.invariants().lam.is_exact_zero() and y.invariants().u.is_exact_zero():
+                assert iwasawa_orbit_u0(y) == want
+
+    @pytest.mark.parametrize("args, today, swept", TRUNCATED)
+    def test_the_full_sweep_sees_past_four_empty_t_shells(self, args, today, swept):
+        # the reference sweeps every t-shell to the window; the oracle's
+        # t-scan stops after four empty ones and returns today's value, or
+        # raises (None) when that empties every torus shell of the interval
+        y = U0RedElt.exact(*args)
+        assert swept_orbit(y) == swept
+        if today is None:
+            with pytest.raises(StabilizationError):
+                iwasawa_orbit_u0(y)
+        else:
+            assert iwasawa_orbit_u0(y) == today
+
+    @pytest.mark.xfail(strict=True, raises=(AssertionError, StabilizationError),
+                       reason="the t-scan stops after four empty t-shells, which "
+                              "truncates these t-supports")
+    @pytest.mark.parametrize("args, today, swept", TRUNCATED)
+    def test_t_supports_past_four_empty_shells(self, args, today, swept):
+        assert iwasawa_orbit_u0(U0RedElt.exact(*args)) == swept
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_shared_tree_matches_a_fresh_one(self, p, monkeypatch):

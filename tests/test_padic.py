@@ -56,6 +56,29 @@ def minus_part(q):
     return QuatElt(QuadElt.zero(q.p), q.y)
 
 
+# Inverses and the reduced norm, which no verdict reads: the library
+# multiplies on integer coordinates and never divides an element of F or D.
+
+
+def quad_inv(z):
+    """1/z = conj(z)/N(z) in F."""
+    n = z.norm()
+    return QuadElt(z.a / n, -z.b / n)
+
+
+def quat_nrd(q):
+    """The reduced norm N(x) - eps N(y) of q = x + y j."""
+    eps = PadicScalar.exact(smallest_nonresidue(q.p), q.p)
+    return q.x.norm() - eps * q.y.norm()
+
+
+def quat_inv(q):
+    """1/q = conj(q)/Nrd(q) in D."""
+    n = quat_nrd(q)
+    c = q.conj()
+    return QuatElt(QuadElt(c.x.a / n, c.x.b / n), QuadElt(c.y.a / n, c.y.b / n))
+
+
 def quad_formula(q1, q2):
     """(x1 + y1 j)(x2 + y2 j) from QuadElt arithmetic: the reference for the
     QuatElt product."""
@@ -614,7 +637,7 @@ class TestQuadElt:
                 assert z.trace() == z.a + z.a
                 assert (z * z.conj() - z.norm()).is_zero()
                 if not z.is_zero():
-                    assert (z * z.inv() - 1).is_zero()
+                    assert (z * quad_inv(z) - 1).is_zero()
 
     def test_val_f(self):
         z = QuadElt.exact(25, 5, 5)
@@ -626,7 +649,7 @@ class TestQuatElt:
         for p in (3, 5, 7):
             j = QuatElt.j(p)
             eps = smallest_nonresidue(p)
-            assert j.nrd().rational == -eps
+            assert quat_nrd(j).rational == -eps
             assert v_d(j) == 0
 
     def test_anticommutation(self):
@@ -643,8 +666,8 @@ class TestQuatElt:
                              QuadElt.exact(random.randint(-9, 9), random.randint(-9, 9), p))
                 z2 = QuatElt(QuadElt.exact(random.randint(-9, 9), random.randint(-9, 9), p),
                              QuadElt.exact(random.randint(-9, 9), random.randint(-9, 9), p))
-                assert ((z1 * z2).nrd() - z1.nrd() * z2.nrd()).is_exact_zero()
-                assert (z1.conj().nrd() - z1.nrd()).is_exact_zero()
+                assert (quat_nrd(z1 * z2) - quat_nrd(z1) * quat_nrd(z2)).is_exact_zero()
+                assert (quat_nrd(z1.conj()) - quat_nrd(z1)).is_exact_zero()
                 zz = z1 * z1.conj()
                 assert zz.y.is_zero() and zz.x.b.is_exact_zero()
                 if not (z1.is_zero() or z2.is_zero()):
@@ -657,7 +680,7 @@ class TestQuatElt:
         for _ in range(30):
             z = QuatElt(QuadElt.exact(random.randint(-9, 9), random.randint(-9, 9), p),
                         QuadElt.exact(random.randint(-9, 9), random.randint(-9, 9), p))
-            w = pi * z * pi.inv()
+            w = pi * z * quat_inv(pi)
             assert plus_part(w) == plus_part(z)
             assert (minus_part(w) + minus_part(z)).is_zero()
 
