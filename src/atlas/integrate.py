@@ -20,11 +20,14 @@ so the lattice indicator depends on z only through k: each torus shell is
 evaluated once, as its volume times the unipotent integral of the bounds
 v_F(entry_ij) >= -e_ij k.  Those on entries constant in t are linear in k,
 so they hold on one interval lo..hi of k per element (`_k_interval`),
-outside which a shell is an exact 0: the torus scan is that interval, and
-the nilpotent family's integral its closed volume.  Only the bounds depend
-on k: each call keeps one ball tree per shell v(t) = j, in the integer
-coordinate tau = t p^-j, and refines it across all k (see
-`_iwasawa_t_integral`).
+outside which a shell is an exact 0, and the nilpotent family's integral is
+its closed volume.  The bounds on entries that depend on t weaken as k
+grows, so the unipotent integral is nondecreasing in k: the torus scan runs
+down from hi and ends at its first empty shell, and a scan empty at hi is
+an exact 0.  Each unipotent integral sweeps Z_p and the shells v(t) = j
+down to a floor read off the Newton polygons of its polynomials, below
+which no condition can pass (`_t_floor`), each shell from its roots in the
+integer coordinate tau = t p^-j (see `_iwasawa_t_integral`).
 
 The double-log shell sum behind the family contribution (`xi_integral`) is
 a pure (log q)^2 value.  Each shell v(t) = k is swept in the same kind of
@@ -205,81 +208,71 @@ def _k_interval(polys, p: int, at_zero: bool):
     return lo, hi
 
 
-def _leaf(ball: Ball0, scaled, p: int):
-    """The ball with the Taylor pair (v(P(c)), rest) of every polynomial."""
-    c = ball.point()
-    return ball, tuple(_taylor(poly, v2, c, ball.depth, p)[1:]
-                       for poly, v2 in scaled)
+def _t_floor(conds, p: int) -> int:
+    """The lowest t-shell j <= 0 that can pass every condition v(P) >= b in
+    conds, the t-dependent integer polynomials P = c0 + c1 t + c2 t^2 with
+    their bounds.  Below every root of P, of degree d, v(P(t)) = v(c_d) + d j
+    exactly on the shell v(t) = j, and the Newton polygon puts every root at
+    v >= r_min, the least (v(c_i) - v(c_d))/(d - i) over i < d with c_i != 0
+    (+inf when there is none).  So shell j can pass P only when
+    j >= min(ceil(r_min), ceil((b - v(c_d))/d)).  With no t-dependent
+    condition the unipotent integral is infinite: StabilizationError (no
+    U0RedElt reaches it, as then a3 = b2 = 0 and hi is open)."""
+    if not conds:
+        raise StabilizationError("no stabilization in the unipotent coordinate: "
+                                 "no t-dependent condition")
+    floors = []
+    for poly, b in conds:
+        d = 2 if poly[2] else 1
+        vd = val(poly[d], p)
+        roots = [-((vd - val(c, p)) // (d - i)) for i, c in enumerate(poly[:d]) if c]
+        floors.append(min(roots + [-((vd - b) // d)]))
+    return min(max(floors), 0)
 
 
-def _plant(polys, j: int, p: int):
-    """The tree of the t-shell j: the t-dependent polynomials in tau = t p^-j,
-    each with v(c2), and the leaves of its roots (Z_p, or the unit balls)."""
-    s = p ** -j
-    scaled = [((c0 * s * s, c1 * s, c2), val(c2, p))
-              for _, _, _, (c0, c1, c2), _ in polys if c1 or c2]
-    roots = [Ball0(0, 0)] if j == 0 else unit_cover(p)
-    return scaled, [_leaf(b, scaled, p) for b in roots]
-
-
-def _iwasawa_t_integral(polys, k: int, p: int, window: int, tree) -> Fraction:
+def _iwasawa_t_integral(polys, k: int, p: int) -> Fraction:
     """Inner integral over the unipotent coordinate of the indicator of the
     lattice, on the torus shell v_F(z) = k; the unipotent acts first, the
     torus scaling second, for k in `_k_interval(polys, p, False)`; the bounds
     are those of `_lattice_bounds(polys, k)` on polynomials that depend on t.
 
-    Z_p (j = 0) and each shell v(t) = j < 0 are swept in the integer
-    coordinate tau = t s with s = p^-j: the bound v(c0 + c1 t + c2 t^2) >= b
-    is v(c0 s^2 + c1 s tau + c2 tau^2) >= b - 2j, and the ball
-    tau + p^e Z_p is the t-ball of depth e + j, of volume p^-(e+j).  DEPTH_CAP
-    applies to that t-depth.  Only the bounds depend on k, so the tree of
-    shell j, tree(j) (`_plant`), serves every k: a leaf passes when
-    min(v(P(c)), rest) >= b for every polynomial, fails when v(P(c)) < rest
-    and v(P(c)) < b for one, and is otherwise split, its children replacing
-    it for later k.  The Taylor test is exact, so a sub-ball of a decided
-    ball is decided alike, and T(k) and every ConductorError are those of a
-    sweep from the roots."""
-    bs = [b for poly, b in _lattice_bounds(polys, k) if poly[1] or poly[2]]
-
-    def shell(j):
-        scaled, leaves = tree(j)
-        bj = [b - 2 * j for b in bs]
-        passed = {}          # passing leaves by tau-depth
-        i = 0
-        while i < len(leaves):
-            ball, pairs = leaves[i]
+    Z_p (j = 0) and each shell v(t) = j down to `_t_floor` are swept in the
+    integer coordinate tau = t s with s = p^-j: the bound
+    v(c0 + c1 t + c2 t^2) >= b is v(c0 s^2 + c1 s tau + c2 tau^2) >= b - 2j,
+    and the ball tau + p^e Z_p is the t-ball of depth e + j, of volume
+    p^-(e+j).  DEPTH_CAP applies to that t-depth.  A ball passes when
+    min(v(P(c)), rest) >= b for every polynomial (`_taylor`), fails when
+    v(P(c)) < rest and v(P(c)) < b for one, and is otherwise split; the
+    passing balls are counted by t-depth into one Fraction."""
+    conds = [(poly, b) for poly, b in _lattice_bounds(polys, k) if poly[1] or poly[2]]
+    passed = {}             # passing balls by t-depth
+    for j in range(0, _t_floor(conds, p) - 1, -1):
+        s = p ** -j
+        scaled = [((c0 * s * s, c1 * s, c2), val(c2, p), b - 2 * j)
+                  for (c0, c1, c2), b in conds]
+        stack = [Ball0(0, 0)] if j == 0 else unit_cover(p)
+        while stack:
+            ball = stack.pop()
+            c, e = ball.point(), ball.depth
             verdict = True
-            for (v0, rest), b in zip(pairs, bj):
+            for poly, v2, b in scaled:
+                _, v0, rest = _taylor(poly, v2, c, e, p)
                 if v0 < b and v0 < rest:
                     verdict = False
                     break
                 if v0 < b or rest < b:
                     verdict = None
             if verdict is None:
-                if ball.depth + j >= DEPTH_CAP:
+                if e + j >= DEPTH_CAP:
                     raise ConductorError("conductor too small: depth cap reached")
-                kids = [_leaf(c, scaled, p) for c in ball.split(p)]
-                leaves[i] = kids[0]
-                leaves += kids[1:]
-                continue
-            if verdict:
-                passed[ball.depth] = passed.get(ball.depth, 0) + 1
-            i += 1
-        return p ** -j * sum((Fraction(n, p ** e) for e, n in passed.items()),
-                             Fraction(0))
-
-    # a stop after four empty t-shells, a rule and not a bound: a condition
-    # can pass on a ball in any shell v(t) < 0 beyond them
-    total = shell(0)
-    zeros = 0 if total != 0 else 1
-    for j in range(-1, -window - 1, -1):
-        s = shell(j)
-        total += s
-        zeros = zeros + 1 if s == 0 else 0
-        if zeros >= 4:
-            return total
-    raise StabilizationError(f"no stabilization in the unipotent coordinate on "
-                             f"torus shell {k}: window {window} too small")
+                stack.extend(ball.split(p))
+            elif verdict:
+                passed[e + j] = passed.get(e + j, 0) + 1
+    if not passed:
+        return Fraction(0)
+    top = max(passed)
+    n = sum(m * p ** (top - e) for e, m in passed.items())
+    return Fraction(n, p ** top) if top >= 0 else Fraction(n * p ** -top)
 
 
 MIN_AUTO_WINDOW = 8
@@ -301,15 +294,20 @@ def iwasawa_orbit_u0(y: U0RedElt, window: int | None = None):
     invariants zero) the stabilizer is the unipotent subgroup and the
     indicator is 1 on the interval: the integral is zeta(1) (p^-lo -
     p^-(hi+1)), the second term dropped when hi is None.  Any other element
-    sums its shells max(lo, -window)..hi, volume times unipotent integral.
-    There hi is finite: the entries of positive slope in `_shell_bounds`,
-    (1, 0), (1, 2) and (2, 0), are a3, b2 and conj(b2) pi, constant in t, so
-    hi is None only when a3 = b2 = 0; then u = wtilde = 0 and lam = -a1^2,
-    the zero or a split-case element, which raises StabilizationError.
+    sums its shells from hi down to max(lo, -window), volume times unipotent
+    integral T(k).  There hi is finite: the entries of positive slope in
+    `_shell_bounds`, (1, 0), (1, 2) and (2, 0), are a3, b2 and conj(b2) pi,
+    constant in t, so hi is None only when a3 = b2 = 0; then u = wtilde = 0
+    and lam = -a1^2, the zero or a split-case element, which raises
+    StabilizationError.  The scan stops at its first T(k) = 0, exactly: the
+    entries that depend on t, (0, 0), (0, 1), (0, 2), (1, 1) and (2, 1),
+    have the bounds 0, -2k, -k, 0 and -k, which weaken as k grows, so the t
+    that pass on shell k pass on shell k + 1 and T is nondecreasing.
 
-    The integral is exactly 0 on an empty interval, and when v(lam) < 0 or
-    v(u) < 0, both integral on the lattice and constant on the orbit
-    (README, Conventions).  A window below 1 raises InputError; a support
+    The integral is exactly 0 on an empty interval, when every shell of the
+    scan is 0, and when v(lam) < 0 or v(u) < 0, both integral on the
+    lattice and constant on the orbit (README, Conventions).  A window below
+    1 raises InputError; a support
     reaching the window's edge (a nilpotent-family lo <= -window, a nonzero
     shell -window, or hi > window) raises StabilizationError rather than
     return a truncated sum; a ConductorError propagates."""
@@ -337,23 +335,14 @@ def iwasawa_orbit_u0(y: U0RedElt, window: int | None = None):
         return (Fraction(p) ** -lo - tail) * zeta1(p)
     if hi is None or hi > window:
         raise StabilizationError("no stabilization in the torus coordinate")
-    trees = {}          # t-shell j -> (scaled polynomials, leaves)
-
-    def tree(j):
-        if j not in trees:
-            trees[j] = _plant(polys, j, p)
-        return trees[j]
-
     total = Fraction(0)
-    for k in range(-window if lo is None else max(lo, -window), hi + 1):
-        s = _iwasawa_t_integral(polys, k, p, window, tree)
-        if s and k == -window:
+    for k in range(hi, (-window if lo is None else max(lo, -window)) - 1, -1):
+        s = _iwasawa_t_integral(polys, k, p)
+        if not s:
+            break           # T(k) is nondecreasing in k: every lower shell is 0
+        if k == -window:
             raise StabilizationError(edge)
         total += (p - 1) * Fraction(p) ** -(k + 1) * s
-    if total == 0:
-        # not an exact 0: the t-scan stops after four empty t-shells, so it
-        # can truncate every shell of a non-empty interval to 0
-        raise StabilizationError("no stabilization in the torus coordinate")
     return total * zeta1(p)
 
 

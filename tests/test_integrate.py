@@ -10,7 +10,7 @@ from atlas import integrate
 from atlas.errors import ConductorError, InputError, PrecisionError, StabilizationError
 from atlas.integrate import (TAIL_SAMPLES, Ball0, BallF, _conj_polys,
                              _iwasawa_t_integral, _k_interval, _lattice_bounds,
-                             _plant, _shell_bounds, _taylor,
+                             _shell_bounds, _t_floor, _taylor,
                              auto_window, close_poly_geometric_tail,
                              iwasawa_orbit_u0, phi_from_xi, xi_integral)
 from atlas.cli import main
@@ -200,18 +200,10 @@ def f_shell(k, p):
             for u in range(1, p)]
 
 
-def _t_scan(ev, p, window, stop=4):
-    """Z_p and the t-shells -1, -2, ..., -window, ended after stop empty
-    shells in a row; stop None sweeps every shell to the window."""
-    total = ball_sum(p, [Ball0(Fraction(0), 0)], ev)
-    zeros = 0 if total != 0 else 1
-    for j in range(-1, -window - 1, -1):
-        s = ball_sum(p, f0_shell(j, p), ev)
-        total += s
-        zeros = zeros + 1 if s == 0 else 0
-        if stop is not None and zeros >= stop:
-            break
-    return total
+def _t_scan(ev, p, window):
+    """Z_p and every t-shell -1, -2, ..., -window."""
+    shells = [[Ball0(Fraction(0), 0)]] + [f0_shell(j, p) for j in range(-1, -window - 1, -1)]
+    return sum((ball_sum(p, balls, ev) for balls in shells), Fraction(0))
 
 
 def fraction_conj_polys(M):
@@ -231,10 +223,10 @@ def fraction_conj_polys(M):
     return out
 
 
-def fraction_t_integral(M, k, p, window, stop=4):
-    """The t-integral swept in the t coordinate itself: Fraction polynomials
-    and t-balls, each decided by the exact Taylor test, the depth cap on the
-    t-depth; stop as in _t_scan."""
+def fraction_t_integral(M, k, p, window):
+    """The t-integral swept in the t coordinate itself over the t-shells of
+    _t_scan: Fraction polynomials and t-balls, each decided by the exact
+    Taylor test, the depth cap on the t-depth."""
     bounds = _shell_bounds(k)
     conds = [(poly, -((part - bounds[i][j]) // 2))
              for i, j, part, poly in fraction_conj_polys(M)]
@@ -251,19 +243,20 @@ def fraction_t_integral(M, k, p, window, stop=4):
             out = None
         return out
 
-    return _t_scan(ev, p, window, stop)
+    return _t_scan(ev, p, window)
 
 
 def swept_orbit(y, window=None):
     """iwasawa_orbit_u0 of an element outside the nilpotent family with
-    each t-integral a full sweep of the t-shells 0..-window, with no stop
-    after empty shells: the volume-weighted sum over the torus shells
-    max(lo, -window)..hi of its `_k_interval`, times zeta(1)."""
+    each t-integral a full sweep of the t-shells 0..-window, with no floor,
+    and every torus shell summed, with no stop: the volume-weighted sum over
+    the torus shells max(lo, -window)..hi of its `_k_interval`, times
+    zeta(1)."""
     M, p = y.matrix(), y.p
     window = auto_window(y) if window is None else window
     lo, hi = _k_interval(_conj_polys(M), p, False)
     start = -window if lo is None else max(lo, -window)
-    total = sum(((p - 1) * Fraction(p) ** -(k + 1) * fraction_t_integral(M, k, p, window, None)
+    total = sum(((p - 1) * Fraction(p) ** -(k + 1) * fraction_t_integral(M, k, p, window)
                  for k in range(start, hi + 1)), Fraction(0))
     return total * zeta1(p)
 
@@ -274,22 +267,21 @@ def in_span(span, k):
     return (lo is None or lo <= k) and (hi is None or k <= hi)
 
 
-def shared_tree(polys, p):
-    """The trees of polys planted once per t-shell and shared by every torus
-    shell read through it, as iwasawa_orbit_u0 keeps them for one call."""
-    trees = {}
+def capped_t_integrals(M, ks, p, window):
+    """The capped t-integral on each torus shell k of ks, by k: each t-ball's
+    capped conjugate is built once and tested against the bounds of every
+    k."""
+    conj = {}
 
-    def tree(j):
-        if j not in trees:
-            trees[j] = _plant(polys, j, p)
-        return trees[j]
-    return tree
+    def integral(k):
+        bounds = _shell_bounds(k)
 
-
-def capped_t_integral(M, k, p, window):
-    bounds = _shell_bounds(k)
-    return _t_scan(lambda ball: _indicator(matrix_val_at_least(
-        _n_conj(M, capped_point(ball, p)), bounds)), p, window)
+        def ev(ball):
+            if ball not in conj:
+                conj[ball] = _n_conj(M, capped_point(ball, p))
+            return _indicator(matrix_val_at_least(conj[ball], bounds))
+        return _t_scan(ev, p, window)
+    return {k: integral(k) for k in ks}
 
 
 def capped_xi_integral(x, window):
@@ -346,13 +338,43 @@ def ref_z_shell_value(M, k, p, window, nilfam):
     return ball_sum(p, f_shell(k, p), ev)
 
 
-# U0RedElt.exact arguments, iwasawa_orbit_u0 today (None: it raises) and the
-# value with every t-shell swept to the window (`swept_orbit`); the third
-# element is from a seeded search, and its torus shells -6..3 all scan to 0
-TRUNCATED = [((0, 3, 0, 4, 4374, 3), 4373, 6560),
-             ((0, 25, 0, 1, 625, 5), 937, 4687),
+# U0RedElt.exact arguments and the value with every t-shell swept to the
+# window (`swept_orbit`), whose t-supports lie past four empty t-shells: a
+# t-scan that stopped there gave 4373, 937 and, on the third element, from a
+# seeded search, 0 on every torus shell of its interval -6..3
+TRUNCATED = [((0, 3, 0, 4, 4374, 3), 6560),
+             ((0, 25, 0, 1, 625, 5), 4687),
              ((-324, Fraction(-63, 2), 0, QuadElt.exact(-54, Fraction(4, 27), 3),
-               QuadElt.exact(0, -24, 3), 3), None, 8)]
+               QuadElt.exact(0, -24, 3), 3), 8)]
+
+
+# U0RedElt.exact arguments of seeded elements (seeded_u0, seeds 9, 10, 19, 24
+# and 31) whose sum a t-scan that stopped after four empty t-shells
+# truncated (to 1, 1, 1, 3 and 9), and the value with every t-shell swept to
+# the window
+SEEDED_TRUNCATED = [
+    ((0, -5625, 0, QuadElt.exact(Fraction(-3, 25), Fraction(-35, 2), 5),
+      QuadElt.exact(Fraction(225, 2), -200, 5), 5), 2),
+    ((Fraction(-45, 2), Fraction(243, 2), -729, QuadElt.exact(Fraction(2, 9), 54, 3),
+      QuadElt.exact(-9, Fraction(243, 2), 3), 3), 5),
+    ((-15, 18, 0, QuadElt.exact(Fraction(-5, 18), Fraction(-3, 2), 3),
+      QuadElt.exact(9, 0, 3), 3), 2),
+    ((Fraction(9, 2), Fraction(-7, 2), 12005, QuadElt.exact(12005, Fraction(-9, 49), 7),
+      QuadElt.exact(Fraction(-2401, 2), 441, 7), 7), 5),
+    ((0, 1029, 0, QuadElt.exact(19208, Fraction(6, 49), 7),
+      QuadElt.exact(0, 441, 7), 7), 3201)]
+
+
+def seeded_u0(rng, p):
+    """A U0RedElt whose coordinates are r p^i, with r = n/1 or n/2 for
+    |n| <= 9 and i in -2..4."""
+    def scalar():
+        r = Fraction(rng.randint(-9, 9), rng.choice((1, 2)))
+        return r * Fraction(p) ** rng.randint(-2, 4)
+
+    return U0RedElt.exact(scalar(), scalar(), scalar(),
+                          QuadElt.exact(scalar(), scalar(), p),
+                          QuadElt.exact(scalar(), scalar(), p), p)
 
 
 class TestTailLaw:
@@ -532,9 +554,10 @@ class TestIwasawa:
         inner = integrate._iwasawa_t_integral
         visited = []
 
-        def record(polys, k, q, window, tree):
-            t = inner(polys, k, q, window, tree)
-            visited.append((M, k, window, False, (q - 1) * Fraction(q) ** -(k + 1) * t))
+        def record(polys, k, q):
+            t = inner(polys, k, q)
+            vol = (q - 1) * Fraction(q) ** -(k + 1)
+            visited.append((M, k, auto_window(y), False, vol * t))
             return t
 
         monkeypatch.setattr(integrate, "_iwasawa_t_integral", record)
@@ -559,21 +582,22 @@ class TestIwasawa:
             assert ref_z_shell_value(M, k, p, window, nilfam) == v, (k, nilfam)
 
     def test_t_integrals_match_the_capped_reference(self, monkeypatch):
-        # every torus shell of the window: the t-integral inside the
-        # element's k-interval, where the scan evaluates it, an exact 0
+        # every torus shell of the window: the t-integral where the scan
+        # evaluates it, inside the element's k-interval, and an exact 0 on
+        # every other shell, inside the interval below the scan's stop or
         # outside it
         exact = integrate._iwasawa_t_integral
         calls = {}
 
-        def record(polys, k, p, window, tree):
-            calls[k] = exact(polys, k, p, window, tree)
+        def record(polys, k, p):
+            calls[k] = exact(polys, k, p)
             return calls[k]
 
         monkeypatch.setattr(integrate, "_iwasawa_t_integral", record)
         # the criterion-4 elements and two heavier points at p = 5
         heavy0 = 2 * Fraction(5) ** 6
         x0 = BPoint.exact(0, 5 ** 4, 0, 5)
-        pairs = []
+        pairs = nonzero = 0
         for y, want in criterion4_elements() + [
                 (u0_ss_case0(heavy0, 5), orb_u0_ss_case0(heavy0, 5)),
                 (u0_ss_case1(x0), orb_u0_ss_case1(0, 5 ** 4, 5))]:
@@ -584,13 +608,13 @@ class TestIwasawa:
                 continue
             span = _k_interval(_conj_polys(M), p, False)
             window = auto_window(y)
-            for k in range(-window, window + 1):
-                assert (k in calls) == in_span(span, k), (M, k)
-                pairs.append((M, k, p, window, calls.get(k, Fraction(0))))
-        assert len(pairs) >= 900
-        assert sum(1 for *_, t in pairs if t != 0) >= 100
-        for M, k, p, window, t in pairs:
-            assert capped_t_integral(M, k, p, window) == t, (k, p)
+            assert all(in_span(span, k) for k in calls), (M, calls)
+            ks = range(-window, window + 1)
+            for k, t in capped_t_integrals(M, ks, p, window).items():
+                assert calls.get(k, Fraction(0)) == t, (M, k)
+            pairs += len(ks)
+            nonzero += sum(1 for t in calls.values() if t != 0)
+        assert pairs >= 900 and nonzero >= 100, (pairs, nonzero)
 
     def test_random_matrices_match_the_capped_reference(self):
         # seeded integral matrices, whose polynomials have roots at every
@@ -607,15 +631,13 @@ class TestIwasawa:
                 M = [[QuadElt.exact(scalar(), scalar(), p) for _ in range(3)]
                      for _ in range(3)]
                 polys = _conj_polys(M)
-                tree = shared_tree(polys, p)
                 span = _k_interval(polys, p, False)
-                for k in range(-3, 1):
+                for k, ref in capped_t_integrals(M, range(-3, 1), p, 10).items():
                     try:
-                        t = (_iwasawa_t_integral(polys, k, p, 10, tree)
-                             if in_span(span, k) else 0)
+                        t = _iwasawa_t_integral(polys, k, p) if in_span(span, k) else 0
                     except StabilizationError:
                         continue
-                    assert capped_t_integral(M, k, p, 10) == t, (M, k)
+                    assert ref == t, (M, k)
                     compared += 1
                     nonzero += t != 0
         assert compared >= 300 and nonzero >= 100
@@ -650,7 +672,7 @@ class TestIwasawa:
 
     def test_one_t_integral_per_shell_of_the_interval(self, monkeypatch):
         # the heavy case-1 point's interval is 0..9: one t-integral per shell
-        # there, where the torus scan called one on 37 shells
+        # there, from hi down, where the torus scan called one on 37 shells
         x0 = BPoint.exact(0, 5 ** 4, 0, 5)
         y = u0_ss_case1(x0)
         assert _k_interval(_conj_polys(y.matrix()), 5, False) == (0, 9)
@@ -663,7 +685,7 @@ class TestIwasawa:
 
         monkeypatch.setattr(integrate, "_iwasawa_t_integral", counted)
         assert iwasawa_orbit_u0(y) == orb_u0_ss_case1(0, 5 ** 4, 5) == 1562
-        assert ks == list(range(10))
+        assert ks == list(range(9, -1, -1))
 
     def test_an_empty_interval_is_an_exact_zero(self, monkeypatch):
         # v(wtilde) = -2 with lam and u integral: the interval is (3, 2), so
@@ -761,98 +783,90 @@ class TestIwasawa:
             if y.invariants().lam.is_exact_zero() and y.invariants().u.is_exact_zero():
                 assert iwasawa_orbit_u0(y) == want
 
-    @pytest.mark.parametrize("args, today, swept", TRUNCATED)
-    def test_the_full_sweep_sees_past_four_empty_t_shells(self, args, today, swept):
-        # the reference sweeps every t-shell to the window; the oracle's
-        # t-scan stops after four empty ones and returns today's value, or
-        # raises (None) when that empties every torus shell of the interval
+    @pytest.mark.parametrize("args, swept", TRUNCATED)
+    def test_the_full_sweep_sees_past_four_empty_t_shells(self, args, swept):
+        # the oracle's floor reaches the t-supports that a stop after four
+        # empty t-shells cut off: the reference sweeps every t-shell to the
+        # window
         y = U0RedElt.exact(*args)
-        assert swept_orbit(y) == swept
-        if today is None:
-            with pytest.raises(StabilizationError):
-                iwasawa_orbit_u0(y)
-        else:
-            assert iwasawa_orbit_u0(y) == today
+        assert iwasawa_orbit_u0(y) == swept_orbit(y) == swept
 
-    @pytest.mark.xfail(strict=True, raises=(AssertionError, StabilizationError),
-                       reason="the t-scan stops after four empty t-shells, which "
-                              "truncates these t-supports")
-    @pytest.mark.parametrize("args, today, swept", TRUNCATED)
-    def test_t_supports_past_four_empty_shells(self, args, today, swept):
-        assert iwasawa_orbit_u0(U0RedElt.exact(*args)) == swept
+    def test_the_synthetic_column_reaches_its_t_support(self):
+        # column 2 is (1, 3^e, 0): on the torus shell k = -6e the entry
+        # 1 - 3^e t needs v >= 3e, the t-ball 3^-e + 3^2e Z_p of the t-shell
+        # -e, of volume 3^-2e, past e - 1 empty t-shells
+        p, zero = 3, QuadElt.exact(0, 0, 3)
+        for e in range(2, 8):
+            M = [[zero, zero, QuadElt.exact(1, 0, p)],
+                 [zero, zero, QuadElt.exact(p ** e, 0, p)],
+                 [zero, zero, zero]]
+            t = _iwasawa_t_integral(_conj_polys(M), -6 * e, p)
+            assert t == Fraction(1, p ** (2 * e)), e
 
-    @pytest.mark.parametrize("p", [3, 5])
-    def test_shared_tree_matches_a_fresh_one(self, p, monkeypatch):
-        # one tree per element read over shuffled torus shells gives
-        # what a fresh one per shell gives, raised errors included; entries
-        # (0, 1), (0, 2) and (2, 1) often vanish at t = r, so the deep bounds
-        # of negative shells pass near r, and a depth cap of 4 makes some
-        # of those shells raise ConductorError
-        monkeypatch.setattr(integrate, "DEPTH_CAP", 4)
-        rng = random.Random(17 + p)
-
-        def scalar():
-            if rng.randrange(3) == 0:
-                return Fraction(0)
-            return Fraction(rng.randint(-9, 9) * p ** rng.randint(0, 2))
-
-        def outcome(polys, tree, k, window):
-            try:
-                return _iwasawa_t_integral(polys, k, p, window, tree)
-            except (ConductorError, StabilizationError) as exc:
-                return type(exc)
-
+    def test_no_t_shell_below_the_floor_passes(self):
+        # seeded conditions v(c0 + c1 t + c2 t^2) >= b, one at a time: the
+        # four t-shells below the floor, swept in the t coordinate, pass
+        # nothing, and the floor is often the lowest shell that passes
+        rng = random.Random(41)
         seen = Counter()
-        for _ in range(60):
-            E = [[[scalar(), scalar()] for _ in range(3)] for _ in range(3)]
-            r = rng.randint(-9, 9)
-            if rng.randrange(2):            # m01 + (m00 - m11) r - m10 r^2 = 0
-                E[0][1] = [E[1][0][i] * r * r - (E[0][0][i] - E[1][1][i]) * r
-                           for i in (0, 1)]
-            if rng.randrange(2):            # m02 - m12 r = 0
-                E[0][2] = [r * c for c in E[1][2]]
-            if rng.randrange(2):            # m21 + m20 r = 0
-                E[2][1] = [-r * c for c in E[2][0]]
-            M = [[QuadElt.exact(a, b, p) for a, b in row] for row in E]
-            polys = _conj_polys(M)
-            shared = shared_tree(polys, p)
-            ks = list(range(-9, 3))
-            rng.shuffle(ks)
-            for k in ks:
-                window = rng.choice((4, 10))
-                got = outcome(polys, shared, k, window)
-                fresh = _conj_polys(M)
-                assert got == outcome(fresh, shared_tree(fresh, p), k, window), \
-                    (M, k, window)
-                seen[got if isinstance(got, type) else got != 0] += 1
-        assert seen[ConductorError] >= 15 and seen[StabilizationError] >= 15
-        assert seen[True] >= 100
+        for p in (3, 5, 7):
+            def coeff():
+                return rng.choice((0, rng.randint(-9, 9) * p ** rng.randint(0, 5)))
 
-    def test_each_ball_is_read_once_per_element(self, monkeypatch):
-        # across all torus shells of one element, every ball of every t-shell
-        # (told apart by its scaled polynomials) is read through Ball0.point
-        # once
-        point, leaf = Ball0.point, integrate._leaf
-        points = []
-        reads = Counter()
+            for _ in range(60):
+                poly = (coeff(), coeff(), coeff())
+                if not (poly[1] or poly[2]):
+                    continue
+                b = rng.randint(-4, 8)
+                floor = _t_floor([(poly, b)], p)
 
-        def counted_point(ball):
-            points.append(ball)
-            return point(ball)
+                def ev(ball):
+                    _, v0, rest = _taylor(poly, val(poly[2], p), ball.point(),
+                                          ball.depth, p)
+                    return (Fraction(1) if min(v0, rest) >= b
+                            else Fraction(0) if v0 < rest else None)
 
-        def recorded_leaf(ball, scaled, p):
-            reads[tuple(scaled), ball.center, ball.depth] += 1
-            return leaf(ball, scaled, p)
+                for j in range(floor - 1, floor - 5, -1):
+                    assert ball_sum(p, f0_shell(j, p), ev) == 0, (poly, b, j)
+                seen[floor < 0 and ball_sum(p, f0_shell(floor, p), ev) != 0] += 1
+        assert seen[True] >= 50, seen
 
-        monkeypatch.setattr(Ball0, "point", counted_point)
-        monkeypatch.setattr(integrate, "_leaf", recorded_leaf)
-        total = 0
-        for y, want in criterion4_elements():
-            reads.clear()
-            assert iwasawa_orbit_u0(y) == want
-            assert max(reads.values(), default=1) == 1
-            total += sum(reads.values())
-        assert len(points) == total >= 500
+    def test_seeded_zero_scans_and_truncations_are_the_sweep(self, monkeypatch):
+        # seeded elements (seed 7) whose scan is 0 on a non-empty interval,
+        # four per prime, which the oracle refused while its t-scan stopped
+        # after four empty t-shells, and the elements of SEEDED_TRUNCATED,
+        # whose sum that stop truncated; a scan empty at hi stops there
+        inner = integrate._iwasawa_t_integral
+        ks = []
+
+        def counted(polys, k, p):
+            ks.append(k)
+            return inner(polys, k, p)
+
+        monkeypatch.setattr(integrate, "_iwasawa_t_integral", counted)
+        rng = random.Random(7)
+        zeros = {3: [], 5: [], 7: []}
+        while min(map(len, zeros.values())) < 4:
+            p = rng.choice((3, 5, 7))
+            y = seeded_u0(rng, p)
+            inv = y.invariants()
+            lo, hi = _k_interval(_conj_polys(y.matrix()), p, False)
+            if (len(zeros[p]) == 4 or inv.lam.val() < 0 or inv.u.val() < 0
+                    or hi is None or lo is not None and lo > hi):
+                continue
+            ks.clear()
+            try:
+                if iwasawa_orbit_u0(y) == 0:
+                    zeros[p].append(y)
+                    assert ks == [hi], (y, ks)
+            except StabilizationError:
+                continue
+        for ys in zeros.values():
+            for y in ys:
+                assert swept_orbit(y) == 0, y
+        for args, swept in SEEDED_TRUNCATED:
+            y = U0RedElt.exact(*args)
+            assert iwasawa_orbit_u0(y) == swept_orbit(y) == swept, args
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_depth_cap_bounds_the_t_depth_on_negative_shells(self, p, monkeypatch):
@@ -865,7 +879,6 @@ class TestIwasawa:
              [zero, zero, QuadElt.exact(p * p, 0, p)],
              [zero, zero, zero]]
         polys = _conj_polys(M)
-        tree = shared_tree(polys, p)
 
         def outcome(fn, *args):
             try:
@@ -876,7 +889,7 @@ class TestIwasawa:
         got = {}
         for cap in range(1, 8):
             monkeypatch.setattr(integrate, "DEPTH_CAP", cap)
-            got[cap] = outcome(_iwasawa_t_integral, polys, -12, p, 10, tree)
+            got[cap] = outcome(_iwasawa_t_integral, polys, -12, p)
             assert got[cap] == outcome(fraction_t_integral, M, -12, p, 10), cap
         assert got == {1: "cap", 2: "cap", 3: "cap", 4: Fraction(1, p ** 4),
                        5: Fraction(1, p ** 4), 6: Fraction(1, p ** 4),
@@ -896,14 +909,19 @@ class TestIwasawa:
             with pytest.raises(InputError, match=f"got {window}"):
                 iwasawa_orbit_u0(u0_ss_case0(81, 3), window=window)
 
-    def test_unipotent_scan_at_the_window_edge_raises(self):
-        # a window too short for the t-scan to see four empty shells
+    def test_a_short_window_does_not_cut_the_t_scan(self):
+        # the t-scan ends at its floor, not at a window: lam0 = 9 at p = 3,
+        # whose support starts at the torus shell -2, is 5 from window 3 up,
+        # where a t-scan that needed room for four empty t-shells raised
         p = 3
         polys = _conj_polys(u0_ss_case1(BPoint.exact(0, 1, 0, p)).matrix())
-        tree = shared_tree(polys, p)
-        assert _iwasawa_t_integral(polys, 0, p, 8, tree) == 1
-        with pytest.raises(StabilizationError):
-            _iwasawa_t_integral(polys, 0, p, 3, tree)
+        assert _iwasawa_t_integral(polys, 0, p) == 1
+        y = u0_ss_case0(9, p)
+        for window in range(3, auto_window(y) + 1):
+            assert iwasawa_orbit_u0(y, window=window) == orb_u0_ss_case0(9, p) == 5
+        for window in (1, 2):
+            with pytest.raises(StabilizationError, match="window's edge"):
+                iwasawa_orbit_u0(y, window=window)
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_short_windows_raise_or_agree(self, p):

@@ -478,6 +478,22 @@ class TestCli:
                 data = json.loads(capsys.readouterr().out)
                 assert windows[-1] == want and data["shells_used"] == want, kind
 
+    def test_the_torus_window_is_the_only_window(self, capsys):
+        # the support of lam0 = 9 at p = 3 starts at the torus shell -2:
+        # window 3 holds it, and the t-scan needs no window of its own;
+        # windows 1 and 2 cut the support at the torus edge
+        argv = ["orb", "--kind", "ss-u0-case0", "--params", "9", "--p", "3", "--oracle",
+                "--shell-window"]
+        assert main([*argv, "3"]) == 0
+        assert capsys.readouterr().out == (
+            '{\n  "p": 3,\n  "kind": "ss-u0-case0",\n  "value": "5",\n'
+            '  "method": "shell-sum",\n  "shells_used": 3\n}\n')
+        for window in (1, 2):
+            assert main([*argv, str(window)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: no stabilization in the torus coordinate: shell -{window} "
+                f"at the window's edge is nonzero\n")
+
     @pytest.mark.parametrize("command", list(GOLDEN_ORACLE))
     def test_golden_oracle_outputs(self, command, capsys):
         assert main(shlex.split(command)) == 0
