@@ -14,7 +14,8 @@ from .errors import (CayleyUndefinedError, ExcludedCaseError, InputError,
                      UnrealizableError)
 from .padic import (_FR_ZERO, INF, PadicScalar, QuadElt, QuatElt,
                     _check_odd_prime, _int_coords, _int_nrd, _int_quat_mul,
-                    _int_rows, _int_val, _primitive, _solve_rows, cayley_solve,
+                    _int_rows, _int_val, _primitive, _quat_matrix, _quat_of_ints,
+                    _solve_rows, cayley_solve,
                     legendre, smallest_nonresidue, val)
 
 
@@ -60,13 +61,14 @@ def quat_mat_solve(A, B):
     exact QuatElt entries; CayleyUndefinedError when A is singular.  Each row
     of [A | B] is multiplied by the lcm of its denominators, a central factor
     that leaves Z unchanged, to integer coordinates (`padic._int_rows`) and
-    divided by their content; `padic._solve_rows` eliminates.  A capped
-    entry raises PrecisionError."""
+    divided by their content; `padic._solve_rows` eliminates, and every
+    entry of Z is built from its integer solution.  A capped entry raises
+    PrecisionError."""
     p, rows = _int_rows([(*ra, *rb) for ra, rb in zip(A, B)])
     Z = _solve_rows([_primitive(row) for _, row in rows], p, [1] * len(rows))
     if Z is None:
         raise CayleyUndefinedError("singular matrix over D")
-    return Z
+    return _quat_matrix(Z, p)
 
 
 # ---------------------------------------------------------------------------
@@ -341,22 +343,6 @@ class U1LieElt:
                 f"b={self.b!r}, d={self.d!r})")
 
 
-def _is_f0_scalar(q: QuatElt) -> bool:
-    return q.y.is_zero() and q.x.b.is_zero_at_precision()
-
-
-def u1_lie_from_matrix(M) -> U1LieElt:
-    alpha = M[0][0]
-    beta = M[1][0]
-    b = M[1][2]
-    d = M[2][2]
-    if not _is_f0_scalar(beta):
-        raise InputError("matrix not in Lie coordinates: beta not in F0")
-    if not d.y.is_zero():
-        raise InputError("matrix not in Lie coordinates: d not in F")
-    return U1LieElt(alpha, beta.x.a, b, d.x)
-
-
 class U1GroupElt:
     """Element of the non-split unitary group in the same matrix presentation,
     with coordinates (alpha, beta, b, c, d): the matrix
@@ -391,25 +377,36 @@ def cayley(x, xi=(1, 1)) -> U1GroupElt:
     """The transform x -> xi (1+x)(1-x)^{-1} into the unitary group, for the
     chart xi = diag(s1, s1, s2), signs s1, s2 = +-1; the two factors commute,
     so one solve (1 - x) Z = 1 + x computes the product, and xi negates the
-    rows of Z with sign -1."""
+    rows of Z with sign -1; the group element holds all nine entries."""
     if isinstance(x, U1RedElt):
         x = U1LieElt(x.alpha, _ps(0, x.p), x.b, QuadElt.zero(x.p))
     s1, s2 = xi
     Z = cayley_solve(x.to_matrix(), (1, 1, 1), (s1, s1, s2))
     if Z is None:
         raise CayleyUndefinedError("singular matrix over D")
-    return U1GroupElt(Z)
+    return U1GroupElt(_quat_matrix(Z, x.p))
 
 
 def cayley_inv(g: U1GroupElt, xi=(1, 1)) -> U1LieElt:
     """Inverse transform -(1 - h)(1 + h)^{-1}, h = xi^{-1} g = xi g: the
     solve (1 + h) Z = -(1 - h) is the Cayley system of g with row signs
-    -xi and every row of the solution negated."""
+    -xi and every row of the solution negated.  Only the Lie coordinates
+    alpha = Z00, beta = Z10, b = Z12 and d = Z22 are built, from their
+    integer solution; InputError when beta is not in F0 or d not in F."""
     s1, s2 = xi
-    Z = cayley_solve(g.M, (-s1, -s1, -s2), (-1, -1, -1))
+    p = g.p
+    Z = cayley_solve(g.M, (-s1, -s1, -s2), (-1, -1, -1), ((0,), (0, 2), (2,)))
     if Z is None:
         raise CayleyUndefinedError("singular matrix over D")
-    return u1_lie_from_matrix(Z)
+    (n0, (alpha,)), (n1, (beta, b)), (n2, (d,)) = Z
+    if any(beta[1:]):
+        raise InputError("matrix not in Lie coordinates: beta not in F0")
+    if d[2] or d[3]:
+        raise InputError("matrix not in Lie coordinates: d not in F")
+    return U1LieElt(_quat_of_ints(p, alpha, n0), PadicScalar(p, _fr=Fraction(beta[0], n1)),
+                    _quat_of_ints(p, b, n1),
+                    QuadElt(PadicScalar(p, _fr=Fraction(d[0], n2)),
+                            PadicScalar(p, _fr=Fraction(d[1], n2))))
 
 
 def admissible_xi(g: U1GroupElt, xi) -> bool:

@@ -30,7 +30,10 @@ that the entries are exact and share a prime): `orbits.quat_mat_solve` reads
 the rows of [A | B], and `cayley_solve` writes the rows of [1 - S M | 1 + S M],
 S a diagonal of signs, from those of M alone, adding the row denominator for
 the 1 on the diagonal.  Both end in `_solve_rows`, which eliminates on
-integers and builds Fractions only for the solution.
+integers and returns the solution as integers too: per row a norm and the
+coordinates of the columns asked for.  Each caller forms Fractions only for
+the solution entries it reads: `orbits.quat_mat_solve` and `orbits.cayley`
+all nine (`_quat_matrix`), `orbits.cayley_inv` the four Lie coordinates.
 
 The valuation and the quadratic character of a rational are the module
 functions `val` and `eta`; the methods of an exact PadicScalar call them.
@@ -567,10 +570,8 @@ class QuatElt:
         u, v = _int_coords(self), _int_coords(o)
         if u is None or v is None:
             raise PrecisionError("the quaternion product takes exact coordinates only")
-        den = u[0] * v[0]
-        s = [PadicScalar(p, _fr=Fraction(t, den) if t else _FR_ZERO)
-             for t in _int_quat_mul(u[1], v[1], p, smallest_nonresidue(p))]
-        return QuatElt(QuadElt(s[0], s[1]), QuadElt(s[2], s[3]))
+        return _quat_of_ints(p, _int_quat_mul(u[1], v[1], p, smallest_nonresidue(p)),
+                             u[0] * v[0])
 
     def __rmul__(self, other):
         # scalar (central) multiplication only
@@ -608,6 +609,13 @@ def _int_coords(q):
                  fc.numerator * (den // dc), fd.numerator * (den // dd))
 
 
+def _quat_of_ints(p: int, t, den: int) -> "QuatElt":
+    """The QuatElt ((t0 + t1 pi) + (t2 + t3 pi) j) / den, den a nonzero
+    integer."""
+    s = [PadicScalar(p, _fr=Fraction(x, den) if x else _FR_ZERO) for x in t]
+    return QuatElt(QuadElt(s[0], s[1]), QuadElt(s[2], s[3]))
+
+
 def _int_quat_mul(u, v, p: int, e: int):
     """Product of integer coordinates (a, b, c, d) = (a + b pi) + (c + d pi) j."""
     a1, b1, c1, d1 = u
@@ -638,8 +646,11 @@ def _eliminate(aug, p: int, e: int):
     cleared and N(P) = a^2 - p b^2 - e(c^2 - p d^2) an integer, and each new
     row is divided by its content.  N(P) is nonzero:
     e = smallest_nonresidue(p), so the reduced norm of the division algebra is
-    anisotropic.  With exact entries every nonzero pivot gives the same
-    solution, so the first is taken.  None when A is singular."""
+    anisotropic.  The pivot row is zero in the columns cleared before col,
+    so a product is taken only at its nonzero columns past col; the cleared
+    entry is written as 0, since N(P) f - f conj(P) P = 0.  With exact
+    entries every nonzero pivot gives the same solution, so the first is
+    taken.  None when A is singular."""
     rows = list(aug)
     n = len(rows)
     for col in range(n):
@@ -651,14 +662,20 @@ def _eliminate(aug, p: int, e: int):
         a, b, c, d = prow[col]
         norm = _int_nrd(prow[col], p, e)
         pconj = (a, -b, -c, -d)
+        live = [(j, y) for j, y in enumerate(prow) if j > col and any(y)]
         for r in range(n):
             f = rows[r][col]
             if r == col or not any(f):
                 continue
             g = _int_quat_mul(f, pconj, p, e)
-            rows[r] = _primitive([
-                tuple(norm * s - t for s, t in zip(x, _int_quat_mul(g, y, p, e)))
-                for x, y in zip(rows[r], prow)])
+            row = [(norm * s0, norm * s1, norm * s2, norm * s3)
+                   for s0, s1, s2, s3 in rows[r]]
+            row[col] = (0, 0, 0, 0)
+            for j, y in live:
+                s0, s1, s2, s3 = row[j]
+                t0, t1, t2, t3 = _int_quat_mul(g, y, p, e)
+                row[j] = (s0 - t0, s1 - t1, s2 - t2, s3 - t3)
+            rows[r] = _primitive(row)
     return rows
 
 
@@ -683,11 +700,15 @@ def _int_rows(rows):
     return p, out
 
 
-def _solve_rows(rows, p: int, signs):
-    """Z with A Z = B from the primitive integer rows of [A | B], row i of Z
-    multiplied by signs[i] = +-1; None when A is singular.  `_eliminate` makes
-    A diagonal, and Fractions are built only for Z:
-    Z_i = conj(D_i) R_i / N(D_i)."""
+def _solve_rows(rows, p: int, signs, cols=None):
+    """The solution of A Z = B on integers, from the primitive integer rows
+    of [A | B]: per row i, (norm_i, [t_ij for j in cols[i]]) with
+    norm_i = signs[i] N(D_i), signs[i] = +-1, and t_ij the integer
+    coordinates of conj(D_i) R_ij, so that Z_ij = t_ij / norm_i; every
+    column when cols is None.  `_eliminate` makes A diagonal, with D_i its
+    diagonal and R_i the rows of B.  No Fraction is built: each caller forms
+    the entries it reads (`_quat_of_ints`, `_quat_matrix`).  None when A is
+    singular."""
     e = smallest_nonresidue(p)
     rows = _eliminate(rows, p, e)
     if rows is None:
@@ -696,19 +717,23 @@ def _solve_rows(rows, p: int, signs):
     out = []
     for i, (row, sign) in enumerate(zip(rows, signs)):
         a, b, c, d = row[i]
-        norm = sign * _int_nrd(row[i], p, e)
-        zs = []
-        for y in row[n:]:
-            s = [PadicScalar(p, _fr=Fraction(t, norm))
-                 for t in _int_quat_mul((a, -b, -c, -d), y, p, e)]
-            zs.append(QuatElt(QuadElt(s[0], s[1]), QuadElt(s[2], s[3])))
-        out.append(zs)
+        dconj = (a, -b, -c, -d)
+        picked = row[n:] if cols is None else [row[n + j] for j in cols[i]]
+        out.append((sign * _int_nrd(row[i], p, e),
+                    [_int_quat_mul(dconj, y, p, e) for y in picked]))
     return out
 
 
-def cayley_solve(M, signs, out_signs):
-    """Z with (1 - S M) Z = 1 + S M for S = diag(signs), signs = +-1, and row i
-    of Z multiplied by out_signs[i]; None when 1 - S M is singular.  The rows of
+def _quat_matrix(sol, p: int):
+    """Every entry t_ij / norm_i of an integer solution of `_solve_rows`, as
+    QuatElt."""
+    return [[_quat_of_ints(p, t, norm) for t in ts] for norm, ts in sol]
+
+
+def cayley_solve(M, signs, out_signs, cols=None):
+    """The integer solution (`_solve_rows`) of (1 - S M) Z = 1 + S M for
+    S = diag(signs), signs = +-1, row i of Z multiplied by out_signs[i], at
+    the columns cols; None when 1 - S M is singular.  The rows of
     [1 - S M | 1 + S M] are written from the integer coordinates of M over one
     denominator den per row (`_int_rows`): the sign s of row i negates M's
     coordinates on one side, and the 1 on the diagonal adds den to the first
@@ -722,4 +747,4 @@ def cayley_solve(M, signs, out_signs):
             a, b, c, d = side[i]
             side[i] = (den + a, b, c, d)
         built.append(_primitive(left + right))
-    return _solve_rows(built, p, out_signs)
+    return _solve_rows(built, p, out_signs, cols)

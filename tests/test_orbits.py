@@ -17,8 +17,7 @@ from atlas.orbits import (INF, XI_CHOICES, BPoint, SRedElt, U0RedElt,
                           case_of, cayley, cayley_inv, det2, in_side1_closure,
                           make_bpoint_rs1, mat_add, mat_sub, orbit_reps,
                           quat_identity, quat_mat_solve, section_sigma,
-                          u0_nilpotent_family_member, u0_ss_case1,
-                          u1_lie_from_matrix)
+                          u0_nilpotent_family_member, u0_ss_case1)
 from atlas.padic import PadicScalar, QuadElt, QuatElt, smallest_nonresidue, val
 from atlas.serialize import encode_element
 from test_padic import (capped, minus_part, padic_sqrt, quad_inv, quat_inv,
@@ -680,6 +679,17 @@ def reference_cayley(x, xi):
     return reference_in_chart(quat_mat_solve(mat_sub(I, M), mat_add(I, M)), xi)
 
 
+def u1_lie_from_matrix(M) -> U1LieElt:
+    """The Lie coordinates (alpha, beta, b, d) read off a QuatElt matrix;
+    InputError when beta is not in F0 or d not in F."""
+    alpha, beta, b, d = M[0][0], M[1][0], M[1][2], M[2][2]
+    if not (beta.y.is_zero() and beta.x.b.is_zero_at_precision()):
+        raise InputError("matrix not in Lie coordinates: beta not in F0")
+    if not d.y.is_zero():
+        raise InputError("matrix not in Lie coordinates: d not in F")
+    return U1LieElt(alpha, beta.x.a, b, d.x)
+
+
 def reference_cayley_inv(g, xi):
     """-(1 - h)(1 + h)^{-1}, h = xi g, through 1 + h and h - 1 as QuatElt."""
     h = reference_in_chart(g.M, xi)
@@ -732,6 +742,64 @@ class TestCayleySolve:
                             assert lie_coords(cayley_inv(g, xj)) == lie_coords(want)
                             inverse += 1
         assert forward == 144 and inverse >= 500 and undefined >= 1
+
+    def test_lie_shape_refusals_match_the_reference(self):
+        """cayley_inv reads its two refusals off the integer solution.  The
+        group elements are seeded and not unitary: a random matrix, and
+        forward transforms (1 + Z)(1 - Z)^{-1} of matrices Z with beta = Z10
+        in F0 and d = Z22 with or without a j-part, whose inverse in the
+        chart (1, 1) is Z."""
+        rng = random.Random(101)
+        outcomes = {"beta not in F0": 0, "d not in F": 0, "lie": 0}
+        for k in range(90):
+            p = (3, 5, 7)[k % 3]
+            Z = rand_system_matrix(rng, p)
+            if k % 3:
+                Z[1][0] = QuatElt(QuadElt.exact(rand_coord(rng, p), 0, p), QuadElt.zero(p))
+                if k % 3 == 2:
+                    Z[2][2] = QuatElt(Z[2][2].x, QuadElt.zero(p))
+                I = quat_identity(p)
+                try:
+                    M = quat_mat_solve(mat_sub(I, Z), mat_add(I, Z))
+                except CayleyUndefinedError:
+                    continue
+            else:
+                M = Z
+            g = U1GroupElt(M)
+            for xi in XI_CHOICES:
+                try:
+                    want = lie_coords(reference_cayley_inv(g, xi))
+                except CayleyUndefinedError:
+                    with pytest.raises(CayleyUndefinedError):
+                        cayley_inv(g, xi)
+                    continue
+                except InputError as err:
+                    with pytest.raises(InputError) as got:
+                        cayley_inv(g, xi)
+                    assert str(got.value) == str(err)
+                    outcomes[str(err).split(": ")[1]] += 1
+                    continue
+                assert lie_coords(cayley_inv(g, xi)) == want
+                outcomes["lie"] += 1
+        assert min(outcomes.values()) >= 30
+
+    def test_inverse_builds_only_the_lie_coordinates(self, monkeypatch):
+        """One cayley_inv builds 11 scalars: alpha 4, beta 1, b 4 and d 2."""
+        rng = random.Random(103)
+        groups = [cayley(rand_lie(rng, p, (1, 2, p)), xi)
+                  for p in (3, 5, 7) for xi in XI_CHOICES]
+        made = _count_scalars(monkeypatch)
+        inverses = 0
+        for g in groups:
+            for xi in XI_CHOICES:
+                made[0] = 0
+                try:
+                    cayley_inv(g, xi)
+                except CayleyUndefinedError:
+                    continue
+                assert made[0] == 11
+                inverses += 1
+        assert inverses >= 40
 
     def test_singular_chart_raises(self):
         # cayley(0) in the chart (1, 1) is the identity, and 1 + xi^{-1} g
@@ -877,6 +945,45 @@ class TestQuatMatSolve:
                 quat_mat_solve(A, B)
             assert isinstance(err.value, AtlasError)
 
+    def test_eliminate_matches_the_full_row_update(self):
+        """_eliminate multiplies only the pivot row's nonzero columns past
+        the pivot; the rows must be those of the full-row update, on systems
+        with zero entries and zero columns, with a row swap, and singular."""
+        rng = random.Random(83)
+        solved = singular = swapped = zero_cols = 0
+        for k in range(360):
+            p = (3, 5, 7)[k % 3]
+            e = smallest_nonresidue(p)
+
+            def entry():
+                if rng.random() < 0.15:
+                    return (0, 0, 0, 0)
+                return tuple(rng.choice((0, rng.randint(-9, 9), rng.randint(-9, 9)))
+                             for _ in range(4))
+            rows = [[entry() for _ in range(6)] for _ in range(3)]
+            if k % 4 == 0:
+                rows[0][0] = (0, 0, 0, 0)
+            if k % 5 == 0:
+                j = rng.randrange(1, 6)
+                for row in rows:
+                    row[j] = (0, 0, 0, 0)
+            if k % 6 == 0:
+                # a left combination of the other two rows
+                q, s = entry(), entry()
+                rows[2] = [tuple(a + b for a, b in zip(padic._int_quat_mul(q, x, p, e),
+                                                      padic._int_quat_mul(s, y, p, e)))
+                           for x, y in zip(rows[0], rows[1])]
+            rows = [padic._primitive(row) for row in rows]
+            got = padic._eliminate(rows, p, e)
+            assert got == reference_eliminate(rows, p, e)
+            zero_cols += any(not any(any(row[j]) for row in rows) for j in range(1, 6))
+            if got is None:
+                singular += 1
+                continue
+            solved += 1
+            swapped += not any(rows[0][0])
+        assert solved >= 200 and singular >= 60 and swapped >= 60 and zero_cols >= 60
+
     def test_elimination_leaves_primitive_diagonal_rows(self):
         """Every eliminated row is divided by its content; without that each
         row would carry the pivot norms as a common factor."""
@@ -893,6 +1000,32 @@ class TestQuatMatSolve:
                 assert all(not any(row[j]) for j in range(3) if j != i)
                 assert any(row[i])
                 assert math.gcd(*(t for q in row for t in q)) == 1
+
+
+def reference_eliminate(aug, p, e):
+    """The fraction-free Gauss-Jordan of `padic._eliminate` with the
+    full-row update: every entry of row r becomes
+    N(P) x - (f conj(P)) y, the cleared columns included."""
+    rows = list(aug)
+    n = len(rows)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if any(rows[r][col])), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        prow = rows[col]
+        a, b, c, d = prow[col]
+        norm = padic._int_nrd(prow[col], p, e)
+        pconj = (a, -b, -c, -d)
+        for r in range(n):
+            f = rows[r][col]
+            if r == col or not any(f):
+                continue
+            g = padic._int_quat_mul(f, pconj, p, e)
+            rows[r] = padic._primitive([
+                tuple(norm * s - t for s, t in zip(x, padic._int_quat_mul(g, y, p, e)))
+                for x, y in zip(rows[r], prow)])
+    return rows
 
 
 # the representative matrices in the reduced anti-hermitian space, of which
