@@ -13,8 +13,7 @@ from fractions import Fraction
 from . import padic
 from .errors import AtlasError, InputError
 from .germs import UNNEEDED, BasePointPlan, dorb1, gamma_n_mu, phi_closed
-from .integrate import (DEFAULT_WINDOW, auto_window, iwasawa_orbit_u0,
-                        phi_from_xi)
+from .integrate import auto_window, iwasawa_orbit_u0, phi_from_xi, xi_window
 from .keating import check_closed_form, l_int_closed, l_int_keating
 from .orbits import (INF, BPoint, check_case1_point, make_bpoint_rs1,
                      u0_nilpotent_family_member, u0_ss_case0, u0_ss_case1)
@@ -111,7 +110,7 @@ def cmd_orb(args) -> int:
         m, lm, lp = _parse("--params", args.params, int, int, _parse_lplus)
         x = make_bpoint_rs1(m, lm, lp, p)
         if args.oracle:
-            window = DEFAULT_WINDOW if args.shell_window is None else args.shell_window
+            window = xi_window(x) if args.shell_window is None else args.shell_window
             out["value"] = str(phi_from_xi(x, window=window))
             out["method"] = "shell-sum"
             out["shells_used"] = window
@@ -260,7 +259,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--shell-window", type=int,
                     help="shell window of the --oracle sums (default: the "
                          "library's, auto_window(y) for the u0 kinds and "
-                         f"{DEFAULT_WINDOW} for xi)")
+                         "xi_window(x) for xi)")
     sp.set_defaults(func=cmd_orb)
 
     sp = sub.add_parser("values", help="closed-form orbital values")

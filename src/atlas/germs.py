@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import (ExcludedCaseError, InputError,
                      NotRegularSemisimpleError, UnrealizableError)
-from .integrate import DEFAULT_WINDOW, phi_from_xi
+from .integrate import phi_from_xi
 from .orbits import BPoint, case_of, in_side1_closure, orbit_reps
 from .padic import PadicScalar, _sqrt_mod_p
 from .svalue import LaurentX, LogQVal, dds_s0
@@ -262,8 +262,7 @@ class Dorb1:
     terms: list
 
 
-def dorb1(x0, x: BPoint, method: str = "closed",
-          window: int = DEFAULT_WINDOW) -> Dorb1:
+def dorb1(x0, x: BPoint, method: str = "closed") -> Dorb1:
     """The first-derivative term at x in the recorded neighborhood of the
     base point x0 (a BPoint or its plan), assembled from the coefficient
     table and the transfer-forced orbit values.
@@ -292,7 +291,7 @@ def dorb1(x0, x: BPoint, method: str = "closed",
     elif method == "closed":
         total = phi_closed(x)
     else:
-        total = phi_from_xi(x, window)
+        total = phi_from_xi(x)
     terms = _germ_rows(plan, x.delta().val())
     for _, coeff, val in terms:
         if val is not None:

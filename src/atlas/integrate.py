@@ -4,9 +4,7 @@ Domains are split into valuation shells and residue balls c + p^d Z_p.  Every
 condition tested is a bound v(P(t)) >= b on a rational polynomial of degree
 at most two.  As the degree is below p, the sup norm of P on a ball is its
 Gauss norm, so three exact Taylor terms at the center decide the ball (see
-`_taylor`); undecided balls are subdivided up to a depth cap.  The infinite
-shell tails of the log-weighted integral are closed analytically as a
-polynomial of degree at most two times p^-i (`close_poly_geometric_tail`).
+`_taylor`); undecided balls are subdivided up to a depth cap.
 
 The Iwasawa-coordinate orbital integrals need no subdivision in the torus
 coordinate.  Conjugating by diag(z^-1, conj(z), 1) multiplies entry (i, j) by
@@ -32,7 +30,9 @@ integer coordinate tau = t p^-j (see `_iwasawa_t_integral`).
 The double-log shell sum behind the family contribution (`xi_integral`) is
 a pure (log q)^2 value.  Each shell v(t) = k is swept in the same kind of
 integer coordinate, tau = t p^-k over the units: its balls add up integers
-by power of p, and each shell builds one Fraction."""
+by power of p, and each shell builds one Fraction.  Outside K-..K+
+(`_xi_support`) the shells follow known laws, so both tails are summed in
+closed form; the default window `xi_window` is the least holding K-..K+."""
 
 from __future__ import annotations
 
@@ -46,7 +46,6 @@ from .padic import PadicScalar, QuadElt, eta, val
 from .svalue import LogQVal, zeta1
 
 DEPTH_CAP = 40
-DEFAULT_WINDOW = 30
 
 
 # ---------------------------------------------------------------------------
@@ -110,38 +109,6 @@ def _taylor(poly, v2: int, c: Fraction, d: int, p: int):
     at_c = c0 + (c1 + c2 * c) * c
     rest = min(val(c1 + 2 * c2 * c, p) + d, v2 + 2 * d)
     return at_c, val(at_c, p), rest
-
-
-# ---------------------------------------------------------------------------
-# tail closure
-
-
-TAIL_SAMPLES = 7
-
-
-def close_poly_geometric_tail(values, p: int) -> Fraction:
-    """Sum over i >= 0 of a sequence recognized as P(i) p^-i with deg P <= 2;
-    values must supply at least TAIL_SAMPLES shells (three determine P, the
-    rest confirm the law).
-
-    The ratio is always 1/p.  Beyond its threshold, the xi shell k
-    (`xi_integral`) is eta(D'/p) p^v0 (v0 - k) k (1 - 1/p) p^-k with
-    v0 = v(D'/p), as g is dominated by D'/p; below it, g by t^2, the shell
-    is (1 - 1/p) k^2 p^k.  Read outward, either tail is a polynomial of
-    degree two times p^-i."""
-    if all(v == 0 for v in values):
-        return Fraction(0)
-    if len(values) < TAIL_SAMPLES:
-        raise StabilizationError("no stabilization: window too small")
-    r = Fraction(1, p)
-    u = [v * p ** i for i, v in enumerate(values)]
-    if any(u[i + 3] - 3 * u[i + 2] + 3 * u[i + 1] - u[i] for i in range(len(u) - 3)):
-        raise StabilizationError("no stabilization: no geometric ratio matches")
-    # Newton form P(i) = c0 + c1 i + c2 i(i-1), summed against
-    # sum r^i, sum i r^i and sum i(i-1) r^i / 2
-    c1 = u[1] - u[0]
-    c2 = (u[2] - 2 * u[1] + u[0]) / 2
-    return u[0] / (1 - r) + c1 * r / (1 - r) ** 2 + 2 * c2 * r * r / (1 - r) ** 3
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +317,39 @@ def iwasawa_orbit_u0(y: U0RedElt, window: int | None = None):
 # the log-weighted integral behind the family contribution
 
 
-def xi_integral(x: BPoint, window: int = DEFAULT_WINDOW) -> LogQVal:
+def _xi_support(x: BPoint):
+    """(D'/p, w', v0, K-, K+) of a side-1 point, v0 = v(D'/p): outside
+    K-..K+ each shell v(t) = k of `xi_integral` follows a known law.  The
+    terms D'/p, 2 w' t and t^2 of g have the valuations v0, v(w') + k and 2k.
+    Past K+ = max(v0, floor(v0/2), v0 - v(w')) the first strictly dominates,
+    v(g) = v0 < k, and the shell is eta(D'/p) p^v0 (v0 - k) k (1 - 1/p) p^-k.
+    Below K- = min(ceil(v0/2), v(w'), 0) the last does, v(g) = 2k < k with
+    eta(g) = 1, and the shell is (1 - 1/p) k^2 p^k.  The v(w') terms drop
+    when w' = 0."""
+    p = x.p
+    if x.side() != 1:
+        raise InputError("xi_integral requires a side-1 point")
+    dp = (x.delta() / (x.u ** 4)).rational / p
+    wprime = (x.wtilde / (x.u * x.u)).rational
+    v0 = val(dp, p)
+    vw = [val(wprime, p)] if wprime else []
+    return (dp, wprime, v0, min(-(-v0 // 2), *vw, 0),
+            max(v0, v0 // 2, *(v0 - v for v in vw)))
+
+
+def xi_window(x: BPoint) -> int:
+    """The least shell window of `xi_integral` that holds the support K-..K+
+    (`_xi_support`): max(K+, -K-)."""
+    *_, lo, hi = _xi_support(x)
+    return max(hi, -lo)
+
+
+def _poly_geometric_sum(a, b, c, r: Fraction) -> Fraction:
+    """Sum over i >= 0 of (a + b i + c i^2) r^i, for |r| < 1."""
+    return a / (1 - r) + b * r / (1 - r) ** 2 + c * r * (1 + r) / (1 - r) ** 3
+
+
+def xi_integral(x: BPoint, window: int | None = None) -> LogQVal:
     """The double-log shell sum attached to a regular semisimple side-1 point
     near zero: over the base field,
 
@@ -372,21 +371,24 @@ def xi_integral(x: BPoint, window: int = DEFAULT_WINDOW) -> LogQVal:
     dominates, v(g) = v(G(c)) - w and eta(g) = eta(den) eta(G(c)) on the
     whole ball, which contributes eta(g) (v(g) - k) k p^(v(g) - e - k) to
     the (log q)^2 coefficient; these integers are summed by exponent into
-    one Fraction per shell.  Shells |k| <= window are exact; each tail is
-    closed from its outermost TAIL_SAMPLES shells (a window below
-    TAIL_SAMPLES + 1 is an InputError)."""
+    one Fraction per shell.  Shells |k| <= window are swept exactly; past
+    them the shells n + i and -(n + i), n = window + 1, follow the laws of
+    `_xi_support`, a polynomial of degree two in i times p^-i, summed in
+    closed form.  The window defaults to `xi_window(x)`; a negative one is
+    an InputError, and one that does not hold K-..K+ raises
+    StabilizationError rather than truncate."""
     p = x.p
-    if x.side() != 1:
-        raise InputError("xi_integral requires a side-1 point")
-    dprime = (x.delta() / (x.u ** 4)).rational
-    wprime = (x.wtilde / (x.u * x.u)).rational
-    if window < TAIL_SAMPLES + 1:
-        raise InputError(f"shell window must be at least {TAIL_SAMPLES + 1}, "
-                         f"got {window}")
+    dp, wprime, v0, lo, hi = _xi_support(x)
+    window = max(hi, -lo) if window is None else window
+    if window < 0:
+        raise InputError(f"shell window must be at least 0, got {window}")
+    if window < max(hi, -lo):
+        raise StabilizationError(f"no stabilization: the support {lo}..{hi} "
+                                 f"leaves the shell window {window}")
 
     def shell(k):
         s = Fraction(p) ** k
-        g = (dprime / p, 2 * wprime * s, s * s)
+        g = (dp, 2 * wprime * s, s * s)
         den = lcm(*(c.denominator for c in g))
         poly = tuple(c.numerator * (den // c.denominator) for c in g)
         w, v2 = val(den, p), val(poly[2], p)
@@ -396,15 +398,15 @@ def xi_integral(x: BPoint, window: int = DEFAULT_WINDOW) -> LogQVal:
         while stack:
             ball = stack.pop()
             e = ball.depth
-            at_c, v0, rest = _taylor(poly, v2, ball.point(), e, p)
-            if min(v0, rest) >= bound:
+            at_c, vc, rest = _taylor(poly, v2, ball.point(), e, p)
+            if min(vc, rest) >= bound:
                 continue            # support requires |a| > 1
-            if v0 >= rest:
+            if vc >= rest:
                 if e + k >= DEPTH_CAP:
                     raise ConductorError("conductor too small: depth cap reached")
                 stack.extend(ball.split(p))
                 continue
-            vg = v0 - w
+            vg = vc - w
             sums[vg - e - k] = sums.get(vg - e - k, 0) + eta(at_c, p) * (vg - k)
         if not sums:
             return Fraction(0)
@@ -412,16 +414,17 @@ def xi_integral(x: BPoint, window: int = DEFAULT_WINDOW) -> LogQVal:
         n = eta(den, p) * k * sum(a * p ** (i - low) for i, a in sums.items())
         return Fraction(n * p ** low) if low >= 0 else Fraction(n, p ** -low)
 
-    values = {k: shell(k) for k in range(-window, window + 1)}
-    inner = window - TAIL_SAMPLES
-    total = sum((values[k] for k in range(-inner, inner + 1)), Fraction(0))
-    for side in (1, -1):
-        total += close_poly_geometric_tail(
-            [values[side * (inner + 1 + i)] for i in range(TAIL_SAMPLES)], p)
+    total = sum((shell(k) for k in range(-window, window + 1)), Fraction(0))
+    r, n = Fraction(1, p), window + 1
+    # (v0 - k) k and k^2 on the shells k = n + i and -(n + i)
+    upper = eta(dp, p) * Fraction(p) ** v0 * _poly_geometric_sum(
+        (v0 - n) * n, v0 - 2 * n, -1, r)
+    lower = _poly_geometric_sum(n * n, 2 * n, 1, r)
+    total += (1 - r) * r ** n * (upper + lower)
     return LogQVal({2: total}, p)
 
 
-def phi_from_xi(x: BPoint, window: int = DEFAULT_WINDOW) -> LogQVal:
+def phi_from_xi(x: BPoint, window: int | None = None) -> LogQVal:
     """The family contribution recovered from the shell sum:
     -q (log q)^{-1} |u|^{-1} Xi(x), with |u|^{-1} = q^{v(u)}.
 
@@ -429,7 +432,5 @@ def phi_from_xi(x: BPoint, window: int = DEFAULT_WINDOW) -> LogQVal:
     family values and rescaling the integration variable by u^2: the measure
     dt/|t| is scale-invariant, so only the single power of q from the family
     values survives."""
-    p = x.p
-    xi = xi_integral(x, window)
-    factor = LogQVal({-1: -(Fraction(p) ** (x.u.val() + 1))}, p)
-    return factor * xi
+    factor = LogQVal({-1: -(Fraction(x.p) ** (x.u.val() + 1))}, x.p)
+    return factor * xi_integral(x, window)

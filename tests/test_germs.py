@@ -14,7 +14,7 @@ from atlas.germs import (NEIGHBORHOOD_DEPTH, UNNEEDED, BasePointPlan, Dorb1,
                          _germ_rows, check_method, dgamma_table, dorb1,
                          gamma_n_mu, is_in_neighborhood, phi_closed,
                          zero_point)
-from atlas.integrate import DEFAULT_WINDOW, phi_from_xi
+from atlas.integrate import phi_from_xi
 from atlas.orbits import (INF, BPoint, case_of, in_side1_closure,
                           make_bpoint_rs1, orbit_reps)
 from atlas.padic import PadicScalar
@@ -315,7 +315,7 @@ class TestDorb1:
         for mlp in ((0, 1, INF), (1, 1, 3), (1, 3, 1)):
             x = make_bpoint_rs1(*mlp, p)
             a = dorb1(zero_point(p), x, method="closed")
-            b = dorb1(zero_point(p), x, method="oracle", window=12)
+            b = dorb1(zero_point(p), x, method="oracle")
             assert a.varying == b.varying
 
     def test_nonzero_base_constant_tag(self):
@@ -451,7 +451,7 @@ def _reference_dgamma_table(x0, tag, x):
     return UNNEEDED
 
 
-def _reference_dorb1(x0, x, method="closed", window=DEFAULT_WINDOW):
+def _reference_dorb1(x0, x, method="closed"):
     check_method(method)
     p = x0.p
     c = case_of(x0)
@@ -468,7 +468,7 @@ def _reference_dorb1(x0, x, method="closed", window=DEFAULT_WINDOW):
     elif method == "closed":
         total = phi_closed(x)
     else:
-        total = phi_from_xi(x, window)
+        total = phi_from_xi(x)
     terms = []
     for tag in orbit_reps(c):
         if tag == "n_mu":

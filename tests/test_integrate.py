@@ -8,13 +8,12 @@ import pytest
 
 from atlas import integrate
 from atlas.errors import ConductorError, InputError, PrecisionError, StabilizationError
-from atlas.integrate import (TAIL_SAMPLES, Ball0, BallF, _conj_polys,
-                             _iwasawa_t_integral, _k_interval, _lattice_bounds,
-                             _shell_bounds, _t_floor, _taylor,
-                             auto_window, close_poly_geometric_tail,
-                             iwasawa_orbit_u0, phi_from_xi, xi_integral)
+from atlas.integrate import (Ball0, BallF, _conj_polys, _iwasawa_t_integral,
+                             _k_interval, _lattice_bounds, _shell_bounds,
+                             _t_floor, _taylor, auto_window, iwasawa_orbit_u0,
+                             phi_from_xi, xi_integral, xi_window)
 from atlas.cli import main
-from atlas.germs import dorb1, is_in_neighborhood
+from atlas.germs import dorb1, is_in_neighborhood, phi_closed
 from atlas.orbits import (INF, XI_CHOICES, BPoint, U0RedElt, U1LieElt,
                           admissible_xi, cayley, cayley_inv, make_bpoint_rs1,
                           u0_nilpotent_family_member, u0_ss_case0,
@@ -57,6 +56,30 @@ def ball_sum(p, balls, evaluate):
     return total
 
 
+TAIL_SAMPLES = 7
+
+
+def close_poly_geometric_tail(values, p: int) -> Fraction:
+    """Sum over i >= 0 of a sequence recognized as P(i) p^-i with deg P <= 2;
+    values must supply at least TAIL_SAMPLES shells (three determine P, the
+    rest confirm the law).  A fit, kept as the reference tail closure of
+    shell_sum: it knows no threshold, so it refuses, or on shells that are
+    all 0 returns 0, when its samples do not yet follow the law."""
+    if all(v == 0 for v in values):
+        return Fraction(0)
+    if len(values) < TAIL_SAMPLES:
+        raise StabilizationError("no stabilization: window too small")
+    r = Fraction(1, p)
+    u = [v * p ** i for i, v in enumerate(values)]
+    if any(u[i + 3] - 3 * u[i + 2] + 3 * u[i + 1] - u[i] for i in range(len(u) - 3)):
+        raise StabilizationError("no stabilization: no geometric ratio matches")
+    # Newton form P(i) = c0 + c1 i + c2 i(i-1), summed against
+    # sum r^i, sum i r^i and sum i(i-1) r^i / 2
+    c1 = u[1] - u[0]
+    c2 = (u[2] - 2 * u[1] + u[0]) / 2
+    return u[0] / (1 - r) + c1 * r / (1 - r) ** 2 + 2 * c2 * r * r / (1 - r) ** 3
+
+
 def shell_sum(p, weight, window):
     """Integrate weight over the multiplicative group: shells |k| <= window
     exact, each infinite tail closed from its TAIL_SAMPLES outermost shells."""
@@ -74,10 +97,10 @@ def f0_shell(k, p):
     return [Ball0(Fraction(u) * Fraction(p) ** k, k + 1) for u in range(1, p)]
 
 
-def fraction_xi_integral(x, window):
-    """xi_integral swept in the t coordinate itself: the Fraction t-balls of
-    f0_shell, each decided by the exact Taylor test of v(g) >= k on
-    g(t) = t^2 + 2 w' t + D'/p, the depth cap on the t-depth."""
+def fraction_xi_weight(x):
+    """The integrand of xi_integral in the t coordinate itself, on the
+    Fraction t-balls of f0_shell: each decided by the exact Taylor test of
+    v(g) >= k on g(t) = t^2 + 2 w' t + D'/p, the depth cap on the t-depth."""
     p = x.p
     dprime = (x.delta() / (x.u ** 4)).rational
     wprime = (x.wtilde / (x.u * x.u)).rational
@@ -93,7 +116,60 @@ def fraction_xi_integral(x, window):
             return None
         return eta(at_c, p) * Fraction(p) ** vg * (vg - k) * k
 
-    return LogQVal({2: shell_sum(p, weight, window)}, p)
+    return weight
+
+
+def fraction_xi_integral(x, window):
+    """xi_integral swept in the t coordinate (fraction_xi_weight), its tails
+    fitted by shell_sum."""
+    return LogQVal({2: shell_sum(x.p, fraction_xi_weight(x), window)}, x.p)
+
+
+def xi_tail_laws(x):
+    """(K-, K+, law) stated from v0 = v(D'/p) and v(w'), without integrate:
+    the shell k > K+ = max(v0, floor(v0/2), v0 - v(w')) of the xi integrand
+    is law(k) = eta(D'/p) p^v0 (v0 - k) k (1 - 1/p) p^-k, where D'/p
+    dominates g, and the shell k < K- = min(ceil(v0/2), v(w'), 0) is
+    law(k) = (1 - 1/p) k^2 p^k, where t^2 does; the v(w') terms drop when
+    w' = 0."""
+    p = x.p
+    dp = (x.delta() / (x.u ** 4)).rational / p
+    wprime = (x.wtilde / (x.u * x.u)).rational
+    v0 = val(dp, p)
+    vw = [val(wprime, p)] if wprime else []
+    lo = min(-(-v0 // 2), *vw, 0)
+    hi = max(v0, v0 // 2, *(v0 - v for v in vw))
+    unit = 1 - Fraction(1, p)
+
+    def law(k):
+        if k > hi:
+            return eta(dp, p) * Fraction(p) ** (v0 - k) * (v0 - k) * k * unit
+        assert k < lo
+        return unit * k * k * Fraction(p) ** k
+
+    return lo, hi, law
+
+
+def seeded_xi_points():
+    """42 seeded side-1 points at p = 3, 5, 7: integral ones from the
+    criterion-5 family and rational ones whose g has roots of negative
+    valuation."""
+    rng = random.Random(29)
+
+    def r(p):
+        return Fraction(rng.randint(-20, 20)) * Fraction(p) ** rng.randint(-3, 3)
+
+    points = []
+    for p in (3, 5, 7):
+        for _ in range(8):
+            lp = rng.choice((INF, 1, 3, 5, 7))
+            points.append(make_bpoint_rs1(rng.randint(0, 3), rng.randint(1, 7), lp, p))
+        while len(points) % 14:
+            x = BPoint.exact(r(p), Fraction(p) ** rng.randint(-2, 2), r(p), p)
+            if x.is_rs() and x.side() == 1:
+                points.append(x)
+    assert len(points) == 42
+    return points
 
 
 def split_once(monkeypatch):
@@ -778,7 +854,7 @@ class TestIwasawa:
             raise AssertionError("called")
 
         monkeypatch.setattr(integrate, "_iwasawa_t_integral", forbidden)
-        monkeypatch.setattr(integrate, "close_poly_geometric_tail", forbidden)
+        monkeypatch.setattr(integrate, "_poly_geometric_sum", forbidden)
         for y, want in criterion4_elements():
             if y.invariants().lam.is_exact_zero() and y.invariants().u.is_exact_zero():
                 assert iwasawa_orbit_u0(y) == want
@@ -1084,37 +1160,44 @@ class TestXi:
         assert len(points) == 75 and nonzero >= 40
 
     def test_matches_the_t_coordinate_reference(self):
-        # seeded side-1 points: integral ones from the criterion-5 family
-        # and rational ones whose g has roots of negative valuation
-        rng = random.Random(29)
-
-        def r(p):
-            return Fraction(rng.randint(-20, 20)) * Fraction(p) ** rng.randint(-3, 3)
-
-        points = []
-        for p in (3, 5, 7):
-            for _ in range(8):
-                lp = rng.choice((INF, 1, 3, 5, 7))
-                points.append(make_bpoint_rs1(rng.randint(0, 3), rng.randint(1, 7), lp, p))
-            while len(points) % 14:
-                x = BPoint.exact(r(p), Fraction(p) ** rng.randint(-2, 2), r(p), p)
-                if x.is_rs() and x.side() == 1:
-                    points.append(x)
-
-        def outcome(fn, x, window):
-            try:
-                return fn(x, window)
-            except (ConductorError, StabilizationError) as exc:
-                return type(exc)
-
+        # one value at every window that holds the support, equal to the
+        # t-coordinate reference wherever its fitted tails find their law:
+        # on 16 (point, window) pairs the fit's outermost shells do not yet
+        # follow it and the reference refuses
         seen = Counter()
-        for x in points:
+        for x in seeded_xi_points():
+            want = xi_integral(x)
             for window in (8, 12, 14):
-                got = outcome(xi_integral, x, window)
-                assert got == outcome(fraction_xi_integral, x, window), (x, window)
-                seen[got if isinstance(got, type) else not got.is_zero()] += 1
-        assert len(points) == 42
-        assert seen[True] >= 100 and seen[StabilizationError] >= 10
+                assert xi_integral(x, window) == want, (x, window)
+                try:
+                    assert fraction_xi_integral(x, window) == want, (x, window)
+                except StabilizationError:
+                    seen["refused"] += 1
+                    continue
+                seen[not want.is_zero()] += 1
+        assert seen == {True: 110, "refused": 16}
+
+    def test_the_t_coordinate_shells_follow_the_tail_laws(self):
+        # the laws that close both tails, checked on the t-coordinate sweep
+        # of 11 shells past K+ and 11 before K-, against xi_tail_laws
+        grid = [make_bpoint_rs1(m, lm, lp, p) for p in (3, 5, 7) for m in range(3)
+                for lm in range(1, 6) for lp in (1, 3, INF)]
+        for x in seeded_xi_points() + grid:
+            lo, hi, law = xi_tail_laws(x)
+            assert xi_window(x) == max(hi, -lo)
+            weight = fraction_xi_weight(x)
+            for i in range(1, 12):
+                for k in (hi + i, lo - i):
+                    assert ball_sum(x.p, f0_shell(k, x.p), weight) == law(k), (x, k)
+
+    def test_deep_supports_match_the_closed_form(self):
+        # supports past the old fixed window of 30: v(D'/p) = l- - 1 on
+        # (0, l-, inf), where fitted tails returned wrong values or refused
+        points = [(0, lm, INF) for lm in range(29, 62)] + [(0, 45, 45), (0, 61, 61),
+                                                          (2, 49, INF)]
+        for mlp in points:
+            x = make_bpoint_rs1(*mlp, 3)
+            assert phi_from_xi(x) == phi_closed(x), mlp
 
     def test_depth_cap_bounds_the_t_depth(self, monkeypatch):
         # the first three points split balls on a negative and a positive
@@ -1148,8 +1231,16 @@ class TestXi:
 
     def test_small_window_is_an_input_error(self):
         x = make_bpoint_rs1(0, 1, INF, 3)
-        with pytest.raises(InputError, match="shell window must be at least 8, got 7"):
-            xi_integral(x, window=7)
+        with pytest.raises(InputError, match="shell window must be at least 0, got -1"):
+            xi_integral(x, window=-1)
+
+    def test_window_below_the_support_is_refused(self):
+        # v(D'/p) = 30 puts K+ at 30: window 29 would cut the support
+        x = make_bpoint_rs1(0, 31, INF, 3)
+        assert xi_window(x) == 30
+        with pytest.raises(StabilizationError, match="support 0..30 leaves the shell "
+                                                     "window 29"):
+            xi_integral(x, window=29)
 
     def test_one_logqval_per_call(self, monkeypatch):
         # the shells sum Fraction coefficients; the graded value is built once

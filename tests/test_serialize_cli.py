@@ -8,9 +8,10 @@ import pytest
 from atlas import cli
 from atlas.cli import main
 from atlas.errors import AtlasError, InputError, PrecisionError
-from atlas.integrate import DEFAULT_WINDOW, auto_window
-from atlas.orbits import (BPoint, U0RedElt, U1RedElt, section_sigma,
-                          u0_nilpotent_family_member, u0_ss_case0, u0_ss_case1)
+from atlas.integrate import auto_window, xi_window
+from atlas.orbits import (INF, BPoint, U0RedElt, U1RedElt, make_bpoint_rs1,
+                          section_sigma, u0_nilpotent_family_member, u0_ss_case0,
+                          u0_ss_case1)
 from atlas.padic import PadicScalar, QuadElt, QuatElt, smallest_nonresidue
 from atlas.serialize import (decode_element, decode_quat, decode_scalar,
                              encode_bpoint, encode_element, encode_quat,
@@ -37,7 +38,7 @@ GOLDEN_ORACLE = {
         '  "kind": "xi",\n'
         '  "value": "-9*logq",\n'
         '  "method": "shell-sum",\n'
-        '  "shells_used": 30\n'
+        '  "shells_used": 1\n'
         '}\n'
     ),
     'orb --kind ss-u0-case0 --params 81 --p 3 --oracle': (
@@ -411,8 +412,8 @@ class TestCli:
         ["values", "--what", "ss-u0", "--params", "0", "--p", "3"],
         ["orb", "--kind", "ss-u0-case0", "--params", "0", "--p", "3"],
         ["orb", "--kind", "ss-u0-case1", "--params", "0", "0", "0", "--p", "3"],
-        ["orb", "--kind", "xi", "--params", "1", "1", "3", "--p", "3", "--oracle",
-         "--shell-window", "3"],
+        ["orb", "--kind", "xi", "--params", "0", "31", "inf", "--p", "3", "--oracle",
+         "--shell-window", "29"],
         ["lint", "--m", "0", "--lminus", "1", "--lplus", "2", "--p", "3"],
         ["values", "--what", "ss-u0", "--p", "3"],
         ["orb", "--kind", "xi", "--params", "1", "--p", "3"],
@@ -469,7 +470,7 @@ class TestCli:
                  ("ss-u0-case0", ["3"], auto_window(u0_ss_case0(3, p))),
                  ("ss-u0-case1", ["0", "1", "0"],
                   auto_window(u0_ss_case1(BPoint.exact(0, 1, 0, p)))),
-                 ("xi", ["0", "1", "inf"], DEFAULT_WINDOW))
+                 ("xi", ["0", "1", "inf"], xi_window(make_bpoint_rs1(0, 1, INF, p))))
         for kind, params, default in kinds:
             for flag, want in ((["--shell-window", "11"], 11), ([], default)):
                 rc = main(["orb", "--kind", kind, "--params", *params, "--p", str(p),
@@ -477,6 +478,17 @@ class TestCli:
                 assert rc == 0
                 data = json.loads(capsys.readouterr().out)
                 assert windows[-1] == want and data["shells_used"] == want, kind
+
+    def test_the_xi_oracle_sums_a_deep_support(self, capsys):
+        # K+ = 30 on this point: the default window holds it, and the value
+        # is the closed form's
+        argv = ["orb", "--kind", "xi", "--params", "0", "31", "inf", "--p", "3"]
+        for flag, tail in ((["--oracle"], '"shell-sum",\n  "shells_used": 30\n'),
+                           ([], '"closed"\n')):
+            assert main([*argv, *flag]) == 0
+            assert capsys.readouterr().out == (
+                '{\n  "p": 3,\n  "kind": "xi",\n  "value": "-51*logq",\n'
+                '  "method": ' + tail + '}\n')
 
     def test_the_torus_window_is_the_only_window(self, capsys):
         # the support of lam0 = 9 at p = 3 starts at the torus shell -2:

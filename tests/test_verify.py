@@ -45,6 +45,12 @@ class TestVerifyZero:
         r = verify_zero(3, m_max=1, l_max=2, method="oracle")
         assert r.constant
 
+    def test_oracle_method_reaches_deep_supports(self):
+        # l- up to 31 puts K+ of the xi shell sum up to 30, past the shell
+        # window of 30 that fitted tails needed free of the support
+        r = verify_zero(3, m_max=0, l_max=31, method="oracle")
+        assert r.constant and len(r.samples) == 31 * 17
+
     @pytest.mark.parametrize("p", [5, 7])
     def test_oracle_method_matches_closed_per_sample(self, p):
         oracle = verify_zero(p, m_max=1, l_max=3, method="oracle")
