@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import padic
 from .errors import AtlasError, InputError
 from .germs import UNNEEDED, BasePointPlan, dorb1, gamma_n_mu, phi_closed
-from .integrate import auto_window, iwasawa_orbit_u0, phi_from_xi, xi_window
+from .integrate import iwasawa_orbit_u0, phi_from_xi
 from .keating import check_closed_form, l_int_closed, l_int_keating
 from .orbits import (INF, BPoint, check_case1_point, make_bpoint_rs1,
                      u0_nilpotent_family_member, u0_ss_case0, u0_ss_case1)
@@ -70,10 +70,8 @@ def cmd_lint(args) -> int:
     return 0
 
 
-def _u0_oracle(y, args) -> dict:
-    window = auto_window(y) if args.shell_window is None else args.shell_window
-    return {"value": str(iwasawa_orbit_u0(y, window=window)),
-            "method": "shell-sum", "shells_used": window}
+def _u0_oracle(y) -> dict:
+    return {"value": str(iwasawa_orbit_u0(y)), "method": "shell-sum"}
 
 
 def cmd_orb(args) -> int:
@@ -83,7 +81,7 @@ def cmd_orb(args) -> int:
         mu, = _parse("--params", args.params, Fraction)
         closed = orb_nil_family_s(mu, p)  # the matched side, for reference
         if args.oracle:
-            out |= _u0_oracle(u0_nilpotent_family_member(mu, p), args)
+            out |= _u0_oracle(u0_nilpotent_family_member(mu, p))
         else:
             from .values import nil_family_orb_u0_fn, phi_eval
             v = phi_eval(nil_family_orb_u0_fn(p), padic.PadicScalar.exact(mu, p))
@@ -93,7 +91,7 @@ def cmd_orb(args) -> int:
     elif args.kind == "ss-u0-case0":
         lam0, = _parse("--params", args.params, Fraction)
         if args.oracle:
-            out |= _u0_oracle(u0_ss_case0(lam0, p), args)
+            out |= _u0_oracle(u0_ss_case0(lam0, p))
         else:
             out["value"] = str(orb_u0_ss_case0(lam0, p))
             out["method"] = "closed"
@@ -101,7 +99,7 @@ def cmd_orb(args) -> int:
         lam0, u0, wt0 = _parse("--params", args.params, Fraction, Fraction, Fraction)
         x0 = BPoint.exact(lam0, u0, wt0, p)
         if args.oracle:     # u0_ss_case1 checks the point
-            out |= _u0_oracle(u0_ss_case1(x0), args)
+            out |= _u0_oracle(u0_ss_case1(x0))
         else:
             check_case1_point(x0)
             out["value"] = str(orb_u0_ss_case1(lam0, u0, p))
@@ -110,10 +108,8 @@ def cmd_orb(args) -> int:
         m, lm, lp = _parse("--params", args.params, int, int, _parse_lplus)
         x = make_bpoint_rs1(m, lm, lp, p)
         if args.oracle:
-            window = xi_window(x) if args.shell_window is None else args.shell_window
-            out["value"] = str(phi_from_xi(x, window=window))
+            out["value"] = str(phi_from_xi(x))
             out["method"] = "shell-sum"
-            out["shells_used"] = window
         else:
             out["value"] = str(phi_closed(x))
             out["method"] = "closed"
@@ -256,10 +252,6 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--params", nargs="+", required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--oracle", action="store_true")
-    sp.add_argument("--shell-window", type=int,
-                    help="shell window of the --oracle sums (default: the "
-                         "library's, auto_window(y) for the u0 kinds and "
-                         "xi_window(x) for xi)")
     sp.set_defaults(func=cmd_orb)
 
     sp = sub.add_parser("values", help="closed-form orbital values")

@@ -21,18 +21,20 @@ so they hold on one interval lo..hi of k per element (`_k_interval`),
 outside which a shell is an exact 0, and the nilpotent family's integral is
 its closed volume.  The bounds on entries that depend on t weaken as k
 grows, so the unipotent integral is nondecreasing in k: the torus scan runs
-down from hi and ends at its first empty shell, and a scan empty at hi is
-an exact 0.  Each unipotent integral sweeps Z_p and the shells v(t) = j
-down to a floor read off the Newton polygons of its polynomials, below
-which no condition can pass (`_t_floor`), each shell from its roots in the
-integer coordinate tau = t p^-j (see `_iwasawa_t_integral`).
+down from hi to lo, with no window of its own, and ends at its first empty
+shell, and a scan empty at hi is an exact 0.  Each unipotent integral
+sweeps Z_p and the shells v(t) = j down to a floor read off the Newton
+polygons of its polynomials, below which no condition can pass
+(`_t_floor`), each shell from its roots in the integer coordinate
+tau = t p^-j (see `_iwasawa_t_integral`).
 
 The double-log shell sum behind the family contribution (`xi_integral`) is
 a pure (log q)^2 value.  Each shell v(t) = k is swept in the same kind of
 integer coordinate, tau = t p^-k over the units: its balls add up integers
-by power of p, and each shell builds one Fraction.  Outside K-..K+
-(`_xi_support`) the shells follow known laws, so both tails are summed in
-closed form; the default window `xi_window` is the least holding K-..K+."""
+by power of p (`_power_sum`, as the unipotent integrals count their balls),
+and each shell builds one Fraction.  Outside K-..K+ (`_xi_support`) the
+shells follow known laws, so both tails are summed in closed form; the
+default window max(K+, -K-) is the least holding K-..K+."""
 
 from __future__ import annotations
 
@@ -98,6 +100,16 @@ class BallF:
 
 # ---------------------------------------------------------------------------
 # exact ball decisions
+
+
+def _power_sum(terms, p: int) -> Fraction:
+    """Sum of a p^i over the items i: a of terms, integers, as one
+    Fraction: the integrators count their balls by power of p."""
+    if not terms:
+        return Fraction(0)
+    low = min(terms)
+    n = sum(a * p ** (i - low) for i, a in terms.items())
+    return Fraction(n * p ** low) if low >= 0 else Fraction(n, p ** -low)
 
 
 def _taylor(poly, v2: int, c: Fraction, d: int, p: int):
@@ -212,7 +224,7 @@ def _iwasawa_t_integral(polys, k: int, p: int) -> Fraction:
     v(P(c)) < rest and v(P(c)) < b for one, and is otherwise split; the
     passing balls are counted by t-depth into one Fraction."""
     conds = [(poly, b) for poly, b in _lattice_bounds(polys, k) if poly[1] or poly[2]]
-    passed = {}             # passing balls by t-depth
+    passed = {}             # passing balls by t-depth e + j, keyed -(e + j)
     for j in range(0, _t_floor(conds, p) - 1, -1):
         s = p ** -j
         scaled = [((c0 * s * s, c1 * s, c2), val(c2, p), b - 2 * j)
@@ -234,56 +246,50 @@ def _iwasawa_t_integral(polys, k: int, p: int) -> Fraction:
                     raise ConductorError("conductor too small: depth cap reached")
                 stack.extend(ball.split(p))
             elif verdict:
-                passed[e + j] = passed.get(e + j, 0) + 1
-    if not passed:
-        return Fraction(0)
-    top = max(passed)
-    n = sum(m * p ** (top - e) for e, m in passed.items())
-    return Fraction(n, p ** top) if top >= 0 else Fraction(n * p ** -top)
+                passed[-e - j] = passed.get(-e - j, 0) + 1
+    return _power_sum(passed, p)
 
 
 MIN_AUTO_WINDOW = 8
 
 
 def auto_window(y: U0RedElt) -> int:
-    """A torus window comfortably containing the support: twice the largest
-    coordinate valuation plus slack, at least MIN_AUTO_WINDOW."""
+    """The guard of a torus scan whose interval is open below (lo None in
+    `iwasawa_orbit_u0`): twice the largest coordinate valuation plus slack,
+    at least MIN_AUTO_WINDOW."""
     vals = [abs(s.val()) for s in (y.a1, y.a2, y.a3) if not s.is_exact_zero()]
     vals += [abs(b.val_f()) for b in (y.b1, y.b2) if not b.is_zero()]
     return max(MIN_AUTO_WINDOW, 2 * max(vals, default=0) + 6)
 
 
-def iwasawa_orbit_u0(y: U0RedElt, window: int | None = None):
+def iwasawa_orbit_u0(y: U0RedElt):
     """Orbital integral of the lattice indicator over the quasi-split
     stabilizer group in Iwasawa coordinates, with the zeta(1) measure factor:
     the torus shell k = v_F(z), of volume (p - 1) p^-(k+1), is 0 outside the
-    element's `_k_interval` lo..hi.  On the nilpotent family (nonzero, all
-    invariants zero) the stabilizer is the unipotent subgroup and the
-    indicator is 1 on the interval: the integral is zeta(1) (p^-lo -
-    p^-(hi+1)), the second term dropped when hi is None.  Any other element
-    sums its shells from hi down to max(lo, -window), volume times unipotent
-    integral T(k).  There hi is finite: the entries of positive slope in
-    `_shell_bounds`, (1, 0), (1, 2) and (2, 0), are a3, b2 and conj(b2) pi,
-    constant in t, so hi is None only when a3 = b2 = 0; then u = wtilde = 0
-    and lam = -a1^2, the zero or a split-case element, which raises
-    StabilizationError.  The scan stops at its first T(k) = 0, exactly: the
-    entries that depend on t, (0, 0), (0, 1), (0, 2), (1, 1) and (2, 1),
-    have the bounds 0, -2k, -k, 0 and -k, which weaken as k grows, so the t
-    that pass on shell k pass on shell k + 1 and T is nondecreasing.
+    element's `_k_interval` lo..hi, which bounds the sum exactly.  On the
+    nilpotent family (nonzero, all invariants zero) the stabilizer is the
+    unipotent subgroup and the indicator is 1 on the interval: the integral
+    is zeta(1) (p^-lo - p^-(hi+1)), the second term dropped when hi is None.
+    Any other element sums its shells from hi down to lo, volume times
+    unipotent integral T(k).  There hi is finite: the entries of positive
+    slope in `_shell_bounds`, (1, 0), (1, 2) and (2, 0), are a3, b2 and
+    conj(b2) pi, constant in t, so hi is None only when a3 = b2 = 0; then
+    u = wtilde = 0 and lam = -a1^2, the zero or a split-case element, which
+    raises StabilizationError.  The scan stops at its first T(k) = 0,
+    exactly: the entries that depend on t, (0, 0), (0, 1), (0, 2), (1, 1)
+    and (2, 1), have the bounds 0, -2k, -k, 0 and -k, which weaken as k
+    grows, so the t that pass on shell k pass on shell k + 1 and T is
+    nondecreasing.
 
     The integral is exactly 0 on an empty interval, when every shell of the
     scan is 0, and when v(lam) < 0 or v(u) < 0, both integral on the
-    lattice and constant on the orbit (README, Conventions).  A window below
-    1 raises InputError; a support
-    reaching the window's edge (a nilpotent-family lo <= -window, a nonzero
-    shell -window, or hi > window) raises StabilizationError rather than
+    lattice and constant on the orbit (README, Conventions).  An interval
+    open at the end the sum starts from (lo None on the nilpotent family, hi
+    None on any other element) raises StabilizationError, and so does a
+    scan with lo None whose shell -auto_window(y) is nonzero, rather than
     return a truncated sum; a ConductorError propagates."""
     p = y.p
     inv = y.invariants()
-    if window is None:
-        window = auto_window(y)
-    if window < 1:
-        raise InputError(f"torus shell window must be at least 1, got {window}")
     if inv.lam.val() < 0 or inv.u.val() < 0:
         return Fraction(0)
     polys = _conj_polys(y.matrix())
@@ -293,22 +299,21 @@ def iwasawa_orbit_u0(y: U0RedElt, window: int | None = None):
     lo, hi = _k_interval(polys, p, nilfam)
     if lo is not None and hi is not None and lo > hi:
         return Fraction(0)
-    edge = (f"no stabilization in the torus coordinate: "
-            f"shell {-window} at the window's edge is nonzero")
+    if (lo if nilfam else hi) is None:
+        raise StabilizationError("no stabilization in the torus coordinate")
     if nilfam:
-        if lo is None or lo <= -window:
-            raise StabilizationError(edge)
         tail = 0 if hi is None else Fraction(p) ** -(hi + 1)
         return (Fraction(p) ** -lo - tail) * zeta1(p)
-    if hi is None or hi > window:
-        raise StabilizationError("no stabilization in the torus coordinate")
+    end = -auto_window(y) if lo is None else lo
     total = Fraction(0)
-    for k in range(hi, (-window if lo is None else max(lo, -window)) - 1, -1):
+    for k in range(hi, end - 1, -1):
         s = _iwasawa_t_integral(polys, k, p)
         if not s:
             break           # T(k) is nondecreasing in k: every lower shell is 0
-        if k == -window:
-            raise StabilizationError(edge)
+        if k == end and lo is None:
+            raise StabilizationError(f"no stabilization in the torus coordinate: "
+                                     f"the guard shell {end} of a scan open below "
+                                     f"is nonzero")
         total += (p - 1) * Fraction(p) ** -(k + 1) * s
     return total * zeta1(p)
 
@@ -335,13 +340,6 @@ def _xi_support(x: BPoint):
     vw = [val(wprime, p)] if wprime else []
     return (dp, wprime, v0, min(-(-v0 // 2), *vw, 0),
             max(v0, v0 // 2, *(v0 - v for v in vw)))
-
-
-def xi_window(x: BPoint) -> int:
-    """The least shell window of `xi_integral` that holds the support K-..K+
-    (`_xi_support`): max(K+, -K-)."""
-    *_, lo, hi = _xi_support(x)
-    return max(hi, -lo)
 
 
 def _poly_geometric_sum(a, b, c, r: Fraction) -> Fraction:
@@ -371,12 +369,12 @@ def xi_integral(x: BPoint, window: int | None = None) -> LogQVal:
     dominates, v(g) = v(G(c)) - w and eta(g) = eta(den) eta(G(c)) on the
     whole ball, which contributes eta(g) (v(g) - k) k p^(v(g) - e - k) to
     the (log q)^2 coefficient; these integers are summed by exponent into
-    one Fraction per shell.  Shells |k| <= window are swept exactly; past
-    them the shells n + i and -(n + i), n = window + 1, follow the laws of
-    `_xi_support`, a polynomial of degree two in i times p^-i, summed in
-    closed form.  The window defaults to `xi_window(x)`; a negative one is
-    an InputError, and one that does not hold K-..K+ raises
-    StabilizationError rather than truncate."""
+    one Fraction per shell (`_power_sum`).  Shells |k| <= window are swept
+    exactly; past them the shells n + i and -(n + i), n = window + 1,
+    follow the laws of `_xi_support`, a polynomial of degree two in i times
+    p^-i, summed in closed form.  The window defaults to max(K+, -K-), the
+    least that holds K-..K+; a negative one is an InputError, and one that
+    does not hold K-..K+ raises StabilizationError rather than truncate."""
     p = x.p
     dp, wprime, v0, lo, hi = _xi_support(x)
     window = max(hi, -lo) if window is None else window
@@ -408,11 +406,7 @@ def xi_integral(x: BPoint, window: int | None = None) -> LogQVal:
                 continue
             vg = vc - w
             sums[vg - e - k] = sums.get(vg - e - k, 0) + eta(at_c, p) * (vg - k)
-        if not sums:
-            return Fraction(0)
-        low = min(sums)
-        n = eta(den, p) * k * sum(a * p ** (i - low) for i, a in sums.items())
-        return Fraction(n * p ** low) if low >= 0 else Fraction(n, p ** -low)
+        return eta(den, p) * k * _power_sum(sums, p)
 
     total = sum((shell(k) for k in range(-window, window + 1)), Fraction(0))
     r, n = Fraction(1, p), window + 1

@@ -78,7 +78,10 @@ def decode_element(obj):
         p = obj["p"]
         space = obj["space"]
         if space == "s_red":
-            return SRedElt([[decode_scalar(e, p) for e in row] for row in obj["z"]])
+            z = [[decode_scalar(e, p) for e in row] for row in obj["z"]]
+            if len(z) != 3 or any(len(row) != 3 for row in z):
+                raise InputError("malformed element: s_red z is not 3x3")
+            return SRedElt(z)
         if space == "u1_red":
             return U1RedElt(decode_quat(obj["alpha"], p), decode_quat(obj["b"], p))
         if space == "u0_red":

@@ -111,10 +111,13 @@ def neighborhood_samples(x0, count: int = NEIGHBORHOOD_SAMPLES):
     a^2 d^2 - a0^2 differs from a0^2 (d^2 - 1), a0 an exact root, by a term
     of valuation above v(a0^2) + j: v(Delta) and the leading digit of Delta,
     so the side, are those of the exact root, and no rational root is
-    needed."""
+    needed.  The zero base point has no such check: InputError, naming
+    `verify zero`, the check at zero."""
     plan = base_point_plan(x0)
     p = plan.p
     c = plan.usable_case()
+    if c == "zero":
+        raise InputError("the base point is zero: its check is verify zero")
     if not plan.side1_closure:
         raise UnrealizableError("base point is not in the closure of side 1")
     x0 = plan.x0

@@ -10,8 +10,8 @@ from atlas import integrate
 from atlas.errors import ConductorError, InputError, PrecisionError, StabilizationError
 from atlas.integrate import (Ball0, BallF, _conj_polys, _iwasawa_t_integral,
                              _k_interval, _lattice_bounds, _shell_bounds,
-                             _t_floor, _taylor, auto_window, iwasawa_orbit_u0,
-                             phi_from_xi, xi_integral, xi_window)
+                             _t_floor, _taylor, _xi_support, auto_window,
+                             iwasawa_orbit_u0, phi_from_xi, xi_integral)
 from atlas.cli import main
 from atlas.germs import dorb1, is_in_neighborhood, phi_closed
 from atlas.orbits import (INF, XI_CHOICES, BPoint, U0RedElt, U1LieElt,
@@ -774,7 +774,8 @@ class TestIwasawa:
                            QuadElt.exact(Fraction(27, 2), Fraction(-4, 9), 3), 0, 3)
         assert _k_interval(_conj_polys(y.matrix()), 3, False) == (3, 2)
         assert iwasawa_orbit_u0(y) == 0
-        assert iwasawa_orbit_u0(y, window=1) == 0
+        monkeypatch.setattr(integrate, "auto_window", lambda y: 1)
+        assert iwasawa_orbit_u0(y) == 0
 
     def test_hi_is_finite_when_delta_is_nonzero(self):
         # the positive-slope entries a3, b2 and conj(b2) pi are constant in
@@ -971,37 +972,48 @@ class TestIwasawa:
                        5: Fraction(1, p ** 4), 6: Fraction(1, p ** 4),
                        7: Fraction(1, p ** 4)}
 
-    def test_support_at_the_window_edge_raises(self):
-        # the support of lam0 = 81 at p = 3 starts at the torus shell -4
+    def test_support_at_the_window_edge_raises(self, monkeypatch):
+        # the support of lam0 = 81 at p = 3 starts at the torus shell -4,
+        # and its interval is open below: a guard of 3 cuts it
         p = 3
         y = u0_ss_case0(81, p)
+        assert _k_interval(_conj_polys(y.matrix()), p, False) == (None, 0)
         assert iwasawa_orbit_u0(y) == orb_u0_ss_case0(81, p) == 17
-        with pytest.raises(StabilizationError):
-            iwasawa_orbit_u0(y, window=3)
+        monkeypatch.setattr(integrate, "auto_window", lambda y: 3)
+        with pytest.raises(StabilizationError, match="guard shell -3 of a scan open below"):
+            iwasawa_orbit_u0(y)
 
-    def test_nonpositive_window_is_an_input_error(self):
-        # it read as "no stabilization in the torus coordinate"
-        for window in (0, -2):
-            with pytest.raises(InputError, match=f"got {window}"):
-                iwasawa_orbit_u0(u0_ss_case0(81, 3), window=window)
+    def test_a_finite_interval_is_summed_past_the_guard(self, monkeypatch):
+        # the guard bounds only a scan open below: the case-1 element's
+        # interval 0..3 and the nilpotent family's lo = -1 are summed
+        # exactly under a guard of 1, which the window they replace refused
+        monkeypatch.setattr(integrate, "auto_window", lambda y: 1)
+        y = u0_ss_case1(BPoint.exact(-27, 3, 9, 3))
+        assert _k_interval(_conj_polys(y.matrix()), 3, False) == (0, 3)
+        assert iwasawa_orbit_u0(y) == orb_u0_ss_case1(-27, 3, 3) == 8
+        y = u0_nilpotent_family_member(9, 5)
+        assert _k_interval(_conj_polys(y.matrix()), 5, True) == (-1, None)
+        assert iwasawa_orbit_u0(y) == Fraction(25, 4)
 
-    def test_a_short_window_does_not_cut_the_t_scan(self):
+    def test_a_short_window_does_not_cut_the_t_scan(self, monkeypatch):
         # the t-scan ends at its floor, not at a window: lam0 = 9 at p = 3,
-        # whose support starts at the torus shell -2, is 5 from window 3 up,
+        # whose support starts at the torus shell -2, is 5 from guard 3 up,
         # where a t-scan that needed room for four empty t-shells raised
         p = 3
         polys = _conj_polys(u0_ss_case1(BPoint.exact(0, 1, 0, p)).matrix())
         assert _iwasawa_t_integral(polys, 0, p) == 1
         y = u0_ss_case0(9, p)
-        for window in range(3, auto_window(y) + 1):
-            assert iwasawa_orbit_u0(y, window=window) == orb_u0_ss_case0(9, p) == 5
-        for window in (1, 2):
-            with pytest.raises(StabilizationError, match="window's edge"):
-                iwasawa_orbit_u0(y, window=window)
+        for guard in range(1, auto_window(y) + 1):
+            monkeypatch.setattr(integrate, "auto_window", lambda y: guard)
+            if guard < 3:
+                with pytest.raises(StabilizationError, match=f"guard shell -{guard} "):
+                    iwasawa_orbit_u0(y)
+            else:
+                assert iwasawa_orbit_u0(y) == orb_u0_ss_case0(9, p) == 5
 
     @pytest.mark.parametrize("p", [3, 5])
-    def test_short_windows_raise_or_agree(self, p):
-        # every window from 2 up gives the closed form or raises; none gives
+    def test_short_windows_raise_or_agree(self, p, monkeypatch):
+        # every guard from 2 up gives the closed form or raises; none gives
         # a truncated sum
         for v in range(0, 7):
             for c in range(1, p):
@@ -1009,12 +1021,13 @@ class TestIwasawa:
                 if PadicScalar.exact(-lam0, p).is_square():
                     continue
                 y, want = u0_ss_case0(lam0, p), orb_u0_ss_case0(lam0, p)
-                for window in range(2, auto_window(y) + 1):
+                for guard in range(2, auto_window(y) + 1):
+                    monkeypatch.setattr(integrate, "auto_window", lambda y: guard)
                     try:
-                        got = iwasawa_orbit_u0(y, window=window)
+                        got = iwasawa_orbit_u0(y)
                     except StabilizationError:
                         continue
-                    assert got == want, (lam0, window)
+                    assert got == want, (lam0, guard)
 
     def test_zero_lam0_has_no_representative(self):
         with pytest.raises(InputError):
@@ -1184,7 +1197,7 @@ class TestXi:
                 for lm in range(1, 6) for lp in (1, 3, INF)]
         for x in seeded_xi_points() + grid:
             lo, hi, law = xi_tail_laws(x)
-            assert xi_window(x) == max(hi, -lo)
+            assert _xi_support(x)[3:] == (lo, hi)
             weight = fraction_xi_weight(x)
             for i in range(1, 12):
                 for k in (hi + i, lo - i):
@@ -1237,7 +1250,8 @@ class TestXi:
     def test_window_below_the_support_is_refused(self):
         # v(D'/p) = 30 puts K+ at 30: window 29 would cut the support
         x = make_bpoint_rs1(0, 31, INF, 3)
-        assert xi_window(x) == 30
+        *_, lo, hi = _xi_support(x)
+        assert max(hi, -lo) == 30
         with pytest.raises(StabilizationError, match="support 0..30 leaves the shell "
                                                      "window 29"):
             xi_integral(x, window=29)

@@ -8,10 +8,7 @@ import pytest
 from atlas import cli
 from atlas.cli import main
 from atlas.errors import AtlasError, InputError, PrecisionError
-from atlas.integrate import auto_window, xi_window
-from atlas.orbits import (INF, BPoint, U0RedElt, U1RedElt, make_bpoint_rs1,
-                          section_sigma, u0_nilpotent_family_member, u0_ss_case0,
-                          u0_ss_case1)
+from atlas.orbits import BPoint, U0RedElt, U1RedElt, section_sigma
 from atlas.padic import PadicScalar, QuadElt, QuatElt, smallest_nonresidue
 from atlas.serialize import (decode_element, decode_quat, decode_scalar,
                              encode_bpoint, encode_element, encode_quat,
@@ -28,7 +25,6 @@ GOLDEN_ORACLE = {
         '  "kind": "nil-u0",\n'
         '  "value": "3/2",\n'
         '  "method": "shell-sum",\n'
-        '  "shells_used": 8,\n'
         '  "matched_side_value": "1"\n'
         '}\n'
     ),
@@ -37,8 +33,7 @@ GOLDEN_ORACLE = {
         '  "p": 3,\n'
         '  "kind": "xi",\n'
         '  "value": "-9*logq",\n'
-        '  "method": "shell-sum",\n'
-        '  "shells_used": 1\n'
+        '  "method": "shell-sum"\n'
         '}\n'
     ),
     'orb --kind ss-u0-case0 --params 81 --p 3 --oracle': (
@@ -46,17 +41,7 @@ GOLDEN_ORACLE = {
         '  "p": 3,\n'
         '  "kind": "ss-u0-case0",\n'
         '  "value": "17",\n'
-        '  "method": "shell-sum",\n'
-        '  "shells_used": 14\n'
-        '}\n'
-    ),
-    'orb --kind ss-u0-case0 --params 81 --p 3 --oracle --shell-window 10': (
-        '{\n'
-        '  "p": 3,\n'
-        '  "kind": "ss-u0-case0",\n'
-        '  "value": "17",\n'
-        '  "method": "shell-sum",\n'
-        '  "shells_used": 10\n'
+        '  "method": "shell-sum"\n'
         '}\n'
     ),
     'orb --kind ss-u0-case1 --params -27 3 9 --p 3 --oracle': (
@@ -64,17 +49,7 @@ GOLDEN_ORACLE = {
         '  "p": 3,\n'
         '  "kind": "ss-u0-case1",\n'
         '  "value": "8",\n'
-        '  "method": "shell-sum",\n'
-        '  "shells_used": 12\n'
-        '}\n'
-    ),
-    'orb --kind ss-u0-case1 --params -27 3 9 --p 3 --oracle --shell-window 12': (
-        '{\n'
-        '  "p": 3,\n'
-        '  "kind": "ss-u0-case1",\n'
-        '  "value": "8",\n'
-        '  "method": "shell-sum",\n'
-        '  "shells_used": 12\n'
+        '  "method": "shell-sum"\n'
         '}\n'
     ),
     'orb --kind nil-u0 --params 9 --p 5 --oracle': (
@@ -83,17 +58,6 @@ GOLDEN_ORACLE = {
         '  "kind": "nil-u0",\n'
         '  "value": "25/4",\n'
         '  "method": "shell-sum",\n'
-        '  "shells_used": 8,\n'
-        '  "matched_side_value": "0"\n'
-        '}\n'
-    ),
-    'orb --kind nil-u0 --params 9 --p 5 --oracle --shell-window 12': (
-        '{\n'
-        '  "p": 5,\n'
-        '  "kind": "nil-u0",\n'
-        '  "value": "25/4",\n'
-        '  "method": "shell-sum",\n'
-        '  "shells_used": 12,\n'
         '  "matched_side_value": "0"\n'
         '}\n'
     ),
@@ -366,13 +330,23 @@ class TestCli:
         {"lambda": "0", "u": "1", "p": 3},
         {"lambda": "x", "u": "1", "wtilde": "0", "p": 3},
         {"lambda": "0", "u": "1", "wtilde": "0", "p": 3.0},
-    ], ids=["no-wtilde", "bad-lambda", "float-p"])
+        {"lambda": "0", "u": "0", "wtilde": "0", "p": 3},
+    ], ids=["no-wtilde", "bad-lambda", "float-p", "zero-base-point"])
     def test_verify_x0_rejects_bad_spec_entries(self, entry, tmp_path, capsys):
         # each ended in a traceback and exit 1, the status of a VARIES verdict
         f = tmp_path / "x0.json"
         f.write_text(json.dumps([entry]))
         assert main(["verify", "x0", "--spec", str(f)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("z", [[[{"num": "1", "den": "1"}]], []],
+                             ids=["one-entry", "empty"])
+    def test_invariants_refuse_an_s_red_z_not_3x3(self, z, tmp_path, capsys):
+        # each ended in an IndexError traceback and exit 1
+        f = tmp_path / "elem.json"
+        f.write_text(json.dumps({"space": "s_red", "p": 3, "z": z}))
+        assert main(["invariants", "--elem", str(f)]) == 2
+        assert capsys.readouterr().err == "error: malformed element: s_red z is not 3x3\n"
 
     def test_format_reaches_lint_and_verify(self, monkeypatch):
         seen = []
@@ -399,8 +373,16 @@ class TestCli:
         ["--shell-window", "9", "orb", "--kind", "nil-u0", "--params", "1", "--p", "3"],
         ["lint", "--m", "0", "--lminus", "1", "--lplus", "inf", "--p", "3",
          "--format", "text"],
+        # the oracles sum their exact supports: orb has no window to set
+        ["orb", "--kind", "xi", "--params", "0", "31", "inf", "--p", "3", "--oracle",
+         "--shell-window", "29"],
+        ["orb", "--kind", "ss-u0-case0", "--params", "81", "--p", "3", "--oracle",
+         "--shell-window", "3"],
+        ["orb", "--kind", "ss-u0-case0", "--params", "81", "--p", "3", "--oracle",
+         "--shell-window", "-2"],
     ], ids=["values-window", "values-format", "germ-format", "format-first",
-            "window-first", "lint-text"])
+            "window-first", "lint-text", "xi-small-window", "oracle-window-edge",
+            "oracle-negative-window"])
     def test_flags_a_command_does_not_read_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -412,15 +394,11 @@ class TestCli:
         ["values", "--what", "ss-u0", "--params", "0", "--p", "3"],
         ["orb", "--kind", "ss-u0-case0", "--params", "0", "--p", "3"],
         ["orb", "--kind", "ss-u0-case1", "--params", "0", "0", "0", "--p", "3"],
-        ["orb", "--kind", "xi", "--params", "0", "31", "inf", "--p", "3", "--oracle",
-         "--shell-window", "29"],
         ["lint", "--m", "0", "--lminus", "1", "--lplus", "2", "--p", "3"],
         ["values", "--what", "ss-u0", "--p", "3"],
         ["orb", "--kind", "xi", "--params", "1", "--p", "3"],
         ["values", "--what", "nil-s", "--params", "abc", "--p", "3"],
         ["lint", "--m", "0", "--lminus", "1", "--lplus", "3", "--p", "4"],
-        ["orb", "--kind", "ss-u0-case0", "--params", "81", "--p", "3", "--oracle",
-         "--shell-window", "3"],
         ["orb", "--kind", "ss-u0-case0", "--params", "0", "--p", "3", "--oracle"],
         ["germ", "--x0", "a", "0", "0", "--x", "1", "1", "0", "--p", "5"],
         ["lint", "--m", "-2", "--lminus", "1", "--lplus", "inf", "--p", "3"],
@@ -428,16 +406,13 @@ class TestCli:
         ["lint", "--m", "1", "--lminus", "3", "--lplus", "-1", "--p", "3", "--closed"],
         ["verify", "zero", "--p", "3", "--m-max", "-1"],
         ["verify", "zero", "--p", "3", "--l-max", "0"],
-        ["orb", "--kind", "ss-u0-case0", "--params", "81", "--p", "3", "--oracle",
-         "--shell-window", "-2"],
         ["germ", "--x0", "0", "0", "0", "--x", "0", "1", "0", "--p", "3"],
     ], ids=["germ-side0", "values-lam0", "orb-case0-lam0", "orb-case1-u0",
-            "xi-small-window", "lint-even-lplus", "values-missing-params",
-            "xi-missing-params", "values-unparsed", "lint-even-p",
-            "oracle-window-edge", "oracle-case0-lam0", "germ-unparsed",
+            "lint-even-lplus", "values-missing-params", "xi-missing-params",
+            "values-unparsed", "lint-even-p", "oracle-case0-lam0", "germ-unparsed",
             "lint-negative-m", "lint-closed-negative-lminus",
             "lint-closed-negative-lplus", "verify-zero-empty-m",
-            "verify-zero-empty-l", "oracle-negative-window", "germ-delta-zero"])
+            "verify-zero-empty-l", "germ-delta-zero"])
     def test_bad_inputs_exit_with_an_error_line(self, argv, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -453,58 +428,15 @@ class TestCli:
             assert capsys.readouterr().err.startswith(
                 "error: l_int closed form 8 != level-sum oracle -1 ")
 
-    def test_shell_window_reaches_every_oracle(self, monkeypatch, capsys):
-        windows = []
-
-        def spy(fn):
-            def wrapped(elt, window=None):
-                windows.append(window)
-                return fn(elt, window=window)
-            return wrapped
-
-        monkeypatch.setattr(cli, "iwasawa_orbit_u0", spy(cli.iwasawa_orbit_u0))
-        monkeypatch.setattr(cli, "phi_from_xi", spy(cli.phi_from_xi))
-        p = 3
-        kinds = (("nil-u0", ["1/3"],
-                  auto_window(u0_nilpotent_family_member(Fraction(1, 3), p))),
-                 ("ss-u0-case0", ["3"], auto_window(u0_ss_case0(3, p))),
-                 ("ss-u0-case1", ["0", "1", "0"],
-                  auto_window(u0_ss_case1(BPoint.exact(0, 1, 0, p)))),
-                 ("xi", ["0", "1", "inf"], xi_window(make_bpoint_rs1(0, 1, INF, p))))
-        for kind, params, default in kinds:
-            for flag, want in ((["--shell-window", "11"], 11), ([], default)):
-                rc = main(["orb", "--kind", kind, "--params", *params, "--p", str(p),
-                           "--oracle", *flag])
-                assert rc == 0
-                data = json.loads(capsys.readouterr().out)
-                assert windows[-1] == want and data["shells_used"] == want, kind
-
     def test_the_xi_oracle_sums_a_deep_support(self, capsys):
         # K+ = 30 on this point: the default window holds it, and the value
         # is the closed form's
         argv = ["orb", "--kind", "xi", "--params", "0", "31", "inf", "--p", "3"]
-        for flag, tail in ((["--oracle"], '"shell-sum",\n  "shells_used": 30\n'),
-                           ([], '"closed"\n')):
+        for flag, tail in ((["--oracle"], '"shell-sum"\n'), ([], '"closed"\n')):
             assert main([*argv, *flag]) == 0
             assert capsys.readouterr().out == (
                 '{\n  "p": 3,\n  "kind": "xi",\n  "value": "-51*logq",\n'
                 '  "method": ' + tail + '}\n')
-
-    def test_the_torus_window_is_the_only_window(self, capsys):
-        # the support of lam0 = 9 at p = 3 starts at the torus shell -2:
-        # window 3 holds it, and the t-scan needs no window of its own;
-        # windows 1 and 2 cut the support at the torus edge
-        argv = ["orb", "--kind", "ss-u0-case0", "--params", "9", "--p", "3", "--oracle",
-                "--shell-window"]
-        assert main([*argv, "3"]) == 0
-        assert capsys.readouterr().out == (
-            '{\n  "p": 3,\n  "kind": "ss-u0-case0",\n  "value": "5",\n'
-            '  "method": "shell-sum",\n  "shells_used": 3\n}\n')
-        for window in (1, 2):
-            assert main([*argv, str(window)]) == 2
-            assert capsys.readouterr().err == (
-                f"error: no stabilization in the torus coordinate: shell -{window} "
-                f"at the window's edge is nonzero\n")
 
     @pytest.mark.parametrize("command", list(GOLDEN_ORACLE))
     def test_golden_oracle_outputs(self, command, capsys):

@@ -100,6 +100,14 @@ class TestVerifyX0:
         with pytest.raises(ExcludedCaseError):
             verify_x0(BPoint.exact(-4, 0, 0, 5))
 
+    def test_zero_base_point_is_an_input_error(self):
+        # case zero fell into the case-1 branch, where v(u) is infinite and
+        # range() raised a TypeError
+        x0 = BPoint.exact(0, 0, 0, 3)
+        for check in (verify_x0, neighborhood_samples):
+            with pytest.raises(InputError, match="verify zero"):
+                check(x0)
+
     def test_out_of_closure_rejected(self):
         # odd-valuation non-split points are outside the closure when -1 is
         # not a square
