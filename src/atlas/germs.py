@@ -36,10 +36,9 @@ METHODS = ("closed", "oracle")
 
 @dataclass
 class GermCoeff:
-    rep: object
     value_at_0: Fraction
     dvalue: LogQVal
-    s_form: LaurentX | None = None
+    s_form: LaurentX
 
 
 def check_method(method: str) -> None:
@@ -79,8 +78,7 @@ def gamma_n_mu(x: BPoint, mu) -> GermCoeff:
         raise InputError(f"the discriminant of the family member vanishes "
                          f"at mu = {mu!r}")
     if not disc.is_square():
-        return GermCoeff(("n_mu", mu), Fraction(0), LogQVal.const(0, p),
-                         LaurentX.const(0, p))
+        return GermCoeff(Fraction(0), LogQVal.const(0, p), LaurentX.const(0, p))
     vdp, vdisc = dp.val(), disc.val()
     if 2 * trace.val() < vdp:
         vnu, unit = trace.val(), trace.unit_mod(1)
@@ -96,7 +94,7 @@ def gamma_n_mu(x: BPoint, mu) -> GermCoeff:
     s_form = (LaurentX({-vnu: coeff}, p)
               + LaurentX({vnu - vdp: coeff * edp}, p))
     value0 = coeff * (1 + edp)
-    return GermCoeff(("n_mu", mu), value0, dds_s0(s_form), s_form)
+    return GermCoeff(value0, dds_s0(s_form), s_form)
 
 
 class BasePointPlan:

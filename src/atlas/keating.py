@@ -5,38 +5,21 @@ unitary group element."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (CayleyUndefinedError, InputError,
                      NotRegularSemisimpleError, OracleMismatchError)
 from .orbits import (INF, XI_CHOICES, BPoint, U1GroupElt, U1RedElt,
-                     admissible_xi, cayley_inv)
+                     admissible_xi, cayley_inv, check_ml)
 
 
-@dataclass(frozen=True)
-class DistParams:
-    """Distance data of a traceless integral quaternion psi: the valuation of
-    its anti-commuting component and of the imaginary part of its commuting
-    component (odd when finite)."""
-
-    ell_minus: int
-    im_plus_val: object  # odd positive int or INF
-
-    def __post_init__(self):
-        if self.ell_minus < 0:
-            raise InputError(f"l_minus must be >= 0, got {self.ell_minus}")
-        if self.im_plus_val is not INF and (self.im_plus_val < 1
-                                            or self.im_plus_val % 2 == 0):
-            raise InputError("l_plus (im_plus_val) must be odd and positive "
-                             f"or infinite, got {self.im_plus_val}")
-
-
-def dist_j(d: DistParams, j: int):
-    """Distance of psi to the order of conductor j: the commuting component
-    only counts once its imaginary valuation drops below 2j."""
-    lj = d.im_plus_val if (d.im_plus_val is not INF and d.im_plus_val < 2 * j) else INF
-    return min(d.ell_minus, lj)
+def dist_j(lminus: int, lplus, j: int):
+    """Distance to the order of conductor j of a traceless integral
+    quaternion psi whose anti-commuting component has valuation l_minus and
+    whose commuting component has imaginary valuation l_plus: the commuting
+    component only counts once l_plus drops below 2j."""
+    lj = lplus if (lplus is not INF and lplus < 2 * j) else INF
+    return min(lminus, lj)
 
 
 def keating_n(ell, j: int, p: int) -> Fraction:
@@ -58,16 +41,10 @@ def keating_n(ell, j: int, p: int) -> Fraction:
     return Fraction(2 * (q ** ((ell + 1) // 2) - 1), q - 1)
 
 
-def _check_level(m: int) -> None:
-    if m < 0:
-        raise InputError(f"conductor level m must be >= 0, got {m}")
-
-
 def l_int_keating(m: int, lminus: int, lplus, p: int) -> Fraction:
     """Twice the sum of level lengths over conductors 0..m (the oracle)."""
-    _check_level(m)
-    d = DistParams(lminus, lplus)
-    return 2 * sum(keating_n(dist_j(d, j), j, p) for j in range(m + 1))
+    check_ml(m, lminus, lplus)
+    return 2 * sum(keating_n(dist_j(lminus, lplus, j), j, p) for j in range(m + 1))
 
 
 def _tail(m: int, lminus: int, t: Fraction) -> Fraction:
@@ -83,8 +60,7 @@ def l_int_closed(m: int, lminus: int, lplus, p: int) -> Fraction:
     """Closed form for the doubled length sum, dispatched on whether the
     distance profile is constant (l- <= l+) and on parity; always equals
     l_int_keating."""
-    _check_level(m)
-    DistParams(lminus, lplus)       # rejects the distances the oracle rejects
+    check_ml(m, lminus, lplus)
     t = Fraction(1, p)
     if lplus is INF or lminus <= lplus:
         if lminus > 2 * m:

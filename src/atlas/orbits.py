@@ -574,6 +574,18 @@ def u0_ss_case1(x0: BPoint) -> U0RedElt:
 # explicit side-1 points with prescribed (m, l_minus, l_plus)
 
 
+def check_ml(m: int, lminus: int, lplus) -> None:
+    """InputError unless (m, l_minus, l_plus) are side-1 invariants: m >= 0,
+    l_minus >= 0, and l_plus odd and positive or infinite.  Every triple that
+    passes is realized by make_bpoint_rs1 and read back by ml_params."""
+    if m < 0:
+        raise InputError(f"conductor level m must be >= 0, got {m}")
+    if lminus < 0:
+        raise InputError(f"l_minus must be >= 0, got {lminus}")
+    if lplus is not INF and (lplus < 1 or lplus % 2 == 0):
+        raise InputError(f"l_plus must be odd and positive or infinite, got {lplus}")
+
+
 def make_bpoint_rs1(m: int, lminus: int, lplus, p: int) -> BPoint:
     """The integral side-1 point with invariants (m, l_minus, l_plus):
     u = p^m, wt = p^((2m + lplus - 1)/2) and lam = d p^lminus - p^lplus
@@ -584,12 +596,10 @@ def make_bpoint_rs1(m: int, lminus: int, lplus, p: int) -> BPoint:
     eta(-Delta) = -1 for this d, and half the units qualify.  The point
     round-trips through ml_params: v(u) = m, 2 v(wt) + 1 - 2m = lplus,
     v(Delta) - 2m = lminus, and when lminus != lplus the two terms of lam
-    have different valuations, so v(lam) = min(lminus, lplus)."""
+    have different valuations, so v(lam) = min(lminus, lplus).  Any other
+    triple is an InputError from check_ml."""
     _check_odd_prime(p)
-    if m < 0 or lminus < 1:
-        raise UnrealizableError("need m >= 0 and l_minus >= 1")
-    if lplus is not INF and (lplus < 1 or lplus % 2 == 0):
-        raise UnrealizableError("l_plus must be odd or infinite")
+    check_ml(m, lminus, lplus)
     sign = legendre(-1, p) ** (lminus % 2)
     d = next(d for d in range(1, p) if legendre(-d, p) * sign == -1)
     if lplus is INF:

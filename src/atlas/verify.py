@@ -20,8 +20,9 @@ from .orbits import INF, BPoint, case_of, in_side1_closure, make_bpoint_rs1
 from .padic import PadicScalar, _sqrt_mod_p
 from .svalue import LogQVal
 
-# the grid of verify_zero (m <= ZERO_M_MAX; l- and odd l+ up to ZERO_L_MAX,
-# l+ also infinite) and the number of samples around a nonzero base point
+# the grid of verify_zero (m <= ZERO_M_MAX; l- from 0 and odd l+ up to
+# ZERO_L_MAX, l+ also infinite) and the number of samples around a nonzero
+# base point
 ZERO_M_MAX = 4
 ZERO_L_MAX = 9
 NEIGHBORHOOD_SAMPLES = 5
@@ -76,17 +77,17 @@ def verify_zero(p: int, m_max: int = ZERO_M_MAX, l_max: int = ZERO_L_MAX,
                 method: str = "closed") -> VerifyReport:
     """Sweep realizable side-1 invariants over the grid and check that phi1
     equals the printed constant exactly at every point; the notes name every
-    failing point.  An empty grid (m_max < 0 or l_max < 1) is an
+    failing point.  An empty grid (m_max < 0 or l_max < 0) is an
     InputError, not a pass."""
-    if m_max < 0 or l_max < 1:
-        raise InputError(f"empty verify grid: need m_max >= 0 and l_max >= 1, "
+    if m_max < 0 or l_max < 0:
+        raise InputError(f"empty verify grid: need m_max >= 0 and l_max >= 0, "
                          f"got m_max={m_max}, l_max={l_max}")
     want = expected_constant_at_zero(p)
     rep = VerifyReport(base_point="0", case_tag="zero",
                        value=str(want), notes=f"p={p} grid m<={m_max} l<={l_max}")
     zero = BasePointPlan(zero_point(p))
     for m in range(m_max + 1):
-        for lm in range(1, l_max + 1):
+        for lm in range(l_max + 1):
             for lp in list(range(1, l_max + 1, 2)) + [INF]:
                 x = make_bpoint_rs1(m, lm, lp, p)
                 got = _phi1(zero, x, method)

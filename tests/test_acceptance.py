@@ -43,7 +43,7 @@ def test_criterion_1_closed_vs_oracle_lint():
     ok = True
     for p in (3, 5, 7):
         for m in range(0, 9):
-            for lm in range(1, 20):
+            for lm in range(20):
                 for lp in LPLUS_GRID:
                     if l_int_closed(m, lm, lp, p) != l_int_keating(m, lm, lp, p):
                         ok = False
@@ -61,7 +61,7 @@ def test_criterion_2_constancy_at_zero():
         if p in spot and want != spot[p]:
             ok = False
         for m in range(0, 9):
-            for lm in range(1, 20):
+            for lm in range(20):
                 for lp in LPLUS_GRID:
                     x = make_bpoint_rs1(m, lm, lp, p)
                     if phi1(x) != want:

@@ -626,7 +626,7 @@ class TestBasePointPlan:
     def test_verify_zero_builds_one_plan(self, monkeypatch):
         counts = _count_calls(monkeypatch)
         r = verify_zero(3, 2, 5)
-        assert r.constant and len(r.samples) == 3 * 5 * 4
+        assert r.constant and len(r.samples) == 3 * 6 * 4
         assert counts["orbit_reps"] == 1 and counts["case_of"] == 1
 
     @pytest.mark.parametrize("p", [3, 5])

@@ -10,23 +10,41 @@ import atlas
 from atlas import keating
 from atlas.errors import (AtlasError, CayleyUndefinedError, InputError,
                           NotRegularSemisimpleError)
-from atlas.keating import (DistParams, dist_j, int_group, keating_n, l_int,
-                           l_int_closed, l_int_keating)
-from atlas.orbits import (INF, XI_CHOICES, BPoint, U1RedElt, cayley,
+from atlas.keating import (dist_j, int_group, keating_n, l_int, l_int_closed,
+                           l_int_keating)
+from atlas.orbits import (INF, XI_CHOICES, BPoint, U1RedElt, cayley, check_ml,
                           make_bpoint_rs1)
 from atlas.padic import QuadElt, QuatElt
 
 
 class TestDist:
     def test_examples(self):
-        assert dist_j(DistParams(3, 1), 0) == 3
-        assert dist_j(DistParams(3, 1), 1) == 1
-        assert dist_j(DistParams(1, 3), 1) == 1
-        assert dist_j(DistParams(2, INF), 5) == 2
+        assert dist_j(3, 1, 0) == 3
+        assert dist_j(3, 1, 1) == 1
+        assert dist_j(1, 3, 1) == 1
+        assert dist_j(2, INF, 5) == 2
 
     def test_odd_check(self):
         with pytest.raises(ValueError):
-            DistParams(1, 2)
+            check_ml(0, 1, 2)
+
+
+# one triple outside the side-1 domain per clause of check_ml, and its message
+OUTSIDE_THE_DOMAIN = [
+    ((-1, 1, INF), "conductor level m must be >= 0, got -1"),
+    ((1, -1, 3), "l_minus must be >= 0, got -1"),
+    ((1, 1, 2), "l_plus must be odd and positive or infinite, got 2"),
+]
+
+
+class TestSide1Domain:
+    @pytest.mark.parametrize("ml, message", OUTSIDE_THE_DOMAIN,
+                             ids=["negative-m", "negative-lminus", "even-lplus"])
+    def test_every_entry_point_raises_the_one_message(self, ml, message):
+        for fn in (make_bpoint_rs1, l_int_closed, l_int_keating):
+            with pytest.raises(InputError) as exc:
+                fn(*ml, 3)
+            assert str(exc.value) == message, fn.__name__
 
 
 class TestKeatingN:

@@ -231,7 +231,7 @@ class TestMakeBPoint:
     def test_matches_the_unit_search_on_the_criterion_2_grid(self, p):
         # m <= 8, l- <= 19, l+ odd <= 19 or infinite, as criterion 2 sweeps
         for m in range(9):
-            for lm in range(1, 20):
+            for lm in range(20):
                 for lp in list(range(1, 20, 2)) + [INF]:
                     assert (_coords(make_bpoint_rs1(m, lm, lp, p))
                             == _coords(_search_bpoint_rs1(m, lm, lp, p)))
@@ -239,7 +239,7 @@ class TestMakeBPoint:
     @pytest.mark.parametrize("p", [11, 13])
     def test_matches_the_unit_search_on_a_sparse_grid(self, p):
         for m in (0, 1, 4):
-            for lm in (1, 2, 5, 8):
+            for lm in (0, 1, 2, 5, 8):
                 for lp in (1, 3, 5, 9, INF):
                     assert (_coords(make_bpoint_rs1(m, lm, lp, p))
                             == _coords(_search_bpoint_rs1(m, lm, lp, p)))
@@ -252,7 +252,7 @@ class TestMakeBPoint:
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_round_trip_grid(self, p):
         for m in range(0, 3):
-            for lm in range(1, 6):
+            for lm in range(0, 6):
                 for lp in (1, 3, 5, INF):
                     x = make_bpoint_rs1(m, lm, lp, p)
                     assert x.ml_params() == (m, lm, lp)

@@ -8,11 +8,12 @@ import pytest
 from atlas import cli
 from atlas.cli import main
 from atlas.errors import AtlasError, InputError, PrecisionError
-from atlas.orbits import BPoint, U0RedElt, U1RedElt, section_sigma
+from atlas.orbits import INF, BPoint, U0RedElt, U1RedElt, section_sigma
 from atlas.padic import PadicScalar, QuadElt, QuatElt, smallest_nonresidue
 from atlas.serialize import (decode_element, decode_quat, decode_scalar,
                              encode_bpoint, encode_element, encode_quat,
                              encode_scalar)
+from test_keating import OUTSIDE_THE_DOMAIN
 from test_padic import capped
 
 
@@ -142,6 +143,13 @@ class TestCli:
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
         assert data["value"] == "-6*logq"
+
+    @pytest.mark.parametrize("flags", [[], ["--oracle"]], ids=["closed", "oracle"])
+    def test_orb_xi_at_l_minus_zero(self, flags, capsys):
+        # (0, 0, inf) is the stratum v(Delta) = 2m that lint also accepts
+        assert main(["orb", "--kind", "xi", "--params", "0", "0", "inf",
+                     "--p", "3", *flags]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == "-9/2*logq"
 
     def test_orb_nil(self, capsys):
         rc = main(["orb", "--kind", "nil-u0", "--params", "1/3", "--p", "3",
@@ -365,12 +373,12 @@ class TestCli:
                         ("verify", "text"), ("verify", "json")]
 
     @pytest.mark.parametrize("argv", [
-        ["values", "--what", "nil-u0", "--p", "3", "--shell-window", "9"],
+        ["values", "--what", "nil-u0", "--p", "3", "--oracle"],
         ["values", "--what", "nil-u0", "--p", "3", "--format", "csv"],
         ["germ", "--x0", "0", "0", "0", "--x", "6", "1", "0", "--p", "3",
          "--format", "csv"],
         ["--format", "csv", "verify", "zero"],
-        ["--shell-window", "9", "orb", "--kind", "nil-u0", "--params", "1", "--p", "3"],
+        ["--p", "3", "orb", "--kind", "nil-u0", "--params", "1"],
         ["lint", "--m", "0", "--lminus", "1", "--lplus", "inf", "--p", "3",
          "--format", "text"],
         # the oracles sum their exact supports: orb has no window to set
@@ -380,8 +388,8 @@ class TestCli:
          "--shell-window", "3"],
         ["orb", "--kind", "ss-u0-case0", "--params", "81", "--p", "3", "--oracle",
          "--shell-window", "-2"],
-    ], ids=["values-window", "values-format", "germ-format", "format-first",
-            "window-first", "lint-text", "xi-small-window", "oracle-window-edge",
+    ], ids=["values-oracle", "values-format", "germ-format", "format-first",
+            "p-first", "lint-text", "xi-small-window", "oracle-window-edge",
             "oracle-negative-window"])
     def test_flags_a_command_does_not_read_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -405,7 +413,7 @@ class TestCli:
         ["lint", "--m", "1", "--lminus", "-1", "--lplus", "inf", "--p", "3", "--closed"],
         ["lint", "--m", "1", "--lminus", "3", "--lplus", "-1", "--p", "3", "--closed"],
         ["verify", "zero", "--p", "3", "--m-max", "-1"],
-        ["verify", "zero", "--p", "3", "--l-max", "0"],
+        ["verify", "zero", "--p", "3", "--l-max", "-1"],
         ["germ", "--x0", "0", "0", "0", "--x", "0", "1", "0", "--p", "3"],
     ], ids=["germ-side0", "values-lam0", "orb-case0-lam0", "orb-case1-u0",
             "lint-even-lplus", "values-missing-params", "xi-missing-params",
@@ -416,6 +424,17 @@ class TestCli:
     def test_bad_inputs_exit_with_an_error_line(self, argv, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("ml, message", OUTSIDE_THE_DOMAIN,
+                             ids=["negative-m", "negative-lminus", "even-lplus"])
+    def test_lint_and_orb_xi_refuse_a_triple_alike(self, ml, message, capsys):
+        params = ["inf" if v is INF else str(v) for v in ml]
+        m, lm, lp = params
+        xi = ["orb", "--kind", "xi", "--params", *params, "--p", "3"]
+        for argv in (["lint", "--m", m, "--lminus", lm, "--lplus", lp, "--p", "3"],
+                     xi, xi + ["--oracle"]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_lint_both_cross_checks(self, monkeypatch, capsys):
         argv = ["lint", "--m", "1", "--lminus", "1", "--lplus", "3", "--p", "5"]

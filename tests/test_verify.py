@@ -49,14 +49,14 @@ class TestVerifyZero:
         # l- up to 31 puts K+ of the xi shell sum up to 30, past the shell
         # window of 30 that fitted tails needed free of the support
         r = verify_zero(3, m_max=0, l_max=31, method="oracle")
-        assert r.constant and len(r.samples) == 31 * 17
+        assert r.constant and len(r.samples) == 32 * 17
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_oracle_method_matches_closed_per_sample(self, p):
         oracle = verify_zero(p, m_max=1, l_max=3, method="oracle")
         closed = verify_zero(p, m_max=1, l_max=3)
         assert oracle.constant and closed.constant
-        assert len(oracle.samples) == 18
+        assert len(oracle.samples) == 24
         assert oracle.samples == closed.samples
 
     def test_every_failing_point_is_reported(self, monkeypatch):
@@ -74,9 +74,9 @@ class TestVerifyZero:
         assert r.notes.count("; FAIL at") == 2
         assert "FAIL at (m=0,l-=1,l+=1)" in r.notes
         assert "FAIL at (m=1,l-=2,l+=inf)" in r.notes
-        assert len(r.samples) == 2 * 3 * 3      # m, l-, and l+ in (1, 3, inf)
+        assert len(r.samples) == 2 * 4 * 3      # m, l- in 0..3, and l+ in (1, 3, inf)
 
-    @pytest.mark.parametrize("m_max, l_max", [(-1, 9), (4, 0)])
+    @pytest.mark.parametrize("m_max, l_max", [(-1, 9), (4, -1)])
     def test_empty_grid_is_an_input_error(self, m_max, l_max):
         # an empty grid read as "constant over 0 samples"
         with pytest.raises(InputError):
