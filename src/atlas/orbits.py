@@ -306,11 +306,41 @@ class U1RedElt:
         return f"U1RedElt(alpha={self.alpha!r}, b={self.b!r})"
 
 
+def _lie_rows(alpha: QuatElt, beta: Fraction, b: QuatElt, d0: Fraction, d1: Fraction):
+    """(p, rows): the integer rows of the Lie matrix
+    [[alpha, beta p, b pi], [beta, alpha, b], [pi conj(b), conj(b) p, d]]
+    with d = d0 + d1 pi, in the shape of `padic._int_rows`, over one
+    denominator: the lcm of those of alpha and b (`padic._int_coords`) and
+    of the rationals beta, d0 and d1.  No quaternion product is taken: with
+    b = (b0, b1, b2, b3), b pi = (p b1, b0, -p b3, -b2),
+    pi conj(b) = (-p b1, b0, -p b3, -b2) and conj(b) p = p (b0, -b1, -b2, -b3).
+    Mixed primes raise InputError, a capped coordinate PrecisionError."""
+    p = alpha.p
+    if b.p != p:
+        raise InputError("mixed primes")
+    ca, cb = _int_coords(alpha), _int_coords(b)
+    if ca is None or cb is None:
+        raise PrecisionError("the Lie matrix takes exact coordinates only")
+    (den_a, A), (den_b, B) = ca, cb
+    den = math.lcm(den_a, den_b, beta.denominator, d0.denominator, d1.denominator)
+    ka, kb = den // den_a, den // den_b
+    al = (ka * A[0], ka * A[1], ka * A[2], ka * A[3])
+    b0, b1, b2, b3 = kb * B[0], kb * B[1], kb * B[2], kb * B[3]
+    be = beta.numerator * (den // beta.denominator)
+    d = (d0.numerator * (den // d0.denominator), d1.numerator * (den // d1.denominator),
+         0, 0)
+    return p, [(den, [al, (p * be, 0, 0, 0), (p * b1, b0, -p * b3, -b2)]),
+               (den, [(be, 0, 0, 0), al, (b0, b1, b2, b3)]),
+               (den, [(-p * b1, b0, -p * b3, -b2), (p * b0, -p * b1, -p * b2, -p * b3),
+                      d])]
+
+
 class U1LieElt:
     """Full element of the non-split unitary Lie algebra, in coordinates
     (alpha, beta, b, d): the matrix
     [[alpha, beta p, b pi], [beta, alpha, b], [pi conj(b), conj(b) p, d]]
-    with alpha traceless in D, beta in F0, b in D, d traceless in F."""
+    with alpha traceless in D, beta in F0, b in D, d traceless in F.  The
+    matrix is written once, in integer coordinates (`rows`)."""
 
     __slots__ = ("alpha", "beta", "b", "d")
 
@@ -324,14 +354,18 @@ class U1LieElt:
     def p(self) -> int:
         return self.alpha.p
 
+    def rows(self):
+        """The integer rows (p, rows) of the matrix (`_lie_rows`); a capped
+        coordinate raises PrecisionError and mixed primes InputError."""
+        beta, d = self.beta, self.d
+        if beta.p != self.p or d.p != self.p:
+            raise InputError("mixed primes")
+        return _lie_rows(self.alpha, beta.rational, self.b, d.a.rational, d.b.rational)
+
     def to_matrix(self):
-        p = self.p
-        pi = QuatElt.from_f(QuadElt.pi(p))
-        beta = QuatElt.from_f(QuadElt(self.beta, _ps(0, p)))
-        bbar = self.b.conj()
-        return [[self.alpha, beta * p, self.b * pi],
-                [beta, self.alpha, self.b],
-                [pi * bbar, bbar * p, QuatElt.from_f(self.d)]]
+        """The matrix as QuatElt, built from `rows`."""
+        p, rows = self.rows()
+        return _quat_matrix(rows, p)
 
     def is_integral(self) -> bool:
         return (self.alpha.is_integral() and self.b.is_integral()
@@ -346,12 +380,18 @@ class U1LieElt:
 class U1GroupElt:
     """Element of the non-split unitary group in the same matrix presentation,
     with coordinates (alpha, beta, b, c, d): the matrix
-    [[alpha, beta p, b pi], [beta, alpha, b], [c, pi c, d]]."""
+    [[alpha, beta p, b pi], [beta, alpha, b], [c, pi c, d]].
 
-    __slots__ = ("M",)
+    The element holds the integer rows of M from construction
+    (`padic._int_rows`), and every inverse Cayley transform solves from
+    them, so the entry checks are made when it is built: a capped entry
+    raises PrecisionError and mixed primes InputError."""
+
+    __slots__ = ("M", "_rows")
 
     def __init__(self, M):
         self.M = M
+        self._rows = _int_rows(M)
 
     @property
     def p(self) -> int:
@@ -377,14 +417,18 @@ def cayley(x, xi=(1, 1)) -> U1GroupElt:
     """The transform x -> xi (1+x)(1-x)^{-1} into the unitary group, for the
     chart xi = diag(s1, s1, s2), signs s1, s2 = +-1; the two factors commute,
     so one solve (1 - x) Z = 1 + x computes the product, and xi negates the
-    rows of Z with sign -1; the group element holds all nine entries."""
+    rows of Z with sign -1.  The solve reads the integer rows of x
+    (`_lie_rows`, with beta = d = 0 for a U1RedElt), and the group element
+    holds all nine entries."""
     if isinstance(x, U1RedElt):
-        x = U1LieElt(x.alpha, _ps(0, x.p), x.b, QuadElt.zero(x.p))
+        p, rows = _lie_rows(x.alpha, _FR_ZERO, x.b, _FR_ZERO, _FR_ZERO)
+    else:
+        p, rows = x.rows()
     s1, s2 = xi
-    Z = cayley_solve(x.to_matrix(), (1, 1, 1), (s1, s1, s2))
+    Z = cayley_solve(p, rows, (1, 1, 1), (s1, s1, s2))
     if Z is None:
         raise CayleyUndefinedError("singular matrix over D")
-    return U1GroupElt(_quat_matrix(Z, x.p))
+    return U1GroupElt(_quat_matrix(Z, p))
 
 
 def cayley_inv(g: U1GroupElt, xi=(1, 1)) -> U1LieElt:
@@ -392,10 +436,11 @@ def cayley_inv(g: U1GroupElt, xi=(1, 1)) -> U1LieElt:
     solve (1 + h) Z = -(1 - h) is the Cayley system of g with row signs
     -xi and every row of the solution negated.  Only the Lie coordinates
     alpha = Z00, beta = Z10, b = Z12 and d = Z22 are built, from their
-    integer solution; InputError when beta is not in F0 or d not in F."""
+    integer solution, and the solve reads the rows g holds; InputError when
+    beta is not in F0 or d not in F."""
     s1, s2 = xi
-    p = g.p
-    Z = cayley_solve(g.M, (-s1, -s1, -s2), (-1, -1, -1), ((0,), (0, 2), (2,)))
+    p, rows = g._rows
+    Z = cayley_solve(p, rows, (-s1, -s1, -s2), (-1, -1, -1), ((0,), (0, 2), (2,)))
     if Z is None:
         raise CayleyUndefinedError("singular matrix over D")
     (n0, (alpha,)), (n1, (beta, b)), (n2, (d,)) = Z

@@ -25,11 +25,16 @@ raises PrecisionError.  A product runs on integer coordinates:
 q = ((a + b pi) + (c + d pi) j) / den, with den the lcm of the coordinates'
 denominators (`_int_coords`, `_int_quat_mul`), and one Fraction per
 coordinate of the result.  The linear solves over D work on the same
-coordinates, one denominator per row (`_int_rows`, which also checks
-that the entries are exact and share a prime): `orbits.quat_mat_solve` reads
-the rows of [A | B], and `cayley_solve` writes the rows of [1 - S M | 1 + S M],
-S a diagonal of signs, from those of M alone, adding the row denominator for
-the 1 on the diagonal.  Both end in `_solve_rows`, which eliminates on
+coordinates, one denominator per row: `orbits.quat_mat_solve` reads the rows
+of [A | B] through `_int_rows`, which also checks that the entries are exact
+and share a prime, and `cayley_solve` takes the integer rows of M and writes
+the rows of [1 - S M | 1 + S M], S a diagonal of signs, into new lists,
+adding the row denominator for the 1 on the diagonal.  The rows of M are
+written once: the Lie matrix of a forward transform straight in integer
+coordinates (`orbits.U1LieElt.rows`, no quaternion product taken), and the
+rows of a group element when it is built (`orbits.U1GroupElt`, through
+`_int_rows`), which each inverse transform reads.  Both solves end in
+`_solve_rows`, which eliminates on
 integers and returns the solution as integers too: per row a norm and the
 coordinates of the columns asked for.  Each caller forms Fractions only for
 the solution entries it reads: `orbits.quat_mat_solve` and `orbits.cayley`
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 from .errors import InputError, PrecisionError
 
@@ -633,9 +639,9 @@ def _int_nrd(q, p: int, e: int) -> int:
 
 def _primitive(row):
     """A row of integer coordinates divided by their gcd (its content)."""
-    g = math.gcd(*(s for q in row for s in q))
+    g = math.gcd(*chain.from_iterable(row))
     if g > 1:
-        return [tuple(s // g for s in q) for q in row]
+        return [(a // g, b // g, c // g, d // g) for a, b, c, d in row]
     return row
 
 
@@ -724,27 +730,29 @@ def _solve_rows(rows, p: int, signs, cols=None):
     return out
 
 
-def _quat_matrix(sol, p: int):
-    """Every entry t_ij / norm_i of an integer solution of `_solve_rows`, as
-    QuatElt."""
-    return [[_quat_of_ints(p, t, norm) for t in ts] for norm, ts in sol]
+def _quat_matrix(rows, p: int):
+    """Every entry t_ij / den_i of integer rows (den_i, [t_i0, ...]), as
+    QuatElt: the rows of a matrix (`_int_rows`) or an integer solution of
+    `_solve_rows`, whose den_i is its norm_i."""
+    return [[_quat_of_ints(p, t, den) for t in ts] for den, ts in rows]
 
 
-def cayley_solve(M, signs, out_signs, cols=None):
+def cayley_solve(p: int, rows, signs, out_signs, cols=None):
     """The integer solution (`_solve_rows`) of (1 - S M) Z = 1 + S M for
     S = diag(signs), signs = +-1, row i of Z multiplied by out_signs[i], at
-    the columns cols; None when 1 - S M is singular.  The rows of
-    [1 - S M | 1 + S M] are written from the integer coordinates of M over one
-    denominator den per row (`_int_rows`): the sign s of row i negates M's
-    coordinates on one side, and the 1 on the diagonal adds den to the first
-    coordinate.  The entry checks are those of `_int_rows`."""
-    p, rows = _int_rows(M)
+    the columns cols; None when 1 - S M is singular.  M is given by its
+    integer rows (p, rows), rows[i] = (den, [q0, q1, q2]) with M_ij = q_j / den
+    and den > 0, as `_int_rows` and `orbits.U1LieElt.rows` write them.  The
+    rows of [1 - S M | 1 + S M] are written from these alone, into new
+    lists: the sign s of row i negates M's coordinates on one side, and the
+    1 on the diagonal adds den to the first coordinate."""
+    n = len(rows)
     built = []
     for i, ((den, qs), s) in enumerate(zip(rows, signs)):
         neg = [(-a, -b, -c, -d) for a, b, c, d in qs]
-        left, right = (neg, qs) if s > 0 else (qs, neg)
-        for side in (left, right):
-            a, b, c, d = side[i]
-            side[i] = (den + a, b, c, d)
-        built.append(_primitive(left + right))
+        row = neg + qs if s > 0 else qs + neg
+        for k in (i, n + i):
+            a, b, c, d = row[k]
+            row[k] = (den + a, b, c, d)
+        built.append(_primitive(row))
     return _solve_rows(built, p, out_signs, cols)

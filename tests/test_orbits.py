@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import random
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from atlas import padic
+from atlas import orbits, padic
 from atlas.cli import main
 from atlas.errors import (AtlasError, CayleyUndefinedError,
                           ExcludedCaseError, InputError,
@@ -524,6 +525,18 @@ def _count_scalars(monkeypatch):
     return made
 
 
+def _count_calls(monkeypatch, owner, name):
+    """A counter of the calls of owner.name."""
+    calls = [0]
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 class TestConjugateOnIntegerCoordinates:
     """U1RedElt reads b^-1 alpha b from integer coordinates, and
     admissible_xi reads v_D of 1 + s alpha from them: both must agree with
@@ -597,8 +610,12 @@ class TestConjugateOnIntegerCoordinates:
         p = 5
         x = U1RedElt(QuatElt(QuadElt.exact(0, Fraction(1, 5), p), QuadElt.exact(2, -3, p)),
                      QuatElt(QuadElt.exact(Fraction(1, 2), 3, p), QuadElt.exact(1, -1, p)))
-        g = cayley(x, (1, 1))
         made = _count_scalars(monkeypatch)
+        products = _count_calls(monkeypatch, QuatElt, "__mul__")
+        # the forward transform builds only the nine entries of the element
+        g = cayley(x, (1, 1))
+        assert made[0] == 36 and products[0] == 0
+        made[0] = 0
         assert x.is_rs() and made[0] == 0
         fresh = U1RedElt(x.alpha, x.b)
         made[0] = 0
@@ -608,6 +625,17 @@ class TestConjugateOnIntegerCoordinates:
             made[0] = 0
             admissible_xi(g, xi)
             assert made[0] == 0
+        # the inverse transform solves from the rows the element holds
+        read = _count_calls(monkeypatch, padic, "_int_rows")
+        read_here = _count_calls(monkeypatch, orbits, "_int_rows")
+        inverses = 0
+        for xi in XI_CHOICES:
+            try:
+                cayley_inv(g, xi)
+            except CayleyUndefinedError:
+                continue
+            inverses += 1
+        assert inverses and read[0] == read_here[0] == 0
 
 
 INVARIANTS_RS = """{
@@ -672,9 +700,21 @@ def reference_in_chart(M, xi):
     return [row if s > 0 else [-q for q in row] for row, s in zip(M, (s1, s1, s2))]
 
 
+def reference_to_matrix(x: U1LieElt):
+    """The Lie matrix [[alpha, beta p, b pi], [beta, alpha, b],
+    [pi conj(b), conj(b) p, d]] through QuatElt products."""
+    p = x.p
+    pi = QuatElt.from_f(QuadElt.pi(p))
+    beta = QuatElt.from_f(QuadElt(x.beta, _ps(0, p)))
+    bbar = x.b.conj()
+    return [[x.alpha, beta * p, x.b * pi],
+            [beta, x.alpha, x.b],
+            [pi * bbar, bbar * p, QuatElt.from_f(x.d)]]
+
+
 def reference_cayley(x, xi):
     """xi (1 + M)(1 - M)^{-1} through 1 -+ M built as QuatElt matrices."""
-    M = x.to_matrix()
+    M = reference_to_matrix(x)
     I = quat_identity(x.p)
     return reference_in_chart(quat_mat_solve(mat_sub(I, M), mat_add(I, M)), xi)
 
@@ -712,6 +752,64 @@ def rand_lie(rng, p, dens):
                        QuadElt.exact(c(), c(), p))
     return U1LieElt(q(traceless=True), PadicScalar.exact(c(), p), q(),
                     QuadElt.exact(0, c(), p))
+
+
+def rand_nonzero_coord(rng, p):
+    while True:
+        c = rand_coord(rng, p)
+        if c:
+            return c
+
+
+class TestLieRows:
+    """U1LieElt writes its matrix once, on integer coordinates; it must equal
+    the product form entry by entry, and refuse a capped coordinate or a
+    second prime in any of alpha, beta, b and d."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_to_matrix_matches_the_product_form(self, p):
+        rng = random.Random(4000 + p)
+        p_den = 0
+        for k in range(60):
+            d0 = rand_nonzero_coord(rng, p) if k % 2 else 0
+            x = U1LieElt(rand_coord_quat(rng, p, traceless=True),
+                         PadicScalar.exact(rand_nonzero_coord(rng, p), p),
+                         rand_coord_quat(rng, p),
+                         QuadElt.exact(d0, rand_nonzero_coord(rng, p), p))
+            assert coords(x.to_matrix()) == coords(reference_to_matrix(x))
+            p_den += any(c.denominator % p == 0 for row in coords(x.to_matrix())
+                         for z in row for c in z)
+        assert p_den >= 50
+
+    def test_capped_coordinate_raises_precision_error(self):
+        p = 5
+        c = PadicScalar.exact(Fraction(3, 5), p).to_capped(6)
+        zero = PadicScalar.exact(0, p)
+        capped_parts = {"alpha": QuatElt(QuadElt(zero, c), QuadElt.exact(1, 0, p)),
+                        "beta": c,
+                        "b": QuatElt(QuadElt(c, zero), QuadElt.exact(1, 1, p)),
+                        "d": QuadElt(zero, c)}
+        for name, part in capped_parts.items():
+            parts = {"alpha": QuatElt.j(p), "beta": PadicScalar.exact(2, p),
+                     "b": QuatElt.one(p), "d": QuadElt.exact(0, 1, p), name: part}
+            x = U1LieElt(**parts)
+            with pytest.raises(PrecisionError):
+                x.to_matrix()
+            with pytest.raises(PrecisionError):
+                cayley(x, (1, 1))
+
+    def test_mixed_primes_refused(self):
+        p, q = 3, 5
+
+        def parts(r):
+            return {"alpha": QuatElt.j(r), "beta": PadicScalar.exact(2, r),
+                    "b": QuatElt.one(r), "d": QuadElt.exact(0, 1, r)}
+        for name in ("alpha", "beta", "b", "d"):
+            x = U1LieElt(**{**parts(p), name: parts(q)[name]})
+            with pytest.raises(InputError, match="mixed primes"):
+                x.to_matrix()
+            with pytest.raises(InputError, match="mixed primes"):
+                cayley(x, (1, 1))
 
 
 class TestCayleySolve:
@@ -800,6 +898,19 @@ class TestCayleySolve:
                 assert made[0] == 11
                 inverses += 1
         assert inverses >= 40
+
+    def test_inverse_leaves_the_rows_of_the_element_as_they_are(self):
+        # the solve writes the diagonal 1 into new rows, never into the rows
+        # the element holds, so a second inverse reads what the first did
+        rng = random.Random(107)
+        for p in (3, 5, 7):
+            x = rand_lie(rng, p, (1, 2, p))
+            for xi in XI_CHOICES:
+                g = cayley(x, xi)
+                rows = copy.deepcopy(g._rows)
+                first = lie_coords(cayley_inv(g, xi))
+                assert lie_coords(cayley_inv(g, xi)) == first == lie_coords(x)
+                assert g._rows == rows
 
     def test_singular_chart_raises(self):
         # cayley(0) in the chart (1, 1) is the identity, and 1 + xi^{-1} g

@@ -65,6 +65,8 @@ GOLDEN_ORACLE = {
 }
 
 EXACT_FORM = '{"num": "...", "den": "..."}'
+# argparse's list of the subcommands, which an unknown command is refused with
+COMMANDS = "(choose from 'lint', 'orb', 'values', 'germ', 'invariants', 'verify')"
 
 
 def capped_json(p):
@@ -372,30 +374,44 @@ class TestCli:
         assert seen == [("lint", "csv"), ("lint", "json"),
                         ("verify", "text"), ("verify", "json")]
 
-    @pytest.mark.parametrize("argv", [
-        ["values", "--what", "nil-u0", "--p", "3", "--oracle"],
-        ["values", "--what", "nil-u0", "--p", "3", "--format", "csv"],
-        ["germ", "--x0", "0", "0", "0", "--x", "6", "1", "0", "--p", "3",
-         "--format", "csv"],
-        ["--format", "csv", "verify", "zero"],
-        ["--p", "3", "orb", "--kind", "nil-u0", "--params", "1"],
-        ["lint", "--m", "0", "--lminus", "1", "--lplus", "inf", "--p", "3",
-         "--format", "text"],
+    @pytest.mark.parametrize("argv, refusal", [
+        (["values", "--what", "nil-u0", "--p", "3", "--oracle"],
+         "atlas: error: unrecognized arguments: --oracle"),
+        (["values", "--what", "nil-u0", "--p", "3", "--format", "csv"],
+         "atlas: error: unrecognized arguments: --format csv"),
+        (["germ", "--x0", "0", "0", "0", "--x", "6", "1", "0", "--p", "3",
+          "--format", "csv"],
+         "atlas: error: unrecognized arguments: --format csv"),
+        # a flag before the subcommand: the top level reads its value as the
+        # command
+        (["--format", "csv", "verify", "zero"],
+         "atlas: error: argument cmd: invalid choice: 'csv' " + COMMANDS),
+        (["--p", "3", "orb", "--kind", "nil-u0", "--params", "1"],
+         "atlas: error: argument cmd: invalid choice: '3' " + COMMANDS),
+        (["lint", "--m", "0", "--lminus", "1", "--lplus", "inf", "--p", "3",
+          "--format", "text"],
+         "atlas lint: error: argument --format: invalid choice: 'text' "
+         "(choose from 'json', 'csv')"),
         # the oracles sum their exact supports: orb has no window to set
-        ["orb", "--kind", "xi", "--params", "0", "31", "inf", "--p", "3", "--oracle",
-         "--shell-window", "29"],
-        ["orb", "--kind", "ss-u0-case0", "--params", "81", "--p", "3", "--oracle",
-         "--shell-window", "3"],
-        ["orb", "--kind", "ss-u0-case0", "--params", "81", "--p", "3", "--oracle",
-         "--shell-window", "-2"],
+        (["orb", "--kind", "xi", "--params", "0", "31", "inf", "--p", "3", "--oracle",
+          "--shell-window", "29"],
+         "atlas: error: unrecognized arguments: --shell-window 29"),
+        (["orb", "--kind", "ss-u0-case0", "--params", "81", "--p", "3", "--oracle",
+          "--shell-window", "3"],
+         "atlas: error: unrecognized arguments: --shell-window 3"),
+        (["orb", "--kind", "ss-u0-case0", "--params", "81", "--p", "3", "--oracle",
+          "--shell-window", "-2"],
+         "atlas: error: unrecognized arguments: --shell-window -2"),
     ], ids=["values-oracle", "values-format", "germ-format", "format-first",
             "p-first", "lint-text", "xi-small-window", "oracle-window-edge",
             "oracle-negative-window"])
-    def test_flags_a_command_does_not_read_exit_2(self, argv, capsys):
+    def test_flags_a_command_does_not_read_exit_2(self, argv, refusal, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert capsys.readouterr().err.startswith("usage: atlas")
+        err = capsys.readouterr().err
+        assert err.startswith("usage: atlas")
+        assert err.splitlines()[-1] == refusal
 
     @pytest.mark.parametrize("argv", [
         ["germ", "--x0", "0", "0", "0", "--x", "1", "1", "0", "--p", "5"],
