@@ -382,29 +382,39 @@ class U1GroupElt:
     with coordinates (alpha, beta, b, c, d): the matrix
     [[alpha, beta p, b pi], [beta, alpha, b], [c, pi c, d]].
 
-    The element holds the integer rows of M from construction
-    (`padic._int_rows`), and every inverse Cayley transform solves from
-    them, so the entry checks are made when it is built: a capped entry
-    raises PrecisionError and mixed primes InputError."""
+    The element is its integer rows (p, rows), rows[i] = (den, [q0, q1, q2])
+    with M_ij = q_j / den and den > 0, as `padic.cayley_solve` reads them;
+    the entry tests read them, and the nine QuatElt entries are built only
+    when `M` is read.  `from_matrix` takes QuatElt entries."""
 
-    __slots__ = ("M", "_rows")
+    __slots__ = ("_rows",)
 
-    def __init__(self, M):
-        self.M = M
-        self._rows = _int_rows(M)
+    def __init__(self, p: int, rows):
+        self._rows = (p, rows)
+
+    @classmethod
+    def from_matrix(cls, M) -> "U1GroupElt":
+        """The element of a QuatElt matrix (`padic._int_rows`): a capped
+        entry raises PrecisionError and mixed primes InputError."""
+        return cls(*_int_rows(M))
 
     @property
     def p(self) -> int:
-        return self.M[0][0].p
+        return self._rows[0]
 
-    def coords(self):
-        M = self.M
-        return M[0][0], M[1][0], M[1][2], M[2][0], M[2][2].x
+    @property
+    def M(self):
+        """The nine entries as QuatElt, built from the rows on each read."""
+        p, rows = self._rows
+        return _quat_matrix(rows, p)
 
     def is_integral(self) -> bool:
-        alpha, beta, b, c, d = self.coords()
-        return (alpha.is_integral() and beta.is_integral() and b.is_integral()
-                and c.is_integral() and d.is_integral())
+        """Whether alpha, beta, b, c and the F-part of d are integral: q / den
+        is integral when p^v(den) divides the coordinates of q."""
+        p, ((n0, (alpha, _, _)), (n1, (beta, _, b)), (n2, (c, _, d))) = self._rows
+        k0, k1, k2 = (p ** _int_val(n, p) for n in (n0, n1, n2))
+        return not any(x % k for k, xs in ((k0, alpha), (k1, (*beta, *b)),
+                                           (k2, (*c, *d[:2]))) for x in xs)
 
     def __repr__(self):
         return f"U1GroupElt({self.M!r})"
@@ -419,7 +429,7 @@ def cayley(x, xi=(1, 1)) -> U1GroupElt:
     so one solve (1 - x) Z = 1 + x computes the product, and xi negates the
     rows of Z with sign -1.  The solve reads the integer rows of x
     (`_lie_rows`, with beta = d = 0 for a U1RedElt), and the group element
-    holds all nine entries."""
+    is its integer solution, a row of negative norm negated: no scalar."""
     if isinstance(x, U1RedElt):
         p, rows = _lie_rows(x.alpha, _FR_ZERO, x.b, _FR_ZERO, _FR_ZERO)
     else:
@@ -428,7 +438,8 @@ def cayley(x, xi=(1, 1)) -> U1GroupElt:
     Z = cayley_solve(p, rows, (1, 1, 1), (s1, s1, s2))
     if Z is None:
         raise CayleyUndefinedError("singular matrix over D")
-    return U1GroupElt(_quat_matrix(Z, p))
+    return U1GroupElt(p, [(n, ts) if n > 0 else
+                          (-n, [(-a, -b, -c, -d) for a, b, c, d in ts]) for n, ts in Z])
 
 
 def cayley_inv(g: U1GroupElt, xi=(1, 1)) -> U1LieElt:
@@ -459,17 +470,10 @@ def admissible_xi(g: U1GroupElt, xi) -> bool:
     group element: mod the uniformizer the element is block-triangular with
     diagonal (alpha, alpha, d), so 1 + xi^{-1} g is invertible over the
     maximal order exactly when 1 + s1 alpha and 1 + s2 d are units, that is
-    nonzero with v_D = 0 (`_one_plus_is_unit`).  A capped coordinate raises
-    PrecisionError."""
+    nonzero with v_D = 0 (`_one_plus_is_unit`, read off the rows of g)."""
     s1, s2 = xi
-    p = g.p
-    alpha, d = g.M[0][0], g.M[2][2]
-    if d.p != p:
-        raise InputError("mixed primes")
-    ca, cd = _int_coords(alpha), _int_coords(d)
-    if ca is None or cd is None:
-        raise PrecisionError("the Cayley chart test takes exact coordinates only")
-    return _one_plus_is_unit(ca, s1, p) and _one_plus_is_unit(cd, s2, p)
+    p, ((n0, (alpha, _, _)), _, (n2, (_, _, d))) = g._rows
+    return _one_plus_is_unit((n0, alpha), s1, p) and _one_plus_is_unit((n2, d), s2, p)
 
 
 def _one_plus_is_unit(coords, s: int, p: int) -> bool:

@@ -31,14 +31,14 @@ and share a prime, and `cayley_solve` takes the integer rows of M and writes
 the rows of [1 - S M | 1 + S M], S a diagonal of signs, into new lists,
 adding the row denominator for the 1 on the diagonal.  The rows of M are
 written once: the Lie matrix of a forward transform straight in integer
-coordinates (`orbits.U1LieElt.rows`, no quaternion product taken), and the
-rows of a group element when it is built (`orbits.U1GroupElt`, through
-`_int_rows`), which each inverse transform reads.  Both solves end in
-`_solve_rows`, which eliminates on
-integers and returns the solution as integers too: per row a norm and the
-coordinates of the columns asked for.  Each caller forms Fractions only for
-the solution entries it reads: `orbits.quat_mat_solve` and `orbits.cayley`
-all nine (`_quat_matrix`), `orbits.cayley_inv` the four Lie coordinates.
+coordinates (`orbits.U1LieElt.rows`, no quaternion product taken), and a
+group element is the integer solution of its forward transform
+(`orbits.U1GroupElt`), which each inverse transform reads.  Both solves end
+in `_solve_rows`, which eliminates on integers and returns the solution as
+integers too: per row a norm and the coordinates of the columns asked for.
+Each caller forms Fractions only for the solution entries it reads:
+`orbits.quat_mat_solve` all nine (`_quat_matrix`), `orbits.cayley_inv` the
+four Lie coordinates, and `orbits.cayley` none.
 
 The valuation and the quadratic character of a rational are the module
 functions `val` and `eta`; the methods of an exact PadicScalar call them.
@@ -273,10 +273,13 @@ class PadicScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        if o._fr == 0 and o._prec == INF:
+            return self
+        return PadicScalar(self.p, self._fr - o._fr, min(self._prec, o._prec))
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = self._coerce(other)
+        return NotImplemented if o is None else o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -307,7 +310,7 @@ class PadicScalar:
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        return o * self.inv()
+        return NotImplemented if o is None else o * self.inv()
 
     def __pow__(self, k: int):
         """Square-and-multiply; negative k inverts first."""
@@ -461,10 +464,11 @@ class QuadElt:
     def __sub__(self, other):
         if isinstance(other, QuatElt):
             return NotImplemented
-        return self + (-self._coerce(other))
+        o = self._coerce(other)
+        return QuadElt(self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._coerce(other) - self
 
     def __mul__(self, other):
         if isinstance(other, (PadicScalar, int, Fraction)):
@@ -559,10 +563,11 @@ class QuatElt:
         return QuatElt(-self.x, -self.y)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        o = self._coerce(other)
+        return QuatElt(self.x - o.x, self.y - o.y)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._coerce(other) - self
 
     def __mul__(self, other):
         """(x1 + y1 j)(x2 + y2 j) = (x1 x2 + eps y1 conj(y2))
@@ -742,10 +747,10 @@ def cayley_solve(p: int, rows, signs, out_signs, cols=None):
     S = diag(signs), signs = +-1, row i of Z multiplied by out_signs[i], at
     the columns cols; None when 1 - S M is singular.  M is given by its
     integer rows (p, rows), rows[i] = (den, [q0, q1, q2]) with M_ij = q_j / den
-    and den > 0, as `_int_rows` and `orbits.U1LieElt.rows` write them.  The
-    rows of [1 - S M | 1 + S M] are written from these alone, into new
-    lists: the sign s of row i negates M's coordinates on one side, and the
-    1 on the diagonal adds den to the first coordinate."""
+    and den > 0, as `_int_rows`, `orbits.U1LieElt.rows` and `orbits.cayley`
+    write them.  The rows of [1 - S M | 1 + S M] are written from these
+    alone, into new lists: the sign s of row i negates M's coordinates on one
+    side, and the 1 on the diagonal adds den to the first coordinate."""
     n = len(rows)
     built = []
     for i, ((den, qs), s) in enumerate(zip(rows, signs)):

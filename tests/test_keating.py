@@ -197,6 +197,6 @@ class TestIntGroup:
                 one, zero = QuatElt.one(p), QuatElt.zero(p)
                 E = [[one * s1, zero, zero], [zero, one * s1, zero],
                      [zero, zero, one * s2]]
-                gc = U1GroupElt(mat_mul(E, mat_mul(g.M, E)))
+                gc = U1GroupElt.from_matrix(mat_mul(E, mat_mul(g.M, E)))
                 assert int_group(gc) == base
             done += 1

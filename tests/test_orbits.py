@@ -422,7 +422,7 @@ class TestCayley:
                      QuadElt.zero(p))
         for xi in XI_CHOICES:
             g = cayley(x, xi)
-            alpha, beta, b, c, d = g.coords()
+            alpha, beta, b, c, d = group_coords(g)
             assert (alpha - xi[0]).is_zero() and (d - xi[1]).is_zero()
             assert beta.is_zero() and b.is_zero() and c.is_zero()
 
@@ -491,6 +491,28 @@ def reference_admissible_xi(g: U1GroupElt, xi) -> bool:
     e2 = QuatElt.one(g.p) + g.M[2][2] * s2
     return (not e1.is_zero() and v_d(e1) == 0
             and not e2.is_zero() and v_d(e2) == 0)
+
+
+def group_coords(g: U1GroupElt):
+    """(alpha, beta, b, c, d) read off the QuatElt entries of g, d in F."""
+    M = g.M
+    return M[0][0], M[1][0], M[1][2], M[2][0], M[2][2].x
+
+
+def entry_is_integral(g: U1GroupElt) -> bool:
+    """Integrality of alpha, beta, b, c and d, read off the entries."""
+    alpha, beta, b, c, d = group_coords(g)
+    return (alpha.is_integral() and beta.is_integral() and b.is_integral()
+            and c.is_integral() and d.is_integral())
+
+
+def entry_admissible_xi(g: U1GroupElt, xi) -> bool:
+    """The chart test on the integer coordinates of the entries alpha = M00
+    and d = M22 (`padic._int_coords`), each over its own least denominator."""
+    s1, s2 = xi
+    M = g.M
+    return (orbits._one_plus_is_unit(padic._int_coords(M[0][0]), s1, g.p)
+            and orbits._one_plus_is_unit(padic._int_coords(M[2][2]), s2, g.p))
 
 
 def rand_coord(rng, p):
@@ -582,7 +604,7 @@ class TestConjugateOnIntegerCoordinates:
                                               QuadElt.exact(0, 0, p)),
                                       rand_coord_quat(rng, p), QuatElt.one(p),
                                       -QuatElt.one(p)))
-            g = U1GroupElt(M)
+            g = U1GroupElt.from_matrix(M)
             for xi in XI_CHOICES:
                 want = reference_admissible_xi(g, xi)
                 assert admissible_xi(g, xi) == want
@@ -604,7 +626,7 @@ class TestConjugateOnIntegerCoordinates:
             M[entry[0]][entry[1]] = capped_q
             for xi in XI_CHOICES:
                 with pytest.raises(PrecisionError):
-                    admissible_xi(U1GroupElt(M), xi)
+                    admissible_xi(U1GroupElt.from_matrix(M), xi)
 
     def test_counts_of_scalars_built(self, monkeypatch):
         p = 5
@@ -612,9 +634,13 @@ class TestConjugateOnIntegerCoordinates:
                      QuatElt(QuadElt.exact(Fraction(1, 2), 3, p), QuadElt.exact(1, -1, p)))
         made = _count_scalars(monkeypatch)
         products = _count_calls(monkeypatch, QuatElt, "__mul__")
-        # the forward transform builds only the nine entries of the element
+        read = _count_calls(monkeypatch, padic, "_int_rows")
+        read_here = _count_calls(monkeypatch, orbits, "_int_rows")
+        # the forward transform hands its integer solution to the element and
+        # builds no scalar, no product and no rows from entries
         g = cayley(x, (1, 1))
-        assert made[0] == 36 and products[0] == 0
+        assert made[0] == 0 and products[0] == 0
+        assert read[0] == read_here[0] == 0
         made[0] = 0
         assert x.is_rs() and made[0] == 0
         fresh = U1RedElt(x.alpha, x.b)
@@ -625,9 +651,9 @@ class TestConjugateOnIntegerCoordinates:
             made[0] = 0
             admissible_xi(g, xi)
             assert made[0] == 0
+        g.is_integral()
+        assert made[0] == 0
         # the inverse transform solves from the rows the element holds
-        read = _count_calls(monkeypatch, padic, "_int_rows")
-        read_here = _count_calls(monkeypatch, orbits, "_int_rows")
         inverses = 0
         for xi in XI_CHOICES:
             try:
@@ -636,6 +662,73 @@ class TestConjugateOnIntegerCoordinates:
                 continue
             inverses += 1
         assert inverses and read[0] == read_here[0] == 0
+
+
+def rand_group_matrix(rng, p):
+    """A QuatElt matrix whose entries read as alpha, beta, b and c are often
+    integral and often have p in a denominator, whose d has a j-part that is
+    often not integral (the entry tests read only its F-part), and whose
+    other entries are random."""
+    def entry():
+        if rng.random() < 0.6:
+            return QuatElt(QuadElt.exact(rng.randint(-9, 9), rng.randint(-9, 9), p),
+                           QuadElt.exact(rng.randint(-9, 9), rng.randint(-9, 9), p))
+        return rand_coord_quat(rng, p)
+    M = rand_system_matrix(rng, p)
+    for i, j in ((0, 0), (1, 0), (1, 2), (2, 0), (2, 2)):
+        M[i][j] = entry()
+    M[2][2] = QuatElt(M[2][2].x, rand_coord_quat(rng, p).y)
+    return M
+
+
+def cayley_solution(x: U1LieElt, xi):
+    """The integer solution of the Cayley system of x in the chart xi, each
+    row over its signed norm, as `padic.cayley_solve` returns it."""
+    p, rows = x.rows()
+    s1, s2 = xi
+    return padic.cayley_solve(p, rows, (1, 1, 1), (s1, s1, s2))
+
+
+class TestGroupRows:
+    """A group element is its integer rows, each over a positive denominator:
+    its entries, integrality and chart test must agree with those read off
+    the QuatElt entries."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_rows_answer_as_the_entries_do(self, p):
+        rng = random.Random(5000 + p)
+        seen = {"integral": 0, "not integral": 0, "admissible": 0, "not admissible": 0,
+                "negative norm": 0, "integral, d j-part not": 0}
+        for k in range(160):
+            if k % 2:
+                x = rand_lie(rng, p, (1,) if k % 4 == 1 else (1, 2, p, p * p))
+                xi = XI_CHOICES[k // 2 % 4]
+                g = cayley(x, xi)
+                Z = cayley_solution(x, xi)
+                # the entries built straight from the signed solution
+                want = padic._quat_matrix(Z, p)
+                seen["negative norm"] += any(n < 0 for n, _ in Z)
+            else:
+                want = rand_group_matrix(rng, p)
+                g = U1GroupElt.from_matrix(want)
+                seen["integral, d j-part not"] += (g.is_integral()
+                                                   and not want[2][2].y.is_integral())
+            assert g.p == p and all(den > 0 for den, _ in g._rows[1])
+            assert coords(g.M) == coords(want)
+            assert g.is_integral() == entry_is_integral(g)
+            seen["integral" if g.is_integral() else "not integral"] += 1
+            for xj in XI_CHOICES:
+                got = admissible_xi(g, xj)
+                assert got == entry_admissible_xi(g, xj) == reference_admissible_xi(g, xj)
+                seen["admissible" if got else "not admissible"] += 1
+        assert min(seen.values()) >= 5, seen
+
+    def test_entries_are_built_on_each_read(self):
+        g = U1GroupElt.from_matrix(rand_group_matrix(random.Random(109), 5))
+        assert g.M is not g.M and coords(g.M) == coords(g.M)
+        assert repr(g) == f"U1GroupElt({g.M!r})"
+        with pytest.raises(AttributeError):
+            g.M = g.M
 
 
 INVARIANTS_RS = """{
@@ -863,7 +956,7 @@ class TestCayleySolve:
                     continue
             else:
                 M = Z
-            g = U1GroupElt(M)
+            g = U1GroupElt.from_matrix(M)
             for xi in XI_CHOICES:
                 try:
                     want = lie_coords(reference_cayley_inv(g, xi))
@@ -935,7 +1028,7 @@ class TestCayleySolve:
                             QuadElt.zero(p)), (1, 1)).M
         M[1][2] = b
         with pytest.raises(PrecisionError):
-            cayley_inv(U1GroupElt(M), (1, 1))
+            cayley_inv(U1GroupElt.from_matrix(M), (1, 1))
 
     def test_mixed_primes_refused(self):
         # j^2 = 2 at p = 3 and p = 5, so only the prime tells the entries apart
@@ -943,7 +1036,7 @@ class TestCayleySolve:
         M[2][1] = QuatElt(QuadElt.exact(1, 1, 5), QuadElt.exact(0, 1, 5))
         for xi in XI_CHOICES:
             with pytest.raises(InputError):
-                cayley_inv(U1GroupElt(M), xi)
+                cayley_inv(U1GroupElt.from_matrix(M), xi)
 
 
 def _admissible(g, xi):

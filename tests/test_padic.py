@@ -733,3 +733,49 @@ class TestQuatElt:
                 [s.rational for s in (w.x.a, w.x.b, w.y.a, w.y.b)]
             assert got == w and hash(got) == hash(w)
 
+
+
+def state(x):
+    """The value and precision of every scalar in x, as stored."""
+    if isinstance(x, PadicScalar):
+        return x.p, x._fr, x._prec
+    if isinstance(x, QuadElt):
+        return state(x.a), state(x.b)
+    return state(x.x), state(x.y)
+
+
+class TestSubtraction:
+    """a - b is one formula at every level, with no negated temporary: it
+    must store the value and precision of a + (-b), and a foreign operand
+    must meet the operator that was written."""
+
+    def test_difference_equals_the_sum_with_the_negation(self):
+        checked = 0
+        for p in (3, 5):
+            scalars = [exact(0, p), exact(Fraction(7, p), p), exact(-4, p),
+                       capped(p, -1, 2, 4), capped(p, 2, 1, 3), PadicScalar.zero_at(p, 3),
+                       PadicScalar.zero_at(p, -2),
+                       PadicScalar.from_rational_absprec(Fraction(5, 2), p, 1)]
+            quads = [QuadElt(a, b) for a in scalars for b in scalars[::3]]
+            quats = [QuatElt(u, v) for u in quads[::5] for v in quads[::7]]
+            plain = [0, 3, Fraction(-2, 7)]
+            for left, right, reflected in ((scalars, scalars + plain, plain),
+                                           (quads, quads + scalars + plain, scalars + plain),
+                                           (quats, quats + quads + scalars + plain,
+                                            quads + scalars + plain)):
+                for a in left:
+                    for b in right:
+                        assert state(a - b) == state(a + (-b))
+                        checked += 1
+                    for b in reflected:
+                        assert state(b - a) == state((-a) + b)
+                        checked += 1
+        assert checked >= 3000
+
+    @pytest.mark.parametrize("op, sign", [(operator.sub, "-"), (operator.truediv, "/")])
+    def test_a_foreign_operand_is_refused_for_the_operator_written(self, op, sign):
+        s = exact(3, 5)
+        with pytest.raises(TypeError, match=f"for {sign}: 'float' and 'PadicScalar'"):
+            op(1.5, s)
+        with pytest.raises(TypeError, match=f"for {sign}: 'PadicScalar' and 'float'"):
+            op(s, 1.5)
