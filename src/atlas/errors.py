@@ -35,7 +35,9 @@ class CayleyUndefinedError(AtlasError):
 
 
 class StabilizationError(AtlasError):
-    """A shell sum did not stabilize within the window."""
+    """A shell sum that would be truncated: a torus interval open at the end
+    the scan starts from, a nonzero guard shell, no t-dependent condition,
+    or an xi window short of K-..K+."""
 
 
 class ConductorError(AtlasError):

@@ -3,8 +3,9 @@
 Domains are split into valuation shells and residue balls c + p^d Z_p.  Every
 condition tested is a bound v(P(t)) >= b on a rational polynomial of degree
 at most two.  As the degree is below p, the sup norm of P on a ball is its
-Gauss norm, so three exact Taylor terms at the center decide the ball (see
-`_taylor`); undecided balls are subdivided up to a depth cap.
+Gauss norm, so three exact Taylor terms at the center decide the ball
+(`_taylor`), and one sweep (`_sweep`) passes, fails or splits the balls of
+every shell, down to a depth cap.
 
 The Iwasawa-coordinate orbital integrals need no subdivision in the torus
 coordinate.  Conjugating by diag(z^-1, conj(z), 1) multiplies entry (i, j) by
@@ -23,18 +24,14 @@ its closed volume.  The bounds on entries that depend on t weaken as k
 grows, so the unipotent integral is nondecreasing in k: the torus scan runs
 down from hi to lo, with no window of its own, and ends at its first empty
 shell, and a scan empty at hi is an exact 0.  Each unipotent integral
-sweeps Z_p and the shells v(t) = j down to a floor read off the Newton
-polygons of its polynomials, below which no condition can pass
-(`_t_floor`), each shell from its roots in the integer coordinate
-tau = t p^-j (see `_iwasawa_t_integral`).
+sweeps Z_p and the shells v(t) = j, in tau = t p^-j, down to a floor below
+which no condition can pass (`_t_floor`).
 
 The double-log shell sum behind the family contribution (`xi_integral`) is
-a pure (log q)^2 value.  Each shell v(t) = k is swept in the same kind of
-integer coordinate, tau = t p^-k over the units: its balls add up integers
-by power of p (`_power_sum`, as the unipotent integrals count their balls),
-and each shell builds one Fraction.  Outside K-..K+ (`_xi_support`) the
-shells follow known laws, so both tails are summed in closed form; the
-default window max(K+, -K-) is the least holding K-..K+."""
+a pure (log q)^2 value.  Each shell v(t) = k is swept over the units of
+tau = t p^-k and builds one Fraction (`_power_sum`).  Outside K-..K+
+(`_xi_support`) the shells follow known laws, so both tails are summed in
+closed form; the default window max(K+, -K-) is the least holding K-..K+."""
 
 from __future__ import annotations
 
@@ -121,6 +118,38 @@ def _taylor(poly, v2: int, c: Fraction, d: int, p: int):
     at_c = c0 + (c1 + c2 * c) * c
     rest = min(val(c1 + 2 * c2 * c, p) + d, v2 + 2 * d)
     return at_c, val(at_c, p), rest
+
+
+def _sweep(conds, roots, shift: int, p: int):
+    """Decide the balls c + p^e Z_p below roots against the conditions
+    (P, v(c2), b) in conds, bounds v(P) >= b on integer polynomials of degree
+    at most two; the ball of depth e is the t-ball of depth e + shift.  With
+    (P(c), v(P(c)), rest) from `_taylor`, a ball passes when
+    min(v(P(c)), rest) >= b for every P, fails when v(P(c)) < b and
+    v(P(c)) < rest for one P (then v(P) = v(P(c)) on it), and is otherwise
+    split; an undecided ball at t-depth e + shift >= DEPTH_CAP raises
+    ConductorError.  Yields (e, None) for a passing ball and
+    (e, (P(c), v(P(c)))) for a failing one, for its first failing P."""
+    stack = list(roots)
+    while stack:
+        ball = stack.pop()
+        c, e = ball.point(), ball.depth
+        undecided = False
+        for poly, v2, b in conds:
+            at_c, v0, rest = _taylor(poly, v2, c, e, p)
+            if v0 < b and v0 < rest:
+                yield e, (at_c, v0)
+                break
+            undecided = undecided or v0 < b or rest < b
+        else:
+            if not undecided:
+                yield e, None
+            elif e + shift >= DEPTH_CAP:
+                raise ConductorError(f"conductor too small: depth cap {DEPTH_CAP} reached "
+                                     f"on the shell v(t) = {shift}, at the tau-ball "
+                                     f"{c} + {p}^{e} Z_p")
+            else:
+                stack.extend(ball.split(p))
 
 
 # ---------------------------------------------------------------------------
@@ -215,37 +244,19 @@ def _iwasawa_t_integral(polys, k: int, p: int) -> Fraction:
     torus scaling second, for k in `_k_interval(polys, p, False)`; the bounds
     are those of `_lattice_bounds(polys, k)` on polynomials that depend on t.
 
-    Z_p (j = 0) and each shell v(t) = j down to `_t_floor` are swept in the
-    integer coordinate tau = t s with s = p^-j: the bound
-    v(c0 + c1 t + c2 t^2) >= b is v(c0 s^2 + c1 s tau + c2 tau^2) >= b - 2j,
-    and the ball tau + p^e Z_p is the t-ball of depth e + j, of volume
-    p^-(e+j).  DEPTH_CAP applies to that t-depth.  A ball passes when
-    min(v(P(c)), rest) >= b for every polynomial (`_taylor`), fails when
-    v(P(c)) < rest and v(P(c)) < b for one, and is otherwise split; the
-    passing balls are counted by t-depth into one Fraction."""
+    Z_p (j = 0) and each shell v(t) = j down to `_t_floor` are swept
+    (`_sweep`) in tau = t s, s = p^-j, where v(c0 + c1 t + c2 t^2) >= b is
+    v(c0 s^2 + c1 s tau + c2 tau^2) >= b - 2j and the tau-ball of depth e is
+    the t-ball of depth e + j; the passing balls are counted by t-depth."""
     conds = [(poly, b) for poly, b in _lattice_bounds(polys, k) if poly[1] or poly[2]]
     passed = {}             # passing balls by t-depth e + j, keyed -(e + j)
     for j in range(0, _t_floor(conds, p) - 1, -1):
         s = p ** -j
         scaled = [((c0 * s * s, c1 * s, c2), val(c2, p), b - 2 * j)
                   for (c0, c1, c2), b in conds]
-        stack = [Ball0(0, 0)] if j == 0 else unit_cover(p)
-        while stack:
-            ball = stack.pop()
-            c, e = ball.point(), ball.depth
-            verdict = True
-            for poly, v2, b in scaled:
-                _, v0, rest = _taylor(poly, v2, c, e, p)
-                if v0 < b and v0 < rest:
-                    verdict = False
-                    break
-                if v0 < b or rest < b:
-                    verdict = None
-            if verdict is None:
-                if e + j >= DEPTH_CAP:
-                    raise ConductorError("conductor too small: depth cap reached")
-                stack.extend(ball.split(p))
-            elif verdict:
+        roots = [Ball0(0, 0)] if j == 0 else unit_cover(p)
+        for e, failed in _sweep(scaled, roots, j, p):
+            if failed is None:
                 passed[-e - j] = passed.get(-e - j, 0) + 1
     return _power_sum(passed, p)
 
@@ -361,20 +372,18 @@ def xi_integral(x: BPoint, window: int | None = None) -> LogQVal:
     On the shell v(t) = k, write a = t + D'/(p t) + 2 w' as g(t)/t with
     g(t) = t^2 + 2 w' t + D'/p: then v(a) = v(g) - k, eta(a) eta(t) = eta(g),
     and the integrand is eta(g) q^v(g) (v(g) - k) k on v(g) < k.  The shell
-    is swept in the unit coordinate tau = t p^-k, on the integer polynomial
-    G(tau) = den g(p^k tau) with den the least common denominator and
-    w = v(den): the tau-ball c + p^e Z_p is the t-ball of depth e + k, to
-    which DEPTH_CAP applies, and every valuation of the Taylor test of
-    v(g) >= k (see `_taylor`) is shifted by w.  Where G(c) strictly
-    dominates, v(g) = v(G(c)) - w and eta(g) = eta(den) eta(G(c)) on the
-    whole ball, which contributes eta(g) (v(g) - k) k p^(v(g) - e - k) to
-    the (log q)^2 coefficient; these integers are summed by exponent into
-    one Fraction per shell (`_power_sum`).  Shells |k| <= window are swept
-    exactly; past them the shells n + i and -(n + i), n = window + 1,
-    follow the laws of `_xi_support`, a polynomial of degree two in i times
-    p^-i, summed in closed form.  The window defaults to max(K+, -K-), the
-    least that holds K-..K+; a negative one is an InputError, and one that
-    does not hold K-..K+ raises StabilizationError rather than truncate."""
+    is swept (`_sweep`, shift k) over the units of tau = t p^-k, on the
+    integer polynomial G(tau) = den g(p^k tau), den the least common
+    denominator and w = v(den), against v(G) >= k + w, which is v(g) >= k.
+    A failing ball of depth e has v(g) = v(G(c)) - w and
+    eta(g) = eta(den) eta(G(c)), and adds eta(g) (v(g) - k) k p^(v(g) - e - k)
+    to the (log q)^2 coefficient, summed by exponent into one Fraction per
+    shell (`_power_sum`).  Shells |k| <= window are swept exactly; past them
+    the shells n + i and -(n + i), n = window + 1, follow the laws of
+    `_xi_support`, a polynomial of degree two in i times p^-i, summed in
+    closed form.  The window defaults to max(K+, -K-), the least that holds
+    K-..K+; a negative one is an InputError, and one that does not hold
+    K-..K+ raises StabilizationError rather than truncate."""
     p = x.p
     dp, wprime, v0, lo, hi = _xi_support(x)
     window = max(hi, -lo) if window is None else window
@@ -389,23 +398,13 @@ def xi_integral(x: BPoint, window: int | None = None) -> LogQVal:
         g = (dp, 2 * wprime * s, s * s)
         den = lcm(*(c.denominator for c in g))
         poly = tuple(c.numerator * (den // c.denominator) for c in g)
-        w, v2 = val(den, p), val(poly[2], p)
-        bound = k + w                   # v(g) >= k  <=>  v(G) >= k + w
+        w = val(den, p)
         sums = {}                       # eta(G(c)) (v(g) - k) by power of p
-        stack = unit_cover(p)
-        while stack:
-            ball = stack.pop()
-            e = ball.depth
-            at_c, vc, rest = _taylor(poly, v2, ball.point(), e, p)
-            if min(vc, rest) >= bound:
-                continue            # support requires |a| > 1
-            if vc >= rest:
-                if e + k >= DEPTH_CAP:
-                    raise ConductorError("conductor too small: depth cap reached")
-                stack.extend(ball.split(p))
-                continue
-            vg = vc - w
-            sums[vg - e - k] = sums.get(vg - e - k, 0) + eta(at_c, p) * (vg - k)
+        # the support |a| > 1 is the balls that fail v(g) >= k, or v(G) >= k + w
+        for e, failed in _sweep([(poly, val(poly[2], p), k + w)], unit_cover(p), k, p):
+            if failed:
+                vg = failed[1] - w
+                sums[vg - e - k] = sums.get(vg - e - k, 0) + eta(failed[0], p) * (vg - k)
         return eta(den, p) * k * _power_sum(sums, p)
 
     total = sum((shell(k) for k in range(-window, window + 1)), Fraction(0))

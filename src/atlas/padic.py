@@ -441,20 +441,19 @@ class QuadElt:
     def is_integral(self) -> bool:
         return min(self.a.val(), self.b.val()) >= 0
 
-    def _coerce(self, other) -> "QuadElt":
+    def _coerce(self, other):
+        # None for a foreign operand, a QuatElt too: the operators refuse it
         if isinstance(other, QuadElt):
             return other
         if isinstance(other, PadicScalar):
             return QuadElt(other, PadicScalar(self.p, _fr=_FR_ZERO))
         if isinstance(other, (int, Fraction)):
             return QuadElt(self.a._coerce(other), PadicScalar(self.p, _fr=_FR_ZERO))
-        raise TypeError(f"cannot coerce {type(other)} to QuadElt")
+        return None
 
     def __add__(self, other):
-        if isinstance(other, QuatElt):
-            return NotImplemented
         o = self._coerce(other)
-        return QuadElt(self.a + o.a, self.b + o.b)
+        return NotImplemented if o is None else QuadElt(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
@@ -462,31 +461,27 @@ class QuadElt:
         return QuadElt(-self.a, -self.b)
 
     def __sub__(self, other):
-        if isinstance(other, QuatElt):
-            return NotImplemented
         o = self._coerce(other)
-        return QuadElt(self.a - o.a, self.b - o.b)
+        return NotImplemented if o is None else QuadElt(self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        o = self._coerce(other)
+        return NotImplemented if o is None else o - self
 
     def __mul__(self, other):
         if isinstance(other, (PadicScalar, int, Fraction)):
             return QuadElt(self.a * other, self.b * other)
-        if isinstance(other, QuatElt):
-            return NotImplemented
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         a, b, c, d = self.a, self.b, o.a, o.b
         return QuadElt(a * c + b * d * self.p, a * d + b * c)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        try:
-            o = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
+        o = self._coerce(other)
+        return NotImplemented if o is None else self.a == o.a and self.b == o.b
 
     def __hash__(self):
         # an element of Q_p equals its embedding in F
@@ -530,7 +525,8 @@ class QuatElt:
     def p(self) -> int:
         return self.x.p
 
-    def _coerce(self, other) -> "QuatElt":
+    def _coerce(self, other):
+        # None for a foreign operand: the operators refuse it
         if isinstance(other, QuatElt):
             return other
         if isinstance(other, QuadElt):
@@ -538,7 +534,7 @@ class QuatElt:
         if isinstance(other, (int, Fraction, PadicScalar)):
             z = QuadElt.zero(self.p)
             return QuatElt(z._coerce(other), z)
-        raise TypeError(f"cannot coerce {type(other)} to QuatElt")
+        return None
 
     def conj(self) -> "QuatElt":
         """Main involution: x + y*j -> conj(x) - y*j."""
@@ -555,7 +551,7 @@ class QuatElt:
 
     def __add__(self, other):
         o = self._coerce(other)
-        return QuatElt(self.x + o.x, self.y + o.y)
+        return NotImplemented if o is None else QuatElt(self.x + o.x, self.y + o.y)
 
     __radd__ = __add__
 
@@ -564,10 +560,11 @@ class QuatElt:
 
     def __sub__(self, other):
         o = self._coerce(other)
-        return QuatElt(self.x - o.x, self.y - o.y)
+        return NotImplemented if o is None else QuatElt(self.x - o.x, self.y - o.y)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        o = self._coerce(other)
+        return NotImplemented if o is None else o - self
 
     def __mul__(self, other):
         """(x1 + y1 j)(x2 + y2 j) = (x1 x2 + eps y1 conj(y2))
@@ -575,6 +572,8 @@ class QuatElt:
         coordinates (`_int_coords`, `_int_quat_mul`); a capped coordinate
         raises PrecisionError."""
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         p = self.p
         if o.p != p:
             raise InputError("mixed primes")
@@ -587,14 +586,11 @@ class QuatElt:
     def __rmul__(self, other):
         # scalar (central) multiplication only
         o = self._coerce(other)
-        return o * self
+        return NotImplemented if o is None else o * self
 
     def __eq__(self, other):
-        try:
-            o = self._coerce(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return self.x == o.x and self.y == o.y
+        o = self._coerce(other)
+        return NotImplemented if o is None else self.x == o.x and self.y == o.y
 
     def __hash__(self):
         # an element of F equals its embedding in D

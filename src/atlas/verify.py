@@ -165,8 +165,10 @@ def neighborhood_samples(x0, count: int = NEIGHBORHOOD_SAMPLES):
 def _root_0ii(a: PadicScalar, n: int) -> Fraction:
     """A root of the square a = p^(2k) t to relative precision n: p^k r with
     r^2 = t mod p^n.  r starts from the square root of t mod p whose digit
-    lies in 1..(p-1)/2, the convention of `values.transfer_sign_0ii`, and
-    integer Newton steps lift it, each doubling the digits."""
+    lies in 1..(p-1)/2, and integer Newton steps lift it, each doubling the
+    digits.  At a rational square this may be the root opposite to that of
+    `values.transfer_sign_0ii`, which takes the positive one; no verdict
+    reads the sign, as Delta is even in wtilde."""
     p = a.p
     mod = p ** n
     t = a.unit_mod(n)

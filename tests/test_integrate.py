@@ -1,5 +1,6 @@
 import ast
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -9,9 +10,10 @@ import pytest
 from atlas import integrate
 from atlas.errors import ConductorError, InputError, PrecisionError, StabilizationError
 from atlas.integrate import (Ball0, BallF, _conj_polys, _iwasawa_t_integral,
-                             _k_interval, _lattice_bounds, _shell_bounds,
+                             _k_interval, _lattice_bounds, _shell_bounds, _sweep,
                              _t_floor, _taylor, _xi_support, auto_window,
-                             iwasawa_orbit_u0, phi_from_xi, xi_integral)
+                             iwasawa_orbit_u0, phi_from_xi, unit_cover,
+                             xi_integral)
 from atlas.cli import main
 from atlas.germs import dorb1, is_in_neighborhood, phi_closed
 from atlas.orbits import (INF, XI_CHOICES, BPoint, U0RedElt, U1LieElt,
@@ -537,6 +539,69 @@ class TestTaylor:
                 assert eta(x, p) == PadicScalar.exact(x, p).eta()
 
 
+class TestSweep:
+    def test_decided_balls_partition_the_roots_and_hold_their_verdict(self, monkeypatch):
+        # seeded conditions v(P) >= b on integer polynomials of degree <= 2,
+        # one or two per sweep: the decided balls are disjoint and fill the
+        # roots, a passing ball has v(P(t)) >= b for every P and a failing
+        # one v(P(t)) = v(P(c)) < b for the P it names, at p sample points
+        # t of the ball; a cap one level below the deepest split raises
+        read = []                       # every ball read, the decided one last
+        point = Ball0.point
+        monkeypatch.setattr(Ball0, "point", lambda ball: read.append(ball) or point(ball))
+
+        def ev(poly, t):
+            return poly[0] + poly[1] * t + poly[2] * t * t
+
+        def decided(conds, roots, shift, p):
+            return [(read[-1], e, failed) for e, failed in _sweep(conds, roots, shift, p)]
+
+        cap = integrate.DEPTH_CAP
+        rng = random.Random(36)
+        seen = Counter()
+        for p in (3, 5, 7):
+            for _ in range(40):
+                conds = []
+                for _ in range(rng.randint(1, 2)):
+                    poly = tuple(rng.choice((0, rng.randint(-30, 30) * p ** rng.randint(0, 3)))
+                                 for _ in range(3))
+                    conds.append((poly, val(poly[2], p), rng.randint(-1, 6)))
+                roots = rng.choice(([Ball0(0, 0)], unit_cover(p)))
+                shift = rng.randint(-3, 3)
+                balls = decided(conds, roots, shift, p)
+                keys = {(ball.depth, ball.center % p ** ball.depth) for ball, _, _ in balls}
+                assert len(keys) == len(balls)
+                for ball, e, failed in balls:
+                    c = ball.center
+                    assert e == ball.depth, ball
+                    assert [d for d in range(e) if (d, c % p ** d) in keys] == [], ball
+                    assert any(c % p ** r.depth == r.center % p ** r.depth for r in roots)
+                    ts = [c + p ** e * rng.randrange(p ** 4) for _ in range(p)]
+                    if failed is None:
+                        assert all(val(ev(poly, t), p) >= b
+                                   for poly, _, b in conds for t in ts), (conds, ball)
+                    else:
+                        at_c, v0 = failed
+                        assert any(ev(poly, c) == at_c and val(at_c, p) == v0 < b
+                                   and all(val(ev(poly, t), p) == v0 for t in ts)
+                                   for poly, _, b in conds), (conds, ball)
+                    seen["fail" if failed else "pass"] += 1
+                assert (sum(Fraction(1, p ** ball.depth) for ball, _, _ in balls)
+                        == sum(Fraction(1, p ** r.depth) for r in roots))
+                deepest = max(e for _, e, _ in balls)
+                if deepest > roots[0].depth:
+                    seen["split"] += 1
+                    monkeypatch.setattr(integrate, "DEPTH_CAP", deepest + shift)
+                    assert decided(conds, roots, shift, p) == balls
+                    monkeypatch.setattr(integrate, "DEPTH_CAP", deepest - 1 + shift)
+                    with pytest.raises(ConductorError, match=re.escape(
+                            f"depth cap {deepest - 1 + shift} reached on the shell "
+                            f"v(t) = {shift}, at the tau-ball ")):
+                        decided(conds, roots, shift, p)
+                    monkeypatch.setattr(integrate, "DEPTH_CAP", cap)
+        assert seen["pass"] >= 100 and seen["fail"] >= 400 and seen["split"] >= 30, seen
+
+
 class TestIwasawa:
     @pytest.mark.parametrize("p", [3, 5])
     def test_nilpotent_family(self, p):
@@ -971,6 +1036,11 @@ class TestIwasawa:
         assert got == {1: "cap", 2: "cap", 3: "cap", 4: Fraction(1, p ** 4),
                        5: Fraction(1, p ** 4), 6: Fraction(1, p ** 4),
                        7: Fraction(1, p ** 4)}
+        # the error names the shell v(t) = -2 and the tau-ball 1 + p^5 Z_p
+        monkeypatch.setattr(integrate, "DEPTH_CAP", 3)
+        with pytest.raises(ConductorError, match=re.escape(
+                f"depth cap 3 reached on the shell v(t) = -2, at the tau-ball 1 + {p}^5 Z_p")):
+            _iwasawa_t_integral(polys, -12, p)
 
     def test_support_at_the_window_edge_raises(self, monkeypatch):
         # the support of lam0 = 81 at p = 3 starts at the torus shell -4,
@@ -1217,11 +1287,11 @@ class TestXi:
         # shell, the fourth only on the shell -4, down to tau-depth 3
         # (t-depth -1): a cap read on the tau-depth would pass the first
         # three at caps where the t-sweep fails, and fail the fourth at
-        # caps 1..3 where it passes
-        points = {make_bpoint_rs1(2, 4, 1, 3): {1, 2},
-                  make_bpoint_rs1(3, 5, 1, 5): {1, 2, 3},
-                  make_bpoint_rs1(3, 7, 1, 7): {1, 2, 3, 4, 5},
-                  BPoint.exact(Fraction(-7, 27), 9, -126, 3): set()}
+        # caps 1..3 where it passes; the error names the positive shell
+        points = {make_bpoint_rs1(2, 4, 1, 3): ({1, 2}, 1),
+                  make_bpoint_rs1(3, 5, 1, 5): ({1, 2, 3}, 1),
+                  make_bpoint_rs1(3, 7, 1, 7): ({1, 2, 3, 4, 5}, 3),
+                  BPoint.exact(Fraction(-7, 27), 9, -126, 3): (set(), None)}
 
         def outcome(fn, x):
             try:
@@ -1229,7 +1299,7 @@ class TestXi:
             except ConductorError:
                 return "cap"
 
-        for x, capped in points.items():
+        for x, (capped, shell) in points.items():
             got = {}
             for cap in range(1, 9):
                 monkeypatch.setattr(integrate, "DEPTH_CAP", cap)
@@ -1237,6 +1307,11 @@ class TestXi:
                 assert got[cap] == outcome(fraction_xi_integral, x), (x, cap)
             assert {cap for cap, v in got.items() if v == "cap"} == capped, x
             assert not got[8].is_zero()
+            for cap in capped:
+                monkeypatch.setattr(integrate, "DEPTH_CAP", cap)
+                with pytest.raises(ConductorError, match=re.escape(
+                        f"depth cap {cap} reached on the shell v(t) = {shell},")):
+                    xi_integral(x, 12)
 
     def test_side0_rejected(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import json
 import math
 import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -772,10 +773,12 @@ class TestSubtraction:
                         checked += 1
         assert checked >= 3000
 
-    @pytest.mark.parametrize("op, sign", [(operator.sub, "-"), (operator.truediv, "/")])
+    @pytest.mark.parametrize("op, sign", [(operator.sub, "-"), (operator.truediv, "/"),
+                                          (operator.add, "+"), (operator.mul, "*")])
     def test_a_foreign_operand_is_refused_for_the_operator_written(self, op, sign):
-        s = exact(3, 5)
-        with pytest.raises(TypeError, match=f"for {sign}: 'float' and 'PadicScalar'"):
-            op(1.5, s)
-        with pytest.raises(TypeError, match=f"for {sign}: 'PadicScalar' and 'float'"):
-            op(s, 1.5)
+        for s in (exact(3, 5), QuadElt.one(3), QuatElt.one(3)):
+            name = type(s).__name__
+            with pytest.raises(TypeError, match=re.escape(f"for {sign}: 'float' and '{name}'")):
+                op(1.5, s)
+            with pytest.raises(TypeError, match=re.escape(f"for {sign}: '{name}' and 'float'")):
+                op(s, 1.5)
