@@ -41,7 +41,18 @@ class StabilizationError(AtlasError):
 
 
 class ConductorError(AtlasError):
-    """A predicate could not be decided within the subdivision depth cap."""
+    """A predicate could not be decided within the subdivision depth cap:
+    the ball center + p^depth Z_p of the integer coordinate tau = t p^-shift
+    on the shell v(t) = shift reached the t-depth cap."""
+
+    def __init__(self, cap: int, shift: int, center, depth: int, p: int):
+        super().__init__(f"conductor too small: depth cap {cap} reached on the shell "
+                         f"v(t) = {shift}, at the tau-ball {center} + {p}^{depth} Z_p")
+        self.cap = cap
+        self.shift = shift
+        self.center = center
+        self.depth = depth
+        self.p = p
 
 
 class OracleMismatchError(AtlasError):

@@ -35,7 +35,6 @@ closed form; the default window max(K+, -K-) is the least holding K-..K+."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -51,11 +50,16 @@ DEPTH_CAP = 40
 # regions
 
 
-@dataclass(frozen=True)
 class Ball0:
-    """{t : v(t - center) >= depth} in the base field; volume q^-depth."""
-    center: Fraction | int
-    depth: int
+    """{t : v(t - center) >= depth} in the base field; volume q^-depth.  A
+    plain slotted record, compared by identity: the sweep builds one per
+    ball decided or split."""
+
+    __slots__ = ("center", "depth")
+
+    def __init__(self, center: Fraction | int, depth: int):
+        self.center = center
+        self.depth = depth
 
     def split(self, p: int):
         # an int step keeps integer centers integers
@@ -74,15 +78,18 @@ def unit_cover(p: int) -> list:
     return [Ball0(u, 1) for u in range(1, p)]
 
 
-@dataclass(frozen=True)
 class BallF:
     """{a + b pi : v(a - ca) >= da, v(b - cb) >= db}; volume q^-(da+db).
     No integrator uses it: it stays for the tests' torus-ball reference and
     because bench/tracer.py hooks BallF.point and BallF.split by name."""
-    ca: Fraction
-    da: int
-    cb: Fraction
-    db: int
+
+    __slots__ = ("ca", "da", "cb", "db")
+
+    def __init__(self, ca: Fraction, da: int, cb: Fraction, db: int):
+        self.ca = ca
+        self.da = da
+        self.cb = cb
+        self.db = db
 
     def split(self, p: int):
         sa = Fraction(p) ** self.da
@@ -145,9 +152,7 @@ def _sweep(conds, roots, shift: int, p: int):
             if not undecided:
                 yield e, None
             elif e + shift >= DEPTH_CAP:
-                raise ConductorError(f"conductor too small: depth cap {DEPTH_CAP} reached "
-                                     f"on the shell v(t) = {shift}, at the tau-ball "
-                                     f"{c} + {p}^{e} Z_p")
+                raise ConductorError(DEPTH_CAP, shift, c, e, p)
             else:
                 stack.extend(ball.split(p))
 

@@ -42,6 +42,10 @@ four Lie coordinates, and `orbits.cayley` none.
 
 The valuation and the quadratic character of a rational are the module
 functions `val` and `eta`; the methods of an exact PadicScalar call them.
+Both read an int directly, from `_int_val` and the unit x // p^v, and
+split a Fraction (or a bool) into p^v a/b first (`_frac_split`): the ball
+decisions of `integrate` value integer polynomials at integer centres, so
+they build no split tuple and read no numerator or denominator.
 """
 
 from __future__ import annotations
@@ -112,7 +116,10 @@ def _frac_split(x: Fraction, p: int):
 
 
 def val(x, p: int):
-    """v(x) of a rational x (Fraction or int); +inf for x = 0."""
+    """v(x) of a rational x (Fraction or int); +inf for x = 0.  An int is
+    read directly, a Fraction (or a bool) through `_frac_split`."""
+    if type(x) is int:
+        return _int_val(x, p) if x else INF
     split = _frac_split(x, p)
     return INF if split is None else split[0]
 
@@ -120,13 +127,20 @@ def val(x, p: int):
 def eta(x, p: int) -> int:
     """The quadratic character attached to F/Q_p of a nonzero rational x: +1
     iff x is a norm.  It is legendre(unit mod p) * legendre(-1, p)^v(x),
-    since the norm group is generated by -p and the unit squares.
+    since the norm group is generated by -p and the unit squares.  An int
+    is read as p^v times the unit x // p^v, a Fraction through `_frac_split`.
     ValueError at 0."""
-    split = _frac_split(x, p)
-    if split is None:
-        raise ValueError("eta of zero")
-    v, num, den = split
-    s = legendre(num * den, p)
+    if type(x) is int:
+        if not x:
+            raise ValueError("eta of zero")
+        v = _int_val(x, p)
+        s = legendre(x // p ** v, p)
+    else:
+        split = _frac_split(x, p)
+        if split is None:
+            raise ValueError("eta of zero")
+        v, num, den = split
+        s = legendre(num * den, p)
     return s * legendre(-1, p) if v % 2 else s
 
 
@@ -480,7 +494,11 @@ class QuadElt:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        # an operand of another prime is not equal, as for PadicScalar
+        try:
+            o = self._coerce(other)
+        except InputError:
+            return NotImplemented
         return NotImplemented if o is None else self.a == o.a and self.b == o.b
 
     def __hash__(self):
@@ -589,7 +607,11 @@ class QuatElt:
         return NotImplemented if o is None else o * self
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        # an operand of another prime is not equal, as for PadicScalar
+        try:
+            o = self._coerce(other)
+        except InputError:
+            return NotImplemented
         return NotImplemented if o is None else self.x == o.x and self.y == o.y
 
     def __hash__(self):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from atlas import integrate
+from atlas import integrate, padic
 from atlas.errors import ConductorError, InputError, PrecisionError, StabilizationError
 from atlas.integrate import (Ball0, BallF, _conj_polys, _iwasawa_t_integral,
                              _k_interval, _lattice_bounds, _shell_bounds, _sweep,
@@ -46,12 +46,12 @@ def ball_sum(p, balls, evaluate):
         ball = stack.pop()
         w = evaluate(ball)
         if isinstance(ball, Ball0):
-            depth, size = ball.depth, ball.depth
+            center, depth, size = ball.center, ball.depth, ball.depth
         else:
-            depth, size = max(ball.da, ball.db), ball.da + ball.db
+            center, depth, size = (ball.ca, ball.cb), max(ball.da, ball.db), ball.da + ball.db
         if w is None:
             if depth >= integrate.DEPTH_CAP:
-                raise ConductorError("conductor too small: depth cap reached")
+                raise ConductorError(integrate.DEPTH_CAP, 0, center, depth, p)
             stack.extend(ball.split(p))
             continue
         total += Fraction(p) ** -size * w
@@ -556,6 +556,10 @@ class TestSweep:
         def decided(conds, roots, shift, p):
             return [(read[-1], e, failed) for e, failed in _sweep(conds, roots, shift, p)]
 
+        def by_value(balls):
+            # a Ball0 compares by identity, and a rerun builds new ones
+            return [(ball.center, ball.depth, e, failed) for ball, e, failed in balls]
+
         cap = integrate.DEPTH_CAP
         rng = random.Random(36)
         seen = Counter()
@@ -592,14 +596,68 @@ class TestSweep:
                 if deepest > roots[0].depth:
                     seen["split"] += 1
                     monkeypatch.setattr(integrate, "DEPTH_CAP", deepest + shift)
-                    assert decided(conds, roots, shift, p) == balls
+                    assert by_value(decided(conds, roots, shift, p)) == by_value(balls)
                     monkeypatch.setattr(integrate, "DEPTH_CAP", deepest - 1 + shift)
                     with pytest.raises(ConductorError, match=re.escape(
                             f"depth cap {deepest - 1 + shift} reached on the shell "
-                            f"v(t) = {shift}, at the tau-ball ")):
+                            f"v(t) = {shift}, at the tau-ball ")) as err:
                         decided(conds, roots, shift, p)
+                    raised = err.value
+                    assert (raised.cap, raised.shift, raised.depth, raised.p) == (
+                        deepest - 1 + shift, shift, deepest - 1, p)
+                    assert str(raised).endswith(
+                        f"at the tau-ball {raised.center} + {p}^{deepest - 1} Z_p")
                     monkeypatch.setattr(integrate, "DEPTH_CAP", cap)
         assert seen["pass"] >= 100 and seen["fail"] >= 400 and seen["split"] >= 30, seen
+
+    def test_the_sweep_splits_no_int_and_reads_each_ball_once(self, monkeypatch):
+        # two seeded criterion-4 elements and one criterion-5 point, with
+        # padic._frac_split and the Ball0.point and Ball0.split hooks that
+        # bench/tracer.py wraps counted: no int reaches the Fraction split,
+        # point is read once per ball decided or split and split once per
+        # split, so the balls swept are the roots and the children of splits
+        counts = Counter()
+        frac_split = padic._frac_split
+
+        def counted_frac_split(x, p):
+            counts[type(x)] += 1
+            return frac_split(x, p)
+
+        def counted(name, method):
+            def wrapper(ball, *args):
+                counts[name] += 1
+                out = method(ball, *args)
+                if name == "split":
+                    counts["children"] += len(out)
+                return out
+            return wrapper
+
+        sweep = integrate._sweep
+
+        def counted_sweep(conds, roots, shift, p):
+            counts["roots"] += len(roots)
+            for out in sweep(conds, roots, shift, p):
+                counts["decided"] += 1
+                yield out
+
+        monkeypatch.setattr(padic, "_frac_split", counted_frac_split)
+        for name in ("point", "split"):
+            monkeypatch.setattr(Ball0, name, counted(name, vars(Ball0)[name]))
+        monkeypatch.setattr(integrate, "_sweep", counted_sweep)
+        rng = random.Random(37)
+        # the nilpotent family (lam = u = 0) is a closed volume: no sweep
+        swept = [(y, want) for y, want in criterion4_elements()
+                 if not (y.invariants().lam.is_exact_zero()
+                         and y.invariants().u.is_exact_zero())]
+        for y, want in rng.sample(swept, 2):
+            assert iwasawa_orbit_u0(y) == want
+        x = make_bpoint_rs1(*rng.choice(XI_POINTS[1:]), 3)
+        assert phi_from_xi(x) == phi_closed(x)
+        assert counts[int] == counts[bool] == 0, counts
+        assert counts[Fraction] > 0
+        assert counts["split"] > 0 and counts["decided"] > counts["roots"], counts
+        assert counts["point"] == counts["decided"] + counts["split"], counts
+        assert counts["point"] == counts["roots"] + counts["children"], counts
 
 
 class TestIwasawa:
@@ -1036,11 +1094,15 @@ class TestIwasawa:
         assert got == {1: "cap", 2: "cap", 3: "cap", 4: Fraction(1, p ** 4),
                        5: Fraction(1, p ** 4), 6: Fraction(1, p ** 4),
                        7: Fraction(1, p ** 4)}
-        # the error names the shell v(t) = -2 and the tau-ball 1 + p^5 Z_p
+        # the error names the shell v(t) = -2 and the tau-ball 1 + p^5 Z_p,
+        # and carries them
         monkeypatch.setattr(integrate, "DEPTH_CAP", 3)
         with pytest.raises(ConductorError, match=re.escape(
-                f"depth cap 3 reached on the shell v(t) = -2, at the tau-ball 1 + {p}^5 Z_p")):
+                f"depth cap 3 reached on the shell v(t) = -2, at the tau-ball 1 + {p}^5 Z_p")
+                ) as err:
             _iwasawa_t_integral(polys, -12, p)
+        raised = err.value
+        assert (raised.cap, raised.shift, raised.center, raised.depth, raised.p) == (3, -2, 1, 5, p)
 
     def test_support_at_the_window_edge_raises(self, monkeypatch):
         # the support of lam0 = 81 at p = 3 starts at the torus shell -4,

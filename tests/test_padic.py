@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from atlas import padic
 from atlas.cli import main
 from atlas.errors import InputError, PrecisionError
 from atlas.orbits import BPoint, _rational_sqrt, case_of, quat_mat_solve
@@ -147,6 +148,38 @@ class TestValEtaFunctions:
         for bad in (lambda: eta(Fraction(0), p), lambda: exact(0, p).eta()):
             with pytest.raises(ValueError, match="eta of zero"):
                 bad()
+
+
+class TestIntPath:
+    """val and eta read an int directly and a Fraction through
+    padic._frac_split: on seeded ints the two paths agree."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_int_matches_the_rational_path(self, p):
+        rng = random.Random(3700 + p)
+        ints = [0]
+        for k in range(61):
+            for _ in range(3):
+                unit = p * rng.randrange(10 ** 5) + rng.randrange(1, p)
+                ints += [unit * p ** k, -unit * p ** k]
+        signs = set()
+        for n in ints:
+            assert val(n, p) == val(Fraction(n), p) == (count_val(Fraction(n), p) if n else INF)
+            if n:
+                assert eta(n, p) == eta(Fraction(n), p)
+                signs.add(eta(n, p))
+        assert signs == {-1, 1}
+        with pytest.raises(ValueError, match="eta of zero"):
+            eta(0, p)
+
+    def test_a_bool_takes_the_rational_path(self, monkeypatch):
+        seen = []
+        split = padic._frac_split
+        monkeypatch.setattr(padic, "_frac_split", lambda x, p: seen.append(x) or split(x, p))
+        assert (val(7, 3), eta(7, 3)) == (0, 1)
+        assert seen == []
+        assert (val(True, 3), eta(True, 3), val(False, 3)) == (0, 1, INF)
+        assert [type(x) for x in seen] == [bool] * 3
 
 
 class TestEta:
@@ -643,6 +676,26 @@ class TestQuadElt:
     def test_val_f(self):
         z = QuadElt.exact(25, 5, 5)
         assert z.val_f() == 3
+
+
+class TestMixedPrimes:
+    """Values of two primes are unequal whatever their types, with no error;
+    arithmetic between them raises InputError."""
+
+    PAIRS = ((QuadElt.one(3), PadicScalar.exact(1, 5)),
+             (QuatElt.one(3), QuadElt.one(5)),
+             (PadicScalar.exact(1, 5), QuadElt.one(3)),
+             (QuatElt.one(3), PadicScalar.exact(1, 5)))
+
+    @pytest.mark.parametrize("a, b", PAIRS)
+    def test_unequal(self, a, b):
+        assert not a == b and a != b
+        assert not b == a and b != a
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_arithmetic_raises(self, op):
+        with pytest.raises(InputError, match="mixed primes"):
+            op(QuadElt.one(3), PadicScalar.exact(1, 5))
 
 
 class TestQuatElt:
