@@ -27,6 +27,11 @@ shell, and a scan empty at hi is an exact 0.  Each unipotent integral
 sweeps Z_p and the shells v(t) = j, in tau = t p^-j, down to a floor below
 which no condition can pass (`_t_floor`).
 
+The element is read once, as two rational parts R + S pi
+(`U0RedElt.parts`): its invariants (`orbits.u0_invariants`) and its
+coordinate polynomials (`_conj_polys`) are written from those Fractions,
+and the oracle builds no QuadElt.
+
 The double-log shell sum behind the family contribution (`xi_integral`) is
 a pure (log q)^2 value.  Each shell v(t) = k is swept over the units of
 tau = t p^-k and builds one Fraction (`_power_sum`).  Outside K-..K+
@@ -39,7 +44,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import ConductorError, InputError, StabilizationError
-from .orbits import BPoint, U0RedElt
+from .orbits import BPoint, U0RedElt, u0_invariants
 from .padic import PadicScalar, QuadElt, eta, val
 from .svalue import LogQVal, zeta1
 
@@ -161,23 +166,21 @@ def _sweep(conds, roots, shift: int, p: int):
 # the unitary-side orbital integrals in Iwasawa coordinates
 
 
-def _conj_polys(M) -> tuple:
-    """The coordinate polynomials of the conjugate of the exact matrix M by
-    the unipotent diag([[1, t], [0, 1]], 1), denominators cleared once:
-    integer tuples (i, j, part, (c0, c1, c2), w) with entry (i, j) = sum over
-    part of (c0 + c1 t + c2 t^2) pi^part / D and w = v(D), so a bound
-    v >= b on the rational polynomial is v >= b + w on the integer one."""
-    p = M[0][0].p
+def _conj_polys(p: int, R, S) -> tuple:
+    """The coordinate polynomials of the conjugate of the matrix R + S pi,
+    R and S rational 3x3 matrices (`U0RedElt.parts`), by the unipotent
+    diag([[1, t], [0, 1]], 1), denominators cleared once: integer tuples
+    (i, j, part, (c0, c1, c2), w) with entry (i, j) = sum over part of
+    (c0 + c1 t + c2 t^2) pi^part / D and w = v(D), so a bound v >= b on the
+    rational polynomial is v >= b + w on the integer one."""
     out = []
-    for part in (0, 1):
-        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = (
-            [(e.b if part else e.a).rational for e in row] for row in M)
-        z = Fraction(0)
-        for i, j, poly in ((0, 0, (m00, -m10, z)), (0, 1, (m01, m00 - m11, -m10)),
-                           (0, 2, (m02, -m12, z)), (1, 0, (m10, z, z)),
-                           (1, 1, (m11, m10, z)), (1, 2, (m12, z, z)),
-                           (2, 0, (m20, z, z)), (2, 1, (m21, m20, z)),
-                           (2, 2, (m22, z, z))):
+    for part, M in ((0, R), (1, S)):
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M
+        for i, j, poly in ((0, 0, (m00, -m10, 0)), (0, 1, (m01, m00 - m11, -m10)),
+                           (0, 2, (m02, -m12, 0)), (1, 0, (m10, 0, 0)),
+                           (1, 1, (m11, m10, 0)), (1, 2, (m12, 0, 0)),
+                           (2, 0, (m20, 0, 0)), (2, 1, (m21, m20, 0)),
+                           (2, 2, (m22, 0, 0))):
             den = lcm(*(c.denominator for c in poly))
             ints = tuple(c.numerator * (den // c.denominator) for c in poly)
             out.append((i, j, part, ints, val(den, p)))
@@ -304,11 +307,11 @@ def iwasawa_orbit_u0(y: U0RedElt):
     None on any other element) raises StabilizationError, and so does a
     scan with lo None whose shell -auto_window(y) is nonzero, rather than
     return a truncated sum; a ConductorError propagates."""
-    p = y.p
-    inv = y.invariants()
+    p, R, S = y.parts()
+    inv = u0_invariants(p, R, S)
     if inv.lam.val() < 0 or inv.u.val() < 0:
         return Fraction(0)
-    polys = _conj_polys(y.matrix())
+    polys = _conj_polys(p, R, S)
     nilfam = (inv.lam.is_exact_zero() and inv.u.is_exact_zero()
               and inv.wtilde.is_exact_zero()
               and any(any(poly) for _, _, _, poly, _ in polys))

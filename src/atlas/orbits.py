@@ -192,7 +192,10 @@ class SRedElt:
 class U0RedElt:
     """Reduced element of the quasi-split unitary Lie algebra:
     [[a1, a2, b1], [a3, -a1, b2], [conj(b2) pi, -conj(b1) pi, 0]]
-    with a1, a2, a3 in F0 and b1, b2 in F."""
+    with a1, a2, a3 in F0 and b1, b2 in F.
+
+    The invariants and the Iwasawa oracle read the matrix as two rational
+    parts (`parts`), so neither builds a QuadElt."""
 
     __slots__ = ("a1", "a2", "a3", "b1", "b2")
 
@@ -216,29 +219,40 @@ class U0RedElt:
     def p(self) -> int:
         return self.a1.p
 
-    def matrix(self):
-        """The 3x3 matrix over F."""
-        p = self.p
-        pi = QuadElt.pi(p)
-
-        def f(s):
-            return QuadElt(s, _ps(0, p))
-        return [[f(self.a1), f(self.a2), self.b1],
-                [f(self.a3), f(-self.a1), self.b2],
-                [self.b2.conj() * pi, -(self.b1.conj() * pi), QuadElt.zero(p)]]
+    def parts(self):
+        """(p, R, S): the matrix is R + S pi, with b_i = x_i + y_i pi and the
+        rational matrices R = [[a1, a2, x1], [a3, -a1, x2], [-p y2, p y1, 0]]
+        and S = [[0, 0, y1], [0, 0, y2], [x2, -x1, 0]], each coordinate read
+        once as a Fraction.  Mixed primes raise InputError, a capped
+        coordinate PrecisionError (`rational`)."""
+        p = self.a1.p
+        coords = (self.a1, self.a2, self.a3, self.b1.a, self.b1.b, self.b2.a, self.b2.b)
+        if any(s.p != p for s in coords):
+            raise InputError("mixed primes")
+        a1, a2, a3, x1, y1, x2, y2 = (s.rational for s in coords)
+        return (p, ((a1, a2, x1), (a3, -a1, x2), (-p * y2, p * y1, 0)),
+                ((0, 0, y1), (0, 0, y2), (x2, -x1, 0)))
 
     def invariants(self) -> BPoint:
-        lam = -(self.a1 * self.a1) - self.a2 * self.a3
-        t = self.b2.conj() * self.b1
-        u = t.pi_coeff() + t.pi_coeff()
-        s = (self.a1 * (t.a + t.a) + self.a2 * self.b2.norm()
-             - self.a3 * self.b1.norm())
-        wt = s / self.p
-        return BPoint(lam, u, wt)
+        return u0_invariants(*self.parts())
 
     def __repr__(self):
         return (f"U0RedElt(a1={self.a1!r}, a2={self.a2!r}, a3={self.a3!r}, "
                 f"b1={self.b1!r}, b2={self.b2!r})")
+
+
+def u0_invariants(p: int, R, S) -> BPoint:
+    """The invariants of the U0RedElt whose parts (`U0RedElt.parts`) are
+    (p, R, S), from its rational coordinates: lam = -(a1^2 + a2 a3),
+    u = 2 pi-part(conj(b2) b1) = 2 (x2 y1 - y2 x1) and
+    wtilde = (2 a1 (conj(b2) b1).a + a2 N(b2) - a3 N(b1)) / p
+    = (2 a1 (x1 x2 - p y1 y2) + a2 (x2^2 - p y2^2) - a3 (x1^2 - p y1^2)) / p."""
+    (a1, a2, x1), (a3, _, x2), _ = R
+    y1, y2 = S[0][2], S[1][2]
+    wt = (2 * a1 * (x1 * x2 - p * y1 * y2) + a2 * (x2 * x2 - p * y2 * y2)
+          - a3 * (x1 * x1 - p * y1 * y1)) / p
+    return BPoint(PadicScalar(p, _fr=-(a1 * a1 + a2 * a3)),
+                  PadicScalar(p, _fr=2 * (x2 * y1 - y2 * x1)), PadicScalar(p, _fr=wt))
 
 
 # ---------------------------------------------------------------------------

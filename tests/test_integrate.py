@@ -3,6 +3,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,8 @@ from atlas.padic import PadicScalar, QuadElt, QuatElt, eta
 from atlas.svalue import LogQVal, zeta1
 from atlas.values import (nil_family_orb_u0_fn, orb_u0_ss_case0,
                           orb_u0_ss_case1, phi_eval)
-from test_padic import abs_precision, quad_inv, rel_precision
+from test_orbits import reference_u0_invariants, u0_matrix
+from test_padic import abs_precision, capped, quad_inv, rel_precision
 
 # the criterion-5 points (m, l-, l+) at p = 3
 XI_POINTS = ((0, 1, INF), (1, 3, 5), (0, 2, 3), (1, 1, 3), (2, 3, 5), (2, 1, 7),
@@ -301,6 +303,27 @@ def fraction_conj_polys(M):
     return out
 
 
+def reference_conj_polys(M):
+    """The integer coordinate polynomials of the QuadElt matrix M, each one
+    of `fraction_conj_polys` over its own least denominator D with
+    w = v(D): the reference for `_conj_polys` on the parts of M."""
+    p = M[0][0].p
+    out = []
+    for i, j, part, poly in fraction_conj_polys(M):
+        den = lcm(*(c.denominator for c in poly))
+        out.append((i, j, part, tuple(c.numerator * (den // c.denominator) for c in poly),
+                    val(den, p)))
+    return tuple(out)
+
+
+def quad_parts(M):
+    """(p, R, S) with the QuadElt matrix M = R + S pi, R and S rational
+    matrices: the arguments of `_conj_polys` for a matrix that is not a
+    U0RedElt's."""
+    return (M[0][0].p, tuple(tuple(e.a.rational for e in row) for row in M),
+            tuple(tuple(e.b.rational for e in row) for row in M))
+
+
 def fraction_t_integral(M, k, p, window):
     """The t-integral swept in the t coordinate itself over the t-shells of
     _t_scan: Fraction polynomials and t-balls, each decided by the exact
@@ -330,9 +353,9 @@ def swept_orbit(y, window=None):
     and every torus shell summed, with no stop: the volume-weighted sum over
     the torus shells max(lo, -window)..hi of its `_k_interval`, times
     zeta(1)."""
-    M, p = y.matrix(), y.p
+    M, p = u0_matrix(y), y.p
     window = auto_window(y) if window is None else window
-    lo, hi = _k_interval(_conj_polys(M), p, False)
+    lo, hi = _k_interval(_conj_polys(*y.parts()), p, False)
     start = -window if lo is None else max(lo, -window)
     total = sum(((p - 1) * Fraction(p) ** -(k + 1) * fraction_t_integral(M, k, p, window)
                  for k in range(start, hi + 1)), Fraction(0))
@@ -728,7 +751,7 @@ class TestIwasawa:
             for _ in range(40):
                 M = [[QuadElt.exact(scalar(), scalar(), p) for _ in range(3)]
                      for _ in range(3)]
-                polys = _conj_polys(M)
+                polys = _conj_polys(*quad_parts(M))
                 span = _k_interval(polys, p, True)
                 for k in range(-3, 4):
                     inside = all(e.val_f() >= m
@@ -767,12 +790,12 @@ class TestIwasawa:
                   u0_ss_case1(BPoint.exact(-p ** 3, 1, p, p)),
                   u0_nilpotent_family_member(Fraction(1, p), p),
                   u0_nilpotent_family_member(p, p)):
-            M = y.matrix()
+            M = u0_matrix(y)
             iwasawa_orbit_u0(y)
             inv = y.invariants()
             if all(c.is_exact_zero() for c in (inv.lam, inv.u, inv.wtilde)):
                 window = auto_window(y)
-                span = _k_interval(_conj_polys(M), p, True)
+                span = _k_interval(_conj_polys(*y.parts()), p, True)
                 visited += [(M, k, window, True, (p - 1) * Fraction(p) ** -(k + 1)
                              if in_span(span, k) else 0)
                             for k in range(-window, window + 1)]
@@ -800,12 +823,12 @@ class TestIwasawa:
         for y, want in criterion4_elements() + [
                 (u0_ss_case0(heavy0, 5), orb_u0_ss_case0(heavy0, 5)),
                 (u0_ss_case1(x0), orb_u0_ss_case1(0, 5 ** 4, 5))]:
-            M, p = y.matrix(), y.p
+            M, p = u0_matrix(y), y.p
             calls.clear()
             assert iwasawa_orbit_u0(y) == want
             if not calls:           # the nilpotent family: no t-integral
                 continue
-            span = _k_interval(_conj_polys(M), p, False)
+            span = _k_interval(_conj_polys(*y.parts()), p, False)
             window = auto_window(y)
             assert all(in_span(span, k) for k in calls), (M, calls)
             ks = range(-window, window + 1)
@@ -829,7 +852,7 @@ class TestIwasawa:
             for _ in range(40):
                 M = [[QuadElt.exact(scalar(), scalar(), p) for _ in range(3)]
                      for _ in range(3)]
-                polys = _conj_polys(M)
+                polys = _conj_polys(*quad_parts(M))
                 span = _k_interval(polys, p, False)
                 for k, ref in capped_t_integrals(M, range(-3, 1), p, 10).items():
                     try:
@@ -857,7 +880,7 @@ class TestIwasawa:
             for _ in range(60):
                 M = [[QuadElt.exact(scalar(), scalar(), p) for _ in range(3)]
                      for _ in range(3)]
-                polys = _conj_polys(M)
+                polys = _conj_polys(*quad_parts(M))
                 for at_zero in (False, True):
                     span = _k_interval(polys, p, at_zero)
                     kinds["open" if None in span else "empty" if span[0] > span[1]
@@ -874,7 +897,7 @@ class TestIwasawa:
         # there, from hi down, where the torus scan called one on 37 shells
         x0 = BPoint.exact(0, 5 ** 4, 0, 5)
         y = u0_ss_case1(x0)
-        assert _k_interval(_conj_polys(y.matrix()), 5, False) == (0, 9)
+        assert _k_interval(_conj_polys(*y.parts()), 5, False) == (0, 9)
         inner = integrate._iwasawa_t_integral
         ks = []
 
@@ -895,7 +918,7 @@ class TestIwasawa:
         monkeypatch.setattr(integrate, "_iwasawa_t_integral", no_t_integral)
         y = U0RedElt.exact(-189, Fraction(-45, 2), Fraction(-9, 2),
                            QuadElt.exact(Fraction(27, 2), Fraction(-4, 9), 3), 0, 3)
-        assert _k_interval(_conj_polys(y.matrix()), 3, False) == (3, 2)
+        assert _k_interval(_conj_polys(*y.parts()), 3, False) == (3, 2)
         assert iwasawa_orbit_u0(y) == 0
         monkeypatch.setattr(integrate, "auto_window", lambda y: 1)
         assert iwasawa_orbit_u0(y) == 0
@@ -919,7 +942,7 @@ class TestIwasawa:
                                    QuadElt.exact(scalar(), scalar(), p),
                                    QuadElt.exact(scalar(), scalar(), p), p)
                 inv = y.invariants()
-                _, hi = _k_interval(_conj_polys(y.matrix()), p, False)
+                _, hi = _k_interval(_conj_polys(*y.parts()), p, False)
                 seen["rs" if inv.is_rs() else "not rs"] += 1
                 if hi is not None:
                     continue
@@ -960,13 +983,13 @@ class TestIwasawa:
                                          QuadElt.exact(c, 0, p) * b2, b2, p)):
                     inv = y.invariants()
                     assert all(x.is_exact_zero() for x in (inv.lam, inv.u, inv.wtilde))
-                    M, W = y.matrix(), 40
+                    M, W = u0_matrix(y), 40
                     shells = sum(((p - 1) * Fraction(p) ** -(k + 1)
                                   for k in range(-W, W + 1)
                                   if all(e.val_f() >= m
                                          for row, brow in zip(M, _shell_bounds(k))
                                          for e, m in zip(row, brow))), Fraction(0))
-                    _, hi = _k_interval(_conj_polys(M), p, True)
+                    _, hi = _k_interval(_conj_polys(*y.parts()), p, True)
                     if hi is None:
                         shells += Fraction(p) ** -(W + 1)
                     seen["open" if hi is None else "closed" if shells else "empty"] += 1
@@ -1000,7 +1023,7 @@ class TestIwasawa:
             M = [[zero, zero, QuadElt.exact(1, 0, p)],
                  [zero, zero, QuadElt.exact(p ** e, 0, p)],
                  [zero, zero, zero]]
-            t = _iwasawa_t_integral(_conj_polys(M), -6 * e, p)
+            t = _iwasawa_t_integral(_conj_polys(*quad_parts(M)), -6 * e, p)
             assert t == Fraction(1, p ** (2 * e)), e
 
     def test_no_t_shell_below_the_floor_passes(self):
@@ -1050,7 +1073,7 @@ class TestIwasawa:
             p = rng.choice((3, 5, 7))
             y = seeded_u0(rng, p)
             inv = y.invariants()
-            lo, hi = _k_interval(_conj_polys(y.matrix()), p, False)
+            lo, hi = _k_interval(_conj_polys(*y.parts()), p, False)
             if (len(zeros[p]) == 4 or inv.lam.val() < 0 or inv.u.val() < 0
                     or hi is None or lo is not None and lo > hi):
                 continue
@@ -1078,7 +1101,7 @@ class TestIwasawa:
         M = [[zero, zero, QuadElt.exact(1, 0, p)],
              [zero, zero, QuadElt.exact(p * p, 0, p)],
              [zero, zero, zero]]
-        polys = _conj_polys(M)
+        polys = _conj_polys(*quad_parts(M))
 
         def outcome(fn, *args):
             try:
@@ -1109,7 +1132,7 @@ class TestIwasawa:
         # and its interval is open below: a guard of 3 cuts it
         p = 3
         y = u0_ss_case0(81, p)
-        assert _k_interval(_conj_polys(y.matrix()), p, False) == (None, 0)
+        assert _k_interval(_conj_polys(*y.parts()), p, False) == (None, 0)
         assert iwasawa_orbit_u0(y) == orb_u0_ss_case0(81, p) == 17
         monkeypatch.setattr(integrate, "auto_window", lambda y: 3)
         with pytest.raises(StabilizationError, match="guard shell -3 of a scan open below"):
@@ -1121,10 +1144,10 @@ class TestIwasawa:
         # exactly under a guard of 1, which the window they replace refused
         monkeypatch.setattr(integrate, "auto_window", lambda y: 1)
         y = u0_ss_case1(BPoint.exact(-27, 3, 9, 3))
-        assert _k_interval(_conj_polys(y.matrix()), 3, False) == (0, 3)
+        assert _k_interval(_conj_polys(*y.parts()), 3, False) == (0, 3)
         assert iwasawa_orbit_u0(y) == orb_u0_ss_case1(-27, 3, 3) == 8
         y = u0_nilpotent_family_member(9, 5)
-        assert _k_interval(_conj_polys(y.matrix()), 5, True) == (-1, None)
+        assert _k_interval(_conj_polys(*y.parts()), 5, True) == (-1, None)
         assert iwasawa_orbit_u0(y) == Fraction(25, 4)
 
     def test_a_short_window_does_not_cut_the_t_scan(self, monkeypatch):
@@ -1132,7 +1155,7 @@ class TestIwasawa:
         # whose support starts at the torus shell -2, is 5 from guard 3 up,
         # where a t-scan that needed room for four empty t-shells raised
         p = 3
-        polys = _conj_polys(u0_ss_case1(BPoint.exact(0, 1, 0, p)).matrix())
+        polys = _conj_polys(*u0_ss_case1(BPoint.exact(0, 1, 0, p)).parts())
         assert _iwasawa_t_integral(polys, 0, p) == 1
         y = u0_ss_case0(9, p)
         for guard in range(1, auto_window(y) + 1):
@@ -1168,6 +1191,134 @@ class TestIwasawa:
     def test_auto_window_positive(self):
         y = u0_ss_case0(27, 3)
         assert auto_window(y) >= 8
+
+
+def parts_elements(rng):
+    """Seeded U0RedElt at p = 3, 5 and 7, with the closed value where there
+    is one (else None): nilpotent-family members, case-0 elements, case-1
+    elements with wt0 = 0 and in both size branches |lam0| < |u0|^2 and
+    |lam0| > |u0|^2, and `U0RedElt.exact` elements with pi parts and
+    p-power denominators."""
+    out = []
+    for p in (3, 5, 7):
+        fn = nil_family_orb_u0_fn(p)
+        for vmu in (-3, -1, 0, 2):
+            mu = rng.randrange(1, p) * Fraction(p) ** vmu
+            out.append((u0_nilpotent_family_member(mu, p),
+                        phi_eval(fn, PadicScalar.exact(mu, p)).grade(0)))
+        for v in range(0, 5):
+            units = [c for c in range(1, p)
+                     if not PadicScalar.exact(-c * p ** v, p).is_square()]
+            lam0 = rng.choice(units) * Fraction(p) ** v
+            out.append((u0_ss_case0(lam0, p), orb_u0_ss_case0(lam0, p)))
+        for vu in range(0, 4):
+            u0 = rng.randrange(1, p) * Fraction(p) ** vu
+            for vw in [None, 2 * vu + 1] + ([vu] if vu >= 1 else []):
+                wt0 = 0 if vw is None else rng.randrange(1, p) * Fraction(p) ** vw
+                lam0 = -wt0 * wt0 * p / (u0 * u0)
+                out.append((u0_ss_case1(BPoint.exact(lam0, u0, wt0, p)),
+                            orb_u0_ss_case1(lam0, u0, p)))
+
+        def scalar():
+            if rng.randrange(4) == 0:
+                return Fraction(0)
+            return Fraction(rng.randint(-9, 9), rng.choice((1, 2))) * Fraction(p) ** rng.randint(-3, 3)
+
+        for _ in range(12):
+            out.append((U0RedElt.exact(scalar(), scalar(), scalar(),
+                                       QuadElt.exact(scalar(), scalar() or 1, p),
+                                       QuadElt.exact(scalar(), scalar() or p, p), p), None))
+    return out
+
+
+class TestElementParts:
+    """The quasi-split element read once, as two rational parts
+    (`U0RedElt.parts`), against its QuadElt matrix: the same coordinate
+    polynomials, invariants, intervals, floors and T(k)."""
+
+    def test_parts_agree_with_the_matrix_reference(self):
+        rng = random.Random(38)
+        elements = parts_elements(rng)
+        seen = Counter()
+        for y, _ in elements:
+            p = y.p
+            M = u0_matrix(y)
+            parts = y.parts()
+            assert parts == quad_parts(M), y
+            polys, ref_polys = _conj_polys(*parts), reference_conj_polys(M)
+            assert polys == ref_polys, y
+            ref = reference_u0_invariants(y)
+            inv = y.invariants()
+            assert [(s.p, s.rational) for s in (inv.lam, inv.u, inv.wtilde)] == [
+                (s.p, s.rational) for s in (ref.lam, ref.u, ref.wtilde)], y
+            for at_zero in (False, True):
+                assert _k_interval(polys, p, at_zero) == _k_interval(ref_polys, p, at_zero)
+            lo, hi = _k_interval(polys, p, False)
+            if hi is None or lo is not None and lo > hi:
+                seen["no shell"] += 1
+                continue
+            for k in range(hi, (hi - 4 if lo is None else max(lo, hi - 4)) - 1, -1):
+                conds = [(poly, b) for poly, b in _lattice_bounds(polys, k) if poly[1] or poly[2]]
+                ref_conds = [(poly, b) for poly, b in _lattice_bounds(ref_polys, k)
+                             if poly[1] or poly[2]]
+                assert _t_floor(conds, p) == _t_floor(ref_conds, p), (y, k)
+                t = _iwasawa_t_integral(polys, k, p)
+                assert t == _iwasawa_t_integral(ref_polys, k, p), (y, k)
+                seen["nonzero T" if t else "zero T"] += 1
+        assert len(elements) >= 90
+        assert min(seen["nonzero T"], seen["zero T"], seen["no shell"]) >= 20, seen
+
+    def test_the_oracle_builds_no_quad_element(self, monkeypatch):
+        # the elements are built first; the oracle then reads their parts
+        # and builds no QuadElt, where it built the matrix and took the
+        # invariants in QuadElt products
+        rng = random.Random(38)
+        elements = parts_elements(rng)
+        built = Counter()
+        init = QuadElt.__init__
+
+        def counted(self, a, b):
+            built["quad"] += 1
+            init(self, a, b)
+
+        monkeypatch.setattr(QuadElt, "__init__", counted)
+        outcomes = Counter()
+        for y, want in elements:
+            if want is not None:
+                assert iwasawa_orbit_u0(y) == want, y
+                outcomes["closed"] += 1
+                continue
+            try:
+                outcomes["zero" if iwasawa_orbit_u0(y) == 0 else "nonzero"] += 1
+            except StabilizationError:
+                outcomes["raised"] += 1
+        assert built["quad"] == 0, built
+        assert outcomes["closed"] >= 60 and outcomes["nonzero"] >= 5, outcomes
+
+    @pytest.mark.parametrize("slot", ["a1", "a2", "a3", "b1", "b2"])
+    def test_mixed_primes_raise(self, slot):
+        coords = {"a1": PadicScalar.exact(1, 3), "a2": PadicScalar.exact(2, 3),
+                  "a3": PadicScalar.exact(-1, 3), "b1": QuadElt.exact(1, 1, 3),
+                  "b2": QuadElt.exact(2, -1, 3)}
+        coords[slot] = (QuadElt.exact(1, 1, 5) if slot.startswith("b")
+                        else PadicScalar.exact(1, 5))
+        y = U0RedElt(**coords)
+        with pytest.raises(InputError, match="mixed primes"):
+            y.invariants()
+        with pytest.raises(InputError, match="mixed primes"):
+            iwasawa_orbit_u0(y)
+
+    @pytest.mark.parametrize("slot", range(7))
+    def test_a_capped_coordinate_raises(self, slot):
+        p = 3
+        coords = [PadicScalar.exact(c, p) for c in (1, Fraction(2, 9), -1, 0, 1, 3, -1)]
+        coords[slot] = capped(p, 1, 2, 4)
+        a1, a2, a3, x1, y1, x2, y2 = coords
+        y = U0RedElt(a1, a2, a3, QuadElt(x1, y1), QuadElt(x2, y2))
+        with pytest.raises(PrecisionError, match="no exact rational form"):
+            y.invariants()
+        with pytest.raises(PrecisionError, match="no exact rational form"):
+            iwasawa_orbit_u0(y)
 
 
 def side1_neighborhood_samples(x0, count, rng):

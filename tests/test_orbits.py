@@ -82,10 +82,36 @@ def alpha_prime(x: U1RedElt) -> QuatElt:
     return quat_inv(x.b) * x.alpha * x.b
 
 
+def u0_matrix(y: U0RedElt):
+    """The QuadElt matrix [[a1, a2, b1], [a3, -a1, b2],
+    [conj(b2) pi, -conj(b1) pi, 0]] of y: the reference for the two
+    rational parts of `U0RedElt.parts`."""
+    p = y.p
+    pi = QuadElt.pi(p)
+
+    def f(s):
+        return QuadElt(s, _ps(0, p))
+    return [[f(y.a1), f(y.a2), y.b1],
+            [f(y.a3), f(-y.a1), y.b2],
+            [y.b2.conj() * pi, -(y.b1.conj() * pi), QuadElt.zero(p)]]
+
+
+def reference_u0_invariants(y: U0RedElt) -> BPoint:
+    """The invariants of y by QuadElt products: lam = -(a1^2 + a2 a3),
+    u = 2 pi-part(conj(b2) b1) and
+    wtilde = (2 a1 (conj(b2) b1).a + a2 N(b2) - a3 N(b1)) / p; the
+    reference for `orbits.u0_invariants`."""
+    lam = -(y.a1 * y.a1) - y.a2 * y.a3
+    t = y.b2.conj() * y.b1
+    u = t.pi_coeff() + t.pi_coeff()
+    s = y.a1 * (t.a + t.a) + y.a2 * y.b2.norm() - y.a3 * y.b1.norm()
+    return BPoint(lam, u, s / y.p)
+
+
 def conj_by_h(y, h) -> U0RedElt:
     """Conjugate y by diag(h, 1) for h a 2x2 matrix over F lying in the
     hermitian stabilizer; the result is reassembled from the new matrix."""
-    M = y.matrix()
+    M = u0_matrix(y)
     p = y.p
     one, zero = QuadElt.one(p), QuadElt.zero(p)
     di = quad_inv(h[0][0] * h[1][1] - h[0][1] * h[1][0])
@@ -771,6 +797,65 @@ INVARIANTS_B0 = """{
   "rs": false
 }
 """
+
+
+# `atlas invariants` of two u0_red elements, with pi parts and p-power
+# denominators, as the QuadElt formula printed them
+U0_INVARIANTS_P3 = """{
+  "invariants": {
+    "lambda": {
+      "num": "131",
+      "den": "36"
+    },
+    "u": {
+      "num": "-442",
+      "den": "135"
+    },
+    "wtilde": {
+      "num": "-47098",
+      "den": "18225"
+    },
+    "p": 3
+  },
+  "rs": true,
+  "side": 0
+}
+"""
+
+U0_INVARIANTS_P7 = """{
+  "invariants": {
+    "lambda": {
+      "num": "677",
+      "den": "2401"
+    },
+    "u": {
+      "num": "18",
+      "den": "1"
+    },
+    "wtilde": {
+      "num": "-369",
+      "den": "98"
+    },
+    "p": 7
+  },
+  "rs": true,
+  "side": 0
+}
+"""
+
+
+@pytest.mark.parametrize("coords, p, golden", [
+    ((Fraction(1, 2), Fraction(-5, 9), 7, (Fraction(1, 3), Fraction(2, 5)),
+      (-4, Fraction(1, 9))), 3, U0_INVARIANTS_P3),
+    ((Fraction(3, 49), 2, Fraction(-1, 7), (6, 0), (0, Fraction(-3, 2))), 7,
+     U0_INVARIANTS_P7)], ids=["p3", "p7"])
+def test_atlas_invariants_of_a_u0_red_element(coords, p, golden, tmp_path, capsys):
+    a1, a2, a3, b1, b2 = coords
+    y = U0RedElt.exact(a1, a2, a3, QuadElt.exact(*b1, p), QuadElt.exact(*b2, p), p)
+    f = tmp_path / "elem.json"
+    f.write_text(json.dumps(encode_element(y)))
+    assert main(["invariants", "--elem", str(f)]) == 0
+    assert capsys.readouterr().out == golden
 
 
 @pytest.mark.parametrize("b, golden", [
