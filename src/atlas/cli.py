@@ -18,9 +18,9 @@ from .keating import check_closed_form, l_int_closed, l_int_keating
 from .orbits import (INF, BPoint, check_case1_point, make_bpoint_rs1,
                      u0_nilpotent_family_member, u0_ss_case0, u0_ss_case1)
 from .serialize import decode_element, encode_bpoint
-from .values import (orb_nil_family_s, orb_nil_reg_s, orb_u0_ss_case0,
-                     orb_u0_ss_case1, orb_u0_zero)
-from .verify import ZERO_L_MAX, ZERO_M_MAX
+from .values import (nil_family_orb_u0_fn, orb_nil_family_s, orb_nil_reg_s,
+                     orb_u0_ss_case0, orb_u0_ss_case1, orb_u0_zero, phi_eval)
+from .verify import DEFAULT_FORMAT, REPORT_FORMATS, ZERO_L_MAX, ZERO_M_MAX
 from .verify import report as render_report
 from .verify import verify_x0, verify_zero, verify_x0_library
 
@@ -83,7 +83,6 @@ def cmd_orb(args) -> int:
         if args.oracle:
             out |= _u0_oracle(u0_nilpotent_family_member(mu, p))
         else:
-            from .values import nil_family_orb_u0_fn, phi_eval
             v = phi_eval(nil_family_orb_u0_fn(p), padic.PadicScalar.exact(mu, p))
             out["value"] = str(v.grade(0))
             out["method"] = "closed"
@@ -278,7 +277,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--m-max", type=int, default=ZERO_M_MAX)
     sp.add_argument("--l-max", type=int, default=ZERO_L_MAX)
     sp.add_argument("--spec", default=None)
-    sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    sp.add_argument("--format", choices=REPORT_FORMATS, default=DEFAULT_FORMAT)
     sp.set_defaults(func=cmd_verify)
     for parser in (ap, *sub.choices.values()):   # -a/b is a value, like -27
         parser._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")

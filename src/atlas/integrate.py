@@ -27,10 +27,11 @@ shell, and a scan empty at hi is an exact 0.  Each unipotent integral
 sweeps Z_p and the shells v(t) = j, in tau = t p^-j, down to a floor below
 which no condition can pass (`_t_floor`).
 
-The element is read once, as two rational parts R + S pi
-(`U0RedElt.parts`): its invariants (`orbits.u0_invariants`) and its
-coordinate polynomials (`_conj_polys`) are written from those Fractions,
-and the oracle builds no QuadElt.
+The oracle reads the two rational parts R + S pi that the element keeps
+from when it was built (`U0RedElt.parts`): its invariants
+(`orbits.u0_invariants`), its coordinate polynomials (`_conj_polys`) and
+the guard `auto_window` are written from those rationals, so the oracle
+reads no coordinate of the element and builds no QuadElt.
 
 The double-log shell sum behind the family contribution (`xi_integral`) is
 a pure (log q)^2 value.  Each shell v(t) = k is swept over the units of
@@ -41,11 +42,10 @@ closed form; the default window max(K+, -K-) is the least holding K-..K+."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .errors import ConductorError, InputError, StabilizationError
 from .orbits import BPoint, U0RedElt, u0_invariants
-from .padic import PadicScalar, QuadElt, eta, val
+from .padic import PadicScalar, QuadElt, _over_lcm, eta, val
 from .svalue import LogQVal, zeta1
 
 DEPTH_CAP = 40
@@ -169,10 +169,10 @@ def _sweep(conds, roots, shift: int, p: int):
 def _conj_polys(p: int, R, S) -> tuple:
     """The coordinate polynomials of the conjugate of the matrix R + S pi,
     R and S rational 3x3 matrices (`U0RedElt.parts`), by the unipotent
-    diag([[1, t], [0, 1]], 1), denominators cleared once: integer tuples
-    (i, j, part, (c0, c1, c2), w) with entry (i, j) = sum over part of
-    (c0 + c1 t + c2 t^2) pi^part / D and w = v(D), so a bound v >= b on the
-    rational polynomial is v >= b + w on the integer one."""
+    diag([[1, t], [0, 1]], 1), denominators cleared once (`_over_lcm`):
+    integer tuples (i, j, part, (c0, c1, c2), w) with entry (i, j) = sum
+    over part of (c0 + c1 t + c2 t^2) pi^part / D and w = v(D), so a bound
+    v >= b on the rational polynomial is v >= b + w on the integer one."""
     out = []
     for part, M in ((0, R), (1, S)):
         (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M
@@ -181,8 +181,7 @@ def _conj_polys(p: int, R, S) -> tuple:
                            (1, 1, (m11, m10, 0)), (1, 2, (m12, 0, 0)),
                            (2, 0, (m20, 0, 0)), (2, 1, (m21, m20, 0)),
                            (2, 2, (m22, 0, 0))):
-            den = lcm(*(c.denominator for c in poly))
-            ints = tuple(c.numerator * (den // c.denominator) for c in poly)
+            den, ints = _over_lcm(poly)
             out.append((i, j, part, ints, val(den, p)))
     return tuple(out)
 
@@ -275,9 +274,13 @@ MIN_AUTO_WINDOW = 8
 def auto_window(y: U0RedElt) -> int:
     """The guard of a torus scan whose interval is open below (lo None in
     `iwasawa_orbit_u0`): twice the largest coordinate valuation plus slack,
-    at least MIN_AUTO_WINDOW."""
-    vals = [abs(s.val()) for s in (y.a1, y.a2, y.a3) if not s.is_exact_zero()]
-    vals += [abs(b.val_f()) for b in (y.b1, y.b2) if not b.is_zero()]
+    at least MIN_AUTO_WINDOW, read from the parts (`U0RedElt.parts`): v of
+    a1, a2 and a3, and v_F(b_i) = min(2 v(x_i), 2 v(y_i) + 1) of
+    b_i = x_i + y_i pi."""
+    p, ((a1, a2, x1), (a3, _, x2), _), ((_, _, y1), (_, _, y2), _) = y.parts()
+    vals = [abs(val(a, p)) for a in (a1, a2, a3) if a]
+    vals += [abs(min(2 * val(x, p), 2 * val(t, p) + 1))
+             for x, t in ((x1, y1), (x2, y2)) if x or t]
     return max(MIN_AUTO_WINDOW, 2 * max(vals, default=0) + 6)
 
 
@@ -403,9 +406,7 @@ def xi_integral(x: BPoint, window: int | None = None) -> LogQVal:
 
     def shell(k):
         s = Fraction(p) ** k
-        g = (dp, 2 * wprime * s, s * s)
-        den = lcm(*(c.denominator for c in g))
-        poly = tuple(c.numerator * (den // c.denominator) for c in g)
+        den, poly = _over_lcm((dp, 2 * wprime * s, s * s))
         w = val(den, p)
         sums = {}                       # eta(G(c)) (v(g) - k) by power of p
         # the support |a| > 1 is the balls that fail v(g) >= k, or v(G) >= k + w

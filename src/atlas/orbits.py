@@ -10,13 +10,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (CayleyUndefinedError, ExcludedCaseError, InputError,
-                     NotRegularSemisimpleError, PrecisionError,
-                     UnrealizableError)
+                     NotRegularSemisimpleError, UnrealizableError)
 from .padic import (_FR_ZERO, INF, PadicScalar, QuadElt, QuatElt,
                     _check_odd_prime, _int_coords, _int_nrd, _int_quat_mul,
-                    _int_rows, _int_val, _primitive, _quat_matrix, _quat_of_ints,
-                    _solve_rows, cayley_solve,
-                    legendre, smallest_nonresidue, val)
+                    _int_rows, _int_val, _one_prime, _over_lcm, _primitive,
+                    _quat_matrix, _quat_of_ints, _rationals, _solve_rows,
+                    cayley_solve, legendre, smallest_nonresidue, val)
 
 
 def _ps(x, p: int) -> PadicScalar:
@@ -194,17 +193,25 @@ class U0RedElt:
     [[a1, a2, b1], [a3, -a1, b2], [conj(b2) pi, -conj(b1) pi, 0]]
     with a1, a2, a3 in F0 and b1, b2 in F.
 
-    The invariants and the Iwasawa oracle read the matrix as two rational
-    parts (`parts`), so neither builds a QuadElt."""
+    The element reads its seven rational coordinates when it is built, and
+    the invariants and the Iwasawa oracle read the matrix as the two
+    rational parts it keeps (`parts`), so neither reads a coordinate again
+    or builds a QuadElt.  Mixed primes raise InputError (`_one_prime`), a
+    capped coordinate PrecisionError (`PadicScalar.rational`)."""
 
-    __slots__ = ("a1", "a2", "a3", "b1", "b2")
+    __slots__ = ("a1", "a2", "a3", "b1", "b2", "_parts")
 
     def __init__(self, a1, a2, a3, b1: QuadElt, b2: QuadElt):
+        coords = (a1, a2, a3, b1.a, b1.b, b2.a, b2.b)
+        p = _one_prime(coords)
+        r1, r2, r3, x1, y1, x2, y2 = (s.rational for s in coords)
         self.a1 = a1
         self.a2 = a2
         self.a3 = a3
         self.b1 = b1
         self.b2 = b2
+        self._parts = (p, ((r1, r2, x1), (r3, -r1, x2), (-p * y2, p * y1, 0)),
+                       ((0, 0, y1), (0, 0, y2), (x2, -x1, 0)))
 
     @classmethod
     def exact(cls, a1, a2, a3, b1, b2, p: int) -> "U0RedElt":
@@ -217,21 +224,14 @@ class U0RedElt:
 
     @property
     def p(self) -> int:
-        return self.a1.p
+        return self._parts[0]
 
     def parts(self):
         """(p, R, S): the matrix is R + S pi, with b_i = x_i + y_i pi and the
         rational matrices R = [[a1, a2, x1], [a3, -a1, x2], [-p y2, p y1, 0]]
-        and S = [[0, 0, y1], [0, 0, y2], [x2, -x1, 0]], each coordinate read
-        once as a Fraction.  Mixed primes raise InputError, a capped
-        coordinate PrecisionError (`rational`)."""
-        p = self.a1.p
-        coords = (self.a1, self.a2, self.a3, self.b1.a, self.b1.b, self.b2.a, self.b2.b)
-        if any(s.p != p for s in coords):
-            raise InputError("mixed primes")
-        a1, a2, a3, x1, y1, x2, y2 = (s.rational for s in coords)
-        return (p, ((a1, a2, x1), (a3, -a1, x2), (-p * y2, p * y1, 0)),
-                ((0, 0, y1), (0, 0, y2), (x2, -x1, 0)))
+        and S = [[0, 0, y1], [0, 0, y2], [x2, -x1, 0]], as read when the
+        element was built."""
+        return self._parts
 
     def invariants(self) -> BPoint:
         return u0_invariants(*self.parts())
@@ -268,7 +268,8 @@ class U1RedElt:
     alpha = A / den_a and b = B / den_b (`padic._int_coords`),
     b^-1 alpha b = P / (N(B) den_a) for P = conj(B) A B, so no quaternion
     inverse and no Fraction product is built.  A non-traceless alpha or
-    mixed primes raise InputError, a capped coordinate PrecisionError."""
+    mixed primes (`_one_prime`) raise InputError, a capped coordinate
+    PrecisionError (`PadicScalar.rational`)."""
 
     __slots__ = ("alpha", "b", "_conj")
 
@@ -276,13 +277,8 @@ class U1RedElt:
         tr = alpha.trd()
         if not tr.is_zero_at_precision():
             raise InputError("alpha must be traceless")
-        p = alpha.p
-        if b.p != p:
-            raise InputError("mixed primes")
-        ca, cb = _int_coords(alpha), _int_coords(b)
-        if ca is None or cb is None:
-            raise PrecisionError("U1RedElt takes exact coordinates only")
-        (den_a, A), (den_b, B) = ca, cb
+        p = _one_prime((alpha, b))
+        (den_a, A), (den_b, B) = _int_coords(alpha), _int_coords(b)
         e = smallest_nonresidue(p)
         a0, b0, c0, d0 = B
         P = _int_quat_mul(_int_quat_mul((a0, -b0, -c0, -d0), A, p, e), B, p, e)
@@ -320,33 +316,21 @@ class U1RedElt:
         return f"U1RedElt(alpha={self.alpha!r}, b={self.b!r})"
 
 
-def _lie_rows(alpha: QuatElt, beta: Fraction, b: QuatElt, d0: Fraction, d1: Fraction):
+def _lie_rows(p: int, alpha, beta, b, d0, d1):
     """(p, rows): the integer rows of the Lie matrix
     [[alpha, beta p, b pi], [beta, alpha, b], [pi conj(b), conj(b) p, d]]
-    with d = d0 + d1 pi, in the shape of `padic._int_rows`, over one
-    denominator: the lcm of those of alpha and b (`padic._int_coords`) and
-    of the rationals beta, d0 and d1.  No quaternion product is taken: with
-    b = (b0, b1, b2, b3), b pi = (p b1, b0, -p b3, -b2),
-    pi conj(b) = (-p b1, b0, -p b3, -b2) and conj(b) p = p (b0, -b1, -b2, -b3).
-    Mixed primes raise InputError, a capped coordinate PrecisionError."""
-    p = alpha.p
-    if b.p != p:
-        raise InputError("mixed primes")
-    ca, cb = _int_coords(alpha), _int_coords(b)
-    if ca is None or cb is None:
-        raise PrecisionError("the Lie matrix takes exact coordinates only")
-    (den_a, A), (den_b, B) = ca, cb
-    den = math.lcm(den_a, den_b, beta.denominator, d0.denominator, d1.denominator)
-    ka, kb = den // den_a, den // den_b
-    al = (ka * A[0], ka * A[1], ka * A[2], ka * A[3])
-    b0, b1, b2, b3 = kb * B[0], kb * B[1], kb * B[2], kb * B[3]
-    be = beta.numerator * (den // beta.denominator)
-    d = (d0.numerator * (den // d0.denominator), d1.numerator * (den // d1.denominator),
-         0, 0)
+    with d = d0 + d1 pi, in the shape of `padic._int_rows`, from the
+    rational coordinates (`padic._rationals`) of alpha and b and the
+    rationals beta, d0 and d1, over one denominator (`padic._over_lcm`).
+    No quaternion product is taken: with b = (b0, b1, b2, b3),
+    b pi = (p b1, b0, -p b3, -b2), pi conj(b) = (-p b1, b0, -p b3, -b2) and
+    conj(b) p = p (b0, -b1, -b2, -b3)."""
+    den, c = _over_lcm((*alpha, beta, *b, d0, d1))
+    al, be, (b0, b1, b2, b3) = c[:4], c[4], c[5:9]
     return p, [(den, [al, (p * be, 0, 0, 0), (p * b1, b0, -p * b3, -b2)]),
                (den, [(be, 0, 0, 0), al, (b0, b1, b2, b3)]),
                (den, [(-p * b1, b0, -p * b3, -b2), (p * b0, -p * b1, -p * b2, -p * b3),
-                      d])]
+                      (c[9], c[10], 0, 0)])]
 
 
 class U1LieElt:
@@ -369,12 +353,12 @@ class U1LieElt:
         return self.alpha.p
 
     def rows(self):
-        """The integer rows (p, rows) of the matrix (`_lie_rows`); a capped
-        coordinate raises PrecisionError and mixed primes InputError."""
-        beta, d = self.beta, self.d
-        if beta.p != self.p or d.p != self.p:
-            raise InputError("mixed primes")
-        return _lie_rows(self.alpha, beta.rational, self.b, d.a.rational, d.b.rational)
+        """The integer rows (p, rows) of the matrix (`_lie_rows`); mixed
+        primes raise InputError (`_one_prime`), a capped coordinate
+        PrecisionError (`PadicScalar.rational`)."""
+        alpha, beta, b, d = self.alpha, self.beta, self.b, self.d
+        return _lie_rows(_one_prime((alpha, beta, b, d)), _rationals(alpha),
+                         beta.rational, _rationals(b), d.a.rational, d.b.rational)
 
     def to_matrix(self):
         """The matrix as QuatElt, built from `rows`."""
@@ -445,7 +429,7 @@ def cayley(x, xi=(1, 1)) -> U1GroupElt:
     (`_lie_rows`, with beta = d = 0 for a U1RedElt), and the group element
     is its integer solution, a row of negative norm negated: no scalar."""
     if isinstance(x, U1RedElt):
-        p, rows = _lie_rows(x.alpha, _FR_ZERO, x.b, _FR_ZERO, _FR_ZERO)
+        p, rows = _lie_rows(x.p, _rationals(x.alpha), 0, _rationals(x.b), 0, 0)
     else:
         p, rows = x.rows()
     s1, s2 = xi

@@ -20,14 +20,16 @@ not transitive, so no hash can agree with it.  Exact values hash as the
 rational or smaller-field element they equal, so a PadicScalar, QuadElt or
 QuatElt equal to an int or Fraction hashes like it.
 
-Quaternion products and solves take exact coordinates only; a capped one
-raises PrecisionError.  A product runs on integer coordinates:
-q = ((a + b pi) + (c + d pi) j) / den, with den the lcm of the coordinates'
-denominators (`_int_coords`, `_int_quat_mul`), and one Fraction per
-coordinate of the result.  The linear solves over D work on the same
-coordinates, one denominator per row: `orbits.quat_mat_solve` reads the rows
-of [A | B] through `_int_rows`, which also checks that the entries are exact
-and share a prime, and `cayley_solve` takes the integer rows of M and writes
+An element's exact coordinates are read one way, wherever they are read:
+its parts share one prime (`_one_prime`, the one element-level "mixed
+primes" check), each is read as a rational (`PadicScalar.rational`, whose
+PrecisionError is the one refusal of a capped coordinate), and rationals are
+written as integers over their lcm denominator (`_over_lcm`).  A quaternion
+product runs on integer coordinates: q = ((a + b pi) + (c + d pi) j) / den
+(`_int_coords`, `_int_quat_mul`), and one Fraction per coordinate of the
+result.  The linear solves over D work on the same coordinates, one
+denominator per row: `orbits.quat_mat_solve` reads the rows of [A | B]
+through `_int_rows`, and `cayley_solve` takes the integer rows of M and writes
 the rows of [1 - S M | 1 + S M], S a diagonal of signs, into new lists,
 adding the row denominator for the 1 on the diagonal.  The rows of M are
 written once: the Lie matrix of a forward transform straight in integer
@@ -195,7 +197,9 @@ class PadicScalar:
 
     @property
     def rational(self) -> Fraction:
-        if not self.is_exact:
+        """The exact value; the one refusal of a capped coordinate wherever
+        exact coordinates are read."""
+        if self._prec != INF:
             raise PrecisionError("capped value has no exact rational form")
         return self._fr
 
@@ -586,20 +590,14 @@ class QuatElt:
 
     def __mul__(self, other):
         """(x1 + y1 j)(x2 + y2 j) = (x1 x2 + eps y1 conj(y2))
-        + (x1 y2 + y1 conj(x2)) j.  Exact operands multiply on integer
-        coordinates (`_int_coords`, `_int_quat_mul`); a capped coordinate
-        raises PrecisionError."""
+        + (x1 y2 + y1 conj(x2)) j, on integer coordinates (`_int_coords`,
+        `_int_quat_mul`)."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        p = self.p
-        if o.p != p:
-            raise InputError("mixed primes")
-        u, v = _int_coords(self), _int_coords(o)
-        if u is None or v is None:
-            raise PrecisionError("the quaternion product takes exact coordinates only")
-        return _quat_of_ints(p, _int_quat_mul(u[1], v[1], p, smallest_nonresidue(p)),
-                             u[0] * v[0])
+        p = _one_prime((self, o))
+        (du, u), (dv, v) = _int_coords(self), _int_coords(o)
+        return _quat_of_ints(p, _int_quat_mul(u, v, p, smallest_nonresidue(p)), du * dv)
 
     def __rmul__(self, other):
         # scalar (central) multiplication only
@@ -624,18 +622,35 @@ class QuatElt:
         return f"[{self.x} + {self.y}*j]"
 
 
-def _int_coords(q):
-    """(den, (a, b, c, d)) with q = ((a + b pi) + (c + d pi) j) / den and den
-    the lcm of the coordinates' denominators; None when a coordinate is
-    capped."""
+def _one_prime(values) -> int:
+    """The prime that the values (anything with a p) share: the one
+    element-level check of an element read from its parts, which raises
+    InputError("mixed primes") otherwise."""
+    first, *rest = values
+    p = first.p
+    if any(v.p != p for v in rest):
+        raise InputError("mixed primes")
+    return p
+
+
+def _over_lcm(xs):
+    """(den, nums): the rationals xs (Fractions or ints) as integers over one
+    denominator, den the lcm of theirs, so that xs[i] = nums[i] / den."""
+    den = math.lcm(*[x.denominator for x in xs])
+    return den, tuple([x.numerator * (den // x.denominator) for x in xs])
+
+
+def _rationals(q):
+    """The coordinates (a, b, c, d) of q = (a + b pi) + (c + d pi) j as
+    rationals (`PadicScalar.rational`)."""
     x, y = q.x, q.y
-    if x.a._prec != INF or x.b._prec != INF or y.a._prec != INF or y.b._prec != INF:
-        return None
-    fa, fb, fc, fd = x.a._fr, x.b._fr, y.a._fr, y.b._fr
-    da, db, dc, dd = fa.denominator, fb.denominator, fc.denominator, fd.denominator
-    den = math.lcm(da, db, dc, dd)
-    return den, (fa.numerator * (den // da), fb.numerator * (den // db),
-                 fc.numerator * (den // dc), fd.numerator * (den // dd))
+    return x.a.rational, x.b.rational, y.a.rational, y.b.rational
+
+
+def _int_coords(q):
+    """(den, (a, b, c, d)) with q = ((a + b pi) + (c + d pi) j) / den
+    (`_over_lcm` of `_rationals`)."""
+    return _over_lcm(_rationals(q))
 
 
 def _quat_of_ints(p: int, t, den: int) -> "QuatElt":
@@ -709,23 +724,16 @@ def _eliminate(aug, p: int, e: int):
 
 
 def _int_rows(rows):
-    """(p, [(den, [(a, b, c, d), ...]), ...]): the exact QuatElt entries of
-    each row as integer coordinates over one denominator per row, the lcm of
-    the row's coordinate denominators, so that every entry is
-    ((a + b pi) + (c + d pi) j) / den.  Every entry must share the first
-    one's prime (InputError otherwise), and a capped entry raises
-    PrecisionError."""
-    p = rows[0][0].p
+    """(p, [(den, [(a, b, c, d), ...]), ...]): the QuatElt entries of each
+    row as integer coordinates over one denominator per row (`_over_lcm` of
+    the row's `_rationals`), so that every entry is
+    ((a + b pi) + (c + d pi) j) / den; the entries share one prime
+    (`_one_prime`)."""
+    p = _one_prime(chain.from_iterable(rows))
     out = []
     for row in rows:
-        for q in row:
-            if q.p != p:
-                raise InputError("mixed primes")
-        coords = [_int_coords(q) for q in row]
-        if None in coords:
-            raise PrecisionError("the quaternion solve takes exact entries only")
-        den = math.lcm(*(d for d, _ in coords))
-        out.append((den, [tuple(s * (den // d) for s in q) for d, q in coords]))
+        den, nums = _over_lcm([x for q in row for x in _rationals(q)])
+        out.append((den, [nums[i:i + 4] for i in range(0, len(nums), 4)]))
     return p, out
 
 

@@ -27,6 +27,10 @@ ZERO_M_MAX = 4
 ZERO_L_MAX = 9
 NEIGHBORHOOD_SAMPLES = 5
 
+# the formats `report` writes, and the one it writes by default
+REPORT_FORMATS = ("json", "csv", "text")
+DEFAULT_FORMAT = "json"
+
 
 def expected_constant_at_zero(p: int) -> LogQVal:
     """4t(t-3)/(1-t)^2 * log q at t = 1/q."""
@@ -244,7 +248,7 @@ def verify_x0_library(p: int) -> list:
     return [(name, verify_x0(x0)) for name, x0 in base_point_library(p)]
 
 
-def report(reports, fmt: str = "json") -> str:
+def report(reports, fmt: str = DEFAULT_FORMAT) -> str:
     """Serialize a collection of (name, VerifyReport) pairs."""
     import csv
     import io

@@ -1295,6 +1295,34 @@ class TestElementParts:
         assert built["quad"] == 0, built
         assert outcomes["closed"] >= 60 and outcomes["nonzero"] >= 5, outcomes
 
+    @pytest.mark.parametrize("x0, interval", [
+        ((-27, 3, 9), (0, 3)),          # case 1: the scan stops at lo = 0
+        ((81, 0, 0), (None, 0)),        # case 0: open below, so auto_window guards it
+    ], ids=["interval", "guard"])
+    def test_the_oracle_reads_no_coordinate(self, x0, interval, monkeypatch):
+        # the element reads its coordinates when it is built; the oracle,
+        # auto_window included, reads only the parts it kept
+        p = 3
+        y = u0_ss_case1(BPoint.exact(*x0, p)) if x0[1] else u0_ss_case0(x0[0], p)
+        assert _k_interval(_conj_polys(*y.parts()), p, False) == interval
+        mine = [y.a1, y.a2, y.a3, y.b1, y.b2, y.b1.a, y.b1.b, y.b2.a, y.b2.b]
+        reads, guarded = Counter(), []
+        for cls in (PadicScalar, QuadElt):
+            def read(self, name, get=cls.__getattribute__):
+                if any(self is c for c in mine):
+                    reads[type(self).__name__, name] += 1
+                return get(self, name)
+            monkeypatch.setattr(cls, "__getattribute__", read)
+        window = integrate.auto_window
+        monkeypatch.setattr(integrate, "auto_window",
+                            lambda y: guarded.append(y) or window(y))
+        assert iwasawa_orbit_u0(y) == (orb_u0_ss_case1(-27, 3, p) if x0[1]
+                                       else orb_u0_ss_case0(81, p))
+        assert reads == Counter(), reads
+        assert guarded == ([] if interval[0] is not None else [y])
+        y.b2.b.rational                 # the count sees a read
+        assert reads["PadicScalar", "rational"] == 1
+
     @pytest.mark.parametrize("slot", ["a1", "a2", "a3", "b1", "b2"])
     def test_mixed_primes_raise(self, slot):
         coords = {"a1": PadicScalar.exact(1, 3), "a2": PadicScalar.exact(2, 3),
@@ -1302,11 +1330,9 @@ class TestElementParts:
                   "b2": QuadElt.exact(2, -1, 3)}
         coords[slot] = (QuadElt.exact(1, 1, 5) if slot.startswith("b")
                         else PadicScalar.exact(1, 5))
-        y = U0RedElt(**coords)
+        # the element reads its coordinates when it is built
         with pytest.raises(InputError, match="mixed primes"):
-            y.invariants()
-        with pytest.raises(InputError, match="mixed primes"):
-            iwasawa_orbit_u0(y)
+            U0RedElt(**coords)
 
     @pytest.mark.parametrize("slot", range(7))
     def test_a_capped_coordinate_raises(self, slot):
@@ -1314,11 +1340,9 @@ class TestElementParts:
         coords = [PadicScalar.exact(c, p) for c in (1, Fraction(2, 9), -1, 0, 1, 3, -1)]
         coords[slot] = capped(p, 1, 2, 4)
         a1, a2, a3, x1, y1, x2, y2 = coords
-        y = U0RedElt(a1, a2, a3, QuadElt(x1, y1), QuadElt(x2, y2))
+        b1, b2 = QuadElt(x1, y1), QuadElt(x2, y2)
         with pytest.raises(PrecisionError, match="no exact rational form"):
-            y.invariants()
-        with pytest.raises(PrecisionError, match="no exact rational form"):
-            iwasawa_orbit_u0(y)
+            U0RedElt(a1, a2, a3, b1, b2)
 
 
 def side1_neighborhood_samples(x0, count, rng):

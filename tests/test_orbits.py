@@ -757,6 +757,34 @@ class TestGroupRows:
             g.M = g.M
 
 
+class TestReprs:
+    """Each element's repr names every coordinate it was built from."""
+
+    def test_s_red_element(self):
+        p = 5
+        z = [[PadicScalar.exact(x, p) for x in row]
+             for row in ((Fraction(2, 7), 3, Fraction(-4, 5)), (11, Fraction(-2, 7), 13),
+                         (Fraction(1, 9), -17, 0))]
+        assert repr(SRedElt(z)) == "SRedElt([[2/7, 3, -4/5], [11, -2/7, 13], [1/9, -17, 0]])"
+
+    def test_u0_red_element_prints_its_constructor_coordinates(self):
+        # the element keeps its rational parts, and prints what it was given
+        p = 5
+        y = U0RedElt.exact(Fraction(2, 7), 5, -3, QuadElt.exact(Fraction(1, 2), 4, p),
+                           QuadElt.exact(0, Fraction(-1, 3), p), p)
+        assert repr(y) == ("U0RedElt(a1=2/7, a2=5, a3=-3, b1=(1/2 + 4*pi), "
+                           "b2=(0 + -1/3*pi))")
+
+    def test_u1_lie_element(self):
+        p = 5
+        x = U1LieElt(QuatElt(QuadElt.exact(0, Fraction(1, 5), p), QuadElt.exact(2, -3, p)),
+                     PadicScalar.exact(Fraction(7, 2), p),
+                     QuatElt(QuadElt.exact(Fraction(1, 2), 3, p), QuadElt.exact(1, -1, p)),
+                     QuadElt.exact(0, 9, p))
+        assert repr(x) == ("U1LieElt(alpha=[(0 + 1/5*pi) + (2 + -3*pi)*j], beta=7/2, "
+                           "b=[(1/2 + 3*pi) + (1 + -1*pi)*j], d=(0 + 9*pi))")
+
+
 INVARIANTS_RS = """{
   "invariants": {
     "lambda": {

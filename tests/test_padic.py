@@ -3,6 +3,7 @@ import math
 import operator
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,8 @@ from atlas.cli import main
 from atlas.errors import InputError, PrecisionError
 from atlas.orbits import BPoint, _rational_sqrt, case_of, quat_mat_solve
 from atlas.padic import (DEFAULT_PRECISION, PadicScalar, QuadElt, QuatElt,
-                         _sqrt_mod_p, eta, legendre, smallest_nonresidue, val)
+                         _over_lcm, _sqrt_mod_p, eta, legendre, smallest_nonresidue,
+                         val)
 from atlas.serialize import decode_scalar
 from atlas.values import transfer_sign_0ii
 
@@ -740,7 +742,7 @@ class TestQuatElt:
 
     def test_capped_coordinate_product_raises(self):
         """A product takes exact coordinates only: a capped coordinate of
-        either operand raises PrecisionError."""
+        either operand raises the PrecisionError of `PadicScalar.rational`."""
         for p in (3, 5):
             q = QuatElt(QuadElt.exact(2, 1, p), QuadElt.exact(0, 3, p))
             for k in range(4):
@@ -748,7 +750,7 @@ class TestQuatElt:
                 coords[k] = capped(p, -1, 2, 4)
                 c = QuatElt(QuadElt(*coords[:2]), QuadElt(*coords[2:]))
                 for a, b in ((c, q), (q, c), (c, c), (2, c), (c, QuadElt.pi(p))):
-                    with pytest.raises(PrecisionError, match="exact coordinates only"):
+                    with pytest.raises(PrecisionError, match="no exact rational form"):
                         a * b
 
     def test_exact_product_matches_the_quad_formula(self, monkeypatch):
@@ -835,3 +837,32 @@ class TestSubtraction:
                 op(1.5, s)
             with pytest.raises(TypeError, match=re.escape(f"for {sign}: '{name}' and 'float'")):
                 op(s, 1.5)
+
+
+def test_over_lcm_writes_rationals_over_their_least_denominator():
+    """_over_lcm(xs) = (den, nums): den > 0, xs[i] == nums[i] / den, and den
+    is the least such: no prime q dividing den leaves every xs[i] (den / q)
+    an integer.  Ints and zeros are among the inputs."""
+    rng = random.Random(39)
+    seen = Counter()
+    for _ in range(400):
+        xs = []
+        for _ in range(rng.randint(1, 6)):
+            kind = rng.choice(("zero", "int", "fraction"))
+            seen[kind] += 1
+            if kind == "zero":
+                xs.append(rng.choice((0, Fraction(0))))
+            elif kind == "int":
+                xs.append(rng.randint(-60, 60))
+            else:
+                xs.append(Fraction(rng.randint(-60, 60), rng.randint(1, 60)))
+        den, nums = _over_lcm(xs)
+        assert den > 0
+        assert all(type(n) is int for n in nums)
+        assert [Fraction(n, den) for n in nums] == xs
+        # every denominator is at most 60, so are the primes of den
+        for q in (q for q in range(2, 61) if den % q == 0 and all(q % r for r in range(2, q))):
+            assert any((x * (den // q)).denominator != 1 for x in xs), (xs, q)
+        if all(Fraction(x).denominator == 1 for x in xs):
+            assert den == 1
+    assert min(seen.values()) >= 300, seen

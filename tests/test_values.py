@@ -17,6 +17,14 @@ def ex(x, p):
     return PadicScalar.exact(Fraction(x), p)
 
 
+def test_class_function_repr_names_every_coefficient():
+    p = 5
+    f = CClassFn({"phi0": Fraction(1, 3), "phi2": LogQVal({0: 2, 1: Fraction(-5, 4)}, p),
+                  "phi3": 7}, p)
+    assert repr(f) == "(1/3)*phi0 + (2 + -5/4*logq)*phi2 + (7)*phi3"
+    assert repr(CClassFn({"phi1": 0}, p)) == "0"
+
+
 class TestPhiEval:
     def test_phi0(self):
         f = CClassFn.basis("phi0", 5)

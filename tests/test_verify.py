@@ -1,9 +1,11 @@
+import argparse
+import inspect
 import json
 from fractions import Fraction
 
 import pytest
 
-from atlas import verify
+from atlas import cli, verify
 from atlas.cli import main
 from atlas.errors import ExcludedCaseError, InputError, UnrealizableError
 from atlas.germs import NEIGHBORHOOD_DEPTH
@@ -182,6 +184,19 @@ class TestReport:
         assert "constant" in csv_blob.splitlines()[0]
         txt = report([("zero p=3", r)], "text")
         assert "constant" in txt
+
+    def test_the_cli_reads_the_formats_and_default_of_verify(self):
+        # one source: `atlas verify --format` offers what `report` writes
+        sub = next(a for a in cli._parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        fmt = next(a for a in sub.choices["verify"]._actions if "--format" in a.option_strings)
+        assert fmt.choices is verify.REPORT_FORMATS
+        assert fmt.default is verify.DEFAULT_FORMAT
+        assert inspect.signature(report).parameters["fmt"].default is verify.DEFAULT_FORMAT
+        assert verify.DEFAULT_FORMAT in verify.REPORT_FORMATS
+        r = verify_zero(3, m_max=0, l_max=1)
+        for name in verify.REPORT_FORMATS:
+            assert report([("zero p=3", r)], name)
 
     def test_unknown_format_is_an_input_error(self):
         r = verify_zero(3, m_max=0, l_max=1)
